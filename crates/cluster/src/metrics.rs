@@ -32,6 +32,20 @@ pub fn silhouette(points: &[Vec<f64>], assignments: &[usize]) -> f64 {
         return 0.0;
     }
 
+    // Row `i` of `sums` holds point i's summed distance to each cluster.
+    // Each unordered pair is measured once and credited to both rows;
+    // row i still receives its terms in ascending-j order and
+    // `dist(i, j)` has the same bits as `dist(j, i)`, so every sum is
+    // bit-identical to a row-at-a-time scan at half the distance work.
+    let mut sums = vec![0.0f64; n * k];
+    for i in 0..n {
+        for j in (i + 1)..n {
+            let d = dist(&points[i], &points[j]);
+            sums[i * k + assignments[j]] += d;
+            sums[j * k + assignments[i]] += d;
+        }
+    }
+
     let mut total = 0.0;
     for i in 0..n {
         let own = assignments[i];
@@ -39,13 +53,7 @@ pub fn silhouette(points: &[Vec<f64>], assignments: &[usize]) -> f64 {
             continue; // contributes 0
         }
         // Mean distance to own cluster (a) and nearest other cluster (b).
-        let mut sum_per_cluster = vec![0.0f64; k];
-        for j in 0..n {
-            if i == j {
-                continue;
-            }
-            sum_per_cluster[assignments[j]] += dist(&points[i], &points[j]);
-        }
+        let sum_per_cluster = &sums[i * k..(i + 1) * k];
         let a = sum_per_cluster[own] / (sizes[own] - 1) as f64;
         let b = (0..k)
             .filter(|&c| c != own && sizes[c] > 0)
@@ -336,6 +344,72 @@ mod tests {
     #[should_panic(expected = "one assignment per point")]
     fn length_mismatch_panics() {
         let _ = silhouette(&[vec![0.0]], &[0, 1]);
+    }
+
+    /// Row-at-a-time reference: every point scans all others on its own.
+    fn silhouette_by_rows(points: &[Vec<f64>], assignments: &[usize]) -> f64 {
+        let n = points.len();
+        if n < 2 {
+            return 0.0;
+        }
+        let k = assignments.iter().max().map_or(0, |m| m + 1);
+        let mut sizes = vec![0usize; k];
+        for &a in assignments {
+            sizes[a] += 1;
+        }
+        if sizes.iter().filter(|&&s| s > 0).count() < 2 {
+            return 0.0;
+        }
+        let mut total = 0.0;
+        for i in 0..n {
+            let own = assignments[i];
+            if sizes[own] <= 1 {
+                continue;
+            }
+            let mut sum_per_cluster = vec![0.0f64; k];
+            for j in 0..n {
+                if i != j {
+                    sum_per_cluster[assignments[j]] += dist(&points[i], &points[j]);
+                }
+            }
+            let a = sum_per_cluster[own] / (sizes[own] - 1) as f64;
+            let b = (0..k)
+                .filter(|&c| c != own && sizes[c] > 0)
+                .map(|c| sum_per_cluster[c] / sizes[c] as f64)
+                .fold(f64::MAX, f64::min);
+            let denom = a.max(b);
+            if denom > 0.0 {
+                total += (b - a) / denom;
+            }
+        }
+        total / n as f64
+    }
+
+    #[test]
+    fn symmetric_silhouette_is_bit_identical_to_row_scan() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x511);
+        for case in 0..40 {
+            let n = rng.gen_range(2..80);
+            let dim = rng.gen_range(1..6);
+            // Label space wider than the population used: some labels
+            // stay empty, and small n leaves singleton clusters.
+            let k = rng.gen_range(2..9);
+            let points: Vec<Vec<f64>> = (0..n)
+                .map(|_| (0..dim).map(|_| rng.gen_range(-5.0..5.0)).collect())
+                .collect();
+            let mut assignments: Vec<usize> = (0..n).map(|_| rng.gen_range(0..k)).collect();
+            // Force one singleton cluster and one empty label.
+            assignments[0] = k + 1;
+            let fast = silhouette(&points, &assignments);
+            let slow = silhouette_by_rows(&points, &assignments);
+            assert_eq!(
+                fast.to_bits(),
+                slow.to_bits(),
+                "case {case}: {fast} vs {slow}"
+            );
+        }
     }
 }
 

@@ -74,7 +74,8 @@ impl DemandConfig {
         if self.rb_bandwidth.value() <= 0.0 {
             return Err(Error::invalid_config("rb_bandwidth", "must be positive"));
         }
-        if self.prefetch_secs < 0.0 || self.swipe_gap_secs < 0.0 {
+        // Written as `!(x >= 0)` so NaN fails too.
+        if !(self.prefetch_secs >= 0.0 && self.swipe_gap_secs >= 0.0) {
             return Err(Error::invalid_config(
                 "prefetch/swipe gap",
                 "must be non-negative",
@@ -86,10 +87,10 @@ impl DemandConfig {
                 "must be positive and finite",
             ));
         }
-        if self.group_rb_budget <= 0.0 {
+        if self.group_rb_budget.is_nan() || self.group_rb_budget <= 0.0 {
             return Err(Error::invalid_config("group_rb_budget", "must be positive"));
         }
-        if !(0.0..=1.0).contains(&self.rate_margin) {
+        if !(self.rate_margin > 0.0 && self.rate_margin <= 1.0) {
             return Err(Error::invalid_config("rate_margin", "must be in (0, 1]"));
         }
         Ok(())
@@ -543,6 +544,42 @@ mod tests {
         assert!(bad.validate().is_err());
         let bad = DemandConfig {
             rate_margin: 1.5,
+            ..Default::default()
+        };
+        assert!(bad.validate().is_err());
+    }
+
+    #[test]
+    fn rejects_zero_rate_margin() {
+        let bad = DemandConfig {
+            rate_margin: 0.0,
+            ..Default::default()
+        };
+        assert!(bad.validate().is_err());
+    }
+
+    #[test]
+    fn rejects_nan_prefetch() {
+        let bad = DemandConfig {
+            prefetch_secs: f64::NAN,
+            ..Default::default()
+        };
+        assert!(bad.validate().is_err());
+    }
+
+    #[test]
+    fn rejects_nan_swipe_gap() {
+        let bad = DemandConfig {
+            swipe_gap_secs: f64::NAN,
+            ..Default::default()
+        };
+        assert!(bad.validate().is_err());
+    }
+
+    #[test]
+    fn rejects_nan_group_rb_budget() {
+        let bad = DemandConfig {
+            group_rb_budget: f64::NAN,
             ..Default::default()
         };
         assert!(bad.validate().is_err());

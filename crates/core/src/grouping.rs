@@ -212,6 +212,18 @@ struct WarmState {
     cold_iterations: usize,
 }
 
+/// Groupings already fitted during one [`GroupingEngine::pretrain`] call,
+/// keyed by `(feature-set index, K)`. Pretraining fits are cold-seeded,
+/// so each key is a pure function of its inputs: fitting it once and
+/// replaying the result gives the DDQN the same rewards at a fraction of
+/// the cost.
+#[derive(Default)]
+struct PretrainMemo {
+    /// Index of the feature set the current episode clusters.
+    set: usize,
+    fits: std::collections::HashMap<(usize, usize), Grouping>,
+}
+
 /// The learning group constructor.
 pub struct GroupingEngine {
     config: GroupingConfig,
@@ -234,10 +246,11 @@ pub struct GroupingEngine {
     /// before each construction. Starts at full drift so the gate never
     /// engages before the encode layer has reported.
     dirty_fraction: f64,
-    /// Pretraining bypasses the drift gate: a stationary pretrain
-    /// population would otherwise gate every episode after the first and
-    /// the DDQN would never learn.
-    in_pretrain: bool,
+    /// `Some` while [`GroupingEngine::pretrain`] runs. Pretraining
+    /// bypasses the drift gate (a stationary pretrain population would
+    /// otherwise gate every episode after the first and the DDQN would
+    /// never learn), never warm-starts, and memoises its fits.
+    pretrain: Option<PretrainMemo>,
     /// Set when the drift gate observed established signals *above*
     /// threshold: the population moved, so the encode layer should do a
     /// full (exact) re-encode next interval instead of serving stale
@@ -292,7 +305,7 @@ impl GroupingEngine {
             last_silhouette: None,
             silhouette_delta: None,
             dirty_fraction: 1.0,
-            in_pretrain: false,
+            pretrain: None,
             refresh_hint: false,
         })
     }
@@ -356,7 +369,7 @@ impl GroupingEngine {
     /// threshold the refresh hint is raised so the encode layer bounds
     /// embedding staleness with a full re-encode.
     fn drift_gate(&mut self) -> Option<usize> {
-        if !self.config.incremental || self.in_pretrain {
+        if !self.config.incremental || self.pretrain.is_some() {
             return None;
         }
         let prev_k = self.prev_k?;
@@ -533,32 +546,74 @@ impl GroupingEngine {
     /// Pretrains the DDQN by repeatedly constructing groups over the given
     /// feature sets (cycling through them) for `episodes` iterations.
     ///
+    /// Every episode runs the agent's `act`/`observe` and emits
+    /// `GroupsFormed`, but each `(feature set, K)` pair is clustered only
+    /// once per call: pretraining fits are cold in every mode, so a repeat
+    /// is a pure replay of the first. At most `k_max − k_min + 1` fits run
+    /// per feature set, whatever `episodes` is. In incremental mode a
+    /// replay still feeds the drift lags as the refit it stands in for
+    /// would (unchanged points: zero centroid displacement), so the scored
+    /// intervals start from the same drift state as before memoisation.
+    ///
     /// # Errors
     /// Propagates construction errors.
     pub fn pretrain(&mut self, feature_sets: &[Vec<Vec<f64>>], episodes: usize) -> Result<()> {
         if feature_sets.is_empty() {
             return Err(Error::insufficient("at least one feature set"));
         }
-        self.in_pretrain = true;
+        self.pretrain = Some(PretrainMemo::default());
         let mut outcome = Ok(());
         for e in 0..episodes {
-            let features = &feature_sets[e % feature_sets.len()];
-            if let Err(err) = self.construct(features) {
+            let set = e % feature_sets.len();
+            self.pretrain.as_mut().expect("set above").set = set;
+            if let Err(err) = self.construct(&feature_sets[set]) {
                 outcome = Err(err);
                 break;
             }
         }
-        self.in_pretrain = false;
+        self.pretrain = None;
         outcome
     }
 
     fn cluster(&mut self, features: &[Vec<f64>], k: usize) -> Result<Grouping> {
+        let replay = self
+            .pretrain
+            .as_ref()
+            .and_then(|memo| memo.fits.get(&(memo.set, k)).cloned());
+        let grouping = match replay {
+            Some(g) => {
+                // A replay stands in for a warm refit of unchanged points,
+                // whose centroids do not move.
+                if self.config.incremental {
+                    self.last_displacement = Some(0.0);
+                }
+                g
+            }
+            None => {
+                let g = self.fit(features, k)?;
+                if let Some(memo) = &mut self.pretrain {
+                    memo.fits.insert((memo.set, k), g.clone());
+                }
+                g
+            }
+        };
+        if self.config.incremental {
+            self.silhouette_delta = self.last_silhouette.map(|prev| grouping.silhouette - prev);
+            self.last_silhouette = Some(grouping.silhouette);
+        }
+        Ok(grouping)
+    }
+
+    /// One K-means fit plus its silhouette, with the incremental
+    /// warm-start bookkeeping.
+    fn fit(&mut self, features: &[Vec<f64>], k: usize) -> Result<Grouping> {
         let dim = features.first().map_or(0, Vec::len);
         let shape = (k, dim);
         // Warm-start from the last converged centroids of the same shape.
         // A shape change (different K or feature dim) misses the cache and
         // the fit seeds cold via k-means++, exactly as in classic mode.
-        let init = if self.config.incremental {
+        // Pretraining never warm-starts, so its fits stay pure.
+        let init = if self.config.incremental && self.pretrain.is_none() {
             self.warm
                 .get(&shape)
                 .map(|w| msvs_cluster::Init::Warm(w.centroids.clone()))
@@ -655,10 +710,6 @@ impl GroupingEngine {
             self.config.silhouette_sample_cap,
         );
         drop(sil_scope);
-        if self.config.incremental {
-            self.silhouette_delta = self.last_silhouette.map(|prev| sil - prev);
-            self.last_silhouette = Some(sil);
-        }
         Ok(Grouping {
             k,
             assignments: fit.assignments,
@@ -997,6 +1048,83 @@ mod tests {
             0,
             "every pretrain episode must reach the agent"
         );
+    }
+
+    fn pretrain_engine(incremental: bool) -> (GroupingEngine, msvs_telemetry::Telemetry) {
+        let mut engine = GroupingEngine::new(GroupingConfig {
+            k_min: 2,
+            k_max: 6,
+            incremental,
+            epsilon: EpsilonSchedule::linear(1.0, 0.02, 80).unwrap(),
+            seed: 5,
+            ..Default::default()
+        })
+        .unwrap();
+        let t = msvs_telemetry::Telemetry::new();
+        engine.attach_telemetry(t.clone());
+        (engine, t)
+    }
+
+    fn kmeans_fits(t: &msvs_telemetry::Telemetry) -> u64 {
+        t.registry()
+            .histogram(msvs_telemetry::STAGE_MS, msvs_telemetry::stages::KMEANS_FIT)
+            .count()
+    }
+
+    /// Memoised pretraining is a pure replay: the agent ends up exactly
+    /// where the same number of plain constructions would leave it, over
+    /// one feature set or several.
+    #[test]
+    fn memoised_pretrain_matches_repeated_construction() {
+        let one = vec![blobs(4, 12, 19)];
+        let two = vec![blobs(4, 12, 19), blobs(3, 14, 41)];
+        for sets in [one, two] {
+            let episodes = 120;
+            let (mut memo, memo_t) = pretrain_engine(false);
+            memo.pretrain(&sets, episodes).unwrap();
+            let (mut plain, plain_t) = pretrain_engine(false);
+            for e in 0..episodes {
+                plain.construct(&sets[e % sets.len()]).unwrap();
+            }
+            // Same K, rewards and training steps, event for event.
+            assert_eq!(memo_t.journal().entries(), plain_t.journal().entries());
+            assert!(kmeans_fits(&memo_t) < kmeans_fits(&plain_t));
+            for f in &sets {
+                assert_eq!(memo.greedy_k(f), plain.greedy_k(f));
+                assert_eq!(memo.construct(f).unwrap(), plain.construct(f).unwrap());
+            }
+        }
+    }
+
+    #[test]
+    fn pretrain_fits_each_k_at_most_once_per_feature_set() {
+        let sets = vec![blobs(3, 10, 23), blobs(5, 8, 29)];
+        for incremental in [false, true] {
+            let (mut engine, t) = pretrain_engine(incremental);
+            engine.pretrain(&sets, 150).unwrap();
+            let k_range = (engine.config.k_max - engine.config.k_min + 1) as u64;
+            let fits = kmeans_fits(&t);
+            assert!(
+                fits <= k_range * sets.len() as u64,
+                "incremental={incremental}: {fits} fits"
+            );
+            assert_eq!(engine.calls(), 150);
+        }
+    }
+
+    /// Under incremental mode pretraining never warm-starts, but a replay
+    /// leaves the drift lags where a refit of unchanged points would.
+    #[test]
+    fn incremental_pretrain_is_cold_and_feeds_the_drift_lags() {
+        let features = blobs(3, 15, 37);
+        let (mut engine, t) = pretrain_engine(true);
+        engine
+            .pretrain(std::slice::from_ref(&features), 40)
+            .unwrap();
+        assert_eq!(t.counter("kmeans_warm_rounds_saved", "all").get(), 0);
+        assert!(!engine.warm.is_empty(), "cold fits seed the warm cache");
+        assert!(engine.last_silhouette.is_some() && engine.silhouette_delta.is_some());
+        assert!(engine.pretrain.is_none(), "memo is scoped to the call");
     }
 
     #[test]

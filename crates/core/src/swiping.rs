@@ -11,6 +11,9 @@
 //! paper's Fig. 3(a), and expectations over it drive the demand and
 //! prefetch-waste predictions.
 
+use std::collections::VecDeque;
+use std::sync::OnceLock;
+
 use msvs_types::{SimDuration, VideoCategory};
 use msvs_udt::WatchRecord;
 
@@ -38,8 +41,8 @@ struct KmCurve {
 impl KmCurve {
     /// Fits the estimator. At tied times, events precede censorings (the
     /// standard convention).
-    fn fit(observations: &[Observation]) -> Self {
-        let mut sorted: Vec<Observation> = observations.to_vec();
+    fn fit<'a>(observations: impl IntoIterator<Item = &'a Observation>) -> Self {
+        let mut sorted: Vec<Observation> = observations.into_iter().copied().collect();
         sorted.sort_by(|a, b| {
             a.0.partial_cmp(&b.0)
                 .expect("durations are finite")
@@ -104,16 +107,31 @@ impl KmCurve {
 }
 
 /// Per-group, per-category swipe-time distributions (Kaplan–Meier).
-#[derive(Debug, Clone, Default)]
+///
+/// Curves are compiled lazily, all categories in one pass, on the first
+/// query after an [`ingest`](Self::ingest); every later query reads the
+/// compiled curves. Demand prediction queries each group's curves about
+/// a hundred times per interval, so refitting per query dominated it.
+#[derive(Debug, Clone)]
 pub struct SwipingAbstraction {
-    per_category: Vec<Vec<Observation>>,
+    per_category: Vec<VecDeque<Observation>>,
+    /// Compiled curves by category index (`None` = no data, prior
+    /// applies). Reset by `ingest`.
+    curves: OnceLock<Vec<Option<KmCurve>>>,
+}
+
+impl Default for SwipingAbstraction {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl SwipingAbstraction {
     /// Builds an empty abstraction (all categories on the neutral prior).
     pub fn new() -> Self {
         Self {
-            per_category: vec![Vec::new(); VideoCategory::COUNT],
+            per_category: vec![VecDeque::new(); VideoCategory::COUNT],
+            curves: OnceLock::new(),
         }
     }
 
@@ -128,13 +146,14 @@ impl SwipingAbstraction {
     /// interval). Completed views enter as right-censored observations;
     /// oldest samples are dropped beyond the rolling window.
     pub fn ingest<'a>(&mut self, records: impl IntoIterator<Item = &'a WatchRecord>) {
+        self.curves = OnceLock::new();
         for r in records {
             let bucket = &mut self.per_category[r.category.index()];
             if bucket.len() == MAX_SAMPLES {
-                bucket.remove(0);
+                bucket.pop_front();
             }
             // `completed` means the swipe was never observed: censored.
-            bucket.push((r.watched.as_secs_f64(), !r.completed));
+            bucket.push_back((r.watched.as_secs_f64(), !r.completed));
         }
     }
 
@@ -148,13 +167,14 @@ impl SwipingAbstraction {
         self.per_category.iter().map(|c| c.len()).sum()
     }
 
-    fn curve(&self, category: VideoCategory) -> Option<KmCurve> {
-        let bucket = &self.per_category[category.index()];
-        if bucket.is_empty() {
-            None
-        } else {
-            Some(KmCurve::fit(bucket))
-        }
+    fn curve(&self, category: VideoCategory) -> Option<&KmCurve> {
+        self.curves.get_or_init(|| {
+            self.per_category
+                .iter()
+                .map(|bucket| (!bucket.is_empty()).then(|| KmCurve::fit(bucket)))
+                .collect()
+        })[category.index()]
+        .as_ref()
     }
 
     /// Cumulative swiping probability: the chance a group member has
@@ -439,6 +459,87 @@ mod tests {
         // n=2, so S(5) = 1/2 (not 0).
         let curve = KmCurve::fit(&[(5.0, true), (5.0, false)]);
         assert!((curve.survival(5.0) - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn default_is_an_empty_abstraction() {
+        let mut s = SwipingAbstraction::default();
+        assert_eq!(s.sample_count(VideoCategory::News), 0);
+        s.ingest([record(VideoCategory::News, 5.0)].iter());
+        assert_eq!(s.sample_count(VideoCategory::News), 1);
+        assert_eq!(s.total_samples(), 1);
+    }
+
+    /// The compiled-curve cache must answer exactly as a fresh fit of the
+    /// current window, before and after further ingestion.
+    #[test]
+    fn cached_curves_match_fresh_fits_across_ingest() {
+        let fresh =
+            |s: &SwipingAbstraction, cat: VideoCategory| KmCurve::fit(&s.per_category[cat.index()]);
+        let check = |s: &SwipingAbstraction| {
+            for cat in [VideoCategory::Music, VideoCategory::News] {
+                let curve = fresh(s, cat);
+                for t in [0.0, 1.5, 7.0, 12.25, 29.0, 61.0] {
+                    assert_eq!(
+                        s.cumulative_probability(cat, t).to_bits(),
+                        (1.0 - curve.survival(t)).to_bits()
+                    );
+                }
+                for cap in [5.0, 20.0, 45.5] {
+                    let cap_d = SimDuration::from_secs_f64(cap);
+                    let cap_s = cap_d.as_secs_f64();
+                    assert_eq!(
+                        s.expected_engagement(cat, cap_d),
+                        SimDuration::from_secs_f64(curve.integrate(cap_s, |x| x))
+                    );
+                    for n in [1, 3, 17] {
+                        assert_eq!(
+                            s.expected_max_engagement(cat, n, cap_d),
+                            SimDuration::from_secs_f64(
+                                curve.integrate(cap_s, |x| 1.0 - (1.0 - x).powi(n as i32))
+                            )
+                        );
+                    }
+                }
+            }
+        };
+        let mut s = SwipingAbstraction::new();
+        let batch = |offset: usize| -> Vec<WatchRecord> {
+            (0..60)
+                .map(|i| {
+                    let secs = 1.0 + ((i * 7 + offset) % 31) as f64;
+                    let cat = if i % 2 == 0 {
+                        VideoCategory::Music
+                    } else {
+                        VideoCategory::News
+                    };
+                    if i % 5 == 0 {
+                        completed(cat, secs)
+                    } else {
+                        record(cat, secs)
+                    }
+                })
+                .collect()
+        };
+        s.ingest(batch(0).iter());
+        check(&s);
+        // A query compiled the cache; ingesting must invalidate it.
+        s.ingest(batch(13).iter());
+        check(&s);
+    }
+
+    #[test]
+    fn rolling_window_keeps_the_newest_samples() {
+        let mut s = SwipingAbstraction::new();
+        for i in 0..(MAX_SAMPLES + 5) {
+            s.ingest([record(VideoCategory::Music, i as f64)].iter());
+        }
+        let kept: Vec<f64> = s.per_category[VideoCategory::Music.index()]
+            .iter()
+            .map(|o| o.0)
+            .collect();
+        let expected: Vec<f64> = (5..MAX_SAMPLES + 5).map(|i| i as f64).collect();
+        assert_eq!(kept, expected);
     }
 
     #[test]
