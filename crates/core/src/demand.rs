@@ -19,12 +19,12 @@ use msvs_channel::{group_resource_demand, Link};
 use msvs_edge::{TranscodeModel, VideoCache};
 use msvs_types::{
     CpuCycles, Error, GroupId, Hertz, RepresentationLevel, ResourceBlocks, Result, SimDuration,
-    UserId,
+    UserId, VideoCategory,
 };
 use msvs_video::Catalog;
 
 use crate::recommend::GroupRecommendation;
-use crate::swiping::SwipingAbstraction;
+use crate::swiping::{MaxEngagement, SwipingAbstraction};
 
 /// Demand-prediction parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -219,6 +219,7 @@ pub fn predict_group_demand(
     // quantised to whole segments; the expectation of the ceiling is
     // approximated by adding half a segment.
     let seg_bias = config.segment_secs / 2.0;
+    let mut tables = HoldTables::new(swiping);
     let mut exp_slot_secs = 0.0; // feed-advance time per slot (global max)
     let mut exp_traffic_mb_per_slot = vec![0.0f64; n_bs]; // per BS
     let mut exp_waste_mb_per_slot = 0.0;
@@ -246,14 +247,9 @@ pub fn predict_group_demand(
             // which overstates transmission when T concentrates near cap.
             let lead = (config.prefetch_secs + seg_bias).min(cap_s);
             let shrunk_cap = SimDuration::from_secs_f64(cap_s - lead);
-            let hold = swiping
-                .expected_max_engagement(video.category, n, cap)
-                .as_secs_f64();
+            let (hold, tx) = tables.hold_and_tx(video.category, n, cap, shrunk_cap, lead);
             exp_slot_secs += p * hold;
-            global_tx = lead
-                + swiping
-                    .expected_max_engagement(video.category, n, shrunk_cap)
-                    .as_secs_f64();
+            global_tx = tx;
             for (bs, &count) in bs_count.iter().enumerate() {
                 if count == 0 {
                     continue;
@@ -262,14 +258,7 @@ pub fn predict_group_demand(
                 let (local_hold, tx) = if count == n {
                     (hold, global_tx)
                 } else {
-                    (
-                        swiping
-                            .expected_max_engagement(video.category, count, cap)
-                            .as_secs_f64(),
-                        lead + swiping
-                            .expected_max_engagement(video.category, count, shrunk_cap)
-                            .as_secs_f64(),
-                    )
+                    tables.hold_and_tx(video.category, count, cap, shrunk_cap, lead)
                 };
                 exp_traffic_mb_per_slot[bs] += p * bitrate * tx;
                 exp_waste_mb_per_slot += p * bitrate * (tx - local_hold).max(0.0);
@@ -311,6 +300,54 @@ pub fn predict_group_demand(
         expected_traffic_mb,
         expected_waste_mb: expected_slots * exp_waste_mb_per_slot,
     })
+}
+
+/// The swipe-curve tables one group's prediction queries, built on first
+/// use per `(category, member count)`: the group size, plus one count per
+/// BS holding only part of the group.
+struct HoldTables<'a> {
+    swiping: &'a SwipingAbstraction,
+    tables: Vec<(VideoCategory, usize, MaxEngagement)>,
+}
+
+impl<'a> HoldTables<'a> {
+    fn new(swiping: &'a SwipingAbstraction) -> Self {
+        Self {
+            swiping,
+            tables: Vec::new(),
+        }
+    }
+
+    /// `(hold, tx)` for `n` members watching a `category` video of length
+    /// `cap`: the expected time until the last of them swipes, and the
+    /// expected transmission time with the prefetch `lead`, which is
+    /// `lead + E[min(max T, cap - lead)]`.
+    fn hold_and_tx(
+        &mut self,
+        category: VideoCategory,
+        n: usize,
+        cap: SimDuration,
+        shrunk_cap: SimDuration,
+        lead: f64,
+    ) -> (f64, f64) {
+        let i = match self
+            .tables
+            .iter()
+            .position(|(c, m, _)| *c == category && *m == n)
+        {
+            Some(i) => i,
+            None => {
+                let table = self.swiping.max_engagement(category, n);
+                self.tables.push((category, n, table));
+                self.tables.len() - 1
+            }
+        };
+        let table = &self.tables[i].2;
+        (
+            table.expected(cap).as_secs_f64(),
+            lead + table.expected(shrunk_cap).as_secs_f64(),
+        )
+    }
 }
 
 /// Prediction accuracy as defined in the paper's evaluation:
@@ -583,5 +620,68 @@ mod tests {
             ..Default::default()
         };
         assert!(bad.validate().is_err());
+    }
+
+    /// Members on three BSs (5 + 3 + 1), so every BS holds only part of
+    /// the group, over a swiping abstraction with censored completions in
+    /// half the categories and the prior in the rest.
+    #[test]
+    fn three_bs_prediction_golden_bits() {
+        let (catalog, cache, link, _, rec) = setup();
+        let mut swiping = SwipingAbstraction::new();
+        for cat in VideoCategory::ALL.iter().step_by(2) {
+            let records: Vec<WatchRecord> = (0..300)
+                .map(|i| WatchRecord {
+                    video: VideoId(0),
+                    category: *cat,
+                    level: RepresentationLevel::P720,
+                    watched: SimDuration::from_millis(500 + (i * 337) % 45_000),
+                    video_duration: SimDuration::from_secs(45),
+                    completed: i % 7 == 0,
+                })
+                .collect();
+            swiping.ingest(records.iter());
+        }
+        let members: Vec<MemberState> = (0..9)
+            .map(|i| MemberState {
+                user: UserId(i),
+                snr_db: 4.0 + 2.5 * i as f64,
+                bs: match i {
+                    0..=4 => 0,
+                    5..=7 => 1,
+                    _ => 2,
+                },
+            })
+            .collect();
+        let p = predict_group_demand(
+            GroupId(3),
+            &members,
+            &swiping,
+            &rec,
+            &catalog,
+            &cache,
+            &TranscodeModel::default(),
+            &link,
+            &DemandConfig::default(),
+        )
+        .unwrap();
+        let bits = [
+            p.radio.value().to_bits(),
+            p.computing.0.to_bits(),
+            p.expected_slots.to_bits(),
+            p.expected_traffic_mb.to_bits(),
+            p.expected_waste_mb.to_bits(),
+        ];
+        // Captured from the per-query scan that the tables replaced.
+        assert_eq!(
+            bits,
+            [
+                0x4022_b7ab_1d54_e764,
+                0x421e_2d25_5476_a140,
+                0x4022_c192_4a97_b73f,
+                0x408a_d11a_fe0d_46f8,
+                0x4053_7eb6_2207_3f5e,
+            ]
+        );
     }
 }

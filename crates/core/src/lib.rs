@@ -55,4 +55,4 @@ pub use reserve::{
 pub use scheme::{
     DegradationConfig, DtAssistedPredictor, PredictionOutcome, SchemeConfig, SnrEstimator,
 };
-pub use swiping::SwipingAbstraction;
+pub use swiping::{MaxEngagement, SwipingAbstraction};

@@ -210,7 +210,10 @@ pub struct PredictionOutcome {
     pub swiping: Vec<SwipingAbstraction>,
     /// Per-group recommendation pools.
     pub recommendations: Vec<GroupRecommendation>,
-    /// Per-group demand predictions.
+    /// Demand predictions of the non-empty groups, in group-id order.
+    /// Empty clusters have none, so this is *not* indexed by group id:
+    /// look a group up by [`GroupDemandPrediction::group`] (see
+    /// [`Self::group_prediction`]).
     pub groups: Vec<GroupDemandPrediction>,
 }
 
@@ -228,6 +231,12 @@ impl PredictionOutcome {
     /// Total expected prefetch waste across groups, megabits.
     pub fn total_waste_mb(&self) -> f64 {
         self.groups.iter().map(|g| g.expected_waste_mb).sum()
+    }
+
+    /// The demand prediction of group `g`, or `None` when the group is
+    /// empty (or out of range).
+    pub fn group_prediction(&self, g: usize) -> Option<&GroupDemandPrediction> {
+        self.groups.iter().find(|p| p.group.0 as usize == g)
     }
 
     /// The members of group `g` (user ids).
@@ -749,6 +758,52 @@ mod tests {
         assert!(outcome.total_radio().value().is_finite());
         assert_eq!(outcome.groups.len(), outcome.recommendations.len());
         assert_eq!(predictor.intervals_predicted(), 1);
+    }
+
+    /// With an empty middle cluster, `groups` holds two predictions for
+    /// three groups: lookups go by group id, never by position.
+    #[test]
+    fn group_prediction_skips_empty_clusters() {
+        let (catalog, cache, transcode, link) = fixtures();
+        let recommendation =
+            recommend_for_group(&catalog, &[1.0 / 8.0; 8], &RecommenderConfig::default()).unwrap();
+        let swiping = SwipingAbstraction::new();
+        let predict = |gid: u32, users: &[u32]| {
+            let members: Vec<crate::demand::MemberState> = users
+                .iter()
+                .map(|&u| crate::demand::MemberState::new(UserId(u), 12.0))
+                .collect();
+            predict_group_demand(
+                GroupId(gid),
+                &members,
+                &swiping,
+                &recommendation,
+                &catalog,
+                &cache,
+                &transcode,
+                &link,
+                &DemandConfig::default(),
+            )
+            .unwrap()
+        };
+        let outcome = PredictionOutcome {
+            user_order: (0..5).map(UserId).collect(),
+            grouping: Grouping {
+                k: 3,
+                assignments: vec![0, 2, 2, 0, 2],
+                silhouette: 0.5,
+                reward: 0.0,
+            },
+            swiping: vec![SwipingAbstraction::new(); 3],
+            recommendations: vec![recommendation.clone(); 3],
+            groups: vec![predict(0, &[0, 3]), predict(2, &[1, 2, 4])],
+        };
+        let members = |g: usize| outcome.group_prediction(g).map(|p| p.members.len());
+        assert_eq!(members(0), Some(2));
+        assert_eq!(members(1), None, "the empty cluster has no prediction");
+        assert_eq!(members(2), Some(3));
+        assert_eq!(members(3), None);
+        assert_eq!(members(2), Some(outcome.group_members(2).len()));
     }
 
     #[test]

@@ -82,27 +82,99 @@ impl KmCurve {
             self.points[idx - 1].1
         }
     }
+}
 
-    /// `∫_0^cap f(S(t)) dt` over the step curve.
-    fn integrate(&self, cap: f64, f: impl Fn(f64) -> f64) -> f64 {
+/// `∫_0^cap f(S(t)) dt` over one compiled curve for every `cap` at once.
+///
+/// Row `k` holds the integrator's state after the first `k` breakpoints —
+/// the last breakpoint reached, the integral so far and `f` of the
+/// survival there — and covers the caps above breakpoint `k - 1` up to
+/// breakpoint `k`. The rows are accumulated in breakpoint order, so
+/// finishing a query adds the same terms in the same order as a scan up
+/// to `cap` would: answers are bit-identical to scanning, in `O(log m)`.
+#[derive(Debug, Clone, PartialEq)]
+struct PrefixTable {
+    rows: Vec<PrefixRow>,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct PrefixRow {
+    /// Upper end of the caps this row answers (`∞` for the last row).
+    until: f64,
+    /// Start of the open segment.
+    from: f64,
+    /// Integral up to `from`.
+    acc: f64,
+    /// `f(S)` over the open segment.
+    height: f64,
+}
+
+impl PrefixTable {
+    fn new(curve: &KmCurve, f: impl Fn(f64) -> f64) -> Self {
+        let mut rows = Vec::with_capacity(curve.points.len() + 1);
+        let mut acc = 0.0;
+        let mut from = 0.0;
+        let mut height = f(1.0);
+        for &(t, s) in &curve.points {
+            rows.push(PrefixRow {
+                until: t,
+                from,
+                acc,
+                height,
+            });
+            if t > from {
+                acc += (t - from) * height;
+                from = t;
+            }
+            height = f(s);
+        }
+        rows.push(PrefixRow {
+            until: f64::INFINITY,
+            from,
+            acc,
+            height,
+        });
+        Self { rows }
+    }
+
+    /// `∫_0^cap f(S(t)) dt`.
+    fn integral(&self, cap: f64) -> f64 {
         if cap <= 0.0 {
             return 0.0;
         }
-        let mut acc = 0.0;
-        let mut prev_t = 0.0;
-        let mut prev_s = 1.0;
-        for &(t, s) in &self.points {
-            let t_clamped = t.min(cap);
-            if t_clamped > prev_t {
-                acc += (t_clamped - prev_t) * f(prev_s);
-                prev_t = t_clamped;
-            }
-            prev_s = s;
-            if prev_t >= cap {
-                return acc;
-            }
+        let row = &self.rows[self.rows.partition_point(|r| r.until < cap)];
+        row.acc + (cap - row.from) * row.height
+    }
+}
+
+/// `E[min(max(T_1..T_n), cap)]` for one category and group size `n`,
+/// ready to answer any video length `cap` (see
+/// [`SwipingAbstraction::max_engagement`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct MaxEngagement(MaxEngagementKind);
+
+#[derive(Debug, Clone, PartialEq)]
+enum MaxEngagementKind {
+    /// `∫ 1 − (1 − S)^n` tabulated over the category's curve.
+    Curve(PrefixTable),
+    /// No data for the category: the exponential prior, integrated per
+    /// query.
+    Prior { n: usize },
+}
+
+impl MaxEngagement {
+    /// Expected time until the last of the `n` members swipes a video of
+    /// length `cap` away (capped at `cap`).
+    pub fn expected(&self, cap: SimDuration) -> SimDuration {
+        let cap_s = cap.as_secs_f64();
+        if cap_s == 0.0 {
+            return SimDuration::ZERO;
         }
-        acc + (cap - prev_t) * f(prev_s)
+        let secs = match &self.0 {
+            MaxEngagementKind::Curve(table) => table.integral(cap_s),
+            MaxEngagementKind::Prior { n } => integrate_prior_max(*n, cap_s),
+        };
+        SimDuration::from_secs_f64(secs)
     }
 }
 
@@ -193,19 +265,36 @@ impl SwipingAbstraction {
     pub fn expected_engagement(&self, category: VideoCategory, cap: SimDuration) -> SimDuration {
         let cap_s = cap.as_secs_f64();
         let secs = match self.curve(category) {
-            Some(curve) => curve.integrate(cap_s, |s| s),
+            Some(curve) => PrefixTable::new(curve, |s| s).integral(cap_s),
             None => PRIOR_MEAN_SECS * (1.0 - (-cap_s / PRIOR_MEAN_SECS).exp()),
         };
         SimDuration::from_secs_f64(secs)
     }
 
-    /// Expected *transmission-governing* engagement for a multicast group
-    /// of `n` members: `E[min(max(T_1..T_n), cap)]`, the time until the
-    /// last member swipes (capped at the video length).
+    /// Tabulates `E[min(max(T_1..T_n), cap)]` for a multicast group of
+    /// `n` members over every video length `cap`: the time until the last
+    /// member swipes, capped at the video length.
     ///
     /// Computed as `∫_0^cap (1 - (1 - S(t))^n) dt`. Because completions
     /// are censored, `S` retains mass at the video end, so large groups
-    /// correctly hold videos to completion.
+    /// correctly hold videos to completion. Building costs one pass over
+    /// the category's curve; each [`MaxEngagement::expected`] query then
+    /// costs one binary search.
+    ///
+    /// # Panics
+    /// Panics if `n == 0`.
+    pub fn max_engagement(&self, category: VideoCategory, n: usize) -> MaxEngagement {
+        assert!(n > 0, "group must have at least one member");
+        MaxEngagement(match self.curve(category) {
+            Some(curve) => MaxEngagementKind::Curve(PrefixTable::new(curve, any_watching(n))),
+            None => MaxEngagementKind::Prior { n },
+        })
+    }
+
+    /// One-off [`max_engagement`](Self::max_engagement) query: the
+    /// expected *transmission-governing* engagement of an `n`-member
+    /// group with a `category` video of length `cap`. Callers with many
+    /// caps should tabulate once instead.
     ///
     /// # Panics
     /// Panics if `n == 0`.
@@ -215,16 +304,7 @@ impl SwipingAbstraction {
         n: usize,
         cap: SimDuration,
     ) -> SimDuration {
-        assert!(n > 0, "group must have at least one member");
-        let cap_s = cap.as_secs_f64();
-        if cap_s == 0.0 {
-            return SimDuration::ZERO;
-        }
-        let secs = match self.curve(category) {
-            Some(curve) => curve.integrate(cap_s, |s| 1.0 - (1.0 - s).powi(n as i32)),
-            None => integrate_prior_max(n, cap_s),
-        };
-        SimDuration::from_secs_f64(secs)
+        self.max_engagement(category, n).expected(cap)
     }
 
     /// Scalar retention summary: expected engagement with a
@@ -246,6 +326,12 @@ impl SwipingAbstraction {
     }
 }
 
+/// `1 − (1 − S)^n`: the chance that some of `n` members, each still
+/// watching with probability `S`, is still watching.
+fn any_watching(n: usize) -> impl Fn(f64) -> f64 {
+    move |s| 1.0 - (1.0 - s).powi(n as i32)
+}
+
 fn integrate_prior_max(n: usize, cap: f64) -> f64 {
     const STEPS: usize = 200;
     let dt = cap / STEPS as f64;
@@ -262,6 +348,31 @@ fn integrate_prior_max(n: usize, cap: f64) -> f64 {
 mod tests {
     use super::*;
     use msvs_types::{RepresentationLevel, VideoId};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The reference scan the prefix tables replace: `∫_0^cap f(S(t)) dt`
+    /// walked breakpoint by breakpoint up to `cap`.
+    fn reference_integral(curve: &KmCurve, cap: f64, f: impl Fn(f64) -> f64) -> f64 {
+        if cap <= 0.0 {
+            return 0.0;
+        }
+        let mut acc = 0.0;
+        let mut prev_t = 0.0;
+        let mut prev_s = 1.0;
+        for &(t, s) in &curve.points {
+            let t_clamped = t.min(cap);
+            if t_clamped > prev_t {
+                acc += (t_clamped - prev_t) * f(prev_s);
+                prev_t = t_clamped;
+            }
+            prev_s = s;
+            if prev_t >= cap {
+                return acc;
+            }
+        }
+        acc + (cap - prev_t) * f(prev_s)
+    }
 
     fn record(cat: VideoCategory, secs: f64) -> WatchRecord {
         WatchRecord {
@@ -490,14 +601,16 @@ mod tests {
                     let cap_s = cap_d.as_secs_f64();
                     assert_eq!(
                         s.expected_engagement(cat, cap_d),
-                        SimDuration::from_secs_f64(curve.integrate(cap_s, |x| x))
+                        SimDuration::from_secs_f64(reference_integral(&curve, cap_s, |x| x))
                     );
                     for n in [1, 3, 17] {
                         assert_eq!(
                             s.expected_max_engagement(cat, n, cap_d),
-                            SimDuration::from_secs_f64(
-                                curve.integrate(cap_s, |x| 1.0 - (1.0 - x).powi(n as i32))
-                            )
+                            SimDuration::from_secs_f64(reference_integral(
+                                &curve,
+                                cap_s,
+                                any_watching(n)
+                            ))
                         );
                     }
                 }
@@ -547,5 +660,128 @@ mod tests {
     fn zero_member_group_panics() {
         let s = SwipingAbstraction::new();
         let _ = s.expected_max_engagement(VideoCategory::News, 0, SimDuration::from_secs(10));
+    }
+
+    /// Seeded random observation sets on a half-second grid (ties),
+    /// with events at `t = 0` and a mix of censoring rates.
+    fn random_observations(rng: &mut StdRng) -> Vec<Observation> {
+        let len = rng.gen_range(1..400usize);
+        let censor_rate = rng.gen::<f64>();
+        (0..len)
+            .map(|_| {
+                let t = if rng.gen_bool(0.05) {
+                    0.0
+                } else {
+                    rng.gen_range(0..120u32) as f64 * 0.5
+                };
+                (t, !rng.gen_bool(censor_rate))
+            })
+            .collect()
+    }
+
+    /// Caps at, between and beyond every breakpoint, plus zero.
+    fn caps_for(curve: &KmCurve) -> Vec<f64> {
+        let mut caps = vec![0.0, 1e-3, 0.25];
+        let mut prev = 0.0;
+        for &(t, _) in &curve.points {
+            caps.extend([t, 0.5 * (prev + t), t + 1e-9]);
+            prev = t;
+        }
+        caps.extend([prev + 0.5, prev + 100.0]);
+        caps
+    }
+
+    fn assert_tables_match_scan(curve: &KmCurve) {
+        let identity = PrefixTable::new(curve, |s| s);
+        for cap in caps_for(curve) {
+            assert_eq!(
+                identity.integral(cap).to_bits(),
+                reference_integral(curve, cap, |s| s).to_bits(),
+                "f(s) = s, cap {cap}, curve {curve:?}"
+            );
+        }
+        for n in [1usize, 2, 7, 250, 1000] {
+            let table = PrefixTable::new(curve, any_watching(n));
+            for cap in caps_for(curve) {
+                assert_eq!(
+                    table.integral(cap).to_bits(),
+                    reference_integral(curve, cap, any_watching(n)).to_bits(),
+                    "n {n}, cap {cap}, curve {curve:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn prefix_tables_are_bit_identical_to_the_scan() {
+        let mut rng = StdRng::seed_from_u64(0x5CA9);
+        for _ in 0..200 {
+            assert_tables_match_scan(&KmCurve::fit(&random_observations(&mut rng)));
+        }
+    }
+
+    #[test]
+    fn prefix_tables_match_the_scan_on_edge_curves() {
+        let all_censored: Vec<Observation> = (0..30).map(|i| (i as f64, false)).collect();
+        let curve = KmCurve::fit(&all_censored);
+        assert!(curve.points.is_empty());
+        assert_tables_match_scan(&curve);
+        // Every member swipes at once at t = 0: survival is 0 throughout.
+        assert_tables_match_scan(&KmCurve::fit(&[(0.0, true), (0.0, true)]));
+        // An event at t = 0 followed by tied events and censorings.
+        assert_tables_match_scan(&KmCurve::fit(&[
+            (0.0, true),
+            (0.0, false),
+            (3.0, true),
+            (3.0, true),
+            (3.0, false),
+            (7.5, false),
+            (9.0, true),
+        ]));
+        // Survival reaches zero before the largest cap.
+        assert_tables_match_scan(&KmCurve::fit(&[(2.0, true), (4.0, true)]));
+    }
+
+    /// The public query answers exactly as the scan did, through the
+    /// `SimDuration` conversions, for data-backed and prior categories.
+    #[test]
+    fn max_engagement_matches_the_scan_through_the_public_api() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let records: Vec<WatchRecord> = random_observations(&mut rng)
+            .into_iter()
+            .map(|(t, event)| {
+                if event {
+                    record(VideoCategory::Music, t)
+                } else {
+                    completed(VideoCategory::Music, t)
+                }
+            })
+            .collect();
+        let s = SwipingAbstraction::from_records(records.iter());
+        let curve = KmCurve::fit(&s.per_category[VideoCategory::Music.index()]);
+        for n in [1usize, 2, 7, 250, 1000] {
+            let music = s.max_engagement(VideoCategory::Music, n);
+            let prior = s.max_engagement(VideoCategory::Game, n);
+            for cap in caps_for(&curve) {
+                let cap_d = SimDuration::from_secs_f64(cap);
+                let cap_s = cap_d.as_secs_f64();
+                let expected = if cap_s == 0.0 {
+                    SimDuration::ZERO
+                } else {
+                    SimDuration::from_secs_f64(reference_integral(&curve, cap_s, any_watching(n)))
+                };
+                assert_eq!(music.expected(cap_d), expected, "n {n}, cap {cap}");
+                let prior_expected = if cap_s == 0.0 {
+                    SimDuration::ZERO
+                } else {
+                    SimDuration::from_secs_f64(integrate_prior_max(n, cap_s))
+                };
+                assert_eq!(prior.expected(cap_d), prior_expected, "n {n}, cap {cap}");
+                assert_eq!(
+                    s.expected_max_engagement(VideoCategory::Music, n, cap_d),
+                    music.expected(cap_d)
+                );
+            }
+        }
     }
 }

@@ -325,6 +325,27 @@ mod tests {
         );
     }
 
+    /// A checkpoint captured while a snapshot still shares the twins'
+    /// series restores twins equal to the originals, and later store
+    /// mutations reach neither the snapshot nor the checkpoint.
+    #[test]
+    fn restore_yields_twins_equal_to_the_originals() {
+        let (shard, _) = seeded_shard();
+        let held = shard.store().snapshot();
+        let ckpt = ShardCheckpoint::capture(&shard, 3, |_| SyncTracker::default());
+        let text = ckpt.to_json().to_string();
+        shard
+            .store()
+            .update_channel(UserId(9), SimTime::from_secs(5), -2.0)
+            .unwrap();
+        let fresh = Shard::new(1, 1000.0);
+        ShardCheckpoint::parse(&text)
+            .expect("round trip")
+            .restore_into(&fresh);
+        assert_eq!(fresh.store().snapshot(), held);
+        assert_ne!(shard.store().snapshot(), held);
+    }
+
     #[test]
     fn schema_mismatch_and_bad_fields_fail_loud_by_name() {
         let (shard, _) = seeded_shard();

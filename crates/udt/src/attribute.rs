@@ -3,14 +3,20 @@
 use msvs_types::{RepresentationLevel, SimDuration, SimTime, VideoCategory, VideoId};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// A bounded time series of `(timestamp, value)` samples.
 ///
 /// Old samples are evicted once `capacity` is reached, mirroring the
 /// fixed storage budget a real edge-resident twin would have.
+///
+/// Storage is copy-on-write: a clone shares the samples with its source
+/// until either side is next mutated, so snapshotting a twin costs a
+/// pointer bump per series instead of a copy of its history. Clones keep
+/// value semantics — a held clone never sees later pushes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TimeSeries<T> {
-    samples: VecDeque<(SimTime, T)>,
+    samples: Arc<VecDeque<(SimTime, T)>>,
     capacity: usize,
 }
 
@@ -22,7 +28,7 @@ impl<T> TimeSeries<T> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "time series capacity must be positive");
         Self {
-            samples: VecDeque::with_capacity(capacity.min(1024)),
+            samples: Arc::new(VecDeque::with_capacity(capacity.min(1024))),
             capacity,
         }
     }
@@ -40,17 +46,6 @@ impl<T> TimeSeries<T> {
     /// Maximum retained samples.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Appends a sample, evicting the oldest when full.
-    ///
-    /// Samples are expected in non-decreasing time order; out-of-order
-    /// pushes are accepted but `latest` then reflects insertion order.
-    pub fn push(&mut self, at: SimTime, value: T) {
-        if self.samples.len() == self.capacity {
-            self.samples.pop_front();
-        }
-        self.samples.push_back((at, value));
     }
 
     /// The most recent sample.
@@ -88,9 +83,30 @@ impl<T> TimeSeries<T> {
             .collect()
     }
 
+    /// Whether `self` and `other` share one sample buffer.
+    #[cfg(test)]
+    pub(crate) fn shares_storage_with(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.samples, &other.samples)
+    }
+}
+
+impl<T: Clone> TimeSeries<T> {
+    /// Appends a sample, evicting the oldest when full. Copies the
+    /// samples first if a clone still shares them.
+    ///
+    /// Samples are expected in non-decreasing time order; out-of-order
+    /// pushes are accepted but `latest` then reflects insertion order.
+    pub fn push(&mut self, at: SimTime, value: T) {
+        let samples = Arc::make_mut(&mut self.samples);
+        if samples.len() == self.capacity {
+            samples.pop_front();
+        }
+        samples.push_back((at, value));
+    }
+
     /// Removes all samples.
     pub fn clear(&mut self) {
-        self.samples.clear();
+        Arc::make_mut(&mut self.samples).clear();
     }
 }
 
@@ -168,6 +184,32 @@ mod tests {
         ts.clear();
         assert!(ts.is_empty());
         assert_eq!(ts.capacity(), 2);
+    }
+
+    #[test]
+    fn clones_share_storage_until_the_first_push() {
+        let mut ts = TimeSeries::new(3);
+        for i in 0..3u64 {
+            ts.push(SimTime::from_secs(i), i as f64);
+        }
+        let held = ts.clone();
+        assert!(held.shares_storage_with(&ts), "a clone is a pointer bump");
+        assert_eq!(held, ts);
+        ts.push(SimTime::from_secs(3), 3.0);
+        assert!(!held.shares_storage_with(&ts), "the push copied");
+        let vals = |s: &TimeSeries<f64>| s.iter().map(|(_, v)| *v).collect::<Vec<_>>();
+        assert_eq!(
+            vals(&held),
+            vec![0.0, 1.0, 2.0],
+            "the clone keeps its values"
+        );
+        assert_eq!(vals(&ts), vec![1.0, 2.0, 3.0]);
+        // A sole owner mutates in place; clearing one side leaves the
+        // other intact.
+        let again = ts.clone();
+        ts.clear();
+        assert!(ts.is_empty());
+        assert_eq!(vals(&again), vec![1.0, 2.0, 3.0]);
     }
 
     #[test]

@@ -420,6 +420,69 @@ mod tests {
         assert_eq!(snap[0].latest_snr_db(), Some(5.0));
     }
 
+    /// Snapshots share each twin's series with the store (copy-on-write)
+    /// yet keep value semantics: a held snapshot still reads the channel,
+    /// location, watch and preference values it was taken with.
+    #[test]
+    fn held_snapshot_keeps_its_values_after_store_mutation() {
+        use msvs_types::{RepresentationLevel, VideoCategory, VideoId};
+        let user = UserId(7);
+        let watch = |secs: u64| WatchRecord {
+            video: VideoId(secs as u32),
+            category: VideoCategory::Game,
+            level: RepresentationLevel::P480,
+            watched: SimDuration::from_secs(secs),
+            video_duration: SimDuration::from_secs(30),
+            completed: false,
+        };
+        let store = UdtStore::new();
+        store.insert(UserDigitalTwin::new(user));
+        store.update_channel(user, SimTime::ZERO, 5.0).unwrap();
+        store
+            .update_location(user, SimTime::ZERO, Position::new(1.0, 2.0))
+            .unwrap();
+        store.record_watch(user, SimTime::ZERO, watch(4)).unwrap();
+        let snap = store.snapshot();
+        let before = snap[0].clone();
+        store
+            .with_twin(user, |t| {
+                assert!(t
+                    .channel_series()
+                    .shares_storage_with(snap[0].channel_series()));
+                assert!(t.watch_series().shares_storage_with(snap[0].watch_series()));
+            })
+            .unwrap();
+
+        let later = SimTime::from_secs(1);
+        store.update_channel(user, later, 9.0).unwrap();
+        store
+            .update_location(user, later, Position::new(8.0, 9.0))
+            .unwrap();
+        store.record_watch(user, later, watch(20)).unwrap();
+        store
+            .with_twin_mut(user, |t| {
+                t.set_preference(later, vec![0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+            })
+            .unwrap();
+
+        assert_eq!(snap[0], before, "the held snapshot is unchanged");
+        assert_eq!(snap[0].latest_snr_db(), Some(5.0));
+        assert_eq!(snap[0].latest_position(), Some(Position::new(1.0, 2.0)));
+        assert_eq!(snap[0].watch_series().len(), 1);
+        assert_eq!(snap[0].preference(), &[1.0 / 8.0; 8]);
+        store
+            .with_twin(user, |t| {
+                assert_eq!(t.latest_snr_db(), Some(9.0));
+                assert_eq!(t.latest_position(), Some(Position::new(8.0, 9.0)));
+                assert_eq!(t.watch_series().len(), 2);
+                assert_eq!(t.preference()[7], 1.0);
+                assert!(!t
+                    .channel_series()
+                    .shares_storage_with(snap[0].channel_series()));
+            })
+            .unwrap();
+    }
+
     #[test]
     fn concurrent_updates_from_many_threads() {
         let store = Arc::new(UdtStore::new());

@@ -709,6 +709,27 @@ mod tests {
         assert_eq!(back.revision(), twin.revision());
     }
 
+    /// A twin whose series are shared with a held clone encodes and
+    /// restores like any other, and the restore owns its own storage.
+    #[test]
+    fn checkpoint_round_trip_of_a_shared_twin() {
+        let mut twin = UserDigitalTwin::new(UserId(5));
+        for i in 0..12u64 {
+            twin.update_channel(SimTime::from_secs(i), 1.5 * i as f64);
+            twin.update_location(SimTime::from_secs(i), Position::new(i as f64, 2.0));
+            twin.record_watch(SimTime::from_secs(i), watch(VideoCategory::News, i % 9, 8));
+        }
+        let held = twin.clone();
+        assert!(held
+            .channel_series()
+            .shares_storage_with(twin.channel_series()));
+        let text = twin.checkpoint_json().to_string();
+        let back = UserDigitalTwin::from_checkpoint_json(&Json::parse(&text).unwrap()).unwrap();
+        assert_eq!(back, twin);
+        assert_eq!(back, held);
+        assert!(!back.watch_series().shares_storage_with(twin.watch_series()));
+    }
+
     #[test]
     fn checkpoint_decode_names_the_bad_field() {
         let twin = UserDigitalTwin::new(UserId(1));

@@ -972,7 +972,7 @@ fn cmd_swiping(args: &[String]) -> Result<(), String> {
     }
     let outcome = sim.last_outcome().ok_or("no intervals ran")?;
     for (g, swiping) in outcome.swiping.iter().enumerate() {
-        let members = outcome.groups.get(g).map(|p| p.members.len()).unwrap_or(0);
+        let members = outcome.group_prediction(g).map_or(0, |p| p.members.len());
         println!("group {g} ({members} members): retention ranking");
         for (cat, mean) in swiping.ranked_categories().into_iter().take(3) {
             println!("  {:<10} {mean:>6.2} s", cat.name());
