@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use msvs_bench::archetype_features;
 use msvs_cluster::{KMeans, KMeansConfig};
-use msvs_nn::{BackendKind, Conv1d, Dense, Flatten, Layer, Relu, Scratch, Sequential, Tensor};
+use msvs_nn::{Conv1d, Dense, Flatten, Layer, Relu, Scratch, Sequential, Tensor};
 use std::hint::black_box;
 
 fn encoder(window: usize) -> Sequential {
@@ -48,33 +48,10 @@ fn bench_infer_scratch(c: &mut Criterion) {
         let mut scratch = Scratch::new();
         group.bench_with_input(BenchmarkId::new("scratch", n), &n, |b, _| {
             b.iter(|| {
-                let (out, shape) =
-                    net.infer_scratch(black_box(&x), &mut scratch, msvs_nn::backend::scalar());
+                let (out, shape) = net.infer_scratch(black_box(&x), &mut scratch);
                 black_box((out[0], shape.len()))
             })
         });
-    }
-    group.finish();
-}
-
-/// The same scratch-arena inference routed through each swappable
-/// compute backend: scalar (reference), simd (bit-identical lanes),
-/// int8 (per-tensor symmetric quantized weights).
-fn bench_infer_backends(c: &mut Criterion) {
-    let mut group = c.benchmark_group("cnn_infer_backend");
-    let net = encoder(32);
-    for &n in &[32usize, 512] {
-        let x = batch(n, 32);
-        for kind in BackendKind::ALL {
-            let mut scratch = Scratch::new();
-            group.bench_with_input(BenchmarkId::new(kind.name(), n), &n, |b, _| {
-                b.iter(|| {
-                    let (out, shape) =
-                        net.infer_scratch(black_box(&x), &mut scratch, kind.handle());
-                    black_box((out[0], shape.len()))
-                })
-            });
-        }
     }
     group.finish();
 }
@@ -134,6 +111,6 @@ fn bench_bounded_kmeans(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_infer_scratch, bench_infer_backends, bench_gemm, bench_bounded_kmeans
+    targets = bench_infer_scratch, bench_gemm, bench_bounded_kmeans
 }
 criterion_main!(benches);

@@ -10,8 +10,7 @@
 use std::cell::RefCell;
 
 use msvs_nn::{
-    mse_loss, Adam, BackendKind, Conv1d, Dense, Flatten, Optimizer, Relu, Scratch, Sequential,
-    Tensor,
+    mse_loss, Adam, Conv1d, Dense, Flatten, Optimizer, Relu, Scratch, Sequential, Tensor,
 };
 use msvs_par::{ParStats, Pool};
 use msvs_telemetry::{stages, SpanAttrs, SpanCollector};
@@ -19,6 +18,29 @@ use msvs_types::{Error, Result};
 use msvs_udt::FeatureWindow;
 
 use crate::features::{embedding_features, windows_to_tensor};
+
+/// The CNN's compute backend: selects nothing.
+///
+/// Training and encoding always run the scalar kernels in
+/// `msvs_nn::kernels`. The SIMD and int8 backends were removed because
+/// neither showed an end-to-end win: encode is under 4% of an interval,
+/// and the 8-wide kernels were no faster at the `bench-report` shape.
+/// The type survives with its one variant only because the `e2ebench`
+/// harness, a workspace of its own, still names it through
+/// `SimulationConfig::backend` and `CompressorConfig::backend`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum BackendKind {
+    /// The scalar kernels.
+    #[default]
+    Scalar,
+}
+
+impl BackendKind {
+    /// The identifier recorded in run manifests and bench documents.
+    pub fn name(self) -> &'static str {
+        "scalar"
+    }
+}
 
 /// Hyperparameters of the [`CnnCompressor`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,10 +62,7 @@ pub struct CompressorConfig {
     pub preference_weight: f64,
     /// RNG seed for weight initialisation.
     pub seed: u64,
-    /// Compute backend for the frozen encode path. Training always runs
-    /// the exact scalar kernels regardless of this setting — only
-    /// [`CnnCompressor::encode`] (and the paths through it) switch, so
-    /// `int8` quantizes nothing the optimiser reads.
+    /// Always [`BackendKind::Scalar`]; see its docs.
     pub backend: BackendKind,
 }
 
@@ -242,9 +261,7 @@ impl CnnCompressor {
         self.check_input(&x)?;
         SCRATCH.with(|cell| {
             let mut scratch = cell.borrow_mut();
-            let (code, shape) =
-                self.encoder
-                    .infer_scratch(&x, &mut scratch, self.config.backend.handle());
+            let (code, shape) = self.encoder.infer_scratch(&x, &mut scratch);
             let embed = shape.dims()[1];
             Ok(windows
                 .iter()

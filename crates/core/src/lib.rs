@@ -37,13 +37,12 @@ pub mod swiping;
 
 pub use baselines::HistoricalMeanPredictor;
 pub use cache::{CachePlan, CachedEmbedding, EmbeddingBackend, EmbeddingCache};
-pub use compressor::{CnnCompressor, CompressorConfig};
+pub use compressor::{BackendKind, CnnCompressor, CompressorConfig};
 pub use demand::{
     choose_group_level, predict_group_demand, DemandConfig, GroupDemandPrediction, MemberState,
 };
 pub use features::{embedding_features, windows_to_tensor};
 pub use grouping::{Grouping, GroupingConfig, GroupingEngine, GroupingStrategy};
-pub use msvs_nn::BackendKind;
 pub use predictor::{
     DegradationSignal, DemandPredictor, PipelineBacked, Prediction, PredictionContext,
 };

@@ -187,8 +187,7 @@ pub fn dense_infer(
 /// Fills `patch[out_len, in_ch * kernel]` with the im2col expansion of
 /// one batch row `x = [in_ch, in_len]`:
 /// `patch[t][ic * kernel + k] = x[ic][t * stride + k]`.
-/// Shared by [`conv1d_infer`] and the quantized conv backend.
-pub(crate) fn im2col_rows(
+fn im2col_rows(
     x: &[f32],
     patch: &mut [f32],
     in_ch: usize,
@@ -446,16 +445,15 @@ mod tests {
         )
         .unwrap();
         let mut scratch = Scratch::new();
-        let backend = crate::backend::scalar();
         let first: Vec<f32> = {
-            let (data, shape) = net.infer_scratch(&x, &mut scratch, backend);
+            let (data, shape) = net.infer_scratch(&x, &mut scratch);
             assert_eq!(shape.dims(), &[2, 8]);
             data.to_vec()
         };
         let warm = scratch.capacity();
         assert!(warm > 0);
         for _ in 0..10 {
-            let (data, _) = net.infer_scratch(&x, &mut scratch, backend);
+            let (data, _) = net.infer_scratch(&x, &mut scratch);
             assert_eq!(data, &first[..], "steady-state outputs identical");
         }
         assert_eq!(

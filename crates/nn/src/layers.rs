@@ -8,8 +8,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::backend::{self, ComputeBackend, ConvDims, ConvWeights, DenseWeights, QuantCell};
-use crate::kernels::Shape;
+use crate::kernels::{self, Shape};
 use crate::tensor::Tensor;
 
 /// A differentiable network layer.
@@ -29,20 +28,17 @@ pub trait Layer: Send + Sync {
     /// Allocation-free inference: reads `input` (flat, row-major, laid
     /// out per `shape`), writes the result into `out`, and returns the
     /// output shape. `patch` is kernel workspace (im2col) owned by the
-    /// caller's [`crate::kernels::Scratch`] arena; `backend` picks the
-    /// kernel implementation (see [`crate::backend`]). With the default
-    /// [`crate::ScalarBackend`] this is bit-identical to [`Layer::infer`];
-    /// the default implementation round-trips through it for layers
-    /// without a bespoke kernel.
+    /// caller's [`crate::kernels::Scratch`] arena. Bit-identical to
+    /// [`Layer::infer`]; the default implementation round-trips through
+    /// it for layers without a bespoke kernel.
     fn infer_into(
         &self,
         input: &[f32],
         shape: Shape,
         out: &mut Vec<f32>,
         patch: &mut Vec<f32>,
-        backend: &dyn ComputeBackend,
     ) -> Shape {
-        let _ = (patch, backend);
+        let _ = patch;
         let x = Tensor::from_vec(input.to_vec(), shape.to_vec()).expect("shape matches input");
         let y = self.infer(&x);
         let out_shape = Shape::from_dims(y.shape());
@@ -86,9 +82,8 @@ fn he_init(rng: &mut StdRng, fan_in: usize, n: usize) -> Vec<f32> {
 /// `[batch, out]`.
 ///
 /// Keeps a cached transpose `weight_t` (`[in, out]`) so inference runs
-/// the cache-blocked GEMM without materialising a transpose per call,
-/// plus a lazily-populated int8 quantization of that transpose for the
-/// [`crate::QuantizedBackend`]. Both caches are refreshed by the single
+/// the cache-blocked GEMM without materialising a transpose per call.
+/// The cache is refreshed by the single
 /// [`Dense::refresh_weight_layout`] hook, called from the only two
 /// weight-mutation sites — [`Dense::set_weights`] and
 /// [`Layer::visit_params`] (the optimiser's write path; the fields are
@@ -100,7 +95,6 @@ pub struct Dense {
     bias: Tensor,     // [out]
     w_grad: Tensor,
     b_grad: Tensor,
-    quant: QuantCell, // int8 view of weight_t, invalidated on weight writes
     input: Option<Tensor>,
 }
 
@@ -123,7 +117,6 @@ impl Dense {
             bias: Tensor::zeros(vec![out_dim]),
             weight_t: Tensor::zeros(vec![in_dim, out_dim]),
             weight: Tensor::zeros(vec![out_dim, in_dim]),
-            quant: QuantCell::default(),
             input: None,
         };
         layer.set_weights(weight);
@@ -132,7 +125,7 @@ impl Dense {
 
     /// Replaces the weight matrix (`[out, in]`) and refreshes every
     /// derived layout — the single public weight-write entry point, so
-    /// backends can rely on [`Dense::refresh_weight_layout`] running
+    /// inference can rely on [`Dense::refresh_weight_layout`] running
     /// after every mutation.
     ///
     /// # Panics
@@ -147,10 +140,9 @@ impl Dense {
         self.refresh_weight_layout();
     }
 
-    /// Re-derives the cached layouts from `weight`: rewrites `weight_t`
-    /// in place (no allocation) and drops the int8 cache so the
-    /// quantized backend re-quantizes on next use. Every weight-mutation
-    /// site funnels through here.
+    /// Re-derives the cached transpose from `weight`, rewriting
+    /// `weight_t` in place (no allocation). Every weight-mutation site
+    /// funnels through here.
     fn refresh_weight_layout(&mut self) {
         let (out_dim, in_dim) = (self.weight.shape()[0], self.weight.shape()[1]);
         let w = self.weight.data();
@@ -160,7 +152,6 @@ impl Dense {
                 wt[p * out_dim + o] = w[o * in_dim + p];
             }
         }
-        self.quant.invalidate();
     }
 
     /// Input dimensionality.
@@ -182,23 +173,16 @@ impl Dense {
         );
         let batch = input.shape()[0];
         let mut out = Tensor::zeros(vec![batch, self.out_dim()]);
-        backend::scalar().dense_infer(
+        kernels::dense_infer(
             input.data(),
-            self.weights(),
+            self.weight_t.data(),
+            self.bias.data(),
             out.data_mut(),
             batch,
             self.in_dim(),
             self.out_dim(),
         );
         out
-    }
-
-    fn weights(&self) -> DenseWeights<'_> {
-        DenseWeights {
-            w_t: self.weight_t.data(),
-            bias: self.bias.data(),
-            quant: &self.quant,
-        }
     }
 }
 
@@ -220,16 +204,16 @@ impl Layer for Dense {
         shape: Shape,
         out: &mut Vec<f32>,
         _patch: &mut Vec<f32>,
-        backend: &dyn ComputeBackend,
     ) -> Shape {
         assert_eq!(shape.rank(), 2, "dense expects [batch, features]");
         assert_eq!(shape.dims()[1], self.in_dim(), "dense input width mismatch");
         let batch = shape.dims()[0];
         out.clear();
         out.resize(batch * self.out_dim(), 0.0);
-        backend.dense_infer(
+        kernels::dense_infer(
             input,
-            self.weights(),
+            self.weight_t.data(),
+            self.bias.data(),
             out,
             batch,
             self.in_dim(),
@@ -282,7 +266,6 @@ pub struct Conv1d {
     bias: Tensor,   // [out_ch]
     w_grad: Tensor,
     b_grad: Tensor,
-    quant: QuantCell, // int8 view of weight, invalidated on weight writes
     stride: usize,
     input: Option<Tensor>,
 }
@@ -309,7 +292,6 @@ impl Conv1d {
             b_grad: Tensor::zeros(vec![out_ch]),
             bias: Tensor::zeros(vec![out_ch]),
             weight,
-            quant: QuantCell::default(),
             stride,
             input: None,
         }
@@ -335,7 +317,6 @@ impl Conv1d {
             Shape::from_dims(input.shape()),
             &mut out,
             &mut patch,
-            backend::scalar(),
         );
         Tensor::from_vec(out, shape.to_vec()).expect("kernel output matches shape")
     }
@@ -359,7 +340,6 @@ impl Layer for Conv1d {
         shape: Shape,
         out: &mut Vec<f32>,
         patch: &mut Vec<f32>,
-        backend: &dyn ComputeBackend,
     ) -> Shape {
         assert_eq!(shape.rank(), 3, "conv1d expects [batch, ch, len]");
         let (out_ch, in_ch, kernel) = self.dims();
@@ -371,24 +351,19 @@ impl Layer for Conv1d {
             .unwrap_or_else(|| panic!("input length {in_len} shorter than kernel {kernel}"));
         out.clear();
         out.resize(batch * out_ch * out_len, 0.0);
-        backend.conv1d_infer(
+        kernels::conv1d_infer(
             input,
-            ConvWeights {
-                weight: self.weight.data(),
-                bias: self.bias.data(),
-                quant: &self.quant,
-            },
+            self.weight.data(),
+            self.bias.data(),
             out,
             patch,
-            ConvDims {
-                batch,
-                in_ch,
-                in_len,
-                out_ch,
-                kernel,
-                stride: self.stride,
-                out_len,
-            },
+            batch,
+            in_ch,
+            in_len,
+            out_ch,
+            kernel,
+            self.stride,
+            out_len,
         );
         Shape::rank3(batch, out_ch, out_len)
     }
@@ -433,8 +408,6 @@ impl Layer for Conv1d {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
         f(&mut self.weight, &mut self.w_grad);
         f(&mut self.bias, &mut self.b_grad);
-        // The visitor may have stepped the kernels; drop the int8 cache.
-        self.quant.invalidate();
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -493,9 +466,10 @@ impl Layer for Relu {
         shape: Shape,
         out: &mut Vec<f32>,
         _patch: &mut Vec<f32>,
-        backend: &dyn ComputeBackend,
     ) -> Shape {
-        backend.relu(input, out);
+        out.clear();
+        // `v <= 0.0` (not `max`) so NaN propagates.
+        out.extend(input.iter().map(|&v| if v <= 0.0 { 0.0 } else { v }));
         shape
     }
 
@@ -561,9 +535,9 @@ impl Layer for Tanh {
         shape: Shape,
         out: &mut Vec<f32>,
         _patch: &mut Vec<f32>,
-        backend: &dyn ComputeBackend,
     ) -> Shape {
-        backend.tanh(input, out);
+        out.clear();
+        out.extend(input.iter().map(|v| v.tanh()));
         shape
     }
 
@@ -672,7 +646,6 @@ impl Layer for MaxPool1d {
         shape: Shape,
         out: &mut Vec<f32>,
         _patch: &mut Vec<f32>,
-        _backend: &dyn ComputeBackend, // pure data movement, backend-free
     ) -> Shape {
         assert_eq!(shape.rank(), 3, "maxpool expects [batch, ch, len]");
         let (batch, ch, in_len) = (shape.dims()[0], shape.dims()[1], shape.dims()[2]);
@@ -766,7 +739,6 @@ impl Layer for Flatten {
         shape: Shape,
         out: &mut Vec<f32>,
         _patch: &mut Vec<f32>,
-        _backend: &dyn ComputeBackend, // pure data movement, backend-free
     ) -> Shape {
         let batch = shape.dims()[0];
         let rest: usize = shape.dims()[1..].iter().product();
@@ -933,28 +905,21 @@ mod tests {
     }
 
     #[test]
-    fn set_weights_refreshes_transpose_and_int8_cache() {
+    fn set_weights_refreshes_transpose() {
         let mut d = Dense::new(2, 2, 5);
-        // Populate the int8 cache by running the quantized backend once.
         let x = Tensor::from_vec(vec![1.0, -1.0], vec![1, 2]).unwrap();
         let (mut out, mut patch) = (Vec::new(), Vec::new());
         let shape = Shape::rank2(1, 2);
-        d.infer_into(
-            x.data(),
-            shape,
-            &mut out,
-            &mut patch,
-            crate::BackendKind::Int8.handle(),
-        );
-        assert!(d.quant.is_populated());
-        // A weight write must refresh the transpose and drop the cache.
+        d.infer_into(x.data(), shape, &mut out, &mut patch);
+        // A weight write must refresh the transpose the kernels read.
         let w = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], vec![2, 2]).unwrap();
         d.set_weights(w);
-        assert!(!d.quant.is_populated(), "set_weights must invalidate int8");
         assert_eq!(d.weight_t.data(), &[1.0, 3.0, 2.0, 4.0], "transpose synced");
         // y = x W^T + b with b = 0: [1*1 + (-1)*2, 1*3 + (-1)*4].
         let y = d.infer(&x);
         assert_eq!(y.data(), &[-1.0, -1.0]);
+        d.infer_into(x.data(), shape, &mut out, &mut patch);
+        assert_eq!(out, [-1.0, -1.0]);
     }
 
     #[test]

@@ -36,7 +36,6 @@
 //! assert!(last < 0.05, "loss {last}");
 //! ```
 
-pub mod backend;
 pub mod kernels;
 pub mod layers;
 pub mod loss;
@@ -44,10 +43,6 @@ pub mod network;
 pub mod optim;
 pub mod tensor;
 
-pub use backend::{
-    BackendKind, ComputeBackend, ConvDims, ConvWeights, DenseWeights, QuantCell, QuantTensor,
-    QuantizedBackend, ScalarBackend, SimdBackend,
-};
 pub use kernels::{Scratch, Shape};
 pub use layers::{Conv1d, Dense, DuelingHead, Flatten, Layer, MaxPool1d, Relu, Tanh};
 pub use loss::{huber_loss, masked_mse_loss, mse_loss};

@@ -1,6 +1,5 @@
 //! Layer composition.
 
-use crate::backend::{self, ComputeBackend};
 use crate::kernels::{Scratch, Shape};
 use crate::layers::Layer;
 use crate::tensor::Tensor;
@@ -67,30 +66,27 @@ impl Sequential {
     /// network can be shared across threads (`Sequential: Sync`).
     pub fn infer(&self, input: &Tensor) -> Tensor {
         let mut scratch = Scratch::new();
-        let (data, shape) = self.infer_scratch(input, &mut scratch, backend::scalar());
+        let (data, shape) = self.infer_scratch(input, &mut scratch);
         Tensor::from_vec(data.to_vec(), shape.to_vec()).expect("kernel output matches shape")
     }
 
     /// Allocation-free inference: activations ping-pong through the two
     /// buffers of a caller-owned [`Scratch`] arena, so steady-state calls
     /// (same architecture and batch shape) perform zero heap allocations.
-    /// Returns a view of the final activation plus its shape. `backend`
-    /// picks the kernel implementation (see [`crate::backend`]); with the
-    /// scalar or SIMD backend this is bit-identical to
-    /// [`Sequential::infer`].
+    /// Returns a view of the final activation plus its shape, bit-identical
+    /// to [`Sequential::infer`].
     pub fn infer_scratch<'s>(
         &self,
         input: &Tensor,
         scratch: &'s mut Scratch,
-        backend: &dyn ComputeBackend,
     ) -> (&'s [f32], Shape) {
         let mut cur = std::mem::take(&mut scratch.bufs[0]);
         let mut next = std::mem::take(&mut scratch.bufs[1]);
         let mut patch = std::mem::take(&mut scratch.patch);
         let mut shape = Shape::from_dims(input.shape());
-        shape = self.layers[0].infer_into(input.data(), shape, &mut cur, &mut patch, backend);
+        shape = self.layers[0].infer_into(input.data(), shape, &mut cur, &mut patch);
         for layer in &self.layers[1..] {
-            shape = layer.infer_into(&cur, shape, &mut next, &mut patch, backend);
+            shape = layer.infer_into(&cur, shape, &mut next, &mut patch);
             std::mem::swap(&mut cur, &mut next);
         }
         scratch.bufs[0] = cur;
@@ -248,12 +244,32 @@ mod tests {
 
     #[test]
     fn infer_matches_eval_forward() {
-        let mut net = tiny_net(7);
-        let x = Tensor::from_vec(vec![0.4, -1.2, 0.0, 2.5], vec![2, 2]).unwrap();
-        let via_forward = net.forward(&x, false);
-        let via_infer = net.infer(&x);
-        assert_eq!(via_forward.data(), via_infer.data());
-        assert_eq!(via_forward.shape(), via_infer.shape());
+        use crate::layers::{Conv1d, Flatten, MaxPool1d, Tanh};
+        // Every layer kind the compressor/DDQN stacks use.
+        let conv_net = Sequential::new(vec![
+            Box::new(Conv1d::new(3, 6, 3, 1, 21)),
+            Box::new(Relu::new()),
+            Box::new(MaxPool1d::new(2)),
+            Box::new(Flatten::new()),
+            Box::new(Dense::new(6 * 7, 4, 22)),
+            Box::new(Tanh::new()),
+        ]);
+        let conv_x = Tensor::from_vec(
+            (0..2 * 3 * 16)
+                .map(|i| ((i * 11) % 17) as f32 * 0.1 - 0.8)
+                .collect(),
+            vec![2, 3, 16],
+        )
+        .unwrap();
+        let dense_x = Tensor::from_vec(vec![0.4, -1.2, 0.0, 2.5], vec![2, 2]).unwrap();
+        for (mut net, x) in [(tiny_net(7), dense_x), (conv_net, conv_x)] {
+            let via_forward = net.forward(&x, false);
+            let via_infer = net.infer(&x);
+            assert_eq!(via_forward.shape(), via_infer.shape());
+            for (i, (a, b)) in via_forward.data().iter().zip(via_infer.data()).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "element {i}: {a} vs {b}");
+            }
+        }
     }
 
     #[test]
@@ -271,51 +287,6 @@ mod tests {
         });
         for y in outputs {
             assert_eq!(y.data(), expected.data());
-        }
-    }
-
-    #[test]
-    fn infer_scratch_backends_cross_check() {
-        use crate::backend::BackendKind;
-        use crate::layers::{Conv1d, Flatten, MaxPool1d, Tanh};
-        // Exercises every layer kind the compressor/DDQN stacks use.
-        let net = Sequential::new(vec![
-            Box::new(Conv1d::new(3, 6, 3, 1, 21)),
-            Box::new(Relu::new()),
-            Box::new(MaxPool1d::new(2)),
-            Box::new(Flatten::new()),
-            Box::new(Dense::new(6 * 7, 4, 22)),
-            Box::new(Tanh::new()),
-        ]);
-        let x = Tensor::from_vec(
-            (0..2 * 3 * 16)
-                .map(|i| ((i * 11) % 17) as f32 * 0.1 - 0.8)
-                .collect(),
-            vec![2, 3, 16],
-        )
-        .unwrap();
-        let mut scratch = Scratch::new();
-        let (want, want_shape) = {
-            let (d, s) = net.infer_scratch(&x, &mut scratch, BackendKind::Scalar.handle());
-            (d.to_vec(), s)
-        };
-        let (simd, simd_shape) = {
-            let (d, s) = net.infer_scratch(&x, &mut scratch, BackendKind::Simd.handle());
-            (d.to_vec(), s)
-        };
-        assert_eq!(simd_shape, want_shape);
-        for (i, (a, b)) in want.iter().zip(&simd).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "simd element {i}: {a} vs {b}");
-        }
-        let (int8, int8_shape) = {
-            let (d, s) = net.infer_scratch(&x, &mut scratch, BackendKind::Int8.handle());
-            (d.to_vec(), s)
-        };
-        assert_eq!(int8_shape, want_shape);
-        // Post-tanh activations are in [-1, 1]; quantization error through
-        // this tiny net stays well inside a coarse envelope.
-        for (i, (a, b)) in want.iter().zip(&int8).enumerate() {
-            assert!((a - b).abs() < 0.15, "int8 element {i} drifted: {a} vs {b}");
         }
     }
 

@@ -151,28 +151,18 @@ impl Tensor {
         self.data[(b * self.shape[1] + c) * self.shape[2] + t] += v;
     }
 
-    /// Matrix product of two rank-2 tensors: `[m, k] x [k, n] -> [m, n]`,
-    /// on the scalar reference backend (training-path matmuls stay exact
-    /// f32 on every configuration).
+    /// Matrix product of two rank-2 tensors: `[m, k] x [k, n] -> [m, n]`.
     ///
     /// # Panics
     /// Panics if either operand is not rank-2 or the inner dims disagree.
     pub fn matmul(&self, rhs: &Tensor) -> Tensor {
-        self.matmul_with(rhs, crate::backend::scalar())
-    }
-
-    /// [`Tensor::matmul`] on an explicit [`crate::ComputeBackend`].
-    ///
-    /// # Panics
-    /// Panics if either operand is not rank-2 or the inner dims disagree.
-    pub fn matmul_with(&self, rhs: &Tensor, backend: &dyn crate::ComputeBackend) -> Tensor {
         assert_eq!(self.shape.len(), 2, "lhs must be rank-2");
         assert_eq!(rhs.shape.len(), 2, "rhs must be rank-2");
         let (m, k) = (self.shape[0], self.shape[1]);
         let (k2, n) = (rhs.shape[0], rhs.shape[1]);
         assert_eq!(k, k2, "inner dimensions must agree: {k} vs {k2}");
         let mut out = Tensor::zeros(vec![m, n]);
-        backend.gemm_zero_skip(&self.data, &rhs.data, &mut out.data, m, k, n);
+        crate::kernels::gemm_zero_skip(&self.data, &rhs.data, &mut out.data, m, k, n);
         out
     }
 

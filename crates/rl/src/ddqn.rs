@@ -257,8 +257,7 @@ impl DdqnAgent {
         let x = Tensor::from_vec(state.to_vec(), vec![1, state.len()])
             .expect("shape matches by construction");
         // Inference path (no activation caching): routes through the
-        // scalar-backed `infer_scratch` kernels, bit-identical to
-        // `forward(&x, false)`. DDQN stays exact f32 on every backend.
+        // `infer_scratch` kernels, bit-identical to `forward(&x, false)`.
         self.online.infer(&x).row(0)
     }
 

@@ -19,6 +19,11 @@ use crate::runner::Simulation;
 /// accepts committed v1 baselines (implicitly `scalar`).
 pub const BENCH_SCHEMA: &str = "msvs-bench/v2";
 
+/// Every backend name a committed bench document may record. Only
+/// `scalar` is still produced; `simd` (e.g. `BENCH_7`) and `int8` name
+/// retired backends and stay valid history.
+const RECORDED_BACKENDS: [&str; 3] = ["scalar", "simd", "int8"];
+
 /// The pre-backend schema, kept accepted so older committed baselines
 /// (`BENCH_4`…`BENCH_6`) remain comparable.
 const BENCH_SCHEMA_V1: &str = "msvs-bench/v1";
@@ -37,10 +42,6 @@ pub struct BenchOptions {
     pub threads: usize,
     /// Base-station shards (`1` = the legacy single-cell path).
     pub shards: usize,
-    /// Compute backend for the frozen CNN encode path. Explicit (not the
-    /// `MSVS_BACKEND` env default) so a bench document always records the
-    /// backend it actually ran.
-    pub backend: BackendKind,
     /// Per-interval user churn in `[0, 1]` (fraction of users replaced
     /// with fresh arrivals each interval). `0` keeps the historical
     /// bench shape.
@@ -60,7 +61,6 @@ impl Default for BenchOptions {
             intervals: 6,
             threads: 0,
             shards: 1,
-            backend: BackendKind::Scalar,
             churn: 0.0,
             incremental: false,
         }
@@ -94,7 +94,6 @@ impl BenchOptions {
             .scheme(scheme)
             .threads(self.threads)
             .shards(self.shards)
-            .backend(self.backend)
             .churn_rate(self.churn)
             .incremental(self.incremental)
             .seed(self.seed)
@@ -187,7 +186,7 @@ pub fn run_bench(opts: &BenchOptions) -> Result<Json> {
         ("intervals", Json::Num(intervals_run as f64)),
         ("threads", Json::Num(threads as f64)),
         ("shards", Json::Num(sim.store().n_shards() as f64)),
-        ("backend", Json::Str(sim.backend().name().into())),
+        ("backend", Json::Str(BackendKind::Scalar.name().into())),
         ("churn_rate", Json::Num(opts.churn)),
         ("incremental", Json::Bool(opts.incremental)),
         ("shard_plane", shard_plane),
@@ -249,7 +248,7 @@ pub fn validate_bench_json(doc: &Json) -> std::result::Result<(), String> {
             .get("backend")
             .and_then(Json::as_str)
             .ok_or("missing 'backend'")?;
-        if BackendKind::parse(backend).is_none() {
+        if !RECORDED_BACKENDS.contains(&backend) {
             return Err(format!("'backend' is '{backend}', not a known backend"));
         }
     }
@@ -306,7 +305,6 @@ mod tests {
             users: 24,
             intervals: 1,
             threads: 1,
-            backend: BackendKind::Simd,
             ..Default::default()
         })
         .unwrap();
@@ -315,7 +313,17 @@ mod tests {
         let reparsed = Json::parse(&doc.to_string()).unwrap();
         validate_bench_json(&reparsed).unwrap();
         assert_eq!(reparsed.get("threads").and_then(Json::as_u64), Some(1));
-        assert_eq!(bench_backend_name(&reparsed), "simd");
+        assert_eq!(bench_backend_name(&reparsed), "scalar");
+        // Documents recorded on the retired backends stay valid history.
+        for retired in ["simd", "int8"] {
+            let text = doc.to_string().replace(
+                "\"backend\":\"scalar\"",
+                &format!("\"backend\":\"{retired}\""),
+            );
+            let old = Json::parse(&text).unwrap();
+            validate_bench_json(&old).unwrap();
+            assert_eq!(bench_backend_name(&old), retired);
+        }
         assert!(
             reparsed
                 .get("stages")

@@ -51,19 +51,6 @@ fn default_incremental() -> bool {
         .unwrap_or(false)
 }
 
-/// Environment variable that overrides the default compute backend
-/// (`scalar`, the bit-exact reference). Lets CI exercise the SIMD or int8
-/// inference path across the whole test suite without touching each
-/// test's config.
-pub const BACKEND_ENV: &str = "MSVS_BACKEND";
-
-fn default_backend() -> BackendKind {
-    std::env::var(BACKEND_ENV)
-        .ok()
-        .and_then(|v| BackendKind::parse(&v))
-        .unwrap_or_default()
-}
-
 /// Population shares of the three mobility models.
 ///
 /// Shares are relative weights (normalised internally); a campus mixes
@@ -237,11 +224,7 @@ pub struct SimulationConfig {
     /// the `MSVS_SHARDS` environment variable, or `1`. Seeded runs
     /// produce bit-identical reports at any shard count.
     pub shards: usize,
-    /// Compute backend for the frozen CNN encode path (`scalar` is the
-    /// bit-exact reference; `simd` is bit-identical to it; `int8`
-    /// trades bounded embedding error for throughput). Training and the
-    /// DDQN always run exact f32 kernels regardless. Defaults to the
-    /// `MSVS_BACKEND` environment variable, or `scalar`.
+    /// Always [`BackendKind::Scalar`]; see its docs.
     pub backend: BackendKind,
     /// Incremental interval pipeline: re-encode only dirty users (churn,
     /// restores), warm-start K-means from the previous interval's
@@ -291,7 +274,7 @@ impl Default for SimulationConfig {
             slo: None,
             threads: default_threads(),
             shards: default_shards(),
-            backend: default_backend(),
+            backend: BackendKind::Scalar,
             incremental: default_incremental(),
             seed: 0,
         }
@@ -455,7 +438,7 @@ impl SimulationConfigBuilder {
         self
     }
 
-    /// Compute backend for the frozen CNN encode path.
+    /// Sets [`SimulationConfig::backend`] (only `Scalar` exists).
     pub fn backend(mut self, backend: BackendKind) -> Self {
         self.config.backend = backend;
         self
@@ -602,11 +585,11 @@ mod tests {
     #[test]
     fn builder_sets_backend_and_silhouette_cap() {
         let config = SimulationConfig::builder()
-            .backend(BackendKind::Simd)
+            .backend(BackendKind::Scalar)
             .silhouette_cap(512)
             .build()
             .unwrap();
-        assert_eq!(config.backend, BackendKind::Simd);
+        assert_eq!(config.backend, BackendKind::Scalar);
         assert_eq!(config.scheme.grouping.silhouette_sample_cap, 512);
         // `0` disables sampling and is valid.
         assert!(SimulationConfig::builder()

@@ -300,11 +300,6 @@ impl Simulation {
         self.pool.threads()
     }
 
-    /// Active compute backend for the frozen CNN encode path.
-    pub fn backend(&self) -> msvs_core::BackendKind {
-        self.config.backend
-    }
-
     /// The sharded twin registry (inspection). With `shards: 1` this is
     /// a transparent facade over the single legacy store.
     pub fn store(&self) -> &ShardCoordinator {
@@ -1430,11 +1425,9 @@ fn resolve_scenario(config: &mut SimulationConfig) -> (CampusMap, Vec<Position>,
     };
     config.threads = pool.threads();
     config.scheme.threads = pool.threads();
-    // The backend rides the scheme config into the predictor's
-    // compressor, the same way the resolved thread count does.
-    config.scheme.compressor.backend = config.backend;
-    // So does the incremental-pipeline switch (dirty-set encode,
-    // warm-start K-means, drift-gated DDQN).
+    // The incremental-pipeline switch (dirty-set encode, warm-start
+    // K-means, drift-gated DDQN) rides the scheme config into the
+    // predictor the same way the resolved thread count does.
     config.scheme.incremental = config.incremental;
     (map, bs_positions, pool)
 }

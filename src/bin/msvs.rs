@@ -3,8 +3,8 @@
 //! ```text
 //! msvs run [--users N] [--intervals N] [--seed S] [--churn F]
 //!          [--per-bs] [--predictor scheme|naive|ewma] [--threads N] [--shards N]
-//!          [--backend scalar|simd|int8] [--silhouette-cap N]
-//!          [--faults PROFILE] [--slo POLICY] [--serve-metrics ADDR]
+//!          [--incremental] [--silhouette-cap N] [--faults PROFILE]
+//!          [--slo POLICY] [--serve-metrics ADDR]
 //!          [--csv PATH] [--journal PATH] [--trace PATH]
 //! msvs checkpoint [run flags] [--out PATH]
 //! msvs checkpoint --restore <checkpoint.jsonl>
@@ -12,12 +12,15 @@
 //! msvs flame <trace.json> [--out PATH]
 //! msvs flame [run flags] [--out PATH]
 //! msvs bench-report [--seed S] [--users N] [--intervals N] [--threads N]
-//!          [--shards N] [--backend scalar|simd|int8] [--out PATH]
+//!          [--shards N] [--churn F] [--incremental] [--out PATH]
 //! msvs bench-compare <baseline.json> <candidate.json> [--gate PCT]
 //! msvs swiping [--users N] [--seed S]
 //! msvs reserve [--headroom F] [--users N] [--seed S]
 //! msvs help
 //! ```
+//!
+//! Every subcommand rejects flags it does not know, so a typo never
+//! silently runs the defaults.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -26,8 +29,8 @@ use msvs::core::ReservationPolicy;
 use msvs::faults::FaultPlan;
 use msvs::shard::{Shard, ShardCheckpoint};
 use msvs::sim::{
-    bench_backend_name, report, run_bench, validate_bench_json, BackendKind, BenchOptions,
-    DemandPredictorKind, Simulation, SimulationConfig, SimulationReport,
+    bench_backend_name, report, run_bench, validate_bench_json, BenchOptions, DemandPredictorKind,
+    Simulation, SimulationConfig, SimulationReport,
 };
 use msvs::telemetry::{
     chrome_trace_with_counters, flame, Event, EventJournal, Json, MetricsServer, RunManifest,
@@ -69,8 +72,8 @@ fn print_help() {
          USAGE:\n\
          \x20 msvs run     [--users N] [--intervals N] [--seed S] [--churn F]\n\
          \x20              [--per-bs] [--predictor scheme|naive|ewma] [--threads N]\n\
-         \x20              [--shards N] [--backend scalar|simd|int8] [--incremental]\n\
-         \x20              [--silhouette-cap N] [--faults PROFILE] [--slo POLICY]\n\
+         \x20              [--shards N] [--incremental] [--silhouette-cap N]\n\
+         \x20              [--faults PROFILE] [--slo POLICY]\n\
          \x20              [--serve-metrics ADDR] [--csv PATH]\n\
          \x20              [--journal PATH] [--trace PATH]\n\
          \x20 msvs checkpoint [run flags] [--out PATH] run, then snapshot every\n\
@@ -80,8 +83,8 @@ fn print_help() {
          \x20 msvs flame   <trace.json | run flags> [--out PATH]\n\
          \x20                                          folded stacks for flamegraphs\n\
          \x20 msvs bench-report [--seed S] [--users N] [--intervals N] [--threads N]\n\
-         \x20              [--shards N] [--backend scalar|simd|int8] [--churn F]\n\
-         \x20              [--incremental] [--out PATH]    perf baseline as JSON\n\
+         \x20              [--shards N] [--churn F] [--incremental]\n\
+         \x20              [--out PATH]                perf baseline as JSON\n\
          \x20 msvs bench-compare <baseline.json> <candidate.json> [--gate PCT]\n\
          \x20                                          stage-latency delta table\n\
          \x20 msvs swiping [--users N] [--seed S]      print a group's swipe curves\n\
@@ -96,10 +99,6 @@ fn print_help() {
          `--shards N` partitions the deployment into per-BS shards with\n\
          cross-shard twin handover (default from MSVS_SHARDS, else 1).\n\
          Seeded runs are bit-identical at any shard count.\n\
-         `--backend` picks the CNN-encode compute backend (default from\n\
-         MSVS_BACKEND, else scalar). `simd` is bit-identical to `scalar`;\n\
-         `int8` trades bounded embedding error for throughput. Training\n\
-         and the DDQN always run exact f32 kernels.\n\
          `--silhouette-cap N` caps silhouette scoring at N sampled users\n\
          (0 disables sampling; default 4096).\n\
          `--incremental` switches on the incremental interval pipeline:\n\
@@ -127,8 +126,8 @@ fn print_help() {
          into inferno-style folded stacks for `inferno-flamegraph`.\n\
          `bench-compare --gate PCT` exits non-zero when any shared\n\
          stage's p50 regresses — or throughput drops — by more than PCT\n\
-         percent; differing backends, run shapes, or pipeline modes are\n\
-         warned about, never failed.\n\
+         percent; differing backends (older documents recorded `simd`),\n\
+         run shapes, or pipeline modes are warned about, never failed.\n\
          `checkpoint` runs the same scenario, then snapshots each shard\n\
          (twins + sync state + embedding keys) as one JSON line; the\n\
          `--restore` form reloads and verifies such a file offline.\n\
@@ -137,32 +136,97 @@ fn print_help() {
          `--trace` writes the run's hierarchical spans as a Chrome-trace\n\
          JSON file (open in Perfetto or chrome://tracing).\n\
          `bench-report` runs a pinned-seed baseline and writes stage\n\
-         percentiles, throughput, and peak RSS as machine-readable JSON.",
+         percentiles, throughput, and peak RSS as machine-readable JSON.\n\
+         Every command rejects flags it does not know.",
         FaultPlan::BUILTINS.join(", "),
         SloPolicy::BUILTINS.join(", ")
     );
 }
 
-/// Minimal flag parser: `--key value` pairs plus boolean flags.
+/// The flags one subcommand accepts.
+struct FlagSpec {
+    command: &'static str,
+    /// Whether the command builds its scenario with [`base_config`] and so
+    /// also takes [`SIM_VALUES`] and [`SIM_SWITCHES`].
+    sim: bool,
+    /// Flags that take the next argument as their value.
+    values: &'static [&'static str],
+    /// Boolean flags.
+    switches: &'static [&'static str],
+    /// Most non-flag arguments the command takes.
+    positionals: usize,
+}
+
+/// Value flags read by [`base_config`].
+const SIM_VALUES: &[&str] = &[
+    "--users",
+    "--intervals",
+    "--seed",
+    "--churn",
+    "--predictor",
+    "--threads",
+    "--shards",
+    "--silhouette-cap",
+];
+
+/// Switches read by [`base_config`].
+const SIM_SWITCHES: &[&str] = &["--per-bs", "--incremental"];
+
+/// Minimal flag parser: `--key value` pairs, boolean switches and
+/// positional arguments, checked against the command's [`FlagSpec`].
 struct Flags<'a> {
-    args: &'a [String],
+    values: Vec<(&'a str, &'a str)>,
+    switches: Vec<&'a str>,
+    positionals: Vec<&'a str>,
 }
 
 impl<'a> Flags<'a> {
-    fn new(args: &'a [String]) -> Result<Self, String> {
-        Ok(Self { args })
+    /// Parses `args`, rejecting unknown flags, a value flag with nothing
+    /// after it, and more positional arguments than `spec` allows.
+    fn new(spec: &FlagSpec, args: &'a [String]) -> Result<Self, String> {
+        let accepts = |own: &[&str], sim: &[&str], arg: &str| {
+            own.contains(&arg) || (spec.sim && sim.contains(&arg))
+        };
+        let mut flags = Self {
+            values: Vec::new(),
+            switches: Vec::new(),
+            positionals: Vec::new(),
+        };
+        let mut iter = args.iter().map(String::as_str);
+        while let Some(arg) = iter.next() {
+            if !arg.starts_with("--") {
+                flags.positionals.push(arg);
+            } else if accepts(spec.values, SIM_VALUES, arg) {
+                let value = iter
+                    .next()
+                    .ok_or_else(|| format!("{arg} requires a value"))?;
+                flags.values.push((arg, value));
+            } else if accepts(spec.switches, SIM_SWITCHES, arg) {
+                flags.switches.push(arg);
+            } else {
+                return Err(format!("unknown flag `{arg}` for `msvs {}`", spec.command));
+            }
+        }
+        if let Some(extra) = flags.positionals.get(spec.positionals) {
+            return Err(format!(
+                "unexpected argument `{extra}` for `msvs {}`",
+                spec.command
+            ));
+        }
+        Ok(flags)
     }
 
+    /// Whether the switch `name` was given.
     fn has(&self, name: &str) -> bool {
-        self.args.iter().any(|a| a == name)
+        self.switches.contains(&name)
     }
 
-    fn value(&self, name: &str) -> Option<&str> {
-        self.args
+    /// The first value given for `name`.
+    fn value(&self, name: &str) -> Option<&'a str> {
+        self.values
             .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.args.get(i + 1))
-            .map(String::as_str)
+            .find(|(k, _)| *k == name)
+            .map(|&(_, v)| v)
     }
 
     fn parse<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
@@ -196,10 +260,6 @@ fn base_config(flags: &Flags<'_>) -> Result<SimulationConfig, String> {
     // Absent flag: keep the default (MSVS_SHARDS env var, or 1).
     if flags.value("--shards").is_some() {
         builder = builder.shards(flags.parse("--shards", 1usize)?);
-    }
-    // Absent flag: keep the default (MSVS_BACKEND env var, or scalar).
-    if flags.value("--backend").is_some() {
-        builder = builder.backend(flags.parse("--backend", BackendKind::Scalar)?);
     }
     if flags.value("--silhouette-cap").is_some() {
         builder = builder.silhouette_cap(flags.parse("--silhouette-cap", 0usize)?);
@@ -241,17 +301,25 @@ fn resolve_slo(raw: &str) -> Result<SloPolicy, String> {
     SloPolicy::parse(&text).map_err(|e| format!("{raw}: {e}"))
 }
 
+const RUN: FlagSpec = FlagSpec {
+    command: "run",
+    sim: true,
+    values: &[
+        "--faults",
+        "--slo",
+        "--serve-metrics",
+        "--csv",
+        "--journal",
+        "--trace",
+    ],
+    switches: &[],
+    positionals: 0,
+};
+
 fn cmd_run(args: &[String]) -> Result<(), String> {
-    let flags = Flags::new(args)?;
-    // Fail before the (long) run rather than silently dropping the export.
-    for export in ["--journal", "--trace", "--serve-metrics", "--slo"] {
-        if flags.has(export) && flags.value(export).is_none() {
-            return Err(format!("{export} requires a value"));
-        }
-    }
+    let flags = Flags::new(&RUN, args)?;
     let mut cfg = base_config(&flags)?;
-    if flags.has("--faults") {
-        let raw = flags.value("--faults").ok_or("--faults requires a value")?;
+    if let Some(raw) = flags.value("--faults") {
         cfg.faults = Some(resolve_faults(raw)?);
         cfg.validate().map_err(|e| e.to_string())?;
     }
@@ -389,8 +457,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         let mut manifest = RunManifest::new(sim.predictor_name(), seed)
             .with_config("users", n_users)
             .with_config("intervals", n_intervals)
-            .with_config("threads", sim.threads())
-            .with_config("backend", sim.backend().name());
+            .with_config("threads", sim.threads());
         for s in &result.telemetry.stages {
             manifest.add_stage_wall_ms(&s.stage, s.mean_ms * s.count as f64);
         }
@@ -427,12 +494,15 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 /// flags — into inferno-compatible folded stacks, one `stack count`
 /// line per unique stack with self-time in microseconds.
 fn cmd_flame(args: &[String]) -> Result<(), String> {
-    let flags = Flags::new(args)?;
-    let trace_path = args
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .map(String::as_str);
-    let folded = match trace_path {
+    const FLAME: FlagSpec = FlagSpec {
+        command: "flame",
+        sim: true,
+        values: &["--out"],
+        switches: &[],
+        positionals: 1,
+    };
+    let flags = Flags::new(&FLAME, args)?;
+    let folded = match flags.positionals.first() {
         Some(path) => {
             let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
             let doc = Json::parse(&text).map_err(|e| format!("{path}: invalid JSON: {e}"))?;
@@ -472,16 +542,19 @@ fn cmd_flame(args: &[String]) -> Result<(), String> {
 /// keys) as one versioned JSON checkpoint per line; `--restore PATH`
 /// instead reloads such a file into fresh shards and verifies it.
 fn cmd_checkpoint(args: &[String]) -> Result<(), String> {
-    let flags = Flags::new(args)?;
-    if flags.has("--restore") {
-        let path = flags
-            .value("--restore")
-            .ok_or("--restore requires a path")?;
+    const CHECKPOINT: FlagSpec = FlagSpec {
+        command: "checkpoint",
+        sim: true,
+        values: &["--restore", "--faults", "--out"],
+        switches: &[],
+        positionals: 0,
+    };
+    let flags = Flags::new(&CHECKPOINT, args)?;
+    if let Some(path) = flags.value("--restore") {
         return restore_checkpoint(path);
     }
     let mut cfg = base_config(&flags)?;
-    if flags.has("--faults") {
-        let raw = flags.value("--faults").ok_or("--faults requires a value")?;
+    if let Some(raw) = flags.value("--faults") {
         cfg.faults = Some(resolve_faults(raw)?);
         cfg.validate().map_err(|e| e.to_string())?;
     }
@@ -551,7 +624,22 @@ fn restore_checkpoint(path: &str) -> Result<(), String> {
 /// `msvs bench-report`: run the pinned-seed perf baseline and write the
 /// `msvs-bench/v2` JSON document (see `crates/sim/src/bench.rs`).
 fn cmd_bench_report(args: &[String]) -> Result<(), String> {
-    let flags = Flags::new(args)?;
+    const BENCH_REPORT: FlagSpec = FlagSpec {
+        command: "bench-report",
+        sim: false,
+        values: &[
+            "--seed",
+            "--users",
+            "--intervals",
+            "--threads",
+            "--shards",
+            "--churn",
+            "--out",
+        ],
+        switches: &["--incremental"],
+        positionals: 0,
+    };
+    let flags = Flags::new(&BENCH_REPORT, args)?;
     let defaults = BenchOptions::default();
     let opts = BenchOptions {
         seed: flags.parse("--seed", defaults.seed)?,
@@ -559,7 +647,6 @@ fn cmd_bench_report(args: &[String]) -> Result<(), String> {
         intervals: flags.parse("--intervals", defaults.intervals)?,
         threads: flags.parse("--threads", defaults.threads)?,
         shards: flags.parse("--shards", defaults.shards)?,
-        backend: flags.parse("--backend", defaults.backend)?,
         churn: flags.parse("--churn", defaults.churn)?,
         incremental: flags.has("--incremental"),
     };
@@ -597,7 +684,14 @@ fn cmd_bench_report(args: &[String]) -> Result<(), String> {
 /// more than PCT percent fails the command, so CI can gate on a
 /// threshold generous enough to ride out shared-runner noise.
 fn cmd_bench_compare(args: &[String]) -> Result<(), String> {
-    let flags = Flags::new(args)?;
+    const BENCH_COMPARE: FlagSpec = FlagSpec {
+        command: "bench-compare",
+        sim: false,
+        values: &["--gate"],
+        switches: &[],
+        positionals: 2,
+    };
+    let flags = Flags::new(&BENCH_COMPARE, args)?;
     let gate: Option<f64> = match flags.value("--gate") {
         Some(raw) => {
             let pct: f64 = raw
@@ -612,16 +706,10 @@ fn cmd_bench_compare(args: &[String]) -> Result<(), String> {
         }
         None => None,
     };
-    let (base_path, cand_path) = match args {
-        [a, b] if !a.starts_with("--") && !b.starts_with("--") => (a.as_str(), b.as_str()),
-        [a, b, g, _] if g == "--gate" && !a.starts_with("--") && !b.starts_with("--") => {
-            (a.as_str(), b.as_str())
-        }
-        _ => {
-            return Err(
-                "usage: msvs bench-compare <baseline.json> <candidate.json> [--gate PCT]".into(),
-            )
-        }
+    let [base_path, cand_path] = flags.positionals[..] else {
+        return Err(
+            "usage: msvs bench-compare <baseline.json> <candidate.json> [--gate PCT]".into(),
+        );
     };
     let load = |path: &str| -> Result<msvs::telemetry::Json, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -962,7 +1050,14 @@ fn sample_quantile(sorted: &[f64], q: f64) -> f64 {
 }
 
 fn cmd_swiping(args: &[String]) -> Result<(), String> {
-    let flags = Flags::new(args)?;
+    const SWIPING: FlagSpec = FlagSpec {
+        command: "swiping",
+        sim: true,
+        values: &[],
+        switches: &[],
+        positionals: 0,
+    };
+    let flags = Flags::new(&SWIPING, args)?;
     let cfg = base_config(&flags)?;
     let intervals = cfg.n_intervals;
     let mut sim = Simulation::new(cfg).map_err(|e| e.to_string())?;
@@ -1000,7 +1095,14 @@ fn cmd_swiping(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_reserve(args: &[String]) -> Result<(), String> {
-    let flags = Flags::new(args)?;
+    const RESERVE: FlagSpec = FlagSpec {
+        command: "reserve",
+        sim: true,
+        values: &["--headroom"],
+        switches: &[],
+        positionals: 0,
+    };
+    let flags = Flags::new(&RESERVE, args)?;
     let headroom = flags.parse("--headroom", 0.10f64)?;
     let mut cfg = base_config(&flags)?;
     cfg.reservation = Some(ReservationPolicy {
@@ -1031,7 +1133,7 @@ mod tests {
     #[test]
     fn flags_parse_values_and_booleans() {
         let raw = args(&["--users", "80", "--per-bs", "--seed", "9"]);
-        let flags = Flags::new(&raw).unwrap();
+        let flags = Flags::new(&RUN, &raw).unwrap();
         assert_eq!(flags.parse("--users", 0usize).unwrap(), 80);
         assert_eq!(flags.parse("--seed", 0u64).unwrap(), 9);
         assert_eq!(flags.parse("--intervals", 12usize).unwrap(), 12, "default");
@@ -1042,7 +1144,7 @@ mod tests {
     #[test]
     fn flags_reject_garbage_values() {
         let raw = args(&["--users", "eighty"]);
-        let flags = Flags::new(&raw).unwrap();
+        let flags = Flags::new(&RUN, &raw).unwrap();
         assert!(flags.parse("--users", 0usize).is_err());
     }
 
@@ -1050,7 +1152,7 @@ mod tests {
     fn base_config_maps_predictors() {
         for (name, expect_naive) in [("scheme", false), ("naive", true)] {
             let raw = args(&["--predictor", name, "--users", "40"]);
-            let cfg = base_config(&Flags::new(&raw).unwrap()).unwrap();
+            let cfg = base_config(&Flags::new(&RUN, &raw).unwrap()).unwrap();
             assert_eq!(cfg.n_users, 40);
             assert_eq!(
                 cfg.predictor == DemandPredictorKind::NaiveFullWatch,
@@ -1058,20 +1160,20 @@ mod tests {
             );
         }
         let raw = args(&["--predictor", "ewma"]);
-        let cfg = base_config(&Flags::new(&raw).unwrap()).unwrap();
+        let cfg = base_config(&Flags::new(&RUN, &raw).unwrap()).unwrap();
         assert!(matches!(
             cfg.predictor,
             DemandPredictorKind::HistoricalMean { .. }
         ));
         let raw = args(&["--predictor", "psychic"]);
-        assert!(base_config(&Flags::new(&raw).unwrap()).is_err());
+        assert!(base_config(&Flags::new(&RUN, &raw).unwrap()).is_err());
     }
 
     #[test]
     fn base_config_validates() {
         // One user cannot satisfy k_min.
         let raw = args(&["--users", "1"]);
-        assert!(base_config(&Flags::new(&raw).unwrap()).is_err());
+        assert!(base_config(&Flags::new(&RUN, &raw).unwrap()).is_err());
     }
 
     #[test]
@@ -1094,47 +1196,59 @@ mod tests {
     #[test]
     fn base_config_accepts_threads_flag() {
         let raw = args(&["--threads", "2"]);
-        let cfg = base_config(&Flags::new(&raw).unwrap()).unwrap();
+        let cfg = base_config(&Flags::new(&RUN, &raw).unwrap()).unwrap();
         assert_eq!(cfg.threads, 2);
         let raw = args(&["--threads", "many"]);
-        assert!(base_config(&Flags::new(&raw).unwrap()).is_err());
+        assert!(base_config(&Flags::new(&RUN, &raw).unwrap()).is_err());
     }
 
     #[test]
     fn base_config_accepts_shards_flag() {
         let raw = args(&["--shards", "4"]);
-        let cfg = base_config(&Flags::new(&raw).unwrap()).unwrap();
+        let cfg = base_config(&Flags::new(&RUN, &raw).unwrap()).unwrap();
         assert_eq!(cfg.shards, 4);
         let raw = args(&["--shards", "0"]);
-        assert!(base_config(&Flags::new(&raw).unwrap()).is_err());
+        assert!(base_config(&Flags::new(&RUN, &raw).unwrap()).is_err());
     }
 
     #[test]
-    fn base_config_accepts_backend_flag() {
-        for (name, kind) in [
-            ("scalar", BackendKind::Scalar),
-            ("simd", BackendKind::Simd),
-            ("int8", BackendKind::Int8),
+    fn unknown_flags_are_rejected() {
+        // A typo or a retired flag must fail, never run the defaults.
+        for (list, flag) in [
+            (&["--user", "1000"][..], "--user"),
+            (&["--backend", "simd"], "--backend"),
+            (&["--users", "40", "--verbose"], "--verbose"),
         ] {
-            let raw = args(&["--backend", name]);
-            let cfg = base_config(&Flags::new(&raw).unwrap()).unwrap();
-            assert_eq!(cfg.backend, kind);
+            let err = Flags::new(&RUN, &args(list)).err().expect("rejected");
+            assert_eq!(err, format!("unknown flag `{flag}` for `msvs run`"));
         }
-        let raw = args(&["--backend", "gpu"]);
-        assert!(base_config(&Flags::new(&raw).unwrap()).is_err());
+        let err = cmd_bench_report(&args(&["--backend", "simd"])).unwrap_err();
+        assert_eq!(err, "unknown flag `--backend` for `msvs bench-report`");
+        let err = Flags::new(&RUN, &args(&["1000"])).err().expect("rejected");
+        assert_eq!(err, "unexpected argument `1000` for `msvs run`");
+    }
+
+    #[test]
+    fn trailing_value_flag_without_a_value_is_an_error() {
+        for flag in ["--users", "--journal", "--faults"] {
+            let raw = args(&["--seed", "3", flag]);
+            let err = Flags::new(&RUN, &raw).err().expect("rejected");
+            assert_eq!(err, format!("{flag} requires a value"));
+        }
+        assert!(cmd_bench_report(&args(&["--out"])).is_err());
     }
 
     #[test]
     fn base_config_accepts_silhouette_cap_flag() {
         let raw = args(&["--silhouette-cap", "512"]);
-        let cfg = base_config(&Flags::new(&raw).unwrap()).unwrap();
+        let cfg = base_config(&Flags::new(&RUN, &raw).unwrap()).unwrap();
         assert_eq!(cfg.scheme.grouping.silhouette_sample_cap, 512);
         // 0 disables sampling entirely (score every user).
         let raw = args(&["--silhouette-cap", "0"]);
-        let cfg = base_config(&Flags::new(&raw).unwrap()).unwrap();
+        let cfg = base_config(&Flags::new(&RUN, &raw).unwrap()).unwrap();
         assert_eq!(cfg.scheme.grouping.silhouette_sample_cap, 0);
         let raw = args(&["--silhouette-cap", "lots"]);
-        assert!(base_config(&Flags::new(&raw).unwrap()).is_err());
+        assert!(base_config(&Flags::new(&RUN, &raw).unwrap()).is_err());
     }
 
     #[test]

@@ -137,7 +137,6 @@ fn bench_document_from_a_tiny_run_is_schema_valid() {
         intervals: 1,
         threads: 2,
         shards: 1,
-        backend: msvs::sim::BackendKind::Scalar,
         ..Default::default()
     })
     .expect("bench run");
