@@ -47,19 +47,6 @@ impl Default for SnrEstimator {
     }
 }
 
-/// Index of the base station nearest to `pos`.
-///
-/// `total_cmp` sorts NaN above every finite distance, so a corrupted
-/// position degrades to an arbitrary-but-deterministic choice instead of
-/// a panic.
-fn nearest_bs(pos: msvs_types::Position, bs: &[msvs_types::Position]) -> usize {
-    bs.iter()
-        .enumerate()
-        .min_by(|(_, a), (_, b)| pos.distance_sq(**a).total_cmp(&pos.distance_sq(**b)))
-        .map(|(i, _)| i)
-        .expect("at least one BS when called")
-}
-
 /// Graceful-degradation policy: what the predictor does when twin data
 /// goes stale (lossy uplink, churn storms).
 ///
@@ -530,8 +517,9 @@ impl DtAssistedPredictor {
                     self.config.map_height,
                 ) {
                     Some(pos) => {
-                        let bs = nearest_bs(pos, &self.config.bs_positions);
-                        let dist = pos.distance_to(self.config.bs_positions[bs]);
+                        let (_, dist) = pos
+                            .nearest(&self.config.bs_positions)
+                            .expect("at least one BS, checked above");
                         link.mean_snr_db(dist) + fading_offset_db
                     }
                     None => recent(64),
@@ -609,7 +597,9 @@ impl DtAssistedPredictor {
                             0
                         } else {
                             let pos = t.latest_position().unwrap_or(msvs_types::Position::ORIGIN);
-                            nearest_bs(pos, &self.config.bs_positions)
+                            pos.nearest(&self.config.bs_positions)
+                                .expect("at least one BS, checked above")
+                                .0
                         };
                     crate::demand::MemberState {
                         user: t.user(),

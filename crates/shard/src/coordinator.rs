@@ -9,7 +9,7 @@ use msvs_faults::OutageMode;
 use msvs_par::Pool;
 use msvs_telemetry::{stages, Telemetry};
 use msvs_types::{Error, Position, RepresentationLevel, Result, SimDuration, SimTime, UserId};
-use msvs_udt::{SyncTracker, TwinView, UserDigitalTwin, WatchRecord};
+use msvs_udt::{SyncTracker, TwinView, UserDigitalTwin};
 use msvs_video::Video;
 
 use crate::aggregate::{ReservationAggregator, ShardDemandRow, ShardSummary};
@@ -303,30 +303,6 @@ impl ShardCoordinator {
         f: impl FnOnce(&mut UserDigitalTwin) -> T,
     ) -> Result<T> {
         self.routed(user, |s| s.store().with_twin_mut(user, f))
-    }
-
-    /// Records a channel sample (see [`msvs_udt::UdtStore::update_channel`]).
-    ///
-    /// # Errors
-    /// Returns [`Error::NotFound`] for an unregistered user.
-    pub fn update_channel(&self, user: UserId, at: SimTime, snr_db: f64) -> Result<bool> {
-        self.routed(user, |s| s.store().update_channel(user, at, snr_db))
-    }
-
-    /// Records a location sample.
-    ///
-    /// # Errors
-    /// Returns [`Error::NotFound`] for an unregistered user.
-    pub fn update_location(&self, user: UserId, at: SimTime, position: Position) -> Result<bool> {
-        self.routed(user, |s| s.store().update_location(user, at, position))
-    }
-
-    /// Records a watch record.
-    ///
-    /// # Errors
-    /// Returns [`Error::NotFound`] for an unregistered user.
-    pub fn record_watch(&self, user: UserId, at: SimTime, record: WatchRecord) -> Result<()> {
-        self.routed(user, |s| s.store().record_watch(user, at, record))
     }
 
     /// Total twins across every shard.
@@ -773,8 +749,10 @@ mod tests {
     fn insert_at(c: &mut ShardCoordinator, id: u32, x: f64, y: f64) {
         let twin = UserDigitalTwin::new(UserId(id));
         c.insert(twin, Position::new(x, y));
-        c.update_location(UserId(id), SimTime::ZERO, Position::new(x, y))
-            .unwrap();
+        c.with_twin_mut(UserId(id), |t| {
+            t.update_location(SimTime::ZERO, Position::new(x, y))
+        })
+        .unwrap();
     }
 
     #[test]
@@ -786,12 +764,15 @@ mod tests {
         assert_eq!(c.owner_of(UserId(1)), Some(1));
         assert_eq!(c.len(), 2);
         assert!(c.contains(UserId(0)));
-        c.update_channel(UserId(0), SimTime::ZERO, 8.0).unwrap();
+        c.with_twin_mut(UserId(0), |t| t.update_channel(SimTime::ZERO, 8.0))
+            .unwrap();
         assert_eq!(
             c.with_twin(UserId(0), |t| t.latest_snr_db()).unwrap(),
             Some(8.0)
         );
-        assert!(c.update_channel(UserId(9), SimTime::ZERO, 1.0).is_err());
+        assert!(c
+            .with_twin_mut(UserId(9), |t| t.update_channel(SimTime::ZERO, 1.0))
+            .is_err());
         assert_eq!(c.shards()[0].len(), 1);
         assert_eq!(c.shards()[1].len(), 1);
     }
@@ -813,8 +794,10 @@ mod tests {
         insert_at(&mut c, 0, 1.0, 1.0);
         insert_at(&mut c, 1, 99.0, 1.0);
         // User 0 reports a position in BS 1's cell.
-        c.update_location(UserId(0), SimTime::from_secs(5), Position::new(98.0, 2.0))
-            .unwrap();
+        c.with_twin_mut(UserId(0), |t| {
+            t.update_location(SimTime::from_secs(5), Position::new(98.0, 2.0))
+        })
+        .unwrap();
         let mut t0 = SyncTracker::default();
         let mut t1 = SyncTracker::default();
         let mut users = vec![
@@ -842,8 +825,10 @@ mod tests {
     fn lost_handover_report_degrades_but_never_drops_a_twin() {
         let mut c = coordinator(2);
         insert_at(&mut c, 0, 1.0, 1.0);
-        c.update_location(UserId(0), SimTime::from_secs(5), Position::new(98.0, 2.0))
-            .unwrap();
+        c.with_twin_mut(UserId(0), |t| {
+            t.update_location(SimTime::from_secs(5), Position::new(98.0, 2.0))
+        })
+        .unwrap();
         let mut t0 = SyncTracker::default();
         let mut users = vec![HandoverUser {
             user: UserId(0),
@@ -996,8 +981,10 @@ mod tests {
         );
         // The partitioned user cannot hand over even if their last
         // report put them across the boundary.
-        c.update_location(UserId(1), SimTime::from_secs(9), Position::new(1.0, 2.0))
-            .unwrap();
+        c.with_twin_mut(UserId(1), |t| {
+            t.update_location(SimTime::from_secs(9), Position::new(1.0, 2.0))
+        })
+        .unwrap();
         let mut users = handover_users(&mut trackers);
         assert_eq!(c.rebalance(&mut users, |_| false).moved, 0);
         // Heal: the backlog user hands over on the next sweep.
@@ -1101,8 +1088,10 @@ mod tests {
         // A clean handover migrates the embedding intact — nobody
         // becomes dirty (this keeps incremental counters shard-count
         // invariant).
-        c.update_location(UserId(0), SimTime::from_secs(5), Position::new(98.0, 2.0))
-            .unwrap();
+        c.with_twin_mut(UserId(0), |t| {
+            t.update_location(SimTime::from_secs(5), Position::new(98.0, 2.0))
+        })
+        .unwrap();
         let mut trackers: Vec<(UserId, SyncTracker)> = (0..2)
             .map(|i| (UserId(i), SyncTracker::default()))
             .collect();

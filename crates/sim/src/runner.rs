@@ -15,13 +15,19 @@ use msvs_telemetry::{
 use msvs_types::{
     CpuCycles, Error, Position, ResourceBlocks, Result, SimDuration, SimTime, UserId,
 };
-use msvs_udt::{CollectionPolicy, RetryPolicy, SyncTracker, UserDigitalTwin, WatchRecord};
+use msvs_udt::{
+    CollectionPolicy, RetryPolicy, SyncTracker, TwinReports, UserDigitalTwin, WatchRecord,
+};
 use msvs_video::{Catalog, UserProfile};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::config::SimulationConfig;
 use crate::metrics::{IntervalRecord, SimulationReport};
+
+/// Rate at which a preference refresh pulls the twin's preference towards
+/// the categories its user recently engaged with.
+const PREFERENCE_RATE: f64 = 0.4;
 
 /// Per-user fault-injection state: in-flight delayed reports plus the
 /// tallies and journal records accumulated *inside* the parallel
@@ -693,10 +699,15 @@ impl Simulation {
     }
 
     /// Collection phase: advance mobility tick by tick across the
-    /// interval, sampling ground-truth SNR and pushing due attributes into
+    /// interval, sampling ground-truth SNR and queueing due attributes for
     /// the twins (per the collection policy). Per-user simulation is
     /// fanned out across the worker pool; each user carries an independent
     /// RNG stream, so the result is bit-identical at any thread count.
+    ///
+    /// Each user's reports collect in a [`TwinReports`] outbox and reach
+    /// the twin in one write after its last tick. That is exact because
+    /// no twin is read inside this region and each series keeps its
+    /// arrival order (DESIGN.md, "Collect-phase write ordering").
     fn collect_phase(&mut self) {
         let interval = self.config.interval;
         let tick = self.config.tick;
@@ -725,40 +736,29 @@ impl Simulation {
         let ingest_scope = self.telemetry.stage_scope(stage::UDT_INGEST);
         let stats = pool.for_each_mut(&mut self.users, |i, user| {
             let cut_off = partitioned.get(i).copied().unwrap_or(false);
+            let mut outbox = TwinReports::default();
             let mut t = start;
             for _ in 0..steps {
                 t += tick;
                 let pos = user.mobility.advance(tick);
-                let dist = nearest_bs_distance(pos, bs);
+                let (_, dist) = pos.nearest(bs).expect("at least one BS");
                 let snr = link.sample_snr_db(&mut user.rng, dist);
                 user.interval_snrs.push(snr);
                 match faults {
-                    None => {
-                        if user.tracker.channel_due(policy, t) {
-                            store
-                                .update_channel(user.id, t, snr)
-                                .expect("user twin registered at construction");
-                            user.tracker.mark_channel(t);
-                        }
-                        if user.tracker.location_due(policy, t) {
-                            store
-                                .update_location(user.id, t, pos)
-                                .expect("user twin registered at construction");
-                            user.tracker.mark_location(t);
-                        }
-                        if user.tracker.preference_due(policy, t) {
-                            store
-                                .with_twin_mut(user.id, |twin| {
-                                    twin.refresh_preference_from_watches(t, 0.4)
-                                })
-                                .expect("user twin registered at construction");
-                            user.tracker.mark_preference(t);
-                        }
-                    }
+                    None => clean_user_tick(user, &mut outbox, policy, t, snr, pos),
                     Some(rt) => {
-                        faulty_user_tick(user, rt, store, policy, t, tick, snr, pos, cut_off)
+                        faulty_user_tick(user, &mut outbox, rt, policy, t, tick, snr, pos, cut_off)
                     }
                 }
+            }
+            if !outbox.is_empty() {
+                // The batch's rejected count is not the fault tally: it
+                // also counts clean samples beyond ±100 dB (a user within
+                // metres of a BS), which are not faults. The fault path
+                // tallies its own payloads as it queues them.
+                store
+                    .with_twin_mut(user.id, |twin| twin.apply_reports(&outbox))
+                    .expect("user twin registered at construction");
             }
         });
         drop(ingest_scope);
@@ -969,14 +969,10 @@ impl Simulation {
         // Handovers: users whose nearest BS changed since last interval.
         let mut handovers = 0u64;
         for user in &self.users {
-            let pos = user.mobility.position();
-            // total_cmp sorts non-finite distances last: a corrupted
-            // position picks a deterministic BS instead of panicking.
-            let bs = (0..self.bs_positions.len())
-                .min_by(|&a, &b| {
-                    pos.distance_sq(self.bs_positions[a])
-                        .total_cmp(&pos.distance_sq(self.bs_positions[b]))
-                })
+            let (bs, _) = user
+                .mobility
+                .position()
+                .nearest(&self.bs_positions)
                 .expect("at least one BS");
             if let Some(&prev) = self.prev_bs.get(&user.id) {
                 if prev != bs {
@@ -1073,7 +1069,7 @@ impl Simulation {
     /// Plays the interval out group by group: the BS multicasts the
     /// recommended feed, members swipe according to their ground-truth
     /// profiles, the edge transcodes what the cache misses, and watch
-    /// records flow back into the twins.
+    /// records flow back into the twins, one write per member per group.
     fn playback_phase(&mut self, outcome: &PredictionOutcome) -> ActualDemand {
         let interval_s = self.config.interval.as_secs_f64();
         let rb_bw = self.config.scheme.demand.rb_bandwidth.value();
@@ -1118,13 +1114,12 @@ impl Simulation {
                     if n_bs == 1 {
                         return 0;
                     }
-                    let pos = self.users[id.index()].mobility.position();
-                    (0..n_bs)
-                        .min_by(|&a, &b| {
-                            pos.distance_sq(self.bs_positions[a])
-                                .total_cmp(&pos.distance_sq(self.bs_positions[b]))
-                        })
+                    self.users[id.index()]
+                        .mobility
+                        .position()
+                        .nearest(&self.bs_positions)
                         .expect("at least one BS")
+                        .0
                 })
                 .collect();
             let mut min_eff_by_bs = vec![f64::INFINITY; n_bs];
@@ -1141,6 +1136,9 @@ impl Simulation {
             let mut t = 0.0;
             let mut traffic_by_bs = vec![0.0f64; n_bs];
             let mut member_traffic_mb = vec![0.0f64; member_ids.len()];
+            // Watch records per member, in viewing order; nothing reads
+            // the twins before the flush after the group's feed.
+            let mut member_watches: Vec<Vec<WatchRecord>> = vec![Vec::new(); member_ids.len()];
             while t < interval_s {
                 // Transmission past the interval boundary is accounted to
                 // the next reservation interval.
@@ -1155,7 +1153,6 @@ impl Simulation {
                 // Members draw their true watch durations.
                 let mut max_watch = 0.0f64;
                 let mut local_max = vec![0.0f64; n_bs];
-                let mut watches = Vec::with_capacity(member_ids.len());
                 for (mi, id) in member_ids.iter().enumerate() {
                     let user = &mut self.users[id.index()];
                     let interest =
@@ -1169,7 +1166,14 @@ impl Simulation {
                     let w = watched.as_secs_f64();
                     max_watch = max_watch.max(w);
                     local_max[bs_of[mi]] = local_max[bs_of[mi]].max(w);
-                    watches.push((*id, watched, completed));
+                    member_watches[mi].push(WatchRecord {
+                        video: vid,
+                        category: video.category,
+                        level: pred.level,
+                        watched,
+                        video_duration: video.duration,
+                        completed,
+                    });
                     // Unicast delivery would prefetch ahead of each user too.
                     member_traffic_mb[mi] += video_bitrate(video, pred.level)
                         * quantize(w + prefetch, len_s).min(remaining);
@@ -1189,25 +1193,13 @@ impl Simulation {
                     self.edge
                         .serve_for(video, pred.level, SimDuration::from_secs_f64(tx_s));
                 total.computing += outcome.cycles.value();
-                // Report watch records into the twins (event-driven).
-                let report_at = self.now;
-                for (id, watched, completed) in watches {
-                    self.store
-                        .record_watch(
-                            id,
-                            report_at,
-                            WatchRecord {
-                                video: vid,
-                                category: video.category,
-                                level: pred.level,
-                                watched,
-                                video_duration: video.duration,
-                                completed,
-                            },
-                        )
-                        .expect("user twin registered at construction");
-                }
                 t += max_watch + gap;
+            }
+            // Report the group's watch records into the twins.
+            for (id, records) in member_ids.iter().zip(member_watches) {
+                self.store
+                    .with_twin_mut(*id, |twin| twin.record_watches(self.now, records))
+                    .expect("user twin registered at construction");
             }
             for (bs, &traffic) in traffic_by_bs.iter().enumerate() {
                 if traffic <= 0.0 {
@@ -1229,21 +1221,49 @@ impl Simulation {
     }
 }
 
+/// One user's collection tick without a fault plan: every due report is
+/// delivered. Runs inside the parallel region and only queues reports in
+/// `outbox`; the twin sees them after the user's last tick.
+fn clean_user_tick(
+    user: &mut SimUser,
+    outbox: &mut TwinReports,
+    policy: &CollectionPolicy,
+    t: SimTime,
+    snr: f64,
+    pos: Position,
+) {
+    if user.tracker.channel_due(policy, t) {
+        outbox.channel(t, snr);
+        user.tracker.mark_channel(t);
+    }
+    if user.tracker.location_due(policy, t) {
+        outbox.location(t, pos);
+        user.tracker.mark_location(t);
+    }
+    if user.tracker.preference_due(policy, t) {
+        outbox.refresh_preference(t, PREFERENCE_RATE);
+        user.tracker.mark_preference(t);
+    }
+}
+
 /// One user's collection tick under an active fault plan.
 ///
-/// Mirrors the clean path in `collect_phase` exactly, except that every
-/// due uplink report is routed through the fate oracle first: delivered,
-/// lost (retry scheduled with backoff), delayed (buffered, delivered late
-/// with its original timestamp), or corrupted (implausible payload the
-/// twin may reject). Preference refreshes are control-plane triggers, so
-/// only loss applies to them. Runs inside the parallel region — it must
-/// not touch shared telemetry; tallies and journal records accumulate in
-/// `user.faults` and are drained serially afterwards.
+/// Mirrors [`clean_user_tick`] exactly, except that every due uplink
+/// report is routed through the fate oracle first: delivered, lost (retry
+/// scheduled with backoff), delayed (buffered, delivered late with its
+/// original timestamp), or corrupted (implausible payload the twin may
+/// reject). Preference refreshes are control-plane triggers, so only loss
+/// applies to them. Runs inside the parallel region — it must not touch
+/// shared telemetry; tallies and journal records accumulate in
+/// `user.faults` and are drained serially afterwards. Deliveries queue in
+/// `outbox` like clean ones; delayed and corrupted payloads the twin will
+/// refuse are tallied as `rejected` when queued (acceptance depends only
+/// on the payload).
 #[allow(clippy::too_many_arguments)]
 fn faulty_user_tick(
     user: &mut SimUser,
+    outbox: &mut TwinReports,
     rt: &FaultRuntime,
-    store: &ShardCoordinator,
     policy: &CollectionPolicy,
     t: SimTime,
     tick: SimDuration,
@@ -1283,28 +1303,18 @@ fn faulty_user_tick(
     // Delayed reports that are now due reach the twin late, carrying their
     // original sample timestamps (so staleness accounting sees the gap).
     for (sampled_at, v) in user.faults.delayed_channel.drain_due(t) {
-        let ok = store
-            .update_channel(user.id, sampled_at, v)
-            .expect("user twin registered at construction");
-        if !ok {
-            user.faults.counts.rejected += 1;
-        }
+        user.faults.counts.rejected += u64::from(!UserDigitalTwin::plausible_snr(v));
+        outbox.channel(sampled_at, v);
     }
     for (sampled_at, p) in user.faults.delayed_location.drain_due(t) {
-        let ok = store
-            .update_location(user.id, sampled_at, p)
-            .expect("user twin registered at construction");
-        if !ok {
-            user.faults.counts.rejected += 1;
-        }
+        user.faults.counts.rejected += u64::from(!UserDigitalTwin::plausible_position(p));
+        outbox.location(sampled_at, p);
     }
     let t_ms = t.as_millis();
     if user.tracker.channel_due(policy, t) {
         match rt.injector.fate(user.id.0, t_ms, Attribute::Channel) {
             ReportFate::Deliver => {
-                store
-                    .update_channel(user.id, t, snr)
-                    .expect("user twin registered at construction");
+                outbox.channel(t, snr);
                 user.tracker.mark_channel(t);
             }
             ReportFate::Lose => {
@@ -1329,12 +1339,8 @@ fn faulty_user_tick(
                 let v = rt
                     .injector
                     .corrupt_value(user.id.0, t_ms, Attribute::Channel);
-                let ok = store
-                    .update_channel(user.id, t, v)
-                    .expect("user twin registered at construction");
-                if !ok {
-                    user.faults.counts.rejected += 1;
-                }
+                user.faults.counts.rejected += u64::from(!UserDigitalTwin::plausible_snr(v));
+                outbox.channel(t, v);
                 user.tracker.mark_channel(t);
             }
         }
@@ -1342,9 +1348,7 @@ fn faulty_user_tick(
     if user.tracker.location_due(policy, t) {
         match rt.injector.fate(user.id.0, t_ms, Attribute::Location) {
             ReportFate::Deliver => {
-                store
-                    .update_location(user.id, t, pos)
-                    .expect("user twin registered at construction");
+                outbox.location(t, pos);
                 user.tracker.mark_location(t);
             }
             ReportFate::Lose => {
@@ -1370,12 +1374,9 @@ fn faulty_user_tick(
                 let v = rt
                     .injector
                     .corrupt_value(user.id.0, t_ms, Attribute::Location);
-                let ok = store
-                    .update_location(user.id, t, Position::new(v, v))
-                    .expect("user twin registered at construction");
-                if !ok {
-                    user.faults.counts.rejected += 1;
-                }
+                let p = Position::new(v, v);
+                user.faults.counts.rejected += u64::from(!UserDigitalTwin::plausible_position(p));
+                outbox.location(t, p);
                 user.tracker.mark_location(t);
             }
         }
@@ -1392,9 +1393,7 @@ fn faulty_user_tick(
             // A preference refresh is a control-plane trigger with no
             // payload to delay or corrupt: every other fate delivers.
             _ => {
-                store
-                    .with_twin_mut(user.id, |twin| twin.refresh_preference_from_watches(t, 0.4))
-                    .expect("user twin registered at construction");
+                outbox.refresh_preference(t, PREFERENCE_RATE);
                 user.tracker.mark_preference(t);
             }
         }
@@ -1438,18 +1437,6 @@ fn video_bitrate(video: &msvs_video::Video, level: msvs_types::RepresentationLev
         .representation(level)
         .map(|r| r.bitrate.value())
         .unwrap_or_else(|| level.nominal_bitrate().value())
-}
-
-/// Distance from `pos` to the nearest base station.
-///
-/// `total_cmp` tolerates non-finite distances (NaN sorts last), so a
-/// corrupted position yields a garbage-but-crash-free distance instead of
-/// a panic; identical ordering for the finite distances real runs see.
-fn nearest_bs_distance(pos: Position, bs: &[Position]) -> msvs_types::Meters {
-    bs.iter()
-        .map(|b| pos.distance_to(*b))
-        .min_by(|a, b| a.value().total_cmp(&b.value()))
-        .expect("at least one BS")
 }
 
 /// Places `n` base stations on a centred grid across the map.

@@ -42,6 +42,22 @@ impl Position {
         (self.x - other.x).powi(2) + (self.y - other.y).powi(2)
     }
 
+    /// Index of, and distance to, the point in `points` nearest to `self`
+    /// (`None` when `points` is empty). Ties go to the lowest index.
+    ///
+    /// Compares squared distances and takes one square root; `sqrt` is
+    /// monotone, so this matches a search over [`Self::distance_to`] bit
+    /// for bit. `total_cmp` sorts NaN last, so a non-finite position picks
+    /// a deterministic point instead of panicking.
+    pub fn nearest(self, points: &[Position]) -> Option<(usize, Meters)> {
+        points
+            .iter()
+            .map(|&p| self.distance_sq(p))
+            .enumerate()
+            .min_by(|(_, a), (_, b)| a.total_cmp(b))
+            .map(|(i, d_sq)| (i, Meters(d_sq.sqrt())))
+    }
+
     /// Length of this position interpreted as a vector from the origin.
     pub fn norm(self) -> f64 {
         (self.x * self.x + self.y * self.y).sqrt()
@@ -117,6 +133,37 @@ mod tests {
         let a = Position::new(1.0, 2.0);
         let b = Position::new(-2.0, 6.0);
         assert!((a.distance_sq(b) - a.distance_to(b).value().powi(2)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn nearest_matches_a_distance_to_search() {
+        let points = [
+            Position::new(0.0, 0.0),
+            Position::new(10.0, 0.0),
+            Position::new(10.0, 0.0),
+            Position::new(3.3, 7.1),
+        ];
+        assert_eq!(Position::new(1.0, 1.0).nearest(&[]), None);
+        for &(x, y) in &[(1.0, 1.0), (9.0, 0.5), (4.0, 6.0), (-5.0, 2.2), (5.0, 0.0)] {
+            let p = Position::new(x, y);
+            let (i, d) = p.nearest(&points).unwrap();
+            let reference = points
+                .iter()
+                .map(|&b| p.distance_to(b))
+                .min_by(|a, b| a.value().total_cmp(&b.value()))
+                .unwrap();
+            assert_eq!(d.value().to_bits(), reference.value().to_bits());
+            assert_eq!(
+                d.value().to_bits(),
+                p.distance_to(points[i]).value().to_bits()
+            );
+        }
+        // Equidistant points: the lowest index wins.
+        assert_eq!(
+            Position::new(10.0, 5.0).nearest(&points[1..3]).unwrap().0,
+            0
+        );
+        assert_eq!(Position::new(5.0, 0.0).nearest(&points[..2]).unwrap().0, 0);
     }
 
     #[test]

@@ -69,9 +69,10 @@ impl<T> TimeSeries<T> {
     }
 
     /// The last `n` values (oldest → newest); shorter if fewer exist.
-    pub fn tail(&self, n: usize) -> Vec<&T> {
-        let skip = self.samples.len().saturating_sub(n);
-        self.samples.iter().skip(skip).map(|(_, v)| v).collect()
+    /// Borrows in place: no allocation, no walk over the older samples.
+    pub fn tail(&self, n: usize) -> impl ExactSizeIterator<Item = &T> + DoubleEndedIterator {
+        let start = self.samples.len().saturating_sub(n);
+        self.samples.range(start..).map(|(_, v)| v)
     }
 
     /// Values sampled at or after `since` (oldest → newest).
@@ -102,6 +103,23 @@ impl<T: Clone> TimeSeries<T> {
             samples.pop_front();
         }
         samples.push_back((at, value));
+    }
+
+    /// Appends `samples` in order, evicting exactly as repeated
+    /// [`push`](Self::push) would. Shared storage is copied at most once
+    /// per call, and not at all for an empty batch.
+    pub fn extend(&mut self, samples: impl IntoIterator<Item = (SimTime, T)>) {
+        let mut samples = samples.into_iter().peekable();
+        if samples.peek().is_none() {
+            return;
+        }
+        let buf = Arc::make_mut(&mut self.samples);
+        for sample in samples {
+            if buf.len() == self.capacity {
+                buf.pop_front();
+            }
+            buf.push_back(sample);
+        }
     }
 
     /// Removes all samples.
@@ -169,7 +187,7 @@ mod tests {
         for i in 0..6u64 {
             ts.push(SimTime::from_secs(i), i as i32);
         }
-        assert_eq!(ts.tail(2), vec![&4, &5]);
+        assert_eq!(ts.tail(2).collect::<Vec<_>>(), vec![&4, &5]);
         assert_eq!(ts.tail(100).len(), 6);
         assert_eq!(ts.since(SimTime::from_secs(4)), vec![&4, &5]);
         assert!(ts.since(SimTime::from_secs(100)).is_empty());
@@ -210,6 +228,76 @@ mod tests {
         ts.clear();
         assert!(ts.is_empty());
         assert_eq!(vals(&again), vec![1.0, 2.0, 3.0]);
+    }
+
+    /// The reference `tail`: skip everything but the last `n` samples.
+    fn skip_tail<T>(ts: &TimeSeries<T>, n: usize) -> Vec<&T> {
+        let skip = ts.len().saturating_sub(n);
+        ts.iter().skip(skip).map(|(_, v)| v).collect()
+    }
+
+    #[test]
+    fn tail_iterator_yields_the_last_n_values() {
+        let mut ts = TimeSeries::new(5);
+        assert_eq!(ts.tail(3).len(), 0);
+        for i in 0..9u64 {
+            ts.push(SimTime::from_secs(i), i);
+            for n in 0..8 {
+                let tail = ts.tail(n);
+                assert_eq!(tail.len(), skip_tail(&ts, n).len());
+                assert_eq!(tail.collect::<Vec<_>>(), skip_tail(&ts, n), "n = {n}");
+                assert_eq!(
+                    ts.tail(n).rev().collect::<Vec<_>>(),
+                    skip_tail(&ts, n).into_iter().rev().collect::<Vec<_>>()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn extend_equals_a_push_loop_including_eviction() {
+        for (cap, pre, batch) in [(4, 0, 3), (4, 2, 2), (4, 3, 3), (4, 1, 9), (1, 1, 3)] {
+            let mut pushed = TimeSeries::new(cap);
+            for i in 0..pre {
+                pushed.push(SimTime::from_secs(i), i as f64);
+            }
+            let mut extended = pushed.clone();
+            let samples: Vec<(SimTime, f64)> = (pre..pre + batch)
+                .map(|i| (SimTime::from_secs(i), i as f64 * 0.5))
+                .collect();
+            for &(t, v) in &samples {
+                pushed.push(t, v);
+            }
+            extended.extend(samples);
+            assert_eq!(extended, pushed, "capacity {cap}, {pre} + {batch}");
+            assert!(extended.len() <= cap);
+        }
+    }
+
+    #[test]
+    fn extend_copies_shared_storage_once_and_keeps_held_clones() {
+        let mut ts = TimeSeries::new(4);
+        for i in 0..4u64 {
+            ts.push(SimTime::from_secs(i), i as f64);
+        }
+        let held = ts.clone();
+        ts.extend(std::iter::empty());
+        assert!(
+            held.shares_storage_with(&ts),
+            "an empty batch copies nothing"
+        );
+        ts.extend((4..7u64).map(|i| (SimTime::from_secs(i), i as f64)));
+        assert!(!held.shares_storage_with(&ts));
+        // One copy for the whole batch: each side now owns its buffer alone.
+        assert_eq!(Arc::strong_count(&held.samples), 1);
+        assert_eq!(Arc::strong_count(&ts.samples), 1);
+        let vals = |s: &TimeSeries<f64>| s.iter().map(|(_, v)| *v).collect::<Vec<_>>();
+        assert_eq!(
+            vals(&held),
+            vec![0.0, 1.0, 2.0, 3.0],
+            "the clone keeps its values"
+        );
+        assert_eq!(vals(&ts), vec![3.0, 4.0, 5.0, 6.0]);
     }
 
     #[test]

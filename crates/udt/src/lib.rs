@@ -35,4 +35,4 @@ pub mod twin;
 pub use attribute::{TimeSeries, WatchRecord};
 pub use store::{TwinView, UdtStore};
 pub use sync::{CollectionPolicy, RetryPolicy, SyncTracker};
-pub use twin::{FeatureWindow, TwinRevision, UserDigitalTwin};
+pub use twin::{FeatureWindow, TwinReports, TwinRevision, UserDigitalTwin};

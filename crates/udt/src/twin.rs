@@ -43,6 +43,43 @@ impl FeatureWindow {
     }
 }
 
+/// One interval's uplink reports for a single twin, buffered so they
+/// reach it in one write ([`UserDigitalTwin::apply_reports`]) instead of
+/// one locked write per sample.
+///
+/// Each attribute keeps its own arrival order; the twin applies them in
+/// that order, so every series ends up exactly as if each report had
+/// been written on arrival.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct TwinReports {
+    channel: Vec<(SimTime, f64)>,
+    location: Vec<(SimTime, Position)>,
+    /// `(at, rate)` per preference refresh.
+    preference: Vec<(SimTime, f64)>,
+}
+
+impl TwinReports {
+    /// Queues a channel sample (SNR in dB).
+    pub fn channel(&mut self, at: SimTime, snr_db: f64) {
+        self.channel.push((at, snr_db));
+    }
+
+    /// Queues a location sample.
+    pub fn location(&mut self, at: SimTime, position: Position) {
+        self.location.push((at, position));
+    }
+
+    /// Queues a preference refresh from the watch history at `rate`.
+    pub fn refresh_preference(&mut self, at: SimTime, rate: f64) {
+        self.preference.push((at, rate));
+    }
+
+    /// Whether nothing is queued.
+    pub fn is_empty(&self) -> bool {
+        self.channel.is_empty() && self.location.is_empty() && self.preference.is_empty()
+    }
+}
+
 /// Edge-resident mirror of one user's status.
 ///
 /// Base stations push channel, location, and watch updates at their
@@ -129,6 +166,18 @@ impl UserDigitalTwin {
     /// report, not physics.
     const SNR_PLAUSIBLE_DB: f64 = 100.0;
 
+    /// Whether [`update_channel`](Self::update_channel) accepts `snr_db`:
+    /// finite and within `±100` dB. A pure function of the payload.
+    pub fn plausible_snr(snr_db: f64) -> bool {
+        snr_db.is_finite() && snr_db.abs() <= Self::SNR_PLAUSIBLE_DB
+    }
+
+    /// Whether [`update_location`](Self::update_location) accepts
+    /// `position`: both coordinates finite.
+    pub fn plausible_position(position: Position) -> bool {
+        position.x.is_finite() && position.y.is_finite()
+    }
+
     /// Records a channel-condition sample (SNR in dB). Returns whether
     /// the sample was accepted.
     ///
@@ -137,7 +186,7 @@ impl UserDigitalTwin {
     /// downstream mean, feature window, and CNN weight. Callers count
     /// rejections so corruption is visible in telemetry.
     pub fn update_channel(&mut self, at: SimTime, snr_db: f64) -> bool {
-        if snr_db.is_finite() && snr_db.abs() <= Self::SNR_PLAUSIBLE_DB {
+        if Self::plausible_snr(snr_db) {
             self.channel_db.push(at, snr_db);
             self.channel_rev += 1;
             true
@@ -149,7 +198,7 @@ impl UserDigitalTwin {
     /// Records a location sample. Returns whether the sample was accepted
     /// (non-finite coordinates are rejected).
     pub fn update_location(&mut self, at: SimTime, position: Position) -> bool {
-        if position.x.is_finite() && position.y.is_finite() {
+        if Self::plausible_position(position) {
             self.location.push(at, position);
             self.location_rev += 1;
             true
@@ -162,6 +211,56 @@ impl UserDigitalTwin {
     pub fn record_watch(&mut self, at: SimTime, record: WatchRecord) {
         self.watches.push(at, record);
         self.watch_rev += 1;
+    }
+
+    /// Records `records` in order, all reported at `at`; equivalent to
+    /// one [`record_watch`](Self::record_watch) per record.
+    pub fn record_watches(&mut self, at: SimTime, records: Vec<WatchRecord>) {
+        self.watch_rev += records.len() as u64;
+        self.watches.extend(records.into_iter().map(|r| (at, r)));
+    }
+
+    /// Applies a batch of uplink reports and returns how many samples
+    /// were rejected as corrupt.
+    ///
+    /// Equivalent to calling [`update_channel`](Self::update_channel),
+    /// [`update_location`](Self::update_location) and
+    /// [`refresh_preference_from_watches`](Self::refresh_preference_from_watches)
+    /// once per queued report: each attribute's reports land in queue
+    /// order, revisions rise by the accepted count, and rejection is the
+    /// same payload check. The attributes are independent (a refresh reads
+    /// only the watch history, which no report writes), so applying them
+    /// attribute by attribute changes nothing.
+    pub fn apply_reports(&mut self, reports: &TwinReports) -> u64 {
+        /// Appends the plausible `samples`, bumps `rev` by their count and
+        /// returns how many were rejected.
+        fn append<T: Copy>(
+            series: &mut TimeSeries<T>,
+            rev: &mut u64,
+            samples: &[(SimTime, T)],
+            plausible: fn(T) -> bool,
+        ) -> u64 {
+            let accepted = samples.iter().filter(|&&(_, v)| plausible(v)).count();
+            series.extend(samples.iter().copied().filter(|&(_, v)| plausible(v)));
+            *rev += accepted as u64;
+            (samples.len() - accepted) as u64
+        }
+
+        let rejected = append(
+            &mut self.channel_db,
+            &mut self.channel_rev,
+            &reports.channel,
+            Self::plausible_snr,
+        ) + append(
+            &mut self.location,
+            &mut self.location_rev,
+            &reports.location,
+            Self::plausible_position,
+        );
+        for &(at, rate) in &reports.preference {
+            self.refresh_preference_from_watches(at, rate);
+        }
+        rejected
     }
 
     /// Replaces the preference estimate (e.g. from the recommender's
@@ -183,12 +282,11 @@ impl UserDigitalTwin {
     /// Nudges the preference towards the categories the user actually
     /// engaged with, weighting each watch by retention. `rate` in `[0, 1]`.
     pub fn refresh_preference_from_watches(&mut self, at: SimTime, rate: f64) {
-        let recent = self.watches.tail(64);
-        if recent.is_empty() {
+        if self.watches.is_empty() {
             return;
         }
-        let mut observed = vec![0.0f64; VideoCategory::COUNT];
-        for w in &recent {
+        let mut observed = [0.0f64; VideoCategory::COUNT];
+        for w in self.watches.tail(64) {
             observed[w.category.index()] += w.retention().max(0.01);
         }
         let total: f64 = observed.iter().sum();
@@ -196,7 +294,7 @@ impl UserDigitalTwin {
             return;
         }
         let rate = rate.clamp(0.0, 1.0);
-        for (p, o) in self.preference.iter_mut().zip(&observed) {
+        for (p, o) in self.preference.iter_mut().zip(observed) {
             *p = *p * (1.0 - rate) + (o / total) * rate;
         }
         let norm: f64 = self.preference.iter().sum();
@@ -219,10 +317,11 @@ impl UserDigitalTwin {
     /// `None` when the twin has no channel data yet.
     pub fn mean_recent_snr_db(&self, n: usize) -> Option<f64> {
         let tail = self.channel_db.tail(n);
-        if tail.is_empty() {
+        let len = tail.len();
+        if len == 0 {
             return None;
         }
-        Some(tail.iter().map(|&&v| v).sum::<f64>() / tail.len() as f64)
+        Some(tail.sum::<f64>() / len as f64)
     }
 
     /// Latest known position.
@@ -332,40 +431,34 @@ impl UserDigitalTwin {
     /// `window` are left-padded by repeating the oldest sample (or 0.5 when
     /// empty), so freshly-created twins still produce valid input.
     pub fn feature_window(&self, window: usize, map_width: f64, map_height: f64) -> FeatureWindow {
-        fn pad_left(vals: Vec<f32>, window: usize) -> Vec<f32> {
+        /// `vals` (at most `window` of them) left-padded to `window` with
+        /// their first value, or 0.5 when there are none.
+        fn pad_left(vals: impl ExactSizeIterator<Item = f32>, window: usize) -> Vec<f32> {
             let mut out = Vec::with_capacity(window);
-            let fill = vals.first().copied().unwrap_or(0.5);
-            for _ in vals.len()..window {
-                out.push(fill);
-            }
+            let missing = window - vals.len();
+            let mut vals = vals.peekable();
+            out.resize(missing, vals.peek().copied().unwrap_or(0.5));
             out.extend(vals);
             out
         }
 
-        let snr: Vec<f32> = self
+        let snr = self
             .channel_db
             .tail(window)
-            .iter()
-            .map(|&&v| (((v + 10.0) / 50.0) as f32).clamp(0.0, 1.0))
-            .collect();
-        let (xs, ys): (Vec<f32>, Vec<f32>) = self
+            .map(|&v| (((v + 10.0) / 50.0) as f32).clamp(0.0, 1.0));
+        let xs = self
             .location
             .tail(window)
-            .iter()
-            .map(|p| {
-                (
-                    (p.x / map_width.max(1e-9)) as f32,
-                    (p.y / map_height.max(1e-9)) as f32,
-                )
-            })
-            .unzip();
+            .map(|p| (p.x / map_width.max(1e-9)) as f32);
+        let ys = self
+            .location
+            .tail(window)
+            .map(|p| (p.y / map_height.max(1e-9)) as f32);
         // Watch durations normalised by a 60 s short-video ceiling.
-        let watch: Vec<f32> = self
+        let watch = self
             .watches
             .tail(window)
-            .iter()
-            .map(|w| ((w.watched.as_secs_f64() / 60.0) as f32).clamp(0.0, 1.0))
-            .collect();
+            .map(|w| ((w.watched.as_secs_f64() / 60.0) as f32).clamp(0.0, 1.0));
 
         FeatureWindow {
             series: vec![
@@ -728,6 +821,100 @@ mod tests {
         assert_eq!(back, twin);
         assert_eq!(back, held);
         assert!(!back.watch_series().shares_storage_with(twin.watch_series()));
+    }
+
+    /// A twin with some history, so batches land on non-empty series and
+    /// preference refreshes have watches to learn from.
+    fn seasoned_twin() -> UserDigitalTwin {
+        let mut twin = UserDigitalTwin::new(UserId(11));
+        for i in 0..6u64 {
+            twin.update_channel(SimTime::from_secs(i), 4.0 + i as f64);
+            twin.update_location(SimTime::from_secs(i), Position::new(i as f64, 9.0));
+            let cat = VideoCategory::from_index(i as usize % 3).unwrap();
+            twin.record_watch(SimTime::from_secs(i), watch(cat, 5 + i, 20));
+        }
+        twin
+    }
+
+    #[test]
+    fn apply_reports_equals_sequential_updates() {
+        let channel = [
+            (1, 12.5),
+            (2, f64::NAN),
+            (3, f64::INFINITY),
+            (3, f64::NEG_INFINITY),
+            (4, 100.0),
+            (4, 100.5),
+            (5, -250.0),
+            (6, -100.0),
+            (7, 3.25),
+        ];
+        let location = [
+            (1, Position::new(1.0, 2.0)),
+            (2, Position::new(f64::NAN, 2.0)),
+            (3, Position::new(4.0, f64::INFINITY)),
+            (4, Position::new(f64::NEG_INFINITY, f64::NAN)),
+            (5, Position::new(-3.0, 1e9)),
+        ];
+        let refreshes = [(2, 0.4), (5, 0.4), (7, 0.9)];
+
+        let mut reports = TwinReports::default();
+        assert!(reports.is_empty());
+        let mut sequential = seasoned_twin();
+        let mut rejected = 0u64;
+        // Interleave the attributes the way a tick loop would.
+        for i in 0..channel.len() {
+            if let Some(&(t, v)) = channel.get(i) {
+                reports.channel(SimTime::from_secs(t), v);
+                rejected += u64::from(!sequential.update_channel(SimTime::from_secs(t), v));
+            }
+            if let Some(&(t, p)) = location.get(i) {
+                reports.location(SimTime::from_secs(t), p);
+                rejected += u64::from(!sequential.update_location(SimTime::from_secs(t), p));
+            }
+            if let Some(&(t, rate)) = refreshes.get(i) {
+                reports.refresh_preference(SimTime::from_secs(t), rate);
+                sequential.refresh_preference_from_watches(SimTime::from_secs(t), rate);
+            }
+        }
+        assert!(!reports.is_empty());
+        assert_eq!(rejected, 8);
+
+        let mut batched = seasoned_twin();
+        assert_eq!(batched.apply_reports(&reports), rejected);
+        assert_eq!(batched.channel_series(), sequential.channel_series());
+        assert_eq!(batched.location_series(), sequential.location_series());
+        assert_eq!(batched.revision(), sequential.revision());
+        let bits = |t: &UserDigitalTwin| {
+            t.preference()
+                .iter()
+                .map(|p| p.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&batched), bits(&sequential));
+        assert_eq!(batched, sequential);
+
+        // Without watches a refresh is a no-op either way.
+        let mut fresh = UserDigitalTwin::new(UserId(12));
+        let mut refresh_only = TwinReports::default();
+        refresh_only.refresh_preference(SimTime::from_secs(1), 0.4);
+        assert_eq!(fresh.apply_reports(&refresh_only), 0);
+        assert_eq!(fresh, UserDigitalTwin::new(UserId(12)));
+    }
+
+    #[test]
+    fn record_watches_equals_a_record_watch_loop() {
+        let records: Vec<WatchRecord> = (0..5)
+            .map(|i| watch(VideoCategory::Sports, i, 10))
+            .collect();
+        let mut looped = seasoned_twin();
+        for r in records.clone() {
+            looped.record_watch(SimTime::from_secs(30), r);
+        }
+        let mut batched = seasoned_twin();
+        batched.record_watches(SimTime::from_secs(30), records);
+        assert_eq!(batched, looped);
+        assert_eq!(batched.revision(), looped.revision());
     }
 
     #[test]

@@ -133,6 +133,21 @@ fn heavy_loss_completes_and_engages_degradation() {
         report_faults >= faults_injected,
         "per-report counters ({report_faults}) must cover journaled events ({faults_injected})"
     );
+    // Delayed reports are tallied when their fate is drawn; corrupt
+    // payloads the twins refuse are tallied when the reports are applied.
+    let report_count = |label: &str| {
+        report
+            .telemetry
+            .counters
+            .iter()
+            .find(|(n, l, _)| n == "fault_reports_total" && l == label)
+            .map_or(0, |(_, _, v)| *v)
+    };
+    assert!(report_count("delayed") > 0, "10% delay must delay reports");
+    assert!(
+        report_count("rejected") > 0,
+        "5% corruption must get payloads rejected by the twins"
+    );
 }
 
 #[test]
