@@ -30,6 +30,8 @@ pub enum Init {
     /// set must hold exactly `k` centroids of the points' dimension;
     /// on any shape mismatch the fit falls back to k-means++ seeding,
     /// so a stale warm set degrades to a cold fit, never an error.
+    /// Nothing in the workspace warm-starts; kept because `e2ebench/`
+    /// names it; drop at the next benchmark change.
     Warm(Vec<Vec<f64>>),
 }
 
@@ -107,7 +109,7 @@ pub struct KMeansResult {
     pub distance_evals_skipped: u64,
     /// Whether Lloyd actually started from [`Init::Warm`] centroids —
     /// `false` when k-means++ seeding ran, including the fallback for a
-    /// shape-mismatched warm set.
+    /// shape-mismatched warm set. Kept with [`Init::Warm`].
     pub warm_started: bool,
 }
 

@@ -1,4 +1,4 @@
-//! Incremental embedding cache for the 1D-CNN compressor.
+//! Per-user embedding cache for the 1D-CNN compressor.
 //!
 //! Between reservation intervals most twins receive only a handful of new
 //! samples, and many (idle users, users whose collectors are faulted)
@@ -50,15 +50,6 @@ pub trait EmbeddingBackend: std::fmt::Debug + Send {
     /// `generation` (see [`EmbeddingCache::plan`]).
     fn plan(&mut self, generation: u64, twins: &[UserDigitalTwin]) -> CachePlan;
 
-    /// Incremental-mode split: a deliberately coarser criterion than
-    /// [`plan`](Self::plan) (see [`EmbeddingCache::plan_incremental`]).
-    fn plan_incremental(
-        &mut self,
-        generation: u64,
-        twins: &[UserDigitalTwin],
-        dirty: &HashSet<UserId>,
-    ) -> CachePlan;
-
     /// Stores fresh encodings for `plan`'s misses and returns the full
     /// feature matrix in snapshot order (see [`EmbeddingCache::complete`]).
     fn complete(
@@ -72,15 +63,6 @@ pub trait EmbeddingBackend: std::fmt::Debug + Send {
 impl EmbeddingBackend for EmbeddingCache {
     fn plan(&mut self, generation: u64, twins: &[UserDigitalTwin]) -> CachePlan {
         EmbeddingCache::plan(self, generation, twins)
-    }
-
-    fn plan_incremental(
-        &mut self,
-        generation: u64,
-        twins: &[UserDigitalTwin],
-        dirty: &HashSet<UserId>,
-    ) -> CachePlan {
-        EmbeddingCache::plan_incremental(self, generation, twins, dirty)
     }
 
     fn complete(
@@ -208,25 +190,12 @@ impl EmbeddingCache {
         CachePlan { miss_indices, hits }
     }
 
-    /// Incremental-mode split: a deliberately *coarser* criterion than
-    /// [`plan`](Self::plan). In a live run every twin's channel revision
-    /// bumps each interval from routine uplink samples, so exact revision
-    /// matching re-encodes the whole population; incremental mode instead
-    /// re-encodes a user only when
-    ///
-    /// - no entry is cached (cold start, eviction, a handover whose
-    ///   mid-flight report was lost, or crash failover), or
-    /// - the compressor generation changed (retraining invalidates all), or
-    /// - the cached entry's *instance* nonce differs from the twin's (a
-    ///   churned slot is a brand-new user — their encoding must never be
-    ///   served the predecessor's features), or
-    /// - the user is in the caller's explicit `dirty` set (churned this
-    ///   interval, or owned by a shard that just restored from an outage
-    ///   checkpoint).
-    ///
-    /// Everything else reuses the cached (slightly stale) encoding — a
-    /// bounded approximation that trades sub-interval feature drift for
-    /// skipping the CNN forward pass, measured by experiment E15.
+    /// A coarser split than [`plan`](Self::plan) that the simulator no
+    /// longer uses. Kept because `e2ebench/` names it; drop at the next
+    /// benchmark change. A user misses only when no entry is cached, the
+    /// compressor generation changed, the cached entry's instance nonce
+    /// differs from the twin's (a churned slot), or the user is in
+    /// `dirty`; a routine revision bump keeps serving the cached row.
     pub fn plan_incremental(
         &mut self,
         generation: u64,

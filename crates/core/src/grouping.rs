@@ -95,22 +95,10 @@ pub struct GroupingConfig {
     /// — every committed experiment and test — are bit-identical either
     /// way; the cap only makes 100k-user benches tractable.
     pub silhouette_sample_cap: usize,
-    /// Incremental interval pipeline: warm-start K-means from the previous
-    /// interval's centroids and gate DDQN `K` re-selection on a drift
-    /// score. Off by default; when off the engine is bit-identical to the
-    /// classic path.
+    /// Ignored; kept because `e2ebench/` names it; drop at the next
+    /// benchmark change. Every construction re-selects `K` and seeds
+    /// K-means cold.
     pub incremental: bool,
-    /// Drift threshold on the scale-free centroid displacement (mean
-    /// centroid movement of the last warm fit over the mean centroid
-    /// norm). At or above this the population has drifted.
-    pub drift_displacement_threshold: f64,
-    /// Drift threshold on the fraction of users re-encoded this interval
-    /// (churned/restored slots). At or above this the population has
-    /// drifted.
-    pub drift_dirty_threshold: f64,
-    /// Drift threshold on the absolute silhouette change between the last
-    /// two fits. At or above this the clustering quality has drifted.
-    pub drift_silhouette_threshold: f64,
 }
 
 impl Default for GroupingConfig {
@@ -129,9 +117,6 @@ impl Default for GroupingConfig {
             threads: 1,
             silhouette_sample_cap: 4096,
             incremental: false,
-            drift_displacement_threshold: 0.05,
-            drift_dirty_threshold: 0.1,
-            drift_silhouette_threshold: 0.05,
         }
     }
 }
@@ -155,23 +140,6 @@ impl GroupingConfig {
         }
         if self.group_cost < 0.0 {
             return Err(Error::invalid_config("group_cost", "must be non-negative"));
-        }
-        if self.incremental {
-            for (name, v) in [
-                (
-                    "drift_displacement_threshold",
-                    self.drift_displacement_threshold,
-                ),
-                ("drift_dirty_threshold", self.drift_dirty_threshold),
-                (
-                    "drift_silhouette_threshold",
-                    self.drift_silhouette_threshold,
-                ),
-            ] {
-                if !(v.is_finite() && v > 0.0) {
-                    return Err(Error::invalid_config(name, "must be finite and positive"));
-                }
-            }
         }
         Ok(())
     }
@@ -201,17 +169,6 @@ impl Grouping {
     }
 }
 
-/// Cached outcome of the last fit for one `(k, dim)` shape, used by the
-/// incremental pipeline to warm-start the next fit of the same shape.
-#[derive(Debug, Clone)]
-struct WarmState {
-    /// Converged centroids of the last fit.
-    centroids: Vec<Vec<f64>>,
-    /// Lloyd rounds the last *cold* fit of this shape took — the baseline
-    /// the `kmeans_warm_rounds_saved` counter is measured against.
-    cold_iterations: usize,
-}
-
 /// Groupings already fitted during one [`GroupingEngine::pretrain`] call,
 /// keyed by `(feature-set index, K)`. Pretraining fits are cold-seeded,
 /// so each key is a pure function of its inputs: fitting it once and
@@ -232,31 +189,8 @@ pub struct GroupingEngine {
     prev_reward: f64,
     calls: u64,
     telemetry: Option<msvs_telemetry::Telemetry>,
-    /// Warm-start cache keyed by `(k, feature dim)`; only populated in
-    /// incremental mode.
-    warm: std::collections::HashMap<(usize, usize), WarmState>,
-    /// Scale-free centroid displacement of the last warm fit (`None`
-    /// until a warm fit has run). Lagged drift input.
-    last_displacement: Option<f64>,
-    /// Silhouette of the previous fit, and the delta between the last two
-    /// fits. Lagged drift inputs.
-    last_silhouette: Option<f64>,
-    silhouette_delta: Option<f64>,
-    /// Fraction of users re-encoded this interval, set by the predictor
-    /// before each construction. Starts at full drift so the gate never
-    /// engages before the encode layer has reported.
-    dirty_fraction: f64,
-    /// `Some` while [`GroupingEngine::pretrain`] runs. Pretraining
-    /// bypasses the drift gate (a stationary pretrain population would
-    /// otherwise gate every episode after the first and the DDQN would
-    /// never learn), never warm-starts, and memoises its fits.
+    /// `Some` while [`GroupingEngine::pretrain`] runs, memoising its fits.
     pretrain: Option<PretrainMemo>,
-    /// Set when the drift gate observed established signals *above*
-    /// threshold: the population moved, so the encode layer should do a
-    /// full (exact) re-encode next interval instead of serving stale
-    /// embeddings. Bounds the incremental approximation under heavy
-    /// churn. Consumed by [`GroupingEngine::take_refresh_hint`].
-    refresh_hint: bool,
 }
 
 impl std::fmt::Debug for GroupingEngine {
@@ -300,13 +234,7 @@ impl GroupingEngine {
             prev_reward: 0.0,
             calls: 0,
             telemetry: None,
-            warm: std::collections::HashMap::new(),
-            last_displacement: None,
-            last_silhouette: None,
-            silhouette_delta: None,
-            dirty_fraction: 1.0,
             pretrain: None,
-            refresh_hint: false,
         })
     }
 
@@ -328,68 +256,19 @@ impl GroupingEngine {
         self.calls
     }
 
-    /// Reports the fraction of users re-encoded this interval (a drift
-    /// input for the incremental DDQN gate). Clamped to `[0, 1]`. No-op
-    /// effect outside incremental mode.
-    pub fn set_dirty_fraction(&mut self, fraction: f64) {
-        self.dirty_fraction = fraction.clamp(0.0, 1.0);
-    }
+    /// Does nothing. Kept because `e2ebench/` names it; drop at the next
+    /// benchmark change.
+    pub fn set_dirty_fraction(&mut self, _fraction: f64) {}
 
-    /// Consumes the drift detector's refresh recommendation. `true` means
-    /// the last construction saw established drift signals above
-    /// threshold, and the caller should run a full (exact) encode pass
-    /// next interval rather than an incremental one. Resets on read.
+    /// Always `false`. Kept because `e2ebench/` names it; drop at the
+    /// next benchmark change.
     pub fn take_refresh_hint(&mut self) -> bool {
-        std::mem::take(&mut self.refresh_hint)
-    }
-
-    /// Combined drift score: the largest of the three drift signals, each
-    /// normalised by its threshold so `>= 1.0` means "drifted". Missing
-    /// lagged inputs (no warm fit or no silhouette history yet) count as
-    /// full drift via a large finite sentinel — finite so the telemetry
-    /// gauge stays JSON-representable.
-    fn drift_score(&self) -> f64 {
-        const FULL_DRIFT: f64 = 1e3;
-        let c = &self.config;
-        let displacement = self
-            .last_displacement
-            .map_or(FULL_DRIFT, |d| d / c.drift_displacement_threshold);
-        let dirty = self.dirty_fraction / c.drift_dirty_threshold;
-        let silhouette = self
-            .silhouette_delta
-            .map_or(FULL_DRIFT, |d| d.abs() / c.drift_silhouette_threshold);
-        displacement.max(dirty).max(silhouette)
-    }
-
-    /// Incremental drift gate: `Some(previous K)` when every lagged drift
-    /// signal sits below its threshold, meaning the DDQN re-selection can
-    /// be skipped this interval. Always `None` outside incremental mode
-    /// and during pretraining. Emits the `drift_score` gauge whenever it
-    /// evaluates, gated or not. When established signals sit *above*
-    /// threshold the refresh hint is raised so the encode layer bounds
-    /// embedding staleness with a full re-encode.
-    fn drift_gate(&mut self) -> Option<usize> {
-        if !self.config.incremental || self.pretrain.is_some() {
-            return None;
-        }
-        let prev_k = self.prev_k?;
-        let score = self.drift_score();
-        if let Some(t) = &self.telemetry {
-            t.gauge("drift_score", "all").set(score);
-        }
-        if score < 1.0 {
-            Some(prev_k)
-        } else {
-            // Only established signals schedule a refresh: the cold-start
-            // FULL_DRIFT sentinel means the cache is young, not stale.
-            self.refresh_hint = self.last_displacement.is_some() && self.silhouette_delta.is_some();
-            None
-        }
+        false
     }
 
     /// DDQN state: normalised pairwise-distance histogram + population
     /// size + previous `K` + previous reward. Pair sampling is
-    /// O(samples), not O(n²): see [`pair_from_flat`].
+    /// O(samples), not O(n²): see `pair_from_flat`.
     pub fn state_of(&self, features: &[Vec<f64>]) -> Vec<f32> {
         let mut state = vec![0f32; HIST_BINS + 3];
         let n = features.len();
@@ -463,33 +342,23 @@ impl GroupingEngine {
         let k_cap = features.len().min(self.config.k_max);
         let grouping = match self.config.strategy {
             GroupingStrategy::Ddqn => {
-                if let Some(k) = self.drift_gate() {
-                    // Low drift: keep the previous K and leave the agent
-                    // untouched (no act, no observe — the ε schedule does
-                    // not advance, so a gated interval is deterministic).
-                    if let Some(t) = &self.telemetry {
-                        t.counter("ddqn_selections_skipped_total", "all").add(1);
-                    }
-                    self.cluster(features, k.min(k_cap).max(self.config.k_min))?
-                } else {
-                    let state = self.state_of(features);
-                    let select_scope = self
-                        .telemetry
-                        .as_ref()
-                        .map(|t| t.stage_scope(msvs_telemetry::stages::DDQN_SELECT_K));
-                    let action = self.agent.act(&state);
-                    drop(select_scope);
-                    let k = (self.config.k_min + action).min(k_cap);
-                    let g = self.cluster(features, k)?;
-                    self.agent.observe(Transition {
-                        state,
-                        action,
-                        reward: g.reward as f32,
-                        next_state: vec![0.0; HIST_BINS + 3],
-                        done: true,
-                    });
-                    g
-                }
+                let state = self.state_of(features);
+                let select_scope = self
+                    .telemetry
+                    .as_ref()
+                    .map(|t| t.stage_scope(msvs_telemetry::stages::DDQN_SELECT_K));
+                let action = self.agent.act(&state);
+                drop(select_scope);
+                let k = (self.config.k_min + action).min(k_cap);
+                let g = self.cluster(features, k)?;
+                self.agent.observe(Transition {
+                    state,
+                    action,
+                    reward: g.reward as f32,
+                    next_state: vec![0.0; HIST_BINS + 3],
+                    done: true,
+                });
+                g
             }
             GroupingStrategy::FixedK(k) => {
                 let k = k.clamp(self.config.k_min, k_cap);
@@ -548,12 +417,9 @@ impl GroupingEngine {
     ///
     /// Every episode runs the agent's `act`/`observe` and emits
     /// `GroupsFormed`, but each `(feature set, K)` pair is clustered only
-    /// once per call: pretraining fits are cold in every mode, so a repeat
-    /// is a pure replay of the first. At most `k_max − k_min + 1` fits run
-    /// per feature set, whatever `episodes` is. In incremental mode a
-    /// replay still feeds the drift lags as the refit it stands in for
-    /// would (unchanged points: zero centroid displacement), so the scored
-    /// intervals start from the same drift state as before memoisation.
+    /// once per call: every fit is cold-seeded, so a repeat is a pure
+    /// replay of the first. At most `k_max − k_min + 1` fits run per
+    /// feature set, whatever `episodes` is.
     ///
     /// # Errors
     /// Propagates construction errors.
@@ -580,47 +446,18 @@ impl GroupingEngine {
             .pretrain
             .as_ref()
             .and_then(|memo| memo.fits.get(&(memo.set, k)).cloned());
-        let grouping = match replay {
-            Some(g) => {
-                // A replay stands in for a warm refit of unchanged points,
-                // whose centroids do not move.
-                if self.config.incremental {
-                    self.last_displacement = Some(0.0);
-                }
-                g
-            }
-            None => {
-                let g = self.fit(features, k)?;
-                if let Some(memo) = &mut self.pretrain {
-                    memo.fits.insert((memo.set, k), g.clone());
-                }
-                g
-            }
-        };
-        if self.config.incremental {
-            self.silhouette_delta = self.last_silhouette.map(|prev| grouping.silhouette - prev);
-            self.last_silhouette = Some(grouping.silhouette);
+        if let Some(g) = replay {
+            return Ok(g);
         }
-        Ok(grouping)
+        let g = self.fit(features, k)?;
+        if let Some(memo) = &mut self.pretrain {
+            memo.fits.insert((memo.set, k), g.clone());
+        }
+        Ok(g)
     }
 
-    /// One K-means fit plus its silhouette, with the incremental
-    /// warm-start bookkeeping.
-    fn fit(&mut self, features: &[Vec<f64>], k: usize) -> Result<Grouping> {
-        let dim = features.first().map_or(0, Vec::len);
-        let shape = (k, dim);
-        // Warm-start from the last converged centroids of the same shape.
-        // A shape change (different K or feature dim) misses the cache and
-        // the fit seeds cold via k-means++, exactly as in classic mode.
-        // Pretraining never warm-starts, so its fits stay pure.
-        let init = if self.config.incremental && self.pretrain.is_none() {
-            self.warm
-                .get(&shape)
-                .map(|w| msvs_cluster::Init::Warm(w.centroids.clone()))
-                .unwrap_or_default()
-        } else {
-            msvs_cluster::Init::default()
-        };
+    /// One cold-seeded K-means fit plus its silhouette.
+    fn fit(&self, features: &[Vec<f64>], k: usize) -> Result<Grouping> {
         let scope = self
             .telemetry
             .as_ref()
@@ -630,7 +467,6 @@ impl GroupingEngine {
             k,
             seed: self.config.seed ^ 0x5EED,
             threads: self.config.threads,
-            init,
             ..Default::default()
         })
         .fit(features)?;
@@ -669,34 +505,6 @@ impl GroupingEngine {
             t.counter("kmeans_distance_evals_skipped", "all")
                 .add(fit.distance_evals_skipped);
         }
-        if self.config.incremental {
-            if fit.warm_started {
-                let seeds = &self.warm[&shape];
-                self.last_displacement =
-                    Some(centroid_displacement(&seeds.centroids, &fit.centroids));
-                // Rounds saved = what the last cold fit of this shape
-                // cost, minus what the warm fit actually took.
-                let saved = seeds.cold_iterations.saturating_sub(fit.iterations);
-                if let Some(t) = &self.telemetry {
-                    t.counter("kmeans_warm_rounds_saved", "all")
-                        .add(saved as u64);
-                }
-                let entry = self.warm.get_mut(&shape).expect("warm entry just read");
-                entry.centroids = fit.centroids.clone();
-            } else {
-                // Cold fit: record the baseline round count and reset the
-                // displacement signal — there is no previous-centroid
-                // frame to measure movement against.
-                self.last_displacement = None;
-                self.warm.insert(
-                    shape,
-                    WarmState {
-                        centroids: fit.centroids.clone(),
-                        cold_iterations: fit.iterations,
-                    },
-                );
-            }
-        }
         // Silhouette is O(n²·d) — often heavier than the fit itself — so
         // it gets its own stage instead of inflating `kmeans_fit`.
         drop(scope);
@@ -716,35 +524,6 @@ impl GroupingEngine {
             silhouette: sil,
             reward: self.reward_of(sil, k),
         })
-    }
-}
-
-/// Scale-free centroid displacement: mean L2 movement per centroid,
-/// normalised by the mean centroid norm of the previous frame (so the
-/// signal is comparable across feature scalings). A zero-norm previous
-/// frame falls back to the raw movement.
-fn centroid_displacement(prev: &[Vec<f64>], curr: &[Vec<f64>]) -> f64 {
-    let n = prev.len().min(curr.len());
-    if n == 0 {
-        return 0.0;
-    }
-    let l2 = |a: &[f64], b: &[f64]| -> f64 {
-        a.iter()
-            .zip(b)
-            .map(|(x, y)| (x - y) * (x - y))
-            .sum::<f64>()
-            .sqrt()
-    };
-    let moved: f64 = prev.iter().zip(curr).map(|(a, b)| l2(a, b)).sum::<f64>() / n as f64;
-    let scale: f64 = prev
-        .iter()
-        .map(|c| c.iter().map(|x| x * x).sum::<f64>().sqrt())
-        .sum::<f64>()
-        / n as f64;
-    if scale > 0.0 {
-        moved / scale
-    } else {
-        moved
     }
 }
 
@@ -828,18 +607,6 @@ mod tests {
         .is_err());
         assert!(GroupingEngine::new(GroupingConfig {
             group_cost: -1.0,
-            ..Default::default()
-        })
-        .is_err());
-        assert!(GroupingEngine::new(GroupingConfig {
-            incremental: true,
-            drift_dirty_threshold: 0.0,
-            ..Default::default()
-        })
-        .is_err());
-        assert!(GroupingEngine::new(GroupingConfig {
-            incremental: true,
-            drift_displacement_threshold: f64::NAN,
             ..Default::default()
         })
         .is_err());
@@ -950,111 +717,10 @@ mod tests {
         assert!(engine.construct(&blobs(1, 1, 6)).is_err());
     }
 
-    #[test]
-    fn incremental_warm_start_reproduces_the_cold_grouping() {
-        let features = blobs(3, 20, 11);
-        let mut cold = GroupingEngine::new(GroupingConfig {
-            strategy: GroupingStrategy::FixedK(3),
-            ..Default::default()
-        })
-        .unwrap();
-        let baseline = cold.construct(&features).unwrap();
-        let mut warm = GroupingEngine::new(GroupingConfig {
-            strategy: GroupingStrategy::FixedK(3),
-            incremental: true,
-            ..Default::default()
-        })
-        .unwrap();
-        let t = msvs_telemetry::Telemetry::new();
-        warm.attach_telemetry(t.clone());
-        // First incremental fit has no cached centroids: seeds cold and
-        // reproduces the classic grouping bit for bit.
-        let first = warm.construct(&features).unwrap();
-        assert_eq!(first, baseline);
-        // Second fit on unchanged points warm-starts from the converged
-        // centroids: same assignments, fewer Lloyd rounds.
-        let second = warm.construct(&features).unwrap();
-        assert_eq!(second.assignments, baseline.assignments);
-        assert!(
-            t.counter("kmeans_warm_rounds_saved", "all").get() >= 1,
-            "warm start should save at least one Lloyd round"
-        );
-    }
-
-    #[test]
-    fn incremental_drift_gate_reuses_previous_k_until_drift() {
-        let features = blobs(4, 15, 13);
-        let mut engine = GroupingEngine::new(GroupingConfig {
-            incremental: true,
-            seed: 7,
-            ..Default::default()
-        })
-        .unwrap();
-        let t = msvs_telemetry::Telemetry::new();
-        engine.attach_telemetry(t.clone());
-        engine.set_dirty_fraction(0.0);
-        let skipped = || t.counter("ddqn_selections_skipped_total", "all").get();
-        // The gate needs lagged signals: a repeat fit of the same shape
-        // (for displacement) plus a silhouette delta. Construct until it
-        // engages; exploration can change K, which re-cools the cache.
-        let mut prev = engine.construct(&features).unwrap();
-        let mut gated = None;
-        for _ in 0..12 {
-            let g = engine.construct(&features).unwrap();
-            if skipped() > 0 {
-                gated = Some((prev.k, g.k));
-                break;
-            }
-            prev = g;
-        }
-        let (prev_k, gated_k) = gated.expect("gate engages on a stationary population");
-        assert_eq!(gated_k, prev_k, "gated interval reuses the previous K");
-        // The quiet stretch never recommended a refresh.
-        assert!(
-            !engine.take_refresh_hint(),
-            "gated intervals must not schedule a full re-encode"
-        );
-        // A churn burst re-opens the gate: re-selection runs again, and the
-        // detector tells the encode layer to bound staleness with a full
-        // refresh. The hint resets on read.
-        engine.set_dirty_fraction(1.0);
-        let before = skipped();
-        engine.construct(&features).unwrap();
-        assert_eq!(skipped(), before, "high dirty fraction forces re-selection");
-        assert!(
-            engine.take_refresh_hint(),
-            "detected drift must recommend a full re-encode"
-        );
-        assert!(!engine.take_refresh_hint(), "hint is consumed on read");
-    }
-
-    #[test]
-    fn pretrain_bypasses_the_drift_gate() {
-        let features = blobs(3, 15, 17);
-        let mut engine = GroupingEngine::new(GroupingConfig {
-            incremental: true,
-            seed: 3,
-            ..Default::default()
-        })
-        .unwrap();
-        let t = msvs_telemetry::Telemetry::new();
-        engine.attach_telemetry(t.clone());
-        engine.set_dirty_fraction(0.0);
-        engine
-            .pretrain(std::slice::from_ref(&features), 30)
-            .unwrap();
-        assert_eq!(
-            t.counter("ddqn_selections_skipped_total", "all").get(),
-            0,
-            "every pretrain episode must reach the agent"
-        );
-    }
-
-    fn pretrain_engine(incremental: bool) -> (GroupingEngine, msvs_telemetry::Telemetry) {
+    fn pretrain_engine() -> (GroupingEngine, msvs_telemetry::Telemetry) {
         let mut engine = GroupingEngine::new(GroupingConfig {
             k_min: 2,
             k_max: 6,
-            incremental,
             epsilon: EpsilonSchedule::linear(1.0, 0.02, 80).unwrap(),
             seed: 5,
             ..Default::default()
@@ -1080,9 +746,9 @@ mod tests {
         let two = vec![blobs(4, 12, 19), blobs(3, 14, 41)];
         for sets in [one, two] {
             let episodes = 120;
-            let (mut memo, memo_t) = pretrain_engine(false);
+            let (mut memo, memo_t) = pretrain_engine();
             memo.pretrain(&sets, episodes).unwrap();
-            let (mut plain, plain_t) = pretrain_engine(false);
+            let (mut plain, plain_t) = pretrain_engine();
             for e in 0..episodes {
                 plain.construct(&sets[e % sets.len()]).unwrap();
             }
@@ -1099,31 +765,12 @@ mod tests {
     #[test]
     fn pretrain_fits_each_k_at_most_once_per_feature_set() {
         let sets = vec![blobs(3, 10, 23), blobs(5, 8, 29)];
-        for incremental in [false, true] {
-            let (mut engine, t) = pretrain_engine(incremental);
-            engine.pretrain(&sets, 150).unwrap();
-            let k_range = (engine.config.k_max - engine.config.k_min + 1) as u64;
-            let fits = kmeans_fits(&t);
-            assert!(
-                fits <= k_range * sets.len() as u64,
-                "incremental={incremental}: {fits} fits"
-            );
-            assert_eq!(engine.calls(), 150);
-        }
-    }
-
-    /// Under incremental mode pretraining never warm-starts, but a replay
-    /// leaves the drift lags where a refit of unchanged points would.
-    #[test]
-    fn incremental_pretrain_is_cold_and_feeds_the_drift_lags() {
-        let features = blobs(3, 15, 37);
-        let (mut engine, t) = pretrain_engine(true);
-        engine
-            .pretrain(std::slice::from_ref(&features), 40)
-            .unwrap();
-        assert_eq!(t.counter("kmeans_warm_rounds_saved", "all").get(), 0);
-        assert!(!engine.warm.is_empty(), "cold fits seed the warm cache");
-        assert!(engine.last_silhouette.is_some() && engine.silhouette_delta.is_some());
+        let (mut engine, t) = pretrain_engine();
+        engine.pretrain(&sets, 150).unwrap();
+        let k_range = (engine.config.k_max - engine.config.k_min + 1) as u64;
+        let fits = kmeans_fits(&t);
+        assert!(fits <= k_range * sets.len() as u64, "{fits} fits");
+        assert_eq!(engine.calls(), 150);
         assert!(engine.pretrain.is_none(), "memo is scoped to the call");
     }
 

@@ -101,10 +101,9 @@ pub trait DemandPredictor: Send {
     /// scalar predictors run no compressor.
     fn set_embedding_backend(&mut self, _backend: Box<dyn crate::cache::EmbeddingBackend>) {}
 
-    /// Flags users whose cached state must be rebuilt on the next pass
-    /// (churned slots, shard restores). Consumed by the incremental
-    /// pipeline; exact predictors re-validate everything anyway. Default:
-    /// no-op.
+    /// Never called by the simulator. Kept, with its no-op default,
+    /// because `e2ebench/` implements it; drop at the next benchmark
+    /// change.
     fn note_interval_dirty(&mut self, _users: &[msvs_types::UserId]) {}
 }
 
@@ -172,10 +171,6 @@ impl DemandPredictor for DtAssistedPredictor {
 
     fn set_embedding_backend(&mut self, backend: Box<dyn crate::cache::EmbeddingBackend>) {
         DtAssistedPredictor::set_embedding_backend(self, backend);
-    }
-
-    fn note_interval_dirty(&mut self, users: &[msvs_types::UserId]) {
-        DtAssistedPredictor::note_interval_dirty(self, users);
     }
 }
 
@@ -263,10 +258,6 @@ impl<P: DemandPredictor> DemandPredictor for PipelineBacked<P> {
 
     fn set_embedding_backend(&mut self, backend: Box<dyn crate::cache::EmbeddingBackend>) {
         self.pipeline.set_embedding_backend(backend);
-    }
-
-    fn note_interval_dirty(&mut self, users: &[msvs_types::UserId]) {
-        self.pipeline.note_interval_dirty(users);
     }
 }
 

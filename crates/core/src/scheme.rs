@@ -157,12 +157,8 @@ pub struct SchemeConfig {
     /// K-means assignment): `1` = serial, `0` = all available cores.
     /// Predictions are bit-identical at any thread count.
     pub threads: usize,
-    /// Incremental interval pipeline: re-encode only dirty twins (churned,
-    /// restored, or explicitly flagged slots — routine revision bumps keep
-    /// the cached encoding), warm-start K-means from the previous
-    /// interval's centroids, and gate DDQN `K` re-selection on a drift
-    /// score. A bounded approximation of the exact pipeline; off by
-    /// default, and off is bit-identical to historical behaviour.
+    /// Ignored; kept because `e2ebench/` names it; drop at the next
+    /// benchmark change. Every pass re-validates every twin.
     pub incremental: bool,
 }
 
@@ -253,9 +249,6 @@ pub struct DtAssistedPredictor {
     fallback: crate::baselines::HistoricalMeanPredictor,
     intervals_predicted: u64,
     telemetry: Option<msvs_telemetry::Telemetry>,
-    /// Users flagged dirty for the next incremental encode pass (churned
-    /// slots, outage restores). Drained by [`Self::encode_population`].
-    pending_dirty: std::collections::HashSet<UserId>,
 }
 
 impl DtAssistedPredictor {
@@ -275,10 +268,6 @@ impl DtAssistedPredictor {
         // parallelises alongside the CNN encode.
         config.threads = pool.threads();
         config.grouping.threads = pool.threads();
-        // The grouping engine inherits the incremental flag so warm-start
-        // K-means and the drift-gated DDQN switch on together with the
-        // dirty-set encode path.
-        config.grouping.incremental = config.incremental;
         let compressor = CnnCompressor::new(config.compressor)?;
         let engine = GroupingEngine::new(config.grouping.clone())?;
         let fallback =
@@ -292,15 +281,7 @@ impl DtAssistedPredictor {
             fallback,
             intervals_predicted: 0,
             telemetry: None,
-            pending_dirty: std::collections::HashSet::new(),
         })
-    }
-
-    /// Flags users whose cached state must be rebuilt on the next encode
-    /// pass (churned slots, shard restores). Only consumed in incremental
-    /// mode; the exact pipeline re-validates every twin anyway.
-    pub fn note_interval_dirty(&mut self, users: &[UserId]) {
-        self.pending_dirty.extend(users.iter().copied());
     }
 
     /// Wires the predictor (and its grouping engine + DDQN agent) into an
@@ -398,32 +379,9 @@ impl DtAssistedPredictor {
             .as_ref()
             .zip(forward_scope.as_ref())
             .map(|(t, scope)| (t.span_collector(), scope.span_id()));
-        // `Some(churned)` when the drift detector forced a full refresh
-        // this pass; carries the true churn count so the drift signal
-        // keeps reading population movement, not the refresh burst.
-        let mut forced_churn = None;
         let (features, stats, hits, misses) = if self.config.embedding_cache {
             let generation = self.compressor.trained_epochs() as u64;
-            let plan = if self.config.incremental {
-                let dirty = std::mem::take(&mut self.pending_dirty);
-                if self.engine.take_refresh_hint() {
-                    // Drift above threshold last interval: bound staleness
-                    // with a full (exact) pass so heavy churn degrades to
-                    // the exact pipeline instead of compounding stale
-                    // embeddings.
-                    forced_churn = Some(dirty.len());
-                    self.cache.plan(generation, twins)
-                } else {
-                    // Low drift: only dirty slots (churned, restored) and
-                    // structurally invalid entries re-encode; everyone
-                    // else keeps their cached embedding across routine
-                    // twin updates. Bounded approximation — E15 pins the
-                    // accuracy cost below one percentage point.
-                    self.cache.plan_incremental(generation, twins, &dirty)
-                }
-            } else {
-                self.cache.plan(generation, twins)
-            };
+            let plan = self.cache.plan(generation, twins);
             let miss_windows: Vec<_> = plan
                 .miss_indices
                 .iter()
@@ -440,9 +398,6 @@ impl DtAssistedPredictor {
                 misses,
             )
         } else {
-            // No cache: every pass re-encodes everyone, so pending dirt is
-            // moot — drop it to keep the set from growing without bound.
-            self.pending_dirty.clear();
             let windows: Vec<_> = twins.iter().map(|t| self.window_of(t)).collect();
             let (features, stats) = self.compressor.encode_traced(&windows, &self.pool, trace)?;
             (features, stats, 0, twins.len())
@@ -457,26 +412,6 @@ impl DtAssistedPredictor {
                 .set(stats.effective_parallelism());
             t.counter("cnn_cache_hits", "all").add(hits as u64);
             t.counter("cnn_cache_misses", "all").add(misses as u64);
-            if self.config.incremental {
-                t.counter("encode_dirty_users", "all").add(misses as u64);
-                t.counter("encode_skipped_users", "all").add(hits as u64);
-            }
-        }
-        if self.config.incremental {
-            // Feed the drift gate: how much of the population actually
-            // changed this pass. A forced refresh re-encodes everyone, so
-            // it reports the churned count instead of the miss rate —
-            // otherwise one drifty interval would read as full drift and
-            // ratchet into permanent refreshes. With the cache disabled
-            // everything re-encodes, which correctly reads as full drift.
-            let fraction = if twins.is_empty() || !self.config.embedding_cache {
-                1.0
-            } else if let Some(churned) = forced_churn {
-                churned as f64 / twins.len() as f64
-            } else {
-                misses as f64 / twins.len() as f64
-            };
-            self.engine.set_dirty_fraction(fraction);
         }
         Ok(features)
     }

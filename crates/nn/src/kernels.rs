@@ -86,7 +86,7 @@ impl Shape {
         false
     }
 
-    /// The dims as an owned vector (for [`Tensor`] round-trips).
+    /// The dims as an owned vector (for [`Tensor`](crate::Tensor) round-trips).
     pub fn to_vec(&self) -> Vec<usize> {
         self.dims().to_vec()
     }

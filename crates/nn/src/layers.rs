@@ -84,7 +84,7 @@ fn he_init(rng: &mut StdRng, fan_in: usize, n: usize) -> Vec<f32> {
 /// Keeps a cached transpose `weight_t` (`[in, out]`) so inference runs
 /// the cache-blocked GEMM without materialising a transpose per call.
 /// The cache is refreshed by the single
-/// [`Dense::refresh_weight_layout`] hook, called from the only two
+/// `Dense::refresh_weight_layout` hook, called from the only two
 /// weight-mutation sites — [`Dense::set_weights`] and
 /// [`Layer::visit_params`] (the optimiser's write path; the fields are
 /// private, so nothing else can touch the weights).
@@ -125,7 +125,7 @@ impl Dense {
 
     /// Replaces the weight matrix (`[out, in]`) and refreshes every
     /// derived layout — the single public weight-write entry point, so
-    /// inference can rely on [`Dense::refresh_weight_layout`] running
+    /// inference can rely on `Dense::refresh_weight_layout` running
     /// after every mutation.
     ///
     /// # Panics

@@ -102,13 +102,6 @@ pub struct ShardCoordinator {
     outages_total: u64,
     failover_handovers_total: u64,
     checkpoint_bytes_total: u64,
-    /// Users whose encoding must be refreshed by the next incremental
-    /// prediction pass: churned/inserted slots and users of a shard that
-    /// just restored from its outage checkpoint. Cleared by
-    /// [`drain_dirty`](Self::drain_dirty). Ordered so the drain is
-    /// deterministic. Cheap to maintain, so it is tracked whether or not
-    /// the predictor runs incrementally.
-    dirty: BTreeSet<UserId>,
 }
 
 impl ShardCoordinator {
@@ -135,7 +128,6 @@ impl ShardCoordinator {
             outages_total: 0,
             failover_handovers_total: 0,
             checkpoint_bytes_total: 0,
-            dirty: BTreeSet::new(),
         }
     }
 
@@ -243,18 +235,6 @@ impl ShardCoordinator {
         let shard = self.route_live(pos);
         self.shards[shard].store().insert(twin);
         self.owner_write().insert(user, shard);
-        // A fresh or churned slot is a brand-new user: their next
-        // encoding must come from the CNN, never a cached predecessor.
-        self.dirty.insert(user);
-    }
-
-    /// Takes (and clears) the set of users the next incremental
-    /// prediction pass must re-encode, in sorted order. Marking happens
-    /// on the serial driver thread (insert/churn and outage restores),
-    /// so the drained set is bit-identical at any thread count, and in a
-    /// fault-free run at any shard count.
-    pub fn drain_dirty(&mut self) -> Vec<UserId> {
-        std::mem::take(&mut self.dirty).into_iter().collect()
     }
 
     /// Removes a twin, returning it if present.
@@ -575,11 +555,6 @@ impl ShardCoordinator {
                             self.shards[i]
                                 .store()
                                 .restore_next_instance(c.next_instance);
-                            // A restored shard's users replayed their
-                            // backlog (or failed over and will return):
-                            // their encodings are suspect, so the next
-                            // incremental pass re-encodes them.
-                            self.dirty.extend(c.twins.iter().map(|e| e.twin.user()));
                             c.len() as u64
                         })
                         .unwrap_or(0);
@@ -1076,40 +1051,6 @@ mod tests {
         // And the resolution is stable: a second sweep moves nobody.
         let mut users = handover_users(&mut trackers);
         assert_eq!(c.rebalance(&mut users, |_| false).moved, 0);
-    }
-
-    #[test]
-    fn dirty_set_tracks_churn_and_outage_restores() {
-        let mut c = coordinator(2);
-        insert_at(&mut c, 0, 1.0, 1.0);
-        insert_at(&mut c, 1, 99.0, 1.0);
-        assert_eq!(c.drain_dirty(), vec![UserId(0), UserId(1)]);
-        assert!(c.drain_dirty().is_empty(), "drain clears the set");
-        // A clean handover migrates the embedding intact — nobody
-        // becomes dirty (this keeps incremental counters shard-count
-        // invariant).
-        c.with_twin_mut(UserId(0), |t| {
-            t.update_location(SimTime::from_secs(5), Position::new(98.0, 2.0))
-        })
-        .unwrap();
-        let mut trackers: Vec<(UserId, SyncTracker)> = (0..2)
-            .map(|i| (UserId(i), SyncTracker::default()))
-            .collect();
-        let mut users = handover_users(&mut trackers);
-        assert_eq!(c.rebalance(&mut users, |_| false).moved, 1);
-        assert!(c.drain_dirty().is_empty(), "handover is not churn");
-        // A churned slot is dirty again.
-        let twin = UserDigitalTwin::new(UserId(0));
-        c.insert(twin, Position::new(1.0, 1.0));
-        assert_eq!(c.drain_dirty(), vec![UserId(0)]);
-        // An outage restore dirties the users captured in the boundary
-        // checkpoint.
-        let mut users = handover_users(&mut trackers);
-        c.apply_outages(1, |s| (s == 1).then_some(OutageMode::Crash), &mut users);
-        c.drain_dirty();
-        let mut users = handover_users(&mut trackers);
-        c.apply_outages(2, |_| None, &mut users);
-        assert_eq!(c.drain_dirty(), vec![UserId(1)]);
     }
 
     #[test]

@@ -76,41 +76,6 @@ impl EmbeddingBackend for ShardedEmbeddingBackend {
         CachePlan { miss_indices, hits }
     }
 
-    fn plan_incremental(
-        &mut self,
-        generation: u64,
-        twins: &[UserDigitalTwin],
-        dirty: &HashSet<UserId>,
-    ) -> CachePlan {
-        for cache in &self.caches {
-            cache
-                .lock()
-                .expect("embedding cache lock poisoned")
-                .sync_generation(generation);
-        }
-        let owner = self.owner.read().expect("owner map lock poisoned");
-        // Same coarse criterion as `EmbeddingCache::plan_incremental`:
-        // absence, instance mismatch, or explicit dirtiness — routine
-        // revision bumps keep serving the cached encoding.
-        let miss_indices: Vec<usize> = twins
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| {
-                dirty.contains(&t.user()) || {
-                    let shard = self.shard_of(&owner, t.user());
-                    self.caches[shard]
-                        .lock()
-                        .expect("embedding cache lock poisoned")
-                        .lookup(t.user())
-                        .is_none_or(|e| e.revision.instance != t.revision().instance)
-                }
-            })
-            .map(|(i, _)| i)
-            .collect();
-        let hits = twins.len() - miss_indices.len();
-        CachePlan { miss_indices, hits }
-    }
-
     fn complete(
         &mut self,
         twins: &[UserDigitalTwin],
@@ -218,29 +183,6 @@ mod tests {
         b.owner.write().unwrap().insert(UserId(5), 1);
         let plan = b.plan(1, &twins);
         assert_eq!(plan.hits, 1, "cache stays hit-correct after the move");
-    }
-
-    #[test]
-    fn incremental_plan_survives_revision_bumps_but_not_handover_drops() {
-        let mut b = backend(2, &[(0, 0), (1, 1)]);
-        let mut twins = vec![twin(0), twin(1)];
-        let plan = b.plan(1, &twins);
-        b.complete(&twins, &plan, vec![vec![0.0], vec![1.0]]);
-        // Routine revision bump: incremental keeps the cached row.
-        twins[0].update_channel(SimTime::from_secs(2), 3.0);
-        let none = HashSet::new();
-        let plan = b.plan_incremental(1, &twins, &none);
-        assert_eq!(plan.hits, 2);
-        // A handover whose report was lost drops the entry: absence
-        // forces a re-encode even in incremental mode.
-        b.caches[1].lock().unwrap().take(UserId(1));
-        b.owner.write().unwrap().insert(UserId(1), 0);
-        let plan = b.plan_incremental(1, &twins, &none);
-        assert_eq!(plan.miss_indices, vec![1]);
-        // Explicit dirty set wins over a cached entry.
-        let dirty: HashSet<UserId> = [UserId(0)].into();
-        let plan = b.plan_incremental(1, &twins, &dirty);
-        assert_eq!(plan.miss_indices, vec![0, 1]);
     }
 
     #[test]

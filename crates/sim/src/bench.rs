@@ -46,11 +46,6 @@ pub struct BenchOptions {
     /// with fresh arrivals each interval). `0` keeps the historical
     /// bench shape.
     pub churn: f64,
-    /// Run the incremental interval pipeline (dirty-set encode,
-    /// warm-start K-means, drift-gated DDQN). Explicit — not the
-    /// `MSVS_INCREMENTAL` env default — so a bench document always
-    /// records the mode it actually ran.
-    pub incremental: bool,
 }
 
 impl Default for BenchOptions {
@@ -62,7 +57,6 @@ impl Default for BenchOptions {
             threads: 0,
             shards: 1,
             churn: 0.0,
-            incremental: false,
         }
     }
 }
@@ -95,7 +89,6 @@ impl BenchOptions {
             .threads(self.threads)
             .shards(self.shards)
             .churn_rate(self.churn)
-            .incremental(self.incremental)
             .seed(self.seed)
             .build()
     }
@@ -188,7 +181,6 @@ pub fn run_bench(opts: &BenchOptions) -> Result<Json> {
         ("shards", Json::Num(sim.store().n_shards() as f64)),
         ("backend", Json::Str(BackendKind::Scalar.name().into())),
         ("churn_rate", Json::Num(opts.churn)),
-        ("incremental", Json::Bool(opts.incremental)),
         ("shard_plane", shard_plane),
         ("spans", Json::Num(sim.telemetry().spans().len() as f64)),
         ("wall_s", Json::Num(wall_s)),
@@ -334,19 +326,17 @@ mod tests {
     }
 
     #[test]
-    fn incremental_bench_records_mode_and_churn() {
+    fn bench_records_churn_rate() {
         let doc = run_bench(&BenchOptions {
             seed: 7,
             users: 24,
             intervals: 2,
             threads: 1,
             churn: 0.1,
-            incremental: true,
             ..Default::default()
         })
         .unwrap();
         validate_bench_json(&doc).unwrap();
-        assert!(matches!(doc.get("incremental"), Some(Json::Bool(true))));
         assert_eq!(doc.get("churn_rate").and_then(Json::as_f64), Some(0.1));
     }
 

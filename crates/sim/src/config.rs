@@ -36,21 +36,6 @@ fn default_shards() -> usize {
         .unwrap_or(1)
 }
 
-/// Environment variable that switches the incremental interval pipeline
-/// on by default (`1` or `true`). Lets CI exercise the incremental path
-/// across whole test suites without touching each test's config.
-pub const INCREMENTAL_ENV: &str = "MSVS_INCREMENTAL";
-
-fn default_incremental() -> bool {
-    std::env::var(INCREMENTAL_ENV)
-        .ok()
-        .map(|v| {
-            let v = v.trim();
-            v == "1" || v.eq_ignore_ascii_case("true")
-        })
-        .unwrap_or(false)
-}
-
 /// Population shares of the three mobility models.
 ///
 /// Shares are relative weights (normalised internally); a campus mixes
@@ -226,15 +211,8 @@ pub struct SimulationConfig {
     pub shards: usize,
     /// Always [`BackendKind::Scalar`]; see its docs.
     pub backend: BackendKind,
-    /// Incremental interval pipeline: re-encode only dirty users (churn,
-    /// restores), warm-start K-means from the previous interval's
-    /// centroids, and gate DDQN `K` re-selection on a drift score, so
-    /// low-churn interval cost scales with churn rather than population.
-    /// A bounded approximation of the exact pipeline (E15 pins the
-    /// accuracy cost below 1 pp); off by default and bit-identical to
-    /// historical behaviour when off. Defaults to the `MSVS_INCREMENTAL`
-    /// environment variable, or `false`. Seeded incremental runs are
-    /// bit-identical at any thread and shard count.
+    /// Ignored; kept because `e2ebench/` names it; drop at the next
+    /// benchmark change. Every interval runs the exact prediction pass.
     pub incremental: bool,
     /// Master RNG seed.
     pub seed: u64,
@@ -275,7 +253,7 @@ impl Default for SimulationConfig {
             threads: default_threads(),
             shards: default_shards(),
             backend: BackendKind::Scalar,
-            incremental: default_incremental(),
+            incremental: false,
             seed: 0,
         }
     }
@@ -444,8 +422,7 @@ impl SimulationConfigBuilder {
         self
     }
 
-    /// Incremental interval pipeline (dirty-set encode, warm-start
-    /// K-means, drift-gated DDQN).
+    /// Sets [`SimulationConfig::incremental`], which is ignored.
     pub fn incremental(mut self, enabled: bool) -> Self {
         self.config.incremental = enabled;
         self

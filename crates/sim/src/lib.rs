@@ -32,8 +32,8 @@ pub use bench::{
     bench_backend_name, peak_rss_kb, run_bench, validate_bench_json, BenchOptions, BENCH_SCHEMA,
 };
 pub use config::{
-    DemandPredictorKind, MobilityMix, SimulationConfig, SimulationConfigBuilder, INCREMENTAL_ENV,
-    SHARDS_ENV, THREADS_ENV,
+    DemandPredictorKind, MobilityMix, SimulationConfig, SimulationConfigBuilder, SHARDS_ENV,
+    THREADS_ENV,
 };
 pub use metrics::{IntervalRecord, SimulationReport};
 pub use report::{format_table, to_csv};

@@ -312,7 +312,8 @@ impl Simulation {
         &self.store
     }
 
-    /// Snapshots every shard into a [`ShardCheckpoint`] at the current
+    /// Snapshots every shard into a
+    /// [`ShardCheckpoint`](msvs_shard::ShardCheckpoint) at the current
     /// interval boundary, pairing each twin with its user's live
     /// `SyncTracker` state. Works at any shard count (a single-shard run
     /// yields one checkpoint of the whole population).
@@ -847,14 +848,6 @@ impl Simulation {
         let mut predict_scope = self.telemetry.stage_scope(stage::SCHEME_PREDICT);
         if scored {
             predict_scope.set_interval(index as u64);
-        }
-        // Hand churned/restored slots to the predictor before it plans
-        // the encode pass. The coordinator accumulates marks in every
-        // mode, so the drain also keeps the set bounded when the
-        // incremental pipeline is off.
-        let dirty = self.store.drain_dirty();
-        if self.config.incremental {
-            self.predictor.note_interval_dirty(&dirty);
         }
         let ctx = PredictionContext {
             store: &self.store,
@@ -1424,10 +1417,6 @@ fn resolve_scenario(config: &mut SimulationConfig) -> (CampusMap, Vec<Position>,
     };
     config.threads = pool.threads();
     config.scheme.threads = pool.threads();
-    // The incremental-pipeline switch (dirty-set encode, warm-start
-    // K-means, drift-gated DDQN) rides the scheme config into the
-    // predictor the same way the resolved thread count does.
-    config.scheme.incremental = config.incremental;
     (map, bs_positions, pool)
 }
 
@@ -1584,81 +1573,6 @@ mod tests {
         let a = strip_wall(Simulation::run(small_config(9)).unwrap());
         let b = strip_wall(Simulation::run(small_config(9)).unwrap());
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn incremental_run_is_deterministic_and_thread_invariant() {
-        let config = |threads: usize| {
-            let mut c = small_config(11);
-            c.churn_rate = 0.1;
-            c.incremental = true;
-            c.threads = threads;
-            c
-        };
-        let strip_wall = |mut r: SimulationReport| {
-            for i in &mut r.intervals {
-                i.predict_wall_ms = 0.0;
-            }
-            r.telemetry = r.telemetry.with_zeroed_timings();
-            r
-        };
-        let a = strip_wall(Simulation::run(config(1)).unwrap());
-        let b = strip_wall(Simulation::run(config(1)).unwrap());
-        assert_eq!(a, b, "incremental runs must be seed-deterministic");
-        let parallel = strip_wall(Simulation::run(config(4)).unwrap());
-        assert_eq!(
-            a, parallel,
-            "incremental runs must not depend on the worker-pool size"
-        );
-    }
-
-    #[test]
-    fn incremental_churn_run_skips_encodes_and_stays_accurate() {
-        let config = |incremental: bool| {
-            let mut c = small_config(13);
-            c.n_users = 40;
-            c.n_intervals = 4;
-            c.churn_rate = 0.05;
-            c.incremental = incremental;
-            c.threads = 1;
-            // At 40 users the silhouette delta is noisy enough to trip the
-            // drift detector every interval, and each trip forces a full
-            // staleness refresh. Widen that one signal so the test
-            // exercises the skip path; E15 keeps the default thresholds
-            // honest at population scale.
-            c.scheme.grouping.drift_silhouette_threshold = 0.5;
-            c
-        };
-        let exact = Simulation::run(config(false)).unwrap();
-        let fast = Simulation::run(config(true)).unwrap();
-        let counter = |r: &SimulationReport, name: &str| {
-            r.telemetry
-                .counters
-                .iter()
-                .find(|(n, l, _)| n == name && l == "all")
-                .map(|(_, _, v)| *v)
-                .unwrap_or(0)
-        };
-        // The incremental pass must actually skip work: most users keep
-        // their cached embedding across routine twin updates.
-        let skipped = counter(&fast, "encode_skipped_users");
-        let dirty = counter(&fast, "encode_dirty_users");
-        assert!(
-            skipped > dirty,
-            "low churn should skip more encodes ({skipped}) than it pays ({dirty})"
-        );
-        assert_eq!(
-            counter(&exact, "encode_skipped_users"),
-            0,
-            "exact mode must not touch the incremental counters"
-        );
-        // Bounded approximation: scored accuracy stays in the same
-        // ballpark as the exact pipeline. The tight (< 1pp) bound is
-        // checked at realistic scale by the E15 experiment — at 40 users
-        // over 4 intervals a single regrouping shifts the mean by
-        // several points, so this is a sanity rail, not the spec.
-        let delta = (fast.mean_radio_accuracy() - exact.mean_radio_accuracy()).abs();
-        assert!(delta < 0.1, "accuracy drift {delta:.4} exceeds 10pp");
     }
 
     #[test]

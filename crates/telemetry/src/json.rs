@@ -9,6 +9,11 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// spends stack frames per level, so hostile input nested past this
+/// returns `Err` instead of overflowing the stack.
+const MAX_DEPTH: usize = 128;
+
 /// A JSON value. Objects use a [`BTreeMap`] so emission order is
 /// deterministic regardless of insertion order.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,12 +67,13 @@ impl Json {
     /// Parses one JSON document from `input`.
     ///
     /// # Errors
-    /// Returns a human-readable message on malformed input or trailing
-    /// non-whitespace.
+    /// Returns a human-readable message on malformed input, trailing
+    /// non-whitespace, or arrays and objects nested more than 128 deep.
     pub fn parse(input: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -136,6 +142,8 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -177,11 +185,25 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Parses one array or object with `parse`, one level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -372,5 +394,24 @@ mod tests {
         assert!(Json::parse("[1,2").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("\"open").is_err());
+    }
+
+    /// `depth` arrays, or objects keyed `"k"`, wrapped around `0`.
+    fn nested(depth: usize, array: bool) -> String {
+        let (open, close) = if array { ("[", "]") } else { ("{\"k\":", "}") };
+        format!("{}0{}", open.repeat(depth), close.repeat(depth))
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        for array in [true, false] {
+            let v = Json::parse(&nested(MAX_DEPTH, array)).unwrap();
+            assert_eq!(v.to_string(), nested(MAX_DEPTH, array));
+            let err = Json::parse(&nested(MAX_DEPTH + 1, array)).unwrap_err();
+            assert!(err.contains("nesting deeper than 128"), "{err}");
+        }
+        // Far past the cap: an error, not a stack overflow.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
+        assert!(Json::parse(&"{\"k\":".repeat(200_000)).is_err());
     }
 }

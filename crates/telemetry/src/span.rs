@@ -169,8 +169,8 @@ impl SpanCollector {
     }
 
     /// Starts a worker-local scratch buffer sharing this collector's
-    /// epoch. Pass the scratch out of the pool closure and [`adopt`]
-    /// (Self::adopt) it after the join.
+    /// epoch. Pass the scratch out of the pool closure and
+    /// [`adopt`](Self::adopt) it after the join.
     pub fn scratch(&self) -> SpanScratch {
         SpanScratch {
             epoch: self.0.epoch,

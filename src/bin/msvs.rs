@@ -3,7 +3,7 @@
 //! ```text
 //! msvs run [--users N] [--intervals N] [--seed S] [--churn F]
 //!          [--per-bs] [--predictor scheme|naive|ewma] [--threads N] [--shards N]
-//!          [--incremental] [--silhouette-cap N] [--faults PROFILE]
+//!          [--silhouette-cap N] [--faults PROFILE]
 //!          [--slo POLICY] [--serve-metrics ADDR]
 //!          [--csv PATH] [--journal PATH] [--trace PATH]
 //! msvs checkpoint [run flags] [--out PATH]
@@ -12,7 +12,7 @@
 //! msvs flame <trace.json> [--out PATH]
 //! msvs flame [run flags] [--out PATH]
 //! msvs bench-report [--seed S] [--users N] [--intervals N] [--threads N]
-//!          [--shards N] [--churn F] [--incremental] [--out PATH]
+//!          [--shards N] [--churn F] [--out PATH]
 //! msvs bench-compare <baseline.json> <candidate.json> [--gate PCT]
 //! msvs swiping [--users N] [--seed S]
 //! msvs reserve [--headroom F] [--users N] [--seed S]
@@ -72,7 +72,7 @@ fn print_help() {
          USAGE:\n\
          \x20 msvs run     [--users N] [--intervals N] [--seed S] [--churn F]\n\
          \x20              [--per-bs] [--predictor scheme|naive|ewma] [--threads N]\n\
-         \x20              [--shards N] [--incremental] [--silhouette-cap N]\n\
+         \x20              [--shards N] [--silhouette-cap N]\n\
          \x20              [--faults PROFILE] [--slo POLICY]\n\
          \x20              [--serve-metrics ADDR] [--csv PATH]\n\
          \x20              [--journal PATH] [--trace PATH]\n\
@@ -83,7 +83,7 @@ fn print_help() {
          \x20 msvs flame   <trace.json | run flags> [--out PATH]\n\
          \x20                                          folded stacks for flamegraphs\n\
          \x20 msvs bench-report [--seed S] [--users N] [--intervals N] [--threads N]\n\
-         \x20              [--shards N] [--churn F] [--incremental]\n\
+         \x20              [--shards N] [--churn F]\n\
          \x20              [--out PATH]                perf baseline as JSON\n\
          \x20 msvs bench-compare <baseline.json> <candidate.json> [--gate PCT]\n\
          \x20                                          stage-latency delta table\n\
@@ -101,14 +101,6 @@ fn print_help() {
          Seeded runs are bit-identical at any shard count.\n\
          `--silhouette-cap N` caps silhouette scoring at N sampled users\n\
          (0 disables sampling; default 4096).\n\
-         `--incremental` switches on the incremental interval pipeline:\n\
-         only churned/restored users re-encode, K-means warm-starts from\n\
-         the previous interval's centroids, and DDQN K re-selection is\n\
-         gated on a drift score (default from MSVS_INCREMENTAL, else\n\
-         off). Off is bit-identical to historical behaviour; on trades a\n\
-         bounded (<1pp at scale) accuracy drift for sublinear low-churn\n\
-         interval cost, and stays bit-identical at any thread or shard\n\
-         count.\n\
          `--faults PROFILE` injects uplink faults from a built-in profile\n\
          ({}) or a JSON file (see results/fault_profiles/). Profiles may\n\
          schedule shard outages (`bs-flap`, `bs-crash`): crashed shards\n\
@@ -126,8 +118,8 @@ fn print_help() {
          into inferno-style folded stacks for `inferno-flamegraph`.\n\
          `bench-compare --gate PCT` exits non-zero when any shared\n\
          stage's p50 regresses — or throughput drops — by more than PCT\n\
-         percent; differing backends (older documents recorded `simd`),\n\
-         run shapes, or pipeline modes are warned about, never failed.\n\
+         percent; differing backends (older documents recorded `simd`)\n\
+         or run shapes are warned about, never failed.\n\
          `checkpoint` runs the same scenario, then snapshots each shard\n\
          (twins + sync state + embedding keys) as one JSON line; the\n\
          `--restore` form reloads and verifies such a file offline.\n\
@@ -170,7 +162,7 @@ const SIM_VALUES: &[&str] = &[
 ];
 
 /// Switches read by [`base_config`].
-const SIM_SWITCHES: &[&str] = &["--per-bs", "--incremental"];
+const SIM_SWITCHES: &[&str] = &["--per-bs"];
 
 /// Minimal flag parser: `--key value` pairs, boolean switches and
 /// positional arguments, checked against the command's [`FlagSpec`].
@@ -263,10 +255,6 @@ fn base_config(flags: &Flags<'_>) -> Result<SimulationConfig, String> {
     }
     if flags.value("--silhouette-cap").is_some() {
         builder = builder.silhouette_cap(flags.parse("--silhouette-cap", 0usize)?);
-    }
-    // Absent flag: keep the default (MSVS_INCREMENTAL env var, or off).
-    if flags.has("--incremental") {
-        builder = builder.incremental(true);
     }
     builder.build().map_err(|e| e.to_string())
 }
@@ -636,7 +624,7 @@ fn cmd_bench_report(args: &[String]) -> Result<(), String> {
             "--churn",
             "--out",
         ],
-        switches: &["--incremental"],
+        switches: &[],
         positionals: 0,
     };
     let flags = Flags::new(&BENCH_REPORT, args)?;
@@ -648,7 +636,6 @@ fn cmd_bench_report(args: &[String]) -> Result<(), String> {
         threads: flags.parse("--threads", defaults.threads)?,
         shards: flags.parse("--shards", defaults.shards)?,
         churn: flags.parse("--churn", defaults.churn)?,
-        incremental: flags.has("--incremental"),
     };
     let out = flags.value("--out").unwrap_or("BENCH_7.json");
     let doc = run_bench(&opts).map_err(|e| e.to_string())?;
@@ -743,21 +730,6 @@ fn cmd_bench_compare(args: &[String]) -> Result<(), String> {
                 );
             }
         }
-    }
-    // Incremental-pipeline mode rides the v2 document; documents that
-    // predate the field ran the exact pipeline.
-    let incremental_of = |doc: &msvs::telemetry::Json| {
-        matches!(
-            doc.get("incremental"),
-            Some(msvs::telemetry::Json::Bool(true))
-        )
-    };
-    let (base_inc, cand_inc) = (incremental_of(&base), incremental_of(&cand));
-    if base_inc != cand_inc {
-        println!(
-            "warning: comparing across pipeline modes (incremental {base_inc} vs {cand_inc}); \
-             latency deltas reflect the mode change, not a regression"
-        );
     }
     let stage_p50s = |doc: &msvs::telemetry::Json| -> BTreeMap<String, f64> {
         match doc.get("stages") {
@@ -1218,12 +1190,21 @@ mod tests {
             (&["--user", "1000"][..], "--user"),
             (&["--backend", "simd"], "--backend"),
             (&["--users", "40", "--verbose"], "--verbose"),
+            (&["--incremental"], "--incremental"),
         ] {
             let err = Flags::new(&RUN, &args(list)).err().expect("rejected");
             assert_eq!(err, format!("unknown flag `{flag}` for `msvs run`"));
         }
-        let err = cmd_bench_report(&args(&["--backend", "simd"])).unwrap_err();
-        assert_eq!(err, "unknown flag `--backend` for `msvs bench-report`");
+        for (list, flag) in [
+            (&["--backend", "simd"][..], "--backend"),
+            (&["--incremental"], "--incremental"),
+        ] {
+            let err = cmd_bench_report(&args(list)).unwrap_err();
+            assert_eq!(
+                err,
+                format!("unknown flag `{flag}` for `msvs bench-report`")
+            );
+        }
         let err = Flags::new(&RUN, &args(&["1000"])).err().expect("rejected");
         assert_eq!(err, "unexpected argument `1000` for `msvs run`");
     }

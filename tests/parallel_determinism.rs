@@ -104,12 +104,6 @@ fn embedding_cache_does_not_change_the_report_at_any_thread_count() {
     let run = |cache: bool, threads: usize| {
         let mut cfg = seeded_config(33, threads);
         cfg.scheme.embedding_cache = cache;
-        // This contract is exact-mode only: incremental runs lean on the
-        // cache to serve stale embeddings (a documented approximation), so
-        // cache-on and cache-off reports legitimately diverge there. Pin it
-        // off so the assertion holds under MSVS_INCREMENTAL=1 too;
-        // incremental invariance is covered by the sim-level tests.
-        cfg.incremental = false;
         strip_cache_counters(Simulation::run(cfg).expect("seeded run"))
     };
     let baseline = run(false, 1);
