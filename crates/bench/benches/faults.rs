@@ -4,9 +4,10 @@
 //! range, and a hostile plan bounds the worst-case end-to-end slowdown.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use msvs_faults::{Attribute, DelaySpec, FaultInjector, FaultPlan};
+use msvs_faults::{DelaySpec, FaultInjector, FaultPlan};
 use msvs_sim::{Simulation, SimulationConfig};
 use msvs_types::SimDuration;
+use msvs_udt::Attribute;
 use std::hint::black_box;
 
 fn small_scheme() -> msvs_core::SchemeConfig {

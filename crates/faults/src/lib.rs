@@ -20,6 +20,7 @@
 
 use msvs_telemetry::Json;
 use msvs_types::{Error, Result, SimDuration, SimTime};
+use msvs_udt::{Attribute, RetryPolicy};
 
 /// Report-delay injection: a faulted report is buffered and delivered a
 /// bounded number of ticks late (with its original timestamp).
@@ -36,29 +37,6 @@ impl Default for DelaySpec {
         Self {
             probability: 0.0,
             max_ticks: 3,
-        }
-    }
-}
-
-/// Bounded retry-with-backoff for lost reports.
-///
-/// When an uplink report is lost, the sync tracker schedules a
-/// re-transmission `backoff` later, doubling on each further loss, up to
-/// `max_attempts` retries per loss episode. Retries count as extra
-/// signalling.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetrySpec {
-    /// Maximum retries per loss episode (`0` disables retry).
-    pub max_attempts: u32,
-    /// Initial backoff before the first retry; doubles per attempt.
-    pub backoff: SimDuration,
-}
-
-impl Default for RetrySpec {
-    fn default() -> Self {
-        Self {
-            max_attempts: 3,
-            backoff: SimDuration::from_secs(2),
         }
     }
 }
@@ -165,8 +143,11 @@ pub struct FaultPlan {
     /// Per-report probability a channel/location sample is corrupted
     /// (NaN or wildly out-of-range values).
     pub corruption: f64,
-    /// Retry policy for lost reports.
-    pub retry: RetrySpec,
+    /// Bounded retry-with-backoff for lost reports: the sync tracker
+    /// re-sends `retry.backoff` after a loss, doubling per further loss,
+    /// up to `retry.max_attempts` retries per episode. Retries count as
+    /// extra signalling.
+    pub retry: RetryPolicy,
     /// Scheduled churn bursts.
     pub churn_bursts: Vec<ChurnBurst>,
     /// Scheduled edge brownouts.
@@ -189,7 +170,7 @@ impl FaultPlan {
             uplink_loss: 0.0,
             delay: DelaySpec::default(),
             corruption: 0.0,
-            retry: RetrySpec::default(),
+            retry: RetryPolicy::default(),
             churn_bursts: Vec::new(),
             brownouts: Vec::new(),
             outages: Vec::new(),
@@ -206,11 +187,18 @@ impl FaultPlan {
             && self.outages.is_empty()
     }
 
+    /// Longest accepted initial retry backoff. Doubled 16 times it is
+    /// about 7.5 years of sim time, far from `u64` milliseconds overflow.
+    pub const MAX_BACKOFF: SimDuration = SimDuration(3_600_000);
+
     /// Validates every probability, window, and scale in the plan.
     ///
     /// # Errors
     /// Returns `InvalidConfig` describing the first violated constraint.
     pub fn validate(&self) -> Result<()> {
+        let fail = |field: &'static str, reason: &'static str| -> Result<()> {
+            Err(Error::invalid_config(field, reason))
+        };
         let unit = |field: &'static str, v: f64| {
             if !v.is_finite() || !(0.0..=1.0).contains(&v) {
                 Err(Error::invalid_config(field, "must be in [0, 1]"))
@@ -222,64 +210,54 @@ impl FaultPlan {
         unit("faults.delay.probability", self.delay.probability)?;
         unit("faults.corruption", self.corruption)?;
         if self.uplink_loss + self.delay.probability + self.corruption > 1.0 {
-            return Err(Error::invalid_config(
+            return fail(
                 "faults",
                 "loss + delay + corruption probabilities must not exceed 1",
-            ));
+            );
         }
         if self.delay.probability > 0.0 && self.delay.max_ticks == 0 {
-            return Err(Error::invalid_config(
+            return fail(
                 "faults.delay.max_ticks",
                 "must be at least 1 when delay is enabled",
-            ));
+            );
         }
         if self.delay.max_ticks > 1_000 {
-            return Err(Error::invalid_config(
-                "faults.delay.max_ticks",
-                "must be at most 1000",
-            ));
+            return fail("faults.delay.max_ticks", "must be at most 1000");
         }
         if self.retry.max_attempts > 16 {
-            return Err(Error::invalid_config(
-                "faults.retry.max_attempts",
-                "must be at most 16",
-            ));
+            return fail("faults.retry.max_attempts", "must be at most 16");
         }
         if self.retry.max_attempts > 0 && self.retry.backoff == SimDuration::ZERO {
-            return Err(Error::invalid_config(
+            return fail(
                 "faults.retry.backoff",
                 "must be non-zero when retries are enabled",
-            ));
+            );
+        }
+        // The backoff doubles per attempt (up to 2^16 ×), so an unbounded
+        // one would overflow the retry schedule's sim-time arithmetic.
+        if self.retry.backoff > Self::MAX_BACKOFF {
+            return fail("faults.retry.backoff", "must be at most 1 hour");
         }
         for b in &self.churn_bursts {
             unit("faults.churn_bursts.fraction", b.fraction)?;
         }
         for b in &self.brownouts {
             if b.duration == 0 {
-                return Err(Error::invalid_config(
-                    "faults.brownouts.duration",
-                    "must be at least 1 interval",
-                ));
+                return fail("faults.brownouts.duration", "must be at least 1 interval");
             }
             if !b.capacity_scale.is_finite() || b.capacity_scale <= 0.0 || b.capacity_scale > 1.0 {
-                return Err(Error::invalid_config(
-                    "faults.brownouts.capacity_scale",
-                    "must be in (0, 1]",
-                ));
+                return fail("faults.brownouts.capacity_scale", "must be in (0, 1]");
             }
         }
         for o in &self.outages {
             if o.duration == 0 {
-                return Err(Error::invalid_config(
-                    "faults.outages.duration",
-                    "must be at least 1 interval",
-                ));
+                return fail("faults.outages.duration", "must be at least 1 interval");
             }
             if o.shard >= 1024 {
-                return Err(Error::invalid_config(
+                return fail(
                     "faults.outages.shard",
                     "must be below 1024 (the shard-count cap)",
-                ));
+                );
             }
         }
         Ok(())
@@ -523,94 +501,70 @@ impl FaultPlan {
             }
         }
         let mut plan = Self::none();
-        if let Some(v) = json.get("seed") {
-            plan.seed = v.as_u64().ok_or_else(|| bad("seed must be an integer"))?;
+        // The field at a dotted `path`, if present, as an integer or a
+        // number; a present field of the wrong type is an error.
+        let at = |path: &str| path.split('.').try_fold(json, |v, key| v.get(key));
+        let opt_int = |path: &str| {
+            let reason = format!("{path} must be an integer");
+            at(path)
+                .map(|v| v.as_u64().ok_or_else(|| bad(&reason)))
+                .transpose()
+        };
+        let opt_num = |path: &str| {
+            let reason = format!("{path} must be a number");
+            at(path)
+                .map(|v| v.as_f64().ok_or_else(|| bad(&reason)))
+                .transpose()
+        };
+        plan.seed = opt_int("seed")?.unwrap_or(plan.seed);
+        plan.uplink_loss = opt_num("uplink_loss")?.unwrap_or(plan.uplink_loss);
+        plan.delay.probability = opt_num("delay.probability")?.unwrap_or(plan.delay.probability);
+        plan.delay.max_ticks = opt_int("delay.max_ticks")?.unwrap_or(plan.delay.max_ticks);
+        plan.corruption = opt_num("corruption")?.unwrap_or(plan.corruption);
+        if let Some(n) = opt_int("retry.max_attempts")? {
+            plan.retry.max_attempts =
+                u32::try_from(n).map_err(|_| bad("retry.max_attempts out of range"))?;
         }
-        if let Some(v) = json.get("uplink_loss") {
-            plan.uplink_loss = v
-                .as_f64()
-                .ok_or_else(|| bad("uplink_loss must be a number"))?;
+        if let Some(ms) = opt_int("retry.backoff_ms")? {
+            plan.retry.backoff = SimDuration::from_millis(ms);
         }
-        if let Some(d) = json.get("delay") {
-            if let Some(v) = d.get("probability") {
-                plan.delay.probability = v
-                    .as_f64()
-                    .ok_or_else(|| bad("delay.probability must be a number"))?;
-            }
-            if let Some(v) = d.get("max_ticks") {
-                plan.delay.max_ticks = v
-                    .as_u64()
-                    .ok_or_else(|| bad("delay.max_ticks must be an integer"))?;
-            }
-        }
-        if let Some(v) = json.get("corruption") {
-            plan.corruption = v
-                .as_f64()
-                .ok_or_else(|| bad("corruption must be a number"))?;
-        }
-        if let Some(r) = json.get("retry") {
-            if let Some(v) = r.get("max_attempts") {
-                let n = v
-                    .as_u64()
-                    .ok_or_else(|| bad("retry.max_attempts must be an integer"))?;
-                plan.retry.max_attempts =
-                    u32::try_from(n).map_err(|_| bad("retry.max_attempts out of range"))?;
-            }
-            if let Some(v) = r.get("backoff_ms") {
-                plan.retry.backoff = SimDuration::from_millis(
-                    v.as_u64()
-                        .ok_or_else(|| bad("retry.backoff_ms must be an integer"))?,
-                );
-            }
-        }
+        // `list[i].key` as an integer or a number, else an error naming it.
+        let int = |item: &Json, list: &str, key: &str| {
+            let reason = format!("{list}.{key} must be an integer");
+            item.get(key)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| bad(&reason))
+        };
+        let num = |item: &Json, list: &str, key: &str| {
+            let reason = format!("{list}.{key} must be a number");
+            item.get(key)
+                .and_then(Json::as_f64)
+                .ok_or_else(|| bad(&reason))
+        };
         if let Some(Json::Arr(items)) = json.get("churn_bursts") {
             for item in items {
                 plan.churn_bursts.push(ChurnBurst {
-                    interval: item
-                        .get("interval")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| bad("churn_bursts.interval must be an integer"))?,
-                    fraction: item
-                        .get("fraction")
-                        .and_then(Json::as_f64)
-                        .ok_or_else(|| bad("churn_bursts.fraction must be a number"))?,
+                    interval: int(item, "churn_bursts", "interval")?,
+                    fraction: num(item, "churn_bursts", "fraction")?,
                 });
             }
         }
         if let Some(Json::Arr(items)) = json.get("brownouts") {
             for item in items {
                 plan.brownouts.push(Brownout {
-                    start: item
-                        .get("start")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| bad("brownouts.start must be an integer"))?,
-                    duration: item
-                        .get("duration")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| bad("brownouts.duration must be an integer"))?,
-                    capacity_scale: item
-                        .get("capacity_scale")
-                        .and_then(Json::as_f64)
-                        .ok_or_else(|| bad("brownouts.capacity_scale must be a number"))?,
+                    start: int(item, "brownouts", "start")?,
+                    duration: int(item, "brownouts", "duration")?,
+                    capacity_scale: num(item, "brownouts", "capacity_scale")?,
                 });
             }
         }
         if let Some(Json::Arr(items)) = json.get("outages") {
             for item in items {
-                let shard = item
-                    .get("shard")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| bad("outages.shard must be an integer"))?;
+                let shard = int(item, "outages", "shard")?;
                 plan.outages.push(ShardOutage {
                     shard: usize::try_from(shard).map_err(|_| bad("outages.shard out of range"))?,
-                    from: item
-                        .get("from")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| bad("outages.from must be an integer"))?,
-                    duration: item
-                        .get("duration")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| bad("outages.duration must be an integer"))?,
+                    from: int(item, "outages", "from")?,
+                    duration: int(item, "outages", "duration")?,
                     mode: item
                         .get("mode")
                         .and_then(Json::as_str)
@@ -631,36 +585,6 @@ impl FaultPlan {
         let json = Json::parse(text)
             .map_err(|e| Error::invalid_config("faults", format!("invalid JSON profile: {e}")))?;
         Self::from_json(&json)
-    }
-}
-
-/// The twin attribute an uplink report carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Attribute {
-    /// Channel-quality (SNR) sample.
-    Channel,
-    /// Location sample.
-    Location,
-    /// Preference refresh trigger.
-    Preference,
-}
-
-impl Attribute {
-    fn salt(self) -> u64 {
-        match self {
-            Attribute::Channel => 0x11_C4A2,
-            Attribute::Location => 0x22_10C4,
-            Attribute::Preference => 0x33_F8EF,
-        }
-    }
-
-    /// Stable label for journals.
-    pub fn label(self) -> &'static str {
-        match self {
-            Attribute::Channel => "channel",
-            Attribute::Location => "location",
-            Attribute::Preference => "preference",
-        }
     }
 }
 
@@ -695,6 +619,16 @@ fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// Per-attribute hash salt, so one user's reports at one instant draw
+/// independent fates.
+fn salt(attr: Attribute) -> u64 {
+    match attr {
+        Attribute::Channel => 0x11_C4A2,
+        Attribute::Location => 0x22_10C4,
+        Attribute::Preference => 0x33_F8EF,
+    }
 }
 
 /// Maps a hash to a unit float in `[0, 1)` with 53 bits of precision.
@@ -736,7 +670,7 @@ impl FaultInjector {
             .key
             .wrapping_add(mix(u64::from(user).wrapping_mul(0x9E37_79B9)))
             .wrapping_add(mix(t_ms))
-            .wrapping_add(attr.salt()))
+            .wrapping_add(salt(attr)))
     }
 
     /// Decides the fate of the report `user` sends at `t_ms` for `attr`.
@@ -809,24 +743,12 @@ impl<T> DelayQueue<T> {
     }
 
     /// Releases every report due by `now`, as `(sampled_at, payload)` in
-    /// insertion order.
-    pub fn drain_due(&mut self, now: SimTime) -> Vec<(SimTime, T)> {
-        let mut due = Vec::new();
-        let mut i = 0;
-        while i < self.items.len() {
-            if self.items[i].deliver_at <= now {
-                let d = self.items.remove(i);
-                due.push((d.sampled_at, d.payload));
-            } else {
-                i += 1;
-            }
-        }
-        due
-    }
-
-    /// Number of reports currently in flight.
-    pub fn len(&self) -> usize {
-        self.items.len()
+    /// insertion order. Due reports the caller does not consume stay
+    /// queued.
+    pub fn drain_due(&mut self, now: SimTime) -> impl Iterator<Item = (SimTime, T)> + '_ {
+        self.items
+            .extract_if(.., move |d| d.deliver_at <= now)
+            .map(|d| (d.sampled_at, d.payload))
     }
 
     /// Whether the queue is empty.
@@ -867,11 +789,6 @@ impl FaultCounts {
         self.corrupted += other.corrupted;
         self.rejected += other.rejected;
         self.overflowed += other.overflowed;
-    }
-
-    /// Total faults injected.
-    pub fn total(&self) -> u64 {
-        self.lost + self.delayed + self.corrupted + self.overflowed
     }
 }
 
@@ -927,6 +844,24 @@ mod tests {
     }
 
     #[test]
+    fn huge_retry_backoff_is_rejected() {
+        let profile =
+            |ms: &str| format!(r#"{{"uplink_loss": 0.3, "retry": {{"backoff_ms": {ms}}}}}"#);
+        // `as_u64` saturates, so 1e19 ms would reach the retry schedule
+        // as u64::MAX and overflow its doubling.
+        for ms in ["1e19", "18446744073709551615", "3600001"] {
+            let err = FaultPlan::parse(&profile(ms)).unwrap_err();
+            assert!(err.to_string().contains("retry.backoff"), "{ms}: {err}");
+        }
+        let mut plan = FaultPlan::builtin("lossy-uplink").unwrap();
+        plan.retry.backoff = FaultPlan::MAX_BACKOFF;
+        plan.validate().unwrap();
+        plan.retry.backoff = FaultPlan::MAX_BACKOFF + SimDuration::from_millis(1);
+        assert!(plan.validate().is_err());
+        FaultPlan::parse(&profile("3600000")).unwrap();
+    }
+
+    #[test]
     fn json_round_trips() {
         let plan = FaultPlan {
             seed: 42,
@@ -936,7 +871,7 @@ mod tests {
                 max_ticks: 4,
             },
             corruption: 0.05,
-            retry: RetrySpec {
+            retry: RetryPolicy {
                 max_attempts: 2,
                 backoff: SimDuration::from_secs(3),
             },
@@ -1042,8 +977,7 @@ mod tests {
             delayed: 1,
             ..FaultCounts::default()
         });
-        assert_eq!(a.overflowed, 5);
-        assert_eq!(a.total(), 1 + 1 + 5);
+        assert_eq!((a.lost, a.delayed, a.overflowed), (1, 1, 5));
     }
 
     #[test]
@@ -1133,8 +1067,8 @@ mod tests {
         assert!(q.push(t(10), t(5), 1.0));
         assert!(q.push(t(8), t(6), 2.0));
         assert!(!q.push(t(9), t(7), 3.0), "capacity 2 drops the third");
-        assert!(q.drain_due(t(7)).is_empty());
-        let due = q.drain_due(t(10));
+        assert!(q.drain_due(t(7)).next().is_none());
+        let due: Vec<_> = q.drain_due(t(10)).collect();
         assert_eq!(due, vec![(t(5), 1.0), (t(6), 2.0)]);
         assert!(q.is_empty());
     }

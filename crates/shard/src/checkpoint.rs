@@ -229,7 +229,7 @@ mod tests {
     use super::*;
     use msvs_core::cache::CachedEmbedding;
     use msvs_types::{Position, SimTime};
-    use msvs_udt::RetryPolicy;
+    use msvs_udt::{Attribute, RetryPolicy};
 
     fn seeded_shard() -> (Shard, Vec<(UserId, SyncTracker)>) {
         let shard = Shard::new(1, 1000.0);
@@ -246,9 +246,13 @@ mod tests {
                 .update_location(user, SimTime::from_secs(2), Position::new(id as f64, 1.0))
                 .unwrap();
             let mut tracker = SyncTracker::default();
-            tracker.mark_channel(SimTime::from_secs(1));
+            tracker.mark(Attribute::Channel, SimTime::from_secs(1));
             if id == 2 {
-                tracker.mark_location_lost(SimTime::from_secs(3), &RetryPolicy::default());
+                tracker.mark_lost(
+                    Attribute::Location,
+                    SimTime::from_secs(3),
+                    &RetryPolicy::default(),
+                );
             }
             trackers.push((user, tracker));
         }

@@ -165,6 +165,7 @@ impl Shard {
 mod tests {
     use super::*;
     use msvs_types::SimTime;
+    use msvs_udt::Attribute;
 
     #[test]
     fn instance_namespaces_are_disjoint_and_shard_zero_is_legacy() {
@@ -196,7 +197,7 @@ mod tests {
             },
         );
         let mut tracker = SyncTracker::default();
-        tracker.mark_channel(SimTime::from_secs(1));
+        tracker.mark(Attribute::Channel, SimTime::from_secs(1));
         let sent_before = tracker.updates_sent();
 
         let export = from.export(UserId(7), tracker.clone()).expect("owned");

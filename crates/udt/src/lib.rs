@@ -34,5 +34,5 @@ pub mod twin;
 
 pub use attribute::{TimeSeries, WatchRecord};
 pub use store::{TwinView, UdtStore};
-pub use sync::{CollectionPolicy, RetryPolicy, SyncTracker};
+pub use sync::{Attribute, CollectionPolicy, RetryPolicy, SyncTracker};
 pub use twin::{FeatureWindow, TwinReports, TwinRevision, UserDigitalTwin};

@@ -2,12 +2,42 @@
 //!
 //! The paper: "Different data attributes are collected with different
 //! frequencies." A [`CollectionPolicy`] declares those periods; the
-//! [`SyncTracker`] decides, per tick, which attributes are due and counts
-//! the uplink signalling this costs (ablated in experiment E4).
+//! [`SyncTracker`] decides, per tick and per [`Attribute`], which reports
+//! are due and counts the uplink signalling this costs (ablated in
+//! experiment E4).
 
 use msvs_telemetry::Json;
 use msvs_types::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+
+/// A twin attribute the uplink reports at its own period.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Attribute {
+    /// Channel-quality (SNR) sample.
+    Channel,
+    /// Location sample.
+    Location,
+    /// Preference refresh trigger.
+    Preference,
+}
+
+impl Attribute {
+    /// Every periodic attribute, in the order a tick reports them.
+    pub const ALL: [Attribute; 3] = [
+        Attribute::Channel,
+        Attribute::Location,
+        Attribute::Preference,
+    ];
+
+    /// Stable label for journals and checkpoint keys.
+    pub fn label(self) -> &'static str {
+        match self {
+            Attribute::Channel => "channel",
+            Attribute::Location => "location",
+            Attribute::Preference => "preference",
+        }
+    }
+}
 
 /// Collection periods per twin attribute.
 ///
@@ -35,20 +65,25 @@ impl Default for CollectionPolicy {
 }
 
 impl CollectionPolicy {
+    /// The collection period of `attr`.
+    pub fn every(&self, attr: Attribute) -> SimDuration {
+        match attr {
+            Attribute::Channel => self.channel_every,
+            Attribute::Location => self.location_every,
+            Attribute::Preference => self.preference_every,
+        }
+    }
+
     /// Validates that all periods are non-zero.
     ///
     /// # Errors
     /// Returns `InvalidConfig` when any period is zero.
     pub fn validate(&self) -> msvs_types::Result<()> {
-        for (name, d) in [
-            ("channel_every", self.channel_every),
-            ("location_every", self.location_every),
-            ("preference_every", self.preference_every),
-        ] {
-            if d == SimDuration::ZERO {
+        for attr in Attribute::ALL {
+            if self.every(attr) == SimDuration::ZERO {
                 return Err(msvs_types::Error::invalid_config(
                     "collection policy",
-                    format!("{name} must be non-zero"),
+                    format!("{}_every must be non-zero", attr.label()),
                 ));
             }
         }
@@ -123,15 +158,15 @@ impl RetryState {
 }
 
 /// Tracks what is due for one user and tallies signalling cost.
+///
+/// Every attribute follows one rule: due once its regular period has
+/// elapsed or a retry of a lost report fires. The state for each lives at
+/// its [`Attribute`] index.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SyncTracker {
-    last_channel: Option<SimTime>,
-    last_location: Option<SimTime>,
-    last_preference: Option<SimTime>,
+    last: [Option<SimTime>; 3],
+    retry: [RetryState; 3],
     updates_sent: u64,
-    retry_channel: RetryState,
-    retry_location: RetryState,
-    retry_preference: RetryState,
     retries_sent: u64,
 }
 
@@ -153,98 +188,37 @@ impl SyncTracker {
         self.retries_sent
     }
 
-    /// Whether a channel sample is due at `now` under `policy` (regular
+    /// Whether a report of `attr` is due at `now` under `policy` (regular
     /// period elapsed, or a retry of a lost report is scheduled).
-    pub fn channel_due(&self, policy: &CollectionPolicy, now: SimTime) -> bool {
-        due(self.last_channel, policy.channel_every, now) || self.retry_channel.due(now)
+    pub fn due(&self, attr: Attribute, policy: &CollectionPolicy, now: SimTime) -> bool {
+        let i = attr as usize;
+        self.last[i].is_none_or(|t| now.since(t) >= policy.every(attr)) || self.retry[i].due(now)
     }
 
-    /// Whether a location sample is due.
-    pub fn location_due(&self, policy: &CollectionPolicy, now: SimTime) -> bool {
-        due(self.last_location, policy.location_every, now) || self.retry_location.due(now)
+    /// Marks `attr` as collected at `now`, closing any retry episode.
+    pub fn mark(&mut self, attr: Attribute, now: SimTime) {
+        self.send(attr, now);
+        self.retry[attr as usize] = RetryState::default();
     }
 
-    /// Whether a preference refresh is due.
-    pub fn preference_due(&self, policy: &CollectionPolicy, now: SimTime) -> bool {
-        due(self.last_preference, policy.preference_every, now) || self.retry_preference.due(now)
-    }
-
-    /// Counts the send; a pending retry episode means this send *was* the
-    /// retry.
-    fn count_send(updates: &mut u64, retries: &mut u64, retry: &RetryState) {
-        *updates += 1;
-        if retry.attempts > 0 {
-            *retries += 1;
-        }
-    }
-
-    /// Marks the channel attribute as collected at `now`.
-    pub fn mark_channel(&mut self, now: SimTime) {
-        Self::count_send(
-            &mut self.updates_sent,
-            &mut self.retries_sent,
-            &self.retry_channel,
-        );
-        self.last_channel = Some(now);
-        self.retry_channel = RetryState::default();
-    }
-
-    /// Marks the location attribute as collected at `now`.
-    pub fn mark_location(&mut self, now: SimTime) {
-        Self::count_send(
-            &mut self.updates_sent,
-            &mut self.retries_sent,
-            &self.retry_location,
-        );
-        self.last_location = Some(now);
-        self.retry_location = RetryState::default();
-    }
-
-    /// Marks the preference attribute as collected at `now`.
-    pub fn mark_preference(&mut self, now: SimTime) {
-        Self::count_send(
-            &mut self.updates_sent,
-            &mut self.retries_sent,
-            &self.retry_preference,
-        );
-        self.last_preference = Some(now);
-        self.retry_preference = RetryState::default();
-    }
-
-    /// Records that the channel report sent at `now` was lost in transit:
+    /// Records that the `attr` report sent at `now` was lost in transit:
     /// the send still cost signalling, the twin was not updated, and a
-    /// retry is scheduled per `policy`. The regular period restarts (the
+    /// retry is scheduled per `retry`. The regular period restarts (the
     /// BS does not know the report vanished).
-    pub fn mark_channel_lost(&mut self, now: SimTime, policy: &RetryPolicy) {
-        Self::count_send(
-            &mut self.updates_sent,
-            &mut self.retries_sent,
-            &self.retry_channel,
-        );
-        self.last_channel = Some(now);
-        self.retry_channel.schedule(now, policy);
+    pub fn mark_lost(&mut self, attr: Attribute, now: SimTime, retry: &RetryPolicy) {
+        self.send(attr, now);
+        self.retry[attr as usize].schedule(now, retry);
     }
 
-    /// Records a lost location report (see [`Self::mark_channel_lost`]).
-    pub fn mark_location_lost(&mut self, now: SimTime, policy: &RetryPolicy) {
-        Self::count_send(
-            &mut self.updates_sent,
-            &mut self.retries_sent,
-            &self.retry_location,
-        );
-        self.last_location = Some(now);
-        self.retry_location.schedule(now, policy);
-    }
-
-    /// Records a lost preference report (see [`Self::mark_channel_lost`]).
-    pub fn mark_preference_lost(&mut self, now: SimTime, policy: &RetryPolicy) {
-        Self::count_send(
-            &mut self.updates_sent,
-            &mut self.retries_sent,
-            &self.retry_preference,
-        );
-        self.last_preference = Some(now);
-        self.retry_preference.schedule(now, policy);
+    /// Counts a send of `attr` at `now`; a pending retry episode means
+    /// this send *was* the retry.
+    fn send(&mut self, attr: Attribute, now: SimTime) {
+        let i = attr as usize;
+        self.updates_sent += 1;
+        if self.retry[i].attempts > 0 {
+            self.retries_sent += 1;
+        }
+        self.last[i] = Some(now);
     }
 
     /// Serialises the tracker's full state for a shard checkpoint —
@@ -252,22 +226,19 @@ impl SyncTracker {
     /// the bounded-backoff replay exactly where the checkpoint left it.
     pub fn checkpoint_json(&self) -> Json {
         let opt_time = |t: Option<SimTime>| t.map_or(Json::Null, |t| Json::Num(t.0 as f64));
-        let retry = |r: &RetryState| {
-            Json::obj([
-                ("next_ms", opt_time(r.next)),
-                ("attempts", Json::Num(f64::from(r.attempts))),
-            ])
-        };
-        Json::obj([
-            ("last_channel_ms", opt_time(self.last_channel)),
-            ("last_location_ms", opt_time(self.last_location)),
-            ("last_preference_ms", opt_time(self.last_preference)),
-            ("updates_sent", Json::Num(self.updates_sent as f64)),
-            ("retries_sent", Json::Num(self.retries_sent as f64)),
-            ("retry_channel", retry(&self.retry_channel)),
-            ("retry_location", retry(&self.retry_location)),
-            ("retry_preference", retry(&self.retry_preference)),
-        ])
+        let mut map = std::collections::BTreeMap::new();
+        for attr in Attribute::ALL {
+            let i = attr as usize;
+            let retry = Json::obj([
+                ("next_ms", opt_time(self.retry[i].next)),
+                ("attempts", Json::Num(f64::from(self.retry[i].attempts))),
+            ]);
+            map.insert(format!("last_{}_ms", attr.label()), opt_time(self.last[i]));
+            map.insert(format!("retry_{}", attr.label()), retry);
+        }
+        map.insert("updates_sent".into(), Json::Num(self.updates_sent as f64));
+        map.insert("retries_sent".into(), Json::Num(self.retries_sent as f64));
+        Json::Obj(map)
     }
 
     /// Rebuilds a tracker from [`Self::checkpoint_json`] output.
@@ -275,52 +246,40 @@ impl SyncTracker {
     /// # Errors
     /// Returns a message naming the first malformed or missing field.
     pub fn from_checkpoint_json(json: &Json) -> Result<Self, String> {
-        let opt_time = |k: &str| match json.get(k) {
+        // `obj.key` as a time or null; the error names it as `field`.
+        let opt_time = |obj: &Json, key: &str, field: &str| match obj.get(key) {
             None | Some(Json::Null) => Ok(None),
             Some(v) => v
                 .as_u64()
                 .map(|t| Some(SimTime(t)))
-                .ok_or_else(|| format!("tracker: '{k}' must be an integer or null")),
+                .ok_or_else(|| format!("tracker: '{field}' must be an integer or null")),
         };
         let int = |k: &str| {
             json.get(k)
                 .and_then(Json::as_u64)
                 .ok_or_else(|| format!("tracker: missing integer field '{k}'"))
         };
-        let retry = |k: &str| -> Result<RetryState, String> {
+        let mut tracker = Self::new();
+        for attr in Attribute::ALL {
+            let key = format!("last_{}_ms", attr.label());
+            tracker.last[attr as usize] = opt_time(json, &key, &key)?;
+        }
+        tracker.updates_sent = int("updates_sent")?;
+        tracker.retries_sent = int("retries_sent")?;
+        for attr in Attribute::ALL {
+            let k = format!("retry_{}", attr.label());
             let obj = json
-                .get(k)
+                .get(&k)
                 .ok_or_else(|| format!("tracker: missing object field '{k}'"))?;
-            let next = match obj.get("next_ms") {
-                None | Some(Json::Null) => None,
-                Some(v) => Some(SimTime(v.as_u64().ok_or_else(|| {
-                    format!("tracker: '{k}.next_ms' must be an integer or null")
-                })?)),
-            };
+            let next = opt_time(obj, "next_ms", &format!("{k}.next_ms"))?;
             let attempts = obj
                 .get("attempts")
                 .and_then(Json::as_u64)
                 .and_then(|n| u32::try_from(n).ok())
                 .ok_or_else(|| format!("tracker: '{k}.attempts' must be an integer"))?;
-            Ok(RetryState { next, attempts })
-        };
-        Ok(Self {
-            last_channel: opt_time("last_channel_ms")?,
-            last_location: opt_time("last_location_ms")?,
-            last_preference: opt_time("last_preference_ms")?,
-            updates_sent: int("updates_sent")?,
-            retries_sent: int("retries_sent")?,
-            retry_channel: retry("retry_channel")?,
-            retry_location: retry("retry_location")?,
-            retry_preference: retry("retry_preference")?,
-        })
-    }
-}
-
-fn due(last: Option<SimTime>, every: SimDuration, now: SimTime) -> bool {
-    match last {
-        None => true,
-        Some(t) => now.since(t) >= every,
+            tracker.retry[attr as usize] = RetryState { next, attempts };
+        }
+        Ok(tracker)
     }
 }
 
@@ -328,95 +287,122 @@ fn due(last: Option<SimTime>, every: SimDuration, now: SimTime) -> bool {
 mod tests {
     use super::*;
 
+    /// Whether `attr` is due at `secs` with every period at 60 s, so
+    /// retries (seconds apart) stand out from regular sends.
+    fn due_at(tracker: &SyncTracker, attr: Attribute, secs: u64) -> bool {
+        let minute = SimDuration::from_secs(60);
+        let policy = CollectionPolicy {
+            channel_every: minute,
+            location_every: minute,
+            preference_every: minute,
+        };
+        tracker.due(attr, &policy, SimTime::from_secs(secs))
+    }
+
+    /// Up to `max_attempts` retries, 2 s initial backoff.
+    fn retry(max_attempts: u32) -> RetryPolicy {
+        RetryPolicy {
+            max_attempts,
+            backoff: SimDuration::from_secs(2),
+        }
+    }
+
     #[test]
     fn everything_due_initially() {
         let tracker = SyncTracker::new();
         let policy = CollectionPolicy::default();
-        let now = SimTime::ZERO;
-        assert!(tracker.channel_due(&policy, now));
-        assert!(tracker.location_due(&policy, now));
-        assert!(tracker.preference_due(&policy, now));
+        for attr in Attribute::ALL {
+            assert!(tracker.due(attr, &policy, SimTime::ZERO), "{attr:?}");
+        }
     }
 
     #[test]
     fn due_respects_periods() {
-        let mut tracker = SyncTracker::new();
         let policy = CollectionPolicy::default();
-        tracker.mark_channel(SimTime::from_secs(10));
-        assert!(!tracker.channel_due(&policy, SimTime::from_secs(10)));
-        assert!(!tracker.channel_due(&policy, SimTime(10_999)));
-        assert!(tracker.channel_due(&policy, SimTime::from_secs(11)));
+        let at = SimTime::from_secs(10);
+        for attr in Attribute::ALL {
+            let mut tracker = SyncTracker::new();
+            tracker.mark(attr, at);
+            let next = at + policy.every(attr);
+            assert!(!tracker.due(attr, &policy, at), "{attr:?}");
+            assert!(!tracker.due(attr, &policy, SimTime(next.0 - 1)), "{attr:?}");
+            assert!(tracker.due(attr, &policy, next), "{attr:?}");
+            for other in Attribute::ALL.into_iter().filter(|&o| o != attr) {
+                assert!(tracker.due(other, &policy, at), "{other:?} is untouched");
+            }
+        }
     }
 
     #[test]
     fn updates_are_counted() {
         let mut tracker = SyncTracker::new();
-        tracker.mark_channel(SimTime::ZERO);
-        tracker.mark_location(SimTime::ZERO);
-        tracker.mark_preference(SimTime::ZERO);
+        for attr in Attribute::ALL {
+            tracker.mark(attr, SimTime::ZERO);
+        }
         assert_eq!(tracker.updates_sent(), 3);
     }
 
     #[test]
     fn lost_reports_retry_with_backoff() {
-        let mut tracker = SyncTracker::new();
-        let policy = CollectionPolicy {
-            preference_every: SimDuration::from_secs(60),
-            ..Default::default()
-        };
-        let retry = RetryPolicy {
-            max_attempts: 2,
-            backoff: SimDuration::from_secs(2),
-        };
-        // The report at t=0 is lost: not due again until the 2 s backoff.
-        tracker.mark_preference_lost(SimTime::ZERO, &retry);
-        assert_eq!(tracker.updates_sent(), 1, "the lost send cost signalling");
-        assert!(!tracker.preference_due(&policy, SimTime::from_secs(1)));
-        assert!(tracker.preference_due(&policy, SimTime::from_secs(2)));
-        // The retry is lost too: backoff doubles to 4 s.
-        tracker.mark_preference_lost(SimTime::from_secs(2), &retry);
-        assert_eq!(tracker.retries_sent(), 1, "the second send was a retry");
-        assert!(!tracker.preference_due(&policy, SimTime::from_secs(5)));
-        assert!(tracker.preference_due(&policy, SimTime::from_secs(6)));
-        // The second retry succeeds; the episode clears.
-        tracker.mark_preference(SimTime::from_secs(6));
-        assert_eq!(tracker.retries_sent(), 2);
-        assert_eq!(tracker.updates_sent(), 3);
-        assert!(!tracker.preference_due(&policy, SimTime::from_secs(30)));
-        assert!(tracker.preference_due(&policy, SimTime::from_secs(66)));
+        for attr in Attribute::ALL {
+            let mut tracker = SyncTracker::new();
+            // The report at t=0 is lost: not due again until the 2 s backoff.
+            tracker.mark_lost(attr, SimTime::ZERO, &retry(2));
+            assert_eq!(tracker.updates_sent(), 1, "{attr:?}: the lost send counts");
+            assert!(
+                !due_at(&tracker, attr, 1) && due_at(&tracker, attr, 2),
+                "{attr:?}"
+            );
+            // The retry is lost too: backoff doubles to 4 s.
+            tracker.mark_lost(attr, SimTime::from_secs(2), &retry(2));
+            assert_eq!(
+                tracker.retries_sent(),
+                1,
+                "{attr:?}: the second send retried"
+            );
+            assert!(
+                !due_at(&tracker, attr, 5) && due_at(&tracker, attr, 6),
+                "{attr:?}"
+            );
+            // The second retry succeeds; the episode clears.
+            tracker.mark(attr, SimTime::from_secs(6));
+            assert_eq!(
+                (tracker.retries_sent(), tracker.updates_sent()),
+                (2, 3),
+                "{attr:?}"
+            );
+            assert!(
+                !due_at(&tracker, attr, 30) && due_at(&tracker, attr, 66),
+                "{attr:?}"
+            );
+        }
     }
 
     #[test]
     fn retry_attempts_are_bounded() {
-        let mut tracker = SyncTracker::new();
-        let policy = CollectionPolicy::default();
-        let retry = RetryPolicy {
-            max_attempts: 1,
-            backoff: SimDuration::from_secs(2),
-        };
-        tracker.mark_preference_lost(SimTime::ZERO, &retry);
-        // The single allowed retry is lost as well: the episode is given
-        // up, and only the regular 60 s period can trigger the next send.
-        tracker.mark_preference_lost(SimTime::from_secs(2), &retry);
-        assert!(!tracker.preference_due(&policy, SimTime::from_secs(30)));
-        assert!(tracker.preference_due(&policy, SimTime::from_secs(62)));
+        for attr in Attribute::ALL {
+            let mut tracker = SyncTracker::new();
+            tracker.mark_lost(attr, SimTime::ZERO, &retry(1));
+            // The single allowed retry is lost as well: the episode is
+            // given up, and only the regular 60 s period can trigger the
+            // next send.
+            tracker.mark_lost(attr, SimTime::from_secs(2), &retry(1));
+            assert!(
+                !due_at(&tracker, attr, 30) && due_at(&tracker, attr, 62),
+                "{attr:?}"
+            );
+        }
     }
 
     #[test]
     fn zero_attempts_disables_retry() {
-        let mut tracker = SyncTracker::new();
-        let policy = CollectionPolicy::default();
-        let retry = RetryPolicy {
-            max_attempts: 0,
-            backoff: SimDuration::from_secs(2),
-        };
-        tracker.mark_channel_lost(SimTime::ZERO, &retry);
-        assert!(!tracker.channel_due(&policy, SimTime(500)));
-        assert!(
-            tracker.channel_due(&policy, SimTime::from_secs(1)),
-            "regular period"
-        );
-        assert_eq!(tracker.retries_sent(), 0);
+        for attr in Attribute::ALL {
+            let mut tracker = SyncTracker::new();
+            tracker.mark_lost(attr, SimTime::ZERO, &retry(0));
+            assert!(!due_at(&tracker, attr, 2), "{attr:?}: no retry");
+            assert!(due_at(&tracker, attr, 60), "{attr:?}: regular period");
+            assert_eq!(tracker.retries_sent(), 0, "{attr:?}");
+        }
     }
 
     #[test]
@@ -438,21 +424,25 @@ mod tests {
     #[test]
     fn tracker_checkpoint_round_trip_preserves_retry_state() {
         let mut tracker = SyncTracker::new();
-        let retry = RetryPolicy {
-            max_attempts: 3,
-            backoff: SimDuration::from_secs(2),
+        tracker.mark(Attribute::Channel, SimTime::from_secs(4));
+        tracker.mark_lost(Attribute::Location, SimTime::from_secs(5), &retry(3));
+        tracker.mark_lost(Attribute::Location, SimTime::from_secs(7), &retry(3));
+        tracker.mark_lost(Attribute::Preference, SimTime::from_secs(6), &retry(3));
+        let json = tracker.checkpoint_json();
+        let Json::Obj(map) = &json else {
+            panic!("tracker checkpoint must be an object")
         };
-        tracker.mark_channel(SimTime::from_secs(4));
-        tracker.mark_location_lost(SimTime::from_secs(5), &retry);
-        tracker.mark_location_lost(SimTime::from_secs(7), &retry);
-        tracker.mark_preference_lost(SimTime::from_secs(6), &retry);
-        let text = tracker.checkpoint_json().to_string();
+        let keys: Vec<&str> = map.keys().map(String::as_str).collect();
+        let v1_keys = "last_channel_ms last_location_ms last_preference_ms retries_sent \
+                       retry_channel retry_location retry_preference updates_sent";
+        assert_eq!(keys, v1_keys.split_whitespace().collect::<Vec<_>>());
+        let text = json.to_string();
         let back = SyncTracker::from_checkpoint_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, tracker, "checkpoint round trip must be exact");
         // The in-flight episode resumes: location retry due at 7 s + 4 s.
         let policy = CollectionPolicy::default();
-        assert!(!back.location_due(&policy, SimTime::from_secs(10)));
-        assert!(back.retry_location.due(SimTime::from_secs(11)));
+        assert!(!back.due(Attribute::Location, &policy, SimTime::from_secs(10)));
+        assert!(back.retry[Attribute::Location as usize].due(SimTime::from_secs(11)));
     }
 
     #[test]
