@@ -20,6 +20,9 @@ const DEFAULT_SNR_DB: f64 = 10.0;
 
 /// How the predictor estimates each member's channel condition for the
 /// next interval.
+///
+/// The twin's recent mean is the one estimator. It stays an enum because
+/// `e2ebench/` destructures the variant by name.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SnrEstimator {
     /// Mean of the last `window` twin channel samples (robust to fading,
@@ -27,17 +30,6 @@ pub enum SnrEstimator {
     RecentMean {
         /// Number of recent samples averaged.
         window: usize,
-    },
-    /// Dead-reckon the user's position to the interval midpoint from the
-    /// twin's location series, then compute the expected SNR from the
-    /// path-loss model. `fading_offset_db` converts the fading-averaged
-    /// SNR to the mean of dB-domain samples (≈ −2.5 dB for Rayleigh).
-    ///
-    /// Falls back to the recent mean when the twin has no location data
-    /// or no base-station positions are configured.
-    Extrapolated {
-        /// dB offset applied for the fading distribution.
-        fading_offset_db: f64,
     },
 }
 
@@ -137,9 +129,8 @@ pub struct SchemeConfig {
     pub map_width: f64,
     /// Campus extent used to normalise twin locations.
     pub map_height: f64,
-    /// Base-station positions, used by the extrapolating SNR estimator and
-    /// (when [`SchemeConfig::per_bs_accounting`] is set) by per-BS radio
-    /// accounting.
+    /// Base-station positions, used by per-BS radio accounting when
+    /// [`SchemeConfig::per_bs_accounting`] is set.
     pub bs_positions: Vec<msvs_types::Position>,
     /// Account radio demand per BS: each BS multicasts the group stream to
     /// its attached members (nearest-BS association from the twin's last
@@ -437,30 +428,9 @@ impl DtAssistedPredictor {
 
     /// Estimates one member's SNR for the coming interval per the
     /// configured [`SnrEstimator`].
-    fn estimate_snr(&self, twin: &UserDigitalTwin, link: &Link) -> f64 {
-        let recent = |window: usize| twin.mean_recent_snr_db(window).unwrap_or(DEFAULT_SNR_DB);
-        match self.config.snr_estimator {
-            SnrEstimator::RecentMean { window } => recent(window),
-            SnrEstimator::Extrapolated { fading_offset_db } => {
-                if self.config.bs_positions.is_empty() {
-                    return recent(64);
-                }
-                let horizon = self.config.demand.interval.as_secs_f64() / 2.0;
-                match twin.extrapolated_position(
-                    horizon,
-                    self.config.map_width,
-                    self.config.map_height,
-                ) {
-                    Some(pos) => {
-                        let (_, dist) = pos
-                            .nearest(&self.config.bs_positions)
-                            .expect("at least one BS, checked above");
-                        link.mean_snr_db(dist) + fading_offset_db
-                    }
-                    None => recent(64),
-                }
-            }
-        }
+    fn estimate_snr(&self, twin: &UserDigitalTwin) -> f64 {
+        let SnrEstimator::RecentMean { window } = self.config.snr_estimator;
+        twin.mean_recent_snr_db(window).unwrap_or(DEFAULT_SNR_DB)
     }
 
     /// Runs one full prediction pass over the twins in `store`.
@@ -526,7 +496,7 @@ impl DtAssistedPredictor {
             let members: Vec<crate::demand::MemberState> = member_twins
                 .iter()
                 .map(|t| {
-                    let snr = self.estimate_snr(t, link);
+                    let snr = self.estimate_snr(t);
                     let bs =
                         if !self.config.per_bs_accounting || self.config.bs_positions.is_empty() {
                             0
@@ -828,70 +798,25 @@ mod snr_estimator_tests {
     use super::*;
     use msvs_types::{Position, SimTime};
 
-    fn twin_moving_away() -> UserDigitalTwin {
+    #[test]
+    fn recent_mean_reports_history_average() {
+        let p = DtAssistedPredictor::new(SchemeConfig {
+            snr_estimator: SnrEstimator::RecentMean { window: 64 },
+            ..SchemeConfig::default()
+        })
+        .expect("valid config");
+        // Strong samples while moving away at 4 m/s: the estimate follows
+        // the collected channel, not the trajectory.
         let mut twin = UserDigitalTwin::new(UserId(1));
-        // Near the BS with strong samples, but moving away at 4 m/s.
         for s in 0..10u64 {
             let t = SimTime::from_secs(s * 10);
             twin.update_channel(t, 20.0);
             twin.update_location(t, Position::new(100.0 + s as f64 * 40.0, 500.0));
         }
-        twin
-    }
-
-    fn predictor_with(estimator: SnrEstimator) -> DtAssistedPredictor {
-        DtAssistedPredictor::new(SchemeConfig {
-            bs_positions: vec![Position::new(100.0, 500.0)],
-            snr_estimator: estimator,
-            ..SchemeConfig::default()
-        })
-        .expect("valid config")
-    }
-
-    #[test]
-    fn recent_mean_reports_history_average() {
-        let p = predictor_with(SnrEstimator::RecentMean { window: 64 });
-        let link = Link::new(msvs_channel::LinkConfig::default());
-        let snr = p.estimate_snr(&twin_moving_away(), &link);
+        let snr = p.estimate_snr(&twin);
         assert!((snr - 20.0).abs() < 1e-9, "mean of identical samples");
-    }
-
-    #[test]
-    fn extrapolated_projects_ahead_of_last_position() {
-        let p = predictor_with(SnrEstimator::Extrapolated {
-            fading_offset_db: -2.5,
-        });
-        let link = Link::new(msvs_channel::LinkConfig::default());
-        let twin = twin_moving_away();
-        let snr = p.estimate_snr(&twin, &link);
-        // The last known position is 460 m out, midpoint projection adds 150 s x 4 m/s:
-        // the estimate must be well below the SNR at the last position.
-        let last_pos = twin.latest_position().unwrap();
-        let at_last = link.mean_snr_db(last_pos.distance_to(Position::new(100.0, 500.0))) - 2.5;
-        assert!(
-            snr < at_last - 3.0,
-            "projection must anticipate the retreat: {snr:.1} vs {at_last:.1}"
-        );
-    }
-
-    #[test]
-    fn extrapolated_falls_back_without_bs_or_location() {
-        // No BS positions configured: falls back to recent mean.
-        let p = DtAssistedPredictor::new(SchemeConfig {
-            snr_estimator: SnrEstimator::Extrapolated {
-                fading_offset_db: -2.5,
-            },
-            ..SchemeConfig::default()
-        })
-        .expect("valid config");
-        let link = Link::new(msvs_channel::LinkConfig::default());
-        assert!((p.estimate_snr(&twin_moving_away(), &link) - 20.0).abs() < 1e-9);
-        // No location data at all: recent mean again.
-        let p = predictor_with(SnrEstimator::Extrapolated {
-            fading_offset_db: -2.5,
-        });
-        let mut bare = UserDigitalTwin::new(UserId(2));
-        bare.update_channel(SimTime::ZERO, 7.0);
-        assert!((p.estimate_snr(&bare, &link) - 7.0).abs() < 1e-9);
+        // No channel sample yet: the default.
+        let bare = UserDigitalTwin::new(UserId(2));
+        assert_eq!(p.estimate_snr(&bare), DEFAULT_SNR_DB);
     }
 }

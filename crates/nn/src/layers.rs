@@ -773,7 +773,7 @@ mod tests {
 
     /// Central-difference numerical gradient check for a layer's input
     /// gradient and parameter gradients.
-    pub(super) fn check_gradients(layer: &mut dyn Layer, input: Tensor, tol: f32) {
+    fn check_gradients(layer: &mut dyn Layer, input: Tensor, tol: f32) {
         let eps = 1e-3_f32;
         // Loss = sum of outputs; dL/dout = ones.
         let out = layer.forward(&input, true);
@@ -941,122 +941,5 @@ mod tests {
         let yb = b.forward(&x, false);
         assert_eq!(ya.data(), &[0.0, 0.0]);
         assert_eq!(yb.data(), ya.data(), "zero input -> bias only (zeros)");
-    }
-}
-
-/// Dueling network head (Wang et al., 2016): splits the representation
-/// into a scalar state-value stream `V` and a per-action advantage stream
-/// `A`, recombining as `Q(s, a) = V(s) + A(s, a) − mean_a A(s, a)`.
-///
-/// The mean-centring keeps the decomposition identifiable and makes value
-/// generalise across actions — useful when many grouping counts share
-/// similar outcomes.
-#[derive(Debug, Clone)]
-pub struct DuelingHead {
-    value: Dense,
-    advantage: Dense,
-}
-
-impl DuelingHead {
-    /// Builds a head mapping `in_dim` features to `actions` Q-values.
-    ///
-    /// # Panics
-    /// Panics if `in_dim` or `actions` is zero.
-    pub fn new(in_dim: usize, actions: usize, seed: u64) -> Self {
-        Self {
-            value: Dense::new(in_dim, 1, seed ^ 0xD0E1),
-            advantage: Dense::new(in_dim, actions, seed ^ 0xD0E2),
-        }
-    }
-
-    /// Number of actions produced.
-    pub fn actions(&self) -> usize {
-        self.advantage.out_dim()
-    }
-
-    fn combine(v: &Tensor, a: &Tensor) -> Tensor {
-        let (batch, actions) = (a.shape()[0], a.shape()[1]);
-        let mut q = Tensor::zeros(vec![batch, actions]);
-        for b in 0..batch {
-            let mean_a: f32 = (0..actions).map(|i| a.get2(b, i)).sum::<f32>() / actions as f32;
-            for i in 0..actions {
-                q.set2(b, i, v.get2(b, 0) + a.get2(b, i) - mean_a);
-            }
-        }
-        q
-    }
-}
-
-impl Layer for DuelingHead {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let v = self.value.forward(input, train);
-        let a = self.advantage.forward(input, train);
-        Self::combine(&v, &a)
-    }
-
-    fn infer(&self, input: &Tensor) -> Tensor {
-        let v = self.value.infer(input);
-        let a = self.advantage.infer(input);
-        Self::combine(&v, &a)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let (batch, actions) = (grad_out.shape()[0], grad_out.shape()[1]);
-        // dV[b] = sum_i g[b,i]; dA[b,i] = g[b,i] - mean_j g[b,j].
-        let mut grad_v = Tensor::zeros(vec![batch, 1]);
-        let mut grad_a = Tensor::zeros(vec![batch, actions]);
-        for b in 0..batch {
-            let total: f32 = (0..actions).map(|i| grad_out.get2(b, i)).sum();
-            grad_v.set2(b, 0, total);
-            let mean = total / actions as f32;
-            for i in 0..actions {
-                grad_a.set2(b, i, grad_out.get2(b, i) - mean);
-            }
-        }
-        let gv = self.value.backward(&grad_v);
-        let ga = self.advantage.backward(&grad_a);
-        gv.add(&ga)
-    }
-
-    fn zero_grad(&mut self) {
-        self.value.zero_grad();
-        self.advantage.zero_grad();
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
-        self.value.visit_params(f);
-        self.advantage.visit_params(f);
-    }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-}
-
-#[cfg(test)]
-mod dueling_tests {
-    use super::*;
-
-    #[test]
-    fn dueling_gradients_match_numeric() {
-        let mut layer = DuelingHead::new(3, 4, 17);
-        let input = Tensor::from_vec(vec![0.4, -0.3, 0.9, -0.5, 0.2, 0.7], vec![2, 3]).unwrap();
-        tests::check_gradients(&mut layer, input, 3e-2);
-    }
-
-    #[test]
-    fn q_values_are_mean_centred_around_value() {
-        let mut layer = DuelingHead::new(2, 3, 5);
-        let x = Tensor::from_vec(vec![0.5, -0.5], vec![1, 2]).unwrap();
-        let q = layer.forward(&x, false);
-        // Recover V as the mean of the Q row (advantages are centred).
-        let mean_q: f32 = q.row(0).iter().sum::<f32>() / 3.0;
-        let v = layer.value.forward(&x, false).get2(0, 0);
-        assert!((mean_q - v).abs() < 1e-5, "mean Q {mean_q} vs V {v}");
-    }
-
-    #[test]
-    fn head_reports_action_count() {
-        assert_eq!(DuelingHead::new(4, 7, 0).actions(), 7);
     }
 }

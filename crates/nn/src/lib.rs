@@ -44,7 +44,7 @@ pub mod optim;
 pub mod tensor;
 
 pub use kernels::{Scratch, Shape};
-pub use layers::{Conv1d, Dense, DuelingHead, Flatten, Layer, MaxPool1d, Relu, Tanh};
+pub use layers::{Conv1d, Dense, Flatten, Layer, MaxPool1d, Relu, Tanh};
 pub use loss::{huber_loss, masked_mse_loss, mse_loss};
 pub use network::Sequential;
 pub use optim::{Adam, Optimizer, Sgd};

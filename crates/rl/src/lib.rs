@@ -2,10 +2,9 @@
 //!
 //! The paper uses a DDQN to pick the number of multicast groups from mined
 //! user-similarity statistics. This crate provides the generic agent: an
-//! experience [`ReplayBuffer`], an ε-greedy [`EpsilonSchedule`], the
-//! [`Environment`] abstraction, and the [`DdqnAgent`] itself (van Hasselt et
-//! al., 2016: action selection by the online network, evaluation by the
-//! target network).
+//! experience [`ReplayBuffer`], an ε-greedy [`EpsilonSchedule`] and the
+//! [`DdqnAgent`] itself (van Hasselt et al., 2016: action selection by the
+//! online network, evaluation by the target network).
 //!
 //! # Examples
 //!
@@ -31,13 +30,9 @@
 //! ```
 
 pub mod ddqn;
-pub mod env;
-pub mod per;
 pub mod replay;
 pub mod schedule;
 
-pub use ddqn::{DdqnAgent, DdqnConfig, PerConfig};
-pub use env::Environment;
-pub use per::{PrioritizedReplay, PrioritizedSample};
+pub use ddqn::{DdqnAgent, DdqnConfig};
 pub use replay::{ReplayBuffer, Transition};
 pub use schedule::EpsilonSchedule;

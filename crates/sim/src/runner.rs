@@ -54,6 +54,9 @@ struct SimUser {
     interval_snrs: Vec<f64>,
     /// Fault-injection state; untouched when no fault plan is active.
     faults: UserFaults,
+    /// Nearest BS at the end of the last interval; `None` for a fresh
+    /// arrival, so churn never counts as a handover.
+    last_bs: Option<usize>,
 }
 
 /// The resolved fault-injection machinery, present only when the
@@ -99,6 +102,7 @@ impl SimUser {
             tracker: SyncTracker::new(),
             interval_snrs: Vec::new(),
             faults: UserFaults::default(),
+            last_bs: None,
         }
     }
 
@@ -157,7 +161,6 @@ pub struct Simulation {
     churn_rng: StdRng,
     churned_users: u64,
     prev_assignments: Option<std::collections::HashMap<UserId, usize>>,
-    prev_bs: std::collections::HashMap<UserId, usize>,
     last_outcome: Option<PredictionOutcome>,
     telemetry: Telemetry,
     slo: Option<SloWatchdog>,
@@ -295,7 +298,6 @@ impl Simulation {
             churn_rng,
             churned_users: 0,
             prev_assignments: None,
-            prev_bs: std::collections::HashMap::new(),
             last_outcome: None,
             telemetry,
             slo,
@@ -950,18 +952,16 @@ impl Simulation {
 
         // Handovers: users whose nearest BS changed since last interval.
         let mut handovers = 0u64;
-        for user in &self.users {
+        for user in &mut self.users {
             let (bs, _) = user
                 .mobility
                 .position()
                 .nearest(&self.bs_positions)
                 .expect("at least one BS");
-            if let Some(&prev) = self.prev_bs.get(&user.id) {
-                if prev != bs {
-                    handovers += 1;
-                }
+            if user.last_bs.is_some_and(|prev| prev != bs) {
+                handovers += 1;
             }
-            self.prev_bs.insert(user.id, bs);
+            user.last_bs = Some(bs);
         }
 
         let updates_total: u64 = self.users.iter().map(|u| u.tracker.updates_sent()).sum();
@@ -1376,8 +1376,8 @@ fn send_report(
 fn resolve_scenario(config: &mut SimulationConfig) -> (CampusMap, Vec<Position>, Pool) {
     let map = CampusMap::waterloo();
     let bs_positions = bs_grid(&map, config.n_bs);
-    // The scheme always knows the BS layout (its SNR extrapolator needs
-    // it); per-BS radio accounting stays an explicit extension mode.
+    // The scheme always knows the BS layout; only per-BS radio
+    // accounting, an explicit extension mode, reads it.
     config.scheme.bs_positions = bs_positions.clone();
     config.scheme.per_bs_accounting = config.per_bs_accounting;
     config.scheme.map_width = map.width();
@@ -1632,6 +1632,33 @@ mod tests {
             assert!(r.actual_radio.value() > 0.0);
             assert!((0.0..=1.0).contains(&r.radio_accuracy));
         }
+    }
+
+    #[test]
+    fn churned_arrivals_are_not_handovers() {
+        // Seated users never change cell, so every handover would be an
+        // arrival compared with the cell of the user whose slot it took.
+        let cfg = SimulationConfig {
+            n_users: 40,
+            n_intervals: 4,
+            pretrain_rounds: 10,
+            mobility: crate::config::MobilityMix {
+                waypoint: 0.0,
+                gauss_markov: 0.0,
+                static_users: 1.0,
+            },
+            churn_rate: 0.25,
+            threads: 1,
+            shards: 1,
+            ..small_config(19)
+        };
+        let mut sim = Simulation::new(cfg).unwrap();
+        sim.warm_up().unwrap();
+        let handovers: Vec<u64> = (0..4)
+            .map(|i| sim.run_interval(i).unwrap().handovers)
+            .collect();
+        assert_eq!(sim.churned_users(), 4 * 10, "25% of 40 users per interval");
+        assert_eq!(handovers, vec![0; 4]);
     }
 
     #[test]

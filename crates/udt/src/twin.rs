@@ -334,43 +334,6 @@ impl UserDigitalTwin {
         &self.preference
     }
 
-    /// Velocity estimate (m/s per axis) from the two most recent location
-    /// samples, or `None` with fewer than two samples or coincident
-    /// timestamps.
-    pub fn velocity_estimate(&self) -> Option<Position> {
-        let n = self.location.len();
-        if n < 2 {
-            return None;
-        }
-        let samples: Vec<&(SimTime, Position)> = self.location.iter().skip(n - 2).collect();
-        let (t0, p0) = *samples[0];
-        let (t1, p1) = *samples[1];
-        let dt = t1.since(t0).as_secs_f64();
-        if dt <= 0.0 {
-            return None;
-        }
-        Some(Position::new((p1.x - p0.x) / dt, (p1.y - p0.y) / dt))
-    }
-
-    /// Dead-reckoned position `horizon_secs` past the newest location
-    /// sample (clamped into the map), or the last known position when no
-    /// velocity estimate exists.
-    ///
-    /// This is the "digital twin predicts where its user will be" feature
-    /// the channel extrapolation estimator builds on.
-    pub fn extrapolated_position(
-        &self,
-        horizon_secs: f64,
-        map_width: f64,
-        map_height: f64,
-    ) -> Option<Position> {
-        let last = self.latest_position()?;
-        match self.velocity_estimate() {
-            Some(v) => Some((last + v * horizon_secs).clamp_to(map_width, map_height)),
-            None => Some(last),
-        }
-    }
-
     /// Channel-condition series.
     pub fn channel_series(&self) -> &TimeSeries<f64> {
         &self.channel_db
@@ -926,49 +889,6 @@ mod tests {
         }
         let err = UserDigitalTwin::from_checkpoint_json(&json).unwrap_err();
         assert!(err.contains("revs"), "{err}");
-    }
-}
-
-#[cfg(test)]
-mod extrapolation_tests {
-    use super::*;
-
-    #[test]
-    fn velocity_from_two_samples() {
-        let mut twin = UserDigitalTwin::new(UserId(1));
-        assert_eq!(twin.velocity_estimate(), None);
-        twin.update_location(SimTime::from_secs(0), Position::new(0.0, 0.0));
-        assert_eq!(twin.velocity_estimate(), None, "one sample is not enough");
-        twin.update_location(SimTime::from_secs(10), Position::new(20.0, -10.0));
-        let v = twin.velocity_estimate().unwrap();
-        assert!((v.x - 2.0).abs() < 1e-9);
-        assert!((v.y + 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn extrapolation_dead_reckons_and_clamps() {
-        let mut twin = UserDigitalTwin::new(UserId(1));
-        assert_eq!(twin.extrapolated_position(5.0, 100.0, 100.0), None);
-        twin.update_location(SimTime::from_secs(0), Position::new(50.0, 50.0));
-        // No velocity yet: stays put.
-        assert_eq!(
-            twin.extrapolated_position(5.0, 100.0, 100.0),
-            Some(Position::new(50.0, 50.0))
-        );
-        twin.update_location(SimTime::from_secs(10), Position::new(90.0, 50.0));
-        // 4 m/s east; 5 s ahead = x 110 clamped to 100.
-        assert_eq!(
-            twin.extrapolated_position(5.0, 100.0, 100.0),
-            Some(Position::new(100.0, 50.0))
-        );
-    }
-
-    #[test]
-    fn coincident_timestamps_give_no_velocity() {
-        let mut twin = UserDigitalTwin::new(UserId(1));
-        twin.update_location(SimTime::from_secs(5), Position::new(0.0, 0.0));
-        twin.update_location(SimTime::from_secs(5), Position::new(9.0, 9.0));
-        assert_eq!(twin.velocity_estimate(), None);
     }
 }
 

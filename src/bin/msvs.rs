@@ -571,16 +571,37 @@ fn cmd_checkpoint(args: &[String]) -> Result<(), String> {
 }
 
 /// Reloads a `msvs checkpoint` file into fresh shards and verifies each
-/// restore (twin count, nonce monotonicity) before summarising it.
+/// restore (twin count, nonce monotonicity) before summarising it. A
+/// shard id may appear on one line only, and a user in one shard only.
 fn restore_checkpoint(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let mut shards = 0usize;
     let mut twins = 0usize;
+    // Shard id -> line, and user -> (line, shard), of the first sighting.
+    let mut shard_lines = BTreeMap::new();
+    let mut owners = BTreeMap::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
         let ckpt = ShardCheckpoint::parse(line).map_err(|e| format!("{path}:{}: {e}", i + 1))?;
+        if let Some(first) = shard_lines.insert(ckpt.shard, i + 1) {
+            return Err(format!(
+                "{path}:{}: shard {} already checkpointed on line {first}",
+                i + 1,
+                ckpt.shard,
+            ));
+        }
+        for entry in &ckpt.twins {
+            let user = entry.twin.user();
+            if let Some((first, shard)) = owners.insert(user, (i + 1, ckpt.shard)) {
+                return Err(format!(
+                    "{path}:{}: user {user} in shard {} already checkpointed in shard {shard} on line {first}",
+                    i + 1,
+                    ckpt.shard,
+                ));
+            }
+        }
         let shard = Shard::new(ckpt.shard, 1.0);
         let restored = ckpt.restore_into(&shard);
         if shard.len() != ckpt.len() || restored.len() != ckpt.len() {
@@ -1162,6 +1183,45 @@ mod tests {
         std::fs::write(&path, json).unwrap();
         let plan = resolve_faults(path.to_str().unwrap()).unwrap();
         assert_eq!(plan, FaultPlan::builtin("brownout").unwrap());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn restore_rejects_a_user_or_shard_checkpointed_twice() {
+        use msvs::udt::{SyncTracker, UserDigitalTwin};
+        let checkpoint = |shard: usize, users: &[u32]| {
+            ShardCheckpoint {
+                shard,
+                interval: 1,
+                next_instance: 1,
+                twins: users
+                    .iter()
+                    .map(|&u| msvs::shard::CheckpointEntry {
+                        twin: UserDigitalTwin::new(msvs::types::UserId(u)),
+                        tracker: SyncTracker::new(),
+                    })
+                    .collect(),
+                embedding_keys: Vec::new(),
+            }
+            .to_json()
+            .to_string()
+        };
+        let path = std::env::temp_dir().join("msvs-cli-checkpoint-test.jsonl");
+        let restore = |lines: &[String]| {
+            std::fs::write(&path, lines.join("\n")).unwrap();
+            restore_checkpoint(path.to_str().unwrap())
+        };
+        assert!(restore(&[checkpoint(0, &[1, 2]), checkpoint(1, &[3])]).is_ok());
+        let err = restore(&[checkpoint(0, &[1, 2]), checkpoint(1, &[3, 1])]).unwrap_err();
+        assert!(
+            err.ends_with(":2: user u1 in shard 1 already checkpointed in shard 0 on line 1"),
+            "{err}"
+        );
+        let err = restore(&[checkpoint(0, &[1]), checkpoint(0, &[2])]).unwrap_err();
+        assert!(
+            err.ends_with(":2: shard 0 already checkpointed on line 1"),
+            "{err}"
+        );
         std::fs::remove_file(&path).ok();
     }
 
