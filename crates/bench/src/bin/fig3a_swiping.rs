@@ -16,12 +16,8 @@ use msvs_sim::Simulation;
 use msvs_types::VideoCategory;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let config = paper_scenario(120, 12, 42);
-    let mut sim = Simulation::new(config.clone())?;
-    sim.warm_up()?;
-    for i in 0..config.n_intervals {
-        sim.run_interval(i)?;
-    }
+    let mut sim = Simulation::new(paper_scenario(120, 12, 42))?;
+    sim.run_schedule()?;
     let outcome = sim.last_outcome().expect("intervals ran");
 
     // "Multicast group 1": the paper plots a News-leaning group (News

@@ -84,9 +84,11 @@ pub struct GroupingConfig {
     pub threads: usize,
     /// Silhouette evaluation budget: populations larger than this score an
     /// evenly strided subsample (deterministic, no RNG) instead of the full
-    /// O(n²) scan. `0` disables sampling. Populations at or below the cap
-    /// — every committed experiment and test — are bit-identical either
-    /// way; the cap only makes 100k-user benches tractable.
+    /// O(n²) scan. `0` disables sampling; 1 and 2 are rejected, since a
+    /// sample that small scores every silhouette 0. Populations at or
+    /// below the cap — every committed experiment and test — are
+    /// bit-identical either way; the cap only makes 100k-user benches
+    /// tractable.
     pub silhouette_sample_cap: usize,
     /// Ignored; kept because `e2ebench/` names it; drop at the next
     /// benchmark change. Every construction re-selects `K` and seeds
@@ -131,6 +133,14 @@ impl GroupingConfig {
         }
         if self.group_cost < 0.0 {
             return Err(Error::invalid_config("group_cost", "must be non-negative"));
+        }
+        // One or two sampled users are all singletons or one cluster, so
+        // every silhouette (and the reward's silhouette term) would be 0.
+        if matches!(self.silhouette_sample_cap, 1 | 2) {
+            return Err(Error::invalid_config(
+                "silhouette_sample_cap",
+                "must be 0 (exact) or at least 3",
+            ));
         }
         Ok(())
     }
@@ -599,6 +609,21 @@ mod tests {
             ..Default::default()
         })
         .is_err());
+        for cap in [1, 2] {
+            let err = GroupingEngine::new(GroupingConfig {
+                silhouette_sample_cap: cap,
+                ..Default::default()
+            })
+            .unwrap_err();
+            assert!(err.to_string().contains("silhouette_sample_cap"), "{err}");
+        }
+        for cap in [0, 3] {
+            let config = GroupingConfig {
+                silhouette_sample_cap: cap,
+                ..Default::default()
+            };
+            assert!(GroupingEngine::new(config).is_ok(), "cap {cap}");
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use msvs_types::{CpuCycles, Error, GroupId, ResourceBlocks, Result};
 use serde::{Deserialize, Serialize};
 
-use crate::scheme::PredictionOutcome;
+use crate::demand::GroupDemandPrediction;
 
 /// Reservation policy parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -77,11 +77,6 @@ pub struct GroupReservation {
 pub struct ReservationPlan {
     /// Per-group reservations.
     pub groups: Vec<GroupReservation>,
-    /// Whether the headroom-padded demand had to be scaled down to fit the
-    /// budget (an admission-control event).
-    pub radio_scaled: bool,
-    /// Whether computing reservations were scaled to fit.
-    pub computing_scaled: bool,
 }
 
 impl ReservationPlan {
@@ -111,50 +106,71 @@ pub struct ReservationOutcome {
     pub computing_idle_fraction: f64,
 }
 
-/// Builds a reservation plan from a prediction outcome.
+/// Builds one interval's reservation plan.
 ///
-/// Each group gets `prediction × (1 + headroom)`; if the padded total
-/// exceeds the budget, all groups are scaled down proportionally
-/// (weighted fair sharing) and the plan is flagged.
+/// `groups` carry the pipeline's per-group demand, which sets each group's
+/// share; `radio` and `computing` are the scored predictor's totals, which
+/// the shares split after padding by `(1 + headroom) × margin` (`margin`
+/// is the degradation ladder's, 1 without one). A padded total over its
+/// budget scales every group down proportionally (weighted fair sharing).
 ///
 /// # Errors
 /// Propagates policy validation errors.
 pub fn plan_reservation(
-    outcome: &PredictionOutcome,
+    groups: &[GroupDemandPrediction],
+    radio: ResourceBlocks,
+    computing: CpuCycles,
+    margin: f64,
     policy: &ReservationPolicy,
 ) -> Result<ReservationPlan> {
     policy.validate()?;
-    let pad = 1.0 + policy.headroom;
-    let mut groups: Vec<GroupReservation> = outcome
-        .groups
+    let pad = (1.0 + policy.headroom) * margin;
+    let radio = fit(
+        groups.iter().map(|g| g.radio.value()),
+        policy.headroom,
+        radio.value() * pad,
+        policy.radio_budget.value(),
+    );
+    let computing = fit(
+        groups.iter().map(|g| g.computing.value()),
+        policy.headroom,
+        computing.value() * pad,
+        policy.computing_budget.value(),
+    );
+    let groups = groups
         .iter()
-        .map(|g| GroupReservation {
+        .zip(radio.into_iter().zip(computing))
+        .map(|(g, (radio, computing))| GroupReservation {
             group: g.group,
-            radio: g.radio * pad,
-            computing: g.computing * pad,
+            radio: ResourceBlocks(radio),
+            computing: CpuCycles(computing),
         })
         .collect();
-    let total_radio: f64 = groups.iter().map(|g| g.radio.value()).sum();
-    let radio_scaled = total_radio > policy.radio_budget.value();
-    if radio_scaled && total_radio > 0.0 {
-        let scale = policy.radio_budget.value() / total_radio;
-        for g in &mut groups {
-            g.radio = g.radio * scale;
-        }
+    Ok(ReservationPlan { groups })
+}
+
+/// One resource of [`plan_reservation`]: splits `target` over the groups
+/// in proportion to `demand`, then scales the split down to `budget` if
+/// it exceeds it. An all-zero demand reserves nothing.
+///
+/// The split starts from the demand padded by `headroom` and fitted to
+/// the budget. In exact arithmetic that step cancels out; it stays so
+/// the plans keep their rounding bit for bit.
+fn fit(demand: impl Iterator<Item = f64>, headroom: f64, target: f64, budget: f64) -> Vec<f64> {
+    let mut split: Vec<f64> = demand.map(|d| d * (1.0 + headroom)).collect();
+    let total: f64 = split.iter().sum();
+    if total > budget && total > 0.0 {
+        let scale = budget / total;
+        split.iter_mut().for_each(|v| *v *= scale);
     }
-    let total_comp: f64 = groups.iter().map(|g| g.computing.value()).sum();
-    let computing_scaled = total_comp > policy.computing_budget.value();
-    if computing_scaled && total_comp > 0.0 {
-        let scale = policy.computing_budget.value() / total_comp;
-        for g in &mut groups {
-            g.computing = g.computing * scale;
-        }
+    let total: f64 = split.iter().sum();
+    let scale = if total > 0.0 { target / total } else { 1.0 };
+    split.iter_mut().for_each(|v| *v *= scale);
+    let over = split.iter().sum::<f64>() / budget;
+    if over > 1.0 {
+        split.iter_mut().for_each(|v| *v /= over);
     }
-    Ok(ReservationPlan {
-        groups,
-        radio_scaled,
-        computing_scaled,
-    })
+    split
 }
 
 /// Scores a plan against the measured interval demand.
@@ -191,12 +207,12 @@ pub fn score_reservation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::demand::GroupDemandPrediction;
-    use crate::grouping::Grouping;
     use msvs_types::RepresentationLevel;
 
-    fn outcome_with(radios: &[f64]) -> PredictionOutcome {
-        let groups = radios
+    /// Plans groups demanding `radios` RBs (and `r × 1e9` cycles) with
+    /// the scored totals equal to the groups' sum.
+    fn plan(radios: &[f64], margin: f64, policy: ReservationPolicy) -> ReservationPlan {
+        let groups: Vec<GroupDemandPrediction> = radios
             .iter()
             .enumerate()
             .map(|(i, &r)| GroupDemandPrediction {
@@ -211,61 +227,56 @@ mod tests {
                 expected_waste_mb: 5.0,
             })
             .collect();
-        PredictionOutcome {
-            user_order: vec![],
-            grouping: Grouping {
-                k: radios.len(),
-                assignments: vec![],
-                silhouette: 0.5,
-                reward: 0.5,
-            },
-            swiping: vec![],
-            recommendations: vec![],
-            groups,
-        }
+        let total: f64 = radios.iter().sum();
+        plan_reservation(
+            &groups,
+            ResourceBlocks(total),
+            CpuCycles(total * 1e9),
+            margin,
+            &policy,
+        )
+        .unwrap()
     }
 
     #[test]
     fn plan_applies_headroom() {
-        let plan = plan_reservation(
-            &outcome_with(&[10.0, 20.0]),
-            &ReservationPolicy {
-                headroom: 0.1,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(!plan.radio_scaled);
-        assert!((plan.total_radio().value() - 33.0).abs() < 1e-9);
-        assert!((plan.groups[0].radio.value() - 11.0).abs() < 1e-9);
+        let policy = ReservationPolicy {
+            headroom: 0.1,
+            ..Default::default()
+        };
+        let p = plan(&[10.0, 20.0], 1.0, policy);
+        assert!((p.total_radio().value() - 33.0).abs() < 1e-9);
+        assert!((p.groups[0].radio.value() - 11.0).abs() < 1e-9);
+        // The degradation margin widens the padding multiplicatively.
+        let p = plan(&[10.0, 20.0], 1.5, policy);
+        assert!((p.total_radio().value() - 49.5).abs() < 1e-9);
     }
 
     #[test]
     fn plan_scales_to_budget() {
-        let plan = plan_reservation(
-            &outcome_with(&[80.0, 80.0]),
-            &ReservationPolicy {
+        let p = plan(
+            &[80.0, 80.0],
+            1.0,
+            ReservationPolicy {
                 headroom: 0.0,
                 radio_budget: ResourceBlocks(100.0),
                 ..Default::default()
             },
-        )
-        .unwrap();
-        assert!(plan.radio_scaled);
-        assert!((plan.total_radio().value() - 100.0).abs() < 1e-9);
+        );
+        assert!((p.total_radio().value() - 100.0).abs() < 1e-9);
         // Proportional split preserved.
-        assert!((plan.groups[0].radio.value() - 50.0).abs() < 1e-9);
+        assert!((p.groups[0].radio.value() - 50.0).abs() < 1e-9);
     }
 
     #[test]
     fn score_covered_vs_violated() {
-        let plan = plan_reservation(&outcome_with(&[50.0]), &ReservationPolicy::default()).unwrap();
-        let covered = score_reservation(&plan, ResourceBlocks(50.0), CpuCycles(1e9));
+        let p = plan(&[50.0], 1.0, ReservationPolicy::default());
+        let covered = score_reservation(&p, ResourceBlocks(50.0), CpuCycles(1e9));
         assert!(covered.radio_covered);
         assert!(covered.radio_idle_fraction > 0.0);
         assert_eq!(covered.radio_shortfall, ResourceBlocks::ZERO);
 
-        let violated = score_reservation(&plan, ResourceBlocks(90.0), CpuCycles(1e9));
+        let violated = score_reservation(&p, ResourceBlocks(90.0), CpuCycles(1e9));
         assert!(!violated.radio_covered);
         assert_eq!(violated.radio_idle_fraction, 0.0);
         assert!((violated.radio_shortfall.value() - (90.0 - 55.0)).abs() < 1e-9);
@@ -289,9 +300,9 @@ mod tests {
 
     #[test]
     fn empty_outcome_plans_empty() {
-        let plan = plan_reservation(&outcome_with(&[]), &ReservationPolicy::default()).unwrap();
-        assert_eq!(plan.total_radio(), ResourceBlocks::ZERO);
-        let score = score_reservation(&plan, ResourceBlocks::ZERO, CpuCycles::ZERO);
+        let p = plan(&[], 1.0, ReservationPolicy::default());
+        assert_eq!(p.total_radio(), ResourceBlocks::ZERO);
+        let score = score_reservation(&p, ResourceBlocks::ZERO, CpuCycles::ZERO);
         assert!(score.radio_covered);
     }
 }

@@ -104,17 +104,12 @@ pub fn run_bench(opts: &BenchOptions) -> Result<Json> {
     let start = std::time::Instant::now();
     let mut sim = Simulation::new(config)?;
     let threads = sim.threads();
-    sim.warm_up()?;
-    let mut intervals_run = 0usize;
-    for i in 0..opts.intervals {
-        sim.run_interval(i)?;
-        intervals_run += 1;
-    }
+    let report = sim.run_schedule()?;
     let wall_s = start.elapsed().as_secs_f64();
-    let summary = sim.telemetry().summary();
+    let intervals_run = report.intervals.len();
 
     let mut stages = std::collections::BTreeMap::new();
-    for s in &summary.stages {
+    for s in &report.telemetry.stages {
         stages.insert(
             s.stage.clone(),
             Json::obj([
@@ -141,8 +136,7 @@ pub fn run_bench(opts: &BenchOptions) -> Result<Json> {
     // Sharded runs record the shard plane alongside the stage table:
     // handover totals, load imbalance, and one demand-attribution row per
     // shard (the per-BS view operators provision from).
-    let shard_plane = if sim.store().sharded() {
-        let s = sim.store().summary();
+    let shard_plane = if let Some(s) = &report.shards {
         let mut rows = std::collections::BTreeMap::new();
         for row in &s.demand {
             rows.insert(

@@ -1,8 +1,9 @@
-//! The simulation loop.
+//! The simulation: the campus scenario and the interval pipeline
+//! (collect → predict → playback → observe) that drives it.
 
 use msvs_channel::Link;
 use msvs_core::demand::prediction_accuracy;
-use msvs_core::{DemandPredictor, PredictionContext, PredictionOutcome};
+use msvs_core::{DegradationSignal, DemandPredictor, PredictionContext, PredictionOutcome};
 use msvs_edge::EdgeServer;
 use msvs_faults::{DelayQueue, FaultCounts, FaultInjector, FaultPlan, ReportFate};
 use msvs_mobility::{CampusMap, MobilityModel, RandomWaypoint};
@@ -54,8 +55,12 @@ struct SimUser {
     interval_snrs: Vec<f64>,
     /// Fault-injection state; untouched when no fault plan is active.
     faults: UserFaults,
-    /// Nearest BS at the end of the last interval; `None` for a fresh
-    /// arrival, so churn never counts as a handover.
+    /// Nearest BS at the last collect tick. Nobody moves between that
+    /// tick and playback, so it is the serving cell for the whole
+    /// interval's accounting.
+    bs: usize,
+    /// Serving cell of the previous interval; `None` for a fresh arrival,
+    /// so churn never counts as a handover.
     last_bs: Option<usize>,
 }
 
@@ -102,6 +107,7 @@ impl SimUser {
             tracker: SyncTracker::new(),
             interval_snrs: Vec::new(),
             faults: UserFaults::default(),
+            bs: 0,
             last_bs: None,
         }
     }
@@ -127,7 +133,18 @@ fn handover_users(users: &mut [SimUser]) -> Vec<HandoverUser<'_>> {
         .collect()
 }
 
-/// Actual demands measured while playing one interval out.
+/// The predict phase's output: the scored predictor's totals and
+/// degradation signal, and the pipeline outcome playback follows.
+struct Predicted {
+    outcome: PredictionOutcome,
+    radio: ResourceBlocks,
+    computing: CpuCycles,
+    degradation: Option<DegradationSignal>,
+    wall_ms: f64,
+}
+
+/// The playback phase's output: actual demands measured while playing
+/// one interval out.
 #[derive(Debug, Clone, Copy, Default)]
 struct ActualDemand {
     radio: f64,
@@ -140,8 +157,9 @@ struct ActualDemand {
 /// The end-to-end simulation.
 ///
 /// Construct with [`Simulation::new`] and drive with
-/// [`Simulation::run_interval`], or use [`Simulation::run`] for the whole
-/// schedule.
+/// [`Simulation::warm_up`] and [`Simulation::run_interval`], or run the
+/// whole schedule with [`Simulation::run_schedule`] (or
+/// [`Simulation::run`] from a config).
 pub struct Simulation {
     config: SimulationConfig,
     map: CampusMap,
@@ -373,16 +391,26 @@ impl Simulation {
     /// # Errors
     /// Propagates scenario construction and pipeline errors.
     pub fn run(config: SimulationConfig) -> Result<SimulationReport> {
-        let mut sim = Simulation::new(config)?;
-        sim.warm_up()?;
+        Simulation::new(config)?.run_schedule()
+    }
+
+    /// Runs the configured schedule — warm-up, then every scored
+    /// interval — marks the run finished on the health board and returns
+    /// the report. The telemetry and health handles stay reachable before
+    /// and after, for a live metrics server and journal exports.
+    ///
+    /// # Errors
+    /// Propagates pipeline errors.
+    pub fn run_schedule(&mut self) -> Result<SimulationReport> {
+        self.warm_up()?;
         let mut report = SimulationReport::default();
-        for i in 0..sim.config.n_intervals {
-            report.intervals.push(sim.run_interval(i)?);
+        for i in 0..self.config.n_intervals {
+            report.intervals.push(self.run_interval(i)?);
         }
-        report.telemetry = sim.telemetry.summary();
-        report.shards = sim.store.sharded().then(|| sim.store.summary());
-        report.slo = sim.slo_report();
-        sim.finish_health();
+        report.telemetry = self.telemetry.summary();
+        report.shards = self.store.sharded().then(|| self.store.summary());
+        report.slo = self.slo_report();
+        self.finish_health();
         Ok(report)
     }
 
@@ -395,14 +423,7 @@ impl Simulation {
     /// Propagates pipeline errors.
     pub fn warm_up(&mut self) -> Result<()> {
         for _ in 0..self.config.warmup_intervals {
-            // Root span for the warm-up interval; no interval attribute
-            // marks it as unscored.
-            let _interval_scope = self.telemetry.stage_scope(stage::INTERVAL);
-            self.rebalance_shards();
-            self.collect_phase();
-            // Full pipeline runs during warm-up too (twins fill with watch
-            // records, the CNN trains); the record is discarded.
-            let _ = self.scored_interval(usize::MAX)?;
+            self.interval(None)?;
         }
         if self.config.pretrain_rounds > 0 {
             self.predictor
@@ -416,99 +437,93 @@ impl Simulation {
     /// # Errors
     /// Propagates pipeline errors.
     pub fn run_interval(&mut self, index: usize) -> Result<IntervalRecord> {
-        self.telemetry.set_now_ms(self.now.as_millis());
-        self.telemetry.emit(Event::IntervalStarted {
-            interval: index as u64,
-        });
-        // Root span covering everything the interval does — churn, fault
-        // scheduling, collection, prediction, playback — so child stage
-        // spans nest under it in trace exports.
-        let _interval_scope = self
-            .telemetry
-            .stage_scope(stage::INTERVAL)
-            .with_interval(index as u64);
-        self.apply_churn();
-        self.apply_scheduled_faults(index as u64);
-        self.apply_outage_transitions(index as u64);
-        self.rebalance_shards();
-        self.collect_phase();
-        let record = self.scored_interval(index)?;
-        self.observe_slo(index as u64, &record);
-        // Periodic gauge samples feed Perfetto counter tracks in trace
-        // exports; the health board feeds `/healthz`. Neither is read
-        // back by the report, so both are observer-effect free.
-        self.telemetry.sample_gauges();
-        self.publish_health("running", index as u64 + 1, &record);
-        Ok(record)
+        let record = self.interval(Some(index as u64))?;
+        Ok(record.expect("a scored interval is recorded"))
     }
 
-    /// Feeds the interval's sim-time signals (plus live wall-clock stage
-    /// p99s for any configured ceilings) through the SLO watchdog,
-    /// journalling breach/recovery edges and bumping
-    /// `slo_breaches_total{slo}` per breach.
-    fn observe_slo(&mut self, interval: u64, record: &IntervalRecord) {
-        let Some(watchdog) = self.slo.as_mut() else {
-            return;
-        };
-        let min_shard_availability = self.store.sharded().then(|| {
-            self.store
-                .summary()
-                .demand
-                .iter()
-                .map(|row| row.availability)
-                .fold(f64::INFINITY, f64::min)
-        });
-        let mut stage_p99_ms = std::collections::BTreeMap::new();
-        for stage_name in watchdog.policy().stage_p99_ms.keys() {
-            let p99 = self
-                .telemetry
-                .registry()
-                .histogram(msvs_telemetry::STAGE_MS, stage_name.clone())
-                .quantile(0.99);
-            stage_p99_ms.insert(stage_name.clone(), p99);
+    /// One reservation interval: collect → predict → playback → observe.
+    /// `scored` is the scored interval's index; a warm-up interval
+    /// (`None`) runs the same phases but skips what only scored intervals
+    /// do (DESIGN.md, "Interval pipeline") and yields no record.
+    fn interval(&mut self, scored: Option<u64>) -> Result<Option<IntervalRecord>> {
+        // Root span covering every phase, so child stage spans nest under
+        // it in trace exports; no interval attribute marks warm-up.
+        let mut interval_scope = self.telemetry.stage_scope(stage::INTERVAL);
+        if let Some(index) = scored {
+            self.telemetry
+                .emit(Event::IntervalStarted { interval: index });
+            interval_scope.set_interval(index);
         }
-        let signals = SloSignals {
-            interval,
-            min_shard_availability,
-            twin_coverage: record.twin_coverage,
-            degraded_intervals: self
-                .telemetry
-                .counter("degraded_intervals_total", "all")
-                .get(),
-            stage_p99_ms,
-        };
-        for transition in watchdog.observe(&signals) {
-            match transition.edge {
-                SloEdge::Breached => {
-                    self.slo_breach_edges += 1;
-                    self.telemetry
-                        .counter(slo::SLO_BREACHES_TOTAL, transition.slo.clone())
-                        .inc();
-                    self.telemetry.emit(Event::SloBreached {
-                        interval: transition.interval,
-                        slo: transition.slo,
-                        value: transition.value,
-                        threshold: transition.threshold,
-                    });
-                }
-                SloEdge::Recovered => {
-                    self.telemetry.emit(Event::SloRecovered {
-                        interval: transition.interval,
-                        slo: transition.slo,
-                        value: transition.value,
-                        threshold: transition.threshold,
-                    });
+        self.collect(scored);
+        let predicted = self.predict(scored)?;
+        let (actual, playback_wall_ms) = self.playback(&predicted.outcome, scored);
+        self.observe(scored, predicted, actual, playback_wall_ms)
+    }
+
+    /// Feeds the scored interval's signals to the SLO watchdog and the
+    /// health board, then samples the gauges. The watchdog gets sim-time
+    /// signals plus live wall-clock stage p99s for any configured
+    /// ceilings; it journals breach/recovery edges and bumps
+    /// `slo_breaches_total{slo}` per breach. Gauge samples feed Perfetto
+    /// counter tracks in trace exports and the board feeds `/healthz`;
+    /// neither is read back by the report.
+    fn observe_health(&mut self, interval: u64, record: &IntervalRecord) {
+        let summary = self.store.sharded().then(|| self.store.summary());
+        let degraded_intervals = self
+            .telemetry
+            .counter("degraded_intervals_total", "all")
+            .get();
+        if let Some(watchdog) = self.slo.as_mut() {
+            let min_shard_availability = summary.as_ref().map(|s| {
+                s.demand
+                    .iter()
+                    .map(|row| row.availability)
+                    .fold(f64::INFINITY, f64::min)
+            });
+            let mut stage_p99_ms = std::collections::BTreeMap::new();
+            for stage_name in watchdog.policy().stage_p99_ms.keys() {
+                let p99 = self
+                    .telemetry
+                    .registry()
+                    .histogram(msvs_telemetry::STAGE_MS, stage_name.clone())
+                    .quantile(0.99);
+                stage_p99_ms.insert(stage_name.clone(), p99);
+            }
+            let signals = SloSignals {
+                interval,
+                min_shard_availability,
+                twin_coverage: record.twin_coverage,
+                degraded_intervals,
+                stage_p99_ms,
+            };
+            for transition in watchdog.observe(&signals) {
+                match transition.edge {
+                    SloEdge::Breached => {
+                        self.slo_breach_edges += 1;
+                        self.telemetry
+                            .counter(slo::SLO_BREACHES_TOTAL, transition.slo.clone())
+                            .inc();
+                        self.telemetry.emit(Event::SloBreached {
+                            interval: transition.interval,
+                            slo: transition.slo,
+                            value: transition.value,
+                            threshold: transition.threshold,
+                        });
+                    }
+                    SloEdge::Recovered => {
+                        self.telemetry.emit(Event::SloRecovered {
+                            interval: transition.interval,
+                            slo: transition.slo,
+                            value: transition.value,
+                            threshold: transition.threshold,
+                        });
+                    }
                 }
             }
         }
-    }
-
-    /// Publishes the current run health to the board backing `/healthz`.
-    fn publish_health(&self, state: &str, intervals_completed: u64, record: &IntervalRecord) {
-        let shards = if self.store.sharded() {
-            self.store
-                .summary()
-                .demand
+        self.telemetry.sample_gauges();
+        let shards = summary.map_or_else(Vec::new, |s| {
+            s.demand
                 .iter()
                 .map(|row| ShardHealth {
                     shard: row.shard as u64,
@@ -516,20 +531,15 @@ impl Simulation {
                     down_intervals: row.down_intervals,
                 })
                 .collect()
-        } else {
-            Vec::new()
-        };
+        });
         self.health.publish(HealthSnapshot {
-            state: state.to_string(),
-            intervals_completed,
+            state: "running".to_string(),
+            intervals_completed: interval + 1,
             intervals_total: self.config.n_intervals as u64,
             users: self.users.len() as u64,
             twin_coverage: record.twin_coverage,
             degraded: record.degraded,
-            degraded_intervals: self
-                .telemetry
-                .counter("degraded_intervals_total", "all")
-                .get(),
+            degraded_intervals,
             shards,
             slo_breaches: self.slo_breach_edges,
             slo_breached: self
@@ -654,17 +664,11 @@ impl Simulation {
         self.churned_users
     }
 
-    /// Replaces `churn_rate` of the population with fresh arrivals: new
-    /// ground-truth profile and trajectory, and an *empty* twin (the
-    /// predictor has to cope with cold-started users mid-run).
-    fn apply_churn(&mut self) {
-        let n = (self.users.len() as f64 * self.config.churn_rate).floor() as usize;
-        self.replace_users(n);
-    }
-
-    /// Replaces `n` uniformly drawn users with fresh arrivals, returning
-    /// how many were replaced. Shared by baseline churn and fault-plan
-    /// churn bursts (both consume the same churn RNG stream).
+    /// Replaces `n` uniformly drawn users with fresh arrivals — a new
+    /// ground-truth profile and trajectory, and an *empty* twin the
+    /// predictor has to cope with — returning how many were replaced.
+    /// Shared by baseline churn and fault-plan churn bursts (both consume
+    /// the same churn RNG stream).
     fn replace_users(&mut self, n: usize) -> u64 {
         if n == 0 {
             return 0;
@@ -693,17 +697,26 @@ impl Simulation {
         n as u64
     }
 
-    /// Collection phase: advance mobility tick by tick across the
-    /// interval, sampling ground-truth SNR and queueing due attributes for
-    /// the twins (per the collection policy). Per-user simulation is
-    /// fanned out across the worker pool; each user carries an independent
-    /// RNG stream, so the result is bit-identical at any thread count.
+    /// Collect phase. A scored interval first applies baseline churn, the
+    /// fault plan's scheduled faults and the shard-outage schedule; every
+    /// interval then rebalances shards and advances mobility tick by tick,
+    /// sampling ground-truth SNR and queueing due attributes for the twins
+    /// (per the collection policy). Per-user simulation is fanned out
+    /// across the worker pool; each user carries an independent RNG
+    /// stream, so the result is bit-identical at any thread count.
     ///
     /// Each user's reports collect in a [`TwinReports`] outbox and reach
     /// the twin in one write after its last tick. That is exact because
     /// no twin is read inside this region and each series keeps its
     /// arrival order (DESIGN.md, "Collect-phase write ordering").
-    fn collect_phase(&mut self) {
+    fn collect(&mut self, scored: Option<u64>) {
+        if let Some(index) = scored {
+            let n = (self.users.len() as f64 * self.config.churn_rate).floor() as usize;
+            self.replace_users(n);
+            self.apply_scheduled_faults(index);
+            self.apply_outage_transitions(index);
+        }
+        self.rebalance_shards();
         let interval = self.config.interval;
         let tick = self.config.tick;
         let steps = interval.steps(tick).max(1);
@@ -744,7 +757,8 @@ impl Simulation {
             for _ in 0..steps {
                 t += tick;
                 let pos = user.mobility.advance(tick);
-                let (_, dist) = pos.nearest(bs).expect("at least one BS");
+                let (nearest, dist) = pos.nearest(bs).expect("at least one BS");
+                user.bs = nearest;
                 let snr = link.sample_snr_db(&mut user.rng, dist);
                 user.interval_snrs.push(snr);
                 user_tick(user, &mut outbox, uplink, t, snr, pos);
@@ -772,19 +786,22 @@ impl Simulation {
         self.now = start + tick * steps;
         self.telemetry.set_now_ms(self.now.as_millis());
         if self.faults.is_some() {
-            self.journal_faults();
+            self.journal_faults(scored);
         }
-        self.telemetry.emit(Event::CollectionCompleted {
-            interval: self.intervals_run as u64,
-            users: self.users.len() as u64,
-        });
+        if let Some(interval) = scored {
+            self.telemetry.emit(Event::CollectionCompleted {
+                interval,
+                users: self.users.len() as u64,
+            });
+        }
     }
 
     /// Drains the per-user fault tallies accumulated inside the parallel
     /// collection region and journals them serially, in user-vector order
     /// with original fault timestamps — emitting from worker threads would
-    /// make the journal order depend on scheduling.
-    fn journal_faults(&mut self) {
+    /// make the journal order depend on scheduling. The per-interval
+    /// `FaultsInjected` summary is journalled for scored intervals only.
+    fn journal_faults(&mut self, scored: Option<u64>) {
         // Only entered on fault-plan runs, so the span structure stays
         // invariant between clean and faulted configurations of a test.
         let _fault_scope = self.telemetry.stage_scope(stage::FAULT_INJECT);
@@ -821,24 +838,26 @@ impl Simulation {
         self.telemetry
             .counter("fault_retries_total", "uplink")
             .add(retried);
-        self.telemetry.emit(Event::FaultsInjected {
-            interval: self.intervals_run as u64,
-            lost: counts.lost,
-            delayed: counts.delayed,
-            corrupted: counts.corrupted,
-            rejected: counts.rejected,
-            retried,
-            overflowed: counts.overflowed,
-        });
+        if let Some(interval) = scored {
+            self.telemetry.emit(Event::FaultsInjected {
+                interval,
+                lost: counts.lost,
+                delayed: counts.delayed,
+                corrupted: counts.corrupted,
+                rejected: counts.rejected,
+                retried,
+                overflowed: counts.overflowed,
+            });
+        }
     }
 
-    /// Prediction + playback + scoring for the interval that just had its
-    /// status collected. `index == usize::MAX` marks a warm-up pass.
-    fn scored_interval(&mut self, index: usize) -> Result<IntervalRecord> {
-        let scored = index != usize::MAX;
+    /// Predict phase: the scored predictor forecasts the interval from the
+    /// twins just collected. A scored interval also folds the per-group
+    /// demand into the shard rows and journals any degradation.
+    fn predict(&mut self, scored: Option<u64>) -> Result<Predicted> {
         let mut predict_scope = self.telemetry.stage_scope(stage::SCHEME_PREDICT);
-        if scored {
-            predict_scope.set_interval(index as u64);
+        if let Some(index) = scored {
+            predict_scope.set_interval(index);
         }
         let ctx = PredictionContext {
             store: &self.store,
@@ -849,7 +868,7 @@ impl Simulation {
             now: self.now,
         };
         let prediction = self.predictor.predict(&ctx)?;
-        let predict_wall_ms = predict_scope.stop();
+        let wall_ms = predict_scope.stop();
         // Playback needs the grouping regardless of whose totals are
         // scored; predictors without a pipeline must be PipelineBacked.
         let outcome = prediction.outcome.ok_or_else(|| {
@@ -859,117 +878,66 @@ impl Simulation {
                  (wrap scalar predictors in msvs_core::PipelineBacked)",
             )
         })?;
-        let (predicted_radio, predicted_computing) = (prediction.radio, prediction.computing);
-        let degradation = prediction.degradation;
-        if scored {
+        if let Some(interval) = scored {
             // Attribute the interval's per-group demand to shards by
             // member ownership (per-BS provisioning rows; no-op when the
             // deployment is not partitioned).
             self.store.fold_demand(&outcome.groups);
-        }
-        if scored {
-            if let Some(d) = degradation {
+            if let Some(d) = prediction.degradation {
                 if d.degraded {
                     self.telemetry
                         .counter("degraded_intervals_total", "all")
                         .inc();
                 }
                 self.telemetry.emit(Event::PredictionDegraded {
-                    interval: index as u64,
+                    interval,
                     coverage: d.coverage,
                     margin: d.margin,
                 });
             }
         }
+        Ok(Predicted {
+            outcome,
+            radio: prediction.radio,
+            computing: prediction.computing,
+            degradation: prediction.degradation,
+            wall_ms,
+        })
+    }
 
-        // The plan follows whichever predictor is being scored: group
-        // shares come from the scheme's outcome, but totals are rescaled
-        // to the scored predictor's figures.
-        let reservation_plan = match &self.config.reservation {
-            Some(policy) => {
-                let mut plan = msvs_core::plan_reservation(&outcome, policy)?;
-                // Degradation widens the safety margin proportionally to
-                // the missing twin coverage.
-                let pad = (1.0 + policy.headroom) * degradation.map_or(1.0, |d| d.margin);
-                let scale = |total: f64, target: f64| {
-                    if total > 0.0 {
-                        target * pad / total
-                    } else {
-                        1.0
-                    }
-                };
-                let r_scale = scale(plan.total_radio().value(), predicted_radio.value());
-                let c_scale = scale(plan.total_computing().value(), predicted_computing.value());
-                for g in &mut plan.groups {
-                    g.radio = g.radio * r_scale;
-                    g.computing = g.computing * c_scale;
-                }
-                // Re-clamp to the budgets after rescaling.
-                let over_r = plan.total_radio().value() / policy.radio_budget.value();
-                if over_r > 1.0 {
-                    for g in &mut plan.groups {
-                        g.radio = g.radio / over_r;
-                    }
-                    plan.radio_scaled = true;
-                }
-                let over_c = plan.total_computing().value() / policy.computing_budget.value();
-                if over_c > 1.0 {
-                    for g in &mut plan.groups {
-                        g.computing = g.computing / over_c;
-                    }
-                    plan.computing_scaled = true;
-                }
-                Some(plan)
-            }
-            None => None,
-        };
-
-        let mut playback_scope = self.telemetry.stage_scope(stage::PLAYBACK);
-        if scored {
-            playback_scope.set_interval(index as u64);
-        }
-        let actual = self.playback_phase(&outcome);
-        let playback_wall_ms = playback_scope.stop();
+    /// Observe phase: the predictor learns the measured demand and the
+    /// handover, signalling and grouping-stability baselines move on. A
+    /// scored interval then scores the prediction (and the reservation,
+    /// under a policy), journals its completion and feeds the SLO
+    /// watchdog and the health board.
+    fn observe(
+        &mut self,
+        scored: Option<u64>,
+        predicted: Predicted,
+        actual: ActualDemand,
+        playback_wall_ms: f64,
+    ) -> Result<Option<IntervalRecord>> {
+        let actual_radio = ResourceBlocks(actual.radio);
+        let actual_computing = CpuCycles(actual.computing);
         self.predictor
-            .observe_actual(ResourceBlocks(actual.radio), CpuCycles(actual.computing));
-        let reservation = reservation_plan.map(|plan| {
-            let reserved_rb = plan.total_radio().value();
-            let scoring = msvs_core::score_reservation(
-                &plan,
-                ResourceBlocks(actual.radio),
-                CpuCycles(actual.computing),
-            );
-            if scored {
-                self.telemetry.emit(Event::ReservationScored {
-                    predicted_rb: reserved_rb,
-                    used_rb: actual.radio,
-                    over_rb: (reserved_rb - actual.radio).max(0.0),
-                    under_rb: scoring.radio_shortfall.value(),
-                });
-            }
-            scoring
-        });
+            .observe_actual(actual_radio, actual_computing);
 
-        // Handovers: users whose nearest BS changed since last interval.
+        // Handovers: users whose serving cell changed since last interval.
         let mut handovers = 0u64;
         for user in &mut self.users {
-            let (bs, _) = user
-                .mobility
-                .position()
-                .nearest(&self.bs_positions)
-                .expect("at least one BS");
-            if user.last_bs.is_some_and(|prev| prev != bs) {
+            if user.last_bs.is_some_and(|prev| prev != user.bs) {
                 handovers += 1;
             }
-            user.last_bs = Some(bs);
+            user.last_bs = Some(user.bs);
         }
 
         let updates_total: u64 = self.users.iter().map(|u| u.tracker.updates_sent()).sum();
         let updates_sent = updates_total - self.updates_sent_before;
         self.updates_sent_before = updates_total;
 
+        let outcome = predicted.outcome;
         // Grouping stability vs the previous prediction pass (over the
-        // users present in both), and delivered-level QoE.
+        // users present in both).
         let current: std::collections::HashMap<UserId, usize> = outcome
             .user_order
             .iter()
@@ -992,6 +960,36 @@ impl Simulation {
             }
         });
         self.prev_assignments = Some(current);
+        self.intervals_run += 1;
+        let outcome = &*self.last_outcome.insert(outcome);
+        let Some(index) = scored else {
+            return Ok(None);
+        };
+
+        let (predicted_radio, predicted_computing) = (predicted.radio, predicted.computing);
+        let degradation = predicted.degradation;
+        let reservation = match &self.config.reservation {
+            Some(policy) => {
+                let plan = msvs_core::plan_reservation(
+                    &outcome.groups,
+                    predicted_radio,
+                    predicted_computing,
+                    degradation.map_or(1.0, |d| d.margin),
+                    policy,
+                )?;
+                let scoring = msvs_core::score_reservation(&plan, actual_radio, actual_computing);
+                let reserved_rb = plan.total_radio().value();
+                self.telemetry.emit(Event::ReservationScored {
+                    predicted_rb: reserved_rb,
+                    used_rb: actual.radio,
+                    over_rb: (reserved_rb - actual.radio).max(0.0),
+                    under_rb: scoring.radio_shortfall.value(),
+                });
+                Some(scoring)
+            }
+            None => None,
+        };
+        // Delivered-level QoE.
         let (level_sum, level_members) = outcome.groups.iter().fold((0.0, 0usize), |acc, g| {
             (
                 acc.0
@@ -1006,20 +1004,20 @@ impl Simulation {
             0.0
         };
         let record = IntervalRecord {
-            index: if index == usize::MAX { 0 } else { index },
+            index: index as usize,
             k: outcome.grouping.k,
             silhouette: outcome.grouping.silhouette,
             predicted_radio,
-            actual_radio: ResourceBlocks(actual.radio),
+            actual_radio,
             radio_accuracy: prediction_accuracy(predicted_radio.value(), actual.radio),
             predicted_computing,
-            actual_computing: CpuCycles(actual.computing),
+            actual_computing,
             computing_accuracy: prediction_accuracy(predicted_computing.value(), actual.computing),
             actual_unicast_radio: ResourceBlocks(actual.unicast_radio),
             actual_traffic_mb: actual.traffic_mb,
             predicted_waste_mb: outcome.total_waste_mb(),
             actual_waste_mb: actual.wasted_mb,
-            predict_wall_ms,
+            predict_wall_ms: predicted.wall_ms,
             updates_sent,
             handovers,
             grouping_stability,
@@ -1028,31 +1026,37 @@ impl Simulation {
             twin_coverage: degradation.map(|d| d.coverage),
             reservation,
         };
-        if scored {
-            self.telemetry.emit(Event::StageCompleted {
-                stage: stage::SCHEME_PREDICT.to_string(),
-                wall_ms: predict_wall_ms,
-            });
-            self.telemetry.emit(Event::StageCompleted {
-                stage: stage::PLAYBACK.to_string(),
-                wall_ms: playback_wall_ms,
-            });
-            self.telemetry.emit(Event::IntervalCompleted {
-                interval: index as u64,
-                qoe: record.mean_level,
-                hit_ratio: self.edge.cache().hit_ratio(),
-            });
-        }
-        self.last_outcome = Some(outcome);
-        self.intervals_run += 1;
-        Ok(record)
+        self.telemetry.emit(Event::StageCompleted {
+            stage: stage::SCHEME_PREDICT.to_string(),
+            wall_ms: predicted.wall_ms,
+        });
+        self.telemetry.emit(Event::StageCompleted {
+            stage: stage::PLAYBACK.to_string(),
+            wall_ms: playback_wall_ms,
+        });
+        self.telemetry.emit(Event::IntervalCompleted {
+            interval: index,
+            qoe: record.mean_level,
+            hit_ratio: self.edge.cache().hit_ratio(),
+        });
+        self.observe_health(index, &record);
+        Ok(Some(record))
     }
 
-    /// Plays the interval out group by group: the BS multicasts the
-    /// recommended feed, members swipe according to their ground-truth
-    /// profiles, the edge transcodes what the cache misses, and watch
-    /// records flow back into the twins, one write per member per group.
-    fn playback_phase(&mut self, outcome: &PredictionOutcome) -> ActualDemand {
+    /// Playback phase: plays the interval out group by group. The BS
+    /// multicasts the recommended feed, members swipe according to their
+    /// ground-truth profiles, the edge transcodes what the cache misses,
+    /// and watch records flow back into the twins, one write per member
+    /// per group. Returns the measured demand and the phase's wall time.
+    fn playback(
+        &mut self,
+        outcome: &PredictionOutcome,
+        scored: Option<u64>,
+    ) -> (ActualDemand, f64) {
+        let mut playback_scope = self.telemetry.stage_scope(stage::PLAYBACK);
+        if let Some(index) = scored {
+            playback_scope.set_interval(index);
+        }
         let interval_s = self.config.interval.as_secs_f64();
         let rb_bw = self.config.scheme.demand.rb_bandwidth.value();
         let prefetch = self.config.scheme.demand.prefetch_secs;
@@ -1084,7 +1088,8 @@ impl Simulation {
                 })
                 .collect();
             // Attach each member to its accounting domain: its serving BS
-            // in the per-BS extension mode, or the single cell otherwise.
+            // (as of the last collect tick) in the per-BS extension mode,
+            // or the single cell otherwise.
             let n_bs = if self.config.per_bs_accounting {
                 self.bs_positions.len()
             } else {
@@ -1094,14 +1099,10 @@ impl Simulation {
                 .iter()
                 .map(|id| {
                     if n_bs == 1 {
-                        return 0;
+                        0
+                    } else {
+                        self.users[id.index()].bs
                     }
-                    self.users[id.index()]
-                        .mobility
-                        .position()
-                        .nearest(&self.bs_positions)
-                        .expect("at least one BS")
-                        .0
                 })
                 .collect();
             let mut min_eff_by_bs = vec![f64::INFINITY; n_bs];
@@ -1199,7 +1200,7 @@ impl Simulation {
                 }
             }
         }
-        total
+        (total, playback_scope.stop())
     }
 }
 
@@ -1839,7 +1840,7 @@ mod tests {
         assert_eq!(location, [(s(7), pos)]);
     }
 
-    /// Outages and brownouts act outside the collect phase, so a plan with
+    /// Outages and brownouts act outside the tick loop, so a plan with
     /// only those collects exactly like no plan: same trackers, same twins.
     #[test]
     fn outage_and_brownout_only_plan_collects_like_no_plan() {
@@ -1861,8 +1862,8 @@ mod tests {
         .unwrap();
         assert!(faulted.faults.is_some(), "the plan is active");
         for _ in 0..3 {
-            clean.collect_phase();
-            faulted.collect_phase();
+            clean.collect(None);
+            faulted.collect(None);
         }
         let twin = |sim: &Simulation, id| sim.store.with_twin(id, UserDigitalTwin::clone).unwrap();
         for (a, b) in clean.users.iter().zip(&faulted.users) {

@@ -19,12 +19,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         seed: 42,
         ..Default::default()
     };
-    let mut sim = Simulation::new(config.clone())?;
-    sim.warm_up()?;
-    let mut result = msvs::sim::SimulationReport::default();
-    for i in 0..config.n_intervals {
-        result.intervals.push(sim.run_interval(i)?);
-    }
+    let mut sim = Simulation::new(config)?;
+    let result = sim.run_schedule()?;
 
     println!(
         "== per-interval scorecard ==\n{}",

@@ -30,7 +30,7 @@ use msvs::faults::FaultPlan;
 use msvs::shard::{Shard, ShardCheckpoint};
 use msvs::sim::{
     bench_backend_name, report, run_bench, validate_bench_json, BenchOptions, DemandPredictorKind,
-    Simulation, SimulationConfig, SimulationReport,
+    Simulation, SimulationConfig,
 };
 use msvs::telemetry::{
     chrome_trace_with_counters, flame, Event, EventJournal, Json, MetricsServer, RunManifest,
@@ -317,8 +317,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     }
     let with_faults = cfg.faults.as_ref().is_some_and(|p| !p.is_noop());
     let (n_users, n_intervals, seed) = (cfg.n_users, cfg.n_intervals, cfg.seed);
-    // Drive the intervals by hand (rather than `Simulation::run`) so the
-    // telemetry handle stays reachable for the journal export below.
+    // Keep the simulation (rather than `Simulation::run`) so the telemetry
+    // handle stays reachable for the metrics server and the exports below.
     let mut sim = Simulation::new(cfg).map_err(|e| e.to_string())?;
     // The metrics server reads shared telemetry/health handles; it never
     // writes, so the run itself is untouched by scrapes.
@@ -337,17 +337,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         }
         None => None,
     };
-    sim.warm_up().map_err(|e| e.to_string())?;
-    let mut result = SimulationReport::default();
-    for i in 0..n_intervals {
-        result
-            .intervals
-            .push(sim.run_interval(i).map_err(|e| e.to_string())?);
-    }
-    result.telemetry = sim.telemetry().summary();
-    result.shards = sim.store().sharded().then(|| sim.store().summary());
-    result.slo = sim.slo_report();
-    sim.finish_health();
+    let result = sim.run_schedule().map_err(|e| e.to_string())?;
     println!("{}", report::interval_table(&result));
     if let Some(shards) = &result.shards {
         println!(
@@ -498,13 +488,8 @@ fn cmd_flame(args: &[String]) -> Result<(), String> {
             flame::folded_stacks(&nodes)
         }
         None => {
-            let cfg = base_config(&flags)?;
-            let n_intervals = cfg.n_intervals;
-            let mut sim = Simulation::new(cfg).map_err(|e| e.to_string())?;
-            sim.warm_up().map_err(|e| e.to_string())?;
-            for i in 0..n_intervals {
-                sim.run_interval(i).map_err(|e| e.to_string())?;
-            }
+            let mut sim = Simulation::new(base_config(&flags)?).map_err(|e| e.to_string())?;
+            sim.run_schedule().map_err(|e| e.to_string())?;
             let nodes = flame::from_spans(&sim.telemetry().spans());
             flame::folded_stacks(&nodes)
         }
@@ -546,12 +531,8 @@ fn cmd_checkpoint(args: &[String]) -> Result<(), String> {
         cfg.faults = Some(resolve_faults(raw)?);
         cfg.validate().map_err(|e| e.to_string())?;
     }
-    let n_intervals = cfg.n_intervals;
     let mut sim = Simulation::new(cfg).map_err(|e| e.to_string())?;
-    sim.warm_up().map_err(|e| e.to_string())?;
-    for i in 0..n_intervals {
-        sim.run_interval(i).map_err(|e| e.to_string())?;
-    }
+    sim.run_schedule().map_err(|e| e.to_string())?;
     let checkpoints = sim.checkpoint_shards();
     let out = flags.value("--out").unwrap_or("checkpoint.jsonl");
     let mut text = String::new();
@@ -1051,13 +1032,8 @@ fn cmd_swiping(args: &[String]) -> Result<(), String> {
         positionals: 0,
     };
     let flags = Flags::new(&SWIPING, args)?;
-    let cfg = base_config(&flags)?;
-    let intervals = cfg.n_intervals;
-    let mut sim = Simulation::new(cfg).map_err(|e| e.to_string())?;
-    sim.warm_up().map_err(|e| e.to_string())?;
-    for i in 0..intervals {
-        sim.run_interval(i).map_err(|e| e.to_string())?;
-    }
+    let mut sim = Simulation::new(base_config(&flags)?).map_err(|e| e.to_string())?;
+    sim.run_schedule().map_err(|e| e.to_string())?;
     let outcome = sim.last_outcome().ok_or("no intervals ran")?;
     for (g, swiping) in outcome.swiping.iter().enumerate() {
         let members = outcome.group_prediction(g).map_or(0, |p| p.members.len());

@@ -1,12 +1,19 @@
 //! The documented equivalences, asserted over one matrix: worker threads
-//! {1, 4} × shards {1, 4} × fault profile {none, `lossy-uplink`,
-//! `bs-crash`}, on the small scheme the other suites use.
+//! {1, 4} × shards {1, 2, 4} × fault profile {none, `lossy-uplink`,
+//! `bs-crash`, `bs-flap`, hostile}, on the small scheme the other suites
+//! use.
 //!
 //! - The worker-pool size never changes the report (every cell).
 //! - The shard count never changes what the pipeline computes (fault-free
 //!   cells, after stripping the shard plane's own observability).
 //! - A no-op fault plan is no plan, and an empty SLO policy is no policy.
+//! - A reservation policy changes nothing but the reservation it scores.
 //! - Under `bs-crash` the twin population is conserved in every interval.
+//!
+//! The profiles reach every fault path: `lossy-uplink` loses, delays and
+//! corrupts reports; `bs-crash` fails a shard over and restores it;
+//! `bs-flap` partitions one; the hostile plan adds a churn burst and an
+//! edge brownout to loss, delay and corruption.
 //!
 //! Threads and shards are pinned in each config, so the `MSVS_THREADS`
 //! and `MSVS_SHARDS` environment cannot change what a cell runs. The
@@ -15,15 +22,15 @@
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
-use msvs::core::{CompressorConfig, GroupingConfig, SchemeConfig};
-use msvs::faults::FaultPlan;
+use msvs::core::{CompressorConfig, GroupingConfig, ReservationPolicy, SchemeConfig};
+use msvs::faults::{Brownout, ChurnBurst, DelaySpec, FaultPlan};
 use msvs::sim::{Simulation, SimulationConfig, SimulationReport};
 use msvs::telemetry::SloPolicy;
 use msvs::types::SimDuration;
 
 const THREADS: [usize; 2] = [1, 4];
-const SHARDS: [usize; 2] = [1, 4];
-const PROFILES: [&str; 3] = ["none", "lossy-uplink", "bs-crash"];
+const SHARDS: [usize; 3] = [1, 2, 4];
+const PROFILES: [&str; 5] = ["none", "lossy-uplink", "bs-crash", "bs-flap", "hostile"];
 const USERS: usize = 24;
 /// `bs-crash` takes shard 1 down at interval 1 for two intervals; four
 /// scored intervals cover the kill, the dark window and the restore.
@@ -60,10 +67,36 @@ fn config(threads: usize, shards: usize, profile: &str) -> SimulationConfig {
         .seed(41)
         .build()
         .expect("test config is valid");
-    if profile != "none" {
-        cfg.faults = Some(FaultPlan::builtin(profile).expect("builtin profile"));
-    }
+    cfg.faults = match profile {
+        "none" => None,
+        "hostile" => Some(hostile_plan()),
+        builtin => Some(FaultPlan::builtin(builtin).expect("builtin profile")),
+    };
     cfg
+}
+
+/// Every fault kind at once: 30% uplink loss, delay, corruption, a churn
+/// burst and a brownout.
+fn hostile_plan() -> FaultPlan {
+    FaultPlan {
+        seed: 0xFA_17,
+        uplink_loss: 0.30,
+        delay: DelaySpec {
+            probability: 0.10,
+            max_ticks: 2,
+        },
+        corruption: 0.05,
+        churn_bursts: vec![ChurnBurst {
+            interval: 1,
+            fraction: 0.25,
+        }],
+        brownouts: vec![Brownout {
+            start: 0,
+            duration: 1,
+            capacity_scale: 0.5,
+        }],
+        ..FaultPlan::none()
+    }
 }
 
 /// One cell's outcome: the report (wall-clock timings zeroed) and the
@@ -73,8 +106,8 @@ struct Cell {
     twins: Vec<usize>,
 }
 
-/// Runs `cfg` the way [`Simulation::run`] does, counting twins after
-/// every scored interval.
+/// Runs `cfg` the way [`Simulation::run_schedule`] does, counting twins
+/// after every scored interval.
 fn run(cfg: SimulationConfig) -> Cell {
     let mut sim = Simulation::new(cfg).expect("scenario builds");
     sim.warm_up().expect("warm-up runs");
@@ -155,11 +188,14 @@ fn thread_count_never_changes_the_report() {
 fn shard_count_never_changes_the_fault_free_report() {
     let m = matrix();
     for threads in THREADS {
-        assert_eq!(
-            strip_shard_plane(m[&("none", 1, threads)].report.clone()),
-            strip_shard_plane(m[&("none", 4, threads)].report.clone()),
-            "{threads} thread(s): 1 vs 4 shards"
-        );
+        let single = strip_shard_plane(m[&("none", 1, threads)].report.clone());
+        for shards in [2, 4] {
+            assert_eq!(
+                strip_shard_plane(m[&("none", shards, threads)].report.clone()),
+                single,
+                "{threads} thread(s): 1 vs {shards} shards"
+            );
+        }
     }
 }
 
@@ -182,6 +218,31 @@ fn noop_plan_and_empty_slo_policy_change_nothing() {
             clean,
             "{shards} shard(s): an empty SLO policy is no policy"
         );
+    }
+}
+
+#[test]
+fn reservation_policy_changes_only_the_reservation() {
+    let m = matrix();
+    for profile in ["none", "bs-crash"] {
+        for shards in [1, 4] {
+            let mut cfg = config(1, shards, profile);
+            cfg.reservation = Some(ReservationPolicy::default());
+            let mut reserved = run(cfg).report;
+            for record in &mut reserved.intervals {
+                assert!(record.reservation.is_some(), "every interval is reserved");
+                record.reservation = None;
+            }
+            // The one event the policy adds is the one it journals.
+            reserved.telemetry.counters.retain(|(name, label, _)| {
+                (name.as_str(), label.as_str()) != ("events_total", "ReservationScored")
+            });
+            assert_eq!(
+                reserved,
+                m[&(profile, shards, 1)].report,
+                "{profile}, {shards} shard(s): a reservation policy only adds reservations"
+            );
+        }
     }
 }
 

@@ -2,7 +2,7 @@
 //! journals, and the stage stats its report embeds.
 
 use msvs::sim::{Simulation, SimulationConfig};
-use msvs::telemetry::{stage, Entry, Event, EventJournal};
+use msvs::telemetry::{stage, Entry, Event, EventJournal, Json};
 use msvs::types::SimDuration;
 
 fn two_interval_config(seed: u64) -> SimulationConfig {
@@ -63,8 +63,8 @@ fn two_interval_run_journals_the_expected_event_sequence() {
     let count = |name: &str| entries.iter().filter(|e| e.event.name() == name).count();
     assert_eq!(count("RunStarted"), 1);
 
-    // One collection sweep per interval: warm-up plus the two scored.
-    assert_eq!(count("CollectionCompleted"), 3);
+    // One collection sweep per scored interval; warm-up journals none.
+    assert_eq!(count("CollectionCompleted"), 2);
     // Scored intervals journal their boundaries; warm-up does not.
     assert_eq!(count("IntervalStarted"), 2);
     assert_eq!(count("IntervalCompleted"), 2);
@@ -135,4 +135,60 @@ fn journal_round_trips_through_jsonl_export() {
     }
     let parsed = EventJournal::parse_jsonl(&journal.to_jsonl()).expect("parses");
     assert_eq!(parsed.entries(), entries);
+}
+
+/// Every event that names an interval sits between the `IntervalStarted`
+/// and the `IntervalCompleted` of that interval: warm-up journals no
+/// interval-numbered event, and collection and fault tallies carry the
+/// scored index like the rest. The run is `msvs run --users 24
+/// --intervals 3 --seed 3 --shards 4 --faults bs-crash` (two warm-ups).
+#[test]
+fn interval_events_sit_inside_their_interval() {
+    let mut cfg = SimulationConfig::builder()
+        .users(24)
+        .intervals(3)
+        .seed(3)
+        .shards(4)
+        .build()
+        .expect("config is valid");
+    cfg.faults = Some(msvs::faults::FaultPlan::builtin("bs-crash").expect("builtin"));
+    let mut sim = Simulation::new(cfg).expect("scenario builds");
+    sim.warm_up().expect("warm-up runs");
+    for i in 0..3 {
+        sim.run_interval(i).expect("interval runs");
+    }
+    let entries = sim.telemetry().journal().entries();
+    let mut open = None;
+    for (i, e) in entries.iter().enumerate() {
+        let Some(interval) = e.to_json().get("interval").and_then(Json::as_u64) else {
+            continue;
+        };
+        match e.event {
+            Event::IntervalStarted { .. } => {
+                assert_eq!(
+                    open, None,
+                    "entry {i}: interval {interval} opens inside another"
+                );
+                open = Some(interval);
+            }
+            Event::IntervalCompleted { .. } => {
+                assert_eq!(
+                    open.take(),
+                    Some(interval),
+                    "entry {i}: unmatched completion"
+                );
+            }
+            _ => assert_eq!(
+                open,
+                Some(interval),
+                "entry {i}: {} for interval {interval} outside it",
+                e.event.name()
+            ),
+        }
+    }
+    assert_eq!(open, None, "the last interval completes");
+    let count = |name: &str| entries.iter().filter(|e| e.event.name() == name).count();
+    for name in ["CollectionCompleted", "FaultsInjected", "ShardDown"] {
+        assert!(count(name) > 0, "the crash run journals {name}");
+    }
 }
