@@ -19,8 +19,8 @@ use msvs_sim::{MobilityMix, Simulation, SimulationConfig};
 fn main() {
     println!("# E13 — sharded deployment: per-BS demand attribution");
     println!(
-        "{:>7} {:>14} {:>11} {:>10} {:>15}",
-        "shards", "radio acc (%)", "handovers", "emb drops", "peak imbalance"
+        "{:>7} {:>14} {:>11} {:>15}",
+        "shards", "radio acc (%)", "handovers", "peak imbalance"
     );
     let mut tables = String::new();
     for shards in [1usize, 2, 4, 8] {
@@ -35,8 +35,8 @@ fn main() {
         match &report.shards {
             Some(s) => {
                 println!(
-                    "{shards:>7} {acc:>14.1} {:>11} {:>10} {:>15.2}",
-                    s.handovers_total, s.embeddings_dropped_total, s.peak_imbalance
+                    "{shards:>7} {acc:>14.1} {:>11} {:>15.2}",
+                    s.handovers_total, s.peak_imbalance
                 );
                 tables.push_str(&format!(
                     "\n# per-BS demand, {shards} shards (summed over scored intervals)\n"
@@ -57,10 +57,7 @@ fn main() {
                     ));
                 }
             }
-            None => println!(
-                "{shards:>7} {acc:>14.1} {:>11} {:>10} {:>15}",
-                "-", "-", "legacy path"
-            ),
+            None => println!("{shards:>7} {acc:>14.1} {:>11} {:>15}", "-", "legacy path"),
         }
     }
     print!("{tables}");

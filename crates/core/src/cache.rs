@@ -1,24 +1,20 @@
-//! Per-user embedding cache for the 1D-CNN compressor.
+//! Per-user embedding cache for the 1D-CNN compressor — no longer on
+//! the prediction path.
 //!
-//! Between reservation intervals most twins receive only a handful of new
-//! samples, and many (idle users, users whose collectors are faulted)
-//! receive none at all. Re-encoding an unchanged feature window produces
-//! bit-identical features, so the scheme keeps the last encoding per user
-//! keyed by the twin's [`TwinRevision`] and only pays the CNN forward
-//! pass for users whose window content actually changed.
+//! The cache kept each user's last encoding keyed by the twin's
+//! [`TwinRevision`], so an unchanged feature window would skip the CNN
+//! forward pass. Measured, it never hit: the closed-loop benchmark's
+//! traced runs scored 0 hits in 48,000 lookups on both the one-shard and
+//! the sharded-outage workload, and a dozen other simulator
+//! configurations (collection periods, churn, shards, fault profiles,
+//! per-BS accounting) also scored 0. Every twin takes about 50 accepted
+//! updates per interval and playback writes watches every interval;
+//! either bumps the revision key. The predictor therefore encodes the
+//! whole snapshot every pass.
 //!
-//! Correctness rests on two invariants:
-//!
-//! - a twin's revision changes whenever an accepted mutation could alter
-//!   its feature window (see [`UserDigitalTwin::revision`]), and churned
-//!   `UserId` slots never alias thanks to the store-stamped instance
-//!   nonce;
-//! - the compressor is deterministic per row, so an entry cached at
-//!   generation `g` (the compressor's trained-epoch count) equals what a
-//!   fresh encode at generation `g` would produce. A generation change
-//!   (retraining after [`thaw`]) invalidates every entry.
-//!
-//! [`thaw`]: crate::compressor::CnnCompressor::thaw
+//! The module stays only because `e2ebench/` names [`EmbeddingCache`],
+//! [`CachePlan`], [`CachedEmbedding`] and [`EmbeddingBackend`]; drop it at
+//! the next benchmark change.
 
 use std::collections::{HashMap, HashSet};
 
@@ -27,9 +23,6 @@ use msvs_udt::{TwinRevision, UserDigitalTwin};
 
 /// One cached encoding: the twin revision it was computed from and the
 /// resulting feature vector (embedding ++ weighted preference).
-///
-/// Public so cross-shard handover can carry a user's encoding between
-/// per-shard caches without re-running the CNN.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CachedEmbedding {
     /// Twin revision the features were computed from.
@@ -38,42 +31,10 @@ pub struct CachedEmbedding {
     pub features: Vec<f64>,
 }
 
-/// Where the compressor's per-user encodings live between passes.
-///
-/// The default backend is a single in-process [`EmbeddingCache`];
-/// multi-shard deployments install a backend that routes each twin to its
-/// owning shard's cache. Any backend yields bit-identical feature
-/// matrices (a cached row equals a fresh encode); only the hit/miss
-/// split — and hence the `cnn_cache_*` counters — may differ.
-pub trait EmbeddingBackend: std::fmt::Debug + Send {
-    /// Splits a population snapshot into hits and misses for compressor
-    /// `generation` (see [`EmbeddingCache::plan`]).
-    fn plan(&mut self, generation: u64, twins: &[UserDigitalTwin]) -> CachePlan;
-
-    /// Stores fresh encodings for `plan`'s misses and returns the full
-    /// feature matrix in snapshot order (see [`EmbeddingCache::complete`]).
-    fn complete(
-        &mut self,
-        twins: &[UserDigitalTwin],
-        plan: &CachePlan,
-        fresh: Vec<Vec<f64>>,
-    ) -> Vec<Vec<f64>>;
-}
-
-impl EmbeddingBackend for EmbeddingCache {
-    fn plan(&mut self, generation: u64, twins: &[UserDigitalTwin]) -> CachePlan {
-        EmbeddingCache::plan(self, generation, twins)
-    }
-
-    fn complete(
-        &mut self,
-        twins: &[UserDigitalTwin],
-        plan: &CachePlan,
-        fresh: Vec<Vec<f64>>,
-    ) -> Vec<Vec<f64>> {
-        EmbeddingCache::complete(self, twins, plan, fresh)
-    }
-}
+/// Ignored; kept because `e2ebench/` names it (see
+/// [`crate::DemandPredictor::set_embedding_backend`]); drop at the next
+/// benchmark change. Nothing implements it.
+pub trait EmbeddingBackend: std::fmt::Debug + Send {}
 
 /// The lookup result for one population snapshot: which twins must be
 /// re-encoded. Indices refer to the snapshot slice handed to
@@ -117,43 +78,22 @@ impl EmbeddingCache {
         self.generation
     }
 
-    /// Removes and returns `user`'s cached encoding — the export half of
-    /// cross-shard handover.
+    /// Removes and returns `user`'s cached encoding.
     pub fn take(&mut self, user: UserId) -> Option<CachedEmbedding> {
         self.entries.remove(&user)
-    }
-
-    /// The cached user ids, sorted (checkpoint enumeration).
-    pub fn users(&self) -> Vec<UserId> {
-        let mut ids: Vec<UserId> = self.entries.keys().copied().collect();
-        ids.sort();
-        ids
     }
 
     /// Aligns the cache with compressor `generation`, dropping every
     /// entry on a mismatch (a retrained compressor invalidates all
     /// cached encodings).
-    pub fn sync_generation(&mut self, generation: u64) {
+    fn sync_generation(&mut self, generation: u64) {
         if generation != self.generation {
             self.entries.clear();
             self.generation = generation;
         }
     }
 
-    /// The cached encoding for `user`, if any (no staleness check — the
-    /// caller compares revisions).
-    pub fn lookup(&self, user: UserId) -> Option<&CachedEmbedding> {
-        self.entries.get(&user)
-    }
-
-    /// Drops every entry whose user is not in `live` (departed-user
-    /// pruning for sharded backends, where each shard sees only its own
-    /// slice of the population).
-    pub fn retain_users(&mut self, live: &HashSet<UserId>) {
-        self.entries.retain(|user, _| live.contains(user));
-    }
-
-    /// Installs a migrated encoding computed at compressor `generation`.
+    /// Installs an encoding computed at compressor `generation`.
     ///
     /// The entry is adopted only when the generations agree (an empty
     /// cache adopts the incoming generation); a stale-generation entry is

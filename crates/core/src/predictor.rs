@@ -96,9 +96,9 @@ pub trait DemandPredictor: Send {
         Ok(())
     }
 
-    /// Installs an embedding-cache backend (sharded deployments route
-    /// each twin's cached encoding to its owning shard). Default: no-op —
-    /// scalar predictors run no compressor.
+    /// Never called by the simulator, and every implementation is the
+    /// no-op default. Kept because `e2ebench/` forwards it; drop at the
+    /// next benchmark change.
     fn set_embedding_backend(&mut self, _backend: Box<dyn crate::cache::EmbeddingBackend>) {}
 
     /// Never called by the simulator. Kept, with its no-op default,
@@ -167,10 +167,6 @@ impl DemandPredictor for DtAssistedPredictor {
 
     fn pretrain(&mut self, store: &dyn TwinView, rounds: usize) -> Result<()> {
         self.pretrain_grouping(store, rounds)
-    }
-
-    fn set_embedding_backend(&mut self, backend: Box<dyn crate::cache::EmbeddingBackend>) {
-        DtAssistedPredictor::set_embedding_backend(self, backend);
     }
 }
 
@@ -254,10 +250,6 @@ impl<P: DemandPredictor> DemandPredictor for PipelineBacked<P> {
 
     fn pretrain(&mut self, store: &dyn TwinView, rounds: usize) -> Result<()> {
         self.pipeline.pretrain_grouping(store, rounds)
-    }
-
-    fn set_embedding_backend(&mut self, backend: Box<dyn crate::cache::EmbeddingBackend>) {
-        self.pipeline.set_embedding_backend(backend);
     }
 }
 

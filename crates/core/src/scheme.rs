@@ -6,7 +6,6 @@ use msvs_types::{CpuCycles, Error, GroupId, ResourceBlocks, Result, UserId};
 use msvs_udt::{TwinView, UserDigitalTwin};
 use msvs_video::Catalog;
 
-use crate::cache::{EmbeddingBackend, EmbeddingCache};
 use crate::compressor::{CnnCompressor, CompressorConfig};
 use crate::demand::{predict_group_demand, DemandConfig, GroupDemandPrediction};
 use crate::grouping::{Grouping, GroupingConfig, GroupingEngine};
@@ -140,10 +139,6 @@ pub struct SchemeConfig {
     pub snr_estimator: SnrEstimator,
     /// Graceful-degradation policy for stale twin data.
     pub degradation: DegradationConfig,
-    /// Reuse the last CNN encoding for users whose twin window content is
-    /// unchanged (tracked by per-attribute revision counters). Features
-    /// are bit-identical either way; off disables the memo entirely.
-    pub embedding_cache: bool,
     /// Worker threads for the parallel pipeline stages (CNN encode and
     /// K-means assignment): `1` = serial, `0` = all available cores.
     /// Predictions are bit-identical at any thread count.
@@ -166,7 +161,6 @@ impl Default for SchemeConfig {
             per_bs_accounting: false,
             snr_estimator: SnrEstimator::default(),
             degradation: DegradationConfig::default(),
-            embedding_cache: true,
             threads: 1,
             incremental: false,
         }
@@ -234,7 +228,6 @@ impl PredictionOutcome {
 pub struct DtAssistedPredictor {
     config: SchemeConfig,
     compressor: CnnCompressor,
-    cache: Box<dyn EmbeddingBackend>,
     engine: GroupingEngine,
     pool: msvs_par::Pool,
     fallback: crate::baselines::HistoricalMeanPredictor,
@@ -266,7 +259,6 @@ impl DtAssistedPredictor {
         Ok(Self {
             config,
             compressor,
-            cache: Box::new(EmbeddingCache::new()),
             engine,
             pool,
             fallback,
@@ -322,21 +314,6 @@ impl DtAssistedPredictor {
         self.compressor.thaw();
     }
 
-    /// Replaces the embedding-cache backend. Multi-shard deployments
-    /// install a sharded backend here so each per-BS shard owns its slice
-    /// of the cache and handover can migrate entries between shards.
-    /// Features are bit-identical for any backend (cached rows equal
-    /// fresh encodes); only the hit/miss split may differ.
-    pub fn set_embedding_backend(&mut self, backend: Box<dyn EmbeddingBackend>) {
-        self.cache = backend;
-    }
-
-    /// The compressor generation (trained-epoch count) cache entries are
-    /// keyed by — what a sharded backend's `put` must match.
-    pub fn cache_generation(&self) -> u64 {
-        self.compressor.trained_epochs() as u64
-    }
-
     /// One twin's feature window per the configured compressor geometry.
     fn window_of(&self, twin: &UserDigitalTwin) -> msvs_udt::FeatureWindow {
         twin.feature_window(
@@ -347,12 +324,8 @@ impl DtAssistedPredictor {
     }
 
     /// Trains the compressor if it is not yet frozen, freezes it, then
-    /// encodes the population on the worker pool — through the embedding
-    /// cache when enabled, so only twins whose window content changed
-    /// since the last pass pay a CNN forward pass. Features are
-    /// bit-identical with the cache on or off. Exports pool utilisation
-    /// gauges and `cnn_cache_hits`/`cnn_cache_misses` counters when
-    /// telemetry is attached.
+    /// encodes the whole population, in snapshot order, on the worker
+    /// pool. Exports pool utilisation gauges when telemetry is attached.
     fn encode_population(&mut self, twins: &[UserDigitalTwin]) -> Result<Vec<Vec<f64>>> {
         if !self.compressor.is_frozen() {
             let windows: Vec<_> = twins.iter().map(|t| self.window_of(t)).collect();
@@ -360,8 +333,6 @@ impl DtAssistedPredictor {
             self.compressor.train(&windows)?;
             self.compressor.freeze();
         }
-        // The forward scope opens even on an all-hit pass: a cache hit is
-        // a (cheap) outcome of the cnn_forward stage, not its absence.
         let forward_scope = self.stage_scope(msvs_telemetry::stages::CNN_FORWARD);
         // When tracing, each worker batch records a cnn_encode_batch span
         // adopted under the cnn_forward span after the pool joins.
@@ -370,29 +341,8 @@ impl DtAssistedPredictor {
             .as_ref()
             .zip(forward_scope.as_ref())
             .map(|(t, scope)| (t.span_collector(), scope.span_id()));
-        let (features, stats, hits, misses) = if self.config.embedding_cache {
-            let generation = self.compressor.trained_epochs() as u64;
-            let plan = self.cache.plan(generation, twins);
-            let miss_windows: Vec<_> = plan
-                .miss_indices
-                .iter()
-                .map(|&i| self.window_of(&twins[i]))
-                .collect();
-            let (fresh, stats) = self
-                .compressor
-                .encode_traced(&miss_windows, &self.pool, trace)?;
-            let (hits, misses) = (plan.hits, plan.miss_indices.len());
-            (
-                self.cache.complete(twins, &plan, fresh),
-                stats,
-                hits,
-                misses,
-            )
-        } else {
-            let windows: Vec<_> = twins.iter().map(|t| self.window_of(t)).collect();
-            let (features, stats) = self.compressor.encode_traced(&windows, &self.pool, trace)?;
-            (features, stats, 0, twins.len())
-        };
+        let windows: Vec<_> = twins.iter().map(|t| self.window_of(t)).collect();
+        let (features, stats) = self.compressor.encode_traced(&windows, &self.pool, trace)?;
         drop(forward_scope);
         if let Some(t) = &self.telemetry {
             t.gauge("par_threads", msvs_telemetry::stages::CNN_FORWARD)
@@ -401,8 +351,6 @@ impl DtAssistedPredictor {
                 .set(stats.utilisation());
             t.gauge("par_speedup", msvs_telemetry::stages::CNN_FORWARD)
                 .set(stats.effective_parallelism());
-            t.counter("cnn_cache_hits", "all").add(hits as u64);
-            t.counter("cnn_cache_misses", "all").add(misses as u64);
         }
         Ok(features)
     }

@@ -19,7 +19,7 @@
 //! the built-in profiles in [`FaultPlan::builtin`].
 
 use msvs_telemetry::Json;
-use msvs_types::{Error, Result, SimDuration, SimTime};
+use msvs_types::{Error, Result, SimDuration, SimTime, MAX_SHARDS};
 use msvs_udt::{Attribute, RetryPolicy};
 
 /// Report-delay injection: a faulted report is buffered and delivered a
@@ -253,11 +253,11 @@ impl FaultPlan {
             if o.duration == 0 {
                 return fail("faults.outages.duration", "must be at least 1 interval");
             }
-            if o.shard >= 1024 {
-                return fail(
+            if o.shard >= MAX_SHARDS {
+                return Err(Error::invalid_config(
                     "faults.outages.shard",
-                    "must be below 1024 (the shard-count cap)",
-                );
+                    format!("must be below {MAX_SHARDS} (the shard-count cap)"),
+                ));
             }
         }
         Ok(())

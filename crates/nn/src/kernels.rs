@@ -3,9 +3,8 @@
 //! Every kernel here reproduces the exact f32 operation sequence of the
 //! naive loops it replaces — same terms, same order, same accumulator
 //! start — so outputs are **bit-identical** to the pre-kernel code. That
-//! invariant is what lets the 1-vs-4-thread determinism suite (and the
-//! frozen-compressor embedding cache) treat kernel and non-kernel paths
-//! as interchangeable.
+//! invariant is what lets the 1-vs-4-thread determinism suite treat
+//! kernel and non-kernel paths as interchangeable.
 //!
 //! Buffers come from a caller-owned [`Scratch`] arena; in steady state
 //! (same network, same batch shape) a forward pass through

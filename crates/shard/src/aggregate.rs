@@ -47,9 +47,6 @@ pub struct ShardSummary {
     pub shards: usize,
     /// Cross-shard twin migrations over the whole run.
     pub handovers_total: u64,
-    /// Handovers whose mid-flight report was lost, degrading the cached
-    /// embedding to a re-encode.
-    pub embeddings_dropped_total: u64,
     /// Worst observed load factor: max shard population over the ideal
     /// (uniform) population, `1.0` = perfectly balanced.
     pub peak_imbalance: f64,

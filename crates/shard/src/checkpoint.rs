@@ -3,23 +3,21 @@
 //! A [`ShardCheckpoint`] snapshots one shard at an interval boundary:
 //! every twin it owns (full time series, revision counters and instance
 //! nonce included), each owner's uplink [`SyncTracker`] state (pending
-//! retries and backoff survive the outage), the store's instance-nonce
-//! counter, and the keys of the cached CNN embeddings (the encodings
-//! themselves are disposable — a restore re-encodes, which is always
-//! correct). The encoding is the workspace's hand-rolled JSON
-//! ([`msvs_telemetry::Json`]) under a versioned schema tag, mirroring
-//! the bench baseline format, so checkpoints are diffable and survive
-//! crate-version skew detectably rather than silently.
+//! retries and backoff survive the outage) and the store's
+//! instance-nonce counter. The encoding is the workspace's hand-rolled
+//! JSON ([`msvs_telemetry::Json`]) under a versioned schema tag,
+//! mirroring the bench baseline format, so checkpoints are diffable and
+//! survive crate-version skew detectably rather than silently.
 
 use msvs_telemetry::Json;
-use msvs_types::UserId;
+use msvs_types::{UserId, MAX_SHARDS};
 use msvs_udt::{SyncTracker, UserDigitalTwin};
 
 use crate::shard::Shard;
 
 /// Schema tag stamped into every checkpoint. Bump on layout changes so
 /// a stale checkpoint fails loud with a named mismatch.
-pub const CHECKPOINT_SCHEMA: &str = "msvs-checkpoint/v1";
+pub const CHECKPOINT_SCHEMA: &str = "msvs-checkpoint/v2";
 
 /// One user's checkpointed state: the twin and its uplink sync state.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,9 +41,6 @@ pub struct ShardCheckpoint {
     pub next_instance: u64,
     /// Checkpointed users, sorted by user id.
     pub twins: Vec<CheckpointEntry>,
-    /// Users with a cached CNN embedding at capture time, sorted. Keys
-    /// only: restores re-encode instead of trusting stale features.
-    pub embedding_keys: Vec<UserId>,
 }
 
 fn bad(reason: &str) -> String {
@@ -83,7 +78,6 @@ impl ShardCheckpoint {
             interval,
             next_instance: shard.store().next_instance(),
             twins,
-            embedding_keys: shard.embedding_users(),
         }
     }
 
@@ -124,15 +118,6 @@ impl ShardCheckpoint {
                         .collect(),
                 ),
             ),
-            (
-                "embedding_keys",
-                Json::Arr(
-                    self.embedding_keys
-                        .iter()
-                        .map(|u| Json::Num(u32::from(*u) as f64))
-                        .collect(),
-                ),
-            ),
         ])
     }
 
@@ -152,7 +137,9 @@ impl ShardCheckpoint {
             )));
         }
         let shard = usize::try_from(get_u64(json, "shard")?)
-            .map_err(|_| bad("field 'shard' out of range"))?;
+            .ok()
+            .filter(|&s| s < MAX_SHARDS)
+            .ok_or_else(|| bad(&format!("field 'shard' must be below {MAX_SHARDS}")))?;
         let interval = get_u64(json, "interval")?;
         let next_instance = get_u64(json, "next_instance")?;
         let Some(Json::Arr(rows)) = json.get("twins") else {
@@ -173,25 +160,11 @@ impl ShardCheckpoint {
                     .map_err(|e| bad(&format!("twins[{i}].{e}")))?,
             });
         }
-        let Some(Json::Arr(keys)) = json.get("embedding_keys") else {
-            return Err(bad("missing array field 'embedding_keys'"));
-        };
-        let embedding_keys = keys
-            .iter()
-            .enumerate()
-            .map(|(i, k)| {
-                k.as_u64()
-                    .and_then(|v| u32::try_from(v).ok())
-                    .map(UserId)
-                    .ok_or_else(|| bad(&format!("embedding_keys[{i}] must be a user id")))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
         Ok(Self {
             shard,
             interval,
             next_instance,
             twins,
-            embedding_keys,
         })
     }
 
@@ -207,10 +180,7 @@ impl ShardCheckpoint {
     /// Reloads the checkpointed registry into `shard`'s store (cleared
     /// first; the instance-nonce counter only moves forward so a stale
     /// checkpoint can never cause nonce reuse) and returns each user's
-    /// restored sync state for the caller to re-install. Cached
-    /// embeddings are NOT restored — the keys exist so operators can
-    /// size the re-encode burst; the features themselves re-encode on
-    /// the next pass, which is always correct.
+    /// restored sync state for the caller to re-install.
     pub fn restore_into(&self, shard: &Shard) -> Vec<(UserId, SyncTracker)> {
         shard.store().clear();
         shard.store().restore_next_instance(self.next_instance);
@@ -227,7 +197,6 @@ impl ShardCheckpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msvs_core::cache::CachedEmbedding;
     use msvs_types::{Position, SimTime};
     use msvs_udt::{Attribute, RetryPolicy};
 
@@ -256,18 +225,6 @@ mod tests {
             }
             trackers.push((user, tracker));
         }
-        let rev = shard
-            .store()
-            .with_twin(UserId(4), |t| t.revision())
-            .unwrap();
-        shard.embeddings().lock().unwrap().put(
-            2,
-            UserId(4),
-            CachedEmbedding {
-                revision: rev,
-                features: vec![0.5, -1.25],
-            },
-        );
         (shard, trackers)
     }
 
@@ -292,7 +249,6 @@ mod tests {
             vec![2, 4, 9],
             "entries are user-sorted"
         );
-        assert_eq!(ckpt.embedding_keys, vec![UserId(4)]);
         assert!(ckpt.encoded_len() > 0);
 
         let back = ShardCheckpoint::parse(&ckpt.to_json().to_string()).expect("round trip");
@@ -323,10 +279,6 @@ mod tests {
             .map(|(_, t)| t.clone())
             .unwrap();
         assert_eq!(restored_t2, lookup(UserId(2)), "retry state survives");
-        assert!(
-            fresh.embeddings().lock().unwrap().is_empty(),
-            "embeddings re-encode instead of restoring stale features"
-        );
     }
 
     /// A checkpoint captured while a snapshot still shares the twins'
@@ -361,6 +313,16 @@ mod tests {
         let err = ShardCheckpoint::from_json(&json).unwrap_err();
         assert!(err.contains("schema mismatch"), "{err}");
 
+        // A v1 document, which still carried the cached-embedding keys,
+        // names the mismatch instead of silently dropping the field.
+        let mut json = ckpt.to_json();
+        if let Json::Obj(map) = &mut json {
+            map.insert("schema".into(), Json::Str("msvs-checkpoint/v1".into()));
+            map.insert("embedding_keys".into(), Json::Arr(vec![Json::Num(4.0)]));
+        }
+        let err = ShardCheckpoint::from_json(&json).unwrap_err();
+        assert!(err.contains("got 'msvs-checkpoint/v1'"), "{err}");
+
         let mut json = ckpt.to_json();
         if let Json::Obj(map) = &mut json {
             map.remove("next_instance");
@@ -370,6 +332,28 @@ mod tests {
 
         let err = ShardCheckpoint::parse("{nope").unwrap_err();
         assert!(err.contains("invalid JSON"), "{err}");
+    }
+
+    /// Shard ids at or past the deployment cap would wrap the shard's
+    /// instance-nonce namespace onto another shard's, so they never
+    /// restore.
+    #[test]
+    fn shard_ids_past_the_cap_are_rejected() {
+        let (shard, _) = seeded_shard();
+        let ckpt = ShardCheckpoint::capture(&shard, 0, |_| SyncTracker::default());
+        for id in [1024u64, 1 << 24] {
+            let mut json = ckpt.to_json();
+            if let Json::Obj(map) = &mut json {
+                map.insert("shard".into(), Json::Num(id as f64));
+            }
+            let err = ShardCheckpoint::from_json(&json).unwrap_err();
+            assert!(err.contains("field 'shard' must be below 1024"), "{err}");
+        }
+        let mut json = ckpt.to_json();
+        if let Json::Obj(map) = &mut json {
+            map.insert("shard".into(), Json::Num(1023.0));
+        }
+        assert_eq!(ShardCheckpoint::from_json(&json).unwrap().shard, 1023);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! cross-shard handover sweep.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use msvs_core::GroupDemandPrediction;
 use msvs_faults::OutageMode;
@@ -14,7 +13,6 @@ use msvs_video::Video;
 
 use crate::aggregate::{ReservationAggregator, ShardDemandRow, ShardSummary};
 use crate::checkpoint::ShardCheckpoint;
-use crate::embedding::ShardedEmbeddingBackend;
 use crate::router::ShardRouter;
 use crate::shard::Shard;
 
@@ -27,17 +25,6 @@ pub struct HandoverUser<'a> {
     /// The user's uplink sync state; migrated (verbatim) with the twin
     /// when the user changes shards.
     pub tracker: &'a mut SyncTracker,
-}
-
-/// What one rebalance sweep did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HandoverStats {
-    /// Twins migrated between shards.
-    pub moved: usize,
-    /// Migrations whose mid-flight report was lost: the cached embedding
-    /// was dropped (degrading that user to a re-encode), the twin and
-    /// tracker still arrived intact.
-    pub embeddings_dropped: usize,
 }
 
 /// Which end of an outage window a transition marks.
@@ -84,12 +71,11 @@ pub struct OutageTransition {
 pub struct ShardCoordinator {
     shards: Vec<Shard>,
     router: ShardRouter,
-    owner: Arc<RwLock<HashMap<UserId, usize>>>,
+    owner: HashMap<UserId, usize>,
     aggregator: ReservationAggregator,
     pool: Pool,
     telemetry: Option<Telemetry>,
     handovers_total: u64,
-    embeddings_dropped_total: u64,
     peak_imbalance: f64,
     /// Per-shard health: `Some(mode)` while the shard is inside an
     /// outage window. Mutated only on the serial driver thread.
@@ -114,12 +100,11 @@ impl ShardCoordinator {
                 .map(|i| Shard::new(i, video_cache_mb_per_shard))
                 .collect(),
             router,
-            owner: Arc::new(RwLock::new(HashMap::new())),
+            owner: HashMap::new(),
             aggregator: ReservationAggregator::new(n),
             pool,
             telemetry: None,
             handovers_total: 0,
-            embeddings_dropped_total: 0,
             peak_imbalance: 1.0,
             down: vec![None; n],
             checkpoints: vec![None; n],
@@ -160,17 +145,9 @@ impl ShardCoordinator {
         &self.router
     }
 
-    fn owner_read(&self) -> RwLockReadGuard<'_, HashMap<UserId, usize>> {
-        self.owner.read().expect("owner map lock poisoned")
-    }
-
-    fn owner_write(&self) -> RwLockWriteGuard<'_, HashMap<UserId, usize>> {
-        self.owner.write().expect("owner map lock poisoned")
-    }
-
     /// The shard currently owning `user`, if registered.
     pub fn owner_of(&self, user: UserId) -> Option<usize> {
-        self.owner_read().get(&user).copied()
+        self.owner.get(&user).copied()
     }
 
     /// The outage mode `shard` is currently inside, if any.
@@ -211,11 +188,10 @@ impl ShardCoordinator {
     /// reports lost. Computed serially so the parallel collection sweep
     /// can consume a plain slice.
     pub fn partitioned_users(&self, users: &[UserId]) -> Vec<bool> {
-        let owner = self.owner_read();
         users
             .iter()
             .map(|u| {
-                owner
+                self.owner
                     .get(u)
                     .is_some_and(|&s| matches!(self.down[s], Some(OutageMode::Partition)))
             })
@@ -223,24 +199,22 @@ impl ShardCoordinator {
     }
 
     /// Registers (or replaces, on a churned slot) a twin, routed by the
-    /// user's position. A replaced slot's old twin and cached embedding
-    /// are evicted from whichever shard held them first, so a churned
-    /// `UserId` can never exist in two shards at once.
+    /// user's position. A replaced slot's old twin is evicted from
+    /// whichever shard held it first, so a churned `UserId` can never
+    /// exist in two shards at once.
     pub fn insert(&mut self, twin: UserDigitalTwin, pos: Position) {
         let user = twin.user();
         if let Some(prev) = self.owner_of(user) {
             self.shards[prev].store().remove(user);
-            self.shards[prev].evict_embedding(user);
         }
         let shard = self.route_live(pos);
         self.shards[shard].store().insert(twin);
-        self.owner_write().insert(user, shard);
+        self.owner.insert(user, shard);
     }
 
     /// Removes a twin, returning it if present.
     pub fn remove(&mut self, user: UserId) -> Option<UserDigitalTwin> {
-        let shard = self.owner_write().remove(&user)?;
-        self.shards[shard].evict_embedding(user);
+        let shard = self.owner.remove(&user)?;
         self.shards[shard].store().remove(user)
     }
 
@@ -252,7 +226,7 @@ impl ShardCoordinator {
 
     /// All registered user ids (sorted for determinism).
     pub fn user_ids(&self) -> Vec<UserId> {
-        let mut ids: Vec<UserId> = self.owner_read().keys().copied().collect();
+        let mut ids: Vec<UserId> = self.owner.keys().copied().collect();
         ids.sort();
         ids
     }
@@ -344,29 +318,21 @@ impl ShardCoordinator {
 
     /// Re-evaluates ownership for every user (in the given order — the
     /// caller passes its deterministic user vector) and migrates twins
-    /// whose reported position crossed a cell boundary. `lost` is the
-    /// fault plane's verdict on the mid-handover report: a lost report
-    /// degrades that user's cached embedding (dropped, re-encoded next
-    /// pass) but the twin and tracker always arrive — a handover never
-    /// duplicates or drops a twin.
+    /// whose reported position crossed a cell boundary; returns how many
+    /// twins moved. A handover never duplicates or drops a twin.
     ///
     /// Serial by design: migrations mutate two shards and the ownership
     /// map, and the sweep must be bit-identical at any thread count.
-    pub fn rebalance(
-        &mut self,
-        users: &mut [HandoverUser<'_>],
-        mut lost: impl FnMut(UserId) -> bool,
-    ) -> HandoverStats {
-        let mut stats = HandoverStats::default();
+    pub fn rebalance(&mut self, users: &mut [HandoverUser<'_>]) -> usize {
         if !self.sharded() {
-            return stats;
+            return 0;
         }
         let before = self.len();
         let scope = self
             .telemetry
             .as_ref()
             .map(|t| t.stage_scope(stages::SHARD_REBALANCE));
-        let mut per_shard_in = vec![0u64; self.shards.len()];
+        let mut moved = 0;
         for hu in users.iter_mut() {
             let user = hu.user;
             let Some(from) = self.owner_of(user) else {
@@ -391,33 +357,24 @@ impl ShardCoordinator {
             let export = self.shards[from]
                 .export(user, tracker)
                 .expect("owner map said this shard holds the twin");
-            let lost_report = lost(user);
-            *hu.tracker = self.shards[to].import(export, !lost_report);
-            self.owner_write().insert(user, to);
-            per_shard_in[to] += 1;
-            stats.moved += 1;
-            if lost_report {
-                stats.embeddings_dropped += 1;
-            }
+            *hu.tracker = self.shards[to].import(export);
+            self.owner.insert(user, to);
+            moved += 1;
         }
         debug_assert_eq!(self.len(), before, "handover must conserve twins");
-        self.handovers_total += stats.moved as u64;
-        self.embeddings_dropped_total += stats.embeddings_dropped as u64;
+        self.handovers_total += moved as u64;
         let imbalance = self.imbalance();
         self.peak_imbalance = self.peak_imbalance.max(imbalance);
         if let (Some(t), Some(_scope)) = (&self.telemetry, scope.as_ref()) {
-            for (i, &arrivals) in per_shard_in.iter().enumerate() {
+            for i in 0..self.shards.len() {
                 let mut span = t.span(stages::SHARD_SLICE);
                 span.set_batch(i as u64);
-                let _ = arrivals;
                 span.end();
             }
-            t.counter("handovers_total", "all").add(stats.moved as u64);
-            t.counter("handover_embeddings_dropped_total", "all")
-                .add(stats.embeddings_dropped as u64);
+            t.counter("handovers_total", "all").add(moved as u64);
             t.gauge("shard_imbalance", "all").set(imbalance);
         }
-        stats
+        moved
     }
 
     /// Applies one interval's shard-outage schedule and accounts
@@ -434,11 +391,10 @@ impl ShardCoordinator {
     ///   lossiness fails loud here, not at restore). `Crash` then runs
     ///   the failover sweep — every owned twin is exported through the
     ///   normal handover path to the nearest live cell (ring-next shard
-    ///   for users with no reported position), cached embeddings dying
-    ///   with the BS — and the store ends empty. `Partition` leaves the
-    ///   twins in place; the runner forces those users' uplink reports
-    ///   lost, which engages the sync-tracker retry/backoff and the
-    ///   prediction degradation ladder.
+    ///   for users with no reported position) — and the store ends
+    ///   empty. `Partition` leaves the twins in place; the runner forces
+    ///   those users' uplink reports lost, which engages the sync-tracker
+    ///   retry/backoff and the prediction degradation ladder.
     /// - **restored** (`Some(mode) -> None` once the window ends): the
     ///   store's instance-nonce counter resumes monotonically from the
     ///   checkpoint so a recovered shard can never re-stamp a nonce, and
@@ -480,14 +436,11 @@ impl ShardCoordinator {
                         .telemetry
                         .as_ref()
                         .map(|t| t.stage_scope(stages::SHARD_OUTAGE));
-                    let trackers: HashMap<UserId, SyncTracker> = {
-                        let owner = self.owner_read();
-                        users
-                            .iter()
-                            .filter(|hu| owner.get(&hu.user) == Some(&i))
-                            .map(|hu| (hu.user, hu.tracker.clone()))
-                            .collect()
-                    };
+                    let trackers: HashMap<UserId, SyncTracker> = users
+                        .iter()
+                        .filter(|hu| self.owner.get(&hu.user) == Some(&i))
+                        .map(|hu| (hu.user, hu.tracker.clone()))
+                        .collect();
                     let ckpt = ShardCheckpoint::capture(&self.shards[i], interval, |u| {
                         trackers.get(&u).cloned().unwrap_or_default()
                     });
@@ -516,8 +469,8 @@ impl ShardCoordinator {
                             let export = self.shards[i]
                                 .export(hu.user, tracker)
                                 .expect("owner map said this shard holds the twin");
-                            *hu.tracker = self.shards[to].import(export, false);
-                            self.owner_write().insert(hu.user, to);
+                            *hu.tracker = self.shards[to].import(export);
+                            self.owner.insert(hu.user, to);
                             failed_over += 1;
                         }
                         debug_assert!(
@@ -606,8 +559,7 @@ impl ShardCoordinator {
             .telemetry
             .as_ref()
             .map(|t| t.stage_scope(stages::SHARD_AGGREGATE));
-        let owner = self.owner.read().expect("owner map lock poisoned");
-        self.aggregator.fold(groups, &owner);
+        self.aggregator.fold(groups, &self.owner);
     }
 
     /// Records one multicast group playback against the local video
@@ -622,25 +574,13 @@ impl ShardCoordinator {
         if !self.sharded() {
             return;
         }
-        let shards: BTreeSet<usize> = {
-            let owner = self.owner_read();
-            members
-                .iter()
-                .filter_map(|u| owner.get(u).copied())
-                .collect()
-        };
+        let shards: BTreeSet<usize> = members
+            .iter()
+            .filter_map(|u| self.owner.get(u).copied())
+            .collect();
         for s in shards {
             self.shards[s].record_playback(video, level);
         }
-    }
-
-    /// A predictor backend over the per-shard embedding caches, sharing
-    /// the cache slices and ownership map with this coordinator.
-    pub fn embedding_backend(&self) -> ShardedEmbeddingBackend {
-        ShardedEmbeddingBackend::new(
-            self.shards.iter().map(Shard::embeddings).collect(),
-            Arc::clone(&self.owner),
-        )
     }
 
     /// Cumulative handovers across the run.
@@ -658,7 +598,6 @@ impl ShardCoordinator {
         ShardSummary {
             shards: self.shards.len(),
             handovers_total: self.handovers_total,
-            embeddings_dropped_total: self.embeddings_dropped_total,
             peak_imbalance: self.peak_imbalance,
             outages_total: self.outages_total,
             failover_handovers_total: self.failover_handovers_total,
@@ -785,35 +724,12 @@ mod tests {
                 tracker: &mut t1,
             },
         ];
-        let stats = c.rebalance(&mut users, |_| false);
-        assert_eq!(stats.moved, 1);
-        assert_eq!(stats.embeddings_dropped, 0);
+        assert_eq!(c.rebalance(&mut users), 1);
         assert_eq!(c.owner_of(UserId(0)), Some(1));
         assert_eq!(c.len(), 2, "handover conserves twins");
         assert_eq!(c.handovers_total(), 1);
         // Idempotent: nobody crosses on the second sweep.
-        let stats = c.rebalance(&mut users, |_| false);
-        assert_eq!(stats.moved, 0);
-    }
-
-    #[test]
-    fn lost_handover_report_degrades_but_never_drops_a_twin() {
-        let mut c = coordinator(2);
-        insert_at(&mut c, 0, 1.0, 1.0);
-        c.with_twin_mut(UserId(0), |t| {
-            t.update_location(SimTime::from_secs(5), Position::new(98.0, 2.0))
-        })
-        .unwrap();
-        let mut t0 = SyncTracker::default();
-        let mut users = vec![HandoverUser {
-            user: UserId(0),
-            tracker: &mut t0,
-        }];
-        let stats = c.rebalance(&mut users, |_| true);
-        assert_eq!(stats.moved, 1);
-        assert_eq!(stats.embeddings_dropped, 1);
-        assert_eq!(c.len(), 1, "twin arrived despite the lost report");
-        assert!(c.contains(UserId(0)));
+        assert_eq!(c.rebalance(&mut users), 0);
     }
 
     #[test]
@@ -846,7 +762,7 @@ mod tests {
                 tracker: tr1,
             },
         ];
-        assert_eq!(c.rebalance(&mut users, |_| true), HandoverStats::default());
+        assert_eq!(c.rebalance(&mut users), 0);
         // Legacy nonce sequence: 1, 2, ...
         assert_eq!(
             c.with_twin(UserId(0), |t| t.revision().instance).unwrap(),
@@ -901,7 +817,7 @@ mod tests {
 
         // Mid-outage rebalance must not move anyone back yet.
         let mut users = handover_users(&mut trackers);
-        assert_eq!(c.rebalance(&mut users, |_| false).moved, 0);
+        assert_eq!(c.rebalance(&mut users), 0);
 
         // Interval 3: the window ends; the next sweep takes them back.
         let mut users = handover_users(&mut trackers);
@@ -911,8 +827,11 @@ mod tests {
         assert_eq!(t[0].checkpoint_users, 2);
         assert!(!c.is_down(1));
         let mut users = handover_users(&mut trackers);
-        let stats = c.rebalance(&mut users, |_| false);
-        assert_eq!(stats.moved, 2, "recovered shard takes its users back");
+        assert_eq!(
+            c.rebalance(&mut users),
+            2,
+            "recovered shard takes its users back"
+        );
         assert_eq!(c.owner_of(UserId(1)), Some(1));
         assert_eq!(c.len(), 3, "conservation holds across the whole cycle");
     }
@@ -961,13 +880,13 @@ mod tests {
         })
         .unwrap();
         let mut users = handover_users(&mut trackers);
-        assert_eq!(c.rebalance(&mut users, |_| false).moved, 0);
+        assert_eq!(c.rebalance(&mut users), 0);
         // Heal: the backlog user hands over on the next sweep.
         let mut users = handover_users(&mut trackers);
         c.apply_outages(2, |_| None, &mut users);
         assert_eq!(c.partitioned_users(&[UserId(1)]), vec![false]);
         let mut users = handover_users(&mut trackers);
-        assert_eq!(c.rebalance(&mut users, |_| false).moved, 1);
+        assert_eq!(c.rebalance(&mut users), 1);
         assert_eq!(c.len(), 2);
     }
 
@@ -1029,7 +948,7 @@ mod tests {
 
         // Rebalance with everything live: the tie user must not flap.
         let mut users = handover_users(&mut trackers);
-        assert_eq!(c.rebalance(&mut users, |_| false).moved, 0);
+        assert_eq!(c.rebalance(&mut users), 0);
 
         // Crash shard 0: the tie re-resolves deterministically onto the
         // overlay (nearest live BS) and the owner stays unique.
@@ -1039,18 +958,18 @@ mod tests {
         assert_eq!(c.len(), 2, "exactly one twin per user");
         // Sweeps while down are idempotent for the boundary user.
         let mut users = handover_users(&mut trackers);
-        assert_eq!(c.rebalance(&mut users, |_| false).moved, 0);
+        assert_eq!(c.rebalance(&mut users), 0);
 
         // Restore: the tie falls back to the base resolution (shard 0).
         let mut users = handover_users(&mut trackers);
         c.apply_outages(3, |_| None, &mut users);
         let mut users = handover_users(&mut trackers);
-        assert_eq!(c.rebalance(&mut users, |_| false).moved, 1);
+        assert_eq!(c.rebalance(&mut users), 1);
         assert_eq!(c.owner_of(UserId(0)), Some(0));
         assert_eq!(c.len(), 2);
         // And the resolution is stable: a second sweep moves nobody.
         let mut users = handover_users(&mut trackers);
-        assert_eq!(c.rebalance(&mut users, |_| false).moved, 0);
+        assert_eq!(c.rebalance(&mut users), 0);
     }
 
     #[test]

@@ -155,10 +155,6 @@ pub fn run_bench(opts: &BenchOptions) -> Result<Json> {
         }
         Json::obj([
             ("handovers_total", Json::Num(s.handovers_total as f64)),
-            (
-                "embeddings_dropped_total",
-                Json::Num(s.embeddings_dropped_total as f64),
-            ),
             ("peak_imbalance", Json::Num(s.peak_imbalance)),
             ("demand", Json::Obj(rows)),
         ])

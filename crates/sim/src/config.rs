@@ -6,7 +6,7 @@ use msvs_core::{
     SchemeConfig,
 };
 use msvs_edge::EdgeConfig;
-use msvs_types::{Error, Result, SimDuration};
+use msvs_types::{Error, Result, SimDuration, MAX_SHARDS};
 use msvs_udt::CollectionPolicy;
 use msvs_video::{CatalogConfig, EngagementModel};
 
@@ -203,8 +203,8 @@ pub struct SimulationConfig {
     /// Seeded runs produce bit-identical reports at any thread count.
     pub threads: usize,
     /// Base-station shards the deployment partitions into (`1` = the
-    /// legacy single-cell path). Each shard owns its own twin registry,
-    /// embedding-cache slice and local video-cache tier; users handover
+    /// legacy single-cell path). Each shard owns its own twin registry
+    /// and local video-cache tier; users handover
     /// between shards as mobility crosses cell boundaries. Defaults to
     /// the `MSVS_SHARDS` environment variable, or `1`. Seeded runs
     /// produce bit-identical reports at any shard count.
@@ -332,8 +332,11 @@ impl SimulationConfig {
                 "need at least one shard (1 = single-cell deployment)",
             ));
         }
-        if self.shards > 1024 {
-            return Err(Error::invalid_config("shards", "must be at most 1024"));
+        if self.shards > MAX_SHARDS {
+            return Err(Error::invalid_config(
+                "shards",
+                format!("must be at most {MAX_SHARDS}"),
+            ));
         }
         Ok(())
     }

@@ -269,12 +269,6 @@ impl Simulation {
         predictor.attach_telemetry(telemetry.clone());
         edge.attach_telemetry(telemetry.clone());
         store.attach_telemetry(telemetry.clone());
-        // Sharded runs route the predictor's embedding cache through the
-        // per-shard slices, so handovers can migrate cached encodings;
-        // single-shard runs keep the predictor's own cache untouched.
-        if store.sharded() {
-            predictor.set_embedding_backend(Box::new(store.embedding_backend()));
-        }
         telemetry.emit(Event::RunStarted {
             scheme: predictor.name().to_string(),
             seed: config.seed,
@@ -608,29 +602,6 @@ impl Simulation {
         }
     }
 
-    /// Re-evaluates shard ownership from each twin's last reported
-    /// position and migrates boundary crossers (twin, sync tracker and
-    /// cached embedding move as one unit). The fault plane's fate oracle
-    /// decides whether a migration's mid-flight report is lost — a lost
-    /// report degrades the cached embedding to a re-encode, never the
-    /// twin. No-op on single-shard runs.
-    fn rebalance_shards(&mut self) {
-        if !self.store.sharded() {
-            return;
-        }
-        let now_ms = self.now.as_millis();
-        let injector = self.faults.as_ref().map(|rt| &rt.injector);
-        let mut handover = handover_users(&mut self.users);
-        self.store.rebalance(&mut handover, |user| {
-            injector.is_some_and(|i| {
-                matches!(
-                    i.fate(user.0, now_ms, Attribute::Location),
-                    ReportFate::Lose
-                )
-            })
-        });
-    }
-
     /// Fires the fault plan's interval-scheduled faults: churn bursts
     /// (mass leave/join on top of the baseline churn) and edge brownouts
     /// (reduced cache capacity for the interval's serves).
@@ -716,7 +687,9 @@ impl Simulation {
             self.apply_scheduled_faults(index);
             self.apply_outage_transitions(index);
         }
-        self.rebalance_shards();
+        // Boundary crossers change shard, twin and sync tracker together
+        // (a no-op on single-shard runs).
+        self.store.rebalance(&mut handover_users(&mut self.users));
         let interval = self.config.interval;
         let tick = self.config.tick;
         let steps = interval.steps(tick).max(1);

@@ -44,7 +44,7 @@ pub const PLAYBACK_GROUP: &str = "playback_group";
 /// One whole simulated interval.
 pub const INTERVAL: &str = "interval";
 /// Cross-shard handover sweep at the start of a sharded interval
-/// (ownership re-evaluation + twin/tracker/embedding migration).
+/// (ownership re-evaluation + twin/tracker migration).
 pub const SHARD_REBALANCE: &str = "shard_rebalance";
 /// Merging per-shard twin snapshots into the canonical population view
 /// (one child span per shard).

@@ -31,3 +31,9 @@ pub use position::Position;
 pub use time::{SimDuration, SimTime};
 pub use units::{CpuCycles, Hertz, Mbps, Meters, ResourceBlocks, Watts};
 pub use video::{Representation, RepresentationLevel, VideoCategory};
+
+/// Most base-station shards one deployment may run; shard ids lie in
+/// `0..MAX_SHARDS`. Each shard stamps twin instance nonces in its own
+/// namespace, the shard id shifted above bit 40, so the cap keeps every
+/// namespace inside a `u64` and disjoint from every other shard's.
+pub const MAX_SHARDS: usize = 1024;

@@ -120,8 +120,7 @@ impl UdtStore {
 
     /// Re-registers a migrated twin *without* stamping a new instance
     /// nonce, preserving its full [`TwinRevision`](crate::TwinRevision) —
-    /// the cross-shard handover primitive. Revision-keyed caches on the
-    /// destination keep hitting because the revision (including the
+    /// the cross-shard handover primitive. The revision (including the
     /// origin store's nonce) survives the move intact.
     pub fn import(&self, twin: UserDigitalTwin) {
         Self::write(self.shard(twin.user())).insert(twin.user(), twin);

@@ -99,9 +99,9 @@ pub struct UserDigitalTwin {
     instance: u64,
     /// Monotone per-attribute revision counters, bumped only when a
     /// mutation is actually *accepted* (rejected corrupt samples leave
-    /// them untouched). Together with `instance` they let the embedding
-    /// cache prove a feature window unchanged without re-reading the
-    /// series. Run-local bookkeeping.
+    /// them untouched). Together with `instance` they identify a twin's
+    /// content version without re-reading the series. Run-local
+    /// bookkeeping.
     channel_rev: u64,
     location_rev: u64,
     watch_rev: u64,

@@ -121,8 +121,8 @@ fn print_help() {
          percent; differing backends (older documents recorded `simd`)\n\
          or run shapes are warned about, never failed.\n\
          `checkpoint` runs the same scenario, then snapshots each shard\n\
-         (twins + sync state + embedding keys) as one JSON line; the\n\
-         `--restore` form reloads and verifies such a file offline.\n\
+         (twins + sync state) as one JSON line; the `--restore` form\n\
+         reloads and verifies such a file offline.\n\
          `--journal` writes the telemetry event journal as JSONL (plus a\n\
          run manifest next to it); `report` pretty-prints such a journal.\n\
          `--trace` writes the run's hierarchical spans as a Chrome-trace\n\
@@ -341,11 +341,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     println!("{}", report::interval_table(&result));
     if let Some(shards) = &result.shards {
         println!(
-            "shards: {} | handovers {} | embeddings dropped {} | peak imbalance {:.2}",
-            shards.shards,
-            shards.handovers_total,
-            shards.embeddings_dropped_total,
-            shards.peak_imbalance,
+            "shards: {} | handovers {} | peak imbalance {:.2}",
+            shards.shards, shards.handovers_total, shards.peak_imbalance,
         );
         if shards.outages_total > 0 {
             let worst = shards
@@ -511,8 +508,8 @@ fn cmd_flame(args: &[String]) -> Result<(), String> {
 }
 
 /// `msvs checkpoint`: run the scenario to completion and snapshot every
-/// shard's twin registry (plus sync-tracker state and cached-embedding
-/// keys) as one versioned JSON checkpoint per line; `--restore PATH`
+/// shard's twin registry (plus sync-tracker state) as one versioned JSON
+/// checkpoint per line; `--restore PATH`
 /// instead reloads such a file into fresh shards and verifies it.
 fn cmd_checkpoint(args: &[String]) -> Result<(), String> {
     const CHECKPOINT: FlagSpec = FlagSpec {
@@ -594,12 +591,11 @@ fn restore_checkpoint(path: &str) -> Result<(), String> {
             ));
         }
         println!(
-            "shard {}: {} twin(s) at interval {}, next nonce {:#x}, {} cached embedding key(s)",
+            "shard {}: {} twin(s) at interval {}, next nonce {:#x}",
             ckpt.shard,
             ckpt.len(),
             ckpt.interval,
             ckpt.next_instance,
-            ckpt.embedding_keys.len(),
         );
         shards += 1;
         twins += ckpt.len();
@@ -1177,7 +1173,6 @@ mod tests {
                         tracker: SyncTracker::new(),
                     })
                     .collect(),
-                embedding_keys: Vec::new(),
             }
             .to_json()
             .to_string()
@@ -1198,6 +1193,9 @@ mod tests {
             err.ends_with(":2: shard 0 already checkpointed on line 1"),
             "{err}"
         );
+        // Past the shard cap the id would wrap another shard's nonces.
+        let err = restore(&[checkpoint(1 << 24, &[1])]).unwrap_err();
+        assert!(err.ends_with("field 'shard' must be below 1024"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 

@@ -137,14 +137,13 @@ fn strip_wall(mut r: SimulationReport) -> SimulationReport {
     r
 }
 
-/// Removes what the shard plane itself adds — its summary, its stages,
-/// its handover counters and the embedding-cache hit/miss split — leaving
-/// only what the pipeline computed.
+/// Removes what the shard plane itself adds — its summary, its stages
+/// and its handover counters — leaving only what the pipeline computed.
 fn strip_shard_plane(mut r: SimulationReport) -> SimulationReport {
     r.shards = None;
     r.telemetry
         .counters
-        .retain(|(name, _, _)| !name.starts_with("cnn_cache") && !name.starts_with("handover"));
+        .retain(|(name, _, _)| !name.starts_with("handover"));
     r.telemetry
         .stages
         .retain(|s| !s.stage.starts_with("shard_"));

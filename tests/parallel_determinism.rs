@@ -90,108 +90,6 @@ fn span_structure_is_identical_across_thread_counts() {
     );
 }
 
-/// The cache-hit/miss tallies are the only counters allowed to differ
-/// between embedding-cache modes; everything else must be bit-identical.
-fn strip_cache_counters(mut r: SimulationReport) -> SimulationReport {
-    r.telemetry
-        .counters
-        .retain(|(name, _, _)| !name.starts_with("cnn_cache"));
-    strip_wall(r)
-}
-
-#[test]
-fn embedding_cache_does_not_change_the_report_at_any_thread_count() {
-    let run = |cache: bool, threads: usize| {
-        let mut cfg = seeded_config(33, threads);
-        cfg.scheme.embedding_cache = cache;
-        strip_cache_counters(Simulation::run(cfg).expect("seeded run"))
-    };
-    let baseline = run(false, 1);
-    for (cache, threads) in [(true, 1), (true, 4), (false, 4)] {
-        assert_eq!(
-            baseline,
-            run(cache, threads),
-            "cache={cache} threads={threads} must match the cache-off serial run"
-        );
-    }
-}
-
-#[test]
-fn warm_embedding_cache_serves_hits_without_changing_predictions() {
-    use msvs::channel::{Link, LinkConfig};
-    use msvs::edge::{TranscodeModel, VideoCache};
-    use msvs::types::{Position, RepresentationLevel, SimTime, UserId, VideoCategory, VideoId};
-    use msvs::udt::{UdtStore, UserDigitalTwin, WatchRecord};
-    use msvs::video::{Catalog, CatalogConfig};
-
-    let store = UdtStore::new();
-    for u in 0..12u32 {
-        let mut twin = UserDigitalTwin::new(UserId(u));
-        for step in 0..30u64 {
-            let t = SimTime::from_secs(step * 5);
-            twin.update_channel(t, 8.0 + (u % 3) as f64 * 4.0);
-            twin.update_location(t, Position::new(100.0 * (u % 4) as f64, 50.0 * u as f64));
-            twin.record_watch(
-                t,
-                WatchRecord {
-                    video: VideoId((step % 20) as u32),
-                    category: VideoCategory::News,
-                    level: RepresentationLevel::P720,
-                    watched: SimDuration::from_secs(10 + u as u64 % 7),
-                    video_duration: SimDuration::from_secs(60),
-                    completed: false,
-                },
-            );
-        }
-        store.insert(twin);
-    }
-    let catalog = Catalog::generate(CatalogConfig {
-        n_videos: 80,
-        seed: 3,
-        ..Default::default()
-    })
-    .expect("catalog generates");
-    let mut video_cache = VideoCache::new(100_000.0);
-    video_cache.warm_from(&catalog);
-    let transcode = TranscodeModel::default();
-    let link = Link::new(LinkConfig::default());
-
-    // Two passes over an untouched store: with the cache the second pass
-    // re-encodes nobody, and both passes match the cache-off predictor
-    // exactly (Debug output captures every field bit-for-bit via the
-    // shortest-roundtrip float formatting).
-    let passes = |use_cache: bool| {
-        let mut predictor = DtAssistedPredictor::new(SchemeConfig {
-            embedding_cache: use_cache,
-            ..small_scheme()
-        })
-        .expect("predictor builds");
-        let telemetry = msvs::telemetry::Telemetry::new();
-        predictor.attach_telemetry(telemetry.clone());
-        let first = predictor
-            .predict(&store, &catalog, &video_cache, &transcode, &link)
-            .expect("first pass");
-        let second = predictor
-            .predict(&store, &catalog, &video_cache, &transcode, &link)
-            .expect("second pass");
-        (format!("{first:?}"), format!("{second:?}"), telemetry)
-    };
-    let (cached_first, cached_second, telemetry) = passes(true);
-    let (plain_first, plain_second, _) = passes(false);
-    assert_eq!(cached_first, plain_first);
-    assert_eq!(cached_second, plain_second);
-
-    let hits = telemetry.counter("cnn_cache_hits", "all").get();
-    let misses = telemetry.counter("cnn_cache_misses", "all").get();
-    assert_eq!(misses, 12, "cold first pass encodes everyone");
-    assert_eq!(hits, 12, "unchanged twins are all served from the cache");
-    assert_eq!(
-        hits + misses,
-        24,
-        "hits + misses must equal total encode requests (12 users x 2 passes)"
-    );
-}
-
 #[test]
 fn counter_totals_match_single_thread_exactly_under_faults() {
     let run = |threads: usize| {

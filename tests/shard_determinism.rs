@@ -4,8 +4,7 @@
 //! 4 shards (after stripping the shard plane's own observability), a
 //! sharded run must stay bit-identical across worker-pool sizes, and
 //! cross-shard handover under churn storms and a lossy uplink must
-//! conserve twins — a mid-handover lost report degrades the cached
-//! embedding, never duplicates or drops a twin.
+//! conserve twins — never duplicate or drop one.
 
 use msvs::core::{CompressorConfig, GroupingConfig, SchemeConfig};
 use msvs::sim::{Simulation, SimulationConfig, SimulationReport};
@@ -54,15 +53,14 @@ fn strip_wall(mut r: SimulationReport) -> SimulationReport {
 }
 
 /// Removes everything the shard plane itself adds — its summary, its
-/// stages, its handover counters, and the embedding-cache hit/miss split
-/// (a migrated entry hits where a single cache would too, but a dropped
-/// one re-encodes) — leaving only what the pipeline computed. After this,
-/// reports at any shard count must be bit-identical.
+/// stages and its handover counters — leaving only what the pipeline
+/// computed. After this, reports at any shard count must be
+/// bit-identical.
 fn strip_shard_plane(mut r: SimulationReport) -> SimulationReport {
     r.shards = None;
     r.telemetry
         .counters
-        .retain(|(name, _, _)| !name.starts_with("cnn_cache") && !name.starts_with("handover"));
+        .retain(|(name, _, _)| !name.starts_with("handover"));
     r.telemetry
         .stages
         .retain(|s| !s.stage.starts_with("shard_"));
