@@ -8,8 +8,17 @@
 //! JSON ([`msvs_telemetry::Json`]) under a versioned schema tag,
 //! mirroring the bench baseline format, so checkpoints are diffable and
 //! survive crate-version skew detectably rather than silently.
+//!
+//! A checkpoint is held in memory as captured (the twins' series are
+//! copy-on-write, so a capture costs pointer bumps) and is serialized
+//! only when written out: `Display` streams it through one encoder with
+//! no intermediate tree, and [`ShardCheckpoint::encoded_len`] runs the
+//! same encoder into a byte counter. Decoding goes through
+//! [`Json::parse`].
 
-use msvs_telemetry::Json;
+use std::fmt;
+
+use msvs_telemetry::json::{self, Json};
 use msvs_types::{UserId, MAX_SHARDS};
 use msvs_udt::{SyncTracker, UserDigitalTwin};
 
@@ -92,33 +101,38 @@ impl ShardCheckpoint {
     }
 
     /// Serialized size in bytes (feeds the `checkpoint_bytes_total`
-    /// counter).
+    /// counter): the encoder run into a byte-counting sink, so the count
+    /// is exact and nothing is allocated.
     pub fn encoded_len(&self) -> usize {
-        self.to_json().to_string().len()
+        let mut len = ByteCount(0);
+        // The counting sink never fails, so neither does the walk.
+        let _ = self.write(&mut len);
+        len.0
     }
 
-    /// Encodes the checkpoint under the versioned schema.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("schema", Json::Str(CHECKPOINT_SCHEMA.to_string())),
-            ("shard", Json::Num(self.shard as f64)),
-            ("interval", Json::Num(self.interval as f64)),
-            ("next_instance", Json::Num(self.next_instance as f64)),
-            (
-                "twins",
-                Json::Arr(
-                    self.twins
-                        .iter()
-                        .map(|e| {
-                            Json::obj([
-                                ("twin", e.twin.checkpoint_json()),
-                                ("tracker", e.tracker.checkpoint_json()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+    /// Streams the checkpoint under the versioned schema as one line of
+    /// canonical JSON (keys sorted, scalars in [`Json`]'s forms).
+    fn write(&self, w: &mut impl fmt::Write) -> fmt::Result {
+        w.write_str("{\"interval\":")?;
+        json::write_num(w, self.interval as f64)?;
+        w.write_str(",\"next_instance\":")?;
+        json::write_num(w, self.next_instance as f64)?;
+        w.write_str(",\"schema\":")?;
+        json::write_str(w, CHECKPOINT_SCHEMA)?;
+        w.write_str(",\"shard\":")?;
+        json::write_num(w, self.shard as f64)?;
+        w.write_str(",\"twins\":[")?;
+        for (i, e) in self.twins.iter().enumerate() {
+            if i > 0 {
+                w.write_char(',')?;
+            }
+            w.write_str("{\"tracker\":")?;
+            e.tracker.write_checkpoint(w)?;
+            w.write_str(",\"twin\":")?;
+            e.twin.write_checkpoint(w)?;
+            w.write_char('}')?;
+        }
+        w.write_str("]}")
     }
 
     /// Decodes a checkpoint, naming the first offending field.
@@ -194,6 +208,24 @@ impl ShardCheckpoint {
     }
 }
 
+/// The checkpoint's serialized form: one line of canonical JSON, which
+/// [`ShardCheckpoint::parse`] reads back equal.
+impl fmt::Display for ShardCheckpoint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f)
+    }
+}
+
+/// A `fmt::Write` sink that only counts the bytes written to it.
+struct ByteCount(usize);
+
+impl fmt::Write for ByteCount {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len();
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,9 +281,15 @@ mod tests {
             vec![2, 4, 9],
             "entries are user-sorted"
         );
-        assert!(ckpt.encoded_len() > 0);
+        let text = ckpt.to_string();
+        assert_eq!(ckpt.encoded_len(), text.len(), "the count is exact");
+        assert_eq!(
+            Json::parse(&text).unwrap().to_string(),
+            text,
+            "the streamed text is canonical"
+        );
 
-        let back = ShardCheckpoint::parse(&ckpt.to_json().to_string()).expect("round trip");
+        let back = ShardCheckpoint::parse(&text).expect("round trip");
         assert_eq!(back, ckpt, "JSON codec is lossless");
 
         let fresh = Shard::new(1, 1000.0);
@@ -289,7 +327,7 @@ mod tests {
         let (shard, _) = seeded_shard();
         let held = shard.store().snapshot();
         let ckpt = ShardCheckpoint::capture(&shard, 3, |_| SyncTracker::default());
-        let text = ckpt.to_json().to_string();
+        let text = ckpt.to_string();
         shard
             .store()
             .update_channel(UserId(9), SimTime::from_secs(5), -2.0)
@@ -306,7 +344,7 @@ mod tests {
     fn schema_mismatch_and_bad_fields_fail_loud_by_name() {
         let (shard, _) = seeded_shard();
         let ckpt = ShardCheckpoint::capture(&shard, 0, |_| SyncTracker::default());
-        let mut json = ckpt.to_json();
+        let mut json = Json::parse(&ckpt.to_string()).unwrap();
         if let Json::Obj(map) = &mut json {
             map.insert("schema".into(), Json::Str("msvs-checkpoint/v0".into()));
         }
@@ -315,7 +353,7 @@ mod tests {
 
         // A v1 document, which still carried the cached-embedding keys,
         // names the mismatch instead of silently dropping the field.
-        let mut json = ckpt.to_json();
+        let mut json = Json::parse(&ckpt.to_string()).unwrap();
         if let Json::Obj(map) = &mut json {
             map.insert("schema".into(), Json::Str("msvs-checkpoint/v1".into()));
             map.insert("embedding_keys".into(), Json::Arr(vec![Json::Num(4.0)]));
@@ -323,7 +361,7 @@ mod tests {
         let err = ShardCheckpoint::from_json(&json).unwrap_err();
         assert!(err.contains("got 'msvs-checkpoint/v1'"), "{err}");
 
-        let mut json = ckpt.to_json();
+        let mut json = Json::parse(&ckpt.to_string()).unwrap();
         if let Json::Obj(map) = &mut json {
             map.remove("next_instance");
         }
@@ -342,14 +380,14 @@ mod tests {
         let (shard, _) = seeded_shard();
         let ckpt = ShardCheckpoint::capture(&shard, 0, |_| SyncTracker::default());
         for id in [1024u64, 1 << 24] {
-            let mut json = ckpt.to_json();
+            let mut json = Json::parse(&ckpt.to_string()).unwrap();
             if let Json::Obj(map) = &mut json {
                 map.insert("shard".into(), Json::Num(id as f64));
             }
             let err = ShardCheckpoint::from_json(&json).unwrap_err();
             assert!(err.contains("field 'shard' must be below 1024"), "{err}");
         }
-        let mut json = ckpt.to_json();
+        let mut json = Json::parse(&ckpt.to_string()).unwrap();
         if let Json::Obj(map) = &mut json {
             map.insert("shard".into(), Json::Num(1023.0));
         }

@@ -387,14 +387,16 @@ impl ShardCoordinator {
     /// lifecycle is bit-identical at any thread count:
     ///
     /// - **down** (`None -> Some(mode)`): a boundary [`ShardCheckpoint`]
-    ///   is captured and round-tripped through its JSON codec (any
-    ///   lossiness fails loud here, not at restore). `Crash` then runs
-    ///   the failover sweep — every owned twin is exported through the
-    ///   normal handover path to the nearest live cell (ring-next shard
-    ///   for users with no reported position) — and the store ends
-    ///   empty. `Partition` leaves the twins in place; the runner forces
-    ///   those users' uplink reports lost, which engages the sync-tracker
-    ///   retry/backoff and the prediction degradation ladder.
+    ///   is captured and stored as-is; its encoded size is counted
+    ///   without serializing it (the codec's round trip is checked by
+    ///   the checkpoint tests and by `msvs checkpoint --restore`, not
+    ///   here). `Crash` then runs the failover sweep — every owned twin
+    ///   is exported through the normal handover path to the nearest
+    ///   live cell (ring-next shard for users with no reported
+    ///   position) — and the store ends empty. `Partition` leaves the
+    ///   twins in place; the runner forces those users' uplink reports
+    ///   lost, which engages the sync-tracker retry/backoff and the
+    ///   prediction degradation ladder.
     /// - **restored** (`Some(mode) -> None` once the window ends): the
     ///   store's instance-nonce counter resumes monotonically from the
     ///   checkpoint so a recovered shard can never re-stamp a nonce, and
@@ -444,10 +446,7 @@ impl ShardCoordinator {
                     let ckpt = ShardCheckpoint::capture(&self.shards[i], interval, |u| {
                         trackers.get(&u).cloned().unwrap_or_default()
                     });
-                    let encoded = ckpt.to_json().to_string();
-                    let ckpt = ShardCheckpoint::parse(&encoded)
-                        .expect("checkpoint codec must round-trip its own output");
-                    let bytes = encoded.len() as u64;
+                    let bytes = ckpt.encoded_len() as u64;
                     self.down[i] = Some(mode);
                     let mut failed_over = 0u64;
                     if mode == OutageMode::Crash {

@@ -5,6 +5,12 @@
 //! entry per line), so a ~200-line hand-rolled implementation keeps the
 //! crate dependency-free while staying interoperable with standard JSONL
 //! tooling.
+//!
+//! [`write_num`] and [`write_str`] are the one definition of the
+//! canonical scalar forms: `Json`'s `Display` and the workspace's
+//! streaming encoders (which write large documents without building a
+//! tree) both call them, so a streamed document is byte-identical to the
+//! same value printed through a `Json` tree.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -90,14 +96,8 @@ impl fmt::Display for Json {
         match self {
             Json::Null => f.write_str("null"),
             Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 1e15 {
-                    write!(f, "{}", *n as i64)
-                } else {
-                    write!(f, "{n}")
-                }
-            }
-            Json::Str(s) => write_escaped(f, s),
+            Json::Num(n) => write_num(f, *n),
+            Json::Str(s) => write_str(f, s),
             Json::Arr(items) => {
                 f.write_str("[")?;
                 for (i, v) in items.iter().enumerate() {
@@ -114,7 +114,7 @@ impl fmt::Display for Json {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write_escaped(f, k)?;
+                    write_str(f, k)?;
                     write!(f, ":{v}")?;
                 }
                 f.write_str("}")
@@ -123,20 +123,33 @@ impl fmt::Display for Json {
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
+/// Writes `n` in the canonical form [`Json`]'s `Display` uses: integral
+/// values below 1e15 in magnitude without a fraction, everything else
+/// through `f64`'s shortest round-trip `Display`. Streaming encoders
+/// call this so their output is byte-identical to the tree's.
+pub fn write_num(w: &mut impl fmt::Write, n: f64) -> fmt::Result {
+    if n.fract() == 0.0 && n.abs() < 1e15 {
+        write!(w, "{}", n as i64)
+    } else {
+        write!(w, "{n}")
+    }
+}
+
+/// Writes `s` as a quoted JSON string with [`Json`]'s escapes.
+pub fn write_str(w: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    w.write_char('"')?;
     for c in s.chars() {
         match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+            '"' => w.write_str("\\\"")?,
+            '\\' => w.write_str("\\\\")?,
+            '\n' => w.write_str("\\n")?,
+            '\r' => w.write_str("\\r")?,
+            '\t' => w.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(w, "\\u{:04x}", c as u32)?,
+            c => w.write_char(c)?,
         }
     }
-    f.write_str("\"")
+    w.write_char('"')
 }
 
 struct Parser<'a> {

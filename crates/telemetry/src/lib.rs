@@ -24,7 +24,7 @@
 pub mod expo;
 pub mod flame;
 mod journal;
-mod json;
+pub mod json;
 mod manifest;
 mod registry;
 pub mod slo;

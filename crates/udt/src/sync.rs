@@ -6,7 +6,9 @@
 //! are due and counts the uplink signalling this costs (ablated in
 //! experiment E4).
 
-use msvs_telemetry::Json;
+use std::fmt;
+
+use msvs_telemetry::json::{self, Json};
 use msvs_types::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -221,27 +223,43 @@ impl SyncTracker {
         self.last[i] = Some(now);
     }
 
-    /// Serialises the tracker's full state for a shard checkpoint —
-    /// including in-flight retry episodes, so a restored shard resumes
-    /// the bounded-backoff replay exactly where the checkpoint left it.
-    pub fn checkpoint_json(&self) -> Json {
-        let opt_time = |t: Option<SimTime>| t.map_or(Json::Null, |t| Json::Num(t.0 as f64));
-        let mut map = std::collections::BTreeMap::new();
-        for attr in Attribute::ALL {
-            let i = attr as usize;
-            let retry = Json::obj([
-                ("next_ms", opt_time(self.retry[i].next)),
-                ("attempts", Json::Num(f64::from(self.retry[i].attempts))),
-            ]);
-            map.insert(format!("last_{}_ms", attr.label()), opt_time(self.last[i]));
-            map.insert(format!("retry_{}", attr.label()), retry);
+    /// Writes the tracker's full state as one `msvs-checkpoint/v2` JSON
+    /// object — including in-flight retry episodes, so a restored shard
+    /// resumes the bounded-backoff replay exactly where the checkpoint
+    /// left it. Keys come in sorted order ([`Attribute::ALL`] is
+    /// alphabetical by label), so the text is canonical `Json`.
+    ///
+    /// # Errors
+    /// Returns the writer's error.
+    pub fn write_checkpoint(&self, w: &mut impl fmt::Write) -> fmt::Result {
+        fn opt_time(w: &mut impl fmt::Write, t: Option<SimTime>) -> fmt::Result {
+            match t {
+                Some(t) => json::write_num(w, t.0 as f64),
+                None => w.write_str("null"),
+            }
         }
-        map.insert("updates_sent".into(), Json::Num(self.updates_sent as f64));
-        map.insert("retries_sent".into(), Json::Num(self.retries_sent as f64));
-        Json::Obj(map)
+        let mut sep = '{';
+        for attr in Attribute::ALL {
+            write!(w, "{sep}\"last_{}_ms\":", attr.label())?;
+            opt_time(w, self.last[attr as usize])?;
+            sep = ',';
+        }
+        w.write_str(",\"retries_sent\":")?;
+        json::write_num(w, self.retries_sent as f64)?;
+        for attr in Attribute::ALL {
+            let retry = &self.retry[attr as usize];
+            write!(w, ",\"retry_{}\":{{\"attempts\":", attr.label())?;
+            json::write_num(w, f64::from(retry.attempts))?;
+            w.write_str(",\"next_ms\":")?;
+            opt_time(w, retry.next)?;
+            w.write_char('}')?;
+        }
+        w.write_str(",\"updates_sent\":")?;
+        json::write_num(w, self.updates_sent as f64)?;
+        w.write_char('}')
     }
 
-    /// Rebuilds a tracker from [`Self::checkpoint_json`] output.
+    /// Rebuilds a tracker from [`Self::write_checkpoint`] output.
     ///
     /// # Errors
     /// Returns a message naming the first malformed or missing field.
@@ -428,7 +446,10 @@ mod tests {
         tracker.mark_lost(Attribute::Location, SimTime::from_secs(5), &retry(3));
         tracker.mark_lost(Attribute::Location, SimTime::from_secs(7), &retry(3));
         tracker.mark_lost(Attribute::Preference, SimTime::from_secs(6), &retry(3));
-        let json = tracker.checkpoint_json();
+        let mut text = String::new();
+        tracker.write_checkpoint(&mut text).unwrap();
+        let json = Json::parse(&text).unwrap();
+        assert_eq!(json.to_string(), text, "the streamed text is canonical");
         let Json::Obj(map) = &json else {
             panic!("tracker checkpoint must be an object")
         };
@@ -436,8 +457,7 @@ mod tests {
         let v1_keys = "last_channel_ms last_location_ms last_preference_ms retries_sent \
                        retry_channel retry_location retry_preference updates_sent";
         assert_eq!(keys, v1_keys.split_whitespace().collect::<Vec<_>>());
-        let text = json.to_string();
-        let back = SyncTracker::from_checkpoint_json(&Json::parse(&text).unwrap()).unwrap();
+        let back = SyncTracker::from_checkpoint_json(&json).unwrap();
         assert_eq!(back, tracker, "checkpoint round trip must be exact");
         // The in-flight episode resumes: location retry due at 7 s + 4 s.
         let policy = CollectionPolicy::default();
@@ -447,7 +467,9 @@ mod tests {
 
     #[test]
     fn tracker_checkpoint_decode_names_the_bad_field() {
-        let mut json = SyncTracker::new().checkpoint_json();
+        let mut text = String::new();
+        SyncTracker::new().write_checkpoint(&mut text).unwrap();
+        let mut json = Json::parse(&text).unwrap();
         if let Json::Obj(map) = &mut json {
             map.remove("retry_channel");
         }

@@ -1,6 +1,8 @@
 //! The per-user digital twin.
 
-use msvs_telemetry::Json;
+use std::fmt;
+
+use msvs_telemetry::json::{self, Json};
 use msvs_types::{
     Position, RepresentationLevel, SimDuration, SimTime, UserId, VideoCategory, VideoId,
 };
@@ -434,77 +436,70 @@ impl UserDigitalTwin {
         }
     }
 
-    /// Serialises the twin's full state for a shard checkpoint.
+    /// Writes the twin's full state as one `msvs-checkpoint/v2` JSON
+    /// object, streamed straight into `w` with no intermediate tree.
     ///
     /// Every private field is captured — including the instance nonce and
     /// the per-attribute revision counters, which count *accepted pushes
     /// ever* (evicted samples included) and therefore cannot be rebuilt by
-    /// replaying the retained series. `f64` payloads survive the text
-    /// round trip exactly (Rust's shortest-representation `Display`).
-    pub fn checkpoint_json(&self) -> Json {
-        let time = |t: SimTime| Json::Num(t.as_millis() as f64);
-        let opt_time = |t: Option<SimTime>| t.map_or(Json::Null, time);
-        Json::obj([
-            ("user", Json::Num(f64::from(self.user.0))),
-            ("instance", Json::Num(self.instance as f64)),
-            (
-                "revs",
-                Json::Arr(vec![
-                    Json::Num(self.channel_rev as f64),
-                    Json::Num(self.location_rev as f64),
-                    Json::Num(self.watch_rev as f64),
-                    Json::Num(self.preference_rev as f64),
-                ]),
-            ),
-            (
-                "preference",
-                Json::Arr(self.preference.iter().map(|&p| Json::Num(p)).collect()),
-            ),
-            ("preference_updated_ms", opt_time(self.preference_updated)),
-            (
-                "channel",
-                Json::Arr(
-                    self.channel_db
-                        .iter()
-                        .map(|&(t, v)| Json::Arr(vec![time(t), Json::Num(v)]))
-                        .collect(),
-                ),
-            ),
-            (
-                "location",
-                Json::Arr(
-                    self.location
-                        .iter()
-                        .map(|&(t, p)| Json::Arr(vec![time(t), Json::Num(p.x), Json::Num(p.y)]))
-                        .collect(),
-                ),
-            ),
-            (
-                "watches",
-                Json::Arr(
-                    self.watches
-                        .iter()
-                        .map(|(t, w)| {
-                            Json::obj([
-                                ("t_ms", time(*t)),
-                                ("video", Json::Num(f64::from(w.video.0))),
-                                ("category", Json::Num(w.category.index() as f64)),
-                                ("level", Json::Num(w.level.index() as f64)),
-                                ("watched_ms", Json::Num(w.watched.as_millis() as f64)),
-                                (
-                                    "duration_ms",
-                                    Json::Num(w.video_duration.as_millis() as f64),
-                                ),
-                                ("completed", Json::Bool(w.completed)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+    /// replaying the retained series. Keys come in the sorted order a
+    /// [`Json`] object prints them in, and scalars go through
+    /// [`json::write_num`], so the text is canonical: `Json::parse` of it
+    /// prints back byte-identical. `f64` payloads survive the text round
+    /// trip exactly (Rust's shortest-representation `Display`).
+    ///
+    /// # Errors
+    /// Returns the writer's error.
+    pub fn write_checkpoint(&self, w: &mut impl fmt::Write) -> fmt::Result {
+        let ms = |t: SimTime| t.as_millis() as f64;
+        w.write_str("{\"channel\":")?;
+        write_list(w, self.channel_db.iter(), |w, &(t, v)| {
+            write_list(w, [ms(t), v], json::write_num)
+        })?;
+        w.write_str(",\"instance\":")?;
+        json::write_num(w, self.instance as f64)?;
+        w.write_str(",\"location\":")?;
+        write_list(w, self.location.iter(), |w, &(t, p)| {
+            write_list(w, [ms(t), p.x, p.y], json::write_num)
+        })?;
+        w.write_str(",\"preference\":")?;
+        write_list(w, self.preference.iter().copied(), json::write_num)?;
+        w.write_str(",\"preference_updated_ms\":")?;
+        match self.preference_updated {
+            Some(t) => json::write_num(w, ms(t))?,
+            None => w.write_str("null")?,
+        }
+        w.write_str(",\"revs\":")?;
+        let revs = [
+            self.channel_rev,
+            self.location_rev,
+            self.watch_rev,
+            self.preference_rev,
+        ];
+        write_list(w, revs.map(|r| r as f64), json::write_num)?;
+        w.write_str(",\"user\":")?;
+        json::write_num(w, f64::from(self.user.0))?;
+        w.write_str(",\"watches\":")?;
+        write_list(w, self.watches.iter(), |w, (t, r)| {
+            w.write_str("{\"category\":")?;
+            json::write_num(w, r.category.index() as f64)?;
+            write!(w, ",\"completed\":{}", r.completed)?;
+            w.write_str(",\"duration_ms\":")?;
+            json::write_num(w, r.video_duration.as_millis() as f64)?;
+            w.write_str(",\"level\":")?;
+            json::write_num(w, r.level.index() as f64)?;
+            w.write_str(",\"t_ms\":")?;
+            json::write_num(w, ms(*t))?;
+            w.write_str(",\"video\":")?;
+            json::write_num(w, f64::from(r.video.0))?;
+            w.write_str(",\"watched_ms\":")?;
+            json::write_num(w, r.watched.as_millis() as f64)?;
+            w.write_char('}')
+        })?;
+        w.write_char('}')
     }
 
-    /// Rebuilds a twin from [`Self::checkpoint_json`] output.
+    /// Rebuilds a twin from [`Self::write_checkpoint`] output.
     ///
     /// # Errors
     /// Returns a message naming the first malformed or missing field.
@@ -537,9 +532,13 @@ impl UserDigitalTwin {
         twin.preference_rev = rev(3)?;
         twin.preference = arr("preference")?
             .iter()
-            .map(|v| {
+            .enumerate()
+            .map(|(i, v)| {
                 v.as_f64()
-                    .ok_or_else(|| "twin: preference entries must be numbers".to_string())
+                    .filter(|p| p.is_finite() && *p >= 0.0)
+                    .ok_or_else(|| {
+                        format!("twin: preference[{i}] must be a finite, non-negative mass")
+                    })
             })
             .collect::<std::result::Result<Vec<f64>, String>>()?;
         if twin.preference.len() != VideoCategory::COUNT {
@@ -561,6 +560,9 @@ impl UserDigitalTwin {
             ) else {
                 return Err(format!("twin: channel[{i}] must be [t_ms, snr_db]"));
             };
+            if !Self::plausible_snr(v) {
+                return Err(format!("twin: channel[{i}] snr_db {v} is implausible"));
+            }
             twin.channel_db.push(SimTime(t), v);
         }
         for (i, item) in arr("location")?.iter().enumerate() {
@@ -574,7 +576,11 @@ impl UserDigitalTwin {
             ) else {
                 return Err(format!("twin: location[{i}] must be [t_ms, x, y]"));
             };
-            twin.location.push(SimTime(t), Position::new(x, y));
+            let position = Position::new(x, y);
+            if !Self::plausible_position(position) {
+                return Err(format!("twin: location[{i}] ({x}, {y}) is implausible"));
+            }
+            twin.location.push(SimTime(t), position);
         }
         for (i, item) in arr("watches")?.iter().enumerate() {
             let field = |k: &str| {
@@ -599,6 +605,22 @@ impl UserDigitalTwin {
         }
         Ok(twin)
     }
+}
+
+/// Writes `items` as a JSON array, each element through `item`.
+fn write_list<W: fmt::Write, T>(
+    w: &mut W,
+    items: impl IntoIterator<Item = T>,
+    mut item: impl FnMut(&mut W, T) -> fmt::Result,
+) -> fmt::Result {
+    w.write_char('[')?;
+    for (i, x) in items.into_iter().enumerate() {
+        if i > 0 {
+            w.write_char(',')?;
+        }
+        item(w, x)?;
+    }
+    w.write_char(']')
 }
 
 #[cfg(test)]
@@ -759,8 +781,10 @@ mod tests {
         // the retained series would produce.
         assert!(!twin.update_channel(SimTime::from_secs(21), f64::NAN));
         twin.refresh_preference_from_watches(SimTime::from_secs(20), 0.5);
-        let text = twin.checkpoint_json().to_string();
-        let back = UserDigitalTwin::from_checkpoint_json(&Json::parse(&text).unwrap()).unwrap();
+        let text = checkpoint_text(&twin);
+        let json = Json::parse(&text).unwrap();
+        assert_eq!(json.to_string(), text, "the streamed text is canonical");
+        let back = UserDigitalTwin::from_checkpoint_json(&json).unwrap();
         assert_eq!(back, twin, "checkpoint round trip must be bit-exact");
         assert_eq!(back.revision(), twin.revision());
     }
@@ -779,7 +803,7 @@ mod tests {
         assert!(held
             .channel_series()
             .shares_storage_with(twin.channel_series()));
-        let text = twin.checkpoint_json().to_string();
+        let text = checkpoint_text(&twin);
         let back = UserDigitalTwin::from_checkpoint_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, twin);
         assert_eq!(back, held);
@@ -880,15 +904,62 @@ mod tests {
         assert_eq!(batched.revision(), looped.revision());
     }
 
+    fn checkpoint_text(twin: &UserDigitalTwin) -> String {
+        let mut text = String::new();
+        twin.write_checkpoint(&mut text).unwrap();
+        text
+    }
+
     #[test]
     fn checkpoint_decode_names_the_bad_field() {
         let twin = UserDigitalTwin::new(UserId(1));
-        let mut json = twin.checkpoint_json();
+        let mut json = Json::parse(&checkpoint_text(&twin)).unwrap();
         if let Json::Obj(map) = &mut json {
             map.remove("revs");
         }
         let err = UserDigitalTwin::from_checkpoint_json(&json).unwrap_err();
         assert!(err.contains("revs"), "{err}");
+    }
+
+    /// The decoder applies the same plausibility checks as the live
+    /// update path: an overflowing `1e999` parses to infinity, and must
+    /// not reach a restored twin (nor re-encode as the non-JSON `inf`).
+    #[test]
+    fn checkpoint_decode_rejects_implausible_values_by_name() {
+        let mut twin = UserDigitalTwin::new(UserId(3));
+        twin.update_channel(SimTime::from_secs(1), 12.5);
+        twin.update_location(SimTime::from_secs(1), Position::new(7.5, 2.5));
+        let text = checkpoint_text(&twin);
+        let decode = |from: &str, to: &str| {
+            assert!(text.contains(from), "{from} not in {text}");
+            UserDigitalTwin::from_checkpoint_json(&Json::parse(&text.replace(from, to)).unwrap())
+        };
+        for (from, to, field) in [
+            ("[1000,12.5]", "[1000,1e999]", "channel[0]"),
+            ("[1000,12.5]", "[1000,-1e999]", "channel[0]"),
+            ("[1000,12.5]", "[1000,100.5]", "channel[0]"),
+            ("[1000,7.5,2.5]", "[1000,1e999,2.5]", "location[0]"),
+            ("[1000,7.5,2.5]", "[1000,7.5,-1e999]", "location[0]"),
+            (
+                "\"preference\":[0.125",
+                "\"preference\":[1e999",
+                "preference[0]",
+            ),
+            (
+                "\"preference\":[0.125",
+                "\"preference\":[-0.125",
+                "preference[0]",
+            ),
+        ] {
+            let err = decode(from, to).unwrap_err();
+            assert!(err.contains(field), "{to}: {err}");
+        }
+        assert_eq!(
+            decode("[1000,12.5]", "[1000,-100]")
+                .unwrap()
+                .latest_snr_db(),
+            Some(-100.0)
+        );
     }
 }
 

@@ -122,7 +122,8 @@ fn print_help() {
          or run shapes are warned about, never failed.\n\
          `checkpoint` runs the same scenario, then snapshots each shard\n\
          (twins + sync state) as one JSON line; the `--restore` form\n\
-         reloads and verifies such a file offline.\n\
+         reloads and verifies such a file offline, failing on any line\n\
+         that does not re-encode to itself byte for byte.\n\
          `--journal` writes the telemetry event journal as JSONL (plus a\n\
          run manifest next to it); `report` pretty-prints such a journal.\n\
          `--trace` writes the run's hierarchical spans as a Chrome-trace\n\
@@ -534,7 +535,7 @@ fn cmd_checkpoint(args: &[String]) -> Result<(), String> {
     let out = flags.value("--out").unwrap_or("checkpoint.jsonl");
     let mut text = String::new();
     for ckpt in &checkpoints {
-        text.push_str(&ckpt.to_json().to_string());
+        text.push_str(&ckpt.to_string());
         text.push('\n');
     }
     std::fs::write(out, &text).map_err(|e| e.to_string())?;
@@ -551,6 +552,8 @@ fn cmd_checkpoint(args: &[String]) -> Result<(), String> {
 /// Reloads a `msvs checkpoint` file into fresh shards and verifies each
 /// restore (twin count, nonce monotonicity) before summarising it. A
 /// shard id may appear on one line only, and a user in one shard only.
+/// Every line must re-encode to itself byte for byte, which checks the
+/// checkpoint codec's round trip on the whole file.
 fn restore_checkpoint(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let mut shards = 0usize;
@@ -563,6 +566,9 @@ fn restore_checkpoint(path: &str) -> Result<(), String> {
             continue;
         }
         let ckpt = ShardCheckpoint::parse(line).map_err(|e| format!("{path}:{}: {e}", i + 1))?;
+        if ckpt.to_string() != line {
+            return Err(format!("{path}: re-encode mismatch at line {}", i + 1));
+        }
         if let Some(first) = shard_lines.insert(ckpt.shard, i + 1) {
             return Err(format!(
                 "{path}:{}: shard {} already checkpointed on line {first}",
@@ -1174,7 +1180,6 @@ mod tests {
                     })
                     .collect(),
             }
-            .to_json()
             .to_string()
         };
         let path = std::env::temp_dir().join("msvs-cli-checkpoint-test.jsonl");
