@@ -9,15 +9,16 @@
 //! mirroring the bench baseline format, so checkpoints are diffable and
 //! survive crate-version skew detectably rather than silently.
 //!
-//! A checkpoint is held in memory as captured (the twins' series are
+//! A checkpoint is held while the shard is down (the twins' series are
 //! copy-on-write, so a capture costs pointer bumps) and is serialized
 //! only when written out: `Display` streams it through one encoder with
-//! no intermediate tree, and [`ShardCheckpoint::encoded_len`] runs the
-//! same encoder into a byte counter. Decoding goes through
-//! [`Json::parse`].
+//! no intermediate tree. [`ShardCheckpoint::encoded_len`] runs the same
+//! encoder into byte counters, one twin entry per task on the worker
+//! pool, and sums the counts. Decoding goes through [`Json::parse`].
 
 use std::fmt;
 
+use msvs_par::Pool;
 use msvs_telemetry::json::{self, Json};
 use msvs_types::{UserId, MAX_SHARDS};
 use msvs_udt::{SyncTracker, UserDigitalTwin};
@@ -101,18 +102,34 @@ impl ShardCheckpoint {
     }
 
     /// Serialized size in bytes (feeds the `checkpoint_bytes_total`
-    /// counter): the encoder run into a byte-counting sink, so the count
-    /// is exact and nothing is allocated.
-    pub fn encoded_len(&self) -> usize {
-        let mut len = ByteCount(0);
-        // The counting sink never fails, so neither does the walk.
-        let _ = self.write(&mut len);
-        len.0
+    /// counter): the fixed parts plus each twin entry's bytes, counted
+    /// on `pool`, plus the separators. Every part runs the encoder into
+    /// a byte-counting sink, so the count is exact, allocates no text,
+    /// and is the same integer at any thread count.
+    pub fn encoded_len(&self, pool: &Pool) -> usize {
+        let entries: usize = pool
+            .map(&self.twins, |_, e| byte_count(|w| write_entry(w, e)))
+            .into_iter()
+            .sum();
+        let separators = self.twins.len().saturating_sub(1);
+        byte_count(|w| self.write_head(w)) + entries + separators + TAIL.len()
     }
 
     /// Streams the checkpoint under the versioned schema as one line of
     /// canonical JSON (keys sorted, scalars in [`Json`]'s forms).
     fn write(&self, w: &mut impl fmt::Write) -> fmt::Result {
+        self.write_head(w)?;
+        for (i, e) in self.twins.iter().enumerate() {
+            if i > 0 {
+                w.write_char(',')?;
+            }
+            write_entry(w, e)?;
+        }
+        w.write_str(TAIL)
+    }
+
+    /// Everything before the first twin entry.
+    fn write_head(&self, w: &mut impl fmt::Write) -> fmt::Result {
         w.write_str("{\"interval\":")?;
         json::write_num(w, self.interval as f64)?;
         w.write_str(",\"next_instance\":")?;
@@ -121,18 +138,7 @@ impl ShardCheckpoint {
         json::write_str(w, CHECKPOINT_SCHEMA)?;
         w.write_str(",\"shard\":")?;
         json::write_num(w, self.shard as f64)?;
-        w.write_str(",\"twins\":[")?;
-        for (i, e) in self.twins.iter().enumerate() {
-            if i > 0 {
-                w.write_char(',')?;
-            }
-            w.write_str("{\"tracker\":")?;
-            e.tracker.write_checkpoint(w)?;
-            w.write_str(",\"twin\":")?;
-            e.twin.write_checkpoint(w)?;
-            w.write_char('}')?;
-        }
-        w.write_str("]}")
+        w.write_str(",\"twins\":[")
     }
 
     /// Decodes a checkpoint, naming the first offending field.
@@ -216,6 +222,26 @@ impl fmt::Display for ShardCheckpoint {
     }
 }
 
+/// Closes the twin array and the document.
+const TAIL: &str = "]}";
+
+/// One element of the `twins` array.
+fn write_entry(w: &mut impl fmt::Write, e: &CheckpointEntry) -> fmt::Result {
+    w.write_str("{\"tracker\":")?;
+    e.tracker.write_checkpoint(w)?;
+    w.write_str(",\"twin\":")?;
+    e.twin.write_checkpoint(w)?;
+    w.write_char('}')
+}
+
+/// Bytes `write` emits, counted without storing them.
+fn byte_count(write: impl FnOnce(&mut ByteCount) -> fmt::Result) -> usize {
+    let mut len = ByteCount(0);
+    // The counting sink never fails, so neither does the walk.
+    let _ = write(&mut len);
+    len.0
+}
+
 /// A `fmt::Write` sink that only counts the bytes written to it.
 struct ByteCount(usize);
 
@@ -282,7 +308,11 @@ mod tests {
             "entries are user-sorted"
         );
         let text = ckpt.to_string();
-        assert_eq!(ckpt.encoded_len(), text.len(), "the count is exact");
+        assert_eq!(
+            ckpt.encoded_len(&Pool::serial()),
+            text.len(),
+            "the count is exact"
+        );
         assert_eq!(
             Json::parse(&text).unwrap().to_string(),
             text,

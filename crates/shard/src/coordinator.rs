@@ -33,7 +33,8 @@ pub enum OutagePhase {
     /// The shard just went down (checkpoint captured; crash mode also
     /// ran the failover sweep).
     Down,
-    /// The outage window ended and the shard is live again.
+    /// The outage window ended and the shard is live again (its
+    /// checkpoint released).
     Restored,
 }
 
@@ -80,8 +81,8 @@ pub struct ShardCoordinator {
     /// Per-shard health: `Some(mode)` while the shard is inside an
     /// outage window. Mutated only on the serial driver thread.
     down: Vec<Option<OutageMode>>,
-    /// Last boundary checkpoint per shard (captured at each down
-    /// transition, anchors the recovery resync).
+    /// Boundary checkpoint per shard while it is down (captured at the
+    /// down transition, released by the restore it anchors).
     checkpoints: Vec<Option<ShardCheckpoint>>,
     down_intervals: Vec<u64>,
     intervals_observed: u64,
@@ -160,8 +161,8 @@ impl ShardCoordinator {
         self.outage_mode(shard).is_some()
     }
 
-    /// The last boundary checkpoint captured for `shard`, if an outage
-    /// has hit it.
+    /// The boundary checkpoint of `shard` if it is down now; `None`
+    /// while it is live, since the restore releases the checkpoint.
     pub fn last_checkpoint(&self, shard: usize) -> Option<&ShardCheckpoint> {
         self.checkpoints.get(shard).and_then(Option::as_ref)
     }
@@ -383,27 +384,30 @@ impl ShardCoordinator {
     /// the caller's deterministic user vector, borrowed exactly as for
     /// [`rebalance`](Self::rebalance).
     ///
-    /// Transitions are serial and interval-scheduled, so the whole
-    /// lifecycle is bit-identical at any thread count:
+    /// Transitions are serial and interval-scheduled (only the byte
+    /// count fans out, and it sums integers), so the whole lifecycle is
+    /// bit-identical at any thread count:
     ///
     /// - **down** (`None -> Some(mode)`): a boundary [`ShardCheckpoint`]
-    ///   is captured and stored as-is; its encoded size is counted
-    ///   without serializing it (the codec's round trip is checked by
-    ///   the checkpoint tests and by `msvs checkpoint --restore`, not
-    ///   here). `Crash` then runs the failover sweep — every owned twin
-    ///   is exported through the normal handover path to the nearest
-    ///   live cell (ring-next shard for users with no reported
-    ///   position) — and the store ends empty. `Partition` leaves the
-    ///   twins in place; the runner forces those users' uplink reports
-    ///   lost, which engages the sync-tracker retry/backoff and the
-    ///   prediction degradation ladder.
+    ///   is captured and held as-is; its encoded size is counted on the
+    ///   worker pool, one twin entry per task, without serializing it
+    ///   (the codec's round trip is checked by the checkpoint tests and
+    ///   by `msvs checkpoint --restore`, not here). `Crash` then runs
+    ///   the failover sweep — every owned twin is exported through the
+    ///   normal handover path to the nearest live cell (ring-next shard
+    ///   for users with no reported position) — and the store ends
+    ///   empty. `Partition` leaves the twins in place; the runner
+    ///   forces those users' uplink reports lost, which engages the
+    ///   sync-tracker retry/backoff and the prediction degradation
+    ///   ladder.
     /// - **restored** (`Some(mode) -> None` once the window ends): the
     ///   store's instance-nonce counter resumes monotonically from the
-    ///   checkpoint so a recovered shard can never re-stamp a nonce, and
-    ///   the next [`rebalance`](Self::rebalance) sweep takes the shard's
-    ///   users back through the same handover path (the interval delta
-    ///   rides the live twins; a partitioned shard replays its backlog
-    ///   through the trackers' pending retries).
+    ///   checkpoint so a recovered shard can never re-stamp a nonce. The
+    ///   restore reads only that counter and the user count, then drops
+    ///   the checkpoint. The next [`rebalance`](Self::rebalance) sweep
+    ///   takes the shard's users back through the same handover path
+    ///   (the interval delta rides the live twins; a partitioned shard
+    ///   replays its backlog through the trackers' pending retries).
     ///
     /// A transition that would down the **last live shard** is ignored
     /// deterministically — its users would have nowhere to go. While a
@@ -446,7 +450,7 @@ impl ShardCoordinator {
                     let ckpt = ShardCheckpoint::capture(&self.shards[i], interval, |u| {
                         trackers.get(&u).cloned().unwrap_or_default()
                     });
-                    let bytes = ckpt.encoded_len() as u64;
+                    let bytes = ckpt.encoded_len(&self.pool) as u64;
                     self.down[i] = Some(mode);
                     let mut failed_over = 0u64;
                     if mode == OutageMode::Crash {
@@ -502,7 +506,7 @@ impl ShardCoordinator {
                         .as_ref()
                         .map(|t| t.stage_scope(stages::SHARD_RESTORE));
                     let checkpoint_users = self.checkpoints[i]
-                        .as_ref()
+                        .take()
                         .map(|c| {
                             self.shards[i]
                                 .store()
@@ -833,6 +837,42 @@ mod tests {
         );
         assert_eq!(c.owner_of(UserId(1)), Some(1));
         assert_eq!(c.len(), 3, "conservation holds across the whole cycle");
+    }
+
+    /// A down → restore cycle holds the checkpoint only while the shard
+    /// is down, restores the captured user count, and counts the same
+    /// bytes at any pool size.
+    #[test]
+    fn restore_releases_the_checkpoint_and_the_count_ignores_the_pool() {
+        let cycle = |pool: Pool| {
+            let mut c = ShardCoordinator::new(ShardRouter::new(grid(), 2), pool, 10_000.0);
+            insert_at(&mut c, 0, 1.0, 1.0); // shard 0
+            insert_at(&mut c, 1, 99.0, 1.0); // shard 1
+            insert_at(&mut c, 2, 98.0, 2.0); // shard 1
+                                             // Fractional samples, so the count formats floats.
+            for id in [1, 2] {
+                c.with_twin_mut(UserId(id), |t| {
+                    t.update_channel(SimTime::ZERO, 0.1 * id as f64)
+                })
+                .unwrap();
+            }
+            let mut trackers: Vec<(UserId, SyncTracker)> = (0..3)
+                .map(|i| (UserId(i), SyncTracker::default()))
+                .collect();
+            let mut users = handover_users(&mut trackers);
+            let down = c.apply_outages(1, |s| (s == 1).then_some(OutageMode::Crash), &mut users);
+            let held = c.last_checkpoint(1).expect("held while down");
+            assert_eq!(held.len(), 2);
+            assert_eq!(down[0].checkpoint_bytes, held.to_string().len() as u64);
+            assert!(c.last_checkpoint(0).is_none(), "shard 0 never went down");
+            let mut users = handover_users(&mut trackers);
+            let up = c.apply_outages(2, |_| None, &mut users);
+            assert_eq!(up[0].phase, OutagePhase::Restored);
+            assert_eq!(up[0].checkpoint_users, 2, "recovered = captured users");
+            assert!(c.last_checkpoint(1).is_none(), "restore releases it");
+            down[0].checkpoint_bytes
+        };
+        assert_eq!(cycle(Pool::serial()), cycle(Pool::new(4)));
     }
 
     #[test]

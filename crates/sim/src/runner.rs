@@ -779,12 +779,15 @@ impl Simulation {
         // invariant between clean and faulted configurations of a test.
         let _fault_scope = self.telemetry.stage_scope(stage::FAULT_INJECT);
         let mut counts = FaultCounts::default();
+        // Resolved at the first event, once per call: registering it on a
+        // call with no events would add a zero counter to the report.
+        let mut injected = None;
         for user in &mut self.users {
             counts.add(user.faults.counts);
             user.faults.counts = FaultCounts::default();
             for (t_ms, attr, kind) in user.faults.events.drain(..) {
-                self.telemetry
-                    .counter("events_total", "FaultInjected")
+                injected
+                    .get_or_insert_with(|| self.telemetry.counter("events_total", "FaultInjected"))
                     .inc();
                 self.telemetry.event(
                     t_ms,

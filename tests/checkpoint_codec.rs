@@ -1,11 +1,12 @@
 //! The `msvs-checkpoint/v2` codec on real captures. The outage path
-//! stores a shard's checkpoint as captured and only counts its encoded
-//! bytes, so the codec's guarantees live here:
+//! holds a shard's checkpoint as captured while the shard is down and
+//! only counts its encoded bytes, so the codec's guarantees live here:
 //!
 //! - every checkpoint a 4-shard `bs-crash` run captures parses back
 //!   equal from its streamed text, `encoded_len` counts that text
-//!   exactly, and the text is canonical JSON (a `Json` tree prints it
-//!   back byte-identical);
+//!   exactly at any pool size, and the text is canonical JSON (a `Json`
+//!   tree prints it back byte-identical);
+//! - a restored shard no longer holds its checkpoint;
 //! - a seeded corpus of malformed variants of a captured line
 //!   (truncations, byte flips, nesting past the parser's cap, overflowing
 //!   `1e999` numbers, non-integral ids) decodes to `Err` or to a valid
@@ -15,6 +16,7 @@ use std::time::{Duration, Instant};
 
 use msvs::core::{CompressorConfig, GroupingConfig, SchemeConfig};
 use msvs::faults::FaultPlan;
+use msvs::par::Pool;
 use msvs::shard::ShardCheckpoint;
 use msvs::sim::{Simulation, SimulationConfig};
 use msvs::telemetry::Json;
@@ -22,9 +24,15 @@ use msvs::types::SimDuration;
 
 const SHARDS: usize = 4;
 
-/// A 24-user, 4-shard run under `bs-crash` (shard 1 down at interval 1
-/// for two intervals), driven past the outage.
-fn crashed_run() -> Simulation {
+/// `bs-crash` takes shard 1 down at interval 1 for two intervals, so
+/// four scored intervals cover the capture, the dark window and the
+/// restore.
+const INTERVALS: usize = 4;
+
+/// A 24-user, 4-shard run under `bs-crash`, stepped one interval at a
+/// time. Returns every checkpoint held while its shard was down (one per
+/// outage window) and checks that each is released at the restore.
+fn captured() -> Vec<ShardCheckpoint> {
     let mut scheme = SchemeConfig {
         compressor: CompressorConfig {
             window: 16,
@@ -42,7 +50,7 @@ fn crashed_run() -> Simulation {
     let mut cfg = SimulationConfig::builder()
         .users(24)
         .base_stations(4)
-        .intervals(3)
+        .intervals(INTERVALS)
         .warmup_intervals(1)
         .interval(SimDuration::from_mins(2))
         .scheme(scheme)
@@ -54,32 +62,51 @@ fn crashed_run() -> Simulation {
     cfg.faults = Some(FaultPlan::builtin("bs-crash").expect("builtin profile"));
     cfg.validate().expect("config with faults is valid");
     let mut sim = Simulation::new(cfg).expect("scenario builds");
-    sim.run_schedule().expect("run completes");
-    sim
-}
-
-/// The checkpoints the run's outage transitions captured.
-fn captured(sim: &Simulation) -> Vec<&ShardCheckpoint> {
-    let ckpts: Vec<_> = (0..SHARDS)
-        .filter_map(|i| sim.store().last_checkpoint(i))
-        .collect();
+    sim.warm_up().expect("warm-up runs");
+    let mut ckpts: Vec<ShardCheckpoint> = Vec::new();
+    let mut restores = 0;
+    let mut was_down = [false; SHARDS];
+    for interval in 0..INTERVALS {
+        sim.run_interval(interval).expect("interval runs");
+        for (i, was_down) in was_down.iter_mut().enumerate() {
+            let down = sim.store().is_down(i);
+            let held = sim.store().last_checkpoint(i);
+            assert_eq!(
+                held.is_some(),
+                down,
+                "interval {interval}: shard {i} holds a checkpoint exactly while down"
+            );
+            if let Some(ckpt) = held.filter(|_| !*was_down) {
+                ckpts.push(ckpt.clone());
+            }
+            restores += usize::from(*was_down && !down);
+            *was_down = down;
+        }
+    }
     assert!(!ckpts.is_empty(), "bs-crash must capture a checkpoint");
+    assert_eq!(restores, ckpts.len(), "every captured shard is restored");
     assert!(ckpts.iter().all(|c| !c.is_empty()), "captures hold twins");
     ckpts
 }
 
 #[test]
 fn captured_checkpoints_round_trip_byte_for_byte() {
-    let sim = crashed_run();
-    for ckpt in captured(&sim) {
+    for ckpt in captured() {
         let text = ckpt.to_string();
         assert_eq!(
-            &ShardCheckpoint::parse(&text).expect("own output parses"),
+            ShardCheckpoint::parse(&text).expect("own output parses"),
             ckpt,
             "shard {}: the codec is lossless",
             ckpt.shard
         );
-        assert_eq!(ckpt.encoded_len(), text.len(), "the byte count is exact");
+        for threads in [1, 2, 4] {
+            assert_eq!(
+                ckpt.encoded_len(&Pool::new(threads)),
+                text.len(),
+                "shard {}: the byte count is exact at {threads} thread(s)",
+                ckpt.shard
+            );
+        }
         assert_eq!(
             Json::parse(&text).expect("valid JSON").to_string(),
             text,
@@ -205,7 +232,7 @@ fn decode(what: &str, text: &str, expect: Expect) -> bool {
                 Ok(&ckpt),
                 "{what}: an accepted checkpoint must be valid"
             );
-            assert_eq!(ckpt.encoded_len(), again.len(), "{what}");
+            assert_eq!(ckpt.encoded_len(&Pool::serial()), again.len(), "{what}");
             true
         }
         (Ok(_), Expect::Err) => panic!("{what}: must not decode"),
@@ -214,8 +241,7 @@ fn decode(what: &str, text: &str, expect: Expect) -> bool {
 
 #[test]
 fn malformed_checkpoint_lines_fail_cleanly() {
-    let sim = crashed_run();
-    let line = captured(&sim)[0].to_string();
+    let line = captured()[0].to_string();
     let (mut cases, mut valid) = (0, 0);
     corpus(&line, 0x5eed, |what, text, expect| {
         cases += 1;
@@ -232,8 +258,7 @@ fn malformed_checkpoint_lines_fail_cleanly() {
 /// would.
 #[test]
 fn malformed_checkpoint_decoding_is_linear_in_input_size() {
-    let sim = crashed_run();
-    let base = captured(&sim)[0];
+    let base = &captured()[0];
     let with_twins = |n: usize| {
         let mut ckpt = base.clone();
         ckpt.twins = base.twins.iter().cycle().take(n).cloned().collect();

@@ -3,14 +3,13 @@
 //! neighbours and take them back after restoring from its boundary
 //! checkpoint — conserving the twin population at every interval — a
 //! partitioned shard must pin its users in place and push them into the
-//! degradation ladder, and the whole outage machinery must be invisible
-//! when unused: a fault plan with an empty outage list produces a
-//! bit-identical `SimulationReport` to running with no plan at all, and
-//! outage runs are bit-identical across worker-pool sizes.
+//! degradation ladder. That an empty plan changes nothing and that
+//! outage runs do not depend on the worker-pool size is asserted by
+//! `tests/equivalence_matrix.rs`.
 
 use msvs::core::{CompressorConfig, GroupingConfig, SchemeConfig};
 use msvs::faults::FaultPlan;
-use msvs::sim::{Simulation, SimulationConfig, SimulationReport};
+use msvs::sim::{Simulation, SimulationConfig};
 use msvs::telemetry::Event;
 use msvs::types::SimDuration;
 
@@ -51,15 +50,6 @@ fn with_profile(mut cfg: SimulationConfig, profile: &str) -> SimulationConfig {
     cfg.faults = Some(FaultPlan::builtin(profile).expect("builtin profile"));
     cfg.validate().expect("config with faults is valid");
     cfg
-}
-
-/// Wall-clock timings differ run to run; everything else must match.
-fn strip_wall(mut r: SimulationReport) -> SimulationReport {
-    for i in &mut r.intervals {
-        i.predict_wall_ms = 0.0;
-    }
-    r.telemetry = r.telemetry.with_zeroed_timings();
-    r
 }
 
 /// The acceptance scenario: a 4-shard, 4-thread run under `bs-crash`
@@ -123,45 +113,6 @@ fn bs_crash_conserves_twins_across_kill_failover_restore() {
         .collect();
     assert_eq!(downs, vec![(1, "crash".to_string())]);
     assert_eq!(restores, vec![(1, "crash".to_string())]);
-}
-
-/// A fault plan whose outage list is empty (and injects nothing else) is
-/// a noop: the report must be bit-identical to running with no plan at
-/// all, on both the single-shard and the sharded path.
-#[test]
-fn empty_outage_plan_is_bit_identical_to_no_plan() {
-    for shards in [1, 4] {
-        let clean =
-            strip_wall(Simulation::run(outage_config(52, shards, 1, 2)).expect("clean run"));
-        let mut cfg = outage_config(52, shards, 1, 2);
-        cfg.faults = Some(FaultPlan::default());
-        cfg.validate().expect("noop plan is valid");
-        assert!(cfg.faults.as_ref().unwrap().outages.is_empty());
-        let noop = strip_wall(Simulation::run(cfg).expect("noop-plan run"));
-        assert_eq!(
-            clean, noop,
-            "{shards} shard(s): an empty outage plan must not perturb the report"
-        );
-    }
-}
-
-/// Outage runs must not depend on the worker-pool size: the outage
-/// transitions, checkpoints and failover sweeps are all serial, so the
-/// whole report — shard plane included — is bit-identical at 1 vs 4
-/// threads under both builtin outage profiles.
-#[test]
-fn outage_runs_are_bit_identical_across_thread_counts() {
-    for profile in ["bs-crash", "bs-flap"] {
-        let run = |threads: usize| {
-            let cfg = with_profile(outage_config(47, 4, threads, 4), profile);
-            Simulation::run(cfg).expect("outage run")
-        };
-        assert_eq!(
-            strip_wall(run(1)),
-            strip_wall(run(4)),
-            "{profile}: outage run must not depend on the worker-pool size"
-        );
-    }
 }
 
 /// A partitioned shard pins its users in place (no failover handovers)
