@@ -1,8 +1,9 @@
 //! Serial-vs-parallel wall time for the hot paths behind `msvs-par`: a
-//! full 1000-user reservation interval, batched CNN encoding, and K-means
-//! assignment. Seeded runs are bit-identical at any thread count, so these
-//! benches measure pure wall-time — the speedup is hardware-dependent
-//! (single-core machines show ~1×).
+//! full 1000-user reservation interval, batched CNN encoding, K-means
+//! assignment and the tiled silhouette kernel. Seeded runs are
+//! bit-identical at any thread count, so these benches measure pure
+//! wall-time — the speedup is hardware-dependent (single-core machines
+//! show ~1×).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use msvs_bench::archetype_features;
@@ -119,9 +120,30 @@ fn bench_kmeans(c: &mut Criterion) {
     group.finish();
 }
 
+/// The per-interval silhouette of 1000 users at the two-worker pool the
+/// repository benchmark configures.
+fn bench_silhouette(c: &mut Criterion) {
+    let points = archetype_features(5, 200, 0.6, 7);
+    let fit = msvs_cluster::KMeans::new(msvs_cluster::KMeansConfig {
+        k: 5,
+        seed: 5,
+        ..Default::default()
+    })
+    .fit(&points)
+    .expect("fit converges");
+    let mut group = c.benchmark_group("silhouette_1000");
+    for threads in [1, 2] {
+        let pool = Pool::new(threads);
+        group.bench_with_input(BenchmarkId::from_parameter(threads), &pool, |b, pool| {
+            b.iter(|| msvs_cluster::silhouette_sampled_with(&points, &fit.assignments, 0, pool));
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_interval, bench_encode, bench_kmeans
+    targets = bench_interval, bench_encode, bench_kmeans, bench_silhouette
 }
 criterion_main!(benches);

@@ -8,7 +8,7 @@ use rand::{Rng, SeedableRng};
 /// Point count below which the assignment step always runs serially: the
 /// nearest-centroid scan is so cheap per point that thread-spawn overhead
 /// dominates for small inputs.
-const PAR_MIN_POINTS: usize = 256;
+pub(crate) const PAR_MIN_POINTS: usize = 256;
 
 /// Relative slack applied when comparing Hamerly bounds: the upper bound
 /// is inflated and the lower bound deflated by this factor (plus a tiny

@@ -31,4 +31,5 @@ pub use baselines::{elbow_k, random_assignments, silhouette_scan_k};
 pub use kmeanspp::{Init, KMeans, KMeansConfig, KMeansResult, RoundTiming};
 pub use metrics::{
     adjusted_rand_index, davies_bouldin, inertia, rand_index, silhouette, silhouette_sampled,
+    silhouette_sampled_with,
 };

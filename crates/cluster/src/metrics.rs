@@ -1,5 +1,11 @@
 //! Clustering-quality metrics.
 
+use std::ops::Range;
+
+use msvs_par::Pool;
+
+use crate::kmeanspp::PAR_MIN_POINTS;
+
 fn dist(a: &[f64], b: &[f64]) -> f64 {
     a.iter()
         .zip(b)
@@ -15,56 +21,14 @@ fn dist(a: &[f64], b: &[f64]) -> f64 {
 /// or fewer than 2 points (the score is undefined there; 0 is the neutral
 /// reward for the DDQN).
 ///
+/// Runs the tiled kernel of [`silhouette_sampled_with`] on the caller's
+/// thread.
+///
 /// # Panics
-/// Panics if `assignments.len() != points.len()`.
+/// Panics if `assignments.len() != points.len()` or the points differ in
+/// length.
 pub fn silhouette(points: &[Vec<f64>], assignments: &[usize]) -> f64 {
-    assert_eq!(points.len(), assignments.len(), "one assignment per point");
-    let n = points.len();
-    if n < 2 {
-        return 0.0;
-    }
-    let k = assignments.iter().max().map_or(0, |m| m + 1);
-    let mut sizes = vec![0usize; k];
-    for &a in assignments {
-        sizes[a] += 1;
-    }
-    if sizes.iter().filter(|&&s| s > 0).count() < 2 {
-        return 0.0;
-    }
-
-    // Row `i` of `sums` holds point i's summed distance to each cluster.
-    // Each unordered pair is measured once and credited to both rows;
-    // row i still receives its terms in ascending-j order and
-    // `dist(i, j)` has the same bits as `dist(j, i)`, so every sum is
-    // bit-identical to a row-at-a-time scan at half the distance work.
-    let mut sums = vec![0.0f64; n * k];
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let d = dist(&points[i], &points[j]);
-            sums[i * k + assignments[j]] += d;
-            sums[j * k + assignments[i]] += d;
-        }
-    }
-
-    let mut total = 0.0;
-    for i in 0..n {
-        let own = assignments[i];
-        if sizes[own] <= 1 {
-            continue; // contributes 0
-        }
-        // Mean distance to own cluster (a) and nearest other cluster (b).
-        let sum_per_cluster = &sums[i * k..(i + 1) * k];
-        let a = sum_per_cluster[own] / (sizes[own] - 1) as f64;
-        let b = (0..k)
-            .filter(|&c| c != own && sizes[c] > 0)
-            .map(|c| sum_per_cluster[c] / sizes[c] as f64)
-            .fold(f64::MAX, f64::min);
-        let denom = a.max(b);
-        if denom > 0.0 {
-            total += (b - a) / denom;
-        }
-    }
-    total / n as f64
+    silhouette_sampled_with(points, assignments, 0, &Pool::serial())
 }
 
 /// [`silhouette`] with a deterministic evaluation budget for large
@@ -81,15 +45,46 @@ pub fn silhouette(points: &[Vec<f64>], assignments: &[usize]) -> f64 {
 /// bit-identical at any thread or shard count.
 ///
 /// # Panics
-/// Panics if `assignments.len() != points.len()`.
+/// Panics if `assignments.len() != points.len()` or the points differ in
+/// length.
 pub fn silhouette_sampled(points: &[Vec<f64>], assignments: &[usize], cap: usize) -> f64 {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    silhouette_sampled_with(points, assignments, cap, &Pool::serial())
+}
+
+/// [`silhouette_sampled`] with the pair work spread over `pool`.
+///
+/// The points are counting-sorted by label (each cluster keeps its members
+/// in ascending index) into one dims-major buffer, and the pair work is cut
+/// into one tile per cluster pair `A ≤ B`. Tile `(A, B)` alone owns the
+/// distance sums of `A`'s points towards `B` and of `B`'s towards `A`, and
+/// feeds every sum its terms in ascending index, so the score has the same
+/// bits as a row-at-a-time scan at any pool size. Below K-means'
+/// parallel threshold (256 scored points) the kernel runs serially.
+///
+/// # Panics
+/// Panics if `assignments.len() != points.len()` or the points differ in
+/// length.
+pub fn silhouette_sampled_with(
+    points: &[Vec<f64>],
+    assignments: &[usize],
+    cap: usize,
+    pool: &Pool,
+) -> f64 {
     assert_eq!(points.len(), assignments.len(), "one assignment per point");
     let n = points.len();
     if cap == 0 || n <= cap {
-        return silhouette(points, assignments);
+        return tiled_silhouette(|i| &points[i], assignments, pool);
     }
+    let idx = sample_indices(n, cap);
+    let labels: Vec<usize> = idx.iter().map(|&i| assignments[i]).collect();
+    tiled_silhouette(|i| &points[idx[i]], &labels, pool)
+}
+
+/// The `cap` indices [`silhouette_sampled`] scores out of `n`, in draw
+/// order.
+fn sample_indices(n: usize, cap: usize) -> Vec<usize> {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     let mut rng = StdRng::seed_from_u64(0x51_1C0E77 ^ n as u64);
     let mut idx: Vec<usize> = (0..n).collect();
     for j in 0..cap {
@@ -97,11 +92,250 @@ pub fn silhouette_sampled(points: &[Vec<f64>], assignments: &[usize], cap: usize
         idx.swap(j, r);
     }
     idx.truncate(cap);
-    let (sub_points, sub_assignments): (Vec<Vec<f64>>, Vec<usize>) = idx
-        .into_iter()
-        .map(|i| (points[i].clone(), assignments[i]))
-        .unzip();
-    silhouette(&sub_points, &sub_assignments)
+    idx
+}
+
+/// Rows of one register block of the pair kernel.
+const BLOCK_ROWS: usize = 4;
+/// Columns of one register block: the width of a distance strip.
+const STRIP: usize = 4;
+
+/// Silhouette of the points `row(0..labels.len())` under `labels`.
+fn tiled_silhouette<'p>(row: impl Fn(usize) -> &'p [f64], labels: &[usize], pool: &Pool) -> f64 {
+    let n = labels.len();
+    if n < 2 {
+        return 0.0;
+    }
+    let k = labels.iter().max().map_or(0, |m| m + 1);
+    let mut sizes = vec![0usize; k];
+    for &c in labels {
+        sizes[c] += 1;
+    }
+    if sizes.iter().filter(|&&s| s > 0).count() < 2 {
+        return 0.0;
+    }
+
+    // Stable counting sort: cluster c holds positions starts[c]..starts[c + 1],
+    // its members in ascending index.
+    let mut starts = vec![0usize; k + 1];
+    for c in 0..k {
+        starts[c + 1] = starts[c] + sizes[c];
+    }
+    let mut next = starts.clone();
+    let pos: Vec<usize> = labels
+        .iter()
+        .map(|&c| {
+            next[c] += 1;
+            next[c] - 1
+        })
+        .collect();
+    let x = Columns::gather(&row, &pos);
+
+    // sums[c * n + p]: summed distance of the point at position p to cluster c.
+    let mut sums = vec![0.0f64; k * n];
+    let mut tiles = Tile::split(&mut sums, &sizes, &starts);
+    let pool = if n < PAR_MIN_POINTS {
+        Pool::serial()
+    } else {
+        *pool
+    };
+    pool.for_each_mut(&mut tiles, |_, tile| tile.run(&x));
+
+    let mut total = 0.0;
+    for (&own, &p) in labels.iter().zip(&pos) {
+        if sizes[own] <= 1 {
+            continue; // contributes 0
+        }
+        // Mean distance to own cluster (a) and nearest other cluster (b).
+        let sum = |c: usize| sums[c * n + p];
+        let a = sum(own) / (sizes[own] - 1) as f64;
+        let b = (0..k)
+            .filter(|&c| c != own && sizes[c] > 0)
+            .map(|c| sum(c) / sizes[c] as f64)
+            .fold(f64::MAX, f64::min);
+        let denom = a.max(b);
+        if denom > 0.0 {
+            total += (b - a) / denom;
+        }
+    }
+    total / n as f64
+}
+
+/// Points stored dims-major: dimension `d` of the point at position `p` is
+/// `data[d * n + p]`.
+struct Columns {
+    data: Vec<f64>,
+    n: usize,
+}
+
+impl Columns {
+    /// Copies point `i` (`row(i)`) to position `pos[i]`.
+    fn gather<'p>(row: &impl Fn(usize) -> &'p [f64], pos: &[usize]) -> Self {
+        let n = pos.len();
+        let dims = row(0).len();
+        let mut data = vec![0.0; dims * n];
+        for (i, &p) in pos.iter().enumerate() {
+            let point = row(i);
+            assert_eq!(point.len(), dims, "points must share one dimension");
+            for (d, &v) in point.iter().enumerate() {
+                data[d * n + p] = v;
+            }
+        }
+        Self { data, n }
+    }
+
+    /// Distances from the `R` points at positions `i..i + R` to the `W` at
+    /// `j..j + W`. Each sums its squared differences in dimension order,
+    /// like [`dist`], so it has `dist`'s bits in either direction.
+    #[inline(always)]
+    fn block<const R: usize, const W: usize>(&self, i: usize, j: usize) -> [[f64; W]; R] {
+        let mut acc = [[0.0f64; W]; R];
+        for dim in self.data.chunks_exact(self.n) {
+            let xs = &dim[i..i + R];
+            let ys = &dim[j..j + W];
+            for (acc_row, &x) in acc.iter_mut().zip(xs) {
+                for (a, &y) in acc_row.iter_mut().zip(ys) {
+                    let t = x - y;
+                    *a += t * t;
+                }
+            }
+        }
+        acc.map(|row| row.map(f64::sqrt))
+    }
+
+    /// Adds the distances from the `R` points at `i..` to the points at
+    /// `j..j + col_sums.len()` onto `row_sums` (each in ascending column
+    /// order) and onto `col_sums` (each in ascending row order).
+    fn pass<const R: usize>(&self, i: usize, j: usize, row_sums: &mut [f64], col_sums: &mut [f64]) {
+        let mut rows: [f64; R] = row_sums.try_into().expect("one sum per row");
+        let mut strips = col_sums.chunks_exact_mut(STRIP);
+        let mut j = j;
+        for cols in &mut strips {
+            credit(&mut rows, cols, &self.block::<R, STRIP>(i, j));
+            j += STRIP;
+        }
+        for cols in strips.into_remainder().chunks_mut(1) {
+            credit(&mut rows, cols, &self.block::<R, 1>(i, j));
+            j += 1;
+        }
+        row_sums.copy_from_slice(&rows);
+    }
+}
+
+/// Adds a block of distances to its rows' and columns' running sums.
+#[inline(always)]
+fn credit<const R: usize, const W: usize>(
+    rows: &mut [f64; R],
+    cols: &mut [f64],
+    d: &[[f64; W]; R],
+) {
+    for (sum, row) in rows.iter_mut().zip(d) {
+        for &v in row {
+            *sum += v;
+        }
+    }
+    for (w, col) in cols.iter_mut().enumerate() {
+        for row in d {
+            *col += row[w];
+        }
+    }
+}
+
+/// The pair work of clusters `A ≤ B`: the sums of `A`'s points towards `B`
+/// and of `B`'s towards `A`, which no other tile writes.
+struct Tile<'s> {
+    a: Range<usize>,
+    b: Range<usize>,
+    a_to_b: &'s mut [f64],
+    /// Empty on the diagonal (`A == B`), where `a_to_b` holds both.
+    b_to_a: &'s mut [f64],
+}
+
+impl<'s> Tile<'s> {
+    /// One tile per pair of non-empty clusters, each borrowing its two
+    /// slices of `sums`, ordered by pair count so the pool (which hands out
+    /// its chunks from the back) starts on the largest.
+    fn split(sums: &'s mut [f64], sizes: &[usize], starts: &[usize]) -> Vec<Self> {
+        let k = sizes.len();
+        let n = starts[k];
+        // segments[t * k + c]: the sums of cluster c's points towards t.
+        let mut segments: Vec<Option<&'s mut [f64]>> = Vec::with_capacity(k * k);
+        for row in sums.chunks_mut(n) {
+            let mut rest = row;
+            for &size in sizes {
+                let (segment, tail) = std::mem::take(&mut rest).split_at_mut(size);
+                segments.push(Some(segment));
+                rest = tail;
+            }
+        }
+        let live: Vec<usize> = (0..k).filter(|&c| sizes[c] > 0).collect();
+        let mut take = |t: usize, c: usize| segments[t * k + c].take().expect("one owner");
+        let mut tiles = Vec::with_capacity(live.len() * (live.len() + 1) / 2);
+        for (at, &a) in live.iter().enumerate() {
+            for &b in &live[at..] {
+                tiles.push(Tile {
+                    a: starts[a]..starts[a + 1],
+                    b: starts[b]..starts[b + 1],
+                    a_to_b: take(b, a),
+                    b_to_a: if a == b { &mut [] } else { take(a, b) },
+                });
+            }
+        }
+        tiles.sort_by_key(Tile::pairs);
+        tiles
+    }
+
+    fn pairs(&self) -> usize {
+        if self.a == self.b {
+            self.a.len() * (self.a.len() - 1) / 2
+        } else {
+            self.a.len() * self.b.len()
+        }
+    }
+
+    fn run(&mut self, x: &Columns) {
+        if self.a == self.b {
+            self.within(x);
+            return;
+        }
+        let mut rows = self.a_to_b.chunks_exact_mut(BLOCK_ROWS);
+        let mut i = self.a.start;
+        for block in &mut rows {
+            x.pass::<BLOCK_ROWS>(i, self.b.start, block, self.b_to_a);
+            i += BLOCK_ROWS;
+        }
+        for row in rows.into_remainder().chunks_mut(1) {
+            x.pass::<1>(i, self.b.start, row, self.b_to_a);
+            i += 1;
+        }
+    }
+
+    /// Pairs inside one cluster, each measured once and credited to both
+    /// points. A point's earlier partners credit it (as a column) before
+    /// its own row block adds its later ones, so its terms stay in
+    /// ascending index.
+    fn within(&mut self, x: &Columns) {
+        let a0 = self.a.start;
+        let sums = &mut *self.a_to_b;
+        let s = sums.len();
+        let mut i = 0;
+        while i < s {
+            let r = BLOCK_ROWS.min(s - i);
+            // The triangle inside the block, then the strip to its right.
+            for p in i..i + r {
+                for q in p + 1..i + r {
+                    let [[d]] = x.block::<1, 1>(a0 + p, a0 + q);
+                    sums[p] += d;
+                    sums[q] += d;
+                }
+            }
+            if r == BLOCK_ROWS {
+                let (rows, cols) = sums[i..].split_at_mut(BLOCK_ROWS);
+                x.pass::<BLOCK_ROWS>(a0 + i, a0 + i + BLOCK_ROWS, rows, cols);
+            }
+            i += r;
+        }
+    }
 }
 
 /// Davies–Bouldin index (lower is better; 0 is ideal).
@@ -410,6 +644,80 @@ mod tests {
                 "case {case}: {fast} vs {slow}"
             );
         }
+    }
+
+    /// `n` points in `dim` dimensions under `labels`, with coordinates
+    /// from a seeded RNG.
+    fn cloud(n: usize, dim: usize, seed: u64) -> Vec<Vec<f64>> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| (0..dim).map(|_| rng.gen_range(-5.0..5.0)).collect())
+            .collect()
+    }
+
+    /// The kernel at pool sizes 1, 2 and 4 against the row-scan oracle.
+    fn assert_kernel_matches_rows(points: &[Vec<f64>], labels: &[usize], what: &str) {
+        let oracle = silhouette_by_rows(points, labels).to_bits();
+        assert_eq!(
+            silhouette(points, labels).to_bits(),
+            oracle,
+            "{what}: serial"
+        );
+        for threads in [1, 2, 4] {
+            let pooled = silhouette_sampled_with(points, labels, 0, &Pool::new(threads));
+            assert_eq!(pooled.to_bits(), oracle, "{what}: {threads} threads");
+        }
+    }
+
+    #[test]
+    fn tiled_kernel_is_bit_identical_to_row_scan_at_any_pool_size() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x711E);
+        // 63, 257 and 1000 leave partial row blocks and strips; 257 and
+        // 1000 clear the pool's serial threshold.
+        for n in [2, 3, 63, 64, 257, 1000] {
+            for dim in [1, 3, 16, 17] {
+                let points = cloud(n, dim, (n * 31 + dim) as u64);
+                // Labels 0..k, with label k + 1 given to point 0 only: a
+                // singleton, and an empty label k between.
+                let k = rng.gen_range(2..9);
+                let mut labels: Vec<usize> = (0..n).map(|_| rng.gen_range(0..k)).collect();
+                labels[0] = k + 1;
+                assert_kernel_matches_rows(&points, &labels, &format!("n={n} dim={dim}"));
+            }
+        }
+        // A 90/10 split at K = 2: one large diagonal tile dominates.
+        let points = cloud(1000, 16, 0x9010);
+        let labels: Vec<usize> = (0..1000).map(|i| usize::from(i % 10 == 3)).collect();
+        assert_kernel_matches_rows(&points, &labels, "90/10 split");
+        // Only singletons, and two points in separate clusters.
+        assert_kernel_matches_rows(&points[..5], &[4, 3, 2, 1, 0], "all singletons");
+        assert_kernel_matches_rows(&points[..2], &[0, 1], "two singletons");
+    }
+
+    #[test]
+    fn sampled_kernel_is_bit_identical_at_any_pool_size() {
+        let points = cloud(1500, 8, 0x5A);
+        let labels: Vec<usize> = (0..1500).map(|i| (i * 7 + i / 11) % 5).collect();
+        let cap = 600;
+        let idx = sample_indices(points.len(), cap);
+        let sub_points: Vec<Vec<f64>> = idx.iter().map(|&i| points[i].clone()).collect();
+        let sub_labels: Vec<usize> = idx.iter().map(|&i| labels[i]).collect();
+        let oracle = silhouette_by_rows(&sub_points, &sub_labels).to_bits();
+        assert_eq!(silhouette_sampled(&points, &labels, cap).to_bits(), oracle);
+        for threads in [1, 2, 4] {
+            let pooled = silhouette_sampled_with(&points, &labels, cap, &Pool::new(threads));
+            assert_eq!(pooled.to_bits(), oracle, "{threads} threads");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "share one dimension")]
+    fn ragged_points_panic() {
+        let _ = silhouette(&[vec![0.0, 1.0], vec![1.0]], &[0, 1]);
     }
 }
 

@@ -10,7 +10,8 @@
 //! decision) and picks `K`. The reward trades clustering quality
 //! (silhouette) against the signalling/channel overhead of more groups.
 
-use msvs_cluster::{silhouette_sampled, KMeans, KMeansConfig};
+use msvs_cluster::{silhouette_sampled_with, KMeans, KMeansConfig};
+use msvs_par::Pool;
 use msvs_rl::{DdqnAgent, DdqnConfig, EpsilonSchedule, Transition};
 use msvs_types::{Error, Result};
 
@@ -78,14 +79,14 @@ pub struct GroupingConfig {
     pub epsilon: EpsilonSchedule,
     /// RNG seed (agent weights, K-means seeding, random baseline).
     pub seed: u64,
-    /// Worker threads for the K-means assignment step (`1` = serial,
-    /// `0` = all available cores). Assignment results are identical at any
-    /// thread count.
+    /// Worker threads for the K-means assignment step and the silhouette
+    /// kernel (`1` = serial, `0` = all available cores). Both give
+    /// identical results at any thread count.
     pub threads: usize,
-    /// Silhouette evaluation budget: populations larger than this score an
-    /// evenly strided subsample (deterministic, no RNG) instead of the full
-    /// O(n²) scan. `0` disables sampling; 1 and 2 are rejected, since a
-    /// sample that small scores every silhouette 0. Populations at or
+    /// Silhouette evaluation budget: populations larger than this score a
+    /// fixed-seed subsample (a pure function of the population size)
+    /// instead of the full O(n²) scan. `0` disables sampling; 1 and 2 are
+    /// rejected, since a sample that small scores every silhouette 0. Populations at or
     /// below the cap — every committed experiment and test — are
     /// bit-identical either way; the cap only makes 100k-user benches
     /// tractable.
@@ -511,10 +512,11 @@ impl GroupingEngine {
             .telemetry
             .as_ref()
             .map(|t| t.stage_scope(msvs_telemetry::stages::SILHOUETTE));
-        let sil = silhouette_sampled(
+        let sil = silhouette_sampled_with(
             features,
             &fit.assignments,
             self.config.silhouette_sample_cap,
+            &Pool::new(self.config.threads),
         );
         drop(sil_scope);
         Ok(Grouping {
@@ -786,6 +788,33 @@ mod tests {
         assert!(fits <= k_range * sets.len() as u64, "{fits} fits");
         assert_eq!(engine.calls(), 150);
         assert!(engine.pretrain.is_none(), "memo is scoped to the call");
+    }
+
+    /// 300 users clear the parallel threshold of both K-means and the
+    /// silhouette kernel, which the small identity suites never reach.
+    #[test]
+    fn construct_is_identical_at_any_thread_count() {
+        let features = blobs(5, 60, 13);
+        let run = |threads: usize| {
+            let mut engine = GroupingEngine::new(GroupingConfig {
+                seed: 3,
+                threads,
+                ..Default::default()
+            })
+            .unwrap();
+            (0..3)
+                .map(|_| engine.construct(&features).unwrap())
+                .collect::<Vec<_>>()
+        };
+        let serial = run(1);
+        for threads in [2, 4] {
+            for (s, p) in serial.iter().zip(run(threads)) {
+                assert_eq!(s.k, p.k, "{threads} threads");
+                assert_eq!(s.assignments, p.assignments, "{threads} threads");
+                assert_eq!(s.silhouette.to_bits(), p.silhouette.to_bits());
+                assert_eq!(s.reward.to_bits(), p.reward.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -213,7 +213,9 @@ impl Pool {
     /// receives the element's index. Returns [`ParStats`] for telemetry.
     ///
     /// Determinism note: each element is mutated independently, so the final
-    /// slice contents do not depend on scheduling order.
+    /// slice contents do not depend on scheduling order. Workers take the
+    /// chunks from the back of the slice, so a caller that orders its items
+    /// by ascending cost starts the costliest first.
     pub fn for_each_mut<T, F>(&self, items: &mut [T], f: F) -> ParStats
     where
         T: Send,

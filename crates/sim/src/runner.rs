@@ -793,8 +793,8 @@ impl Simulation {
                     t_ms,
                     Event::FaultInjected {
                         user: u64::from(user.id.0),
-                        attribute: attr.label().to_string(),
-                        kind: kind.to_string(),
+                        attribute: attr.label(),
+                        kind,
                     },
                 );
             }

@@ -10,6 +10,13 @@ use std::sync::{Arc, Mutex};
 
 use crate::json::Json;
 
+/// The twin attributes a [`Event::FaultInjected`] can name.
+const FAULT_ATTRIBUTES: [&str; 3] = ["channel", "location", "preference"];
+
+/// The fates a [`Event::FaultInjected`] can name: a loss, a loss to a
+/// partitioned shard, a delay or a corruption.
+const FAULT_KINDS: [&str; 4] = ["lose", "partition", "delay", "corrupt"];
+
 /// One structured telemetry event.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
@@ -51,10 +58,13 @@ pub enum Event {
         hit_ratio: f64,
     },
     /// One uplink status report was faulted (timestamp = report time).
+    /// `attribute` is `channel`, `location` or `preference`; `kind` is
+    /// `lose`, `partition` (lost to a partitioned shard), `delay` or
+    /// `corrupt`. Parsing rejects any other label.
     FaultInjected {
         user: u64,
-        attribute: String,
-        kind: String,
+        attribute: &'static str,
+        kind: &'static str,
     },
     /// Per-interval fault-injection tallies after the collection sweep.
     FaultsInjected {
@@ -206,8 +216,8 @@ impl Event {
                 kind,
             } => vec![
                 ("user", Json::Num(*user as f64)),
-                ("attribute", Json::Str(attribute.clone())),
-                ("kind", Json::Str(kind.clone())),
+                ("attribute", Json::Str((*attribute).into())),
+                ("kind", Json::Str((*kind).into())),
             ],
             Event::FaultsInjected {
                 interval,
@@ -303,6 +313,14 @@ impl Event {
                 .map(str::to_string)
                 .ok_or_else(|| format!("{name}: missing string field '{k}'"))
         };
+        let label = |k: &str, labels: &[&'static str]| {
+            let value = text(k)?;
+            labels
+                .iter()
+                .copied()
+                .find(|&l| l == value)
+                .ok_or_else(|| format!("{name}: unknown {k} '{value}'"))
+        };
         Ok(match name {
             "RunStarted" => Event::RunStarted {
                 scheme: text("scheme")?,
@@ -350,8 +368,8 @@ impl Event {
             },
             "FaultInjected" => Event::FaultInjected {
                 user: int("user")?,
-                attribute: text("attribute")?,
-                kind: text("kind")?,
+                attribute: label("attribute", &FAULT_ATTRIBUTES)?,
+                kind: label("kind", &FAULT_KINDS)?,
             },
             "FaultsInjected" => Event::FaultsInjected {
                 interval: int("interval")?,
@@ -485,8 +503,9 @@ impl EventJournal {
 
     /// Serialises the journal as JSONL (one entry per line).
     pub fn to_jsonl(&self) -> String {
+        let entries = self.entries.lock().expect("journal lock poisoned");
         let mut out = String::new();
-        for e in self.entries() {
+        for e in entries.iter() {
             let _ = writeln!(out, "{}", e.to_json());
         }
         out
@@ -495,8 +514,9 @@ impl EventJournal {
     /// Serialises the journal as CSV with columns
     /// `t_ms,event,fields` where `fields` packs `key=value` pairs.
     pub fn to_csv(&self) -> String {
+        let entries = self.entries.lock().expect("journal lock poisoned");
         let mut out = String::from("t_ms,event,fields\n");
-        for e in self.entries() {
+        for e in entries.iter() {
             let fields: Vec<String> = e
                 .event
                 .fields()
@@ -687,8 +707,8 @@ mod tests {
             },
             Event::FaultInjected {
                 user: 7,
-                attribute: "channel".into(),
-                kind: "lose".into(),
+                attribute: "channel",
+                kind: "lose",
             },
             Event::FaultsInjected {
                 interval: 2,
@@ -778,6 +798,40 @@ mod tests {
         assert_eq!(parsed.len(), journal.len() - 1);
         assert!(report.truncated);
         assert_eq!(report.skipped.len(), 1);
+    }
+
+    #[test]
+    fn fault_labels_parse_from_their_closed_sets_only() {
+        for attribute in FAULT_ATTRIBUTES {
+            for kind in FAULT_KINDS {
+                let line = format!(
+                    r#"{{"attribute":"{attribute}","event":"FaultInjected","kind":"{kind}","t_ms":1,"user":2}}"#
+                );
+                let entry = Entry::parse(&line).unwrap();
+                assert_eq!(
+                    entry.event,
+                    Event::FaultInjected {
+                        user: 2,
+                        attribute,
+                        kind
+                    }
+                );
+                assert_eq!(entry.to_json().to_string(), line, "the text is canonical");
+            }
+        }
+        let bad_attribute =
+            r#"{"t_ms":1,"event":"FaultInjected","user":2,"attribute":"battery","kind":"lose"}"#;
+        let err = Entry::parse(bad_attribute).unwrap_err();
+        assert!(
+            err.contains("attribute") && err.contains("battery"),
+            "{err}"
+        );
+        let bad_kind =
+            r#"{"t_ms":1,"event":"FaultInjected","user":2,"attribute":"channel","kind":"Lose"}"#;
+        let err = Entry::parse(bad_kind).unwrap_err();
+        assert!(err.contains("kind") && err.contains("Lose"), "{err}");
+        let missing = r#"{"t_ms":1,"event":"FaultInjected","user":2,"attribute":"channel"}"#;
+        assert!(Entry::parse(missing).unwrap_err().contains("'kind'"));
     }
 
     #[test]

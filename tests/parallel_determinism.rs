@@ -1,14 +1,14 @@
-//! Parallel-execution guarantees: a seeded run must produce a
-//! bit-identical `SimulationReport` at any worker-pool size, the
-//! validating builder must reject malformed configurations up front, and
-//! custom predictors must plug into the runner through the
-//! `DemandPredictor` trait.
+//! Parallel-execution guarantees: a seeded run must produce the same
+//! span tree and counter totals at any worker-pool size (the report itself
+//! is pinned by `tests/equivalence_matrix.rs`), the validating builder
+//! must reject malformed configurations up front, and custom predictors
+//! must plug into the runner through the `DemandPredictor` trait.
 
 use msvs::core::{
     CompressorConfig, DemandPredictor, DtAssistedPredictor, GroupingConfig, PipelineBacked,
     Prediction, PredictionContext, SchemeConfig,
 };
-use msvs::sim::{Simulation, SimulationConfig, SimulationReport};
+use msvs::sim::{Simulation, SimulationConfig};
 use msvs::types::{CpuCycles, ResourceBlocks, Result, SimDuration};
 
 fn small_scheme() -> SchemeConfig {
@@ -40,25 +40,6 @@ fn seeded_config(seed: u64, threads: usize) -> SimulationConfig {
         .seed(seed)
         .build()
         .expect("test config is valid")
-}
-
-/// Wall-clock timings differ run to run; everything else must match.
-fn strip_wall(mut r: SimulationReport) -> SimulationReport {
-    for i in &mut r.intervals {
-        i.predict_wall_ms = 0.0;
-    }
-    r.telemetry = r.telemetry.with_zeroed_timings();
-    r
-}
-
-#[test]
-fn seeded_report_is_bit_identical_across_thread_counts() {
-    let serial = strip_wall(Simulation::run(seeded_config(33, 1)).expect("serial run"));
-    let parallel = strip_wall(Simulation::run(seeded_config(33, 4)).expect("parallel run"));
-    assert_eq!(
-        serial, parallel,
-        "seeded runs must not depend on the worker-pool size"
-    );
 }
 
 /// Drives a seeded run by hand (keeping the telemetry handle reachable)

@@ -141,7 +141,8 @@ fn journal_round_trips_through_jsonl_export() {
 /// and the `IntervalCompleted` of that interval: warm-up journals no
 /// interval-numbered event, and collection and fault tallies carry the
 /// scored index like the rest. The run is `msvs run --users 24
-/// --intervals 3 --seed 3 --shards 4 --faults bs-crash` (two warm-ups).
+/// --intervals 3 --seed 3 --shards 4 --faults bs-crash` (two warm-ups),
+/// and its journal parses back entry for entry.
 #[test]
 fn interval_events_sit_inside_their_interval() {
     let mut cfg = SimulationConfig::builder()
@@ -188,7 +189,16 @@ fn interval_events_sit_inside_their_interval() {
     }
     assert_eq!(open, None, "the last interval completes");
     let count = |name: &str| entries.iter().filter(|e| e.event.name() == name).count();
-    for name in ["CollectionCompleted", "FaultsInjected", "ShardDown"] {
+    for name in [
+        "CollectionCompleted",
+        "FaultInjected",
+        "FaultsInjected",
+        "ShardDown",
+    ] {
         assert!(count(name) > 0, "the crash run journals {name}");
     }
+    // Every fault label the runner journals parses back from its closed set.
+    let text = sim.telemetry().journal().to_jsonl();
+    let parsed = EventJournal::parse_jsonl(&text).expect("parses");
+    assert_eq!(parsed.entries(), entries);
 }
