@@ -1,6 +1,6 @@
 //! Serial-vs-parallel wall time for the hot paths behind `msvs-par`: a
-//! full 1000-user reservation interval, batched CNN encoding, K-means
-//! assignment and the tiled silhouette kernel. Seeded runs are
+//! full 1000-user reservation interval, batched CNN encoding and the
+//! tiled silhouette kernel. Seeded runs are
 //! bit-identical at any thread count, so these benches measure pure
 //! wall-time — the speedup is hardware-dependent (single-core machines
 //! show ~1×).
@@ -95,31 +95,6 @@ fn bench_encode(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_kmeans(c: &mut Criterion) {
-    let points = archetype_features(5, 200, 0.6, 7);
-    let mut group = c.benchmark_group("kmeans_1000p");
-    for threads in THREAD_COUNTS {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(threads),
-            &threads,
-            |b, &threads| {
-                let config = msvs_cluster::KMeansConfig {
-                    k: 5,
-                    seed: 5,
-                    threads,
-                    ..Default::default()
-                };
-                b.iter(|| {
-                    msvs_cluster::KMeans::new(config.clone())
-                        .fit(&points)
-                        .expect("fit converges")
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
 /// The per-interval silhouette of 1000 users at the two-worker pool the
 /// repository benchmark configures.
 fn bench_silhouette(c: &mut Criterion) {
@@ -144,6 +119,6 @@ fn bench_silhouette(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_interval, bench_encode, bench_kmeans, bench_silhouette
+    targets = bench_interval, bench_encode, bench_silhouette
 }
 criterion_main!(benches);

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Reruns the experiment harnesses and diffs each against its committed
 # copy in results/. Every listed harness prints the same bytes on every
-# run and at any MSVS_THREADS, once fig3b_radio_demand's one wall-clock
+# run and at any thread count, once fig3b_radio_demand's one wall-clock
 # field is blanked: `predict_wall_ms`, the 14th column of the CSV after
 # "# CSV of the primary run:". Left out because they print more timings:
 # exp_group_count (decide ms) and exp_cnn_ablation (cluster and training

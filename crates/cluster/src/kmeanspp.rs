@@ -1,14 +1,8 @@
 //! K-means with K-means++ seeding (Arthur & Vassilvitskii, 2007).
 
-use msvs_par::Pool;
 use msvs_types::{Error, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Point count below which the assignment step always runs serially: the
-/// nearest-centroid scan is so cheap per point that thread-spawn overhead
-/// dominates for small inputs.
-pub(crate) const PAR_MIN_POINTS: usize = 256;
 
 /// Relative slack applied when comparing Hamerly bounds: the upper bound
 /// is inflated and the lower bound deflated by this factor (plus a tiny
@@ -46,10 +40,8 @@ pub struct KMeansConfig {
     pub tolerance: f64,
     /// RNG seed for seeding and empty-cluster repair.
     pub seed: u64,
-    /// Worker threads for the assignment step (`1` = serial, `0` = all
-    /// available cores). Results are identical at any thread count: each
-    /// point's nearest-centroid scan is independent and results merge in
-    /// point order.
+    /// Ignored: the fit always runs on the caller's thread. Kept because
+    /// `e2ebench/` sets it; drop at the next benchmark change.
     pub threads: usize,
     /// Maintain Hamerly-style distance bounds to skip provably-unchanged
     /// nearest-centroid scans. Assignments, inertia, and round counts are
@@ -80,7 +72,7 @@ impl Default for KMeansConfig {
 /// of rounds is deterministic for a fixed seed; the durations are not.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RoundTiming {
-    /// Assignment sweep (parallel nearest-centroid), microseconds.
+    /// Assignment sweep (nearest-centroid scan), microseconds.
     pub assign_us: u64,
     /// Centroid update + empty-cluster repair, microseconds.
     pub update_us: u64,
@@ -273,7 +265,6 @@ impl KMeans {
         let mut iterations = 0;
         let mut converged = false;
         let mut rounds = Vec::new();
-        let pool = self.assignment_pool(n);
         // Hamerly bound state, in sqrt (plain-distance) space where the
         // triangle inequality holds: `ub[i]` bounds the distance from
         // point `i` to its assigned centroid from above, `lb[i]` bounds
@@ -285,12 +276,11 @@ impl KMeans {
 
         for iter in 0..self.config.max_iters {
             iterations = iter + 1;
-            // Assignment step: independent per point, merged in point order,
-            // so the outcome is identical at any thread count.
+            // Assignment step, in place in point order.
             let assign_start = std::time::Instant::now();
             if !self.config.bounded || iter == 0 {
-                let nearest_all = pool.map(points, |_, p| nearest2(p, &centroids));
-                for (i, &(best, best_d, second_d)) in nearest_all.iter().enumerate() {
+                for (i, p) in points.iter().enumerate() {
+                    let (best, best_d, second_d) = nearest2(p, &centroids);
                     assignments[i] = best;
                     ub[i] = best_d.sqrt();
                     lb[i] = second_d.sqrt();
@@ -306,24 +296,22 @@ impl KMeans {
                 // The fallback is `nearest2`, whose comparison sequence
                 // matches the unbounded scan exactly, so surviving points
                 // land on identical assignments.
-                let state = pool.map(points, |i, p| {
-                    let a = assignments[i];
+                for (i, p) in points.iter().enumerate() {
                     let lower = deflate(lb[i]);
                     if inflate(ub[i]) < lower {
-                        return (a, ub[i], lb[i], 0u64);
+                        continue;
                     }
-                    let tight = sq_dist(p, &centroids[a]).sqrt();
+                    let tight = sq_dist(p, &centroids[assignments[i]]).sqrt();
                     if inflate(tight) < lower {
-                        return (a, tight, lb[i], 1);
+                        ub[i] = tight;
+                        distance_evals += 1;
+                        continue;
                     }
                     let (best, best_d, second_d) = nearest2(p, &centroids);
-                    (best, best_d.sqrt(), second_d.sqrt(), k as u64)
-                });
-                for (i, &(a, u, l, evals)) in state.iter().enumerate() {
-                    assignments[i] = a;
-                    ub[i] = u;
-                    lb[i] = l;
-                    distance_evals += evals;
+                    assignments[i] = best;
+                    ub[i] = best_d.sqrt();
+                    lb[i] = second_d.sqrt();
+                    distance_evals += k as u64;
                 }
             }
             let assign_us = assign_start.elapsed().as_micros() as u64;
@@ -376,12 +364,12 @@ impl KMeans {
             }
         }
 
-        // Final assignment against the converged centroids. Inertia is summed
-        // serially in point order so the f64 total is thread-count invariant.
-        let nearest_all = pool.map(points, |_, p| nearest(p, &centroids));
+        // Final assignment against the converged centroids, inertia summed
+        // in point order.
         let mut inertia = 0.0;
-        for (a, (best, best_d)) in assignments.iter_mut().zip(&nearest_all) {
-            *a = *best;
+        for (a, p) in assignments.iter_mut().zip(points) {
+            let (best, best_d) = nearest(p, &centroids);
+            *a = best;
             inertia += best_d;
         }
 
@@ -397,16 +385,6 @@ impl KMeans {
             distance_evals_skipped,
             warm_started,
         })
-    }
-
-    /// Pool for the assignment step: serial below [`PAR_MIN_POINTS`] where
-    /// spawn overhead outweighs the per-point work.
-    fn assignment_pool(&self, n_points: usize) -> Pool {
-        if self.config.threads == 1 || n_points < PAR_MIN_POINTS {
-            Pool::serial()
-        } else {
-            Pool::new(self.config.threads)
-        }
     }
 
     /// K-means++ seeding: first centroid uniform, then each next centroid
@@ -578,40 +556,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_fit_bit_identical_to_serial() {
-        // Enough points to clear the PAR_MIN_POINTS gate.
-        let pts = blobs(
-            &[(0.0, 0.0), (6.0, 0.0), (0.0, 6.0), (6.0, 6.0)],
-            80,
-            0.8,
-            11,
-        );
-        assert!(pts.len() >= PAR_MIN_POINTS);
-        let fit = |threads: usize| {
-            KMeans::new(KMeansConfig {
-                k: 4,
-                seed: 21,
-                threads,
-                ..Default::default()
-            })
-            .fit(&pts)
-            .unwrap()
-        };
-        let serial = fit(1);
-        for threads in [2, 4, 8] {
-            let par = fit(threads);
-            assert_eq!(serial.assignments, par.assignments, "threads={threads}");
-            assert_eq!(serial.centroids, par.centroids, "threads={threads}");
-            assert_eq!(
-                serial.inertia.to_bits(),
-                par.inertia.to_bits(),
-                "threads={threads}"
-            );
-            assert_eq!(serial.iterations, par.iterations);
-        }
-    }
-
-    #[test]
     fn bounded_fit_bit_identical_to_unbounded() {
         // Property sweep across cluster counts, geometries, and seeds:
         // Hamerly bounds must never change what the fit returns, only
@@ -652,33 +596,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn bounded_parallel_matches_bounded_serial() {
-        let pts = blobs(
-            &[(0.0, 0.0), (6.0, 0.0), (0.0, 6.0), (6.0, 6.0)],
-            80,
-            0.8,
-            17,
-        );
-        assert!(pts.len() >= PAR_MIN_POINTS);
-        let fit = |threads: usize| {
-            KMeans::new(KMeansConfig {
-                k: 4,
-                seed: 13,
-                threads,
-                bounded: true,
-                ..Default::default()
-            })
-            .fit(&pts)
-            .unwrap()
-        };
-        let serial = fit(1);
-        let par = fit(4);
-        assert_eq!(serial.assignments, par.assignments);
-        assert_eq!(serial.inertia.to_bits(), par.inertia.to_bits());
-        assert_eq!(serial.distance_evals_skipped, par.distance_evals_skipped);
     }
 
     #[test]

@@ -4,7 +4,9 @@ use std::ops::Range;
 
 use msvs_par::Pool;
 
-use crate::kmeanspp::PAR_MIN_POINTS;
+/// Point count below which the silhouette runs on the caller's thread: the
+/// pair loop is too cheap for worker spawns to pay for themselves.
+const PAR_MIN_POINTS: usize = 256;
 
 fn dist(a: &[f64], b: &[f64]) -> f64 {
     a.iter()

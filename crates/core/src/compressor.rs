@@ -276,8 +276,8 @@ impl CnnCompressor {
 
     /// Windows per worker batch in [`encode_with`](Self::encode_with).
     /// Fixed (not derived from the thread count) so the batch fan-out —
-    /// and the span tree recording it — is identical at any
-    /// `MSVS_THREADS`.
+    /// and the span tree recording it — is identical at any thread
+    /// count.
     pub const ENCODE_BATCH: usize = 32;
 
     /// Parallel [`encode`](Self::encode): splits `windows` into

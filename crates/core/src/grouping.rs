@@ -79,9 +79,9 @@ pub struct GroupingConfig {
     pub epsilon: EpsilonSchedule,
     /// RNG seed (agent weights, K-means seeding, random baseline).
     pub seed: u64,
-    /// Worker threads for the K-means assignment step and the silhouette
-    /// kernel (`1` = serial, `0` = all available cores). Both give
-    /// identical results at any thread count.
+    /// Worker threads for the silhouette kernel (`1` = serial, `0` = all
+    /// available cores); the result is identical at any thread count.
+    /// K-means always runs on the caller's thread.
     pub threads: usize,
     /// Silhouette evaluation budget: populations larger than this score a
     /// fixed-seed subsample (a pure function of the population size)
@@ -466,7 +466,6 @@ impl GroupingEngine {
         let fit = KMeans::new(KMeansConfig {
             k,
             seed: self.config.seed ^ 0x5EED,
-            threads: self.config.threads,
             ..Default::default()
         })
         .fit(features)?;
@@ -790,8 +789,8 @@ mod tests {
         assert!(engine.pretrain.is_none(), "memo is scoped to the call");
     }
 
-    /// 300 users clear the parallel threshold of both K-means and the
-    /// silhouette kernel, which the small identity suites never reach.
+    /// 300 users clear the silhouette kernel's parallel threshold, which
+    /// the small identity suites never reach.
     #[test]
     fn construct_is_identical_at_any_thread_count() {
         let features = blobs(5, 60, 13);

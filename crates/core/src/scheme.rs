@@ -140,8 +140,8 @@ pub struct SchemeConfig {
     /// Graceful-degradation policy for stale twin data.
     pub degradation: DegradationConfig,
     /// Worker threads for the parallel pipeline stages (CNN encode and
-    /// K-means assignment): `1` = serial, `0` = all available cores.
-    /// Predictions are bit-identical at any thread count.
+    /// silhouette): `1` = serial, `0` = all available cores. Predictions
+    /// are bit-identical at any thread count.
     pub threads: usize,
     /// Ignored; kept because `e2ebench/` names it; drop at the next
     /// benchmark change. Every pass re-validates every twin.
@@ -243,12 +243,8 @@ impl DtAssistedPredictor {
     /// engine.
     pub fn new(mut config: SchemeConfig) -> Result<Self> {
         config.degradation.validate()?;
-        let pool = if config.threads == 1 {
-            msvs_par::Pool::serial()
-        } else {
-            msvs_par::Pool::new(config.threads)
-        };
-        // Grouping inherits the resolved thread count so K-means assignment
+        let pool = msvs_par::Pool::new(config.threads);
+        // Grouping inherits the resolved thread count so the silhouette
         // parallelises alongside the CNN encode.
         config.threads = pool.threads();
         config.grouping.threads = pool.threads();

@@ -10,32 +10,6 @@ use msvs_types::{Error, Result, SimDuration, MAX_SHARDS};
 use msvs_udt::CollectionPolicy;
 use msvs_video::{CatalogConfig, EngagementModel};
 
-/// Environment variable that overrides the default worker-thread count
-/// (`0` = all available cores). Lets CI exercise the parallel path across
-/// the whole test suite without touching each test's config.
-pub const THREADS_ENV: &str = "MSVS_THREADS";
-
-fn default_threads() -> usize {
-    std::env::var(THREADS_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(0)
-}
-
-/// Environment variable that overrides the default shard count (`1` =
-/// the legacy single-cell deployment). Lets CI exercise the multi-BS
-/// sharded path across the whole test suite without touching each test's
-/// config.
-pub const SHARDS_ENV: &str = "MSVS_SHARDS";
-
-fn default_shards() -> usize {
-    std::env::var(SHARDS_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
-
 /// Population shares of the three mobility models.
 ///
 /// Shares are relative weights (normalised internally); a campus mixes
@@ -198,16 +172,15 @@ pub struct SimulationConfig {
     /// policy) leaves the simulation bit-identical to an unwatched run.
     pub slo: Option<msvs_telemetry::SloPolicy>,
     /// Worker threads for the parallel hot paths (per-user collection,
-    /// CNN encode, K-means assignment): `1` = serial, `0` = all available
-    /// cores. Defaults to the `MSVS_THREADS` environment variable, or `0`.
-    /// Seeded runs produce bit-identical reports at any thread count.
+    /// CNN encode, silhouette): `1` = serial, `0` = all available cores,
+    /// the default. Seeded runs produce bit-identical reports at any
+    /// thread count.
     pub threads: usize,
     /// Base-station shards the deployment partitions into (`1` = the
     /// legacy single-cell path). Each shard owns its own twin registry
     /// and local video-cache tier; users handover
     /// between shards as mobility crosses cell boundaries. Defaults to
-    /// the `MSVS_SHARDS` environment variable, or `1`. Seeded runs
-    /// produce bit-identical reports at any shard count.
+    /// `1`. Seeded runs produce bit-identical reports at any shard count.
     pub shards: usize,
     /// Always [`BackendKind::Scalar`]; see its docs.
     pub backend: BackendKind,
@@ -250,8 +223,8 @@ impl Default for SimulationConfig {
             },
             faults: None,
             slo: None,
-            threads: default_threads(),
-            shards: default_shards(),
+            threads: 0,
+            shards: 1,
             backend: BackendKind::Scalar,
             incremental: false,
             seed: 0,

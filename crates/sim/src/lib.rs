@@ -31,10 +31,7 @@ pub mod runner;
 pub use bench::{
     bench_backend_name, peak_rss_kb, run_bench, validate_bench_json, BenchOptions, BENCH_SCHEMA,
 };
-pub use config::{
-    DemandPredictorKind, MobilityMix, SimulationConfig, SimulationConfigBuilder, SHARDS_ENV,
-    THREADS_ENV,
-};
+pub use config::{DemandPredictorKind, MobilityMix, SimulationConfig, SimulationConfigBuilder};
 pub use metrics::{IntervalRecord, SimulationReport};
 pub use report::{format_table, to_csv};
 pub use runner::Simulation;

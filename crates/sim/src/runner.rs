@@ -1364,11 +1364,7 @@ fn resolve_scenario(config: &mut SimulationConfig) -> (CampusMap, Vec<Position>,
     if config.faults.as_ref().is_some_and(|p| !p.is_noop()) {
         config.scheme.degradation.enabled = true;
     }
-    let pool = if config.threads == 1 {
-        Pool::serial()
-    } else {
-        Pool::new(config.threads)
-    };
+    let pool = Pool::new(config.threads);
     config.threads = pool.threads();
     config.scheme.threads = pool.threads();
     (map, bs_positions, pool)

@@ -7,7 +7,7 @@
 //! a private [`SpanScratch`] inside the pool closure, and the driver
 //! [`adopt`](SpanCollector::adopt)s each scratch **in item index order**
 //! after the pool joins — so span ids, parents, names, and attributes are
-//! identical at any `MSVS_THREADS`, while wall-clock timings (and the
+//! identical at any thread count, while wall-clock timings (and the
 //! lane a worker span ran on) are free to vary.
 //!
 //! [`SpanRecord::structure`] projects out exactly the invariant part;

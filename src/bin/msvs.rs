@@ -94,10 +94,10 @@ fn print_help() {
          `run` simulates the campus scenario and prints the per-interval\n\
          predicted-vs-actual scorecard (Fig. 3(b) of the paper).\n\
          `--threads N` sizes the worker pool for the parallel hot paths\n\
-         (0 = all cores; default from MSVS_THREADS, else all cores).\n\
+         (0 = all cores, the default).\n\
          Seeded runs are bit-identical at any thread count.\n\
          `--shards N` partitions the deployment into per-BS shards with\n\
-         cross-shard twin handover (default from MSVS_SHARDS, else 1).\n\
+         cross-shard twin handover (default 1).\n\
          Seeded runs are bit-identical at any shard count.\n\
          `--silhouette-cap N` caps silhouette scoring at N sampled users\n\
          (0 disables sampling; default 4096).\n\
@@ -245,15 +245,9 @@ fn base_config(flags: &Flags<'_>) -> Result<SimulationConfig, String> {
         .seed(flags.parse("--seed", 42u64)?)
         .churn_rate(flags.parse("--churn", 0.0f64)?)
         .per_bs_accounting(flags.has("--per-bs"))
-        .predictor(predictor);
-    // Absent flag: keep the default (MSVS_THREADS env var, or all cores).
-    if flags.value("--threads").is_some() {
-        builder = builder.threads(flags.parse("--threads", 0usize)?);
-    }
-    // Absent flag: keep the default (MSVS_SHARDS env var, or 1).
-    if flags.value("--shards").is_some() {
-        builder = builder.shards(flags.parse("--shards", 1usize)?);
-    }
+        .predictor(predictor)
+        .threads(flags.parse("--threads", 0usize)?)
+        .shards(flags.parse("--shards", 1usize)?);
     if flags.value("--silhouette-cap").is_some() {
         builder = builder.silhouette_cap(flags.parse("--silhouette-cap", 0usize)?);
     }

@@ -15,9 +15,7 @@
 //! `bs-flap` partitions one; the hostile plan adds a churn burst and an
 //! edge brownout to loss, delay and corruption.
 //!
-//! Threads and shards are pinned in each config, so the `MSVS_THREADS`
-//! and `MSVS_SHARDS` environment cannot change what a cell runs. The
-//! matrix is computed once and shared by the tests below.
+//! The matrix is computed once and shared by the tests below.
 
 use std::collections::BTreeMap;
 use std::sync::OnceLock;

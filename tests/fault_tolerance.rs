@@ -1,7 +1,7 @@
-//! Fault-injection guarantees: seeded fault runs are bit-identical at any
-//! worker-pool size, a heavily degraded uplink still completes (with the
-//! degradation ladder engaged), and an explicit no-op plan changes nothing
-//! versus a run with no plan at all.
+//! Fault-injection guarantees: a heavily degraded uplink still completes,
+//! with the degradation ladder engaged and every injected fault counted.
+//! Thread-count identity of faulted runs and the no-op plan's identity to
+//! no plan are asserted in `equivalence_matrix.rs`.
 
 use msvs::faults::{ChurnBurst, DelaySpec, FaultPlan};
 use msvs::sim::{Simulation, SimulationConfig, SimulationReport};
@@ -25,14 +25,14 @@ fn small_scheme() -> msvs::core::SchemeConfig {
     scheme
 }
 
-fn seeded_config(seed: u64, threads: usize) -> SimulationConfig {
+fn seeded_config(seed: u64) -> SimulationConfig {
     SimulationConfig::builder()
         .users(24)
         .intervals(2)
         .warmup_intervals(1)
         .interval(SimDuration::from_mins(2))
         .scheme(small_scheme())
-        .threads(threads)
+        .threads(2)
         .seed(seed)
         .build()
         .expect("test config is valid")
@@ -76,21 +76,8 @@ fn run(config: SimulationConfig) -> SimulationReport {
 }
 
 #[test]
-fn faulted_run_is_bit_identical_across_thread_counts() {
-    let mut serial_cfg = seeded_config(33, 1);
-    serial_cfg.faults = Some(hostile_plan());
-    let mut parallel_cfg = seeded_config(33, 4);
-    parallel_cfg.faults = Some(hostile_plan());
-    assert_eq!(
-        run(serial_cfg),
-        run(parallel_cfg),
-        "seeded fault runs must not depend on the worker-pool size"
-    );
-}
-
-#[test]
 fn heavy_loss_completes_and_engages_degradation() {
-    let mut cfg = seeded_config(7, 2);
+    let mut cfg = seeded_config(7);
     cfg.faults = Some(hostile_plan());
     // Tighten the ladder so 30% report loss visibly starves the twins:
     // with the default 5 s tick, one missed channel report already makes
@@ -147,17 +134,5 @@ fn heavy_loss_completes_and_engages_degradation() {
     assert!(
         report_count("rejected") > 0,
         "5% corruption must get payloads rejected by the twins"
-    );
-}
-
-#[test]
-fn noop_plan_matches_no_plan_bit_for_bit() {
-    let clean = run(seeded_config(11, 2));
-    let mut noop_cfg = seeded_config(11, 2);
-    noop_cfg.faults = Some(FaultPlan::none());
-    assert_eq!(
-        clean,
-        run(noop_cfg),
-        "an all-zero fault plan must be indistinguishable from no plan"
     );
 }

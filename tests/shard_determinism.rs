@@ -1,10 +1,8 @@
-//! Sharded-deployment guarantees: partitioning the pipeline across
-//! base-station shards must not change what the simulation computes. A
-//! seeded run must produce a bit-identical `SimulationReport` at 1, 2 and
-//! 4 shards (after stripping the shard plane's own observability), a
-//! sharded run must stay bit-identical across worker-pool sizes, and
-//! cross-shard handover under churn storms and a lossy uplink must
-//! conserve twins — never duplicate or drop one.
+//! Sharded-deployment guarantees: the shard summary accounts for every
+//! user, and cross-shard handover under boundary-crossing mobility, churn
+//! storms and a lossy uplink conserves twins — never duplicates or drops
+//! one — and stays bit-identical across worker-pool sizes. That the shard
+//! count never changes the report is asserted in `equivalence_matrix.rs`.
 
 use msvs::core::{CompressorConfig, GroupingConfig, SchemeConfig};
 use msvs::sim::{Simulation, SimulationConfig, SimulationReport};
@@ -50,34 +48,6 @@ fn strip_wall(mut r: SimulationReport) -> SimulationReport {
     }
     r.telemetry = r.telemetry.with_zeroed_timings();
     r
-}
-
-/// Removes everything the shard plane itself adds — its summary, its
-/// stages and its handover counters — leaving only what the pipeline
-/// computed. After this, reports at any shard count must be
-/// bit-identical.
-fn strip_shard_plane(mut r: SimulationReport) -> SimulationReport {
-    r.shards = None;
-    r.telemetry
-        .counters
-        .retain(|(name, _, _)| !name.starts_with("handover"));
-    r.telemetry
-        .stages
-        .retain(|s| !s.stage.starts_with("shard_"));
-    strip_wall(r)
-}
-
-#[test]
-fn seeded_report_is_bit_identical_across_shard_counts() {
-    let baseline = strip_shard_plane(Simulation::run(sharded_config(33, 1, 1)).expect("1 shard"));
-    for shards in [2, 4] {
-        let partitioned =
-            strip_shard_plane(Simulation::run(sharded_config(33, shards, 1)).expect("sharded run"));
-        assert_eq!(
-            baseline, partitioned,
-            "{shards} shards must compute the same report as the single-shard path"
-        );
-    }
 }
 
 #[test]
