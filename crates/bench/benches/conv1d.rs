@@ -34,10 +34,10 @@ fn batch(n: usize, window: usize) -> Tensor {
 fn bench_forward(c: &mut Criterion) {
     let mut group = c.benchmark_group("cnn_encode_forward");
     for &n in &[32usize, 128, 512] {
-        let mut net = encoder(32);
+        let net = encoder(32);
         let x = batch(n, 32);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| net.forward(black_box(&x), false))
+            b.iter(|| net.infer(black_box(&x)))
         });
     }
     group.finish();
@@ -49,7 +49,7 @@ fn bench_train_step(c: &mut Criterion) {
     let target = Tensor::zeros(vec![64, 8]);
     c.bench_function("cnn_train_step_64", |b| {
         b.iter(|| {
-            let out = net.forward(black_box(&x), true);
+            let out = net.forward_train(black_box(&x));
             let (_, grad) = mse_loss(&out, &target);
             net.zero_grad();
             net.backward(&grad)

@@ -36,7 +36,8 @@ fn batch(n: usize, window: usize) -> Tensor {
 }
 
 /// Steady-state inference through a reused scratch arena (zero heap
-/// allocations per call) versus the tensor-per-layer `infer` path.
+/// allocations per call) versus `infer`, which builds a fresh arena and
+/// output tensor per call.
 fn bench_infer_scratch(c: &mut Criterion) {
     let mut group = c.benchmark_group("cnn_infer");
     for &n in &[32usize, 128, 512] {

@@ -2,13 +2,12 @@
 
 use msvs_types::{Hertz, Meters, Watts};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::fading::{Fading, RayleighFading, RicianFading};
 use crate::pathloss::PathLossModel;
 
 /// Which small-scale fading process the link applies to SNR samples.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FadingKind {
     /// No small-scale fading (shadowing only).
     None,
@@ -19,7 +18,7 @@ pub enum FadingKind {
 }
 
 /// Static radio parameters of a base-station downlink.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkConfig {
     /// BS transmit power (per resource block's share of the carrier).
     pub tx_power: Watts,

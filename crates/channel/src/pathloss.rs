@@ -2,14 +2,13 @@
 
 use msvs_types::Meters;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Log-distance path loss with optional log-normal shadowing.
 ///
 /// `PL(d) = PL(d0) + 10 n log10(d / d0) + X_sigma`, the standard urban
 /// macro model. Defaults follow a 2.6 GHz campus deployment: reference loss
 /// 38 dB at 1 m, exponent 3.5, shadowing σ = 6 dB.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathLossModel {
     /// Path loss at the reference distance, dB.
     pub reference_loss_db: f64,

@@ -9,9 +9,7 @@
 
 use std::cell::RefCell;
 
-use msvs_nn::{
-    mse_loss, Adam, Conv1d, Dense, Flatten, Optimizer, Relu, Scratch, Sequential, Tensor,
-};
+use msvs_nn::{mse_loss, Adam, Conv1d, Dense, Flatten, Relu, Scratch, Sequential, Tensor};
 use msvs_par::{ParStats, Pool};
 use msvs_telemetry::{stages, SpanAttrs, SpanCollector};
 use msvs_types::{Error, Result};
@@ -227,8 +225,8 @@ impl CnnCompressor {
             .expect("same element count");
         let mut losses = Vec::with_capacity(self.config.epochs);
         for _ in 0..self.config.epochs {
-            let code = self.encoder.forward(&x, true);
-            let recon = self.decoder.forward(&code, true);
+            let code = self.encoder.forward_train(&x);
+            let recon = self.decoder.forward_train(&code);
             let (loss, grad) = mse_loss(&recon, &flat_target);
             self.encoder.zero_grad();
             self.decoder.zero_grad();

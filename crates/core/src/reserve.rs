@@ -8,12 +8,11 @@
 //! reserved capacity sat idle.
 
 use msvs_types::{CpuCycles, Error, GroupId, ResourceBlocks, Result};
-use serde::{Deserialize, Serialize};
 
 use crate::demand::GroupDemandPrediction;
 
 /// Reservation policy parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReservationPolicy {
     /// Safety margin on top of the prediction (0.1 = +10%).
     pub headroom: f64,
@@ -62,7 +61,7 @@ impl ReservationPolicy {
 }
 
 /// A per-group radio + computing reservation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GroupReservation {
     /// The group.
     pub group: GroupId,
@@ -73,7 +72,7 @@ pub struct GroupReservation {
 }
 
 /// One interval's reservation across all groups.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReservationPlan {
     /// Per-group reservations.
     pub groups: Vec<GroupReservation>,
@@ -92,7 +91,7 @@ impl ReservationPlan {
 }
 
 /// How an interval's reservation played out against measured demand.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReservationOutcome {
     /// Reserved radio covered the actual radio demand.
     pub radio_covered: bool,

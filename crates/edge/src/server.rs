@@ -2,13 +2,12 @@
 
 use msvs_types::{CpuCycles, RepresentationLevel};
 use msvs_video::{Catalog, Video};
-use serde::{Deserialize, Serialize};
 
 use crate::cache::VideoCache;
 use crate::transcode::TranscodeModel;
 
 /// Edge server sizing and cost parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EdgeConfig {
     /// Cache storage, megabits.
     pub cache_capacity_mb: f64,
@@ -27,7 +26,7 @@ impl Default for EdgeConfig {
 }
 
 /// How a request was satisfied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeKind {
     /// Exact representation was cached.
     CacheHit,
@@ -39,7 +38,7 @@ pub enum ServeKind {
 }
 
 /// Result of serving one video request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeOutcome {
     /// How the request was satisfied.
     pub kind: ServeKind,

@@ -1,7 +1,6 @@
 //! Transcoding compute cost model.
 
 use msvs_types::{CpuCycles, RepresentationLevel, SimDuration};
-use serde::{Deserialize, Serialize};
 
 /// Cycles-per-output-bit transcode cost model.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// `cycles_per_bit * bits(480p, 30 s) * (1 + decode_overhead)` cycles,
 /// which matches the linear-in-output-bitrate models used in edge
 /// transcoding literature.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TranscodeModel {
     /// Encoder cost per output bit, cycles/bit (H.264 software ≈ 50–100).
     pub cycles_per_output_bit: f64,

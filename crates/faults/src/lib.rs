@@ -921,6 +921,16 @@ mod tests {
     }
 
     #[test]
+    fn duplicate_profile_keys_are_rejected_by_name() {
+        let err = FaultPlan::parse(r#"{"uplink_loss": 0.1, "uplink_loss": 0.9}"#).unwrap_err();
+        let msg = err.to_string();
+        assert!(
+            msg.contains(r#"duplicate key "uplink_loss" at byte 21"#),
+            "{msg}"
+        );
+    }
+
+    #[test]
     fn outage_plan_is_not_noop_and_validates() {
         let mut plan = FaultPlan::none();
         plan.outages.push(ShardOutage {

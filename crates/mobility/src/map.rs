@@ -2,14 +2,13 @@
 
 use msvs_types::{Position, Result};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A named attractor on the map (building, plaza, bus stop).
 ///
 /// Waypoint mobility biases destination choice towards high-weight POIs,
 /// which produces the spatial user clusters that make multicast grouping
 /// worthwhile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PointOfInterest {
     /// Human-readable name.
     pub name: String,
@@ -20,7 +19,7 @@ pub struct PointOfInterest {
 }
 
 /// A rectangular campus `[0, width] x [0, height]` with points of interest.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampusMap {
     width: f64,
     height: f64,

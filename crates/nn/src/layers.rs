@@ -1,7 +1,8 @@
 //! Differentiable layers.
 //!
-//! Each layer caches whatever it needs during `forward` and consumes the
-//! cache in `backward`, accumulating parameter gradients internally. Layers
+//! Layers hold parameters and their accumulated gradients, never
+//! activations: [`crate::Sequential`] keeps each layer's input from a
+//! training forward pass and hands it back to [`Layer::backward`]. Layers
 //! are cloneable so an entire network can be duplicated to form a DDQN
 //! target network.
 
@@ -12,54 +13,31 @@ use crate::kernels::{self, Shape};
 use crate::tensor::Tensor;
 
 /// A differentiable network layer.
-///
-/// Call order is `forward` then `backward`; `backward` consumes state cached
-/// by the preceding `forward` call.
 pub trait Layer: Send + Sync {
-    /// Runs the layer on `input`, caching activations when `train` is true.
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
-
-    /// Inference-only forward pass through `&self`: no activation caching,
-    /// no interior mutation. Numerically identical to `forward(input, false)`
-    /// for every layer, which lets many threads share one frozen network —
-    /// the contract the parallel encode path in `msvs-core` relies on.
-    fn infer(&self, input: &Tensor) -> Tensor;
-
-    /// Allocation-free inference: reads `input` (flat, row-major, laid
-    /// out per `shape`), writes the result into `out`, and returns the
-    /// output shape. `patch` is kernel workspace (im2col) owned by the
-    /// caller's [`crate::kernels::Scratch`] arena. Bit-identical to
-    /// [`Layer::infer`]; the default implementation round-trips through
-    /// it for layers without a bespoke kernel.
+    /// The layer's one forward computation: reads `input` (flat,
+    /// row-major, laid out per `shape`), writes the result into `out` and
+    /// returns the output shape. `patch` is kernel workspace (im2col)
+    /// owned by the caller's [`crate::kernels::Scratch`] arena. Takes
+    /// `&self`, so many threads can share one frozen network.
     fn infer_into(
         &self,
         input: &[f32],
         shape: Shape,
         out: &mut Vec<f32>,
         patch: &mut Vec<f32>,
-    ) -> Shape {
-        let _ = patch;
-        let x = Tensor::from_vec(input.to_vec(), shape.to_vec()).expect("shape matches input");
-        let y = self.infer(&x);
-        let out_shape = Shape::from_dims(y.shape());
-        out.clear();
-        out.extend_from_slice(y.data());
-        out_shape
-    }
+    ) -> Shape;
 
-    /// Backpropagates `grad_out`, accumulating parameter gradients and
-    /// returning the gradient with respect to the layer input.
-    ///
-    /// # Panics
-    /// Panics if called without a preceding training-mode `forward`.
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor;
+    /// Backpropagates `grad_out` through the forward pass that read
+    /// `input`, accumulating parameter gradients and returning the
+    /// gradient with respect to `input`.
+    fn backward(&mut self, input: &Tensor, grad_out: &Tensor) -> Tensor;
 
     /// Zeroes accumulated parameter gradients.
-    fn zero_grad(&mut self);
+    fn zero_grad(&mut self) {}
 
     /// Visits `(value, grad)` pairs for every trainable parameter, in a
-    /// stable order (used by optimizers to address per-parameter state).
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor));
+    /// stable order (used by the optimizer to address per-parameter state).
+    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {}
 
     /// Clones the layer into a boxed trait object (target-network support).
     fn clone_box(&self) -> Box<dyn Layer>;
@@ -95,7 +73,6 @@ pub struct Dense {
     bias: Tensor,     // [out]
     w_grad: Tensor,
     b_grad: Tensor,
-    input: Option<Tensor>,
 }
 
 impl Dense {
@@ -117,7 +94,6 @@ impl Dense {
             bias: Tensor::zeros(vec![out_dim]),
             weight_t: Tensor::zeros(vec![in_dim, out_dim]),
             weight: Tensor::zeros(vec![out_dim, in_dim]),
-            input: None,
         };
         layer.set_weights(weight);
         layer
@@ -163,41 +139,9 @@ impl Dense {
     pub fn out_dim(&self) -> usize {
         self.weight.shape()[0]
     }
-
-    fn compute(&self, input: &Tensor) -> Tensor {
-        assert_eq!(input.shape().len(), 2, "dense expects [batch, features]");
-        assert_eq!(
-            input.shape()[1],
-            self.in_dim(),
-            "dense input width mismatch"
-        );
-        let batch = input.shape()[0];
-        let mut out = Tensor::zeros(vec![batch, self.out_dim()]);
-        kernels::dense_infer(
-            input.data(),
-            self.weight_t.data(),
-            self.bias.data(),
-            out.data_mut(),
-            batch,
-            self.in_dim(),
-            self.out_dim(),
-        );
-        out
-    }
 }
 
 impl Layer for Dense {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.input = Some(input.clone());
-        }
-        self.compute(input)
-    }
-
-    fn infer(&self, input: &Tensor) -> Tensor {
-        self.compute(input)
-    }
-
     fn infer_into(
         &self,
         input: &[f32],
@@ -222,13 +166,9 @@ impl Layer for Dense {
         Shape::rank2(batch, self.out_dim())
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input = self
-            .input
-            .take()
-            .expect("backward requires a training-mode forward");
+    fn backward(&mut self, input: &Tensor, grad_out: &Tensor) -> Tensor {
         // dW = grad_out^T x input ; db = column sums ; dx = grad_out x W
-        let dw = grad_out.transpose().matmul(&input);
+        let dw = grad_out.transpose().matmul(input);
         self.w_grad.axpy(1.0, &dw);
         let batch = grad_out.shape()[0];
         for b in 0..batch {
@@ -267,7 +207,6 @@ pub struct Conv1d {
     w_grad: Tensor,
     b_grad: Tensor,
     stride: usize,
-    input: Option<Tensor>,
 }
 
 impl Conv1d {
@@ -293,7 +232,6 @@ impl Conv1d {
             bias: Tensor::zeros(vec![out_ch]),
             weight,
             stride,
-            input: None,
         }
     }
 
@@ -308,32 +246,9 @@ impl Conv1d {
         let s = self.weight.shape();
         (s[0], s[1], s[2])
     }
-
-    fn compute(&self, input: &Tensor) -> Tensor {
-        let mut patch = Vec::new();
-        let mut out = Vec::new();
-        let shape = self.infer_into(
-            input.data(),
-            Shape::from_dims(input.shape()),
-            &mut out,
-            &mut patch,
-        );
-        Tensor::from_vec(out, shape.to_vec()).expect("kernel output matches shape")
-    }
 }
 
 impl Layer for Conv1d {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.input = Some(input.clone());
-        }
-        self.compute(input)
-    }
-
-    fn infer(&self, input: &Tensor) -> Tensor {
-        self.compute(input)
-    }
-
     fn infer_into(
         &self,
         input: &[f32],
@@ -368,11 +283,7 @@ impl Layer for Conv1d {
         Shape::rank3(batch, out_ch, out_len)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input = self
-            .input
-            .take()
-            .expect("backward requires a training-mode forward");
+    fn backward(&mut self, input: &Tensor, grad_out: &Tensor) -> Tensor {
         let (out_ch, in_ch, kernel) = self.dims();
         let batch = input.shape()[0];
         let in_len = input.shape()[2];
@@ -417,49 +328,16 @@ impl Layer for Conv1d {
 
 /// Rectified linear unit, elementwise.
 #[derive(Debug, Clone, Default)]
-pub struct Relu {
-    mask: Option<Vec<bool>>,
-}
+pub struct Relu;
 
 impl Relu {
     /// Builds a ReLU activation.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut out = input.clone();
-        let mut mask = Vec::new();
-        if train {
-            mask.reserve(out.len());
-        }
-        for v in out.data_mut() {
-            let on = *v > 0.0;
-            if !on {
-                *v = 0.0;
-            }
-            if train {
-                mask.push(on);
-            }
-        }
-        if train {
-            self.mask = Some(mask);
-        }
-        out
-    }
-
-    fn infer(&self, input: &Tensor) -> Tensor {
-        let mut out = input.clone();
-        for v in out.data_mut() {
-            if *v <= 0.0 {
-                *v = 0.0;
-            }
-        }
-        out
-    }
-
     fn infer_into(
         &self,
         input: &[f32],
@@ -473,225 +351,13 @@ impl Layer for Relu {
         shape
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mask = self
-            .mask
-            .take()
-            .expect("backward requires a training-mode forward");
+    fn backward(&mut self, input: &Tensor, grad_out: &Tensor) -> Tensor {
         let mut grad = grad_out.clone();
-        for (g, on) in grad.data_mut().iter_mut().zip(mask) {
-            if !on {
-                *g = 0.0;
-            }
+        for (g, &x) in grad.data_mut().iter_mut().zip(input.data()) {
+            *g = if x > 0.0 { *g } else { 0.0 };
         }
         grad
     }
-
-    fn zero_grad(&mut self) {}
-
-    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {}
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-}
-
-/// Hyperbolic tangent, elementwise.
-#[derive(Debug, Clone, Default)]
-pub struct Tanh {
-    output: Option<Tensor>,
-}
-
-impl Tanh {
-    /// Builds a tanh activation.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Layer for Tanh {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut out = input.clone();
-        for v in out.data_mut() {
-            *v = v.tanh();
-        }
-        if train {
-            self.output = Some(out.clone());
-        }
-        out
-    }
-
-    fn infer(&self, input: &Tensor) -> Tensor {
-        let mut out = input.clone();
-        for v in out.data_mut() {
-            *v = v.tanh();
-        }
-        out
-    }
-
-    fn infer_into(
-        &self,
-        input: &[f32],
-        shape: Shape,
-        out: &mut Vec<f32>,
-        _patch: &mut Vec<f32>,
-    ) -> Shape {
-        out.clear();
-        out.extend(input.iter().map(|v| v.tanh()));
-        shape
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let out = self
-            .output
-            .take()
-            .expect("backward requires a training-mode forward");
-        let mut grad = grad_out.clone();
-        for (g, y) in grad.data_mut().iter_mut().zip(out.data()) {
-            *g *= 1.0 - y * y;
-        }
-        grad
-    }
-
-    fn zero_grad(&mut self) {}
-
-    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {}
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-}
-
-/// Max pooling over the time axis of `[batch, ch, len]`.
-#[derive(Debug, Clone)]
-pub struct MaxPool1d {
-    window: usize,
-    argmax: Option<(Vec<usize>, Vec<usize>)>, // (input shape stash via vec, indices)
-}
-
-impl MaxPool1d {
-    /// Builds a max pool with the given window (also used as stride).
-    ///
-    /// # Panics
-    /// Panics if `window` is zero.
-    pub fn new(window: usize) -> Self {
-        assert!(window > 0, "pool window must be positive");
-        Self {
-            window,
-            argmax: None,
-        }
-    }
-
-    /// Output length for a given input length.
-    pub fn out_len(&self, in_len: usize) -> usize {
-        in_len / self.window
-    }
-}
-
-impl Layer for MaxPool1d {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        assert_eq!(input.shape().len(), 3, "maxpool expects [batch, ch, len]");
-        let (batch, ch, in_len) = (input.shape()[0], input.shape()[1], input.shape()[2]);
-        let out_len = self.out_len(in_len);
-        assert!(out_len > 0, "input length {in_len} shorter than window");
-        let mut out = Tensor::zeros(vec![batch, ch, out_len]);
-        let mut indices = Vec::with_capacity(batch * ch * out_len);
-        for b in 0..batch {
-            for c in 0..ch {
-                for t in 0..out_len {
-                    let start = t * self.window;
-                    let (mut best_i, mut best_v) = (start, input.get3(b, c, start));
-                    for k in 1..self.window {
-                        let v = input.get3(b, c, start + k);
-                        if v > best_v {
-                            best_v = v;
-                            best_i = start + k;
-                        }
-                    }
-                    out.set3(b, c, t, best_v);
-                    indices.push(best_i);
-                }
-            }
-        }
-        if train {
-            self.argmax = Some((input.shape().to_vec(), indices));
-        }
-        out
-    }
-
-    fn infer(&self, input: &Tensor) -> Tensor {
-        assert_eq!(input.shape().len(), 3, "maxpool expects [batch, ch, len]");
-        let (batch, ch, in_len) = (input.shape()[0], input.shape()[1], input.shape()[2]);
-        let out_len = self.out_len(in_len);
-        assert!(out_len > 0, "input length {in_len} shorter than window");
-        let mut out = Tensor::zeros(vec![batch, ch, out_len]);
-        for b in 0..batch {
-            for c in 0..ch {
-                for t in 0..out_len {
-                    let start = t * self.window;
-                    let mut best = input.get3(b, c, start);
-                    for k in 1..self.window {
-                        best = best.max(input.get3(b, c, start + k));
-                    }
-                    out.set3(b, c, t, best);
-                }
-            }
-        }
-        out
-    }
-
-    fn infer_into(
-        &self,
-        input: &[f32],
-        shape: Shape,
-        out: &mut Vec<f32>,
-        _patch: &mut Vec<f32>,
-    ) -> Shape {
-        assert_eq!(shape.rank(), 3, "maxpool expects [batch, ch, len]");
-        let (batch, ch, in_len) = (shape.dims()[0], shape.dims()[1], shape.dims()[2]);
-        let out_len = self.out_len(in_len);
-        assert!(out_len > 0, "input length {in_len} shorter than window");
-        out.clear();
-        for bc in 0..batch * ch {
-            let row = &input[bc * in_len..(bc + 1) * in_len];
-            for t in 0..out_len {
-                let start = t * self.window;
-                let mut best = row[start];
-                for k in 1..self.window {
-                    best = best.max(row[start + k]);
-                }
-                out.push(best);
-            }
-        }
-        Shape::rank3(batch, ch, out_len)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let (in_shape, indices) = self
-            .argmax
-            .take()
-            .expect("backward requires a training-mode forward");
-        let mut grad_in = Tensor::zeros(in_shape);
-        let (batch, ch, out_len) = (
-            grad_out.shape()[0],
-            grad_out.shape()[1],
-            grad_out.shape()[2],
-        );
-        let mut idx = 0;
-        for b in 0..batch {
-            for c in 0..ch {
-                for t in 0..out_len {
-                    grad_in.add3(b, c, indices[idx], grad_out.get3(b, c, t));
-                    idx += 1;
-                }
-            }
-        }
-        grad_in
-    }
-
-    fn zero_grad(&mut self) {}
-
-    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {}
 
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
@@ -700,39 +366,16 @@ impl Layer for MaxPool1d {
 
 /// Flattens `[batch, ...]` to `[batch, prod(...)]`.
 #[derive(Debug, Clone, Default)]
-pub struct Flatten {
-    in_shape: Option<Vec<usize>>,
-}
+pub struct Flatten;
 
 impl Flatten {
     /// Builds a flatten layer.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let batch = input.shape()[0];
-        let rest: usize = input.shape()[1..].iter().product();
-        if train {
-            self.in_shape = Some(input.shape().to_vec());
-        }
-        input
-            .clone()
-            .reshape(vec![batch, rest])
-            .expect("flatten preserves element count")
-    }
-
-    fn infer(&self, input: &Tensor) -> Tensor {
-        let batch = input.shape()[0];
-        let rest: usize = input.shape()[1..].iter().product();
-        input
-            .clone()
-            .reshape(vec![batch, rest])
-            .expect("flatten preserves element count")
-    }
-
     fn infer_into(
         &self,
         input: &[f32],
@@ -747,20 +390,12 @@ impl Layer for Flatten {
         Shape::rank2(batch, rest)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let shape = self
-            .in_shape
-            .take()
-            .expect("backward requires a training-mode forward");
+    fn backward(&mut self, input: &Tensor, grad_out: &Tensor) -> Tensor {
         grad_out
             .clone()
-            .reshape(shape)
+            .reshape(input.shape().to_vec())
             .expect("unflatten preserves element count")
     }
-
-    fn zero_grad(&mut self) {}
-
-    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {}
 
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
@@ -771,19 +406,27 @@ impl Layer for Flatten {
 mod tests {
     use super::*;
 
+    /// Runs one layer's forward computation on a tensor.
+    fn apply(layer: &dyn Layer, input: &Tensor) -> Tensor {
+        let mut out = Vec::new();
+        let shape = layer.infer_into(
+            input.data(),
+            Shape::from_dims(input.shape()),
+            &mut out,
+            &mut Vec::new(),
+        );
+        Tensor::from_vec(out, shape.to_vec()).unwrap()
+    }
+
     /// Central-difference numerical gradient check for a layer's input
     /// gradient and parameter gradients.
     fn check_gradients(layer: &mut dyn Layer, input: Tensor, tol: f32) {
         let eps = 1e-3_f32;
         // Loss = sum of outputs; dL/dout = ones.
-        let out = layer.forward(&input, true);
-        let ones = {
-            let mut t = out.clone();
-            t.fill(1.0);
-            t
-        };
+        let mut ones = apply(layer, &input);
+        ones.fill(1.0);
         layer.zero_grad();
-        let analytic_in = layer.backward(&ones);
+        let analytic_in = layer.backward(&input, &ones);
 
         // Input gradient.
         for i in 0..input.len() {
@@ -791,8 +434,8 @@ mod tests {
             plus.data_mut()[i] += eps;
             let mut minus = input.clone();
             minus.data_mut()[i] -= eps;
-            let f_plus: f32 = layer.forward(&plus, false).data().iter().sum();
-            let f_minus: f32 = layer.forward(&minus, false).data().iter().sum();
+            let f_plus: f32 = apply(layer, &plus).data().iter().sum();
+            let f_minus: f32 = apply(layer, &minus).data().iter().sum();
             let numeric = (f_plus - f_minus) / (2.0 * eps);
             let analytic = analytic_in.data()[i];
             assert!(
@@ -816,9 +459,9 @@ mod tests {
                     });
                 };
                 bump(eps, layer);
-                let f_plus: f32 = layer.forward(&input, false).data().iter().sum();
+                let f_plus: f32 = apply(layer, &input).data().iter().sum();
                 bump(-2.0 * eps, layer);
-                let f_minus: f32 = layer.forward(&input, false).data().iter().sum();
+                let f_minus: f32 = apply(layer, &input).data().iter().sum();
                 bump(eps, layer);
                 let numeric = (f_plus - f_minus) / (2.0 * eps);
                 assert!(
@@ -852,37 +495,19 @@ mod tests {
     #[test]
     fn relu_masks_negative() {
         let mut relu = Relu::new();
-        let x = Tensor::from_slice(&[-1.0, 2.0, 0.0]);
-        let y = relu.forward(&x, true);
-        assert_eq!(y.data(), &[0.0, 2.0, 0.0]);
-        let g = relu.backward(&Tensor::from_slice(&[5.0, 5.0, 5.0]));
+        let x = Tensor::from_vec(vec![-1.0, 2.0, 0.0], vec![3]).unwrap();
+        assert_eq!(apply(&relu, &x).data(), &[0.0, 2.0, 0.0]);
+        let g = relu.backward(&x, &Tensor::from_vec(vec![5.0; 3], vec![3]).unwrap());
         assert_eq!(g.data(), &[0.0, 5.0, 0.0]);
-    }
-
-    #[test]
-    fn tanh_gradient_matches_numeric() {
-        let mut layer = Tanh::new();
-        let input = Tensor::from_vec(vec![0.3, -0.9, 1.2, 0.0], vec![2, 2]).unwrap();
-        check_gradients(&mut layer, input, 1e-2);
-    }
-
-    #[test]
-    fn maxpool_selects_max_and_routes_grad() {
-        let mut pool = MaxPool1d::new(2);
-        let x = Tensor::from_vec(vec![1.0, 3.0, 2.0, 0.0], vec![1, 1, 4]).unwrap();
-        let y = pool.forward(&x, true);
-        assert_eq!(y.data(), &[3.0, 2.0]);
-        let g = pool.backward(&Tensor::from_vec(vec![10.0, 20.0], vec![1, 1, 2]).unwrap());
-        assert_eq!(g.data(), &[0.0, 10.0, 20.0, 0.0]);
     }
 
     #[test]
     fn flatten_round_trips() {
         let mut f = Flatten::new();
         let x = Tensor::zeros(vec![2, 3, 4]);
-        let y = f.forward(&x, true);
+        let y = apply(&f, &x);
         assert_eq!(y.shape(), &[2, 12]);
-        let g = f.backward(&y);
+        let g = f.backward(&x, &y);
         assert_eq!(g.shape(), &[2, 3, 4]);
     }
 
@@ -896,10 +521,10 @@ mod tests {
 
     #[test]
     fn dense_rejects_wrong_width() {
-        let mut d = Dense::new(4, 2, 3);
+        let d = Dense::new(4, 2, 3);
         let x = Tensor::zeros(vec![1, 3]);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            d.forward(&x, false);
+            apply(&d, &x);
         }));
         assert!(result.is_err());
     }
@@ -908,18 +533,13 @@ mod tests {
     fn set_weights_refreshes_transpose() {
         let mut d = Dense::new(2, 2, 5);
         let x = Tensor::from_vec(vec![1.0, -1.0], vec![1, 2]).unwrap();
-        let (mut out, mut patch) = (Vec::new(), Vec::new());
-        let shape = Shape::rank2(1, 2);
-        d.infer_into(x.data(), shape, &mut out, &mut patch);
+        apply(&d, &x);
         // A weight write must refresh the transpose the kernels read.
         let w = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], vec![2, 2]).unwrap();
         d.set_weights(w);
         assert_eq!(d.weight_t.data(), &[1.0, 3.0, 2.0, 4.0], "transpose synced");
         // y = x W^T + b with b = 0: [1*1 + (-1)*2, 1*3 + (-1)*4].
-        let y = d.infer(&x);
-        assert_eq!(y.data(), &[-1.0, -1.0]);
-        d.infer_into(x.data(), shape, &mut out, &mut patch);
-        assert_eq!(out, [-1.0, -1.0]);
+        assert_eq!(apply(&d, &x).data(), &[-1.0, -1.0]);
     }
 
     #[test]
@@ -933,12 +553,12 @@ mod tests {
     fn boxed_layer_clone_is_deep() {
         let layer: Box<dyn Layer> = Box::new(Dense::new(2, 2, 5));
         let mut a = layer.clone();
-        let mut b = layer.clone();
+        let b = layer.clone();
         let x = Tensor::zeros(vec![1, 2]);
         // Mutate a's params; b must be unaffected.
         a.visit_params(&mut |v, _| v.fill(0.0));
-        let ya = a.forward(&x, false);
-        let yb = b.forward(&x, false);
+        let ya = apply(a.as_ref(), &x);
+        let yb = apply(b.as_ref(), &x);
         assert_eq!(ya.data(), &[0.0, 0.0]);
         assert_eq!(yb.data(), ya.data(), "zero input -> bias only (zeros)");
     }

@@ -4,8 +4,9 @@
 //! compresses time-series digital-twin data, and the Q-networks inside a
 //! DDQN agent. Rust's ML ecosystem is not mature enough to depend on for a
 //! reproducible build (see DESIGN.md), so this crate implements the minimum
-//! viable stack: a dense/convolutional [`Sequential`] network with manual
-//! reverse-mode differentiation, and SGD/Adam optimizers.
+//! viable stack: a [`Sequential`] network of the layers those two models
+//! use (`Conv1d`, `Dense`, `Relu`, `Flatten`) with manual reverse-mode
+//! differentiation, MSE losses and the Adam optimizer.
 //!
 //! Networks here are deliberately small and CPU-friendly; all math is `f32`.
 //!
@@ -14,7 +15,7 @@
 //! Fit a tiny regression:
 //!
 //! ```
-//! use msvs_nn::{Sequential, Dense, Relu, Adam, Optimizer, mse_loss, Tensor};
+//! use msvs_nn::{Sequential, Dense, Relu, Adam, mse_loss, Tensor};
 //!
 //! let mut net = Sequential::new(vec![
 //!     Box::new(Dense::new(1, 16, 7)),
@@ -26,7 +27,7 @@
 //! let y = Tensor::from_vec(vec![0.0, 1.0, 2.0, 3.0], vec![4, 1]).unwrap();
 //! let mut last = f32::MAX;
 //! for _ in 0..300 {
-//!     let pred = net.forward(&x, true);
+//!     let pred = net.forward_train(&x);
 //!     let (loss, grad) = mse_loss(&pred, &y);
 //!     net.zero_grad();
 //!     net.backward(&grad);
@@ -44,8 +45,8 @@ pub mod optim;
 pub mod tensor;
 
 pub use kernels::{Scratch, Shape};
-pub use layers::{Conv1d, Dense, Flatten, Layer, MaxPool1d, Relu, Tanh};
-pub use loss::{huber_loss, masked_mse_loss, mse_loss};
+pub use layers::{Conv1d, Dense, Flatten, Layer, Relu};
+pub use loss::{masked_mse_loss, mse_loss};
 pub use network::Sequential;
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::Adam;
 pub use tensor::Tensor;

@@ -12,8 +12,8 @@ use crate::tensor::Tensor;
 /// # Examples
 /// ```
 /// # use msvs_nn::{Tensor, mse_loss};
-/// let pred = Tensor::from_slice(&[1.0, 2.0]);
-/// let target = Tensor::from_slice(&[1.0, 4.0]);
+/// let pred = Tensor::from_vec(vec![1.0, 2.0], vec![2]).unwrap();
+/// let target = Tensor::from_vec(vec![1.0, 4.0], vec![2]).unwrap();
 /// let (loss, grad) = mse_loss(&pred, &target);
 /// assert_eq!(loss, 2.0); // (0 + 4) / 2
 /// assert_eq!(grad.data(), &[0.0, -2.0]); // 2 (pred - target) / n
@@ -27,32 +27,6 @@ pub fn mse_loss(pred: &Tensor, target: &Tensor) -> (f32, Tensor) {
         let diff = *g - t;
         loss += diff * diff;
         *g = 2.0 * diff / n;
-    }
-    (loss / n, grad)
-}
-
-/// Huber (smooth-L1) loss with threshold `delta`, averaged over elements.
-///
-/// Quadratic for `|err| <= delta`, linear beyond — the standard choice for
-/// DQN targets because it bounds gradient magnitude.
-///
-/// # Panics
-/// Panics if shapes differ or `delta <= 0`.
-pub fn huber_loss(pred: &Tensor, target: &Tensor, delta: f32) -> (f32, Tensor) {
-    assert_eq!(pred.shape(), target.shape(), "huber shapes must match");
-    assert!(delta > 0.0, "delta must be positive");
-    let n = pred.len() as f32;
-    let mut grad = pred.clone();
-    let mut loss = 0.0;
-    for (g, t) in grad.data_mut().iter_mut().zip(target.data()) {
-        let diff = *g - t;
-        if diff.abs() <= delta {
-            loss += 0.5 * diff * diff;
-            *g = diff / n;
-        } else {
-            loss += delta * (diff.abs() - 0.5 * delta);
-            *g = delta * diff.signum() / n;
-        }
     }
     (loss / n, grad)
 }
@@ -90,45 +64,23 @@ pub fn masked_mse_loss(pred: &Tensor, target: &Tensor, mask: &Tensor) -> (f32, T
 mod tests {
     use super::*;
 
+    fn tensor(v: &[f32]) -> Tensor {
+        Tensor::from_vec(v.to_vec(), vec![v.len()]).unwrap()
+    }
+
     #[test]
     fn mse_zero_at_match() {
-        let p = Tensor::from_slice(&[1.0, -2.0, 3.0]);
+        let p = tensor(&[1.0, -2.0, 3.0]);
         let (loss, grad) = mse_loss(&p, &p);
         assert_eq!(loss, 0.0);
         assert!(grad.data().iter().all(|&g| g == 0.0));
     }
 
     #[test]
-    fn huber_is_quadratic_inside_delta() {
-        let p = Tensor::from_slice(&[0.5]);
-        let t = Tensor::from_slice(&[0.0]);
-        let (loss, grad) = huber_loss(&p, &t, 1.0);
-        assert!((loss - 0.125).abs() < 1e-6);
-        assert!((grad.data()[0] - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn huber_is_linear_outside_delta() {
-        let p = Tensor::from_slice(&[10.0]);
-        let t = Tensor::from_slice(&[0.0]);
-        let (loss, grad) = huber_loss(&p, &t, 1.0);
-        assert!((loss - 9.5).abs() < 1e-6);
-        assert_eq!(grad.data()[0], 1.0, "gradient clipped at delta");
-    }
-
-    #[test]
-    fn huber_gradient_is_bounded() {
-        let p = Tensor::from_slice(&[-100.0, 100.0]);
-        let t = Tensor::from_slice(&[0.0, 0.0]);
-        let (_, grad) = huber_loss(&p, &t, 1.0);
-        assert!(grad.data().iter().all(|g| g.abs() <= 0.5 + 1e-6));
-    }
-
-    #[test]
     fn masked_mse_ignores_masked_out() {
-        let p = Tensor::from_slice(&[1.0, 99.0]);
-        let t = Tensor::from_slice(&[0.0, 0.0]);
-        let m = Tensor::from_slice(&[1.0, 0.0]);
+        let p = tensor(&[1.0, 99.0]);
+        let t = tensor(&[0.0, 0.0]);
+        let m = tensor(&[1.0, 0.0]);
         let (loss, grad) = masked_mse_loss(&p, &t, &m);
         assert_eq!(loss, 1.0);
         assert_eq!(grad.data()[1], 0.0);
@@ -137,9 +89,9 @@ mod tests {
 
     #[test]
     fn masked_mse_all_masked_is_zero() {
-        let p = Tensor::from_slice(&[1.0]);
-        let t = Tensor::from_slice(&[0.0]);
-        let m = Tensor::from_slice(&[0.0]);
+        let p = tensor(&[1.0]);
+        let t = tensor(&[0.0]);
+        let m = tensor(&[0.0]);
         let (loss, grad) = masked_mse_loss(&p, &t, &m);
         assert_eq!(loss, 0.0);
         assert_eq!(grad.data(), &[0.0]);

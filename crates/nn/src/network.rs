@@ -15,11 +15,14 @@ use crate::tensor::Tensor;
 ///     Box::new(Dense::new(8, 2, 2)),
 /// ]);
 /// let x = Tensor::zeros(vec![3, 4]);
-/// assert_eq!(net.forward(&x, false).shape(), &[3, 2]);
+/// assert_eq!(net.infer(&x).shape(), &[3, 2]);
 /// ```
 #[derive(Clone)]
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
+    /// Each layer's input from the last [`Sequential::forward_train`],
+    /// consumed by [`Sequential::backward`].
+    tape: Vec<Tensor>,
 }
 
 impl std::fmt::Debug for Sequential {
@@ -38,7 +41,10 @@ impl Sequential {
     /// Panics if `layers` is empty.
     pub fn new(layers: Vec<Box<dyn Layer>>) -> Self {
         assert!(!layers.is_empty(), "network needs at least one layer");
-        Self { layers }
+        Self {
+            layers,
+            tape: Vec::new(),
+        }
     }
 
     /// Number of layers.
@@ -51,19 +57,25 @@ impl Sequential {
         false
     }
 
-    /// Runs the network forward. `train = true` caches activations so a
-    /// subsequent [`Sequential::backward`] can run.
-    pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    /// Training forward pass: runs every layer's forward computation and
+    /// keeps each layer's input on the tape so [`Sequential::backward`]
+    /// can run. Bit-identical to [`Sequential::infer`].
+    pub fn forward_train(&mut self, input: &Tensor) -> Tensor {
+        self.tape.clear();
+        let mut patch = Vec::new();
         let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x, train);
+        for layer in &self.layers {
+            let mut out = Vec::new();
+            let shape =
+                layer.infer_into(x.data(), Shape::from_dims(x.shape()), &mut out, &mut patch);
+            let y = Tensor::from_vec(out, shape.to_vec()).expect("kernel output matches shape");
+            self.tape.push(std::mem::replace(&mut x, y));
         }
         x
     }
 
-    /// Inference-only forward pass through `&self`. Numerically identical to
-    /// `forward(input, false)` but never touches layer caches, so a frozen
-    /// network can be shared across threads (`Sequential: Sync`).
+    /// Inference-only forward pass through `&self`: keeps no tape, so a
+    /// frozen network can be shared across threads (`Sequential: Sync`).
     pub fn infer(&self, input: &Tensor) -> Tensor {
         let mut scratch = Scratch::new();
         let (data, shape) = self.infer_scratch(input, &mut scratch);
@@ -95,14 +107,20 @@ impl Sequential {
         (&scratch.bufs[0][..shape.len()], shape)
     }
 
-    /// Backpropagates the loss gradient, accumulating parameter gradients.
+    /// Backpropagates the loss gradient through the last
+    /// [`Sequential::forward_train`], consuming its tape and accumulating
+    /// parameter gradients.
     ///
     /// # Panics
-    /// Panics if the preceding forward pass was not in training mode.
+    /// Panics if no training forward pass has run since the last backward.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        assert!(
+            !self.tape.is_empty(),
+            "backward requires a preceding forward_train"
+        );
         let mut g = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
+        for (layer, input) in self.layers.iter_mut().zip(self.tape.drain(..)).rev() {
+            g = layer.backward(&input, &g);
         }
         g
     }
@@ -123,59 +141,18 @@ impl Sequential {
 
     /// Total number of scalar parameters.
     pub fn count_params(&self) -> usize {
-        // visit_params needs &mut; clone the boxed layers' counts instead by
-        // visiting on a temporary clone would be wasteful, so count via a
-        // shared trick: clone_box is cheap for small nets but unnecessary —
-        // use interior iteration on an immutable self is impossible with the
-        // trait as defined, so we keep a mutable helper.
+        // `visit_params` needs `&mut self`, so count on a clone.
         let mut me = self.clone();
         let mut n = 0;
         me.visit_params(&mut |v, _| n += v.len());
         n
-    }
-
-    /// Copies all parameters from `source` into `self` (target-network sync).
-    ///
-    /// # Panics
-    /// Panics if the two networks have different architectures.
-    pub fn copy_params_from(&mut self, source: &Sequential) {
-        let mut src = source.clone();
-        let mut values: Vec<Tensor> = Vec::new();
-        src.visit_params(&mut |v, _| values.push(v.clone()));
-        let mut i = 0;
-        self.visit_params(&mut |v, _| {
-            assert!(i < values.len(), "architecture mismatch");
-            assert_eq!(v.shape(), values[i].shape(), "architecture mismatch");
-            *v = values[i].clone();
-            i += 1;
-        });
-        assert_eq!(i, values.len(), "architecture mismatch");
-    }
-
-    /// Soft-updates parameters: `self = tau * source + (1 - tau) * self`.
-    ///
-    /// # Panics
-    /// Panics if architectures differ or `tau` is outside `[0, 1]`.
-    pub fn soft_update_from(&mut self, source: &Sequential, tau: f32) {
-        assert!((0.0..=1.0).contains(&tau), "tau must be in [0, 1]");
-        let mut src = source.clone();
-        let mut values: Vec<Tensor> = Vec::new();
-        src.visit_params(&mut |v, _| values.push(v.clone()));
-        let mut i = 0;
-        self.visit_params(&mut |v, _| {
-            assert_eq!(v.shape(), values[i].shape(), "architecture mismatch");
-            for (dst, s) in v.data_mut().iter_mut().zip(values[i].data()) {
-                *dst = tau * s + (1.0 - tau) * *dst;
-            }
-            i += 1;
-        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Dense, Relu};
+    use crate::layers::{Conv1d, Dense, Flatten, Relu};
 
     fn tiny_net(seed: u64) -> Sequential {
         Sequential::new(vec![
@@ -187,8 +164,8 @@ mod tests {
 
     #[test]
     fn forward_shape() {
-        let mut net = tiny_net(3);
-        let y = net.forward(&Tensor::zeros(vec![5, 2]), false);
+        let net = tiny_net(3);
+        let y = net.infer(&Tensor::zeros(vec![5, 2]));
         assert_eq!(y.shape(), &[5, 1]);
     }
 
@@ -199,77 +176,76 @@ mod tests {
         assert_eq!(net.count_params(), 17);
     }
 
-    #[test]
-    fn copy_params_makes_outputs_equal() {
-        let mut a = tiny_net(1);
-        let mut b = tiny_net(99);
-        let x = Tensor::from_vec(vec![0.3, -0.8], vec![1, 2]).unwrap();
-        assert_ne!(a.forward(&x, false).data(), b.forward(&x, false).data());
-        b.copy_params_from(&a);
-        assert_eq!(a.forward(&x, false).data(), b.forward(&x, false).data());
-    }
-
-    #[test]
-    fn soft_update_converges_to_source() {
-        let a = tiny_net(1);
-        let mut b = tiny_net(99);
-        for _ in 0..200 {
-            b.soft_update_from(&a, 0.1);
+    fn assert_bits_eq(a: &Tensor, b: &Tensor) {
+        assert_eq!(a.shape(), b.shape());
+        for (i, (x, y)) in a.data().iter().zip(b.data()).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "element {i}: {x} vs {y}");
         }
-        let x = Tensor::from_vec(vec![0.5, 0.5], vec![1, 2]).unwrap();
-        let ya = a.clone().forward(&x, false);
-        let yb = b.forward(&x, false);
-        assert!((ya.data()[0] - yb.data()[0]).abs() < 1e-3);
     }
 
-    #[test]
-    fn soft_update_tau_one_is_copy() {
-        let a = tiny_net(1);
-        let mut b = tiny_net(2);
-        b.soft_update_from(&a, 1.0);
-        let x = Tensor::from_vec(vec![1.0, 2.0], vec![1, 2]).unwrap();
-        assert_eq!(
-            a.clone().forward(&x, false).data(),
-            b.forward(&x, false).data()
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "architecture mismatch")]
-    fn copy_params_rejects_mismatch() {
-        let a = tiny_net(1);
-        let mut b = Sequential::new(vec![Box::new(Dense::new(3, 1, 0))]);
-        b.copy_params_from(&a);
-    }
-
-    #[test]
-    fn infer_matches_eval_forward() {
-        use crate::layers::{Conv1d, Flatten, MaxPool1d, Tanh};
-        // Every layer kind the compressor/DDQN stacks use.
-        let conv_net = Sequential::new(vec![
-            Box::new(Conv1d::new(3, 6, 3, 1, 21)),
+    /// The compressor's encoder: every layer kind a model here runs.
+    fn conv_net() -> (Sequential, Tensor) {
+        let net = Sequential::new(vec![
+            Box::new(Conv1d::new(3, 6, 3, 2, 21)),
             Box::new(Relu::new()),
-            Box::new(MaxPool1d::new(2)),
+            Box::new(Conv1d::new(6, 6, 3, 2, 22)),
+            Box::new(Relu::new()),
             Box::new(Flatten::new()),
-            Box::new(Dense::new(6 * 7, 4, 22)),
-            Box::new(Tanh::new()),
+            Box::new(Dense::new(6 * 3, 4, 23)),
         ]);
-        let conv_x = Tensor::from_vec(
+        let x = Tensor::from_vec(
             (0..2 * 3 * 16)
                 .map(|i| ((i * 11) % 17) as f32 * 0.1 - 0.8)
                 .collect(),
             vec![2, 3, 16],
         )
         .unwrap();
+        (net, x)
+    }
+
+    #[test]
+    fn infer_matches_eval_forward() {
+        // The training forward and `infer` must agree bit for bit.
         let dense_x = Tensor::from_vec(vec![0.4, -1.2, 0.0, 2.5], vec![2, 2]).unwrap();
-        for (mut net, x) in [(tiny_net(7), dense_x), (conv_net, conv_x)] {
-            let via_forward = net.forward(&x, false);
+        for (mut net, x) in [(tiny_net(7), dense_x), conv_net()] {
             let via_infer = net.infer(&x);
-            assert_eq!(via_forward.shape(), via_infer.shape());
-            for (i, (a, b)) in via_forward.data().iter().zip(via_infer.data()).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "element {i}: {a} vs {b}");
-            }
+            assert_bits_eq(&net.forward_train(&x), &via_infer);
         }
+    }
+
+    #[test]
+    fn infer_between_forward_train_and_backward_leaves_gradients_unchanged() {
+        let (mut plain, x) = conv_net();
+        let mut interleaved = plain.clone();
+        let grad = Tensor::from_vec(
+            vec![0.5, -0.25, 1.0, 0.75, -1.0, 0.125, 0.0, 2.0],
+            vec![2, 4],
+        )
+        .unwrap();
+        let grads = |net: &mut Sequential| {
+            let mut all = Vec::new();
+            net.visit_params(&mut |_, g| all.push(g.clone()));
+            all
+        };
+        plain.forward_train(&x);
+        plain.backward(&grad);
+        interleaved.forward_train(&x);
+        let mut other = x.clone();
+        other.data_mut().iter_mut().for_each(|v| *v = -*v);
+        interleaved.infer(&other);
+        interleaved.backward(&grad);
+        for (a, b) in grads(&mut plain).iter().zip(&grads(&mut interleaved)) {
+            assert_bits_eq(a, b);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "backward requires a preceding forward_train")]
+    fn backward_without_forward_train_panics() {
+        let mut net = tiny_net(1);
+        let x = Tensor::from_vec(vec![0.3, -0.8], vec![1, 2]).unwrap();
+        net.infer(&x);
+        net.backward(&Tensor::zeros(vec![1, 1]));
     }
 
     #[test]

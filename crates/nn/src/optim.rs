@@ -1,142 +1,46 @@
-//! First-order optimizers.
+//! The Adam optimizer.
 
 use crate::network::Sequential;
 use crate::tensor::Tensor;
 
-/// A gradient-descent optimizer that updates a [`Sequential`] in place.
-///
-/// Implementations address per-parameter state (momenta) by the stable
-/// visitation order of [`Sequential::visit_params`], so an optimizer must be
-/// used with a single network for its whole life.
-pub trait Optimizer {
-    /// Applies one update step using the gradients currently accumulated in
-    /// the network.
-    fn step(&mut self, net: &mut Sequential);
-
-    /// Current learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Replaces the learning rate (for schedules).
-    fn set_learning_rate(&mut self, lr: f32);
-}
-
-/// Stochastic gradient descent with classical momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Tensor>,
-}
-
-impl Sgd {
-    /// Builds plain SGD.
-    ///
-    /// # Panics
-    /// Panics if `lr` is not strictly positive.
-    pub fn new(lr: f32) -> Self {
-        Self::with_momentum(lr, 0.0)
-    }
-
-    /// Builds SGD with momentum in `[0, 1)`.
-    ///
-    /// # Panics
-    /// Panics if `lr <= 0` or `momentum` is outside `[0, 1)`.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
-        Self {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, net: &mut Sequential) {
-        let mut idx = 0;
-        let (lr, mu) = (self.lr, self.momentum);
-        let velocity = &mut self.velocity;
-        net.visit_params(&mut |value, grad| {
-            if velocity.len() <= idx {
-                velocity.push(Tensor::zeros(value.shape().to_vec()));
-            }
-            let v = &mut velocity[idx];
-            assert_eq!(
-                v.shape(),
-                value.shape(),
-                "optimizer bound to another network"
-            );
-            for ((vel, g), p) in v
-                .data_mut()
-                .iter_mut()
-                .zip(grad.data())
-                .zip(value.data_mut())
-            {
-                *vel = mu * *vel + g;
-                *p -= lr * *vel;
-            }
-            idx += 1;
-        });
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
-    }
-}
-
 /// Adam (Kingma & Ba, 2015) with bias correction.
+///
+/// Per-parameter moments are addressed by the stable visitation order of
+/// [`Sequential::visit_params`], so an optimizer must be used with a
+/// single network for its whole life.
 #[derive(Debug, Clone)]
 pub struct Adam {
     lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
     t: u64,
     m: Vec<Tensor>,
     v: Vec<Tensor>,
 }
 
 impl Adam {
-    /// Builds Adam with the standard betas (0.9, 0.999).
+    const BETA1: f32 = 0.9;
+    const BETA2: f32 = 0.999;
+    const EPS: f32 = 1e-8;
+
+    /// Builds Adam with the standard betas (0.9, 0.999) and epsilon 1e-8.
     ///
     /// # Panics
     /// Panics if `lr` is not strictly positive.
     pub fn new(lr: f32) -> Self {
-        Self::with_params(lr, 0.9, 0.999, 1e-8)
-    }
-
-    /// Builds Adam with explicit hyperparameters.
-    ///
-    /// # Panics
-    /// Panics if `lr <= 0`, either beta is outside `[0, 1)`, or `eps <= 0`.
-    pub fn with_params(lr: f32, beta1: f32, beta2: f32, eps: f32) -> Self {
         assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&beta1), "beta1 must be in [0, 1)");
-        assert!((0.0..1.0).contains(&beta2), "beta2 must be in [0, 1)");
-        assert!(eps > 0.0, "epsilon must be positive");
         Self {
             lr,
-            beta1,
-            beta2,
-            eps,
             t: 0,
             m: Vec::new(),
             v: Vec::new(),
         }
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, net: &mut Sequential) {
+    /// Applies one update step using the gradients currently accumulated
+    /// in `net`.
+    pub fn step(&mut self, net: &mut Sequential) {
         self.t += 1;
         let t = self.t as f32;
-        let (lr, b1, b2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
+        let (lr, b1, b2, eps) = (self.lr, Self::BETA1, Self::BETA2, Self::EPS);
         let bc1 = 1.0 - b1.powf(t);
         let bc2 = 1.0 - b2.powf(t);
         let (m_store, v_store) = (&mut self.m, &mut self.v);
@@ -169,15 +73,6 @@ impl Optimizer for Adam {
             idx += 1;
         });
     }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
-    }
 }
 
 #[cfg(test)]
@@ -192,7 +87,7 @@ mod tests {
         (x, y)
     }
 
-    fn train_xor(opt: &mut dyn Optimizer, epochs: usize) -> f32 {
+    fn train_xor(opt: &mut Adam, epochs: usize) -> f32 {
         let mut net = Sequential::new(vec![
             Box::new(Dense::new(2, 16, 21)),
             Box::new(Relu::new()),
@@ -201,7 +96,7 @@ mod tests {
         let (x, y) = xor_data();
         let mut loss = f32::MAX;
         for _ in 0..epochs {
-            let pred = net.forward(&x, true);
+            let pred = net.forward_train(&x);
             let (l, grad) = mse_loss(&pred, &y);
             net.zero_grad();
             net.backward(&grad);
@@ -219,55 +114,8 @@ mod tests {
     }
 
     #[test]
-    fn sgd_with_momentum_learns_xor() {
-        let mut opt = Sgd::with_momentum(0.05, 0.9);
-        let loss = train_xor(&mut opt, 1500);
-        assert!(loss < 0.05, "sgd failed to fit xor, loss {loss}");
-    }
-
-    #[test]
-    fn sgd_reduces_loss_monotonically_at_start() {
-        let mut net = Sequential::new(vec![Box::new(Dense::new(1, 1, 5))]);
-        let x = Tensor::from_vec(vec![1.0, 2.0], vec![2, 1]).unwrap();
-        let y = Tensor::from_vec(vec![3.0, 6.0], vec![2, 1]).unwrap();
-        let mut opt = Sgd::new(0.05);
-        let mut first = f32::MAX;
-        let mut prev = f32::MAX;
-        for step in 0..50 {
-            let pred = net.forward(&x, true);
-            let (l, g) = mse_loss(&pred, &y);
-            assert!(l <= prev + 1e-4, "loss increased: {prev} -> {l}");
-            if step == 0 {
-                first = l;
-            }
-            prev = l;
-            net.zero_grad();
-            net.backward(&g);
-            opt.step(&mut net);
-        }
-        // The exact final loss depends on the RNG-seeded init; the
-        // invariant under test is steady descent, so require the loss
-        // to have at least halved rather than hit an absolute floor.
-        assert!(prev < first * 0.5, "sgd barely moved: {first} -> {prev}");
-    }
-
-    #[test]
-    fn learning_rate_accessors() {
-        let mut a = Adam::new(0.01);
-        assert_eq!(a.learning_rate(), 0.01);
-        a.set_learning_rate(0.001);
-        assert_eq!(a.learning_rate(), 0.001);
-    }
-
-    #[test]
     #[should_panic(expected = "positive")]
     fn rejects_zero_lr() {
         let _ = Adam::new(0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "momentum")]
-    fn rejects_bad_momentum() {
-        let _ = Sgd::with_momentum(0.1, 1.0);
     }
 }

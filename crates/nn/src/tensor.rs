@@ -1,7 +1,5 @@
 //! A minimal dense tensor with row-major storage.
 
-use std::fmt;
-
 use msvs_types::{Error, Result};
 
 /// A dense, row-major `f32` tensor of arbitrary rank.
@@ -55,18 +53,6 @@ impl Tensor {
         Ok(Self { shape, data })
     }
 
-    /// Builds a rank-1 tensor from a slice.
-    pub fn from_slice(data: &[f32]) -> Self {
-        Self {
-            shape: vec![data.len().max(1)],
-            data: if data.is_empty() {
-                vec![0.0]
-            } else {
-                data.to_vec()
-            },
-        }
-    }
-
     /// The tensor's shape.
     pub fn shape(&self) -> &[usize] {
         &self.shape
@@ -90,11 +76,6 @@ impl Tensor {
     /// Mutable view of the raw data.
     pub fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the tensor, returning its raw data.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 
     /// Reshapes in place (same element count).
@@ -137,13 +118,6 @@ impl Tensor {
         self.data[(b * self.shape[1] + c) * self.shape[2] + t]
     }
 
-    /// Mutable element access for rank-3 tensors.
-    #[inline]
-    pub fn set3(&mut self, b: usize, c: usize, t: usize, v: f32) {
-        debug_assert_eq!(self.shape.len(), 3);
-        self.data[(b * self.shape[1] + c) * self.shape[2] + t] = v;
-    }
-
     /// Adds `v` at a rank-3 index.
     #[inline]
     pub fn add3(&mut self, b: usize, c: usize, t: usize, v: f32) {
@@ -182,32 +156,6 @@ impl Tensor {
         out
     }
 
-    /// Elementwise sum into a new tensor.
-    ///
-    /// # Panics
-    /// Panics if shapes differ.
-    pub fn add(&self, rhs: &Tensor) -> Tensor {
-        assert_eq!(self.shape, rhs.shape, "elementwise add needs equal shapes");
-        let data = self
-            .data
-            .iter()
-            .zip(&rhs.data)
-            .map(|(a, b)| a + b)
-            .collect();
-        Tensor {
-            shape: self.shape.clone(),
-            data,
-        }
-    }
-
-    /// Elementwise scale into a new tensor.
-    pub fn scale(&self, s: f32) -> Tensor {
-        Tensor {
-            shape: self.shape.clone(),
-            data: self.data.iter().map(|a| a * s).collect(),
-        }
-    }
-
     /// In-place `self += other * s` (axpy).
     ///
     /// # Panics
@@ -222,11 +170,6 @@ impl Tensor {
     /// Fills the tensor with a constant.
     pub fn fill(&mut self, v: f32) {
         self.data.iter_mut().for_each(|x| *x = v);
-    }
-
-    /// Mean of all elements.
-    pub fn mean(&self) -> f32 {
-        self.data.iter().sum::<f32>() / self.data.len() as f32
     }
 
     /// Index of the maximum element in a rank-2 row.
@@ -250,12 +193,6 @@ impl Tensor {
         assert_eq!(self.shape.len(), 2);
         let n = self.shape[1];
         self.data[row * n..(row + 1) * n].to_vec()
-    }
-}
-
-impl fmt::Display for Tensor {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Tensor{:?}", self.shape)
     }
 }
 
@@ -296,8 +233,9 @@ mod tests {
     #[test]
     fn rank3_indexing() {
         let mut t = Tensor::zeros(vec![2, 3, 4]);
-        t.set3(1, 2, 3, 9.0);
+        t.add3(1, 2, 3, 9.0);
         assert_eq!(t.get3(1, 2, 3), 9.0);
+        assert_eq!(t.data()[23], 9.0);
         t.add3(1, 2, 3, 1.0);
         assert_eq!(t.get3(1, 2, 3), 10.0);
         assert_eq!(t.get3(0, 0, 0), 0.0);
@@ -313,13 +251,10 @@ mod tests {
 
     #[test]
     fn elementwise_ops() {
-        let a = Tensor::from_slice(&[1.0, 2.0]);
-        let b = Tensor::from_slice(&[3.0, 5.0]);
-        assert_eq!(a.add(&b).data(), &[4.0, 7.0]);
-        assert_eq!(a.scale(2.0).data(), &[2.0, 4.0]);
-        let mut c = a.clone();
-        c.axpy(10.0, &b);
-        assert_eq!(c.data(), &[31.0, 52.0]);
+        let mut a = Tensor::from_vec(vec![1.0, 2.0], vec![2]).unwrap();
+        let b = Tensor::from_vec(vec![3.0, 5.0], vec![2]).unwrap();
+        a.axpy(10.0, &b);
+        assert_eq!(a.data(), &[31.0, 52.0]);
     }
 
     #[test]
@@ -334,7 +269,7 @@ mod tests {
     fn mean_and_fill() {
         let mut t = Tensor::zeros(vec![2, 2]);
         t.fill(3.0);
-        assert_eq!(t.mean(), 3.0);
+        assert!(t.data().iter().all(|&v| v == 3.0));
     }
 
     #[test]

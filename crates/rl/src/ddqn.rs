@@ -1,6 +1,6 @@
 //! The double deep Q-network agent.
 
-use msvs_nn::{masked_mse_loss, Adam, Dense, Layer, Optimizer, Relu, Sequential, Tensor};
+use msvs_nn::{masked_mse_loss, Adam, Dense, Layer, Relu, Sequential, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -185,8 +185,6 @@ impl DdqnAgent {
         assert_eq!(state.len(), self.config.state_dim, "state width mismatch");
         let x = Tensor::from_vec(state.to_vec(), vec![1, state.len()])
             .expect("shape matches by construction");
-        // Inference path (no activation caching): routes through the
-        // `infer_scratch` kernels, bit-identical to `forward(&x, false)`.
         self.online.infer(&x).row(0)
     }
 
@@ -264,10 +262,10 @@ impl DdqnAgent {
         }
 
         // Double-Q target: a* from online net, value from target net.
-        let q_next_online = self.online.forward(&next_states, false);
-        let q_next_target = self.target.forward(&next_states, false);
+        let q_next_online = self.online.infer(&next_states);
+        let q_next_target = self.target.infer(&next_states);
 
-        let q_pred = self.online.forward(&states, true);
+        let q_pred = self.online.forward_train(&states);
         let mut target = q_pred.clone();
         let mut mask = Tensor::zeros(vec![batch_size, actions]);
         for (i, t) in batch.iter().enumerate() {
@@ -291,7 +289,7 @@ impl DdqnAgent {
             .train_steps
             .is_multiple_of(self.config.target_sync_every)
         {
-            self.target.copy_params_from(&self.online);
+            self.target.clone_from(&self.online);
         }
         loss
     }
@@ -395,6 +393,35 @@ mod tests {
         });
         assert!(l.is_some(), "training should start at min_replay");
         assert_eq!(agent.last_loss(), l);
+    }
+
+    #[test]
+    fn target_sync_copies_online_network_bit_for_bit() {
+        let x = Tensor::from_vec(vec![0.3, -0.7], vec![1, 2]).unwrap();
+        let mut agent = DdqnAgent::new(DdqnConfig {
+            target_sync_every: 2,
+            ..bandit_config(5)
+        })
+        .unwrap();
+        let observe = |agent: &mut DdqnAgent, reward: f32| {
+            agent.observe(Transition {
+                state: vec![0.5, -0.5],
+                action: 1,
+                reward,
+                next_state: vec![0.5, -0.5],
+                done: false,
+            })
+        };
+        for i in 0..32 {
+            observe(&mut agent, i as f32 * 0.1);
+        }
+        // One training step: the online network moved, the target did not.
+        assert_ne!(agent.online.infer(&x), agent.target.infer(&x));
+        observe(&mut agent, 1.0);
+        let (online, target) = (agent.online.infer(&x), agent.target.infer(&x));
+        for (a, b) in online.data().iter().zip(target.data()) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
     }
 
     #[test]

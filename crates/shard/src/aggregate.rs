@@ -12,10 +12,9 @@ use std::collections::HashMap;
 
 use msvs_core::GroupDemandPrediction;
 use msvs_types::UserId;
-use serde::{Deserialize, Serialize};
 
 /// Accumulated demand attributed to one shard.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ShardDemandRow {
     /// The shard.
     pub shard: usize,
@@ -41,7 +40,7 @@ pub struct ShardDemandRow {
 
 /// End-of-run summary of the shard plane, attached to the
 /// `SimulationReport` when more than one shard ran.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ShardSummary {
     /// Number of shards the run partitioned into.
     pub shards: usize,

@@ -2,10 +2,9 @@
 
 use msvs_core::ReservationOutcome;
 use msvs_types::{CpuCycles, ResourceBlocks};
-use serde::{Deserialize, Serialize};
 
 /// Everything measured for one scored reservation interval.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IntervalRecord {
     /// Interval index (0 = first scored interval).
     pub index: usize,
@@ -60,7 +59,7 @@ pub struct IntervalRecord {
 }
 
 /// Aggregated simulation outcome.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimulationReport {
     /// One record per scored interval.
     pub intervals: Vec<IntervalRecord>,

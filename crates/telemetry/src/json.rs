@@ -341,7 +341,11 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
+            let key_at = self.pos;
             let key = self.string()?;
+            if map.contains_key(&key) {
+                return Err(format!("duplicate key {key:?} at byte {key_at}"));
+            }
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
@@ -407,6 +411,16 @@ mod tests {
         assert!(Json::parse("[1,2").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("\"open").is_err());
+    }
+
+    #[test]
+    fn rejects_duplicate_keys_by_name_and_offset() {
+        let err = Json::parse(r#"{"loss":0.1,"loss":0.9}"#).unwrap_err();
+        assert_eq!(err, r#"duplicate key "loss" at byte 12"#);
+        let err = Json::parse(r#"{"a":{"b":1, "b":2}}"#).unwrap_err();
+        assert_eq!(err, r#"duplicate key "b" at byte 13"#);
+        // The same key in sibling objects is fine.
+        assert!(Json::parse(r#"[{"a":1},{"a":2}]"#).is_ok());
     }
 
     /// `depth` arrays, or objects keyed `"k"`, wrapped around `0`.

@@ -11,7 +11,7 @@
 //!   structure at any thread count; exportable as Chrome-trace JSON via
 //!   [`chrome_trace`] for Perfetto / `chrome://tracing`.
 //! - [`EventJournal`] — typed [`Event`]s stamped with simulation time,
-//!   exportable as JSONL/CSV and parseable back for offline reporting.
+//!   exportable as JSONL and parseable back for offline reporting.
 //! - [`RunManifest`] — config, seed, and git version of a run.
 //!
 //! The [`Telemetry`] handle bundles a registry, a journal, and a span

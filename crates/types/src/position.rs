@@ -3,12 +3,10 @@
 use std::fmt;
 use std::ops::{Add, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 use crate::units::Meters;
 
 /// A point (or displacement) in the 2-D campus plane, in metres.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Position {
     /// East-west coordinate in metres.
     pub x: f64,

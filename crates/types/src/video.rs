@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::units::Mbps;
 
 /// Content category of a short video.
@@ -12,7 +10,7 @@ use crate::units::Mbps;
 /// `News` being watched the longest and `Game` the shortest in multicast
 /// group 1. We model eight categories, matching the label set of the
 /// short-video-streaming-challenge dataset family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum VideoCategory {
     /// Current-affairs clips; typically high retention.
     News,
@@ -92,7 +90,7 @@ impl fmt::Display for VideoCategory {
 }
 
 /// Quality level of a transcoded representation, lowest to highest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RepresentationLevel {
     /// 240p, minimum quality.
     P240,
@@ -166,7 +164,7 @@ impl fmt::Display for RepresentationLevel {
 
 /// A concrete representation: a ladder level with its actual encoded bitrate
 /// (which varies per video around the nominal ladder value).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Representation {
     /// Quality level on the ladder.
     pub level: RepresentationLevel,

@@ -1,7 +1,6 @@
 //! Bounded, timestamped attribute series.
 
 use msvs_types::{RepresentationLevel, SimDuration, SimTime, VideoCategory, VideoId};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -14,7 +13,7 @@ use std::sync::Arc;
 /// until either side is next mutated, so snapshotting a twin costs a
 /// pointer bump per series instead of a copy of its history. Clones keep
 /// value semantics — a held clone never sees later pushes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries<T> {
     samples: Arc<VecDeque<(SimTime, T)>>,
     capacity: usize,
@@ -129,7 +128,7 @@ impl<T: Clone> TimeSeries<T> {
 }
 
 /// One completed or swiped-away video view, as reported by a base station.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WatchRecord {
     /// The video watched.
     pub video: VideoId,

@@ -10,7 +10,6 @@ use std::fmt;
 
 use msvs_telemetry::json::{self, Json};
 use msvs_types::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A twin attribute the uplink reports at its own period.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,7 +44,7 @@ impl Attribute {
 ///
 /// Watch records are event-driven (reported when a session ends) and have
 /// no period here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CollectionPolicy {
     /// Channel-condition sampling period (fast-fading scale).
     pub channel_every: SimDuration,
@@ -115,7 +114,7 @@ impl CollectionPolicy {
 /// per further loss in the same episode, up to `max_attempts` retries —
 /// so a lost report for a slow attribute (preference, every 60 s) is
 /// re-sent within seconds instead of waiting out the full period.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Maximum retries per loss episode (`0` disables retry).
     pub max_attempts: u32,
@@ -135,7 +134,7 @@ impl Default for RetryPolicy {
 
 /// Per-attribute retry bookkeeping: when the next retry fires and how
 /// many attempts this loss episode has consumed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct RetryState {
     next: Option<SimTime>,
     attempts: u32,
@@ -164,7 +163,7 @@ impl RetryState {
 /// Every attribute follows one rule: due once its regular period has
 /// elapsed or a retry of a lost report fires. The state for each lives at
 /// its [`Attribute`] index.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SyncTracker {
     last: [Option<SimTime>; 3],
     retry: [RetryState; 3],

@@ -6,7 +6,6 @@ use msvs_telemetry::json::{self, Json};
 use msvs_types::{
     Position, RepresentationLevel, SimDuration, SimTime, UserId, VideoCategory, VideoId,
 };
-use serde::{Deserialize, Serialize};
 
 use crate::attribute::{TimeSeries, WatchRecord};
 
@@ -20,7 +19,7 @@ const WATCH_CAPACITY: usize = 512;
 /// Channels (in order): normalised SNR, normalised x, normalised y,
 /// normalised recent watch durations. The preference vector rides along
 /// separately — it is a distribution, not a time series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeatureWindow {
     /// `channels x window` matrix, row-major, values roughly in `[0, 1]`.
     pub series: Vec<Vec<f32>>,
@@ -87,7 +86,7 @@ impl TwinReports {
 /// Base stations push channel, location, and watch updates at their
 /// configured frequencies; the prediction scheme reads consistent feature
 /// windows out.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UserDigitalTwin {
     user: UserId,
     channel_db: TimeSeries<f64>,

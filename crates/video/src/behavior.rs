@@ -2,10 +2,9 @@
 
 use msvs_types::{Error, RepresentationLevel, Result, SimDuration, UserId, VideoCategory};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A user's stable content taste and engagement disposition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UserProfile {
     user: UserId,
     preferences: Vec<f64>,
@@ -132,7 +131,7 @@ impl UserProfile {
 /// degrades at low quality; completions happen when the sampled duration
 /// reaches the video length. This produces exactly the per-category
 /// cumulative swiping-probability curves the paper abstracts in Fig. 3(a).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngagementModel {
     /// Mean watch time of a neutral-interest user at top quality, seconds.
     pub base_mean_secs: f64,

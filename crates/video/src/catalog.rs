@@ -6,12 +6,11 @@ use msvs_types::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::behavior::UserProfile;
 
 /// Parameters for catalog generation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CatalogConfig {
     /// Number of videos.
     pub n_videos: usize,
@@ -42,7 +41,7 @@ impl Default for CatalogConfig {
 }
 
 /// One short video: category, duration, popularity rank, bitrate ladder.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Video {
     /// Stable identifier (index into the catalog).
     pub id: VideoId,
@@ -80,7 +79,7 @@ impl Video {
 }
 
 /// One externally-supplied catalog entry (see [`Catalog::from_rows`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CatalogRow {
     /// Content category.
     pub category: VideoCategory,

@@ -2,13 +2,12 @@
 
 use msvs_types::{Representation, SimDuration, SimTime, UserId, VideoCategory, VideoId};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::behavior::{EngagementModel, UserProfile};
 use crate::catalog::Catalog;
 
 /// One video view: who watched what, for how long, at which quality.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WatchSession {
     /// The viewer.
     pub user: UserId,
@@ -44,7 +43,7 @@ impl WatchSession {
 }
 
 /// Parameters of the feed loop.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FeedConfig {
     /// Dead time between swiping away and the next video starting.
     pub swipe_gap: SimDuration,

@@ -12,8 +12,11 @@
 //!   `1e999` numbers, non-integral ids) decodes to `Err` or to a valid
 //!   checkpoint, never panics, and costs time linear in the input.
 
+mod common;
+
 use std::time::{Duration, Instant};
 
+use common::{number_tokens, Mix};
 use msvs::core::{CompressorConfig, GroupingConfig, SchemeConfig};
 use msvs::faults::FaultPlan;
 use msvs::par::Pool;
@@ -114,42 +117,6 @@ fn captured_checkpoints_round_trip_byte_for_byte() {
             ckpt.shard
         );
     }
-}
-
-/// SplitMix64: a seeded, dependency-free source for corpus positions.
-struct Mix(u64);
-
-impl Mix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
-
-/// Byte ranges of every number token in `text`.
-fn number_tokens(text: &str) -> Vec<(usize, usize)> {
-    let bytes = text.as_bytes();
-    let mut tokens = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        if matches!(bytes[i], b'-' | b'0'..=b'9') && i > 0 && b":[,".contains(&bytes[i - 1]) {
-            let start = i;
-            while i < bytes.len() && (bytes[i].is_ascii_digit() || b"+-.eE".contains(&bytes[i])) {
-                i += 1;
-            }
-            tokens.push((start, i));
-        } else {
-            i += 1;
-        }
-    }
-    tokens
 }
 
 /// What decoding one corpus case must yield.
