@@ -32,9 +32,6 @@ pub struct VideoCache {
     tick: u64,
     hits: u64,
     misses: u64,
-    /// Entries evicted since the last [`take_evicted`](Self::take_evicted)
-    /// drain, in eviction order.
-    evicted: Vec<(VideoId, RepresentationLevel)>,
 }
 
 impl VideoCache {
@@ -55,13 +52,7 @@ impl VideoCache {
             tick: 0,
             hits: 0,
             misses: 0,
-            evicted: Vec::new(),
         }
-    }
-
-    /// Drains the entries evicted since the last call, oldest first.
-    pub fn take_evicted(&mut self) -> Vec<(VideoId, RepresentationLevel)> {
-        std::mem::take(&mut self.evicted)
     }
 
     /// Pre-warms the cache with the most popular catalog videos at the top
@@ -228,7 +219,6 @@ impl VideoCache {
             Some(key) => {
                 if let Some((size, _)) = self.entries.remove(&key) {
                     self.used_mb -= size;
-                    self.evicted.push(key);
                 }
                 true
             }
@@ -294,6 +284,7 @@ mod tests {
             .find(|&i| sz(i) > 1.0 && sz(i) <= sz(1))
             .expect("catalog holds a video no larger than video 1");
         assert!(cache.insert(&videos[j], videos[j].top_level()));
+        assert_eq!(cache.len(), 2, "exactly one victim");
         assert!(
             cache.lookup(videos[0].id, videos[0].top_level()),
             "hot kept"
@@ -357,9 +348,10 @@ mod tests {
         cache.warm_from(&c);
         let before = cache.used_mb();
         assert!(before > 1000.0, "warm fills most of the cache: {before}");
+        let warmed = cache.len();
         cache.set_capacity_scale(0.5);
         assert!(cache.used_mb() <= 1000.0, "evicted down to the brownout");
-        assert!(!cache.take_evicted().is_empty());
+        assert!(cache.len() < warmed);
         assert_eq!(cache.effective_capacity_mb(), 1000.0);
         // Inserts respect the reduced capacity.
         let big = &c.videos()[0];
@@ -377,25 +369,5 @@ mod tests {
     fn out_of_range_scale_panics() {
         let mut cache = VideoCache::new(100.0);
         cache.set_capacity_scale(0.0);
-    }
-
-    #[test]
-    fn take_evicted_drains_victims_once() {
-        let c = catalog();
-        let videos = c.videos();
-        let sz = |i: usize| entry_size_mb(&videos[i], videos[i].top_level());
-        let cap = sz(0) + sz(1) + 1.0;
-        let mut cache = VideoCache::new(cap);
-        assert!(cache.insert(&videos[0], videos[0].top_level()));
-        assert!(cache.insert(&videos[1], videos[1].top_level()));
-        assert!(cache.take_evicted().is_empty(), "no eviction yet");
-        cache.lookup(videos[0].id, videos[0].top_level());
-        let j = (2..videos.len())
-            .find(|&i| sz(i) > 1.0 && sz(i) <= sz(1))
-            .expect("catalog holds a video no larger than video 1");
-        assert!(cache.insert(&videos[j], videos[j].top_level()));
-        let evicted = cache.take_evicted();
-        assert_eq!(evicted, vec![(videos[1].id, videos[1].top_level())]);
-        assert!(cache.take_evicted().is_empty(), "drain is one-shot");
     }
 }

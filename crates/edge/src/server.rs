@@ -75,15 +75,14 @@ impl EdgeServer {
         }
     }
 
-    /// Wires observability in: serve-kind counters, transcode stage
-    /// latencies, and `CacheEvicted` journal events.
+    /// Wires observability in: serve-kind counters and transcode stage
+    /// latencies.
     pub fn attach_telemetry(&mut self, telemetry: msvs_telemetry::Telemetry) {
         self.telemetry = Some(telemetry);
     }
 
-    /// Counts one served request by kind and reports evictions the cache
-    /// performed while satisfying it.
-    fn note_serve(&mut self, kind: ServeKind) {
+    /// Counts one served request by kind.
+    fn note_serve(&self, kind: ServeKind) {
         let Some(t) = &self.telemetry else { return };
         let label = match kind {
             ServeKind::CacheHit => "cache_hit",
@@ -91,12 +90,6 @@ impl EdgeServer {
             ServeKind::RemoteFetch => "remote_fetch",
         };
         t.counter("edge_serves_total", label).inc();
-        for (video, level) in self.cache.take_evicted() {
-            t.emit(msvs_telemetry::Event::CacheEvicted {
-                video: video.0 as u64,
-                level: level.to_string(),
-            });
-        }
     }
 
     /// The underlying cache (stats, inspection).
@@ -105,21 +98,12 @@ impl EdgeServer {
     }
 
     /// Applies a brownout capacity scale in `(0, 1]` to the cache,
-    /// evicting down to the reduced capacity. Evictions are journaled like
-    /// any serve-path eviction when telemetry is attached.
+    /// evicting down to the reduced capacity.
     ///
     /// # Panics
     /// Panics if `scale` is outside `(0, 1]`.
     pub fn set_capacity_scale(&mut self, scale: f64) {
         self.cache.set_capacity_scale(scale);
-        if let Some(t) = &self.telemetry {
-            for (video, level) in self.cache.take_evicted() {
-                t.emit(msvs_telemetry::Event::CacheEvicted {
-                    video: video.0 as u64,
-                    level: level.to_string(),
-                });
-            }
-        }
     }
 
     /// The transcode cost model.

@@ -135,6 +135,9 @@ impl ShardOutage {
 pub struct FaultPlan {
     /// Dedicated fault seed, mixed with the simulation seed so the same
     /// plan produces different (but reproducible) faults across runs.
+    /// Any `u64` runs, but a JSON profile carries it as a number, so
+    /// [`FaultPlan::parse`] rejects a seed above 2^53 − 1 by name rather
+    /// than round it.
     pub seed: u64,
     /// Per-report probability an uplink status report is lost.
     pub uplink_loss: f64,
@@ -599,18 +602,6 @@ pub enum ReportFate {
     Delay(u64),
     /// Delivered on time with a corrupted payload.
     Corrupt,
-}
-
-impl ReportFate {
-    /// Stable label for journals.
-    pub fn label(self) -> &'static str {
-        match self {
-            ReportFate::Deliver => "deliver",
-            ReportFate::Lose => "lose",
-            ReportFate::Delay(_) => "delay",
-            ReportFate::Corrupt => "corrupt",
-        }
-    }
 }
 
 /// splitmix64 finaliser: a high-quality 64-bit mix.

@@ -6,6 +6,7 @@ use msvs_core::{
     SchemeConfig,
 };
 use msvs_edge::EdgeConfig;
+use msvs_telemetry::MAX_SAFE_INT;
 use msvs_types::{Error, Result, SimDuration, MAX_SHARDS};
 use msvs_udt::CollectionPolicy;
 use msvs_video::{CatalogConfig, EngagementModel};
@@ -258,6 +259,10 @@ impl SimulationConfig {
         }
         if self.n_intervals == 0 {
             return Err(Error::invalid_config("n_intervals", "must be positive"));
+        }
+        // Journals and manifests record the seed as a JSON number.
+        if self.seed > MAX_SAFE_INT {
+            return Err(Error::invalid_config("seed", "must be at most 2^53 - 1"));
         }
         if self.taste_alpha <= 0.0 {
             return Err(Error::invalid_config("taste_alpha", "must be positive"));
@@ -563,6 +568,15 @@ mod tests {
         assert!(SimulationConfig::builder().threads(4096).build().is_err());
         assert!(SimulationConfig::builder().shards(0).build().is_err());
         assert!(SimulationConfig::builder().shards(4096).build().is_err());
+        SimulationConfig::builder()
+            .seed(MAX_SAFE_INT)
+            .build()
+            .unwrap();
+        let err = SimulationConfig::builder()
+            .seed(MAX_SAFE_INT + 1)
+            .build()
+            .unwrap_err();
+        assert!(err.to_string().contains("seed"), "{err}");
         assert!(SimulationConfig::builder()
             .predictor(DemandPredictorKind::HistoricalMean { alpha: 0.0 })
             .build()

@@ -31,17 +31,13 @@ use crate::metrics::{IntervalRecord, SimulationReport};
 const PREFERENCE_RATE: f64 = 0.4;
 
 /// Per-user fault-injection state: in-flight delayed reports plus the
-/// tallies and journal records accumulated *inside* the parallel
-/// collection region. Both are drained serially, in user-vector order,
-/// after the pool joins — journal emission from worker threads would make
-/// the event order depend on scheduling.
+/// tallies accumulated *inside* the parallel collection region, summed
+/// serially after the pool joins.
 #[derive(Default)]
 struct UserFaults {
     /// In-flight delayed reports, one queue per [`Attribute`] index.
     delayed: [DelayQueue<Report>; 3],
     counts: FaultCounts,
-    /// `(t_ms, attribute, fate label)` per injected fault, tick order.
-    events: Vec<(u64, Attribute, &'static str)>,
 }
 
 /// Ground-truth state of one simulated user.
@@ -770,34 +766,17 @@ impl Simulation {
     }
 
     /// Drains the per-user fault tallies accumulated inside the parallel
-    /// collection region and journals them serially, in user-vector order
-    /// with original fault timestamps — emitting from worker threads would
-    /// make the journal order depend on scheduling. The per-interval
-    /// `FaultsInjected` summary is journalled for scored intervals only.
+    /// collection region into the `fault_reports_total` and
+    /// `fault_retries_total` counters. The per-interval `FaultsInjected`
+    /// summary is journalled for scored intervals only; single reports
+    /// are counted, never journalled.
     fn journal_faults(&mut self, scored: Option<u64>) {
         // Only entered on fault-plan runs, so the span structure stays
         // invariant between clean and faulted configurations of a test.
         let _fault_scope = self.telemetry.stage_scope(stage::FAULT_INJECT);
         let mut counts = FaultCounts::default();
-        // Resolved at the first event, once per call: registering it on a
-        // call with no events would add a zero counter to the report.
-        let mut injected = None;
         for user in &mut self.users {
-            counts.add(user.faults.counts);
-            user.faults.counts = FaultCounts::default();
-            for (t_ms, attr, kind) in user.faults.events.drain(..) {
-                injected
-                    .get_or_insert_with(|| self.telemetry.counter("events_total", "FaultInjected"))
-                    .inc();
-                self.telemetry.event(
-                    t_ms,
-                    Event::FaultInjected {
-                        user: u64::from(user.id.0),
-                        attribute: attr.label(),
-                        kind,
-                    },
-                );
-            }
+            counts.add(std::mem::take(&mut user.faults.counts));
         }
         let retries_total: u64 = self.users.iter().map(|u| u.tracker.retries_sent()).sum();
         let retried = retries_total - self.retries_sent_before;
@@ -1261,9 +1240,8 @@ impl Uplink<'_> {
 /// One user's collection tick, for every attribute and fault case.
 ///
 /// Runs inside the parallel region: reports only queue in `outbox` (the
-/// twin sees them after the user's last tick), and fault tallies and
-/// journal records only accumulate in `user.faults` (drained serially
-/// after the pool joins).
+/// twin sees them after the user's last tick), and fault tallies only
+/// accumulate in `user.faults` (drained serially after the pool joins).
 fn user_tick(
     user: &mut SimUser,
     outbox: &mut TwinReports,
@@ -1285,8 +1263,8 @@ fn user_tick(
 /// due reach the twin late, with their original sample timestamps (held
 /// while the shard is partitioned). If a `report` is due, it takes its
 /// [`Uplink::fate`] and that fate's one path: deliver queues it; lose
-/// (journalled `"partition"` behind a partition) schedules a retry; delay
-/// buffers it `n` ticks; corrupt queues an implausible payload. Delayed
+/// (always, behind a partition) schedules a retry; delay buffers it `n`
+/// ticks; corrupt queues an implausible payload. Delayed
 /// and corrupted payloads the twin will refuse are tallied as `rejected`
 /// when queued (acceptance depends only on the payload).
 #[inline(always)]
@@ -1318,17 +1296,10 @@ fn send_report(
         }
         (ReportFate::Lose, Some(rt)) => {
             faults.counts.lost += 1;
-            let kind = if uplink.partitioned {
-                "partition"
-            } else {
-                fate.label()
-            };
-            faults.events.push((t_ms, attr, kind));
             tracker.mark_lost(attr, t, &rt.plan.retry);
         }
         (ReportFate::Delay(n), _) => {
             faults.counts.delayed += 1;
-            faults.events.push((t_ms, attr, fate.label()));
             if !queue.push(t + uplink.tick * n, t, report) {
                 // Queue overflow: the report never arrives.
                 faults.counts.overflowed += 1;
@@ -1337,7 +1308,6 @@ fn send_report(
         }
         (ReportFate::Corrupt, Some(rt)) => {
             faults.counts.corrupted += 1;
-            faults.events.push((t_ms, attr, fate.label()));
             let report = report.corrupted(rt.injector.corrupt_value(id.0, t_ms, attr));
             faults.counts.rejected += u64::from(!report.plausible());
             report.queue(outbox, t);
@@ -1760,9 +1730,9 @@ mod tests {
         );
     }
 
-    /// A user behind a partitioned shard: every due report is lost as
-    /// `"partition"` and the delayed reports stay queued. The first tick
-    /// after the partition heals delivers them with their original sample
+    /// A user behind a partitioned shard: every due report is lost and
+    /// the delayed reports stay queued. The first tick after the
+    /// partition heals delivers them with their original sample
     /// timestamps.
     #[test]
     fn partitioned_tick_holds_delayed_reports_until_it_heals() {
@@ -1793,8 +1763,6 @@ mod tests {
         let queued = user.faults.delayed.iter().filter(|q| !q.is_empty());
         assert_eq!(queued.count(), 2, "delayed reports stay queued");
         assert_eq!(user.faults.counts.lost, 3, "every due report is lost");
-        let partition = Attribute::ALL.map(|attr| (10_000, attr, "partition"));
-        assert_eq!(user.faults.events, partition);
         assert_eq!(user.tracker.updates_sent(), 3, "lost sends cost signalling");
 
         // Healed at 11 s: the held reports arrive, then the channel report

@@ -10,14 +10,11 @@ use std::sync::{Arc, Mutex};
 
 use crate::json::Json;
 
-/// The twin attributes a [`Event::FaultInjected`] can name.
-const FAULT_ATTRIBUTES: [&str; 3] = ["channel", "location", "preference"];
-
-/// The fates a [`Event::FaultInjected`] can name: a loss, a loss to a
-/// partitioned shard, a delay or a corruption.
-const FAULT_KINDS: [&str; 4] = ["lose", "partition", "delay", "corrupt"];
-
 /// One structured telemetry event.
+///
+/// The journal holds run-, interval- and decision-level events only.
+/// Per-operation counts (faulted reports, retries, cache serves) live in
+/// counters, so a journal's length does not grow with the population.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     /// A simulation run began.
@@ -47,8 +44,6 @@ pub enum Event {
         over_rb: f64,
         under_rb: f64,
     },
-    /// The edge cache evicted an entry under pressure.
-    CacheEvicted { video: u64, level: String },
     /// The DDQN agent completed a training step.
     TrainingStepped { loss: f64, epsilon: f64 },
     /// A scored interval finished.
@@ -56,15 +51,6 @@ pub enum Event {
         interval: u64,
         qoe: f64,
         hit_ratio: f64,
-    },
-    /// One uplink status report was faulted (timestamp = report time).
-    /// `attribute` is `channel`, `location` or `preference`; `kind` is
-    /// `lose`, `partition` (lost to a partitioned shard), `delay` or
-    /// `corrupt`. Parsing rejects any other label.
-    FaultInjected {
-        user: u64,
-        attribute: &'static str,
-        kind: &'static str,
     },
     /// Per-interval fault-injection tallies after the collection sweep.
     FaultsInjected {
@@ -133,10 +119,8 @@ impl Event {
             Event::GroupsFormed { .. } => "GroupsFormed",
             Event::DemandPredicted { .. } => "DemandPredicted",
             Event::ReservationScored { .. } => "ReservationScored",
-            Event::CacheEvicted { .. } => "CacheEvicted",
             Event::TrainingStepped { .. } => "TrainingStepped",
             Event::IntervalCompleted { .. } => "IntervalCompleted",
-            Event::FaultInjected { .. } => "FaultInjected",
             Event::FaultsInjected { .. } => "FaultsInjected",
             Event::ChurnBurst { .. } => "ChurnBurst",
             Event::BrownoutApplied { .. } => "BrownoutApplied",
@@ -194,10 +178,6 @@ impl Event {
                 ("over_rb", Json::Num(*over_rb)),
                 ("under_rb", Json::Num(*under_rb)),
             ],
-            Event::CacheEvicted { video, level } => vec![
-                ("video", Json::Num(*video as f64)),
-                ("level", Json::Str(level.clone())),
-            ],
             Event::TrainingStepped { loss, epsilon } => {
                 vec![("loss", Json::Num(*loss)), ("epsilon", Json::Num(*epsilon))]
             }
@@ -209,15 +189,6 @@ impl Event {
                 ("interval", Json::Num(*interval as f64)),
                 ("qoe", Json::Num(*qoe)),
                 ("hit_ratio", Json::Num(*hit_ratio)),
-            ],
-            Event::FaultInjected {
-                user,
-                attribute,
-                kind,
-            } => vec![
-                ("user", Json::Num(*user as f64)),
-                ("attribute", Json::Str((*attribute).into())),
-                ("kind", Json::Str((*kind).into())),
             ],
             Event::FaultsInjected {
                 interval,
@@ -301,25 +272,25 @@ impl Event {
     }
 
     fn from_json(name: &str, obj: &Json) -> Result<Event, String> {
+        // Every field is required and checked by name: the encoder never
+        // writes a non-finite number (it has no JSON form) or an integer
+        // field past `MAX_SAFE_INT`.
         let num = |k: &str| {
             obj.get(k)
                 .and_then(Json::as_f64)
-                .ok_or_else(|| format!("{name}: missing numeric field '{k}'"))
+                .filter(|v| v.is_finite())
+                .ok_or_else(|| format!("{name}: field '{k}' must be a finite number"))
         };
-        let int = |k: &str| num(k).map(|v| v as u64);
+        let int = |k: &str| {
+            obj.get(k)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("{name}: field '{k}' must be an integer in [0, 2^53)"))
+        };
         let text = |k: &str| {
             obj.get(k)
                 .and_then(Json::as_str)
                 .map(str::to_string)
                 .ok_or_else(|| format!("{name}: missing string field '{k}'"))
-        };
-        let label = |k: &str, labels: &[&'static str]| {
-            let value = text(k)?;
-            labels
-                .iter()
-                .copied()
-                .find(|&l| l == value)
-                .ok_or_else(|| format!("{name}: unknown {k} '{value}'"))
         };
         Ok(match name {
             "RunStarted" => Event::RunStarted {
@@ -353,10 +324,6 @@ impl Event {
                 over_rb: num("over_rb")?,
                 under_rb: num("under_rb")?,
             },
-            "CacheEvicted" => Event::CacheEvicted {
-                video: int("video")?,
-                level: text("level")?,
-            },
             "TrainingStepped" => Event::TrainingStepped {
                 loss: num("loss")?,
                 epsilon: num("epsilon")?,
@@ -365,11 +332,6 @@ impl Event {
                 interval: int("interval")?,
                 qoe: num("qoe")?,
                 hit_ratio: num("hit_ratio")?,
-            },
-            "FaultInjected" => Event::FaultInjected {
-                user: int("user")?,
-                attribute: label("attribute", &FAULT_ATTRIBUTES)?,
-                kind: label("kind", &FAULT_KINDS)?,
             },
             "FaultsInjected" => Event::FaultsInjected {
                 interval: int("interval")?,
@@ -452,7 +414,7 @@ impl Entry {
         let t_ms = obj
             .get("t_ms")
             .and_then(Json::as_u64)
-            .ok_or("missing 't_ms'")?;
+            .ok_or("'t_ms' must be an integer in [0, 2^53)")?;
         let name = obj
             .get("event")
             .and_then(Json::as_str)
@@ -473,12 +435,12 @@ pub struct EventJournal {
     entries: Arc<Mutex<Vec<Vec<Entry>>>>,
 }
 
-/// Entries per storage chunk (288 KiB). A faulted 1,000-user run
-/// records more than 65k entries. Kept in one `Vec`, each doubling
-/// copied the whole history into a new block of up to 9 MiB, and
-/// whether the allocator had a free block that large moved the
-/// process's peak RSS by up to 10 MB on unrelated code changes.
-/// Fixed-size chunks never move.
+/// Entries per storage chunk (288 KiB). A journal grows with the run's
+/// length and is held until the run ends. Kept in one `Vec`, each
+/// doubling copied the whole history into a new block, and whether the
+/// allocator had a free block that large moved the process's peak RSS
+/// by up to 10 MB on unrelated code changes. Fixed-size chunks never
+/// move.
 const JOURNAL_CHUNK: usize = 4096;
 
 impl EventJournal {
@@ -623,9 +585,9 @@ mod tests {
             },
             Entry {
                 t_ms: 301_000,
-                event: Event::CacheEvicted {
-                    video: 17,
-                    level: "P720".into(),
+                event: Event::TrainingStepped {
+                    loss: 0.03,
+                    epsilon: 0.2,
                 },
             },
             Entry {
@@ -682,10 +644,6 @@ mod tests {
                 over_rb: 10.0,
                 under_rb: 0.0,
             },
-            Event::CacheEvicted {
-                video: 3,
-                level: "P1080".into(),
-            },
             Event::TrainingStepped {
                 loss: 0.03,
                 epsilon: 0.2,
@@ -694,11 +652,6 @@ mod tests {
                 interval: 2,
                 qoe: 0.8,
                 hit_ratio: 0.6,
-            },
-            Event::FaultInjected {
-                user: 7,
-                attribute: "channel",
-                kind: "lose",
             },
             Event::FaultsInjected {
                 interval: 2,
@@ -791,37 +744,25 @@ mod tests {
     }
 
     #[test]
-    fn fault_labels_parse_from_their_closed_sets_only() {
-        for attribute in FAULT_ATTRIBUTES {
-            for kind in FAULT_KINDS {
-                let line = format!(
-                    r#"{{"attribute":"{attribute}","event":"FaultInjected","kind":"{kind}","t_ms":1,"user":2}}"#
-                );
-                let entry = Entry::parse(&line).unwrap();
-                assert_eq!(
-                    entry.event,
-                    Event::FaultInjected {
-                        user: 2,
-                        attribute,
-                        kind
-                    }
-                );
-                assert_eq!(entry.to_json().to_string(), line, "the text is canonical");
+    fn integer_fields_decode_strictly_and_by_name() {
+        let line = |interval: &str| {
+            format!(r#"{{"t_ms":1,"event":"IntervalStarted","interval":{interval}}}"#)
+        };
+        assert_eq!(
+            Entry::parse(&line("9007199254740991")).unwrap().event,
+            Event::IntervalStarted {
+                interval: crate::json::MAX_SAFE_INT
             }
-        }
-        let bad_attribute =
-            r#"{"t_ms":1,"event":"FaultInjected","user":2,"attribute":"battery","kind":"lose"}"#;
-        let err = Entry::parse(bad_attribute).unwrap_err();
-        assert!(
-            err.contains("attribute") && err.contains("battery"),
-            "{err}"
         );
-        let bad_kind =
-            r#"{"t_ms":1,"event":"FaultInjected","user":2,"attribute":"channel","kind":"Lose"}"#;
-        let err = Entry::parse(bad_kind).unwrap_err();
-        assert!(err.contains("kind") && err.contains("Lose"), "{err}");
-        let missing = r#"{"t_ms":1,"event":"FaultInjected","user":2,"attribute":"channel"}"#;
-        assert!(Entry::parse(missing).unwrap_err().contains("'kind'"));
+        for bad in ["-3.7", "2.5", "-1", "1e30", "9007199254740993", "\"3\""] {
+            let err = Entry::parse(&line(bad)).unwrap_err();
+            assert!(err.contains("'interval'"), "{bad}: {err}");
+        }
+        let err = Entry::parse(r#"{"t_ms":1e30,"event":"IntervalStarted","interval":1}"#);
+        assert!(err.unwrap_err().contains("'t_ms'"));
+        let err =
+            Entry::parse(r#"{"t_ms":1,"event":"StageCompleted","stage":"x","wall_ms":1e999}"#);
+        assert!(err.unwrap_err().contains("'wall_ms'"));
     }
 
     #[test]

@@ -20,6 +20,11 @@ use std::fmt;
 /// returns `Err` instead of overflowing the stack.
 const MAX_DEPTH: usize = 128;
 
+/// Largest integer [`Json::as_u64`] accepts, 2^53 − 1: every integer up
+/// to it has an exact `f64`, so it parses back to the value written.
+/// Seeds and other integers the program writes are bounded by it.
+pub const MAX_SAFE_INT: u64 = (1 << 53) - 1;
+
 /// A JSON value. Objects use a [`BTreeMap`] so emission order is
 /// deterministic regardless of insertion order.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,10 +59,14 @@ impl Json {
         }
     }
 
-    /// Integer view (rejects non-integral numbers).
+    /// Integer view: rejects non-integral numbers and integers above
+    /// [`MAX_SAFE_INT`], whose text may name a different integer than the
+    /// `f64` it parsed to.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
+            Json::Num(n) if (0.0..=MAX_SAFE_INT as f64).contains(n) && n.fract() == 0.0 => {
+                Some(*n as u64)
+            }
             _ => None,
         }
     }
@@ -403,6 +412,25 @@ mod tests {
     fn integers_emit_without_fraction() {
         assert_eq!(Json::Num(42.0).to_string(), "42");
         assert_eq!(Json::Num(42.5).to_string(), "42.5");
+    }
+
+    #[test]
+    fn integers_are_exact_up_to_2_pow_53() {
+        let int = |text: &str| Json::parse(text).unwrap().as_u64();
+        assert_eq!(int("9007199254740991"), Some(MAX_SAFE_INT));
+        for text in [
+            "9007199254740992",
+            "9007199254740993",
+            "1e30",
+            "1e999",
+            "-1",
+            "-0.5",
+            "2.5",
+        ] {
+            assert_eq!(int(text), None, "{text}");
+        }
+        assert_eq!(int("0"), Some(0));
+        assert_eq!(int("-0"), Some(0));
     }
 
     #[test]

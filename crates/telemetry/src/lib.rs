@@ -22,7 +22,6 @@
 //! histogram and the span tree.
 
 pub mod expo;
-pub mod flame;
 mod journal;
 pub mod json;
 mod manifest;
@@ -35,7 +34,7 @@ pub mod trace;
 
 pub use expo::{render_prometheus, HealthBoard, HealthSnapshot, MetricsServer, ShardHealth};
 pub use journal::{Entry, Event, EventJournal, ParseReport};
-pub use json::Json;
+pub use json::{Json, MAX_SAFE_INT};
 pub use manifest::RunManifest;
 pub use registry::{Counter, Gauge, Histogram, HistogramStats, Registry};
 pub use slo::{SloEdge, SloPolicy, SloReport, SloSignals, SloTransition, SloWatchdog};
@@ -141,11 +140,6 @@ impl Telemetry {
     /// Resolves the gauge `name{label}`.
     pub fn gauge(&self, name: &'static str, label: impl Into<String>) -> Gauge {
         self.registry.gauge(name, label)
-    }
-
-    /// Records `event` at simulation time `t_ms`.
-    pub fn event(&self, t_ms: u64, event: Event) {
-        self.journal.record(t_ms, event);
     }
 
     /// Snapshots every registered gauge at the current span-collector
@@ -341,7 +335,7 @@ mod tests {
         let t = Telemetry::new();
         let clone = t.clone();
         clone.counter("n", "").inc();
-        clone.event(10, Event::IntervalStarted { interval: 0 });
+        clone.emit(Event::IntervalStarted { interval: 0 });
         assert_eq!(t.counter("n", "").get(), 1);
         assert_eq!(t.journal().len(), 1);
     }

@@ -9,8 +9,6 @@
 //! msvs checkpoint [run flags] [--out PATH]
 //! msvs checkpoint --restore <checkpoint.jsonl>
 //! msvs report <journal.jsonl>
-//! msvs flame <trace.json> [--out PATH]
-//! msvs flame [run flags] [--out PATH]
 //! msvs bench-report [--seed S] [--users N] [--intervals N] [--threads N]
 //!          [--shards N] [--churn F] [--out PATH]
 //! msvs bench-compare <baseline.json> <candidate.json> [--gate PCT]
@@ -33,8 +31,7 @@ use msvs::sim::{
     Simulation, SimulationConfig,
 };
 use msvs::telemetry::{
-    chrome_trace_with_counters, flame, Event, EventJournal, Json, MetricsServer, RunManifest,
-    SloPolicy,
+    chrome_trace_with_counters, Event, EventJournal, MetricsServer, RunManifest, SloPolicy,
 };
 use msvs::types::VideoCategory;
 
@@ -45,7 +42,6 @@ fn main() -> ExitCode {
         "run" => cmd_run(&args[1..]),
         "checkpoint" => cmd_checkpoint(&args[1..]),
         "report" => cmd_report(&args[1..]),
-        "flame" => cmd_flame(&args[1..]),
         "bench-report" => cmd_bench_report(&args[1..]),
         "bench-compare" => cmd_bench_compare(&args[1..]),
         "swiping" => cmd_swiping(&args[1..]),
@@ -80,8 +76,6 @@ fn print_help() {
          \x20                                          shard as versioned JSON\n\
          \x20 msvs checkpoint --restore <PATH>         reload + verify a snapshot\n\
          \x20 msvs report  <journal.jsonl>             summarise a run's journal\n\
-         \x20 msvs flame   <trace.json | run flags> [--out PATH]\n\
-         \x20                                          folded stacks for flamegraphs\n\
          \x20 msvs bench-report [--seed S] [--users N] [--intervals N] [--threads N]\n\
          \x20              [--shards N] [--churn F]\n\
          \x20              [--out PATH]                perf baseline as JSON\n\
@@ -114,8 +108,6 @@ fn print_help() {
          exposition on http://ADDR/metrics and a JSON health snapshot on\n\
          /healthz while the run executes; the server is read-only, so\n\
          seeded results are bit-identical with it on or off.\n\
-         `flame` collapses a Chrome-trace file (or a fresh run's spans)\n\
-         into inferno-style folded stacks for `inferno-flamegraph`.\n\
          `bench-compare --gate PCT` exits non-zero when any shared\n\
          stage's p50 regresses — or throughput drops — by more than PCT\n\
          percent; differing backends (older documents recorded `simd`)\n\
@@ -455,49 +447,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     // so CI keeps the evidence.
     if sim.slo_hard_breached() {
         return Err("slo hard breach: at least one rule burned past its breach budget".into());
-    }
-    Ok(())
-}
-
-/// `msvs flame`: collapse a Chrome-trace JSON file (first positional
-/// argument) — or the span tree of a fresh run driven by the usual run
-/// flags — into inferno-compatible folded stacks, one `stack count`
-/// line per unique stack with self-time in microseconds.
-fn cmd_flame(args: &[String]) -> Result<(), String> {
-    const FLAME: FlagSpec = FlagSpec {
-        command: "flame",
-        sim: true,
-        values: &["--out"],
-        switches: &[],
-        positionals: 1,
-    };
-    let flags = Flags::new(&FLAME, args)?;
-    let folded = match flags.positionals.first() {
-        Some(path) => {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            let doc = Json::parse(&text).map_err(|e| format!("{path}: invalid JSON: {e}"))?;
-            let nodes = flame::from_chrome_trace(&doc).map_err(|e| format!("{path}: {e}"))?;
-            flame::folded_stacks(&nodes)
-        }
-        None => {
-            let mut sim = Simulation::new(base_config(&flags)?).map_err(|e| e.to_string())?;
-            sim.run_schedule().map_err(|e| e.to_string())?;
-            let nodes = flame::from_spans(&sim.telemetry().spans());
-            flame::folded_stacks(&nodes)
-        }
-    };
-    if folded.is_empty() {
-        return Err("no spans with non-zero self time to collapse".into());
-    }
-    match flags.value("--out") {
-        Some(path) => {
-            std::fs::write(path, &folded).map_err(|e| e.to_string())?;
-            println!(
-                "wrote {path}: {} folded stack(s) (feed to inferno-flamegraph)",
-                folded.lines().count()
-            );
-        }
-        None => print!("{folded}"),
     }
     Ok(())
 }

@@ -4,8 +4,9 @@
 //!
 //! Each profile yields a seeded corpus in the shape of
 //! `tests/checkpoint_codec.rs`: every truncation, byte flips, nesting past
-//! the parser's cap, `±1e999` in place of each number, and a duplicated
-//! key. Truncations, nesting, infinities and duplicates must fail; a byte
+//! the parser's cap, `±1e999` in place of each number, 2^53 + 1 and `1e30`
+//! in place of each integer, and a duplicated key. Truncations, nesting,
+//! infinities, out-of-range integers and duplicates must fail; a byte
 //! flip may instead decode to a plan or policy that validates and
 //! round-trips through its own encoder. No case may panic.
 
@@ -73,12 +74,19 @@ fn corpus(text: &str, seed: u64, mut check: impl FnMut(&str, &str, Expect)) {
     check("nested member", &deep, Expect::Err);
     let wrapped = format!("{}{text}{}", "[".repeat(200), "]".repeat(200));
     check("nested document", &wrapped, Expect::Err);
-    // An overflowing number parses to an infinity, which no field takes.
+    // An overflowing number parses to an infinity, which no field takes,
+    // and no integer field takes one past 2^53 - 1.
     for (from, to) in number_tokens(text) {
-        for inf in ["1e999", "-1e999"] {
-            let replaced = format!("{}{inf}{}", &text[..from], &text[to..]);
+        let integer = text[from..to].bytes().all(|b| b.is_ascii_digit());
+        let integers: &[&str] = if integer {
+            &["9007199254740993", "1e30"]
+        } else {
+            &[]
+        };
+        for bad in ["1e999", "-1e999"].iter().chain(integers) {
+            let replaced = format!("{}{bad}{}", &text[..from], &text[to..]);
             check(
-                &format!("{} -> {inf} at {from}", &text[from..to]),
+                &format!("{} -> {bad} at {from}", &text[from..to]),
                 &replaced,
                 Expect::Err,
             );

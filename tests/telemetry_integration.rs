@@ -189,16 +189,51 @@ fn interval_events_sit_inside_their_interval() {
     }
     assert_eq!(open, None, "the last interval completes");
     let count = |name: &str| entries.iter().filter(|e| e.event.name() == name).count();
-    for name in [
-        "CollectionCompleted",
-        "FaultInjected",
-        "FaultsInjected",
-        "ShardDown",
-    ] {
+    for name in ["CollectionCompleted", "FaultsInjected", "ShardDown"] {
         assert!(count(name) > 0, "the crash run journals {name}");
     }
-    // Every fault label the runner journals parses back from its closed set.
     let text = sim.telemetry().journal().to_jsonl();
     let parsed = EventJournal::parse_jsonl(&text).expect("parses");
     assert_eq!(parsed.entries(), entries);
+}
+
+/// The journal holds run-, interval- and decision-level events; single
+/// operations (faulted reports, cache evictions) are counted, never
+/// journalled. So doubling the population of a seeded `bs-crash` run
+/// leaves the journal's count of every event name unchanged.
+#[test]
+fn journal_length_does_not_grow_with_the_population() {
+    let counts = |users: usize| {
+        let cfg = SimulationConfig {
+            n_users: users,
+            n_intervals: 4,
+            shards: 4,
+            threads: 2,
+            faults: Some(msvs::faults::FaultPlan::builtin("bs-crash").expect("builtin")),
+            ..two_interval_config(3)
+        };
+        let mut sim = Simulation::new(cfg).expect("scenario builds");
+        let report = sim.run_schedule().expect("run completes");
+        let mut counts = std::collections::BTreeMap::new();
+        for e in sim.telemetry().journal().entries() {
+            *counts.entry(e.event.name()).or_insert(0usize) += 1;
+        }
+        (counts, report)
+    };
+    let (small, small_report) = counts(100);
+    let (large, large_report) = counts(200);
+    assert!(small.contains_key("ShardDown") && small.contains_key("FaultsInjected"));
+    assert_eq!(small, large, "journal event counts per name");
+    let faulted = |r: &msvs::sim::SimulationReport| -> u64 {
+        r.telemetry
+            .counters
+            .iter()
+            .filter(|(n, _, _)| n == "fault_reports_total")
+            .map(|(_, _, v)| v)
+            .sum()
+    };
+    assert!(
+        faulted(&large_report) > faulted(&small_report),
+        "faulted reports are counted per report"
+    );
 }

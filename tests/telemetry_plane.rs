@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use msvs::core::{CompressorConfig, GroupingConfig, SchemeConfig};
 use msvs::faults::FaultPlan;
 use msvs::sim::{Simulation, SimulationConfig, SimulationReport};
-use msvs::telemetry::{expo, flame, Event, MetricsServer, SloPolicy};
+use msvs::telemetry::{expo, Event, MetricsServer, SloPolicy};
 use msvs::types::SimDuration;
 
 fn small_scheme() -> SchemeConfig {
@@ -291,25 +291,4 @@ fn empty_slo_policy_is_bit_identical_to_no_policy() {
             "{shards} shard(s): an empty policy must not perturb the report"
         );
     }
-}
-
-/// A live run's span tree collapses into non-empty inferno-style folded
-/// stacks whose every line is `stack self_us`.
-#[test]
-fn run_spans_collapse_into_folded_stacks() {
-    let sim = run_with_slo(47, 4, 1);
-    let folded = flame::folded_stacks(&flame::from_spans(&sim.telemetry().spans()));
-    assert!(!folded.is_empty(), "a run must produce folded stacks");
-    for line in folded.lines() {
-        let (stack, count) = line.rsplit_once(' ').expect("line is `stack count`");
-        assert!(!stack.is_empty());
-        assert!(
-            count.parse::<u64>().is_ok(),
-            "self time `{count}` must be integer microseconds"
-        );
-    }
-    assert!(
-        folded.lines().any(|l| l.starts_with("interval;")),
-        "interval children must appear as stacked frames"
-    );
 }
