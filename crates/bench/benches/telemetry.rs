@@ -3,7 +3,7 @@
 //! (target: well under 50 ns per operation on the pre-resolved handles).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use msvs_telemetry::{stage, Registry, ScopedTimer, Telemetry};
+use msvs_telemetry::{stages, Registry, ScopedTimer, Telemetry};
 use std::hint::black_box;
 
 fn bench_counter(c: &mut Criterion) {
@@ -23,11 +23,11 @@ fn bench_counter(c: &mut Criterion) {
 fn bench_scoped_timer(c: &mut Criterion) {
     let telemetry = Telemetry::new();
     c.bench_function("scoped_timer_start_stop", |b| {
-        b.iter(|| telemetry.stage_timer(stage::KMEANS_FIT).stop())
+        b.iter(|| telemetry.stage_timer(stages::KMEANS_FIT).stop())
     });
     // Timing the resolution path separately: histogram lookup + RAII drop.
     let registry = Registry::new();
-    let sink = registry.histogram(msvs_telemetry::STAGE_MS, stage::CNN_FORWARD);
+    let sink = registry.histogram(msvs_telemetry::STAGE_MS, stages::CNN_FORWARD);
     c.bench_function("scoped_timer_prebound", |b| {
         b.iter(|| ScopedTimer::new(black_box(sink.clone())).stop())
     });

@@ -22,7 +22,7 @@ use crate::features::{embedding_features, windows_to_tensor};
 /// Training and encoding always run the scalar kernels in
 /// `msvs_nn::kernels`. The SIMD and int8 backends were removed because
 /// neither showed an end-to-end win: encode is under 4% of an interval,
-/// and the 8-wide kernels were no faster at the `bench-report` shape.
+/// and the 8-wide kernels were no faster at 120 users on one thread.
 /// The type survives with its one variant only because the `e2ebench`
 /// harness, a workspace of its own, still names it through
 /// `SimulationConfig::backend` and `CompressorConfig::backend`.
@@ -31,13 +31,6 @@ pub enum BackendKind {
     /// The scalar kernels.
     #[default]
     Scalar,
-}
-
-impl BackendKind {
-    /// The identifier recorded in run manifests and bench documents.
-    pub fn name(self) -> &'static str {
-        "scalar"
-    }
 }
 
 /// Hyperparameters of the [`CnnCompressor`].

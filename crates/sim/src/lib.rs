@@ -22,16 +22,12 @@
 //! println!("radio accuracy: {:.2}%", 100.0 * report.mean_radio_accuracy());
 //! ```
 
-pub mod bench;
 pub mod config;
 pub mod metrics;
 pub mod report;
 pub mod runner;
 
-pub use bench::{
-    bench_backend_name, peak_rss_kb, run_bench, validate_bench_json, BenchOptions, BENCH_SCHEMA,
-};
 pub use config::{DemandPredictorKind, MobilityMix, SimulationConfig, SimulationConfigBuilder};
-pub use metrics::{IntervalRecord, SimulationReport};
+pub use metrics::{peak_rss_kb, IntervalRecord, SimulationReport};
 pub use report::{format_table, to_csv};
 pub use runner::Simulation;

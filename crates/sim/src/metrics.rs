@@ -241,6 +241,19 @@ fn mean(xs: impl Iterator<Item = f64>) -> f64 {
     msvs_types::stats::mean(&v)
 }
 
+/// Peak resident set size of this process in kilobytes, from the Linux
+/// `VmHWM` line of `/proc/self/status`; `None` where unavailable.
+pub fn peak_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    status
+        .lines()
+        .find(|l| l.starts_with("VmHWM:"))?
+        .split_whitespace()
+        .nth(1)?
+        .parse()
+        .ok()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -314,5 +327,12 @@ mod tests {
         let delta = report.degraded_accuracy_delta().unwrap();
         assert!((delta - 0.15).abs() < 1e-12);
         assert!((report.mean_twin_coverage().unwrap() - 0.7).abs() < 1e-12);
+    }
+
+    #[test]
+    fn peak_rss_reads_proc_on_linux() {
+        if cfg!(target_os = "linux") {
+            assert!(peak_rss_kb().unwrap_or(0) > 0);
+        }
     }
 }

@@ -10,7 +10,7 @@ use msvs_mobility::{CampusMap, MobilityModel, RandomWaypoint};
 use msvs_par::Pool;
 use msvs_shard::{HandoverUser, OutagePhase, ShardCoordinator, ShardRouter};
 use msvs_telemetry::{
-    slo, stage, Event, HealthBoard, HealthSnapshot, ShardHealth, SloEdge, SloSignals, SloWatchdog,
+    slo, stages, Event, HealthBoard, HealthSnapshot, ShardHealth, SloEdge, SloSignals, SloWatchdog,
     Telemetry,
 };
 use msvs_types::{
@@ -438,7 +438,7 @@ impl Simulation {
     fn interval(&mut self, scored: Option<u64>) -> Result<Option<IntervalRecord>> {
         // Root span covering every phase, so child stage spans nest under
         // it in trace exports; no interval attribute marks warm-up.
-        let mut interval_scope = self.telemetry.stage_scope(stage::INTERVAL);
+        let mut interval_scope = self.telemetry.stage_scope(stages::INTERVAL);
         if let Some(index) = scored {
             self.telemetry
                 .emit(Event::IntervalStarted { interval: index });
@@ -715,7 +715,7 @@ impl Simulation {
         };
         let partitioned = &partitioned;
         // Parallel per-user simulation of the whole interval's collection.
-        let ingest_scope = self.telemetry.stage_scope(stage::UDT_INGEST);
+        let ingest_scope = self.telemetry.stage_scope(stages::UDT_INGEST);
         let stats = pool.for_each_mut(&mut self.users, |i, user| {
             let uplink = Uplink {
                 partitioned: partitioned.get(i).copied().unwrap_or(false),
@@ -744,13 +744,13 @@ impl Simulation {
         });
         drop(ingest_scope);
         self.telemetry
-            .gauge("par_threads", stage::UDT_INGEST)
+            .gauge("par_threads", stages::UDT_INGEST)
             .set(stats.threads as f64);
         self.telemetry
-            .gauge("par_utilisation", stage::UDT_INGEST)
+            .gauge("par_utilisation", stages::UDT_INGEST)
             .set(stats.utilisation());
         self.telemetry
-            .gauge("par_speedup", stage::UDT_INGEST)
+            .gauge("par_speedup", stages::UDT_INGEST)
             .set(stats.effective_parallelism());
         self.now = start + tick * steps;
         self.telemetry.set_now_ms(self.now.as_millis());
@@ -773,7 +773,7 @@ impl Simulation {
     fn journal_faults(&mut self, scored: Option<u64>) {
         // Only entered on fault-plan runs, so the span structure stays
         // invariant between clean and faulted configurations of a test.
-        let _fault_scope = self.telemetry.stage_scope(stage::FAULT_INJECT);
+        let _fault_scope = self.telemetry.stage_scope(stages::FAULT_INJECT);
         let mut counts = FaultCounts::default();
         for user in &mut self.users {
             counts.add(std::mem::take(&mut user.faults.counts));
@@ -810,7 +810,7 @@ impl Simulation {
     /// twins just collected. A scored interval also folds the per-group
     /// demand into the shard rows and journals any degradation.
     fn predict(&mut self, scored: Option<u64>) -> Result<Predicted> {
-        let mut predict_scope = self.telemetry.stage_scope(stage::SCHEME_PREDICT);
+        let mut predict_scope = self.telemetry.stage_scope(stages::SCHEME_PREDICT);
         if let Some(index) = scored {
             predict_scope.set_interval(index);
         }
@@ -982,11 +982,11 @@ impl Simulation {
             reservation,
         };
         self.telemetry.emit(Event::StageCompleted {
-            stage: stage::SCHEME_PREDICT.to_string(),
+            stage: stages::SCHEME_PREDICT.to_string(),
             wall_ms: predicted.wall_ms,
         });
         self.telemetry.emit(Event::StageCompleted {
-            stage: stage::PLAYBACK.to_string(),
+            stage: stages::PLAYBACK.to_string(),
             wall_ms: playback_wall_ms,
         });
         self.telemetry.emit(Event::IntervalCompleted {
@@ -1008,7 +1008,7 @@ impl Simulation {
         outcome: &PredictionOutcome,
         scored: Option<u64>,
     ) -> (ActualDemand, f64) {
-        let mut playback_scope = self.telemetry.stage_scope(stage::PLAYBACK);
+        let mut playback_scope = self.telemetry.stage_scope(stages::PLAYBACK);
         if let Some(index) = scored {
             playback_scope.set_interval(index);
         }
@@ -1032,7 +1032,7 @@ impl Simulation {
             // opened during `serve_for` nest underneath it.
             let _group_scope = self
                 .telemetry
-                .stage_scope(stage::PLAYBACK_GROUP)
+                .stage_scope(stages::PLAYBACK_GROUP)
                 .with_group(gid as u64);
             // Ground-truth member efficiencies for this interval.
             let effs: Vec<f64> = member_ids
@@ -1427,28 +1427,28 @@ mod tests {
             assert!(r.updates_sent > 0);
         }
         // Telemetry rides along: stage percentiles and event counters.
-        let stages: Vec<&str> = report
+        let recorded: Vec<&str> = report
             .telemetry
             .stages
             .iter()
             .map(|s| s.stage.as_str())
             .collect();
         for expected in [
-            stage::SCHEME_PREDICT,
-            stage::PLAYBACK,
-            stage::INTERVAL,
-            stage::UDT_INGEST,
-            stage::CNN_FORWARD,
-            stage::KMEANS_FIT,
-            stage::DEMAND_PREDICT,
+            stages::SCHEME_PREDICT,
+            stages::PLAYBACK,
+            stages::INTERVAL,
+            stages::UDT_INGEST,
+            stages::CNN_FORWARD,
+            stages::KMEANS_FIT,
+            stages::DEMAND_PREDICT,
         ] {
-            assert!(stages.contains(&expected), "missing stage {expected}");
+            assert!(recorded.contains(&expected), "missing stage {expected}");
         }
         let scheme_predict = report
             .telemetry
             .stages
             .iter()
-            .find(|s| s.stage == stage::SCHEME_PREDICT)
+            .find(|s| s.stage == stages::SCHEME_PREDICT)
             .unwrap();
         // Warm-up (1) + scored (2) prediction passes.
         assert_eq!(scheme_predict.count, 3);

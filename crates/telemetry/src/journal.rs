@@ -431,17 +431,9 @@ impl Entry {
 /// underlying buffer.
 #[derive(Debug, Clone, Default)]
 pub struct EventJournal {
-    /// Entries in record order, in chunks of [`JOURNAL_CHUNK`].
-    entries: Arc<Mutex<Vec<Vec<Entry>>>>,
+    /// Entries in record order.
+    entries: Arc<Mutex<Vec<Entry>>>,
 }
-
-/// Entries per storage chunk (288 KiB). A journal grows with the run's
-/// length and is held until the run ends. Kept in one `Vec`, each
-/// doubling copied the whole history into a new block, and whether the
-/// allocator had a free block that large moved the process's peak RSS
-/// by up to 10 MB on unrelated code changes. Fixed-size chunks never
-/// move.
-const JOURNAL_CHUNK: usize = 4096;
 
 impl EventJournal {
     /// Builds an empty journal.
@@ -451,22 +443,15 @@ impl EventJournal {
 
     /// Appends `event` at simulation time `t_ms`.
     pub fn record(&self, t_ms: u64, event: Event) {
-        let entry = Entry { t_ms, event };
-        let mut chunks = self.entries.lock().expect("journal lock poisoned");
-        match chunks.last_mut() {
-            Some(chunk) if chunk.len() < JOURNAL_CHUNK => chunk.push(entry),
-            _ => {
-                let mut chunk = Vec::with_capacity(JOURNAL_CHUNK);
-                chunk.push(entry);
-                chunks.push(chunk);
-            }
-        }
+        self.entries
+            .lock()
+            .expect("journal lock poisoned")
+            .push(Entry { t_ms, event });
     }
 
     /// Number of recorded entries.
     pub fn len(&self) -> usize {
-        let chunks = self.entries.lock().expect("journal lock poisoned");
-        chunks.iter().map(Vec::len).sum()
+        self.entries.lock().expect("journal lock poisoned").len()
     }
 
     /// Whether nothing has been recorded.
@@ -476,14 +461,14 @@ impl EventJournal {
 
     /// Snapshot of every entry in record order.
     pub fn entries(&self) -> Vec<Entry> {
-        self.entries.lock().expect("journal lock poisoned").concat()
+        self.entries.lock().expect("journal lock poisoned").clone()
     }
 
     /// Serialises the journal as JSONL (one entry per line).
     pub fn to_jsonl(&self) -> String {
         let entries = self.entries.lock().expect("journal lock poisoned");
         let mut out = String::new();
-        for e in entries.iter().flatten() {
+        for e in entries.iter() {
             let _ = writeln!(out, "{}", e.to_json());
         }
         out
@@ -778,9 +763,9 @@ mod tests {
     }
 
     #[test]
-    fn entries_keep_record_order_across_chunks() {
+    fn entries_keep_record_order() {
         let journal = EventJournal::new();
-        let n = 2 * JOURNAL_CHUNK + 1;
+        let n = 1000;
         for i in 0..n as u64 {
             journal.record(i, Event::IntervalStarted { interval: i });
         }

@@ -42,12 +42,8 @@ pub use span::{SpanAttrs, SpanCollector, SpanGuard, SpanRecord, SpanScratch, DRI
 pub use timer::ScopedTimer;
 pub use trace::{chrome_trace, chrome_trace_with_counters, validate_chrome_trace, GaugeSample};
 
-/// Back-compat alias for [`stages`] (the constants used to live under
-/// `timer::stage`).
-pub use stages as stage;
-
 /// Metric family name for stage-latency histograms; the label is the
-/// stage name from [`stage`].
+/// stage name from [`stages`].
 pub const STAGE_MS: &str = "stage_ms";
 
 /// Shared handle bundling a metric [`Registry`], an [`EventJournal`], and
@@ -302,16 +298,16 @@ mod tests {
     #[test]
     fn summary_collects_stage_histograms_and_counters() {
         let t = Telemetry::new();
-        t.stage_timer(stage::KMEANS_FIT).stop();
-        t.stage_timer(stage::KMEANS_FIT).stop();
-        t.stage_timer(stage::CNN_FORWARD).stop();
+        t.stage_timer(stages::KMEANS_FIT).stop();
+        t.stage_timer(stages::KMEANS_FIT).stop();
+        t.stage_timer(stages::CNN_FORWARD).stop();
         // A non-stage histogram must not leak into the stage table.
         t.registry().histogram("other", "x").record(1.0);
         t.counter("events_total", "GroupsFormed").add(2);
         let s = t.summary();
         assert_eq!(s.stages.len(), 2);
-        assert_eq!(s.stages[0].stage, stage::CNN_FORWARD);
-        assert_eq!(s.stages[1].stage, stage::KMEANS_FIT);
+        assert_eq!(s.stages[0].stage, stages::CNN_FORWARD);
+        assert_eq!(s.stages[1].stage, stages::KMEANS_FIT);
         assert_eq!(s.stages[1].count, 2);
         assert_eq!(
             s.counters,
@@ -323,7 +319,7 @@ mod tests {
     fn zeroed_timings_are_equal_across_runs() {
         let mk = || {
             let t = Telemetry::new();
-            t.stage_timer(stage::INTERVAL).stop();
+            t.stage_timer(stages::INTERVAL).stop();
             t.counter("intervals_total", "").inc();
             t.summary().with_zeroed_timings()
         };
@@ -344,15 +340,15 @@ mod tests {
     fn stage_scope_feeds_histogram_and_span_tree() {
         let t = Telemetry::new();
         {
-            let mut outer = t.stage_scope(stage::INTERVAL);
+            let mut outer = t.stage_scope(stages::INTERVAL);
             outer.set_interval(2);
-            let inner = t.stage_scope(stage::SCHEME_PREDICT);
+            let inner = t.stage_scope(stages::SCHEME_PREDICT);
             let ms = inner.stop();
             assert!(ms >= 0.0);
         }
         let spans = t.spans();
         assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0].name, stage::INTERVAL);
+        assert_eq!(spans[0].name, stages::INTERVAL);
         assert_eq!(spans[0].attrs.interval, Some(2));
         assert_eq!(spans[1].parent, Some(0));
         let s = t.summary();

@@ -43,11 +43,6 @@ impl ScopedTimer {
         self.finish()
     }
 
-    /// Abandons the timer without recording anything.
-    pub fn cancel(mut self) {
-        self.sink = None;
-    }
-
     fn finish(&mut self) -> f64 {
         let elapsed = self.elapsed_ms();
         if let Some(sink) = self.sink.take() {
@@ -67,12 +62,12 @@ impl Drop for ScopedTimer {
 mod tests {
     use super::*;
     use crate::registry::Registry;
-    use crate::stages as stage;
+    use crate::stages;
 
     #[test]
     fn drop_records_once() {
         let reg = Registry::new();
-        let h = reg.histogram("stage_ms", stage::KMEANS_FIT);
+        let h = reg.histogram("stage_ms", stages::KMEANS_FIT);
         {
             let _t = ScopedTimer::new(h.clone());
             std::thread::sleep(std::time::Duration::from_millis(2));
@@ -84,18 +79,10 @@ mod tests {
     #[test]
     fn stop_returns_elapsed_and_does_not_double_record() {
         let reg = Registry::new();
-        let h = reg.histogram("stage_ms", stage::CNN_FORWARD);
+        let h = reg.histogram("stage_ms", stages::CNN_FORWARD);
         let t = ScopedTimer::new(h.clone());
         let ms = t.stop();
         assert!(ms >= 0.0);
         assert_eq!(h.count(), 1);
-    }
-
-    #[test]
-    fn cancel_records_nothing() {
-        let reg = Registry::new();
-        let h = reg.histogram("stage_ms", stage::TRANSCODE);
-        ScopedTimer::new(h.clone()).cancel();
-        assert_eq!(h.count(), 0);
     }
 }

@@ -9,9 +9,6 @@
 //! msvs checkpoint [run flags] [--out PATH]
 //! msvs checkpoint --restore <checkpoint.jsonl>
 //! msvs report <journal.jsonl>
-//! msvs bench-report [--seed S] [--users N] [--intervals N] [--threads N]
-//!          [--shards N] [--churn F] [--out PATH]
-//! msvs bench-compare <baseline.json> <candidate.json> [--gate PCT]
 //! msvs swiping [--users N] [--seed S]
 //! msvs reserve [--headroom F] [--users N] [--seed S]
 //! msvs help
@@ -26,10 +23,7 @@ use std::process::ExitCode;
 use msvs::core::ReservationPolicy;
 use msvs::faults::FaultPlan;
 use msvs::shard::{Shard, ShardCheckpoint};
-use msvs::sim::{
-    bench_backend_name, report, run_bench, validate_bench_json, BenchOptions, DemandPredictorKind,
-    Simulation, SimulationConfig,
-};
+use msvs::sim::{report, DemandPredictorKind, Simulation, SimulationConfig};
 use msvs::telemetry::{
     chrome_trace_with_counters, Event, EventJournal, MetricsServer, RunManifest, SloPolicy,
 };
@@ -42,8 +36,6 @@ fn main() -> ExitCode {
         "run" => cmd_run(&args[1..]),
         "checkpoint" => cmd_checkpoint(&args[1..]),
         "report" => cmd_report(&args[1..]),
-        "bench-report" => cmd_bench_report(&args[1..]),
-        "bench-compare" => cmd_bench_compare(&args[1..]),
         "swiping" => cmd_swiping(&args[1..]),
         "reserve" => cmd_reserve(&args[1..]),
         "help" | "--help" | "-h" => {
@@ -76,11 +68,6 @@ fn print_help() {
          \x20                                          shard as versioned JSON\n\
          \x20 msvs checkpoint --restore <PATH>         reload + verify a snapshot\n\
          \x20 msvs report  <journal.jsonl>             summarise a run's journal\n\
-         \x20 msvs bench-report [--seed S] [--users N] [--intervals N] [--threads N]\n\
-         \x20              [--shards N] [--churn F]\n\
-         \x20              [--out PATH]                perf baseline as JSON\n\
-         \x20 msvs bench-compare <baseline.json> <candidate.json> [--gate PCT]\n\
-         \x20                                          stage-latency delta table\n\
          \x20 msvs swiping [--users N] [--seed S]      print a group's swipe curves\n\
          \x20 msvs reserve [--headroom F] [--users N] [--seed S]\n\
          \x20 msvs help\n\
@@ -108,10 +95,6 @@ fn print_help() {
          exposition on http://ADDR/metrics and a JSON health snapshot on\n\
          /healthz while the run executes; the server is read-only, so\n\
          seeded results are bit-identical with it on or off.\n\
-         `bench-compare --gate PCT` exits non-zero when any shared\n\
-         stage's p50 regresses — or throughput drops — by more than PCT\n\
-         percent; differing backends (older documents recorded `simd`)\n\
-         or run shapes are warned about, never failed.\n\
          `checkpoint` runs the same scenario, then snapshots each shard\n\
          (twins + sync state) as one JSON line; the `--restore` form\n\
          reloads and verifies such a file offline, failing on any line\n\
@@ -119,27 +102,24 @@ fn print_help() {
          `--journal` writes the telemetry event journal as JSONL (plus a\n\
          run manifest next to it); `report` pretty-prints such a journal.\n\
          `--trace` writes the run's hierarchical spans as a Chrome-trace\n\
-         JSON file (open in Perfetto or chrome://tracing).\n\
-         `bench-report` runs a pinned-seed baseline and writes stage\n\
-         percentiles, throughput, and peak RSS as machine-readable JSON.\n\
+         JSON file (open in Perfetto or chrome://tracing); every stage\n\
+         span carries its exact duration, so the trace is the run's\n\
+         stage-latency profile at any population.\n\
          Every command rejects flags it does not know.",
         FaultPlan::BUILTINS.join(", "),
         SloPolicy::BUILTINS.join(", ")
     );
 }
 
-/// The flags one subcommand accepts.
+/// The flags one subcommand accepts on top of [`SIM_VALUES`] and
+/// [`SIM_SWITCHES`]: every flag-parsed command builds its scenario with
+/// [`base_config`].
 struct FlagSpec {
     command: &'static str,
-    /// Whether the command builds its scenario with [`base_config`] and so
-    /// also takes [`SIM_VALUES`] and [`SIM_SWITCHES`].
-    sim: bool,
     /// Flags that take the next argument as their value.
     values: &'static [&'static str],
     /// Boolean flags.
     switches: &'static [&'static str],
-    /// Most non-flag arguments the command takes.
-    positionals: usize,
 }
 
 /// Value flags read by [`base_config`].
@@ -157,46 +137,38 @@ const SIM_VALUES: &[&str] = &[
 /// Switches read by [`base_config`].
 const SIM_SWITCHES: &[&str] = &["--per-bs"];
 
-/// Minimal flag parser: `--key value` pairs, boolean switches and
-/// positional arguments, checked against the command's [`FlagSpec`].
+/// Minimal flag parser: `--key value` pairs and boolean switches,
+/// checked against the command's [`FlagSpec`].
 struct Flags<'a> {
     values: Vec<(&'a str, &'a str)>,
     switches: Vec<&'a str>,
-    positionals: Vec<&'a str>,
 }
 
 impl<'a> Flags<'a> {
     /// Parses `args`, rejecting unknown flags, a value flag with nothing
-    /// after it, and more positional arguments than `spec` allows.
+    /// after it, and any positional argument.
     fn new(spec: &FlagSpec, args: &'a [String]) -> Result<Self, String> {
-        let accepts = |own: &[&str], sim: &[&str], arg: &str| {
-            own.contains(&arg) || (spec.sim && sim.contains(&arg))
-        };
         let mut flags = Self {
             values: Vec::new(),
             switches: Vec::new(),
-            positionals: Vec::new(),
         };
         let mut iter = args.iter().map(String::as_str);
         while let Some(arg) = iter.next() {
             if !arg.starts_with("--") {
-                flags.positionals.push(arg);
-            } else if accepts(spec.values, SIM_VALUES, arg) {
+                return Err(format!(
+                    "unexpected argument `{arg}` for `msvs {}`",
+                    spec.command
+                ));
+            } else if spec.values.contains(&arg) || SIM_VALUES.contains(&arg) {
                 let value = iter
                     .next()
                     .ok_or_else(|| format!("{arg} requires a value"))?;
                 flags.values.push((arg, value));
-            } else if accepts(spec.switches, SIM_SWITCHES, arg) {
+            } else if spec.switches.contains(&arg) || SIM_SWITCHES.contains(&arg) {
                 flags.switches.push(arg);
             } else {
                 return Err(format!("unknown flag `{arg}` for `msvs {}`", spec.command));
             }
-        }
-        if let Some(extra) = flags.positionals.get(spec.positionals) {
-            return Err(format!(
-                "unexpected argument `{extra}` for `msvs {}`",
-                spec.command
-            ));
         }
         Ok(flags)
     }
@@ -278,7 +250,6 @@ fn resolve_slo(raw: &str) -> Result<SloPolicy, String> {
 
 const RUN: FlagSpec = FlagSpec {
     command: "run",
-    sim: true,
     values: &[
         "--faults",
         "--slo",
@@ -288,7 +259,6 @@ const RUN: FlagSpec = FlagSpec {
         "--trace",
     ],
     switches: &[],
-    positionals: 0,
 };
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
@@ -458,10 +428,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 fn cmd_checkpoint(args: &[String]) -> Result<(), String> {
     const CHECKPOINT: FlagSpec = FlagSpec {
         command: "checkpoint",
-        sim: true,
         values: &["--restore", "--faults", "--out"],
         switches: &[],
-        positionals: 0,
     };
     let flags = Flags::new(&CHECKPOINT, args)?;
     if let Some(path) = flags.value("--restore") {
@@ -554,213 +522,6 @@ fn restore_checkpoint(path: &str) -> Result<(), String> {
     }
     println!("{path}: restored and verified {twins} twin(s) across {shards} shard(s)");
     Ok(())
-}
-
-/// `msvs bench-report`: run the pinned-seed perf baseline and write the
-/// `msvs-bench/v2` JSON document (see `crates/sim/src/bench.rs`).
-fn cmd_bench_report(args: &[String]) -> Result<(), String> {
-    const BENCH_REPORT: FlagSpec = FlagSpec {
-        command: "bench-report",
-        sim: false,
-        values: &[
-            "--seed",
-            "--users",
-            "--intervals",
-            "--threads",
-            "--shards",
-            "--churn",
-            "--out",
-        ],
-        switches: &[],
-        positionals: 0,
-    };
-    let flags = Flags::new(&BENCH_REPORT, args)?;
-    let defaults = BenchOptions::default();
-    let opts = BenchOptions {
-        seed: flags.parse("--seed", defaults.seed)?,
-        users: flags.parse("--users", defaults.users)?,
-        intervals: flags.parse("--intervals", defaults.intervals)?,
-        threads: flags.parse("--threads", defaults.threads)?,
-        shards: flags.parse("--shards", defaults.shards)?,
-        churn: flags.parse("--churn", defaults.churn)?,
-    };
-    let out = flags.value("--out").unwrap_or("BENCH_7.json");
-    let doc = run_bench(&opts).map_err(|e| e.to_string())?;
-    validate_bench_json(&doc)?;
-    std::fs::write(out, format!("{doc}\n")).map_err(|e| e.to_string())?;
-    let stages = match doc.get("stages") {
-        Some(msvs::telemetry::Json::Obj(map)) => map.len(),
-        _ => 0,
-    };
-    println!(
-        "wrote {out}: {} users x {} intervals on {} threads, {} stages, {:.1} user-intervals/s",
-        doc.get("users")
-            .and_then(msvs::telemetry::Json::as_u64)
-            .unwrap_or(0),
-        doc.get("intervals")
-            .and_then(msvs::telemetry::Json::as_u64)
-            .unwrap_or(0),
-        doc.get("threads")
-            .and_then(msvs::telemetry::Json::as_u64)
-            .unwrap_or(0),
-        stages,
-        doc.get("throughput_user_intervals_per_s")
-            .and_then(msvs::telemetry::Json::as_f64)
-            .unwrap_or(0.0),
-    );
-    Ok(())
-}
-
-/// `msvs bench-compare <baseline> <candidate> [--gate PCT]`: print a
-/// stage-latency delta table between two bench documents. Without
-/// `--gate` the comparison is informational and always exits 0 on
-/// well-formed inputs; with it, any shared stage whose p50 regressed by
-/// more than PCT percent fails the command, so CI can gate on a
-/// threshold generous enough to ride out shared-runner noise.
-fn cmd_bench_compare(args: &[String]) -> Result<(), String> {
-    const BENCH_COMPARE: FlagSpec = FlagSpec {
-        command: "bench-compare",
-        sim: false,
-        values: &["--gate"],
-        switches: &[],
-        positionals: 2,
-    };
-    let flags = Flags::new(&BENCH_COMPARE, args)?;
-    let gate: Option<f64> = match flags.value("--gate") {
-        Some(raw) => {
-            let pct: f64 = raw
-                .parse()
-                .map_err(|_| format!("invalid value `{raw}` for --gate"))?;
-            if !pct.is_finite() || pct < 0.0 {
-                return Err(format!(
-                    "--gate must be a non-negative percent, got `{raw}`"
-                ));
-            }
-            Some(pct)
-        }
-        None => None,
-    };
-    let [base_path, cand_path] = flags.positionals[..] else {
-        return Err(
-            "usage: msvs bench-compare <baseline.json> <candidate.json> [--gate PCT]".into(),
-        );
-    };
-    let load = |path: &str| -> Result<msvs::telemetry::Json, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        let doc = msvs::telemetry::Json::parse(&text)
-            .map_err(|e| format!("{path}: invalid JSON: {e}"))?;
-        validate_bench_json(&doc).map_err(|e| format!("{path}: {e}"))?;
-        Ok(doc)
-    };
-    let (base, cand) = (load(base_path)?, load(cand_path)?);
-    let (base_backend, cand_backend) = (bench_backend_name(&base), bench_backend_name(&cand));
-    if base_backend != cand_backend {
-        println!(
-            "warning: comparing across compute backends ({base_backend} vs {cand_backend}); \
-             latency deltas reflect the backend change, not a regression"
-        );
-    }
-    // Same for the run shape: a 100k-user baseline against a 10k-user
-    // candidate (or different thread/shard counts) compares machines-worth
-    // of work, not code. Warn, never fail — cross-shape comparisons are
-    // sometimes exactly what the operator wants to eyeball.
-    for key in ["users", "intervals", "threads", "shards"] {
-        let (b, c) = (
-            base.get(key).and_then(msvs::telemetry::Json::as_u64),
-            cand.get(key).and_then(msvs::telemetry::Json::as_u64),
-        );
-        if let (Some(b), Some(c)) = (b, c) {
-            if b != c {
-                println!(
-                    "warning: comparing across run shapes ({key} {b} vs {c}); \
-                     latency deltas reflect the shape change, not a regression"
-                );
-            }
-        }
-    }
-    let stage_p50s = |doc: &msvs::telemetry::Json| -> BTreeMap<String, f64> {
-        match doc.get("stages") {
-            Some(msvs::telemetry::Json::Obj(map)) => map
-                .iter()
-                .filter_map(|(name, s)| {
-                    s.get("p50_ms")
-                        .and_then(msvs::telemetry::Json::as_f64)
-                        .map(|p| (name.clone(), p))
-                })
-                .collect(),
-            _ => BTreeMap::new(),
-        }
-    };
-    let (base_stages, cand_stages) = (stage_p50s(&base), stage_p50s(&cand));
-    println!("stage latency p50 (ms): {base_path} -> {cand_path}");
-    println!(
-        "{:<22} {:>12} {:>12} {:>9}",
-        "stage", "baseline", "candidate", "delta"
-    );
-    let names: std::collections::BTreeSet<_> =
-        base_stages.keys().chain(cand_stages.keys()).collect();
-    let mut regressions: Vec<String> = Vec::new();
-    for name in names {
-        let (b, c) = (base_stages.get(name), cand_stages.get(name));
-        let delta = stage_delta(b, c);
-        let fmt = |v: Option<&f64>| v.map_or("-".to_string(), |v| format!("{v:.4}"));
-        println!("{:<22} {:>12} {:>12} {:>9}", name, fmt(b), fmt(c), delta);
-        // Only stages present in both documents can regress; `new` and
-        // `gone` rows reflect config changes, not latency drift.
-        if let (Some(gate), Some(b), Some(c)) = (gate, b, c) {
-            if *b > 0.0 {
-                let pct = (c - b) / b * 100.0;
-                if pct > gate {
-                    regressions.push(format!("{name} p50 {pct:+.1}% (gate {gate:.1}%)"));
-                }
-            }
-        }
-    }
-    for key in ["throughput_user_intervals_per_s", "peak_rss_kb"] {
-        let (b, c) = (
-            base.get(key).and_then(msvs::telemetry::Json::as_f64),
-            cand.get(key).and_then(msvs::telemetry::Json::as_f64),
-        );
-        if let (Some(b), Some(c)) = (b, c) {
-            if b > 0.0 {
-                println!("{key}: {b:.1} -> {c:.1} ({:+.1}%)", (c - b) / b * 100.0);
-            } else {
-                println!("{key}: {b:.1} -> {c:.1}");
-            }
-            // Throughput rides the same gate as stage p50s: a drop (in
-            // percent of the baseline) beyond the gate fails the compare.
-            if key == "throughput_user_intervals_per_s" && b > 0.0 {
-                if let Some(gate) = gate {
-                    let drop_pct = (b - c) / b * 100.0;
-                    if drop_pct > gate {
-                        regressions.push(format!("{key} -{drop_pct:.1}% (gate {gate:.1}%)"));
-                    }
-                }
-            }
-        }
-    }
-    if !regressions.is_empty() {
-        return Err(format!(
-            "stage p50 regression beyond gate: {}",
-            regressions.join("; ")
-        ));
-    }
-    Ok(())
-}
-
-/// Delta column for one stage row of `bench-compare`. Stage sets may
-/// differ between documents (a sharded candidate adds `shard_*` stages a
-/// single-shard baseline lacks): a stage present only in the candidate is
-/// marked `new`, one present only in the baseline `gone`, so nothing
-/// vanishes silently from the table.
-fn stage_delta(base: Option<&f64>, cand: Option<&f64>) -> String {
-    match (base, cand) {
-        (Some(b), Some(c)) if *b > 0.0 => format!("{:+.1}%", (c - b) / b * 100.0),
-        (Some(_), Some(_)) => "n/a".to_string(),
-        (None, Some(_)) => "new".to_string(),
-        (Some(_), None) => "gone".to_string(),
-        (None, None) => "n/a".to_string(),
-    }
 }
 
 /// `msvs report <journal.jsonl>`: stage-latency and event summary of a
@@ -971,10 +732,8 @@ fn sample_quantile(sorted: &[f64], q: f64) -> f64 {
 fn cmd_swiping(args: &[String]) -> Result<(), String> {
     const SWIPING: FlagSpec = FlagSpec {
         command: "swiping",
-        sim: true,
         values: &[],
         switches: &[],
-        positionals: 0,
     };
     let flags = Flags::new(&SWIPING, args)?;
     let mut sim = Simulation::new(base_config(&flags)?).map_err(|e| e.to_string())?;
@@ -1011,10 +770,8 @@ fn cmd_swiping(args: &[String]) -> Result<(), String> {
 fn cmd_reserve(args: &[String]) -> Result<(), String> {
     const RESERVE: FlagSpec = FlagSpec {
         command: "reserve",
-        sim: true,
         values: &["--headroom"],
         switches: &[],
-        positionals: 0,
     };
     let flags = Flags::new(&RESERVE, args)?;
     let headroom = flags.parse("--headroom", 0.10f64)?;
@@ -1181,11 +938,8 @@ mod tests {
             (&["--backend", "simd"][..], "--backend"),
             (&["--incremental"], "--incremental"),
         ] {
-            let err = cmd_bench_report(&args(list)).unwrap_err();
-            assert_eq!(
-                err,
-                format!("unknown flag `{flag}` for `msvs bench-report`")
-            );
+            let err = cmd_reserve(&args(list)).unwrap_err();
+            assert_eq!(err, format!("unknown flag `{flag}` for `msvs reserve`"));
         }
         let err = Flags::new(&RUN, &args(&["1000"])).err().expect("rejected");
         assert_eq!(err, "unexpected argument `1000` for `msvs run`");
@@ -1198,7 +952,7 @@ mod tests {
             let err = Flags::new(&RUN, &raw).err().expect("rejected");
             assert_eq!(err, format!("{flag} requires a value"));
         }
-        assert!(cmd_bench_report(&args(&["--out"])).is_err());
+        assert!(cmd_reserve(&args(&["--headroom"])).is_err());
     }
 
     #[test]
@@ -1226,22 +980,5 @@ mod tests {
         let policy = resolve_slo(path.to_str().unwrap()).unwrap();
         assert_eq!(policy, SloPolicy::builtin("lenient").unwrap());
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn bench_compare_rejects_bad_gate_values() {
-        let raw = args(&["a.json", "b.json", "--gate", "plenty"]);
-        assert!(cmd_bench_compare(&raw).is_err());
-        let raw = args(&["a.json", "b.json", "--gate", "-5"]);
-        assert!(cmd_bench_compare(&raw).is_err());
-    }
-
-    #[test]
-    fn stage_delta_marks_new_and_gone_stages() {
-        assert_eq!(stage_delta(Some(&2.0), Some(&3.0)), "+50.0%");
-        assert_eq!(stage_delta(Some(&0.0), Some(&3.0)), "n/a");
-        assert_eq!(stage_delta(None, Some(&3.0)), "new");
-        assert_eq!(stage_delta(Some(&2.0), None), "gone");
-        assert_eq!(stage_delta(None, None), "n/a");
     }
 }

@@ -1,16 +1,16 @@
 //! Observability guarantees: the hierarchical span tree nests the way the
-//! pipeline runs (interval → stage → per-group/per-batch work), the
-//! Chrome-trace export and the bench document both satisfy their schemas,
-//! and a damaged journal is summarised lossily rather than refused.
+//! pipeline runs (interval → stage → per-group/per-batch/per-shard work),
+//! the Chrome-trace export satisfies its schema, and a damaged journal is
+//! summarised lossily rather than refused.
 
 use msvs::core::{CompressorConfig, GroupingConfig, SchemeConfig};
-use msvs::sim::{run_bench, validate_bench_json, BenchOptions, Simulation, SimulationConfig};
+use msvs::sim::{Simulation, SimulationConfig};
 use msvs::telemetry::{
     chrome_trace, stages, validate_chrome_trace, EventJournal, Json, SpanRecord,
 };
 use msvs::types::SimDuration;
 
-fn traced_run(seed: u64, threads: usize) -> Simulation {
+fn traced_run(seed: u64, threads: usize, shards: usize) -> Simulation {
     let scheme = SchemeConfig {
         compressor: CompressorConfig {
             window: 16,
@@ -31,6 +31,7 @@ fn traced_run(seed: u64, threads: usize) -> Simulation {
         .interval(SimDuration::from_mins(2))
         .scheme(scheme)
         .threads(threads)
+        .shards(shards)
         .seed(seed)
         .build()
         .expect("test config is valid");
@@ -52,7 +53,7 @@ fn find(spans: &[SpanRecord], id: u64) -> &SpanRecord {
 
 #[test]
 fn span_tree_nests_interval_stage_and_per_item_work() {
-    let sim = traced_run(5, 2);
+    let sim = traced_run(5, 2, 1);
     let spans = sim.telemetry().spans();
 
     // Roots: one interval span per warm-up + scored interval, nothing above.
@@ -99,7 +100,7 @@ fn span_tree_nests_interval_stage_and_per_item_work() {
 
 #[test]
 fn chrome_trace_export_satisfies_the_schema() {
-    let sim = traced_run(5, 2);
+    let sim = traced_run(5, 2, 1);
     let spans = sim.telemetry().spans();
     let trace = chrome_trace(&spans, "observability test");
     validate_chrome_trace(&trace).expect("export is schema-valid");
@@ -130,51 +131,54 @@ fn chrome_trace_export_satisfies_the_schema() {
 }
 
 #[test]
-fn bench_document_from_a_tiny_run_is_schema_valid() {
-    let doc = run_bench(&BenchOptions {
-        seed: 11,
-        users: 24,
-        intervals: 1,
-        threads: 2,
-        shards: 1,
-        ..Default::default()
-    })
-    .expect("bench run");
-    validate_bench_json(&doc).expect("schema-valid document");
-    let stages_obj = doc.get("stages").expect("stages present");
-    for stage in [stages::SCHEME_PREDICT, stages::PLAYBACK, stages::UDT_INGEST] {
-        assert!(stages_obj.get(stage).is_some(), "{stage} in bench stages");
-    }
-}
+fn sharded_interval_profiles_gather_slices_and_aggregate() {
+    let shards = 4;
+    let sim = traced_run(5, 2, shards);
+    let spans = sim.telemetry().spans();
+    let within = |span: &SpanRecord, ancestor: u64| {
+        let mut parent = span.parent;
+        while let Some(id) = parent {
+            if id == ancestor {
+                return true;
+            }
+            parent = find(&spans, id).parent;
+        }
+        false
+    };
 
-#[test]
-fn committed_bench_baselines_are_schema_valid() {
-    for name in ["BENCH_5.json", "BENCH_6.json", "BENCH_7.json"] {
-        let path = format!("{}/results/{name}", env!("CARGO_MANIFEST_DIR"));
-        let text = std::fs::read_to_string(&path).expect("bench baseline is committed");
-        let doc = Json::parse(&text).expect("baseline parses");
-        validate_bench_json(&doc).unwrap_or_else(|e| panic!("{name} is not schema-valid: {e}"));
+    // Every gather snapshots each shard once, in shard order.
+    let gathers = by_name(&spans, stages::SHARD_GATHER);
+    for gather in &gathers {
+        let slices: Vec<_> = spans
+            .iter()
+            .filter(|s| s.parent == Some(gather.id) && s.name == stages::SHARD_SLICE)
+            .map(|s| s.attrs.batch)
+            .collect();
+        let expected: Vec<_> = (0..shards as u64).map(Some).collect();
+        assert_eq!(slices, expected, "one shard_slice per shard, in order");
     }
-    // The v2 baseline records the compute backend that produced it.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/results/BENCH_7.json");
-    let doc = Json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
-    assert_eq!(msvs::sim::bench_backend_name(&doc), "simd");
-    // The sharded baseline carries the per-shard demand attribution.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/results/BENCH_6.json");
-    let doc = Json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
-    assert_eq!(doc.get("shards").and_then(Json::as_u64), Some(4));
-    assert!(
-        doc.get("shard_plane")
-            .and_then(|p| p.get("demand"))
-            .and_then(|d| d.get("shard_3"))
-            .is_some(),
-        "BENCH_6.json records per-shard demand rows"
-    );
+
+    // Each scored interval gathers the population once and folds its
+    // demand into the per-shard rows once.
+    let scored: Vec<_> = by_name(&spans, stages::INTERVAL)
+        .into_iter()
+        .filter(|s| s.attrs.interval.is_some())
+        .collect();
+    assert_eq!(scored.len(), 2);
+    for interval in scored {
+        for name in [stages::SHARD_GATHER, stages::SHARD_AGGREGATE] {
+            let inside = by_name(&spans, name)
+                .into_iter()
+                .filter(|s| within(s, interval.id))
+                .count();
+            assert_eq!(inside, 1, "one {name} span per scored interval");
+        }
+    }
 }
 
 #[test]
 fn damaged_journal_is_summarised_lossily_and_flagged_when_truncated() {
-    let sim = traced_run(9, 1);
+    let sim = traced_run(9, 1, 1);
     let jsonl = sim.telemetry().journal().to_jsonl();
     let lines: Vec<&str> = jsonl.lines().collect();
     assert!(lines.len() > 4, "journal has enough lines to damage");

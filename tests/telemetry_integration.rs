@@ -2,7 +2,7 @@
 //! journals, and the stage stats its report embeds.
 
 use msvs::sim::{Simulation, SimulationConfig};
-use msvs::telemetry::{stage, Entry, Event, EventJournal, Json};
+use msvs::telemetry::{stages, Entry, Event, EventJournal, Json};
 use msvs::types::SimDuration;
 
 fn two_interval_config(seed: u64) -> SimulationConfig {
@@ -120,7 +120,7 @@ fn two_interval_run_journals_the_expected_event_sequence() {
         .telemetry
         .stages
         .iter()
-        .find(|s| s.stage == stage::SCHEME_PREDICT)
+        .find(|s| s.stage == stages::SCHEME_PREDICT)
         .expect("scheme_predict stage is timed");
     assert_eq!(predict.count, 3);
     assert!(predict.p50_ms > 0.0 && predict.p99_ms >= predict.p50_ms);
