@@ -6,7 +6,10 @@
 # when the median per-pair ratio (candidate / base) of any end-to-end
 # metric in BENCHMARK.json is worse than that metric's `bound`, when a
 # candidate run fails its output checks, or when the candidate fails a
-# larger share of operations. BENCHMARK.json is only read.
+# larger share of operations. BENCHMARK.json is only read. Per workload
+# it also prints in how many pairs the two sides' prediction digests
+# were equal; that line is a report, not a gate, since a change may
+# alter predictions on purpose.
 #
 # Run from the repository root of a full clone:
 #
@@ -37,11 +40,12 @@ done
 cp "$work/Cargo.lock" e2ebench/Cargo.lock
 
 # Runs one side (base or head) on one workload and seed and keeps the
-# summary line.
+# detail line (which holds the prediction digest) and the summary line.
 run() {
     if [ "$1" = base ]; then root="$work/base"; else root=.; fi
     "$root/e2ebench/target/release/msvs-e2ebench" \
         --workload "$2" --seed "$3" --seconds 12 --trace 0 > "$work/out"
+    grep '^{"detail":' "$work/out" > "$work/$2.$3.$1.detail.json"
     tail -n 1 "$work/out" > "$work/$2.$3.$1.json"
 }
 for workload in $workloads; do
@@ -75,6 +79,13 @@ for workload in workloads:
              for side, rs in runs.items()}
     if share["head"] > share["base"]:
         failures.append(f"{workload}: failed share {share['base']:.4f} -> {share['head']:.4f}")
+    digests = {
+        side: [json.load(open(f"{work}/{workload}.{seed}.{side}.detail.json"))["detail"]["digest"]
+               for seed in range(1, pairs + 1)]
+        for side in ("base", "head")
+    }
+    equal = sum(b == h for b, h in zip(digests["base"], digests["head"]))
+    print(f"{workload}: digests equal in {equal}/{pairs} pairs")
     print(f"{workload}: median candidate/base ratio over {pairs} pairs")
     for metric in metrics:
         name, bound, better = metric["name"], metric["bound"], metric["better"]

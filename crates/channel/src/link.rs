@@ -53,12 +53,23 @@ const THERMAL_NOISE_DBM_HZ: f64 = -174.0;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Link {
     config: LinkConfig,
+    /// `config.tx_power` in dBm, computed once.
+    tx_dbm: f64,
+    /// [`Link::noise_power_dbm`], computed once.
+    noise_dbm: f64,
 }
 
 impl Link {
     /// Builds a link evaluator.
     pub fn new(config: LinkConfig) -> Self {
-        Self { config }
+        let noise_dbm = THERMAL_NOISE_DBM_HZ
+            + 10.0 * config.rb_bandwidth.value().log10()
+            + config.noise_figure_db;
+        Self {
+            config,
+            tx_dbm: config.tx_power.as_dbm(),
+            noise_dbm,
+        }
     }
 
     /// The configuration in use.
@@ -68,15 +79,13 @@ impl Link {
 
     /// Noise power over one resource block, dBm.
     pub fn noise_power_dbm(&self) -> f64 {
-        THERMAL_NOISE_DBM_HZ
-            + 10.0 * self.config.rb_bandwidth.value().log10()
-            + self.config.noise_figure_db
+        self.noise_dbm
     }
 
     /// Mean (fading-averaged, median-shadowing) SNR at `distance`, dB.
     pub fn mean_snr_db(&self, distance: Meters) -> f64 {
-        let rx_dbm = self.config.tx_power.as_dbm() - self.config.path_loss.median_loss_db(distance);
-        rx_dbm - self.noise_power_dbm()
+        let rx_dbm = self.tx_dbm - self.config.path_loss.median_loss_db(distance);
+        rx_dbm - self.noise_dbm
     }
 
     /// Instantaneous SNR sample at `distance`, dB: shadowing plus the
@@ -89,7 +98,7 @@ impl Link {
             FadingKind::Rician(k) => RicianFading::new(k).sample_power_gain(rng),
         };
         let fade_db = 10.0 * gain.max(1e-12).log10();
-        self.config.tx_power.as_dbm() - loss + fade_db - self.noise_power_dbm()
+        self.tx_dbm - loss + fade_db - self.noise_dbm
     }
 
     /// Achievable spectral efficiency at the given SNR, bits/s/Hz, via the

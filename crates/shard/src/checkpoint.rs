@@ -4,10 +4,13 @@
 //! every twin it owns (full time series, revision counters and instance
 //! nonce included), each owner's uplink [`SyncTracker`] state (pending
 //! retries and backoff survive the outage) and the store's
-//! instance-nonce counter. The encoding is the workspace's hand-rolled
-//! JSON ([`msvs_telemetry::Json`]) under a versioned schema tag,
-//! mirroring the bench baseline format, so checkpoints are diffable and
-//! survive crate-version skew detectably rather than silently.
+//! instance-nonce counter. The encoding is one line of the workspace's
+//! hand-rolled JSON ([`msvs_telemetry::Json`]) under a versioned schema
+//! tag, so a checkpoint from another layout fails loud by name rather
+//! than restoring wrong. Scalars and counters are JSON numbers; each
+//! twin's three series are packed binary records in one base64 string
+//! apiece (see [`UserDigitalTwin::write_checkpoint`]), which carry every
+//! `f64` bit for bit and cost a fraction of formatting them as decimals.
 //!
 //! A checkpoint is held while the shard is down (the twins' series are
 //! copy-on-write, so a capture costs pointer bumps) and is serialized
@@ -27,7 +30,7 @@ use crate::shard::Shard;
 
 /// Schema tag stamped into every checkpoint. Bump on layout changes so
 /// a stale checkpoint fails loud with a named mismatch.
-pub const CHECKPOINT_SCHEMA: &str = "msvs-checkpoint/v2";
+pub const CHECKPOINT_SCHEMA: &str = "msvs-checkpoint/v3";
 
 /// One user's checkpointed state: the twin and its uplink sync state.
 #[derive(Debug, Clone, PartialEq)]

@@ -10,7 +10,9 @@
 //! canonical scalar forms: `Json`'s `Display` and the workspace's
 //! streaming encoders (which write large documents without building a
 //! tree) both call them, so a streamed document is byte-identical to the
-//! same value printed through a `Json` tree.
+//! same value printed through a `Json` tree. [`write_base64`] and
+//! [`decode_base64`] carry packed binary records (a checkpointed twin's
+//! series) as one JSON string each.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -159,6 +161,116 @@ pub fn write_str(w: &mut impl fmt::Write, s: &str) -> fmt::Result {
         }
     }
     w.write_char('"')
+}
+
+/// The standard base64 alphabet (RFC 4648 §4).
+const BASE64: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+
+/// The two characters of every 12-bit value: a 3-byte group encodes as
+/// two lookups.
+const BASE64_PAIRS: [[u8; 2]; 4096] = {
+    let mut table = [[0; 2]; 4096];
+    let mut i = 0;
+    while i < 4096 {
+        table[i] = [BASE64[i >> 6], BASE64[i & 63]];
+        i += 1;
+    }
+    table
+};
+
+/// Each byte's 6-bit value in [`BASE64`], or `NOT_BASE64`.
+const BASE64_VALUE: [u8; 256] = {
+    let mut table = [NOT_BASE64; 256];
+    let mut i = 0;
+    while i < 64 {
+        table[BASE64[i] as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+const NOT_BASE64: u8 = 0xff;
+
+/// Writes the four characters of one 3-byte `group` into `out`.
+fn encode_group(group: &[u8], out: &mut [u8]) {
+    let bits = usize::from(group[0]) << 16 | usize::from(group[1]) << 8 | usize::from(group[2]);
+    out[..2].copy_from_slice(&BASE64_PAIRS[bits >> 12]);
+    out[2..4].copy_from_slice(&BASE64_PAIRS[bits & 0xfff]);
+}
+
+/// Writes `bytes` as a JSON string of padded standard base64. Neither
+/// the alphabet nor `=` needs an escape, so this is what [`write_str`]
+/// prints for the encoded text; [`decode_base64`] reads it back.
+pub fn write_base64(w: &mut impl fmt::Write, bytes: &[u8]) -> fmt::Result {
+    // 768 input bytes fill the 1,024-character buffer exactly, so only
+    // the last chunk can end in a partial group.
+    let mut text = [0u8; 1024];
+    w.write_char('"')?;
+    for chunk in bytes.chunks(768) {
+        let groups = chunk.chunks_exact(3);
+        let rest = groups.remainder();
+        let mut n = 4 * groups.len();
+        for (out, group) in text.chunks_exact_mut(4).zip(groups) {
+            encode_group(group, out);
+        }
+        if !rest.is_empty() {
+            // A partial group of g bytes fills g + 1 characters; `=` pads
+            // the rest.
+            let mut group = [0; 3];
+            group[..rest.len()].copy_from_slice(rest);
+            encode_group(&group, &mut text[n..n + 4]);
+            text[n + 1 + rest.len()..n + 4].fill(b'=');
+            n += 4;
+        }
+        w.write_str(std::str::from_utf8(&text[..n]).expect("base64 is ascii"))?;
+    }
+    w.write_char('"')
+}
+
+/// Decodes the padded standard base64 [`write_base64`] writes (the text
+/// inside the quotes). Every byte string has exactly one accepted text.
+///
+/// # Errors
+/// Names the offence: a length that is not a multiple of four, a
+/// character outside the alphabet (padding anywhere but the last two
+/// places included), or nonzero bits under the padding.
+pub fn decode_base64(text: &str) -> Result<Vec<u8>, String> {
+    let text = text.as_bytes();
+    if !text.len().is_multiple_of(4) {
+        return Err(format!(
+            "base64 length {} is not a multiple of 4",
+            text.len()
+        ));
+    }
+    let pad = text
+        .iter()
+        .rev()
+        .take(2)
+        .take_while(|&&c| c == b'=')
+        .count();
+    let body = text.len() - pad;
+    let mut out = Vec::with_capacity(text.len() / 4 * 3);
+    for (q, quad) in text.chunks_exact(4).enumerate() {
+        let mut bits = 0u32;
+        for (i, &c) in quad.iter().enumerate() {
+            let at = 4 * q + i;
+            let value = if at < body {
+                BASE64_VALUE[c as usize]
+            } else {
+                0
+            };
+            if value == NOT_BASE64 {
+                return Err(format!("bad base64 character {:?} at {at}", c as char));
+            }
+            bits = bits << 6 | u32::from(value);
+        }
+        out.extend_from_slice(&bits.to_be_bytes()[1..]);
+    }
+    // The padding stands for whole zero bytes; bits under it would be a
+    // second text for the same bytes.
+    if out.drain(out.len() - pad..).any(|b| b != 0) {
+        return Err("nonzero base64 bits under the padding".into());
+    }
+    Ok(out)
 }
 
 struct Parser<'a> {
@@ -449,6 +561,55 @@ mod tests {
         assert_eq!(err, r#"duplicate key "b" at byte 13"#);
         // The same key in sibling objects is fine.
         assert!(Json::parse(r#"[{"a":1},{"a":2}]"#).is_ok());
+    }
+
+    fn base64(bytes: &[u8]) -> String {
+        let mut text = String::new();
+        write_base64(&mut text, bytes).unwrap();
+        text
+    }
+
+    #[test]
+    fn base64_matches_the_rfc_vectors_and_round_trips() {
+        for (plain, encoded) in [
+            ("", ""),
+            ("f", "Zg=="),
+            ("fo", "Zm8="),
+            ("foo", "Zm9v"),
+            ("foob", "Zm9vYg=="),
+            ("fooba", "Zm9vYmE="),
+            ("foobar", "Zm9vYmFy"),
+        ] {
+            assert_eq!(base64(plain.as_bytes()), format!("\"{encoded}\""));
+            assert_eq!(decode_base64(encoded).unwrap(), plain.as_bytes());
+        }
+        // Past one 768-byte chunk, every byte value and every tail length.
+        for len in [767, 768, 769, 770, 2000] {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+            let text = base64(&bytes);
+            assert_eq!(Json::parse(&text).unwrap().to_string(), text, "canonical");
+            assert_eq!(decode_base64(&text[1..text.len() - 1]).unwrap(), bytes);
+        }
+    }
+
+    #[test]
+    fn base64_decoding_rejects_every_second_spelling() {
+        for (text, err) in [
+            ("Zm9", "length 3 is not a multiple of 4"),
+            ("Zg", "length 2 is not a multiple of 4"),
+            ("Zm9v=", "length 5"),
+            ("Zm-v", "bad base64 character '-' at 2"),
+            ("Zm9_", "bad base64 character '_' at 3"),
+            ("Zm 9", "bad base64 character ' ' at 2"),
+            ("Z===", "bad base64 character '=' at 1"),
+            ("====", "bad base64 character '=' at 0"),
+            ("Zg==Zm9v", "bad base64 character '=' at 2"),
+            ("Zh==", "nonzero base64 bits under the padding"),
+            ("Zm9=", "nonzero base64 bits under the padding"),
+        ] {
+            let got = decode_base64(text).unwrap_err();
+            assert!(got.contains(err), "{text}: {got}");
+        }
     }
 
     /// `depth` arrays, or objects keyed `"k"`, wrapped around `0`.

@@ -222,7 +222,7 @@ impl SyncTracker {
         self.last[i] = Some(now);
     }
 
-    /// Writes the tracker's full state as one `msvs-checkpoint/v2` JSON
+    /// Writes the tracker's full state as one `msvs-checkpoint/v3` JSON
     /// object — including in-flight retry episodes, so a restored shard
     /// resumes the bounded-backoff replay exactly where the checkpoint
     /// left it. Keys come in sorted order ([`Attribute::ALL`] is

@@ -435,31 +435,39 @@ impl UserDigitalTwin {
         }
     }
 
-    /// Writes the twin's full state as one `msvs-checkpoint/v2` JSON
+    /// Writes the twin's full state as one `msvs-checkpoint/v3` JSON
     /// object, streamed straight into `w` with no intermediate tree.
     ///
     /// Every private field is captured — including the instance nonce and
     /// the per-attribute revision counters, which count *accepted pushes
     /// ever* (evicted samples included) and therefore cannot be rebuilt by
-    /// replaying the retained series. Keys come in the sorted order a
-    /// [`Json`] object prints them in, and scalars go through
-    /// [`json::write_num`], so the text is canonical: `Json::parse` of it
-    /// prints back byte-identical. `f64` payloads survive the text round
-    /// trip exactly (Rust's shortest-representation `Display`).
+    /// replaying the retained series. Each series is one base64 string of
+    /// fixed-width records of little-endian `u64` words:
+    ///
+    /// - `channel`: `[t_ms, snr bits]`;
+    /// - `location`: `[t_ms, x bits, y bits]`;
+    /// - `watches`: `[t_ms, watched_ms, duration_ms,
+    ///   video | category << 32 | level << 40 | completed << 48]`.
+    ///
+    /// A sample's `f64` travels as its bits, so it round-trips exactly,
+    /// sign of zero included. Keys come in the sorted order a [`Json`]
+    /// object prints them in, and scalars go through [`json::write_num`],
+    /// so the text is canonical: `Json::parse` of it prints back
+    /// byte-identical.
     ///
     /// # Errors
     /// Returns the writer's error.
     pub fn write_checkpoint(&self, w: &mut impl fmt::Write) -> fmt::Result {
         let ms = |t: SimTime| t.as_millis() as f64;
         w.write_str("{\"channel\":")?;
-        write_list(w, self.channel_db.iter(), |w, &(t, v)| {
-            write_list(w, [ms(t), v], json::write_num)
+        write_records(w, &self.channel_db, |&(t, snr)| {
+            [t.as_millis(), snr.to_bits()]
         })?;
         w.write_str(",\"instance\":")?;
         json::write_num(w, self.instance as f64)?;
         w.write_str(",\"location\":")?;
-        write_list(w, self.location.iter(), |w, &(t, p)| {
-            write_list(w, [ms(t), p.x, p.y], json::write_num)
+        write_records(w, &self.location, |&(t, p)| {
+            [t.as_millis(), p.x.to_bits(), p.y.to_bits()]
         })?;
         w.write_str(",\"preference\":")?;
         write_list(w, self.preference.iter().copied(), json::write_num)?;
@@ -479,21 +487,17 @@ impl UserDigitalTwin {
         w.write_str(",\"user\":")?;
         json::write_num(w, f64::from(self.user.0))?;
         w.write_str(",\"watches\":")?;
-        write_list(w, self.watches.iter(), |w, (t, r)| {
-            w.write_str("{\"category\":")?;
-            json::write_num(w, r.category.index() as f64)?;
-            write!(w, ",\"completed\":{}", r.completed)?;
-            w.write_str(",\"duration_ms\":")?;
-            json::write_num(w, r.video_duration.as_millis() as f64)?;
-            w.write_str(",\"level\":")?;
-            json::write_num(w, r.level.index() as f64)?;
-            w.write_str(",\"t_ms\":")?;
-            json::write_num(w, ms(*t))?;
-            w.write_str(",\"video\":")?;
-            json::write_num(w, f64::from(r.video.0))?;
-            w.write_str(",\"watched_ms\":")?;
-            json::write_num(w, r.watched.as_millis() as f64)?;
-            w.write_char('}')
+        write_records(w, &self.watches, |(t, r)| {
+            let word = u64::from(r.video.0)
+                | (r.category.index() as u64) << 32
+                | (r.level.index() as u64) << 40
+                | u64::from(r.completed) << 48;
+            [
+                t.as_millis(),
+                r.watched.as_millis(),
+                r.video_duration.as_millis(),
+                word,
+            ]
         })?;
         w.write_char('}')
     }
@@ -549,61 +553,86 @@ impl UserDigitalTwin {
                 "twin: preference_updated_ms must be an integer".to_string()
             })?)),
         };
-        for (i, item) in arr("channel")?.iter().enumerate() {
-            let Json::Arr(pair) = item else {
-                return Err(format!("twin: channel[{i}] must be [t_ms, snr_db]"));
-            };
-            let (Some(t), Some(v)) = (
-                pair.first().and_then(Json::as_u64),
-                pair.get(1).and_then(Json::as_f64),
-            ) else {
-                return Err(format!("twin: channel[{i}] must be [t_ms, snr_db]"));
-            };
-            if !Self::plausible_snr(v) {
-                return Err(format!("twin: channel[{i}] snr_db {v} is implausible"));
+        for (i, [t, snr]) in read_records(json, "channel")?.into_iter().enumerate() {
+            let snr = f64::from_bits(snr);
+            if !Self::plausible_snr(snr) {
+                return Err(format!("twin: channel[{i}] snr_db {snr} is implausible"));
             }
-            twin.channel_db.push(SimTime(t), v);
+            twin.channel_db.push(SimTime(t), snr);
         }
-        for (i, item) in arr("location")?.iter().enumerate() {
-            let Json::Arr(triple) = item else {
-                return Err(format!("twin: location[{i}] must be [t_ms, x, y]"));
-            };
-            let (Some(t), Some(x), Some(y)) = (
-                triple.first().and_then(Json::as_u64),
-                triple.get(1).and_then(Json::as_f64),
-                triple.get(2).and_then(Json::as_f64),
-            ) else {
-                return Err(format!("twin: location[{i}] must be [t_ms, x, y]"));
-            };
-            let position = Position::new(x, y);
+        for (i, [t, x, y]) in read_records(json, "location")?.into_iter().enumerate() {
+            let position = Position::new(f64::from_bits(x), f64::from_bits(y));
             if !Self::plausible_position(position) {
+                let Position { x, y } = position;
                 return Err(format!("twin: location[{i}] ({x}, {y}) is implausible"));
             }
             twin.location.push(SimTime(t), position);
         }
-        for (i, item) in arr("watches")?.iter().enumerate() {
-            let field = |k: &str| {
-                item.get(k)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("twin: watches[{i}].{k} must be an integer"))
-            };
+        for (i, [t, watched, duration, word]) in
+            read_records(json, "watches")?.into_iter().enumerate()
+        {
+            let byte = |shift: u32| ((word >> shift) & 0xff) as usize;
             let record = WatchRecord {
-                video: VideoId(
-                    u32::try_from(field("video")?)
-                        .map_err(|_| format!("twin: watches[{i}].video out of range"))?,
-                ),
-                category: VideoCategory::from_index(field("category")? as usize)
+                video: VideoId(word as u32),
+                category: VideoCategory::from_index(byte(32))
                     .ok_or_else(|| format!("twin: watches[{i}].category unknown"))?,
-                level: RepresentationLevel::from_index(field("level")? as usize)
+                level: RepresentationLevel::from_index(byte(40))
                     .ok_or_else(|| format!("twin: watches[{i}].level unknown"))?,
-                watched: SimDuration(field("watched_ms")?),
-                video_duration: SimDuration(field("duration_ms")?),
-                completed: matches!(item.get("completed"), Some(Json::Bool(true))),
+                watched: SimDuration(watched),
+                video_duration: SimDuration(duration),
+                completed: match word >> 48 {
+                    0 => false,
+                    1 => true,
+                    _ => return Err(format!("twin: watches[{i}].completed must be 0 or 1")),
+                },
             };
-            twin.watches.push(SimTime(field("t_ms")?), record);
+            twin.watches.push(SimTime(t), record);
         }
         Ok(twin)
     }
+}
+
+/// Writes `series` as one base64 JSON string of `N`-word little-endian
+/// records, `record` giving each sample's words.
+fn write_records<W: fmt::Write, T, const N: usize>(
+    w: &mut W,
+    series: &TimeSeries<T>,
+    record: impl Fn(&(SimTime, T)) -> [u64; N],
+) -> fmt::Result {
+    let mut bytes = Vec::with_capacity(series.len() * 8 * N);
+    for sample in series.iter() {
+        for word in record(sample) {
+            bytes.extend_from_slice(&word.to_le_bytes());
+        }
+    }
+    json::write_base64(w, &bytes)
+}
+
+/// Reads the base64 string under `key` back into `N`-word records.
+fn read_records<const N: usize>(
+    json: &Json,
+    key: &str,
+) -> std::result::Result<Vec<[u64; N]>, String> {
+    let text = json
+        .get(key)
+        .and_then(Json::as_str)
+        .ok_or_else(|| format!("twin: missing base64 field '{key}'"))?;
+    let bytes = json::decode_base64(text).map_err(|e| format!("twin: {key}: {e}"))?;
+    let size = 8 * N;
+    if !bytes.len().is_multiple_of(size) {
+        return Err(format!(
+            "twin: {key}: {} bytes is not a whole number of {size}-byte records",
+            bytes.len()
+        ));
+    }
+    Ok(bytes
+        .chunks_exact(size)
+        .map(|record| {
+            std::array::from_fn(|i| {
+                u64::from_le_bytes(record[8 * i..8 * i + 8].try_into().expect("8 bytes"))
+            })
+        })
+        .collect())
 }
 
 /// Writes `items` as a JSON array, each element through `item`.
@@ -775,6 +804,18 @@ mod tests {
                 watch(VideoCategory::Music, i.min(45), 45),
             );
         }
+        // The packed watch word at its extremes: the largest video id,
+        // the last category and level, completed.
+        twin.record_watch(
+            SimTime::from_secs(20),
+            WatchRecord {
+                video: VideoId(u32::MAX),
+                category: VideoCategory::ALL[VideoCategory::COUNT - 1],
+                level: RepresentationLevel::ALL[RepresentationLevel::COUNT - 1],
+                completed: true,
+                ..watch(VideoCategory::Music, 45, 45)
+            },
+        );
         // A rejected sample keeps revisions honest: the counters must
         // survive the round trip even though they exceed what a replay of
         // the retained series would produce.
@@ -918,47 +959,55 @@ mod tests {
         }
         let err = UserDigitalTwin::from_checkpoint_json(&json).unwrap_err();
         assert!(err.contains("revs"), "{err}");
+        // A series must be a base64 string.
+        let mut json = Json::parse(&checkpoint_text(&twin)).unwrap();
+        if let Json::Obj(map) = &mut json {
+            map.insert("channel".into(), Json::Arr(Vec::new()));
+        }
+        let err = UserDigitalTwin::from_checkpoint_json(&json).unwrap_err();
+        assert!(err.contains("missing base64 field 'channel'"), "{err}");
     }
 
     /// The decoder applies the same plausibility checks as the live
-    /// update path: an overflowing `1e999` parses to infinity, and must
-    /// not reach a restored twin (nor re-encode as the non-JSON `inf`).
+    /// update path: a series value the update path would have refused, or
+    /// an overflowing `1e999` preference (which parses to infinity), must
+    /// not reach a restored twin.
     #[test]
     fn checkpoint_decode_rejects_implausible_values_by_name() {
         let mut twin = UserDigitalTwin::new(UserId(3));
         twin.update_channel(SimTime::from_secs(1), 12.5);
         twin.update_location(SimTime::from_secs(1), Position::new(7.5, 2.5));
-        let text = checkpoint_text(&twin);
-        let decode = |from: &str, to: &str| {
-            assert!(text.contains(from), "{from} not in {text}");
-            UserDigitalTwin::from_checkpoint_json(&Json::parse(&text.replace(from, to)).unwrap())
+        let decode = |twin: &UserDigitalTwin| {
+            UserDigitalTwin::from_checkpoint_json(&Json::parse(&checkpoint_text(twin)).unwrap())
         };
-        for (from, to, field) in [
-            ("[1000,12.5]", "[1000,1e999]", "channel[0]"),
-            ("[1000,12.5]", "[1000,-1e999]", "channel[0]"),
-            ("[1000,12.5]", "[1000,100.5]", "channel[0]"),
-            ("[1000,7.5,2.5]", "[1000,1e999,2.5]", "location[0]"),
-            ("[1000,7.5,2.5]", "[1000,7.5,-1e999]", "location[0]"),
-            (
-                "\"preference\":[0.125",
-                "\"preference\":[1e999",
-                "preference[0]",
-            ),
-            (
-                "\"preference\":[0.125",
-                "\"preference\":[-0.125",
-                "preference[0]",
-            ),
-        ] {
-            let err = decode(from, to).unwrap_err();
-            assert!(err.contains(field), "{to}: {err}");
+        let at = SimTime::from_secs(2);
+        for snr in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 100.5, -1e6] {
+            let mut bad = twin.clone();
+            bad.channel_db.push(at, snr);
+            let err = decode(&bad).unwrap_err();
+            assert!(err.contains("channel[1] snr_db"), "{snr}: {err}");
         }
-        assert_eq!(
-            decode("[1000,12.5]", "[1000,-100]")
-                .unwrap()
-                .latest_snr_db(),
-            Some(-100.0)
-        );
+        for (x, y) in [
+            (f64::NAN, 2.0),
+            (1.0, f64::INFINITY),
+            (f64::NEG_INFINITY, 0.0),
+        ] {
+            let mut bad = twin.clone();
+            bad.location.push(at, Position::new(x, y));
+            let err = decode(&bad).unwrap_err();
+            assert!(err.contains("location[1]"), "({x}, {y}): {err}");
+        }
+        let mut edge = twin.clone();
+        edge.channel_db.push(at, -100.0);
+        assert_eq!(decode(&edge).unwrap().latest_snr_db(), Some(-100.0));
+
+        let text = checkpoint_text(&twin);
+        for to in ["\"preference\":[1e999", "\"preference\":[-0.125"] {
+            let text = text.replacen("\"preference\":[0.125", to, 1);
+            let err =
+                UserDigitalTwin::from_checkpoint_json(&Json::parse(&text).unwrap()).unwrap_err();
+            assert!(err.contains("preference[0]"), "{to}: {err}");
+        }
     }
 }
 
