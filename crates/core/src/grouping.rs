@@ -475,7 +475,7 @@ impl GroupingEngine {
         // span structure stays thread-count invariant.
         if let (Some(t), Some(scope), Some(start)) = (&self.telemetry, &scope, fit_start) {
             let collector = t.span_collector();
-            let parent = Some(scope.span_id());
+            let parent = Some(scope.id());
             let mut cursor = start;
             for (round, timing) in fit.rounds.iter().enumerate() {
                 let attrs = msvs_telemetry::SpanAttrs {
@@ -747,9 +747,10 @@ mod tests {
     }
 
     fn kmeans_fits(t: &msvs_telemetry::Telemetry) -> u64 {
-        t.registry()
-            .histogram(msvs_telemetry::STAGE_MS, msvs_telemetry::stages::KMEANS_FIT)
-            .count()
+        t.spans()
+            .iter()
+            .filter(|s| s.name == msvs_telemetry::stages::KMEANS_FIT)
+            .count() as u64
     }
 
     /// Memoised pretraining is a pure replay: the agent ends up exactly

@@ -264,16 +264,15 @@ impl DtAssistedPredictor {
     }
 
     /// Wires the predictor (and its grouping engine + DDQN agent) into an
-    /// observability pipeline: every pipeline stage is timed into
-    /// `stage_ms` histograms and structured events flow into the journal.
+    /// observability pipeline: every pipeline stage records a span and
+    /// structured events flow into the journal.
     pub fn attach_telemetry(&mut self, telemetry: msvs_telemetry::Telemetry) {
         self.engine.attach_telemetry(telemetry.clone());
         self.telemetry = Some(telemetry);
     }
 
-    /// Starts a stage scope (histogram + tracing span) when telemetry is
-    /// attached.
-    fn stage_scope(&self, stage: &'static str) -> Option<msvs_telemetry::StageScope> {
+    /// Opens a stage span when telemetry is attached.
+    fn stage_scope(&self, stage: &'static str) -> Option<msvs_telemetry::SpanGuard> {
         self.telemetry.as_ref().map(|t| t.stage_scope(stage))
     }
 
@@ -297,11 +296,6 @@ impl DtAssistedPredictor {
     /// before its first observation.
     pub fn fallback_totals(&self) -> Option<(ResourceBlocks, CpuCycles)> {
         self.fallback.predict()
-    }
-
-    /// Mutable access to the grouping engine (pretraining, inspection).
-    pub fn grouping_engine_mut(&mut self) -> &mut GroupingEngine {
-        &mut self.engine
     }
 
     /// Forces a compressor (re)training pass on the next prediction by
@@ -336,7 +330,7 @@ impl DtAssistedPredictor {
             .telemetry
             .as_ref()
             .zip(forward_scope.as_ref())
-            .map(|(t, scope)| (t.span_collector(), scope.span_id()));
+            .map(|(t, scope)| (t.span_collector(), scope.id()));
         let windows: Vec<_> = twins.iter().map(|t| self.window_of(t)).collect();
         let (features, stats) = self.compressor.encode_traced(&windows, &self.pool, trace)?;
         drop(forward_scope);

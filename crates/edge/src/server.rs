@@ -106,11 +106,6 @@ impl EdgeServer {
         self.cache.set_capacity_scale(scale);
     }
 
-    /// The transcode cost model.
-    pub fn transcode_model(&self) -> &TranscodeModel {
-        &self.model
-    }
-
     /// Total transcode cycles spent since construction.
     pub fn total_cycles(&self) -> CpuCycles {
         self.total_cycles

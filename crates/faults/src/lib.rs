@@ -314,92 +314,19 @@ impl FaultPlan {
         "bs-crash",
     ];
 
-    /// Looks up a built-in named profile.
+    /// Looks up a built-in named profile: the committed
+    /// `results/fault_profiles/<name>.json`, compiled in (README's
+    /// fault-profile section gives each one's rationale).
     pub fn builtin(name: &str) -> Option<Self> {
-        match name {
-            // A degraded uplink: heavy loss, some delay, a little
-            // corruption — the scenario arXiv:2404.13749 models.
-            "lossy-uplink" => Some(Self {
-                seed: 0x10_55,
-                uplink_loss: 0.30,
-                delay: DelaySpec {
-                    probability: 0.10,
-                    max_ticks: 3,
-                },
-                corruption: 0.02,
-                ..Self::none()
-            }),
-            // Flash-crowd turnover: half the audience swaps out twice.
-            "churn-storm" => Some(Self {
-                seed: 0xC4_04,
-                uplink_loss: 0.05,
-                churn_bursts: vec![
-                    ChurnBurst {
-                        interval: 1,
-                        fraction: 0.5,
-                    },
-                    ChurnBurst {
-                        interval: 3,
-                        fraction: 0.5,
-                    },
-                ],
-                ..Self::none()
-            }),
-            // The edge cache loses most of its capacity mid-run.
-            "brownout" => Some(Self {
-                seed: 0xB0_07,
-                uplink_loss: 0.05,
-                brownouts: vec![
-                    Brownout {
-                        start: 1,
-                        duration: 2,
-                        capacity_scale: 0.35,
-                    },
-                    Brownout {
-                        start: 4,
-                        duration: 1,
-                        capacity_scale: 0.5,
-                    },
-                ],
-                ..Self::none()
-            }),
-            // A flapping base station: shard 1's uplink partitions twice
-            // for one interval each, with a mildly lossy uplink around it.
-            "bs-flap" => Some(Self {
-                seed: 0xB5_F1A0,
-                uplink_loss: 0.05,
-                outages: vec![
-                    ShardOutage {
-                        shard: 1,
-                        from: 1,
-                        duration: 1,
-                        mode: OutageMode::Partition,
-                    },
-                    ShardOutage {
-                        shard: 1,
-                        from: 3,
-                        duration: 1,
-                        mode: OutageMode::Partition,
-                    },
-                ],
-                ..Self::none()
-            }),
-            // A base station dies outright: shard 1 crashes for two
-            // intervals, its users fail over, then it restores from the
-            // last checkpoint and takes them back.
-            "bs-crash" => Some(Self {
-                seed: 0xB5_C4A5,
-                uplink_loss: 0.05,
-                outages: vec![ShardOutage {
-                    shard: 1,
-                    from: 1,
-                    duration: 2,
-                    mode: OutageMode::Crash,
-                }],
-                ..Self::none()
-            }),
-            _ => None,
-        }
+        let text = match name {
+            "lossy-uplink" => include_str!("../../../results/fault_profiles/lossy-uplink.json"),
+            "churn-storm" => include_str!("../../../results/fault_profiles/churn-storm.json"),
+            "brownout" => include_str!("../../../results/fault_profiles/brownout.json"),
+            "bs-flap" => include_str!("../../../results/fault_profiles/bs-flap.json"),
+            "bs-crash" => include_str!("../../../results/fault_profiles/bs-crash.json"),
+            _ => return None,
+        };
+        Some(Self::parse(text).expect("shipped fault profile parses"))
     }
 
     /// Serialises the plan as a JSON profile.
@@ -1100,23 +1027,5 @@ mod tests {
         assert_eq!(plan.brownout_scale_at(1), 0.4);
         assert_eq!(plan.brownout_scale_at(2), 0.4);
         assert_eq!(plan.brownout_scale_at(3), 1.0);
-    }
-
-    /// The shipped JSON profiles must stay in lockstep with the built-ins
-    /// so `--faults <name>` and `--faults results/fault_profiles/<name>.json`
-    /// mean the same run.
-    #[test]
-    fn shipped_profiles_match_builtins() {
-        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/fault_profiles");
-        for name in FaultPlan::BUILTINS {
-            let path = format!("{dir}/{name}.json");
-            let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-            let on_disk = FaultPlan::parse(&text).expect("profile parses");
-            assert_eq!(
-                on_disk,
-                FaultPlan::builtin(name).expect("builtin exists"),
-                "{name}.json drifted from the built-in profile"
-            );
-        }
     }
 }

@@ -150,8 +150,8 @@ impl DdqnAgent {
         })
     }
 
-    /// Wires the agent into an observability pipeline: training steps are
-    /// timed into the `ddqn_train` stage histogram and reported as
+    /// Wires the agent into an observability pipeline: training steps
+    /// record `ddqn_train` spans and are reported as
     /// [`msvs_telemetry::Event::TrainingStepped`] journal events.
     pub fn attach_telemetry(&mut self, telemetry: msvs_telemetry::Telemetry) {
         self.telemetry = Some(telemetry);

@@ -6,7 +6,7 @@ use std::collections::{BTreeSet, HashMap};
 use msvs_core::GroupDemandPrediction;
 use msvs_faults::OutageMode;
 use msvs_par::Pool;
-use msvs_telemetry::{stages, Telemetry};
+use msvs_telemetry::{stages, SpanAttrs, Telemetry};
 use msvs_types::{Error, Position, RepresentationLevel, Result, SimDuration, SimTime, UserId};
 use msvs_udt::{SyncTracker, TwinView, UserDigitalTwin};
 use msvs_video::Video;
@@ -288,7 +288,9 @@ impl ShardCoordinator {
     /// The canonical population view: per-shard snapshots taken on the
     /// worker pool, merged into user-sorted order — identical to the
     /// snapshot of one store holding every twin. Emits a `shard_gather`
-    /// stage with one child span per shard when sharded.
+    /// stage when sharded, with one `shard_slice` child per shard timing
+    /// that shard's snapshot on its worker; the slices are adopted in
+    /// shard order, so the span structure is thread-count invariant.
     pub fn snapshot(&self) -> Vec<UserDigitalTwin> {
         if !self.sharded() {
             return self.shards[0].store().snapshot();
@@ -297,22 +299,35 @@ impl ShardCoordinator {
             .telemetry
             .as_ref()
             .map(|t| t.stage_scope(stages::SHARD_GATHER));
+        let collector = self.telemetry.as_ref().map(Telemetry::span_collector);
         let (parts, stats) = self
             .pool
-            .map_stats(&self.shards, |_, shard| shard.store().snapshot());
-        if let (Some(t), Some(_scope)) = (&self.telemetry, scope.as_ref()) {
-            for (i, part) in parts.iter().enumerate() {
-                let mut span = t.span(stages::SHARD_SLICE);
-                span.set_batch(i as u64);
-                let _ = part;
-                span.end();
+            .map_stats(&self.shards, |i, shard| match collector {
+                Some(collector) => {
+                    let mut scratch = collector.scratch();
+                    let attrs = SpanAttrs {
+                        batch: Some(i as u64),
+                        ..Default::default()
+                    };
+                    let part =
+                        scratch.record(stages::SHARD_SLICE, attrs, |_| shard.store().snapshot());
+                    (part, Some(scratch))
+                }
+                None => (shard.store().snapshot(), None),
+            });
+        let mut twins = Vec::with_capacity(parts.iter().map(|(part, _)| part.len()).sum());
+        for (part, scratch) in parts {
+            if let (Some(collector), Some(scope), Some(scratch)) = (collector, &scope, scratch) {
+                collector.adopt(Some(scope.id()), scratch);
             }
+            twins.extend(part);
+        }
+        if let Some(t) = &self.telemetry {
             t.gauge("par_threads", stages::SHARD_GATHER)
                 .set(stats.threads as f64);
             t.gauge("par_utilisation", stages::SHARD_GATHER)
                 .set(stats.utilisation());
         }
-        let mut twins: Vec<UserDigitalTwin> = parts.into_iter().flatten().collect();
         twins.sort_by_key(|t| t.user());
         twins
     }
@@ -329,7 +344,7 @@ impl ShardCoordinator {
             return 0;
         }
         let before = self.len();
-        let scope = self
+        let _scope = self
             .telemetry
             .as_ref()
             .map(|t| t.stage_scope(stages::SHARD_REBALANCE));
@@ -366,12 +381,7 @@ impl ShardCoordinator {
         self.handovers_total += moved as u64;
         let imbalance = self.imbalance();
         self.peak_imbalance = self.peak_imbalance.max(imbalance);
-        if let (Some(t), Some(_scope)) = (&self.telemetry, scope.as_ref()) {
-            for i in 0..self.shards.len() {
-                let mut span = t.span(stages::SHARD_SLICE);
-                span.set_batch(i as u64);
-                span.end();
-            }
+        if let Some(t) = &self.telemetry {
             t.counter("handovers_total", "all").add(moved as u64);
             t.gauge("shard_imbalance", "all").set(imbalance);
         }

@@ -143,11 +143,6 @@ impl SimulationReport {
         mean(self.intervals.iter().map(|r| r.mean_level))
     }
 
-    /// Mean handovers per interval.
-    pub fn mean_handovers(&self) -> f64 {
-        mean(self.intervals.iter().map(|r| r.handovers as f64))
-    }
-
     /// Fraction of transmitted traffic that was prefetched but never
     /// played (the paper's over-provisioning measure).
     pub fn waste_fraction(&self) -> f64 {

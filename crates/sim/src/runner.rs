@@ -370,8 +370,8 @@ impl Simulation {
         self.last_outcome.as_ref()
     }
 
-    /// The telemetry handle shared by every subsystem: stage-latency
-    /// histograms, counters, and the event journal.
+    /// The telemetry handle shared by every subsystem: stage spans,
+    /// counters, gauges, and the event journal.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
     }
@@ -470,15 +470,19 @@ impl Simulation {
                     .map(|row| row.availability)
                     .fold(f64::INFINITY, f64::min)
             });
-            let mut stage_p99_ms = std::collections::BTreeMap::new();
-            for stage_name in watchdog.policy().stage_p99_ms.keys() {
-                let p99 = self
-                    .telemetry
-                    .registry()
-                    .histogram(msvs_telemetry::STAGE_MS, stage_name.clone())
-                    .quantile(0.99);
-                stage_p99_ms.insert(stage_name.clone(), p99);
-            }
+            // Exact p99 over the closed spans of each ceilinged stage;
+            // the open `interval` span is not a sample yet.
+            let ceilings = &watchdog.policy().stage_p99_ms;
+            let stage_p99_ms = if ceilings.is_empty() {
+                Default::default()
+            } else {
+                self.telemetry
+                    .stage_stats()
+                    .into_iter()
+                    .filter(|s| ceilings.contains_key(&s.stage))
+                    .map(|s| (s.stage, s.p99_ms))
+                    .collect()
+            };
             let signals = SloSignals {
                 interval,
                 min_shard_availability,

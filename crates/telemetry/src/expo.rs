@@ -1,14 +1,15 @@
 //! Prometheus text exposition and the embedded scrape endpoint.
 //!
-//! [`render_prometheus`] turns a [`Registry`] snapshot into the
+//! [`render_prometheus`] turns a [`Telemetry`] snapshot into the
 //! Prometheus text format (version 0.0.4): counters and gauges as-is,
-//! the `stage_ms` histograms as summaries with `quantile` labels.
+//! and the exact stage statistics of the closed spans as the `stage_ms`
+//! summary with `quantile` labels.
 //! [`MetricsServer`] serves it over plain HTTP/1.1 on a background
 //! thread (`GET /metrics`), next to a `GET /healthz` JSON snapshot
 //! published by the runner through a [`HealthBoard`].
 //!
-//! Everything here is **strictly read-only** over shared atomic
-//! snapshots: scraping cannot perturb the simulation, so reports stay
+//! Everything here is **strictly read-only** over shared snapshots:
+//! scraping cannot perturb the simulation, so reports stay
 //! bit-identical with the server on or off.
 
 use std::fmt::Write as _;
@@ -20,11 +21,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::json::Json;
-use crate::registry::Registry;
-use crate::STAGE_MS;
-
-/// Quantiles exposed for each stage summary.
-const QUANTILES: [(f64, &str); 3] = [(0.50, "0.5"), (0.90, "0.9"), (0.99, "0.99")];
+use crate::{Telemetry, STAGE_MS};
 
 /// Sanitises `name` into a legal Prometheus metric name
 /// (`[a-zA-Z_:][a-zA-Z0-9_:]*`): illegal characters become `_`, and a
@@ -64,16 +61,6 @@ pub fn escape_label_value(value: &str) -> String {
     out
 }
 
-/// The label key a metric family's free-form label is exposed under:
-/// stage histograms use `stage`, everything else the generic `label`.
-fn label_key(family: &str) -> &'static str {
-    if family == STAGE_MS {
-        "stage"
-    } else {
-        "label"
-    }
-}
-
 fn sample(out: &mut String, name: &str, labels: &[(&str, &str)], value: f64) {
     out.push_str(name);
     if !labels.is_empty() {
@@ -94,82 +81,64 @@ fn header(out: &mut String, name: &str, kind: &str, help: &str) {
     let _ = writeln!(out, "# TYPE {name} {kind}");
 }
 
-/// Renders a registry snapshot in the Prometheus text exposition
-/// format. Counters and gauges keep their family names; stage
-/// histograms render as summaries with p50/p90/p99 `quantile` labels
-/// plus `_count` and `_sum` series. Output is deterministic (families
-/// and labels sorted).
-pub fn render_prometheus(registry: &Registry) -> String {
+/// Renders a telemetry snapshot in the Prometheus text exposition
+/// format. Counters and gauges keep their family names; the stage
+/// statistics (closed spans only) render as the `stage_ms` summary with
+/// p50/p90/p99 `quantile` labels plus `_count` and `_sum` series. Output
+/// is deterministic (families and labels sorted).
+pub fn render_prometheus(telemetry: &Telemetry) -> String {
     let mut out = String::new();
+    let registry = telemetry.registry();
+    let values = registry
+        .counter_values()
+        .into_iter()
+        .map(|(family, label, v)| ("counter", family, label, v as f64))
+        .chain(
+            registry
+                .gauge_values()
+                .into_iter()
+                .map(|(family, label, v)| ("gauge", family, label, v)),
+        );
     let mut last_family = None;
-    for (family, label, value) in registry.counter_values() {
+    for (kind, family, label, value) in values {
         let name = metric_name(family);
-        if last_family.as_ref() != Some(&name) {
-            header(&mut out, &name, "counter", "msvs counter");
-            last_family = Some(name.clone());
+        if last_family.as_ref() != Some(&(kind, name.clone())) {
+            header(&mut out, &name, kind, &format!("msvs {kind}"));
+            last_family = Some((kind, name.clone()));
         }
         let labels: Vec<(&str, &str)> = if label.is_empty() {
             vec![]
         } else {
-            vec![(label_key(family), label.as_str())]
-        };
-        sample(&mut out, &name, &labels, value as f64);
-    }
-    last_family = None;
-    for (family, label, value) in registry.gauge_values() {
-        let name = metric_name(family);
-        if last_family.as_ref() != Some(&name) {
-            header(&mut out, &name, "gauge", "msvs gauge");
-            last_family = Some(name.clone());
-        }
-        let labels: Vec<(&str, &str)> = if label.is_empty() {
-            vec![]
-        } else {
-            vec![(label_key(family), label.as_str())]
+            vec![("label", label.as_str())]
         };
         sample(&mut out, &name, &labels, value);
     }
-    last_family = None;
-    for (family, label, stats) in registry.histogram_stats() {
-        let name = metric_name(family);
-        if last_family.as_ref() != Some(&name) {
-            header(&mut out, &name, "summary", "msvs stage wall time");
-            last_family = Some(name.clone());
+    let stages = telemetry.stage_stats();
+    if !stages.is_empty() {
+        header(&mut out, STAGE_MS, "summary", "msvs stage wall time");
+    }
+    for s in &stages {
+        let stage = s.stage.as_str();
+        for (tag, value) in [("0.5", s.p50_ms), ("0.9", s.p90_ms), ("0.99", s.p99_ms)] {
+            sample(
+                &mut out,
+                STAGE_MS,
+                &[("stage", stage), ("quantile", tag)],
+                value,
+            );
         }
-        let key = label_key(family);
-        let quantile_of = |q: f64| {
-            if q == 0.50 {
-                stats.p50
-            } else if q == 0.90 {
-                stats.p90
-            } else {
-                stats.p99
-            }
-        };
-        for (q, tag) in QUANTILES {
-            let mut labels: Vec<(&str, &str)> = Vec::new();
-            if !label.is_empty() {
-                labels.push((key, label.as_str()));
-            }
-            labels.push(("quantile", tag));
-            sample(&mut out, &name, &labels, quantile_of(q));
-        }
-        let labels: Vec<(&str, &str)> = if label.is_empty() {
-            vec![]
-        } else {
-            vec![(key, label.as_str())]
-        };
+        let labels = [("stage", stage)];
         sample(
             &mut out,
-            &format!("{name}_count"),
+            &format!("{STAGE_MS}_count"),
             &labels,
-            stats.count as f64,
+            s.count as f64,
         );
         sample(
             &mut out,
-            &format!("{name}_sum"),
+            &format!("{STAGE_MS}_sum"),
             &labels,
-            stats.mean * stats.count as f64,
+            s.mean_ms * s.count as f64,
         );
     }
     out
@@ -295,11 +264,11 @@ pub struct MetricsServer {
 
 impl MetricsServer {
     /// Binds `addr` (e.g. `127.0.0.1:9100`; port 0 picks a free port)
-    /// and starts serving `registry` and `health`.
+    /// and starts serving `telemetry` and `health`.
     ///
     /// # Errors
     /// Returns a message when the address cannot be parsed or bound.
-    pub fn bind(addr: &str, registry: Registry, health: HealthBoard) -> Result<Self, String> {
+    pub fn bind(addr: &str, telemetry: Telemetry, health: HealthBoard) -> Result<Self, String> {
         let listener = TcpListener::bind(addr)
             .map_err(|e| format!("cannot bind metrics server on {addr}: {e}"))?;
         let addr = listener
@@ -317,7 +286,7 @@ impl MetricsServer {
                     if let Ok(stream) = stream {
                         // One request per connection; errors only drop
                         // the scrape, never the server.
-                        let _ = serve_one(stream, &registry, &health);
+                        let _ = serve_one(stream, &telemetry, &health);
                     }
                 }
             })
@@ -353,7 +322,7 @@ impl Drop for MetricsServer {
 
 fn serve_one(
     mut stream: TcpStream,
-    registry: &Registry,
+    telemetry: &Telemetry,
     health: &HealthBoard,
 ) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(2)))?;
@@ -387,7 +356,7 @@ fn serve_one(
             "/metrics" => (
                 "200 OK",
                 "text/plain; version=0.0.4; charset=utf-8",
-                render_prometheus(registry),
+                render_prometheus(telemetry),
             ),
             "/healthz" => (
                 "200 OK",
@@ -466,16 +435,17 @@ mod tests {
 
     #[test]
     fn exposition_covers_counters_gauges_and_summaries() {
-        let reg = Registry::new();
-        reg.counter("events_total", "GroupsFormed").add(3);
-        reg.counter("events_total", "IntervalStarted").add(5);
-        reg.gauge("par_utilisation", "udt_ingest").set(0.75);
-        reg.gauge("bare_gauge", "").set(1.5);
-        let h = reg.histogram(STAGE_MS, "kmeans_fit");
-        for v in 1..=100 {
-            h.record(v as f64);
+        let t = Telemetry::new();
+        t.counter("events_total", "GroupsFormed").add(3);
+        t.counter("events_total", "IntervalStarted").add(5);
+        t.gauge("par_utilisation", "udt_ingest").set(0.75);
+        t.gauge("bare_gauge", "").set(1.5);
+        for _ in 0..100 {
+            t.stage_scope("kmeans_fit").stop();
         }
-        let text = render_prometheus(&reg);
+        // An open scope is not a sample.
+        let _open = t.stage_scope("interval");
+        let text = render_prometheus(&t);
         assert!(text.contains("# TYPE events_total counter"), "{text}");
         assert!(
             text.contains("events_total{label=\"GroupsFormed\"} 3"),
@@ -488,10 +458,14 @@ mod tests {
         );
         assert!(text.contains("bare_gauge 1.5"), "{text}");
         assert!(text.contains("# TYPE stage_ms summary"), "{text}");
-        assert!(
-            text.contains("stage_ms{stage=\"kmeans_fit\",quantile=\"0.5\"}"),
-            "{text}"
-        );
+        for q in ["0.5", "0.9", "0.99"] {
+            assert!(
+                text.contains(&format!(
+                    "stage_ms{{stage=\"kmeans_fit\",quantile=\"{q}\"}}"
+                )),
+                "{text}"
+            );
+        }
         assert!(
             text.contains("stage_ms_count{stage=\"kmeans_fit\"} 100"),
             "{text}"
@@ -500,17 +474,19 @@ mod tests {
             text.contains("stage_ms_sum{stage=\"kmeans_fit\"}"),
             "{text}"
         );
+        assert!(!text.contains("stage=\"interval\""), "{text}");
         // One HELP/TYPE pair per family, ahead of its samples.
         assert_eq!(text.matches("# TYPE events_total counter").count(), 1);
+        assert_eq!(text.matches("# TYPE stage_ms summary").count(), 1);
     }
 
     #[test]
     fn every_exposed_line_is_format_conformant() {
-        let reg = Registry::new();
-        reg.counter("events_total", "with\"quote").inc();
-        reg.gauge("shard_imbalance", "").set(0.2);
-        reg.histogram(STAGE_MS, "cnn_forward").record(2.0);
-        for line in render_prometheus(&reg).lines() {
+        let t = Telemetry::new();
+        t.counter("events_total", "with\"quote").inc();
+        t.gauge("shard_imbalance", "").set(0.2);
+        t.stage_scope("cnn_forward").stop();
+        for line in render_prometheus(&t).lines() {
             if line.starts_with('#') {
                 assert!(
                     line.starts_with("# HELP ") || line.starts_with("# TYPE "),
@@ -578,14 +554,14 @@ mod tests {
 
     #[test]
     fn server_serves_metrics_and_healthz_then_stops() {
-        let reg = Registry::new();
-        reg.counter("events_total", "IntervalStarted").add(7);
+        let t = Telemetry::new();
+        t.counter("events_total", "IntervalStarted").add(7);
         let board = HealthBoard::new();
         board.publish(HealthSnapshot {
             state: "running".into(),
             ..HealthSnapshot::default()
         });
-        let mut server = MetricsServer::bind("127.0.0.1:0", reg, board).unwrap();
+        let mut server = MetricsServer::bind("127.0.0.1:0", t, board).unwrap();
         let addr = server.addr();
         let metrics = http_get(addr, "/metrics").unwrap();
         assert!(metrics.contains("events_total{label=\"IntervalStarted\"} 7"));

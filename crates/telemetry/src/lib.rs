@@ -2,24 +2,23 @@
 //!
 //! Zero-dependency observability for the msvs workspace:
 //!
-//! - [`Registry`] — named counters, gauges, and log-bucketed histograms
-//!   backed by atomics; hot paths hold pre-resolved handles and pay one
-//!   relaxed atomic op per update.
-//! - [`ScopedTimer`] — RAII wall-clock timers recording stage latencies
-//!   (milliseconds) into histograms; canonical stage names in [`stages`].
+//! - [`Registry`] — named counters and gauges backed by atomics; hot
+//!   paths hold pre-resolved handles and pay one relaxed atomic op per
+//!   update.
 //! - [`SpanCollector`] — hierarchical tracing spans with deterministic
 //!   structure at any thread count; exportable as Chrome-trace JSON via
-//!   [`chrome_trace`] for Perfetto / `chrome://tracing`.
+//!   [`chrome_trace`] for Perfetto / `chrome://tracing`. Closed spans are
+//!   the one record of stage wall time; canonical names in [`stages`].
 //! - [`EventJournal`] — typed [`Event`]s stamped with simulation time,
 //!   exportable as JSONL and parseable back for offline reporting.
 //! - [`RunManifest`] — config, seed, and git version of a run.
 //!
 //! The [`Telemetry`] handle bundles a registry, a journal, and a span
 //! collector and is cheap to clone into every subsystem;
-//! [`TelemetrySummary`] condenses the registry into the percentile table
+//! [`TelemetrySummary`] condenses them into the exact per-stage latency
+//! table (nearest-rank quantiles over closed spans) and the counters
 //! embedded in simulation reports. [`Telemetry::stage_scope`] is the
-//! one-call instrumentation point: one RAII guard feeds both the stage
-//! histogram and the span tree.
+//! one-call instrumentation point: an RAII span guard.
 
 pub mod expo;
 mod journal;
@@ -29,21 +28,19 @@ mod registry;
 pub mod slo;
 mod span;
 pub mod stages;
-mod timer;
 pub mod trace;
 
 pub use expo::{render_prometheus, HealthBoard, HealthSnapshot, MetricsServer, ShardHealth};
 pub use journal::{Entry, Event, EventJournal, ParseReport};
 pub use json::{Json, MAX_SAFE_INT};
 pub use manifest::RunManifest;
-pub use registry::{Counter, Gauge, Histogram, HistogramStats, Registry};
+pub use registry::{Counter, Gauge, Registry};
 pub use slo::{SloEdge, SloPolicy, SloReport, SloSignals, SloTransition, SloWatchdog};
 pub use span::{SpanAttrs, SpanCollector, SpanGuard, SpanRecord, SpanScratch, DRIVER_LANE};
-pub use timer::ScopedTimer;
 pub use trace::{chrome_trace, chrome_trace_with_counters, validate_chrome_trace, GaugeSample};
 
-/// Metric family name for stage-latency histograms; the label is the
-/// stage name from [`stages`].
+/// Metric family name of the stage-latency summary on `/metrics`; the
+/// label is the span name from [`stages`].
 pub const STAGE_MS: &str = "stage_ms";
 
 /// Shared handle bundling a metric [`Registry`], an [`EventJournal`], and
@@ -97,25 +94,10 @@ impl Telemetry {
         &self.journal
     }
 
-    /// Starts a [`ScopedTimer`] recording into the `stage_ms{stage}`
-    /// histogram.
-    pub fn stage_timer(&self, stage: &'static str) -> ScopedTimer {
-        ScopedTimer::new(self.registry.histogram(STAGE_MS, stage))
-    }
-
-    /// Opens a tracing span without touching the stage histograms.
-    pub fn span(&self, name: &'static str) -> SpanGuard {
-        self.spans.enter(name)
-    }
-
-    /// Opens a [`StageScope`]: one guard that both times the stage into
-    /// its `stage_ms{stage}` histogram and records a tracing span of the
-    /// same name, parented to the innermost open span.
-    pub fn stage_scope(&self, stage: &'static str) -> StageScope {
-        StageScope {
-            timer: self.stage_timer(stage),
-            span: self.spans.enter(stage),
-        }
+    /// Opens a span named `stage`, parented to the innermost open span.
+    /// Its closed duration is the stage's one wall-time record.
+    pub fn stage_scope(&self, stage: &'static str) -> SpanGuard {
+        self.spans.enter(stage)
     }
 
     /// The span collector (for scratch buffers, manual spans, exports).
@@ -167,60 +149,36 @@ impl Telemetry {
             .clone()
     }
 
-    /// Condenses the registry into a [`TelemetrySummary`].
+    /// Exact latency statistics of every span name, from closed spans
+    /// only, sorted by name.
+    pub fn stage_stats(&self) -> Vec<StageStats> {
+        self.spans
+            .closed_durations_us()
+            .into_iter()
+            .map(|(stage, mut us)| StageStats::from_durations_us(stage, &mut us))
+            .collect()
+    }
+
+    /// Condenses the span tree and the counters into a
+    /// [`TelemetrySummary`].
     pub fn summary(&self) -> TelemetrySummary {
-        TelemetrySummary::from_registry(&self.registry)
+        TelemetrySummary {
+            stages: self.stage_stats(),
+            counters: self
+                .registry
+                .counter_values()
+                .into_iter()
+                .map(|(n, l, v)| (n.to_string(), l, v))
+                .collect(),
+        }
     }
 }
 
-/// RAII guard pairing a stage-latency timer with a tracing span: drop it
-/// (or call [`stop`](Self::stop)) to record into both surfaces at once.
-#[derive(Debug)]
-pub struct StageScope {
-    timer: ScopedTimer,
-    span: SpanGuard,
-}
-
-impl StageScope {
-    /// The underlying span's id, usable as an adoption/manual parent.
-    pub fn span_id(&self) -> u64 {
-        self.span.id()
-    }
-
-    /// Sets the span's scored-interval attribute.
-    pub fn set_interval(&mut self, interval: u64) {
-        self.span.set_interval(interval);
-    }
-
-    /// Sets the span's multicast-group attribute.
-    pub fn set_group(&mut self, group: u64) {
-        self.span.set_group(group);
-    }
-
-    /// Sets the span's fan-out batch attribute.
-    pub fn set_batch(&mut self, batch: u64) {
-        self.span.set_batch(batch);
-    }
-
-    /// Builder-style [`set_interval`](Self::set_interval).
-    pub fn with_interval(mut self, interval: u64) -> Self {
-        self.set_interval(interval);
-        self
-    }
-
-    /// Builder-style [`set_group`](Self::set_group).
-    pub fn with_group(mut self, group: u64) -> Self {
-        self.set_group(group);
-        self
-    }
-
-    /// Closes both surfaces and returns the elapsed milliseconds the
-    /// histogram recorded.
-    pub fn stop(self) -> f64 {
-        let StageScope { timer, span } = self;
-        span.end();
-        timer.stop()
-    }
+/// Nearest-rank quantile `q` in `[0, 1]` of an ascending, non-empty
+/// sample: the value at 1-based rank `ceil(q·n)` (at least 1).
+pub fn nearest_rank<T: Copy>(sorted: &[T], q: f64) -> T {
+    let rank = (q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 /// Latency summary of one pipeline stage, milliseconds.
@@ -236,42 +194,37 @@ pub struct StageStats {
     pub max_ms: f64,
 }
 
-/// Registry snapshot embedded in simulation reports: per-stage latency
-/// percentiles plus every counter.
+impl StageStats {
+    /// Exact statistics of one stage's span durations (µs, non-empty;
+    /// sorted in place).
+    fn from_durations_us(stage: &str, us: &mut [u64]) -> Self {
+        us.sort_unstable();
+        let ms = |q: f64| nearest_rank(us, q) as f64 / 1e3;
+        let total: u64 = us.iter().sum();
+        StageStats {
+            stage: stage.to_string(),
+            count: us.len() as u64,
+            mean_ms: total as f64 / 1e3 / us.len() as f64,
+            p50_ms: ms(0.50),
+            p90_ms: ms(0.90),
+            p95_ms: ms(0.95),
+            p99_ms: ms(0.99),
+            max_ms: ms(1.0),
+        }
+    }
+}
+
+/// Telemetry snapshot embedded in simulation reports: per-stage latency
+/// statistics plus every counter.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TelemetrySummary {
-    /// One row per [`STAGE_MS`] histogram, sorted by stage name.
+    /// One row per span name with a closed span, sorted by name.
     pub stages: Vec<StageStats>,
     /// Every counter as `(name, label, value)`, sorted.
     pub counters: Vec<(String, String, u64)>,
 }
 
 impl TelemetrySummary {
-    /// Snapshots `registry` into a summary.
-    pub fn from_registry(registry: &Registry) -> Self {
-        let stages = registry
-            .histogram_stats()
-            .into_iter()
-            .filter(|(name, _, _)| *name == STAGE_MS)
-            .map(|(_, stage, s)| StageStats {
-                stage,
-                count: s.count,
-                mean_ms: s.mean,
-                p50_ms: s.p50,
-                p90_ms: s.p90,
-                p95_ms: s.p95,
-                p99_ms: s.p99,
-                max_ms: s.max,
-            })
-            .collect();
-        let counters = registry
-            .counter_values()
-            .into_iter()
-            .map(|(n, l, v)| (n.to_string(), l, v))
-            .collect();
-        Self { stages, counters }
-    }
-
     /// Copy with every wall-clock field zeroed, keeping event/stage
     /// counts. Wall-clock timings vary run to run even under a fixed
     /// seed, so determinism tests compare zeroed summaries.
@@ -296,13 +249,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn summary_collects_stage_histograms_and_counters() {
+    fn summary_collects_stage_spans_and_counters() {
         let t = Telemetry::new();
-        t.stage_timer(stages::KMEANS_FIT).stop();
-        t.stage_timer(stages::KMEANS_FIT).stop();
-        t.stage_timer(stages::CNN_FORWARD).stop();
-        // A non-stage histogram must not leak into the stage table.
-        t.registry().histogram("other", "x").record(1.0);
+        t.stage_scope(stages::KMEANS_FIT).stop();
+        t.stage_scope(stages::KMEANS_FIT).stop();
+        t.stage_scope(stages::CNN_FORWARD).stop();
         t.counter("events_total", "GroupsFormed").add(2);
         let s = t.summary();
         assert_eq!(s.stages.len(), 2);
@@ -316,10 +267,31 @@ mod tests {
     }
 
     #[test]
+    fn quantiles_track_known_distribution() {
+        let sample: Vec<u64> = (1..=100).collect();
+        assert_eq!(nearest_rank(&sample, 0.0), 1);
+        assert_eq!(nearest_rank(&sample, 0.5), 50);
+        assert_eq!(nearest_rank(&sample, 0.9), 90);
+        assert_eq!(nearest_rank(&sample, 0.99), 99);
+        assert_eq!(nearest_rank(&sample, 1.0), 100);
+        let ten: Vec<f64> = (1..=10).map(f64::from).collect();
+        assert_eq!(nearest_rank(&ten, 0.5), 5.0, "rank ceil(0.5 * 10) = 5");
+        assert_eq!(nearest_rank(&ten, 0.95), 10.0);
+        assert_eq!(nearest_rank(&[7.5], 0.5), 7.5);
+        // Durations in µs, reported in ms; the input order is irrelevant.
+        let mut us: Vec<u64> = (1..=100).rev().map(|v| v * 1_000).collect();
+        let s = StageStats::from_durations_us(stages::KMEANS_FIT, &mut us);
+        assert_eq!(s.count, 100);
+        assert_eq!(s.mean_ms, 50.5);
+        assert_eq!((s.p50_ms, s.p90_ms, s.p95_ms), (50.0, 90.0, 95.0));
+        assert_eq!((s.p99_ms, s.max_ms), (99.0, 100.0));
+    }
+
+    #[test]
     fn zeroed_timings_are_equal_across_runs() {
         let mk = || {
             let t = Telemetry::new();
-            t.stage_timer(stages::INTERVAL).stop();
+            t.stage_scope(stages::INTERVAL).stop();
             t.counter("intervals_total", "").inc();
             t.summary().with_zeroed_timings()
         };
@@ -337,14 +309,14 @@ mod tests {
     }
 
     #[test]
-    fn stage_scope_feeds_histogram_and_span_tree() {
+    fn stage_scope_records_one_span_per_call() {
         let t = Telemetry::new();
         {
             let mut outer = t.stage_scope(stages::INTERVAL);
             outer.set_interval(2);
             let inner = t.stage_scope(stages::SCHEME_PREDICT);
             let ms = inner.stop();
-            assert!(ms >= 0.0);
+            assert_eq!(ms, t.spans()[1].dur_us as f64 / 1e3);
         }
         let spans = t.spans();
         assert_eq!(spans.len(), 2);
@@ -354,7 +326,25 @@ mod tests {
         let s = t.summary();
         assert_eq!(s.stages.len(), 2);
         assert!(s.stages.iter().all(|st| st.count == 1));
-        assert!(s.stages.iter().all(|st| st.p90_ms <= st.p99_ms));
+        assert!(s.stages.iter().all(|st| st.p50_ms == st.max_ms));
+    }
+
+    #[test]
+    fn summary_and_p99_ignore_an_open_scope() {
+        let t = Telemetry::new();
+        t.stage_scope(stages::SCHEME_PREDICT).stop();
+        let open = t.stage_scope(stages::SCHEME_PREDICT);
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let interval = t.stage_scope(stages::INTERVAL);
+        let row = |name: &str| t.summary().stages.into_iter().find(|s| s.stage == name);
+        let predict = row(stages::SCHEME_PREDICT).expect("one closed scheme_predict");
+        assert_eq!(predict.count, 1, "the open scope is not a sample");
+        assert_eq!(predict.p99_ms, t.spans()[0].dur_us as f64 / 1e3);
+        assert!(row(stages::INTERVAL).is_none(), "an open stage has no row");
+        drop(interval);
+        drop(open);
+        assert_eq!(row(stages::SCHEME_PREDICT).unwrap().count, 2);
+        assert_eq!(row(stages::INTERVAL).unwrap().count, 1);
     }
 
     #[test]

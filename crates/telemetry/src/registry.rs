@@ -1,7 +1,7 @@
 //! Cheap, atomic-backed metric primitives and the registry that names them.
 //!
-//! Hot paths hold a pre-resolved handle ([`Counter`], [`Gauge`],
-//! [`Histogram`]) and pay one relaxed atomic operation per update; the
+//! Hot paths hold a pre-resolved handle ([`Counter`], [`Gauge`]) and
+//! pay one relaxed atomic operation per update; the
 //! registry's lock is touched only when a handle is first resolved or a
 //! snapshot is taken.
 
@@ -55,151 +55,6 @@ impl Gauge {
     }
 }
 
-/// Bucket layout shared by every [`Histogram`].
-///
-/// Buckets grow geometrically by [`GROWTH`] starting at [`FIRST_BOUND`]:
-/// bucket `i` holds values in `(FIRST_BOUND * GROWTH^(i-1), FIRST_BOUND *
-/// GROWTH^i]`, bucket 0 holds everything at or below [`FIRST_BOUND`], and
-/// the final bucket holds the overflow tail. With 8 buckets per doubling
-/// the relative quantile error is bounded by `2^(1/8) - 1` (~9%).
-pub const BUCKETS: usize = 256;
-/// Upper bound of the first bucket. Values are unit-agnostic; for the
-/// simulator they are milliseconds, so the range spans 1 µs … ~4.7e6 s.
-pub const FIRST_BOUND: f64 = 1e-3;
-/// Geometric growth factor between consecutive bucket bounds.
-pub const GROWTH: f64 = 1.090_507_732_665_257_7; // 2^(1/8)
-
-/// Upper bound of bucket `i`.
-fn bucket_bound(i: usize) -> f64 {
-    FIRST_BOUND * GROWTH.powi(i as i32)
-}
-
-/// The bucket a value lands in.
-fn bucket_index(value: f64) -> usize {
-    // NaN and anything at or below the first bound land in bucket 0.
-    if value.is_nan() || value <= FIRST_BOUND {
-        return 0;
-    }
-    let i = (value / FIRST_BOUND).log2() * 8.0;
-    // `ceil` maps values exactly on a bound into that bound's bucket.
-    (i.ceil() as usize).min(BUCKETS - 1)
-}
-
-#[derive(Debug)]
-struct HistogramCore {
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    /// Sum of recorded values, in nanounits, so `fetch_add` stays a single
-    /// relaxed integer op (no CAS loop). Saturates far beyond any run.
-    sum_nano: AtomicU64,
-    /// Maximum recorded value as orderable `f64` bits (values are
-    /// non-negative, so the bit pattern ordering matches numeric order).
-    max_bits: AtomicU64,
-}
-
-/// A lock-free histogram over non-negative values with geometric buckets.
-#[derive(Debug, Clone)]
-pub struct Histogram(Arc<HistogramCore>);
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram(Arc::new(HistogramCore {
-            buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum_nano: AtomicU64::new(0),
-            max_bits: AtomicU64::new(0),
-        }))
-    }
-}
-
-impl Histogram {
-    /// Records one observation. Negative or non-finite values are clamped
-    /// to zero rather than poisoning the distribution.
-    pub fn record(&self, value: f64) {
-        let v = if value.is_finite() && value > 0.0 {
-            value
-        } else {
-            0.0
-        };
-        let core = &*self.0;
-        core.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        core.count.fetch_add(1, Ordering::Relaxed);
-        core.sum_nano.fetch_add((v * 1e9) as u64, Ordering::Relaxed);
-        core.max_bits.fetch_max(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
-    }
-
-    /// Mean of observations (0 when empty).
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.0.sum_nano.load(Ordering::Relaxed) as f64 / 1e9 / n as f64
-        }
-    }
-
-    /// Largest observation (0 when empty).
-    pub fn max(&self) -> f64 {
-        f64::from_bits(self.0.max_bits.load(Ordering::Relaxed))
-    }
-
-    /// Approximate quantile `q` in `[0, 1]` via bucket walk; the returned
-    /// value is the geometric midpoint of the bucket holding the target
-    /// rank (relative error bounded by the bucket growth factor).
-    pub fn quantile(&self, q: f64) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            return 0.0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * n as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, b) in self.0.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= rank {
-                if i == 0 {
-                    // Sub-resolution bucket: bound is more honest than a
-                    // midpoint that implies precision we don't have.
-                    return FIRST_BOUND;
-                }
-                let lo = bucket_bound(i - 1);
-                let hi = bucket_bound(i).min(self.max());
-                return (lo * hi.max(lo)).sqrt();
-            }
-        }
-        self.max()
-    }
-
-    /// Immutable summary of the current distribution.
-    pub fn stats(&self) -> HistogramStats {
-        HistogramStats {
-            count: self.count(),
-            mean: self.mean(),
-            p50: self.quantile(0.50),
-            p90: self.quantile(0.90),
-            p95: self.quantile(0.95),
-            p99: self.quantile(0.99),
-            max: self.max(),
-        }
-    }
-}
-
-/// Point-in-time summary of a [`Histogram`].
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct HistogramStats {
-    pub count: u64,
-    pub mean: f64,
-    pub p50: f64,
-    pub p90: f64,
-    pub p95: f64,
-    pub p99: f64,
-    pub max: f64,
-}
-
 /// Fully-qualified metric key: static family name plus free-form label.
 pub type MetricKey = (&'static str, String);
 
@@ -208,7 +63,6 @@ pub type MetricKey = (&'static str, String);
 pub struct Registry {
     counters: Arc<Mutex<HashMap<MetricKey, Counter>>>,
     gauges: Arc<Mutex<HashMap<MetricKey, Gauge>>>,
-    histograms: Arc<Mutex<HashMap<MetricKey, Histogram>>>,
 }
 
 impl Registry {
@@ -226,12 +80,6 @@ impl Registry {
     /// Resolves (registering on first use) the gauge `name{label}`.
     pub fn gauge(&self, name: &'static str, label: impl Into<String>) -> Gauge {
         let mut map = self.gauges.lock().expect("registry lock poisoned");
-        map.entry((name, label.into())).or_default().clone()
-    }
-
-    /// Resolves (registering on first use) the histogram `name{label}`.
-    pub fn histogram(&self, name: &'static str, label: impl Into<String>) -> Histogram {
-        let mut map = self.histograms.lock().expect("registry lock poisoned");
         map.entry((name, label.into())).or_default().clone()
     }
 
@@ -256,92 +104,11 @@ impl Registry {
         out.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
         out
     }
-
-    /// Sorted snapshot of every histogram as `(name, label, stats)`.
-    pub fn histogram_stats(&self) -> Vec<(&'static str, String, HistogramStats)> {
-        let map = self.histograms.lock().expect("registry lock poisoned");
-        let mut out: Vec<_> = map
-            .iter()
-            .map(|((n, l), h)| (*n, l.clone(), h.stats()))
-            .collect();
-        out.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bucket_boundaries_are_exact_and_monotone() {
-        // Everything at or below the first bound lands in bucket 0.
-        assert_eq!(bucket_index(0.0), 0);
-        assert_eq!(bucket_index(FIRST_BOUND), 0);
-        assert_eq!(bucket_index(FIRST_BOUND * 0.5), 0);
-        // A value just above a bound lands in the next bucket; a value
-        // exactly on bound i lands in bucket i.
-        for i in 1..40 {
-            let bound = bucket_bound(i);
-            assert_eq!(bucket_index(bound * 1.0001), i + 1, "just above bound {i}");
-            assert!(bucket_index(bound * 0.999) <= i, "below bound {i}");
-        }
-        // Index is monotone in the value.
-        let mut prev = 0;
-        let mut v = FIRST_BOUND / 2.0;
-        while v < 1e6 {
-            let i = bucket_index(v);
-            assert!(i >= prev);
-            prev = i;
-            v *= 1.37;
-        }
-        // Overflow clamps to the last bucket.
-        assert_eq!(bucket_index(f64::MAX / 2.0), BUCKETS - 1);
-    }
-
-    #[test]
-    fn quantiles_track_known_distribution() {
-        let h = Histogram::default();
-        // 1..=100 ms, uniformly.
-        for v in 1..=100 {
-            h.record(v as f64);
-        }
-        assert_eq!(h.count(), 100);
-        assert!((h.mean() - 50.5).abs() < 1e-6);
-        assert_eq!(h.max(), 100.0);
-        // Log-bucketed quantiles carry ~9% relative error per bound.
-        let p50 = h.quantile(0.50);
-        assert!((45.0..=56.0).contains(&p50), "p50 {p50}");
-        let p90 = h.quantile(0.90);
-        assert!((81.0..=100.0).contains(&p90), "p90 {p90}");
-        let p95 = h.quantile(0.95);
-        assert!((86.0..=105.0).contains(&p95), "p95 {p95}");
-        let p99 = h.quantile(0.99);
-        assert!((90.0..=110.0).contains(&p99), "p99 {p99}");
-        // Degenerate quantiles stay in range.
-        assert!(h.quantile(0.0) >= 1.0 * (1.0 - 0.1));
-        assert!(h.quantile(1.0) <= 100.0 * 1.1);
-    }
-
-    #[test]
-    fn empty_histogram_reports_zeroes() {
-        let h = Histogram::default();
-        let s = h.stats();
-        assert_eq!(s.count, 0);
-        assert_eq!(s.mean, 0.0);
-        assert_eq!(s.p99, 0.0);
-        assert_eq!(s.max, 0.0);
-    }
-
-    #[test]
-    fn negative_and_nan_records_are_clamped() {
-        let h = Histogram::default();
-        h.record(-5.0);
-        h.record(f64::NAN);
-        h.record(f64::INFINITY);
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.max(), 0.0);
-    }
 
     #[test]
     fn counters_and_gauges_concurrent_updates_are_exact() {
@@ -353,10 +120,8 @@ mod tests {
                 let reg = reg.clone();
                 scope.spawn(move || {
                     let c = reg.counter("ops_total", "concurrent");
-                    let h = reg.histogram("latency", "concurrent");
-                    for i in 0..PER_THREAD {
+                    for _ in 0..PER_THREAD {
                         c.inc();
-                        h.record((i % 100) as f64 + 1.0);
                     }
                     reg.gauge("last_thread", "concurrent").set(t as f64);
                 });
@@ -366,9 +131,6 @@ mod tests {
             reg.counter("ops_total", "concurrent").get(),
             THREADS * PER_THREAD
         );
-        let h = reg.histogram("latency", "concurrent");
-        assert_eq!(h.count(), THREADS * PER_THREAD);
-        assert!((h.mean() - 50.5).abs() < 1e-6);
         let g = reg.gauge("last_thread", "concurrent").get();
         assert!((0.0..THREADS as f64).contains(&g));
     }

@@ -11,10 +11,16 @@
 //! across thread and shard counts.
 //!
 //! One rule family is intentionally *not* deterministic: stage-p99
-//! latency ceilings judge **wall-clock** histograms, so their breach
-//! edges vary run to run. They are still evaluated at interval
-//! boundaries (latency regressions should page like any other
-//! objective), but determinism tests use policies without them.
+//! latency ceilings judge the **wall-clock** durations of the closed
+//! spans of a stage (exact nearest-rank p99, see
+//! [`crate::Telemetry::stage_stats`]), so their breach edges vary run to
+//! run. They are still evaluated at interval boundaries (latency
+//! regressions should page like any other objective), but determinism
+//! tests use policies without them.
+//!
+//! The built-in policies are the committed `results/slo_profiles`
+//! files, compiled in; README's fault-profile section gives the
+//! rationale of each.
 
 use std::collections::BTreeMap;
 
@@ -49,8 +55,9 @@ pub struct SloPolicy {
     pub coverage_floor: Option<f64>,
     /// Maximum cumulative degraded (fallback-path) intervals.
     pub degraded_budget: Option<u64>,
-    /// Wall-clock p99 ceilings, milliseconds, per stage name. Judged
-    /// against the live `stage_ms` histograms — **not deterministic**.
+    /// Wall-clock p99 ceilings, milliseconds, per stage name (one of
+    /// [`crate::stages::ALL`]). Judged against the closed spans of the
+    /// stage so far — **not deterministic**.
     pub stage_p99_ms: BTreeMap<String, f64>,
     /// Burn budget: how many rule-breach intervals the run may accrue
     /// before the policy is considered hard-breached (per rule).
@@ -102,10 +109,10 @@ impl SloPolicy {
             unit("coverage_floor", v)?;
         }
         for (stage, ceiling) in &self.stage_p99_ms {
-            if stage.is_empty() {
+            if !crate::stages::ALL.contains(&stage.as_str()) {
                 return Err((
                     "slo.stage_p99_ms".to_string(),
-                    "stage name must be non-empty".to_string(),
+                    format!("names unknown stage `{stage}`"),
                 ));
             }
             if !ceiling.is_finite() || *ceiling <= 0.0 {
@@ -121,29 +128,15 @@ impl SloPolicy {
     /// Names of the built-in policies accepted by [`SloPolicy::builtin`].
     pub const BUILTINS: [&'static str; 2] = ["strict", "lenient"];
 
-    /// A named built-in policy, or `None` for an unknown name.
+    /// A named built-in policy (the committed profile of that name), or
+    /// `None` for an unknown name.
     pub fn builtin(name: &str) -> Option<Self> {
-        match name {
-            // Zero tolerance: any shard dip, coverage loss, or degraded
-            // interval is an immediate hard breach.
-            "strict" => Some(SloPolicy {
-                availability_floor: Some(0.999),
-                coverage_floor: Some(0.95),
-                degraded_budget: Some(0),
-                breach_budget: 0,
-                ..Self::none()
-            }),
-            // Tolerates transient outages and fallback predictions but
-            // still catches sustained erosion.
-            "lenient" => Some(SloPolicy {
-                availability_floor: Some(0.90),
-                coverage_floor: Some(0.50),
-                degraded_budget: Some(2),
-                breach_budget: 4,
-                ..Self::none()
-            }),
-            _ => None,
-        }
+        let text = match name {
+            "strict" => include_str!("../../../results/slo_profiles/strict.json"),
+            "lenient" => include_str!("../../../results/slo_profiles/lenient.json"),
+            _ => return None,
+        };
+        Some(Self::parse(text).expect("shipped SLO profile parses"))
     }
 
     /// Serialises the policy as a JSON profile.
@@ -498,6 +491,23 @@ mod tests {
         let err = SloPolicy::parse(r#"{"stage_p99_ms":{"kmeans_fit":-1}}"#).unwrap_err();
         assert!(err.contains("positive"), "{err}");
         assert!(SloPolicy::parse("not json").is_err());
+    }
+
+    /// A misspelt stage would never be judged, silently disabling its
+    /// ceiling; it fails validation by name instead.
+    #[test]
+    fn stage_ceilings_must_name_a_known_stage() {
+        let mut policy = SloPolicy::none();
+        policy.stage_p99_ms.insert("kmeans_fti".into(), 5.0);
+        let (field, reason) = policy.validate().unwrap_err();
+        assert_eq!(field, "slo.stage_p99_ms");
+        assert!(reason.contains("unknown stage `kmeans_fti`"), "{reason}");
+        let err = SloPolicy::parse(r#"{"stage_p99_ms":{"":5}}"#).unwrap_err();
+        assert!(err.contains("unknown stage ``"), "{err}");
+        for stage in crate::stages::ALL {
+            let text = format!(r#"{{"stage_p99_ms":{{"{stage}":5}}}}"#);
+            assert!(SloPolicy::parse(&text).is_ok(), "{stage}");
+        }
     }
 
     #[test]

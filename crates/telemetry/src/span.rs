@@ -14,6 +14,7 @@
 //! determinism tests compare structures, the Chrome-trace exporter
 //! ([`crate::trace`]) emits everything.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -104,7 +105,7 @@ impl SpanCollector {
     }
 
     /// Opens a span parented to the innermost open span on the driver
-    /// stack. Close it by dropping (or [`end`](SpanGuard::end)ing) the
+    /// stack. Close it by dropping (or [`stop`](SpanGuard::stop)ping) the
     /// returned guard.
     pub fn enter(&self, name: &'static str) -> SpanGuard {
         let t0 = self.now_us();
@@ -129,7 +130,8 @@ impl SpanCollector {
         }
     }
 
-    fn exit(&self, id: u64, attrs: SpanAttrs) {
+    /// Closes span `id`, returning its duration in microseconds.
+    fn exit(&self, id: u64, attrs: SpanAttrs) -> u64 {
         let end = self.now_us();
         let mut inner = self.0.inner.lock().expect("span lock poisoned");
         // Guards usually close innermost-first, but a caller can hold two
@@ -140,6 +142,7 @@ impl SpanCollector {
         let span = &mut inner.spans[id as usize];
         span.dur_us = end.saturating_sub(span.t0_us);
         span.attrs = attrs;
+        span.dur_us
     }
 
     /// Records an already-measured span without RAII, for timings
@@ -213,6 +216,20 @@ impl SpanCollector {
             .clone()
     }
 
+    /// Durations (µs) of every closed span, grouped by name, each list
+    /// in id order. A span still open on the driver stack is not a
+    /// sample: its duration is not known yet.
+    pub fn closed_durations_us(&self) -> BTreeMap<&'static str, Vec<u64>> {
+        let inner = self.0.inner.lock().expect("span lock poisoned");
+        let mut out: BTreeMap<&'static str, Vec<u64>> = BTreeMap::new();
+        for span in &inner.spans {
+            if !inner.stack.contains(&span.id) {
+                out.entry(span.name).or_default().push(span.dur_us);
+            }
+        }
+        out
+    }
+
     /// Number of recorded spans.
     pub fn len(&self) -> usize {
         self.0.inner.lock().expect("span lock poisoned").spans.len()
@@ -224,8 +241,10 @@ impl SpanCollector {
     }
 }
 
-/// RAII handle for an open span; closing (drop or [`end`](Self::end))
-/// stamps the duration and attributes into the collector.
+/// RAII handle for an open span; closing (drop or [`stop`](Self::stop))
+/// stamps the duration and attributes into the collector. The closed
+/// span is the one record of the stage's wall time: stage statistics are
+/// computed from closed spans (see [`crate::Telemetry::summary`]).
 #[derive(Debug)]
 pub struct SpanGuard {
     collector: SpanCollector,
@@ -251,11 +270,6 @@ impl SpanGuard {
         self.attrs.group = Some(group);
     }
 
-    /// Sets the fan-out batch attribute.
-    pub fn set_batch(&mut self, batch: u64) {
-        self.attrs.batch = Some(batch);
-    }
-
     /// Builder-style [`set_interval`](Self::set_interval).
     pub fn with_interval(mut self, interval: u64) -> Self {
         self.set_interval(interval);
@@ -268,22 +282,19 @@ impl SpanGuard {
         self
     }
 
-    /// Builder-style [`set_batch`](Self::set_batch).
-    pub fn with_batch(mut self, batch: u64) -> Self {
-        self.set_batch(batch);
-        self
+    /// Closes the span now instead of at scope end and returns its
+    /// duration in milliseconds — the value the span records.
+    pub fn stop(mut self) -> f64 {
+        self.close() as f64 / 1e3
     }
 
-    /// Closes the span now instead of at scope end.
-    pub fn end(mut self) {
-        self.close();
-    }
-
-    fn close(&mut self) {
-        if !self.closed {
-            self.closed = true;
-            self.collector.exit(self.id, self.attrs);
+    /// Closes the span once, returning its duration in microseconds.
+    fn close(&mut self) -> u64 {
+        if self.closed {
+            return 0;
         }
+        self.closed = true;
+        self.collector.exit(self.id, self.attrs)
     }
 }
 
@@ -461,6 +472,53 @@ mod tests {
             structures(&c)
         };
         assert_eq!(mk(), mk());
+    }
+
+    #[test]
+    fn drop_records_once() {
+        let c = SpanCollector::new();
+        {
+            let _g = c.enter(stages::KMEANS_FIT);
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        let closed = c.closed_durations_us();
+        assert_eq!(closed[stages::KMEANS_FIT].len(), 1);
+        assert!(closed[stages::KMEANS_FIT][0] >= 1_000, "slept ~2ms");
+    }
+
+    #[test]
+    fn stop_returns_elapsed_and_does_not_double_record() {
+        let c = SpanCollector::new();
+        let g = c.enter(stages::CNN_FORWARD);
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        let ms = g.stop();
+        let spans = c.snapshot();
+        assert_eq!(spans.len(), 1);
+        assert_eq!(
+            ms,
+            spans[0].dur_us as f64 / 1e3,
+            "stop returns the span's own duration"
+        );
+        assert_eq!(c.closed_durations_us()[stages::CNN_FORWARD].len(), 1);
+    }
+
+    #[test]
+    fn open_spans_are_not_samples() {
+        let c = SpanCollector::new();
+        let outer = c.enter(stages::INTERVAL);
+        c.enter(stages::SCHEME_PREDICT).stop();
+        let mut s = c.scratch();
+        s.record(stages::CNN_ENCODE_BATCH, SpanAttrs::default(), |_| ());
+        c.adopt(Some(outer.id()), s);
+        let closed = c.closed_durations_us();
+        assert!(
+            !closed.contains_key(stages::INTERVAL),
+            "the open root is skipped"
+        );
+        assert_eq!(closed[stages::SCHEME_PREDICT].len(), 1);
+        assert_eq!(closed[stages::CNN_ENCODE_BATCH].len(), 1);
+        drop(outer);
+        assert_eq!(c.closed_durations_us()[stages::INTERVAL].len(), 1);
     }
 
     #[test]

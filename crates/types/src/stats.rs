@@ -222,30 +222,6 @@ pub fn std_dev(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / xs.len() as f64).sqrt()
 }
 
-/// Linear-interpolated percentile, `p` in `[0, 100]`.
-///
-/// Returns 0.0 for an empty slice.
-///
-/// # Panics
-/// Panics if `p` is outside `[0, 100]` or any sample is NaN.
-pub fn percentile(xs: &[f64], p: f64) -> f64 {
-    assert!((0.0..=100.0).contains(&p), "percentile must be in [0, 100]");
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("samples must not be NaN"));
-    let idx = p / 100.0 * (sorted.len() - 1) as f64;
-    let lo = idx.floor() as usize;
-    let hi = idx.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
-    } else {
-        let frac = idx - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-    }
-}
-
 /// Empirical cumulative distribution function over observed samples.
 ///
 /// Used by the swiping-probability abstraction: `F(t)` is the fraction of
@@ -429,15 +405,6 @@ mod tests {
         assert_eq!(weighted_index(&mut r, &[]), None);
         assert_eq!(weighted_index(&mut r, &[0.0, 0.0]), None);
         assert_eq!(weighted_index(&mut r, &[f64::NAN, 1.0]), Some(1));
-    }
-
-    #[test]
-    fn percentile_interpolates() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&xs, 0.0), 1.0);
-        assert_eq!(percentile(&xs, 100.0), 4.0);
-        assert!((percentile(&xs, 50.0) - 2.5).abs() < 1e-12);
-        assert_eq!(percentile(&[], 50.0), 0.0);
     }
 
     #[test]

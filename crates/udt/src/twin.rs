@@ -350,11 +350,6 @@ impl UserDigitalTwin {
         &self.watches
     }
 
-    /// Watch records observed at or after `since`.
-    pub fn watches_since(&self, since: SimTime) -> Vec<&WatchRecord> {
-        self.watches.since(since)
-    }
-
     /// Worst staleness across attributes at `now` (`None` when the twin
     /// has never been updated).
     pub fn staleness(&self, now: SimTime) -> Option<SimDuration> {

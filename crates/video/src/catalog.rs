@@ -317,11 +317,6 @@ impl Catalog {
         self.sample(rng)
     }
 
-    /// The `n` most popular videos (rank order).
-    pub fn top_videos(&self, n: usize) -> &[Video] {
-        &self.videos[..n.min(self.videos.len())]
-    }
-
     /// Ranks (catalog indices) of all videos in a category.
     pub fn category_members(&self, category: VideoCategory) -> &[usize] {
         &self.by_category[category.index()]

@@ -25,7 +25,8 @@ use msvs::faults::FaultPlan;
 use msvs::shard::{Shard, ShardCheckpoint};
 use msvs::sim::{report, DemandPredictorKind, Simulation, SimulationConfig};
 use msvs::telemetry::{
-    chrome_trace_with_counters, Event, EventJournal, MetricsServer, RunManifest, SloPolicy,
+    chrome_trace_with_counters, nearest_rank, Entry, Event, EventJournal, MetricsServer,
+    RunManifest, SloPolicy,
 };
 use msvs::types::VideoCategory;
 
@@ -281,11 +282,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     // writes, so the run itself is untouched by scrapes.
     let mut server = match flags.value("--serve-metrics") {
         Some(addr) => {
-            let s = MetricsServer::bind(
-                addr,
-                sim.telemetry().registry().clone(),
-                sim.health_board().clone(),
-            )?;
+            let s = MetricsServer::bind(addr, sim.telemetry().clone(), sim.health_board().clone())?;
             println!(
                 "serving http://{0}/metrics and http://{0}/healthz",
                 s.addr()
@@ -547,43 +544,8 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         );
     }
 
-    // Stage-latency table from StageCompleted events.
-    let mut stages: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
-    for e in &entries {
-        if let Event::StageCompleted { stage, wall_ms } = &e.event {
-            stages.entry(stage).or_default().push(*wall_ms);
-        }
-    }
-    if !stages.is_empty() {
-        let rows: Vec<Vec<String>> = stages
-            .iter()
-            .map(|(stage, ms)| {
-                let total: f64 = ms.iter().sum();
-                let max = ms.iter().cloned().fold(0.0f64, f64::max);
-                let mut sorted = ms.clone();
-                sorted.sort_by(f64::total_cmp);
-                vec![
-                    stage.to_string(),
-                    ms.len().to_string(),
-                    format!("{:.3}", total / ms.len() as f64),
-                    format!("{:.3}", sample_quantile(&sorted, 0.50)),
-                    format!("{:.3}", sample_quantile(&sorted, 0.90)),
-                    format!("{:.3}", sample_quantile(&sorted, 0.99)),
-                    format!("{max:.3}"),
-                    format!("{total:.3}"),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            report::format_table(
-                &[
-                    "stage", "count", "mean ms", "p50 ms", "p90 ms", "p99 ms", "max ms",
-                    "total ms",
-                ],
-                &rows,
-            )
-        );
+    if let Some(table) = stage_table(&entries) {
+        println!("{table}");
     }
 
     // Event counts by type.
@@ -723,10 +685,42 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Nearest-rank quantile over an already sorted, non-empty sample.
-fn sample_quantile(sorted: &[f64], q: f64) -> f64 {
-    let idx = (q * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
+/// The stage-latency table of a journal's `StageCompleted` events
+/// (nearest-rank quantiles), or `None` when it holds none.
+fn stage_table(entries: &[Entry]) -> Option<String> {
+    let mut stages: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
+    for e in entries {
+        if let Event::StageCompleted { stage, wall_ms } = &e.event {
+            stages.entry(stage).or_default().push(*wall_ms);
+        }
+    }
+    if stages.is_empty() {
+        return None;
+    }
+    let rows: Vec<Vec<String>> = stages
+        .iter_mut()
+        .map(|(stage, ms)| {
+            let total: f64 = ms.iter().sum();
+            ms.sort_by(f64::total_cmp);
+            let q = |q| format!("{:.3}", nearest_rank(ms, q));
+            vec![
+                stage.to_string(),
+                ms.len().to_string(),
+                format!("{:.3}", total / ms.len() as f64),
+                q(0.50),
+                q(0.90),
+                q(0.99),
+                q(1.0),
+                format!("{total:.3}"),
+            ]
+        })
+        .collect();
+    Some(report::format_table(
+        &[
+            "stage", "count", "mean ms", "p50 ms", "p90 ms", "p99 ms", "max ms", "total ms",
+        ],
+        &rows,
+    ))
 }
 
 fn cmd_swiping(args: &[String]) -> Result<(), String> {
@@ -799,6 +793,42 @@ mod tests {
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn report_stage_table_takes_nearest_rank_quantiles() {
+        let journal = EventJournal::new();
+        for ms in (1..=10).rev() {
+            journal.record(
+                0,
+                Event::StageCompleted {
+                    stage: "scheme_predict".into(),
+                    wall_ms: f64::from(ms),
+                },
+            );
+        }
+        let table = stage_table(&journal.entries()).expect("one stage row");
+        let row = table
+            .lines()
+            .find(|l| l.contains("scheme_predict"))
+            .expect("scheme_predict row");
+        let cells: Vec<&str> = row.split_whitespace().collect();
+        // stage, count, mean, p50, p90, p99, max, total: rank ceil(q * 10).
+        assert_eq!(
+            cells,
+            [
+                "scheme_predict",
+                "10",
+                "5.500",
+                "5.000",
+                "9.000",
+                "10.000",
+                "10.000",
+                "55.000"
+            ],
+            "{table}"
+        );
+        assert!(stage_table(&[]).is_none());
     }
 
     #[test]

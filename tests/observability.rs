@@ -6,11 +6,15 @@
 use msvs::core::{CompressorConfig, GroupingConfig, SchemeConfig};
 use msvs::sim::{Simulation, SimulationConfig};
 use msvs::telemetry::{
-    chrome_trace, stages, validate_chrome_trace, EventJournal, Json, SpanRecord,
+    chrome_trace, stages, validate_chrome_trace, Event, EventJournal, Json, SpanRecord,
 };
 use msvs::types::SimDuration;
 
 fn traced_run(seed: u64, threads: usize, shards: usize) -> Simulation {
+    traced_run_of(24, seed, threads, shards)
+}
+
+fn traced_run_of(users: usize, seed: u64, threads: usize, shards: usize) -> Simulation {
     let scheme = SchemeConfig {
         compressor: CompressorConfig {
             window: 16,
@@ -25,7 +29,7 @@ fn traced_run(seed: u64, threads: usize, shards: usize) -> Simulation {
         ..Default::default()
     };
     let config = SimulationConfig::builder()
-        .users(24)
+        .users(users)
         .intervals(2)
         .warmup_intervals(1)
         .interval(SimDuration::from_mins(2))
@@ -158,6 +162,15 @@ fn sharded_interval_profiles_gather_slices_and_aggregate() {
         assert_eq!(slices, expected, "one shard_slice per shard, in order");
     }
 
+    // A slice times one shard's share of a per-shard sweep; the
+    // handover sweep runs per user, so it has none.
+    for rebalance in by_name(&spans, stages::SHARD_REBALANCE) {
+        assert!(
+            !spans.iter().any(|s| s.parent == Some(rebalance.id)),
+            "shard_rebalance has no shard_slice children"
+        );
+    }
+
     // Each scored interval gathers the population once and folds its
     // demand into the per-shard rows once.
     let scored: Vec<_> = by_name(&spans, stages::INTERVAL)
@@ -174,6 +187,87 @@ fn sharded_interval_profiles_gather_slices_and_aggregate() {
             assert_eq!(inside, 1, "one {name} span per scored interval");
         }
     }
+}
+
+/// Nearest-rank quantile of an ascending sample: rank `ceil(q·n)`.
+fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    sorted[rank.max(1) - 1]
+}
+
+/// The report's stage table is the closed spans, exactly: one row per
+/// span name whose count is its number of spans, and every statistic
+/// the nearest-rank value (or the mean) of their durations, bit for bit.
+/// The journal's `StageCompleted` wall times are those spans' durations.
+#[test]
+fn stage_table_is_exact_over_the_closed_spans() {
+    let sim = traced_run_of(200, 17, 2, 4);
+    let summary = sim.telemetry().summary();
+    let spans = sim.telemetry().spans();
+    let mut names: Vec<&str> = spans.iter().map(|s| s.name).collect();
+    names.sort_unstable();
+    names.dedup();
+    let rows: Vec<&str> = summary.stages.iter().map(|s| s.stage.as_str()).collect();
+    assert_eq!(rows, names, "one row per span name");
+    for name in [
+        stages::KMEANS_ASSIGN,
+        stages::KMEANS_UPDATE,
+        stages::CNN_ENCODE_BATCH,
+        stages::SHARD_SLICE,
+    ] {
+        assert!(rows.contains(&name), "span-only stage {name} has a row");
+    }
+    let ms = |us: u64| us as f64 / 1e3;
+    for row in &summary.stages {
+        let mut us: Vec<u64> = by_name(&spans, &row.stage)
+            .iter()
+            .map(|s| s.dur_us)
+            .collect();
+        us.sort_unstable();
+        let n = us.len();
+        assert_eq!(row.count, n as u64, "{}", row.stage);
+        let total: u64 = us.iter().sum();
+        let want = [
+            total as f64 / 1e3 / n as f64,
+            ms(nearest_rank(&us, 0.50)),
+            ms(nearest_rank(&us, 0.90)),
+            ms(nearest_rank(&us, 0.95)),
+            ms(nearest_rank(&us, 0.99)),
+            ms(us[n - 1]),
+        ];
+        let got = [
+            row.mean_ms,
+            row.p50_ms,
+            row.p90_ms,
+            row.p95_ms,
+            row.p99_ms,
+            row.max_ms,
+        ];
+        assert_eq!(
+            got.map(f64::to_bits),
+            want.map(f64::to_bits),
+            "{}: {got:?} vs {want:?}",
+            row.stage
+        );
+    }
+
+    let journal = sim.telemetry().journal().entries();
+    let journaled: Vec<f64> = journal
+        .iter()
+        .filter_map(|e| match &e.event {
+            Event::StageCompleted { stage, wall_ms } if stage == stages::SCHEME_PREDICT => {
+                Some(*wall_ms)
+            }
+            _ => None,
+        })
+        .collect();
+    let scored_predicts: Vec<f64> = by_name(&spans, stages::SCHEME_PREDICT)
+        .iter()
+        .filter(|s| s.attrs.interval.is_some())
+        .map(|s| ms(s.dur_us))
+        .collect();
+    assert_eq!(journaled.len(), 2);
+    assert_eq!(journaled, scored_predicts, "one wall-time record per stage");
 }
 
 #[test]

@@ -114,8 +114,8 @@ fn two_interval_run_journals_the_expected_event_sequence() {
         .map(|(_, _, v)| v)
         .sum();
     assert_eq!(events_total as usize, entries.len());
-    // SCHEME_PREDICT percentiles come from the shared histogram: one
-    // sample per prediction pass.
+    // SCHEME_PREDICT statistics come from its closed spans: one sample
+    // per prediction pass.
     let predict = report
         .telemetry
         .stages

@@ -112,7 +112,7 @@ fn run_with_slo(seed: u64, shards: usize, threads: usize) -> Simulation {
 #[test]
 fn exposition_of_a_real_run_conforms_to_the_text_format() {
     let sim = run_with_slo(33, 4, 1);
-    let body = expo::render_prometheus(sim.telemetry().registry());
+    let body = expo::render_prometheus(sim.telemetry());
     assert!(!body.is_empty(), "a finished run must expose metrics");
     assert!(body.ends_with('\n'), "exposition must end with a newline");
     let legal_name = |name: &str| {
@@ -244,7 +244,7 @@ fn metrics_server_has_zero_observer_effect() {
         let mut sim = Simulation::new(seeded_config(52, 4, 2, 3)).expect("sim builds");
         let server = MetricsServer::bind(
             "127.0.0.1:0",
-            sim.telemetry().registry().clone(),
+            sim.telemetry().clone(),
             sim.health_board().clone(),
         )
         .expect("server binds an ephemeral port");
@@ -291,4 +291,47 @@ fn empty_slo_policy_is_bit_identical_to_no_policy() {
             "{shards} shard(s): an empty policy must not perturb the report"
         );
     }
+}
+
+/// A wall-clock stage ceiling is judged against the exact p99 of the
+/// stage's closed spans: a 1e-6 ms `scheme_predict` ceiling breaches at
+/// the first scored interval (and stays breached), a 1e9 ms one never.
+#[test]
+fn stage_ceiling_breaches_exactly_when_the_p99_exceeds_it() {
+    let run = |ceiling: f64| {
+        let mut cfg = seeded_config(71, 1, 1, 3);
+        let mut policy = SloPolicy::none();
+        policy
+            .stage_p99_ms
+            .insert("scheme_predict".to_string(), ceiling);
+        cfg.slo = Some(policy);
+        cfg.validate().expect("a known stage's ceiling is valid");
+        let mut sim = Simulation::new(cfg).expect("sim builds");
+        let report = sim.run_schedule().expect("run completes");
+        (slo_stream(&sim), report)
+    };
+    let (stream, report) = run(1e-6);
+    assert_eq!(stream.len(), 1, "one breach edge, no recovery: {stream:?}");
+    let (interval, slo, value, threshold, edge) = &stream[0];
+    assert_eq!(
+        (*interval, slo.as_str(), *threshold, *edge),
+        (0, "stage_p99:scheme_predict", 1e-6, "breached")
+    );
+    assert!(*value > 1e-6, "observed p99 {value} ms");
+    let rule = &report.slo.expect("policy reports").rules[0];
+    assert_eq!(
+        rule.breach_intervals, 3,
+        "breached at every scored interval"
+    );
+    assert!(rule.breached_at_end);
+
+    let (stream, report) = run(1e9);
+    assert!(
+        stream.is_empty(),
+        "a 1e9 ms ceiling never breaches: {stream:?}"
+    );
+    assert_eq!(
+        report.slo.expect("policy reports").rules[0].breach_intervals,
+        0
+    );
 }
