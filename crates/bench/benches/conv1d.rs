@@ -1,8 +1,11 @@
 //! 1D-CNN throughput: forward and forward+backward passes of the twin
-//! compressor's encoder over a user batch.
+//! compressor's encoder over a user batch, and one whole autoencoder
+//! training epoch at the end-to-end benchmark's shape.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use msvs_core::{CnnCompressor, CompressorConfig};
 use msvs_nn::{mse_loss, Conv1d, Dense, Flatten, Layer, Relu, Sequential, Tensor};
+use msvs_udt::FeatureWindow;
 use std::hint::black_box;
 
 fn encoder(window: usize) -> Sequential {
@@ -52,14 +55,41 @@ fn bench_train_step(c: &mut Criterion) {
             let out = net.forward_train(black_box(&x));
             let (_, grad) = mse_loss(&out, &target);
             net.zero_grad();
-            net.backward(&grad)
+            net.backward_params(&grad)
         })
+    });
+}
+
+/// One `CnnCompressor::train` epoch over 1,000 users' 4 × 16 windows:
+/// encoder and decoder forward, MSE, both backward passes (the encoder's
+/// first layer skips its input gradient) and both Adam steps.
+fn bench_autoencoder_epoch(c: &mut Criterion) {
+    let windows: Vec<FeatureWindow> = (0..1000)
+        .map(|u| FeatureWindow {
+            series: (0..4)
+                .map(|ch| {
+                    (0..16)
+                        .map(|t| ((u * 7 + ch * 5 + t * 3) % 23) as f32 / 23.0)
+                        .collect()
+                })
+                .collect(),
+            preference: vec![0.125; 8],
+        })
+        .collect();
+    let mut compressor = CnnCompressor::new(CompressorConfig {
+        window: 16,
+        epochs: 1,
+        ..Default::default()
+    })
+    .expect("valid config");
+    c.bench_function("compressor_epoch_1000x4x16", |b| {
+        b.iter(|| compressor.train(black_box(&windows)).expect("trains"))
     });
 }
 
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_forward, bench_train_step
+    targets = bench_forward, bench_train_step, bench_autoencoder_epoch
 }
 criterion_main!(benches);

@@ -26,29 +26,37 @@ fn bench_inference(c: &mut Criterion) {
     });
 }
 
+/// One observe + 32-transition train step, first over an all-terminal
+/// replay (grouping's case: no next-state passes run), then over one
+/// where every transition bootstraps (both next-state passes run).
 fn bench_observe_train(c: &mut Criterion) {
-    let mut a = agent();
-    // Warm the replay buffer so every observe triggers a train step.
-    for i in 0..64 {
-        a.observe(Transition {
-            state: vec![(i % 7) as f32 * 0.1; 19],
-            action: i % 11,
-            reward: 0.5,
-            next_state: vec![0.0; 19],
-            done: true,
+    for (name, done) in [
+        ("ddqn_observe_train_all_terminal_32", true),
+        ("ddqn_observe_train_bootstrapped_32", false),
+    ] {
+        let mut a = agent();
+        // Warm the replay buffer so every observe triggers a train step.
+        for i in 0..64 {
+            a.observe(Transition {
+                state: vec![(i % 7) as f32 * 0.1; 19],
+                action: i % 11,
+                reward: 0.5,
+                next_state: vec![(i % 5) as f32 * 0.1; 19],
+                done,
+            });
+        }
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                a.observe(black_box(Transition {
+                    state: vec![0.1; 19],
+                    action: 3,
+                    reward: 0.7,
+                    next_state: vec![0.2; 19],
+                    done,
+                }))
+            })
         });
     }
-    c.bench_function("ddqn_observe_train", |b| {
-        b.iter(|| {
-            a.observe(black_box(Transition {
-                state: vec![0.1; 19],
-                action: 3,
-                reward: 0.7,
-                next_state: vec![0.0; 19],
-                done: true,
-            }))
-        })
-    });
 }
 
 criterion_group! {

@@ -224,7 +224,7 @@ impl CnnCompressor {
             self.encoder.zero_grad();
             self.decoder.zero_grad();
             let grad_code = self.decoder.backward(&grad);
-            self.encoder.backward(&grad_code);
+            self.encoder.backward_params(&grad_code);
             self.dec_opt.step(&mut self.decoder);
             self.enc_opt.step(&mut self.encoder);
             losses.push(loss);
@@ -555,6 +555,33 @@ mod tests {
             })
             .collect();
         assert_eq!(structures[0], structures[1]);
+    }
+
+    /// FNV-1a over the bit patterns, so a golden value pins every bit.
+    fn bits_digest(bits: impl IntoIterator<Item = u64>) -> u64 {
+        bits.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ b).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Pins training end to end: the loss of every epoch and every bit of
+    /// the trained encoder's features. The golden values were captured
+    /// from the naive backward loops the slice kernels replaced.
+    #[test]
+    fn seeded_training_matches_golden_bits() {
+        let mut comp = CnnCompressor::new(CompressorConfig {
+            seed: 7,
+            ..config()
+        })
+        .unwrap();
+        let (windows, _) = archetype_windows(20, 1);
+        let losses = comp.train(&windows).unwrap();
+        let feats = comp.encode(&windows).unwrap();
+        let loss_digest = bits_digest(losses.iter().map(|l| u64::from(l.to_bits())));
+        let feat_digest = bits_digest(feats.iter().flatten().map(|f| f.to_bits()));
+        assert_eq!(losses[losses.len() - 1].to_bits(), 0x3e4c_43c6);
+        assert_eq!(loss_digest, 0xb83c_51ef_c9e1_60c7);
+        assert_eq!(feat_digest, 0x9a2b_f3bf_2fb0_1525);
     }
 
     #[test]

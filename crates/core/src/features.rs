@@ -75,8 +75,9 @@ mod tests {
     fn stacks_batch_in_order() {
         let t = windows_to_tensor(&[window(4, 8, 0.25), window(4, 8, 0.75)]).unwrap();
         assert_eq!(t.shape(), &[2, 4, 8]);
-        assert_eq!(t.get3(0, 0, 0), 0.25);
-        assert_eq!(t.get3(1, 3, 7), 0.75);
+        // [b, c, t] row-major: the first and the last element.
+        assert_eq!(t.data()[0], 0.25);
+        assert_eq!(t.data()[(4 + 3) * 8 + 7], 0.75);
     }
 
     #[test]

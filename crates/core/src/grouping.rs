@@ -44,6 +44,49 @@ fn pair_from_flat(t: usize, n: usize) -> (usize, usize) {
     (i, i + 1 + (t - row_start(i)))
 }
 
+/// Normalised histogram of sampled pairwise distances: the part of the
+/// DDQN state that depends on the features alone (all zeros below two
+/// users).
+fn distance_histogram(features: &[Vec<f64>]) -> [f32; HIST_BINS] {
+    let mut hist = [0f32; HIST_BINS];
+    let n = features.len();
+    if n < 2 {
+        return hist;
+    }
+    // Sample up to ~2000 pairs to bound cost on large populations.
+    // Jump straight to the sampled flat pair indices — walking the
+    // full i<j loop to skip-count them is itself O(n²) and was the
+    // wall-time ceiling at 100k users. The indices (and therefore
+    // the state bits) are identical to the skip-counting loop's.
+    let mut dists = Vec::new();
+    let total_pairs = n * (n - 1) / 2;
+    let stride = (total_pairs / 2000).max(1);
+    let mut t = 0usize;
+    while t < total_pairs {
+        let (i, j) = pair_from_flat(t, n);
+        let d: f64 = features[i]
+            .iter()
+            .zip(&features[j])
+            .map(|(a, b)| (a - b) * (a - b))
+            .sum::<f64>()
+            .sqrt();
+        dists.push(d);
+        t += stride;
+    }
+    let max = dists.iter().copied().fold(f64::MIN_POSITIVE, f64::max);
+    for &d in &dists {
+        let bin = ((d / max) * (HIST_BINS as f64 - 1e-9)) as usize;
+        hist[bin.min(HIST_BINS - 1)] += 1.0;
+    }
+    let total: f32 = hist.iter().sum();
+    if total > 0.0 {
+        for h in &mut hist {
+            *h /= total;
+        }
+    }
+    hist
+}
+
 /// How the group count is chosen (the DDQN scheme or a baseline).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GroupingStrategy {
@@ -171,16 +214,20 @@ impl Grouping {
     }
 }
 
-/// Groupings already fitted during one [`GroupingEngine::pretrain`] call,
-/// keyed by `(feature-set index, K)`. Pretraining fits are cold-seeded,
-/// so each key is a pure function of its inputs: fitting it once and
-/// replaying the result gives the DDQN the same rewards at a fraction of
-/// the cost.
+/// Work already done during one [`GroupingEngine::pretrain`] call:
+/// groupings keyed by `(feature-set index, K)` and each feature set's
+/// distance histogram. Pretraining fits are cold-seeded and the histogram
+/// reads nothing but the features, so each entry is a pure function of
+/// its key: computing it once and replaying it gives the DDQN the same
+/// states and rewards at a fraction of the cost. Only the state's last
+/// three slots (population, previous `K`, previous reward) are rebuilt
+/// every episode.
 #[derive(Default)]
 struct PretrainMemo {
     /// Index of the feature set the current episode clusters.
     set: usize,
     fits: std::collections::HashMap<(usize, usize), Grouping>,
+    histograms: std::collections::HashMap<usize, [f32; HIST_BINS]>,
 }
 
 /// The learning group constructor.
@@ -270,49 +317,35 @@ impl GroupingEngine {
     /// size + previous `K` + previous reward. Pair sampling is
     /// O(samples), not O(n²): see `pair_from_flat`.
     pub fn state_of(&self, features: &[Vec<f64>]) -> Vec<f32> {
-        let mut state = vec![0f32; HIST_BINS + 3];
-        let n = features.len();
-        if n >= 2 {
-            // Sample up to ~2000 pairs to bound cost on large populations.
-            // Jump straight to the sampled flat pair indices — walking the
-            // full i<j loop to skip-count them is itself O(n²) and was the
-            // wall-time ceiling at 100k users. The indices (and therefore
-            // the state bits) are identical to the skip-counting loop's.
-            let mut dists = Vec::new();
-            let total_pairs = n * (n - 1) / 2;
-            let stride = (total_pairs / 2000).max(1);
-            let mut t = 0usize;
-            while t < total_pairs {
-                let (i, j) = pair_from_flat(t, n);
-                let d: f64 = features[i]
-                    .iter()
-                    .zip(&features[j])
-                    .map(|(a, b)| (a - b) * (a - b))
-                    .sum::<f64>()
-                    .sqrt();
-                dists.push(d);
-                t += stride;
-            }
-            let max = dists.iter().copied().fold(f64::MIN_POSITIVE, f64::max);
-            for &d in &dists {
-                let bin = ((d / max) * (HIST_BINS as f64 - 1e-9)) as usize;
-                state[bin.min(HIST_BINS - 1)] += 1.0;
-            }
-            let total: f32 = state[..HIST_BINS].iter().sum();
-            if total > 0.0 {
-                for s in &mut state[..HIST_BINS] {
-                    *s /= total;
-                }
-            }
-        }
-        state[HIST_BINS] = ((n as f64) / POP_NORM).min(1.0) as f32;
-        state[HIST_BINS + 1] = self
-            .prev_k
-            .map(|k| {
-                (k - self.config.k_min) as f32 / (self.config.k_max - self.config.k_min) as f32
-            })
-            .unwrap_or(0.5);
-        state[HIST_BINS + 2] = self.prev_reward as f32;
+        self.state_with(&distance_histogram(features), features.len())
+    }
+
+    /// [`GroupingEngine::state_of`], taking the histogram from the
+    /// pretraining memo when one is open.
+    fn ddqn_state(&mut self, features: &[Vec<f64>]) -> Vec<f32> {
+        let hist = match &mut self.pretrain {
+            Some(memo) => *memo
+                .histograms
+                .entry(memo.set)
+                .or_insert_with(|| distance_histogram(features)),
+            None => distance_histogram(features),
+        };
+        self.state_with(&hist, features.len())
+    }
+
+    /// The full state from a feature set's histogram and size.
+    fn state_with(&self, hist: &[f32; HIST_BINS], n: usize) -> Vec<f32> {
+        let mut state = Vec::with_capacity(HIST_BINS + 3);
+        state.extend_from_slice(hist);
+        state.push(((n as f64) / POP_NORM).min(1.0) as f32);
+        state.push(
+            self.prev_k
+                .map(|k| {
+                    (k - self.config.k_min) as f32 / (self.config.k_max - self.config.k_min) as f32
+                })
+                .unwrap_or(0.5),
+        );
+        state.push(self.prev_reward as f32);
         state
     }
 
@@ -342,7 +375,7 @@ impl GroupingEngine {
         let k_cap = features.len().min(self.config.k_max);
         let grouping = match self.config.strategy {
             GroupingStrategy::Ddqn => {
-                let state = self.state_of(features);
+                let state = self.ddqn_state(features);
                 let select_scope = self
                     .telemetry
                     .as_ref()
@@ -419,7 +452,8 @@ impl GroupingEngine {
     /// `GroupsFormed`, but each `(feature set, K)` pair is clustered only
     /// once per call: every fit is cold-seeded, so a repeat is a pure
     /// replay of the first. At most `k_max − k_min + 1` fits run per
-    /// feature set, whatever `episodes` is.
+    /// feature set, whatever `episodes` is, and each set's distance
+    /// histogram is computed once.
     ///
     /// # Errors
     /// Propagates construction errors.
@@ -427,6 +461,17 @@ impl GroupingEngine {
         if feature_sets.is_empty() {
             return Err(Error::insufficient("at least one feature set"));
         }
+        self.pretrain_memoised(feature_sets, episodes).0
+    }
+
+    /// The [`GroupingEngine::pretrain`] loop over a non-empty list of
+    /// feature sets; also hands back the memo it filled, which is scoped
+    /// to the call.
+    fn pretrain_memoised(
+        &mut self,
+        feature_sets: &[Vec<Vec<f64>>],
+        episodes: usize,
+    ) -> (Result<()>, PretrainMemo) {
         self.pretrain = Some(PretrainMemo::default());
         let mut outcome = Ok(());
         for e in 0..episodes {
@@ -437,8 +482,7 @@ impl GroupingEngine {
                 break;
             }
         }
-        self.pretrain = None;
-        outcome
+        (outcome, self.pretrain.take().expect("set above"))
     }
 
     fn cluster(&mut self, features: &[Vec<f64>], k: usize) -> Result<Grouping> {
@@ -763,7 +807,12 @@ mod tests {
         for sets in [one, two] {
             let episodes = 120;
             let (mut memo, memo_t) = pretrain_engine();
-            memo.pretrain(&sets, episodes).unwrap();
+            let (outcome, filled) = memo.pretrain_memoised(&sets, episodes);
+            outcome.unwrap();
+            assert_eq!(filled.histograms.len(), sets.len(), "one histogram per set");
+            for (set, f) in sets.iter().enumerate() {
+                assert_eq!(filled.histograms[&set][..], memo.state_of(f)[..HIST_BINS]);
+            }
             let (mut plain, plain_t) = pretrain_engine();
             for e in 0..episodes {
                 plain.construct(&sets[e % sets.len()]).unwrap();

@@ -1,4 +1,5 @@
-//! Allocation-free inference kernels: im2col + cache-blocked GEMM.
+//! Slice kernels for the layers' forward and backward passes: im2col,
+//! cache-blocked GEMM, and the parameter and input gradients.
 //!
 //! Every kernel here reproduces the exact f32 operation sequence of the
 //! naive loops it replaces — same terms, same order, same accumulator
@@ -6,8 +7,8 @@
 //! invariant is what lets the 1-vs-4-thread determinism suite treat
 //! kernel and non-kernel paths as interchangeable.
 //!
-//! Buffers come from a caller-owned [`Scratch`] arena; in steady state
-//! (same network, same batch shape) a forward pass through
+//! Inference buffers come from a caller-owned [`Scratch`] arena; in
+//! steady state (same network, same batch shape) a forward pass through
 //! [`crate::Sequential::infer_scratch`] performs zero heap allocations.
 
 /// Block width (columns of the output) for the GEMM inner loops. One
@@ -94,8 +95,9 @@ impl Shape {
 /// Reusable per-worker buffer arena for inference.
 ///
 /// `bufs` ping-pong layer activations through
-/// [`crate::Sequential::infer_scratch`]; `patch` holds the im2col
-/// expansion of the current conv input. All three grow to a high-water
+/// [`crate::Sequential::infer_scratch`]; `patch` is the conv kernel's
+/// workspace (the im2col expansion of the current input, the transposed
+/// weight and the per-channel lanes). All three grow to a high-water
 /// mark on first use and are reused verbatim afterwards.
 #[derive(Debug, Default)]
 pub struct Scratch {
@@ -208,24 +210,28 @@ fn im2col_rows(
     }
 }
 
-/// 1-D convolution inference via im2col + row-dot GEMM.
+/// 1-D convolution inference via im2col, vectorised across output
+/// channels.
 ///
 /// `input` is `[batch, in_ch, in_len]`, `weight` is
 /// `[out_ch, in_ch, kernel]` (both row-major), `out` is
 /// `[batch, out_ch, out_len]`. Per batch the input is unrolled into
 /// `patch[out_len, in_ch * kernel]` with
-/// `patch[t][ic * kernel + k] = input[b][ic][t * stride + k]`, which
-/// makes each output element one contiguous dot product against a
-/// weight row. The accumulator starts at `bias[oc]` and adds terms in
-/// `ic`-major / `k`-minor order with no zero skip — the exact sequence
-/// of the direct 5-deep loop, hence bit-identical.
+/// `patch[t][ic * kernel + k] = input[b][ic][t * stride + k]`, so each
+/// output element is one dot product of a patch row with a weight row.
+/// All `out_ch` dot products of one `t` run side by side, one lane per
+/// channel, against the weight transposed to `[in_ch * kernel, out_ch]`.
+/// Each lane starts at `bias[oc]` and adds terms in `ic`-major /
+/// `k`-minor order with no zero skip — the exact sequence of the direct
+/// 5-deep loop, hence bit-identical. `work` holds the patch, the
+/// transposed weight and the lanes.
 #[allow(clippy::too_many_arguments)]
 pub fn conv1d_infer(
     input: &[f32],
     weight: &[f32],
     bias: &[f32],
     out: &mut [f32],
-    patch: &mut Vec<f32>,
+    work: &mut Vec<f32>,
     batch: usize,
     in_ch: usize,
     in_len: usize,
@@ -239,22 +245,179 @@ pub fn conv1d_infer(
     debug_assert_eq!(weight.len(), out_ch * ick);
     debug_assert_eq!(bias.len(), out_ch);
     debug_assert_eq!(out.len(), batch * out_ch * out_len);
+    work.clear();
+    work.resize(out_len * ick + ick * out_ch + out_ch, 0.0);
+    let (patch, rest) = work.split_at_mut(out_len * ick);
+    let (w_t, lanes) = rest.split_at_mut(ick * out_ch);
+    for (oc, w_row) in weight.chunks_exact(ick).enumerate() {
+        for (p, &wv) in w_row.iter().enumerate() {
+            w_t[p * out_ch + oc] = wv;
+        }
+    }
+    for (x, dst) in input
+        .chunks_exact(in_ch * in_len)
+        .zip(out.chunks_exact_mut(out_ch * out_len))
+    {
+        im2col_rows(x, patch, in_ch, in_len, kernel, stride, out_len);
+        for (t, p_row) in patch.chunks_exact(ick).enumerate() {
+            lanes.copy_from_slice(bias);
+            for (&pv, w_col) in p_row.iter().zip(w_t.chunks_exact(out_ch)) {
+                for (acc, &wv) in lanes.iter_mut().zip(w_col) {
+                    *acc += wv * pv;
+                }
+            }
+            for (oc, &acc) in lanes.iter().enumerate() {
+                dst[oc * out_len + t] = acc;
+            }
+        }
+    }
+}
+
+/// Dense parameter gradients: `w_grad[o, i] += Σ_b g[b, o] · input[b, i]`
+/// and `b_grad[o] += Σ_b g[b, o]`, with `g = grad_out[batch, out_dim]`.
+///
+/// Each weight-gradient sum starts from `0.0` in its own accumulator,
+/// skips `g == 0.0` terms and adds them in increasing `b`; the finished
+/// sum is then added to `w_grad`. Bias gradients add every term, zeros
+/// included, straight into `b_grad` in increasing `b`. That is the term
+/// sequence of `grad_out.transpose().matmul(input)` followed by an axpy
+/// and a row-sum loop, so results are bit-identical to it; walking `b`
+/// outermost keeps one input row hot across all `o` without building the
+/// transpose.
+pub fn dense_param_grads(
+    input: &[f32],
+    grad_out: &[f32],
+    w_grad: &mut [f32],
+    b_grad: &mut [f32],
+    batch: usize,
+    in_dim: usize,
+    out_dim: usize,
+) {
+    debug_assert_eq!(input.len(), batch * in_dim);
+    debug_assert_eq!(grad_out.len(), batch * out_dim);
+    debug_assert_eq!(w_grad.len(), out_dim * in_dim);
+    debug_assert_eq!(b_grad.len(), out_dim);
+    let mut dw = vec![0.0f32; out_dim * in_dim];
+    for (x, g_row) in input
+        .chunks_exact(in_dim)
+        .zip(grad_out.chunks_exact(out_dim))
+    {
+        for ((&g, d_row), bg) in g_row
+            .iter()
+            .zip(dw.chunks_exact_mut(in_dim))
+            .zip(b_grad.iter_mut())
+        {
+            *bg += g;
+            if g == 0.0 {
+                continue;
+            }
+            for (d, &xv) in d_row.iter_mut().zip(x) {
+                *d += g * xv;
+            }
+        }
+    }
+    for (w, &d) in w_grad.iter_mut().zip(&dw) {
+        *w += d;
+    }
+}
+
+/// Conv1d parameter gradients over `input[batch, in_ch, in_len]` and
+/// `grad_out[batch, out_ch, out_len]`: for every non-zero
+/// `g = grad_out[b][oc][t]`, `b_grad[oc] += g` and
+/// `w_grad[oc][ic][k] += g · input[b][ic][t · stride + k]`.
+///
+/// Terms go straight into `w_grad` and `b_grad` (no separate
+/// accumulator) in batch-major, then increasing-`t` order, skipping
+/// `g == 0.0`: the sequence of the direct `b/oc/t/ic/k` loop, hence
+/// bit-identical to it. Each batch row is unrolled into `patch` (see
+/// [`conv1d_infer`]) so one `(oc, t)` term is a contiguous axpy of an
+/// `in_ch · kernel` patch row into the `oc` weight row.
+#[allow(clippy::too_many_arguments)]
+pub fn conv1d_param_grads(
+    input: &[f32],
+    grad_out: &[f32],
+    w_grad: &mut [f32],
+    b_grad: &mut [f32],
+    patch: &mut Vec<f32>,
+    batch: usize,
+    in_ch: usize,
+    in_len: usize,
+    out_ch: usize,
+    kernel: usize,
+    stride: usize,
+    out_len: usize,
+) {
+    let ick = in_ch * kernel;
+    debug_assert_eq!(input.len(), batch * in_ch * in_len);
+    debug_assert_eq!(grad_out.len(), batch * out_ch * out_len);
+    debug_assert_eq!(w_grad.len(), out_ch * ick);
+    debug_assert_eq!(b_grad.len(), out_ch);
     patch.clear();
     patch.resize(out_len * ick, 0.0);
-    for b in 0..batch {
-        let x = &input[b * in_ch * in_len..(b + 1) * in_ch * in_len];
+    for (x, g_b) in input
+        .chunks_exact(in_ch * in_len)
+        .zip(grad_out.chunks_exact(out_ch * out_len))
+    {
         im2col_rows(x, patch, in_ch, in_len, kernel, stride, out_len);
-        let dst = &mut out[b * out_ch * out_len..(b + 1) * out_ch * out_len];
-        for oc in 0..out_ch {
-            let w = &weight[oc * ick..(oc + 1) * ick];
-            let base = bias[oc];
-            for t in 0..out_len {
-                let row = &patch[t * ick..(t + 1) * ick];
-                let mut acc = base;
-                for (&wv, &pv) in w.iter().zip(row) {
-                    acc += wv * pv;
+        for ((g_row, w_row), bg) in g_b
+            .chunks_exact(out_len)
+            .zip(w_grad.chunks_exact_mut(ick))
+            .zip(b_grad.iter_mut())
+        {
+            for (&g, p_row) in g_row.iter().zip(patch.chunks_exact(ick)) {
+                if g == 0.0 {
+                    continue;
                 }
-                dst[oc * out_len + t] = acc;
+                *bg += g;
+                for (w, &pv) in w_row.iter_mut().zip(p_row) {
+                    *w += g * pv;
+                }
+            }
+        }
+    }
+}
+
+/// Conv1d input gradient: `grad_in[b][ic][t · stride + k] +=
+/// g · weight[oc][ic][k]` for every non-zero `g = grad_out[b][oc][t]`.
+///
+/// `grad_in` is overwritten: each element starts from `0.0` and adds
+/// its terms in `oc`-major, then increasing-`t` order, skipping
+/// `g == 0.0` — the direct loop's sequence, so overlapping windows
+/// (`kernel > stride`) sum in the same order and the result is
+/// bit-identical.
+#[allow(clippy::too_many_arguments)]
+pub fn conv1d_input_grad(
+    grad_out: &[f32],
+    weight: &[f32],
+    grad_in: &mut [f32],
+    batch: usize,
+    in_ch: usize,
+    in_len: usize,
+    out_ch: usize,
+    kernel: usize,
+    stride: usize,
+    out_len: usize,
+) {
+    let ick = in_ch * kernel;
+    debug_assert_eq!(grad_out.len(), batch * out_ch * out_len);
+    debug_assert_eq!(weight.len(), out_ch * ick);
+    debug_assert_eq!(grad_in.len(), batch * in_ch * in_len);
+    grad_in.fill(0.0);
+    for (gi, g_b) in grad_in
+        .chunks_exact_mut(in_ch * in_len)
+        .zip(grad_out.chunks_exact(out_ch * out_len))
+    {
+        for (g_row, w_oc) in g_b.chunks_exact(out_len).zip(weight.chunks_exact(ick)) {
+            for (t, &g) in g_row.iter().enumerate() {
+                if g == 0.0 {
+                    continue;
+                }
+                let start = t * stride;
+                for (gi_ic, w) in gi.chunks_exact_mut(in_len).zip(w_oc.chunks_exact(kernel)) {
+                    for (d, &wv) in gi_ic[start..start + kernel].iter_mut().zip(w) {
+                        *d += g * wv;
+                    }
+                }
             }
         }
     }
@@ -331,6 +494,100 @@ mod tests {
         out
     }
 
+    /// A gradient with exact zeros and negative zeros mixed in, so the
+    /// `g == 0.0` skip (which both zeros take) and the sign of an empty
+    /// sum are exercised.
+    fn grad_vec(rng: &mut StdRng, n: usize) -> Vec<f32> {
+        (0..n)
+            .map(|_| match rng.gen_range(0..10) {
+                0 | 1 => 0.0f32,
+                2 => -0.0f32,
+                _ => rng.gen_range(-2.0..2.0) as f32,
+            })
+            .collect()
+    }
+
+    /// A gradient of nothing but `+0.0` and `-0.0` (a dead unit): every
+    /// term is skipped, so only the accumulator start decides the sign
+    /// of each result.
+    fn dead_vec(rng: &mut StdRng, n: usize) -> Vec<f32> {
+        (0..n)
+            .map(|_| if rng.gen::<bool>() { 0.0f32 } else { -0.0f32 })
+            .collect()
+    }
+
+    /// The pre-kernel `Dense::backward`: `grad_out.transpose().matmul(input)`
+    /// into a fresh product, an axpy of it into `w_grad`, a row-sum loop
+    /// into `b_grad`, and `grad_out.matmul(weight)` as the input gradient.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_dense_backward(
+        input: &[f32],
+        grad_out: &[f32],
+        weight: &[f32],
+        w_grad: &mut [f32],
+        b_grad: &mut [f32],
+        batch: usize,
+        in_dim: usize,
+        out_dim: usize,
+    ) -> Vec<f32> {
+        let mut g_t = vec![0.0f32; out_dim * batch];
+        for b in 0..batch {
+            for o in 0..out_dim {
+                g_t[o * batch + b] = grad_out[b * out_dim + o];
+            }
+        }
+        let dw = reference_matmul(&g_t, input, out_dim, batch, in_dim);
+        for (w, &d) in w_grad.iter_mut().zip(&dw) {
+            *w += 1.0 * d;
+        }
+        for b in 0..batch {
+            for o in 0..out_dim {
+                b_grad[o] += grad_out[b * out_dim + o];
+            }
+        }
+        reference_matmul(grad_out, weight, batch, out_dim, in_dim)
+    }
+
+    /// The pre-kernel `Conv1d::backward`: the direct `b/oc/t/ic/k` loop.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_conv_backward(
+        input: &[f32],
+        grad_out: &[f32],
+        weight: &[f32],
+        w_grad: &mut [f32],
+        b_grad: &mut [f32],
+        batch: usize,
+        in_ch: usize,
+        in_len: usize,
+        out_ch: usize,
+        kernel: usize,
+        stride: usize,
+        out_len: usize,
+    ) -> Vec<f32> {
+        let mut grad_in = vec![0.0f32; batch * in_ch * in_len];
+        for b in 0..batch {
+            for oc in 0..out_ch {
+                for t in 0..out_len {
+                    let g = grad_out[(b * out_ch + oc) * out_len + t];
+                    if g == 0.0 {
+                        continue;
+                    }
+                    let start = t * stride;
+                    b_grad[oc] += g;
+                    for ic in 0..in_ch {
+                        for k in 0..kernel {
+                            w_grad[(oc * in_ch + ic) * kernel + k] +=
+                                g * input[(b * in_ch + ic) * in_len + start + k];
+                            grad_in[(b * in_ch + ic) * in_len + start + k] +=
+                                g * weight[(oc * in_ch + ic) * kernel + k];
+                        }
+                    }
+                }
+            }
+        }
+        grad_in
+    }
+
     fn assert_bits_eq(a: &[f32], b: &[f32], what: &str) {
         assert_eq!(a.len(), b.len(), "{what}: length");
         for (i, (x, y)) in a.iter().zip(b).enumerate() {
@@ -405,6 +662,142 @@ mod tests {
                 &want,
                 &format!("conv b{batch} c{in_ch}->{out_ch} l{in_len} k{kernel} s{stride}"),
             );
+        }
+    }
+
+    #[test]
+    fn dense_backward_bit_identical_to_reference() {
+        let mut rng = StdRng::seed_from_u64(0xBAC0);
+        // Both widths cross one 64-column block somewhere: `in_dim` is
+        // the row width of the weight gradient and of the input gradient.
+        for &(batch, in_dim, out_dim, dead) in &[
+            (1, 1, 1, false),
+            (3, 5, 2, false),
+            (9, 130, 7, false),
+            (5, 16, 80, false),
+            (33, 70, 66, false),
+            (4, 9, 6, true),
+        ] {
+            let what = format!("dense b{batch} {in_dim}->{out_dim} dead={dead}");
+            let input = random_vec(&mut rng, batch * in_dim);
+            let weight = random_vec(&mut rng, out_dim * in_dim);
+            // Gradients accumulate onto earlier values, negative zeros too.
+            let (grad_out, w_grad, b_grad) = if dead {
+                (
+                    dead_vec(&mut rng, batch * out_dim),
+                    vec![-0.0f32; out_dim * in_dim],
+                    vec![-0.0f32; out_dim],
+                )
+            } else {
+                (
+                    grad_vec(&mut rng, batch * out_dim),
+                    grad_vec(&mut rng, out_dim * in_dim),
+                    grad_vec(&mut rng, out_dim),
+                )
+            };
+            let (mut want_w, mut want_b) = (w_grad.clone(), b_grad.clone());
+            let want_in = reference_dense_backward(
+                &input,
+                &grad_out,
+                &weight,
+                &mut want_w,
+                &mut want_b,
+                batch,
+                in_dim,
+                out_dim,
+            );
+            let (mut got_w, mut got_b) = (w_grad, b_grad);
+            dense_param_grads(
+                &input, &grad_out, &mut got_w, &mut got_b, batch, in_dim, out_dim,
+            );
+            let mut got_in = vec![f32::NAN; batch * in_dim];
+            gemm_zero_skip(&grad_out, &weight, &mut got_in, batch, out_dim, in_dim);
+            assert_bits_eq(&got_w, &want_w, &format!("{what} weight grad"));
+            assert_bits_eq(&got_b, &want_b, &format!("{what} bias grad"));
+            assert_bits_eq(&got_in, &want_in, &format!("{what} input grad"));
+        }
+    }
+
+    #[test]
+    fn conv_backward_bit_identical_to_direct_loop_reference() {
+        let mut rng = StdRng::seed_from_u64(0xC0B4);
+        // kernel > stride overlaps windows (an input element sums terms
+        // from several `t`), kernel < stride leaves gaps, and the long
+        // rows run past one 64-column block.
+        for &(batch, in_ch, in_len, out_ch, kernel, stride, dead) in &[
+            (1, 1, 3, 1, 3, 1, false),
+            (2, 4, 16, 8, 3, 2, false),
+            (3, 8, 7, 8, 3, 2, false),
+            (2, 3, 150, 5, 5, 1, false),
+            (4, 2, 31, 6, 2, 3, false),
+            (3, 5, 97, 4, 4, 4, false),
+            (2, 4, 16, 8, 3, 2, true),
+        ] {
+            let what = format!(
+                "conv b{batch} c{in_ch}->{out_ch} l{in_len} k{kernel} s{stride} dead={dead}"
+            );
+            let out_len = (in_len - kernel) / stride + 1;
+            let input = random_vec(&mut rng, batch * in_ch * in_len);
+            let weight = random_vec(&mut rng, out_ch * in_ch * kernel);
+            let (grad_out, w_grad, b_grad) = if dead {
+                (
+                    dead_vec(&mut rng, batch * out_ch * out_len),
+                    vec![-0.0f32; out_ch * in_ch * kernel],
+                    vec![-0.0f32; out_ch],
+                )
+            } else {
+                (
+                    grad_vec(&mut rng, batch * out_ch * out_len),
+                    grad_vec(&mut rng, out_ch * in_ch * kernel),
+                    grad_vec(&mut rng, out_ch),
+                )
+            };
+            let (mut want_w, mut want_b) = (w_grad.clone(), b_grad.clone());
+            let want_in = reference_conv_backward(
+                &input,
+                &grad_out,
+                &weight,
+                &mut want_w,
+                &mut want_b,
+                batch,
+                in_ch,
+                in_len,
+                out_ch,
+                kernel,
+                stride,
+                out_len,
+            );
+            let (mut got_w, mut got_b) = (w_grad, b_grad);
+            conv1d_param_grads(
+                &input,
+                &grad_out,
+                &mut got_w,
+                &mut got_b,
+                &mut Vec::new(),
+                batch,
+                in_ch,
+                in_len,
+                out_ch,
+                kernel,
+                stride,
+                out_len,
+            );
+            let mut got_in = vec![f32::NAN; batch * in_ch * in_len];
+            conv1d_input_grad(
+                &grad_out,
+                &weight,
+                &mut got_in,
+                batch,
+                in_ch,
+                in_len,
+                out_ch,
+                kernel,
+                stride,
+                out_len,
+            );
+            assert_bits_eq(&got_w, &want_w, &format!("{what} weight grad"));
+            assert_bits_eq(&got_b, &want_b, &format!("{what} bias grad"));
+            assert_bits_eq(&got_in, &want_in, &format!("{what} input grad"));
         }
     }
 

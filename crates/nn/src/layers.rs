@@ -16,8 +16,9 @@ use crate::tensor::Tensor;
 pub trait Layer: Send + Sync {
     /// The layer's one forward computation: reads `input` (flat,
     /// row-major, laid out per `shape`), writes the result into `out` and
-    /// returns the output shape. `patch` is kernel workspace (im2col)
-    /// owned by the caller's [`crate::kernels::Scratch`] arena. Takes
+    /// returns the output shape. `patch` is kernel workspace (see
+    /// [`crate::kernels::conv1d_infer`]) owned by the caller's
+    /// [`crate::kernels::Scratch`] arena. Takes
     /// `&self`, so many threads can share one frozen network.
     fn infer_into(
         &self,
@@ -28,9 +29,10 @@ pub trait Layer: Send + Sync {
     ) -> Shape;
 
     /// Backpropagates `grad_out` through the forward pass that read
-    /// `input`, accumulating parameter gradients and returning the
-    /// gradient with respect to `input`.
-    fn backward(&mut self, input: &Tensor, grad_out: &Tensor) -> Tensor;
+    /// `input`, accumulating parameter gradients. Returns the gradient
+    /// with respect to `input` when `input_grad` is set and `None`
+    /// otherwise, so a network's first layer skips work nobody reads.
+    fn backward(&mut self, input: &Tensor, grad_out: &Tensor, input_grad: bool) -> Option<Tensor>;
 
     /// Zeroes accumulated parameter gradients.
     fn zero_grad(&mut self) {}
@@ -69,7 +71,7 @@ fn he_init(rng: &mut StdRng, fan_in: usize, n: usize) -> Vec<f32> {
 #[derive(Debug, Clone)]
 pub struct Dense {
     weight: Tensor,   // [out, in]
-    weight_t: Tensor, // [in, out], always == weight.transpose()
+    weight_t: Tensor, // [in, out], always the transpose of `weight`
     bias: Tensor,     // [out]
     w_grad: Tensor,
     b_grad: Tensor,
@@ -166,17 +168,30 @@ impl Layer for Dense {
         Shape::rank2(batch, self.out_dim())
     }
 
-    fn backward(&mut self, input: &Tensor, grad_out: &Tensor) -> Tensor {
+    fn backward(&mut self, input: &Tensor, grad_out: &Tensor, input_grad: bool) -> Option<Tensor> {
         // dW = grad_out^T x input ; db = column sums ; dx = grad_out x W
-        let dw = grad_out.transpose().matmul(input);
-        self.w_grad.axpy(1.0, &dw);
-        let batch = grad_out.shape()[0];
-        for b in 0..batch {
-            for o in 0..self.out_dim() {
-                self.b_grad.data_mut()[o] += grad_out.get2(b, o);
-            }
-        }
-        grad_out.matmul(&self.weight)
+        let (batch, in_dim, out_dim) = (grad_out.shape()[0], self.in_dim(), self.out_dim());
+        kernels::dense_param_grads(
+            input.data(),
+            grad_out.data(),
+            self.w_grad.data_mut(),
+            self.b_grad.data_mut(),
+            batch,
+            in_dim,
+            out_dim,
+        );
+        input_grad.then(|| {
+            let mut grad_in = Tensor::zeros(vec![batch, in_dim]);
+            kernels::gemm_zero_skip(
+                grad_out.data(),
+                self.weight.data(),
+                grad_in.data_mut(),
+                batch,
+                out_dim,
+                in_dim,
+            );
+            grad_in
+        })
     }
 
     fn zero_grad(&mut self) {
@@ -283,32 +298,41 @@ impl Layer for Conv1d {
         Shape::rank3(batch, out_ch, out_len)
     }
 
-    fn backward(&mut self, input: &Tensor, grad_out: &Tensor) -> Tensor {
+    fn backward(&mut self, input: &Tensor, grad_out: &Tensor, input_grad: bool) -> Option<Tensor> {
         let (out_ch, in_ch, kernel) = self.dims();
         let batch = input.shape()[0];
         let in_len = input.shape()[2];
         let out_len = grad_out.shape()[2];
-        let mut grad_in = Tensor::zeros(vec![batch, in_ch, in_len]);
-        for b in 0..batch {
-            for oc in 0..out_ch {
-                for t in 0..out_len {
-                    let g = grad_out.get3(b, oc, t);
-                    if g == 0.0 {
-                        continue;
-                    }
-                    let start = t * self.stride;
-                    self.b_grad.data_mut()[oc] += g;
-                    for ic in 0..in_ch {
-                        for k in 0..kernel {
-                            self.w_grad
-                                .add3(oc, ic, k, g * input.get3(b, ic, start + k));
-                            grad_in.add3(b, ic, start + k, g * self.weight.get3(oc, ic, k));
-                        }
-                    }
-                }
-            }
-        }
-        grad_in
+        kernels::conv1d_param_grads(
+            input.data(),
+            grad_out.data(),
+            self.w_grad.data_mut(),
+            self.b_grad.data_mut(),
+            &mut Vec::new(),
+            batch,
+            in_ch,
+            in_len,
+            out_ch,
+            kernel,
+            self.stride,
+            out_len,
+        );
+        input_grad.then(|| {
+            let mut grad_in = Tensor::zeros(vec![batch, in_ch, in_len]);
+            kernels::conv1d_input_grad(
+                grad_out.data(),
+                self.weight.data(),
+                grad_in.data_mut(),
+                batch,
+                in_ch,
+                in_len,
+                out_ch,
+                kernel,
+                self.stride,
+                out_len,
+            );
+            grad_in
+        })
     }
 
     fn zero_grad(&mut self) {
@@ -351,12 +375,14 @@ impl Layer for Relu {
         shape
     }
 
-    fn backward(&mut self, input: &Tensor, grad_out: &Tensor) -> Tensor {
-        let mut grad = grad_out.clone();
-        for (g, &x) in grad.data_mut().iter_mut().zip(input.data()) {
-            *g = if x > 0.0 { *g } else { 0.0 };
-        }
-        grad
+    fn backward(&mut self, input: &Tensor, grad_out: &Tensor, input_grad: bool) -> Option<Tensor> {
+        input_grad.then(|| {
+            let mut grad = grad_out.clone();
+            for (g, &x) in grad.data_mut().iter_mut().zip(input.data()) {
+                *g = if x > 0.0 { *g } else { 0.0 };
+            }
+            grad
+        })
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -390,11 +416,13 @@ impl Layer for Flatten {
         Shape::rank2(batch, rest)
     }
 
-    fn backward(&mut self, input: &Tensor, grad_out: &Tensor) -> Tensor {
-        grad_out
-            .clone()
-            .reshape(input.shape().to_vec())
-            .expect("unflatten preserves element count")
+    fn backward(&mut self, input: &Tensor, grad_out: &Tensor, input_grad: bool) -> Option<Tensor> {
+        input_grad.then(|| {
+            grad_out
+                .clone()
+                .reshape(input.shape().to_vec())
+                .expect("unflatten preserves element count")
+        })
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -426,7 +454,7 @@ mod tests {
         let mut ones = apply(layer, &input);
         ones.fill(1.0);
         layer.zero_grad();
-        let analytic_in = layer.backward(&input, &ones);
+        let analytic_in = layer.backward(&input, &ones, true).unwrap();
 
         // Input gradient.
         for i in 0..input.len() {
@@ -492,13 +520,58 @@ mod tests {
         check_gradients(&mut layer, input, 3e-2);
     }
 
+    /// Skipping the input gradient leaves every parameter gradient bit
+    /// for bit where the full backward pass leaves it.
+    #[test]
+    fn backward_without_input_grad_accumulates_the_same_params() {
+        let fill = |n: usize| -> Vec<f32> {
+            (0..n)
+                .map(|i| match i % 7 {
+                    0 => 0.0,
+                    3 => -0.0,
+                    r => (i * 13 % 11) as f32 * 0.1 - 0.5 + r as f32 * 0.01,
+                })
+                .collect()
+        };
+        let cases: Vec<(Box<dyn Layer>, Tensor)> = vec![
+            (
+                Box::new(Dense::new(70, 66, 3)),
+                Tensor::from_vec(fill(5 * 70), vec![5, 70]).unwrap(),
+            ),
+            (
+                Box::new(Conv1d::new(4, 8, 3, 2, 5)),
+                Tensor::from_vec(fill(3 * 4 * 16), vec![3, 4, 16]).unwrap(),
+            ),
+            (
+                Box::new(Relu::new()),
+                Tensor::from_vec(fill(12), vec![3, 4]).unwrap(),
+            ),
+            (
+                Box::new(Flatten::new()),
+                Tensor::from_vec(fill(24), vec![2, 3, 4]).unwrap(),
+            ),
+        ];
+        for (layer, input) in cases {
+            let out = apply(layer.as_ref(), &input);
+            let grad = Tensor::from_vec(fill(out.len()), out.shape().to_vec()).unwrap();
+            let (mut full, mut params_only) = (layer.clone(), layer);
+            assert!(full.backward(&input, &grad, true).is_some());
+            assert!(params_only.backward(&input, &grad, false).is_none());
+            let mut want = Vec::new();
+            full.visit_params(&mut |_, g| want.extend(g.data().iter().map(|v| v.to_bits())));
+            let mut got = Vec::new();
+            params_only.visit_params(&mut |_, g| got.extend(g.data().iter().map(|v| v.to_bits())));
+            assert_eq!(got, want);
+        }
+    }
+
     #[test]
     fn relu_masks_negative() {
         let mut relu = Relu::new();
         let x = Tensor::from_vec(vec![-1.0, 2.0, 0.0], vec![3]).unwrap();
         assert_eq!(apply(&relu, &x).data(), &[0.0, 2.0, 0.0]);
-        let g = relu.backward(&x, &Tensor::from_vec(vec![5.0; 3], vec![3]).unwrap());
-        assert_eq!(g.data(), &[0.0, 5.0, 0.0]);
+        let g = relu.backward(&x, &Tensor::from_vec(vec![5.0; 3], vec![3]).unwrap(), true);
+        assert_eq!(g.unwrap().data(), &[0.0, 5.0, 0.0]);
     }
 
     #[test]
@@ -507,7 +580,7 @@ mod tests {
         let x = Tensor::zeros(vec![2, 3, 4]);
         let y = apply(&f, &x);
         assert_eq!(y.shape(), &[2, 12]);
-        let g = f.backward(&x, &y);
+        let g = f.backward(&x, &y, true).unwrap();
         assert_eq!(g.shape(), &[2, 3, 4]);
     }
 

@@ -30,7 +30,7 @@
 //!     let pred = net.forward_train(&x);
 //!     let (loss, grad) = mse_loss(&pred, &y);
 //!     net.zero_grad();
-//!     net.backward(&grad);
+//!     net.backward_params(&grad);
 //!     opt.step(&mut net);
 //!     last = loss;
 //! }

@@ -109,20 +109,40 @@ impl Sequential {
 
     /// Backpropagates the loss gradient through the last
     /// [`Sequential::forward_train`], consuming its tape and accumulating
-    /// parameter gradients.
+    /// parameter gradients. Returns the gradient with respect to the
+    /// network's input, for a caller that chains it into another network.
     ///
     /// # Panics
     /// Panics if no training forward pass has run since the last backward.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backprop(grad_out, true)
+            .expect("the first layer was asked for its input gradient")
+    }
+
+    /// [`Sequential::backward`] for a network whose input gradient nobody
+    /// reads: accumulates the same parameter gradients, bit for bit, but
+    /// the first layer skips its input gradient.
+    ///
+    /// # Panics
+    /// Panics if no training forward pass has run since the last backward.
+    pub fn backward_params(&mut self, grad_out: &Tensor) {
+        self.backprop(grad_out, false);
+    }
+
+    fn backprop(&mut self, grad_out: &Tensor, input_grad: bool) -> Option<Tensor> {
         assert!(
             !self.tape.is_empty(),
             "backward requires a preceding forward_train"
         );
         let mut g = grad_out.clone();
-        for (layer, input) in self.layers.iter_mut().zip(self.tape.drain(..)).rev() {
-            g = layer.backward(&input, &g);
+        let mut layers = self.layers.iter_mut().zip(self.tape.drain(..)).rev();
+        let (first, first_input) = layers.next_back().expect("network has a layer");
+        for (layer, input) in layers {
+            g = layer
+                .backward(&input, &g, true)
+                .expect("input gradient was requested");
         }
-        g
+        first.backward(&first_input, &g, input_grad)
     }
 
     /// Zeroes all accumulated parameter gradients.

@@ -99,7 +99,7 @@ mod tests {
             let pred = net.forward_train(&x);
             let (l, grad) = mse_loss(&pred, &y);
             net.zero_grad();
-            net.backward(&grad);
+            net.backward_params(&grad);
             opt.step(&mut net);
             loss = l;
         }

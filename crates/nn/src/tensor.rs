@@ -111,20 +111,6 @@ impl Tensor {
         self.data[r * self.shape[1] + c] = v;
     }
 
-    /// Element access for rank-3 tensors `[b, c, t]`.
-    #[inline]
-    pub fn get3(&self, b: usize, c: usize, t: usize) -> f32 {
-        debug_assert_eq!(self.shape.len(), 3);
-        self.data[(b * self.shape[1] + c) * self.shape[2] + t]
-    }
-
-    /// Adds `v` at a rank-3 index.
-    #[inline]
-    pub fn add3(&mut self, b: usize, c: usize, t: usize, v: f32) {
-        debug_assert_eq!(self.shape.len(), 3);
-        self.data[(b * self.shape[1] + c) * self.shape[2] + t] += v;
-    }
-
     /// Matrix product of two rank-2 tensors: `[m, k] x [k, n] -> [m, n]`.
     ///
     /// # Panics
@@ -138,33 +124,6 @@ impl Tensor {
         let mut out = Tensor::zeros(vec![m, n]);
         crate::kernels::gemm_zero_skip(&self.data, &rhs.data, &mut out.data, m, k, n);
         out
-    }
-
-    /// Transpose of a rank-2 tensor.
-    ///
-    /// # Panics
-    /// Panics if the tensor is not rank-2.
-    pub fn transpose(&self) -> Tensor {
-        assert_eq!(self.shape.len(), 2, "transpose requires rank-2");
-        let (m, n) = (self.shape[0], self.shape[1]);
-        let mut out = Tensor::zeros(vec![n, m]);
-        for i in 0..m {
-            for j in 0..n {
-                out.data[j * m + i] = self.data[i * n + j];
-            }
-        }
-        out
-    }
-
-    /// In-place `self += other * s` (axpy).
-    ///
-    /// # Panics
-    /// Panics if shapes differ.
-    pub fn axpy(&mut self, s: f32, other: &Tensor) {
-        assert_eq!(self.shape, other.shape, "axpy needs equal shapes");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += s * b;
-        }
     }
 
     /// Fills the tensor with a constant.
@@ -224,37 +183,11 @@ mod tests {
     }
 
     #[test]
-    fn transpose_round_trip() {
-        let a = Tensor::from_vec((0..12).map(|x| x as f32).collect(), vec![3, 4]).unwrap();
-        assert_eq!(a.transpose().transpose(), a);
-        assert_eq!(a.transpose().get2(2, 1), a.get2(1, 2));
-    }
-
-    #[test]
-    fn rank3_indexing() {
-        let mut t = Tensor::zeros(vec![2, 3, 4]);
-        t.add3(1, 2, 3, 9.0);
-        assert_eq!(t.get3(1, 2, 3), 9.0);
-        assert_eq!(t.data()[23], 9.0);
-        t.add3(1, 2, 3, 1.0);
-        assert_eq!(t.get3(1, 2, 3), 10.0);
-        assert_eq!(t.get3(0, 0, 0), 0.0);
-    }
-
-    #[test]
     fn reshape_preserves_data() {
         let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], vec![2, 2]).unwrap();
         let r = t.clone().reshape(vec![4]).unwrap();
         assert_eq!(r.data(), t.data());
         assert!(t.reshape(vec![3]).is_err());
-    }
-
-    #[test]
-    fn elementwise_ops() {
-        let mut a = Tensor::from_vec(vec![1.0, 2.0], vec![2]).unwrap();
-        let b = Tensor::from_vec(vec![3.0, 5.0], vec![2]).unwrap();
-        a.axpy(10.0, &b);
-        assert_eq!(a.data(), &[31.0, 52.0]);
     }
 
     #[test]

@@ -232,7 +232,7 @@ impl DdqnAgent {
             .telemetry
             .as_ref()
             .map(|t| t.stage_scope(msvs_telemetry::stages::DDQN_TRAIN));
-        let loss = self.train_minibatch();
+        let loss = self.train_minibatch(bootstraps);
         drop(scope);
         self.last_loss = Some(loss);
         if let Some(t) = &self.telemetry {
@@ -244,7 +244,11 @@ impl DdqnAgent {
         Some(loss)
     }
 
-    fn train_minibatch(&mut self) -> f32 {
+    /// One minibatch step. `bootstrap` decides from the sampled batch
+    /// whether to run the two next-state passes; [`bootstraps`] skips
+    /// them when every transition is terminal, since a terminal target
+    /// is its reward alone.
+    fn train_minibatch(&mut self, bootstrap: fn(&[&Transition]) -> bool) -> f32 {
         let batch_size = self.config.batch_size;
         let dim = self.config.state_dim;
         let actions = self.config.action_count;
@@ -253,27 +257,34 @@ impl DdqnAgent {
         let batch = self.replay.sample(&mut self.rng, batch_size);
 
         let mut states = Tensor::zeros(vec![batch_size, dim]);
-        let mut next_states = Tensor::zeros(vec![batch_size, dim]);
-        for (i, t) in batch.iter().enumerate() {
-            for d in 0..dim {
-                states.set2(i, d, t.state[d]);
-                next_states.set2(i, d, t.next_state.get(d).copied().unwrap_or(0.0));
-            }
+        for (row, t) in states.data_mut().chunks_exact_mut(dim).zip(&batch) {
+            row.copy_from_slice(&t.state);
         }
 
         // Double-Q target: a* from online net, value from target net.
-        let q_next_online = self.online.infer(&next_states);
-        let q_next_target = self.target.infer(&next_states);
+        let q_next = bootstrap(&batch).then(|| {
+            let mut next_states = Tensor::zeros(vec![batch_size, dim]);
+            for (row, t) in next_states.data_mut().chunks_exact_mut(dim).zip(&batch) {
+                for (d, v) in row.iter_mut().enumerate() {
+                    *v = t.next_state.get(d).copied().unwrap_or(0.0);
+                }
+            }
+            (
+                self.online.infer(&next_states),
+                self.target.infer(&next_states),
+            )
+        });
 
         let q_pred = self.online.forward_train(&states);
         let mut target = q_pred.clone();
         let mut mask = Tensor::zeros(vec![batch_size, actions]);
         for (i, t) in batch.iter().enumerate() {
-            let y = if t.done {
-                t.reward
-            } else {
-                let a_star = q_next_online.argmax_row(i);
-                t.reward + gamma * q_next_target.get2(i, a_star)
+            let y = match &q_next {
+                Some((q_next_online, q_next_target)) if !t.done => {
+                    let a_star = q_next_online.argmax_row(i);
+                    t.reward + gamma * q_next_target.get2(i, a_star)
+                }
+                _ => t.reward,
             };
             target.set2(i, t.action, y);
             mask.set2(i, t.action, 1.0);
@@ -281,7 +292,7 @@ impl DdqnAgent {
 
         let (loss, grad) = masked_mse_loss(&q_pred, &target, &mask);
         self.online.zero_grad();
-        self.online.backward(&grad);
+        self.online.backward_params(&grad);
         self.optimizer.step(&mut self.online);
 
         self.train_steps += 1;
@@ -293,6 +304,12 @@ impl DdqnAgent {
         }
         loss
     }
+}
+
+/// Whether a sampled minibatch needs next-state Q-values: only a
+/// non-terminal transition bootstraps from them.
+fn bootstraps(batch: &[&Transition]) -> bool {
+    batch.iter().any(|t| !t.done)
 }
 
 #[cfg(test)]
@@ -461,6 +478,92 @@ mod tests {
             actions
         };
         assert_eq!(run(), run());
+    }
+
+    /// An agent whose replay holds 32 transitions, the `i`-th terminal
+    /// when `done(i)`, ready for one minibatch step.
+    fn primed_agent(done: fn(usize) -> bool) -> DdqnAgent {
+        let mut agent = DdqnAgent::new(bandit_config(8)).unwrap();
+        for i in 0..32 {
+            agent.replay.push(Transition {
+                state: vec![(i % 4) as f32 * 0.25, 1.0 - (i % 3) as f32 * 0.5],
+                action: i % 3,
+                reward: (i % 5) as f32 * 0.2 - 0.3,
+                next_state: vec![(i % 3) as f32 * 0.5, (i % 4) as f32 * 0.25],
+                done: done(i),
+            });
+        }
+        agent
+    }
+
+    fn weight_bits(agent: &mut DdqnAgent) -> Vec<u32> {
+        let mut bits = Vec::new();
+        agent
+            .online
+            .visit_params(&mut |w, _| bits.extend(w.data().iter().map(|v| v.to_bits())));
+        bits
+    }
+
+    /// An all-terminal minibatch skips both next-state passes and trains
+    /// to the same bits as a step that runs them.
+    #[test]
+    fn all_terminal_batch_trains_identically_without_the_bootstrap_passes() {
+        let mut skipped = primed_agent(|_| true);
+        let mut full = primed_agent(|_| true);
+        let loss = skipped.train_minibatch(bootstraps);
+        assert_eq!(loss.to_bits(), full.train_minibatch(|_| true).to_bits());
+        assert_eq!(weight_bits(&mut skipped), weight_bits(&mut full));
+    }
+
+    /// A batch with any non-terminal transition still bootstraps: it
+    /// trains like a forced bootstrap and unlike a skipped one.
+    #[test]
+    fn mixed_batch_still_bootstraps() {
+        let mixed = |i: usize| i.is_multiple_of(2);
+        let mut agent = primed_agent(mixed);
+        let mut forced = primed_agent(mixed);
+        let mut skipped = primed_agent(mixed);
+        let loss = agent.train_minibatch(bootstraps);
+        assert_eq!(loss.to_bits(), forced.train_minibatch(|_| true).to_bits());
+        skipped.train_minibatch(|_| false);
+        let bits = weight_bits(&mut agent);
+        assert_eq!(bits, weight_bits(&mut forced));
+        assert_ne!(bits, weight_bits(&mut skipped));
+    }
+
+    /// FNV-1a over the bit patterns, so a golden value pins every bit.
+    fn bits_digest(bits: impl IntoIterator<Item = u32>) -> u64 {
+        bits.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Pins training end to end over terminal and bootstrapped
+    /// minibatches: every loss and the trained Q-values, bit for bit.
+    /// The golden values were captured before the backward slice kernels
+    /// and the terminal-batch skip landed.
+    #[test]
+    fn seeded_training_matches_golden_bits() {
+        let mut agent = DdqnAgent::new(bandit_config(42)).unwrap();
+        let mut losses = Vec::new();
+        for i in 0..160 {
+            let s = vec![(i % 3) as f32 * 0.5, ((i + 1) % 2) as f32];
+            let a = agent.act(&s);
+            losses.extend(agent.observe(Transition {
+                state: s.clone(),
+                action: a,
+                reward: a as f32 * 0.25 - 0.1,
+                next_state: vec![s[1], s[0]],
+                // All-terminal stretches, then mixed batches.
+                done: i < 80 || i % 4 != 0,
+            }));
+        }
+        let x = Tensor::from_vec(vec![0.0, 1.0, 0.5, 0.0, 1.0, 1.0], vec![3, 2]).unwrap();
+        let loss_digest = bits_digest(losses.iter().map(|l| l.to_bits()));
+        let q_digest = bits_digest(agent.online.infer(&x).data().iter().map(|q| q.to_bits()));
+        assert_eq!(losses.len(), 129);
+        assert_eq!(loss_digest, 0x5564_d39a_e1b1_1881);
+        assert_eq!(q_digest, 0x8c99_060b_0cfe_7489);
     }
 
     #[test]

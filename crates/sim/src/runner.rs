@@ -416,6 +416,7 @@ impl Simulation {
             self.interval(None)?;
         }
         if self.config.pretrain_rounds > 0 {
+            let _pretrain_scope = self.telemetry.stage_scope(stages::DDQN_PRETRAIN);
             self.predictor
                 .pretrain(&self.store, self.config.pretrain_rounds)?;
         }

@@ -20,6 +20,9 @@ pub const CNN_TRAIN: &str = "cnn_train";
 pub const DDQN_SELECT_K: &str = "ddqn_select_k";
 /// DDQN minibatch training step.
 pub const DDQN_TRAIN: &str = "ddqn_train";
+/// Pretraining of the grouping DDQN at the end of warm-up (its episodes'
+/// `ddqn_train`, `kmeans_fit` and `silhouette` spans nest inside).
+pub const DDQN_PRETRAIN: &str = "ddqn_pretrain";
 /// K-means++ clustering fit.
 pub const KMEANS_FIT: &str = "kmeans_fit";
 /// One Lloyd-iteration assignment sweep inside a K-means fit.
@@ -68,6 +71,7 @@ pub const ALL: &[&str] = &[
     CNN_TRAIN,
     DDQN_SELECT_K,
     DDQN_TRAIN,
+    DDQN_PRETRAIN,
     KMEANS_FIT,
     KMEANS_ASSIGN,
     KMEANS_UPDATE,

@@ -18,6 +18,7 @@
 //! silently runs the defaults.
 
 use std::collections::BTreeMap;
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
 use msvs::core::ReservationPolicy;
@@ -33,18 +34,22 @@ use msvs::types::VideoCategory;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let command = args.first().map(String::as_str).unwrap_or("help");
-    let result = match command {
-        "run" => cmd_run(&args[1..]),
-        "checkpoint" => cmd_checkpoint(&args[1..]),
-        "report" => cmd_report(&args[1..]),
-        "swiping" => cmd_swiping(&args[1..]),
-        "reserve" => cmd_reserve(&args[1..]),
-        "help" | "--help" | "-h" => {
-            print_help();
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}` (try `msvs help`)")),
+    // Every table goes through this one writer, and a failed write
+    // comes back here as an error.
+    let mut out = Stdout {
+        inner: std::io::stdout().lock(),
+        closed: false,
     };
+    let result = match command {
+        "run" => cmd_run(&args[1..], &mut out),
+        "checkpoint" => cmd_checkpoint(&args[1..], &mut out),
+        "report" => cmd_report(&args[1..], &mut out),
+        "swiping" => cmd_swiping(&args[1..], &mut out),
+        "reserve" => cmd_reserve(&args[1..], &mut out),
+        "help" | "--help" | "-h" => print_help(&mut out).map_err(Into::into),
+        other => Err(format!("unknown command `{other}` (try `msvs help`)").into()),
+    }
+    .and_then(|()| out.flush().map_err(Into::into));
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -54,8 +59,49 @@ fn main() -> ExitCode {
     }
 }
 
-fn print_help() {
-    println!(
+/// Locked stdout that takes a reader closing early (`msvs report
+/// run.jsonl | head -1`) as success: from the first `BrokenPipe` on it
+/// drops what is written, so the command still finishes its work (a
+/// `run` still writes its exports) and exits 0. Every other write error
+/// is returned.
+struct Stdout {
+    inner: std::io::StdoutLock<'static>,
+    closed: bool,
+}
+
+impl Stdout {
+    fn closed_is_ok<T>(&mut self, result: std::io::Result<T>, ok: T) -> std::io::Result<T> {
+        match result {
+            Err(e) if e.kind() == ErrorKind::BrokenPipe => {
+                self.closed = true;
+                Ok(ok)
+            }
+            other => other,
+        }
+    }
+}
+
+impl Write for Stdout {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if self.closed {
+            return Ok(buf.len());
+        }
+        let written = self.inner.write(buf);
+        self.closed_is_ok(written, buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        if self.closed {
+            return Ok(());
+        }
+        let flushed = self.inner.flush();
+        self.closed_is_ok(flushed, ())
+    }
+}
+
+fn print_help(out: &mut dyn Write) -> std::io::Result<()> {
+    writeln!(
+        out,
         "msvs — digital twin-assisted multicast short video streaming simulator\n\
          \n\
          USAGE:\n\
@@ -109,7 +155,7 @@ fn print_help() {
          Every command rejects flags it does not know.",
         FaultPlan::BUILTINS.join(", "),
         SloPolicy::BUILTINS.join(", ")
-    );
+    )
 }
 
 /// The flags one subcommand accepts on top of [`SIM_VALUES`] and
@@ -262,7 +308,7 @@ const RUN: FlagSpec = FlagSpec {
     switches: &[],
 };
 
-fn cmd_run(args: &[String]) -> Result<(), String> {
+fn cmd_run(args: &[String], out: &mut dyn Write) -> Result<(), Box<dyn std::error::Error>> {
     let flags = Flags::new(&RUN, args)?;
     let mut cfg = base_config(&flags)?;
     if let Some(raw) = flags.value("--faults") {
@@ -283,43 +329,47 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let mut server = match flags.value("--serve-metrics") {
         Some(addr) => {
             let s = MetricsServer::bind(addr, sim.telemetry().clone(), sim.health_board().clone())?;
-            println!(
+            writeln!(
+                out,
                 "serving http://{0}/metrics and http://{0}/healthz",
                 s.addr()
-            );
+            )?;
             Some(s)
         }
         None => None,
     };
     let result = sim.run_schedule().map_err(|e| e.to_string())?;
-    println!("{}", report::interval_table(&result));
+    writeln!(out, "{}", report::interval_table(&result))?;
     if let Some(shards) = &result.shards {
-        println!(
+        writeln!(
+            out,
             "shards: {} | handovers {} | peak imbalance {:.2}",
             shards.shards, shards.handovers_total, shards.peak_imbalance,
-        );
+        )?;
         if shards.outages_total > 0 {
             let worst = shards
                 .demand
                 .iter()
                 .map(|r| r.availability)
                 .fold(1.0f64, f64::min);
-            println!(
+            writeln!(
+                out,
                 "outages: {} | failover handovers {} | checkpoint bytes {} | worst availability {:.1}%",
                 shards.outages_total,
                 shards.failover_handovers_total,
                 shards.checkpoint_bytes_total,
                 100.0 * worst,
-            );
+            )?;
         }
     }
-    println!(
+    writeln!(
+        out,
         "radio accuracy {:.2}% | computing accuracy {:.2}% | saving {:.1}% | waste {:.2}%",
         100.0 * result.mean_radio_accuracy(),
         100.0 * result.mean_computing_accuracy(),
         100.0 * result.mean_multicast_saving(),
         100.0 * result.waste_fraction(),
-    );
+    )?;
     if with_faults {
         let count = |name: &str, label: &str| {
             result
@@ -329,7 +379,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
                 .find(|(n, l, _)| n == name && l == label)
                 .map_or(0, |(_, _, v)| *v)
         };
-        println!(
+        writeln!(
+            out,
             "faults: lost {} | delayed {} | corrupted {} | rejected {} | overflowed {} | retried {}",
             count("fault_reports_total", "lost"),
             count("fault_reports_total", "delayed"),
@@ -337,33 +388,36 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             count("fault_reports_total", "rejected"),
             count("fault_reports_total", "overflowed"),
             count("fault_retries_total", "uplink"),
-        );
+        )?;
         let coverage = result
             .mean_twin_coverage()
             .map_or_else(|| "n/a".into(), |c| format!("{:.1}%", 100.0 * c));
         let delta = result
             .degraded_accuracy_delta()
             .map_or_else(|| "n/a".into(), |d| format!("{:+.2}pp", 100.0 * d));
-        println!(
+        writeln!(
+            out,
             "degraded intervals {}/{} | twin coverage {} | accuracy delta vs clean {}",
             result.degraded_intervals(),
             result.intervals.len(),
             coverage,
             delta,
-        );
+        )?;
     }
     if let Some(slo) = &result.slo {
-        println!(
+        writeln!(
+            out,
             "slo: {} rule(s), breach budget {} interval(s), {} interval(s) evaluated",
             slo.rules.len(),
             slo.breach_budget,
             slo.intervals_evaluated,
-        );
+        )?;
         for rule in &slo.rules {
             let worst = rule
                 .worst_value
                 .map_or_else(|| "n/a".into(), |v| format!("{v:.4}"));
-            println!(
+            writeln!(
+                out,
                 "  {:<24} breached {:>3} interval(s) | burn rate {:>5.2} | worst {}{}",
                 rule.slo,
                 rule.breach_intervals,
@@ -374,12 +428,12 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
                 } else {
                     ""
                 },
-            );
+            )?;
         }
     }
     if let Some(path) = flags.value("--csv") {
         std::fs::write(path, report::to_csv(&result)).map_err(|e| e.to_string())?;
-        println!("wrote {path}");
+        writeln!(out, "wrote {path}")?;
     }
     if let Some(path) = flags.value("--journal") {
         std::fs::write(path, sim.telemetry().journal().to_jsonl()).map_err(|e| e.to_string())?;
@@ -394,7 +448,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         manifest
             .write_to(&manifest_path)
             .map_err(|e| e.to_string())?;
-        println!("wrote {path} and {manifest_path}");
+        writeln!(out, "wrote {path} and {manifest_path}")?;
     }
     if let Some(path) = flags.value("--trace") {
         // Counter events ride along so Perfetto shows gauge time-series
@@ -405,7 +459,10 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             "msvs run",
         );
         std::fs::write(path, format!("{trace}\n")).map_err(|e| e.to_string())?;
-        println!("wrote {path} (open in https://ui.perfetto.dev or chrome://tracing)");
+        writeln!(
+            out,
+            "wrote {path} (open in https://ui.perfetto.dev or chrome://tracing)"
+        )?;
     }
     if let Some(server) = server.as_mut() {
         server.stop();
@@ -422,7 +479,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 /// shard's twin registry (plus sync-tracker state) as one versioned JSON
 /// checkpoint per line; `--restore PATH`
 /// instead reloads such a file into fresh shards and verifies it.
-fn cmd_checkpoint(args: &[String]) -> Result<(), String> {
+fn cmd_checkpoint(args: &[String], out: &mut dyn Write) -> Result<(), Box<dyn std::error::Error>> {
     const CHECKPOINT: FlagSpec = FlagSpec {
         command: "checkpoint",
         values: &["--restore", "--faults", "--out"],
@@ -430,7 +487,7 @@ fn cmd_checkpoint(args: &[String]) -> Result<(), String> {
     };
     let flags = Flags::new(&CHECKPOINT, args)?;
     if let Some(path) = flags.value("--restore") {
-        return restore_checkpoint(path);
+        return restore_checkpoint(path, out);
     }
     let mut cfg = base_config(&flags)?;
     if let Some(raw) = flags.value("--faults") {
@@ -440,20 +497,21 @@ fn cmd_checkpoint(args: &[String]) -> Result<(), String> {
     let mut sim = Simulation::new(cfg).map_err(|e| e.to_string())?;
     sim.run_schedule().map_err(|e| e.to_string())?;
     let checkpoints = sim.checkpoint_shards();
-    let out = flags.value("--out").unwrap_or("checkpoint.jsonl");
+    let path = flags.value("--out").unwrap_or("checkpoint.jsonl");
     let mut text = String::new();
     for ckpt in &checkpoints {
         text.push_str(&ckpt.to_string());
         text.push('\n');
     }
-    std::fs::write(out, &text).map_err(|e| e.to_string())?;
+    std::fs::write(path, &text).map_err(|e| e.to_string())?;
     let twins: usize = checkpoints.iter().map(ShardCheckpoint::len).sum();
-    println!(
-        "wrote {out}: {} shard checkpoint(s), {} twin(s), {} bytes",
+    writeln!(
+        out,
+        "wrote {path}: {} shard checkpoint(s), {} twin(s), {} bytes",
         checkpoints.len(),
         twins,
         text.len(),
-    );
+    )?;
     Ok(())
 }
 
@@ -462,7 +520,7 @@ fn cmd_checkpoint(args: &[String]) -> Result<(), String> {
 /// shard id may appear on one line only, and a user in one shard only.
 /// Every line must re-encode to itself byte for byte, which checks the
 /// checkpoint codec's round trip on the whole file.
-fn restore_checkpoint(path: &str) -> Result<(), String> {
+fn restore_checkpoint(path: &str, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Error>> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let mut shards = 0usize;
     let mut twins = 0usize;
@@ -475,14 +533,15 @@ fn restore_checkpoint(path: &str) -> Result<(), String> {
         }
         let ckpt = ShardCheckpoint::parse(line).map_err(|e| format!("{path}:{}: {e}", i + 1))?;
         if ckpt.to_string() != line {
-            return Err(format!("{path}: re-encode mismatch at line {}", i + 1));
+            return Err(format!("{path}: re-encode mismatch at line {}", i + 1).into());
         }
         if let Some(first) = shard_lines.insert(ckpt.shard, i + 1) {
             return Err(format!(
                 "{path}:{}: shard {} already checkpointed on line {first}",
                 i + 1,
                 ckpt.shard,
-            ));
+            )
+            .into());
         }
         for entry in &ckpt.twins {
             let user = entry.twin.user();
@@ -491,7 +550,7 @@ fn restore_checkpoint(path: &str) -> Result<(), String> {
                     "{path}:{}: user {user} in shard {} already checkpointed in shard {shard} on line {first}",
                     i + 1,
                     ckpt.shard,
-                ));
+                ).into());
             }
         }
         let shard = Shard::new(ckpt.shard, 1.0);
@@ -502,28 +561,33 @@ fn restore_checkpoint(path: &str) -> Result<(), String> {
                 i + 1,
                 ckpt.len(),
                 shard.len(),
-            ));
+            )
+            .into());
         }
-        println!(
+        writeln!(
+            out,
             "shard {}: {} twin(s) at interval {}, next nonce {:#x}",
             ckpt.shard,
             ckpt.len(),
             ckpt.interval,
             ckpt.next_instance,
-        );
+        )?;
         shards += 1;
         twins += ckpt.len();
     }
     if shards == 0 {
-        return Err(format!("{path}: no checkpoints found"));
+        return Err(format!("{path}: no checkpoints found").into());
     }
-    println!("{path}: restored and verified {twins} twin(s) across {shards} shard(s)");
+    writeln!(
+        out,
+        "{path}: restored and verified {twins} twin(s) across {shards} shard(s)"
+    )?;
     Ok(())
 }
 
 /// `msvs report <journal.jsonl>`: stage-latency and event summary of a
 /// journal written by `msvs run --journal`.
-fn cmd_report(args: &[String]) -> Result<(), String> {
+fn cmd_report(args: &[String], out: &mut dyn Write) -> Result<(), Box<dyn std::error::Error>> {
     let path = args
         .first()
         .filter(|a| !a.starts_with("--"))
@@ -538,14 +602,15 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         Event::RunStarted { scheme, seed } => Some((scheme.clone(), *seed)),
         _ => None,
     }) {
-        println!(
+        writeln!(
+            out,
             "run: scheme {scheme}, seed {seed}, {} events\n",
             entries.len()
-        );
+        )?;
     }
 
     if let Some(table) = stage_table(&entries) {
-        println!("{table}");
+        writeln!(out, "{table}")?;
     }
 
     // Event counts by type.
@@ -557,7 +622,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         .iter()
         .map(|(name, n)| vec![name.to_string(), n.to_string()])
         .collect();
-    println!("{}", report::format_table(&["event", "count"], &rows));
+    writeln!(out, "{}", report::format_table(&["event", "count"], &rows))?;
 
     // Per-shard availability from the outage events. A `ShardDown` at
     // interval `d` answered by a `ShardRestored` at interval `r` means
@@ -607,13 +672,14 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
                 ]
             })
             .collect();
-        println!(
+        writeln!(
+            out,
             "{}",
             report::format_table(
                 &["shard", "outages", "down intervals", "availability"],
                 &rows
             )
-        );
+        )?;
     }
 
     // SLO breach/recovery timeline.
@@ -642,10 +708,11 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         })
         .collect();
     if !rows.is_empty() {
-        println!(
+        writeln!(
+            out,
             "{}",
             report::format_table(&["interval", "edge", "slo", "value", "threshold"], &rows)
-        );
+        )?;
     }
 
     // Per-interval outcomes.
@@ -666,21 +733,24 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         })
         .collect();
     if !rows.is_empty() {
-        println!(
+        writeln!(
+            out,
             "{}",
             report::format_table(&["interval", "t(s)", "QoE", "hit ratio"], &rows)
-        );
+        )?;
     }
     if !parse.skipped.is_empty() {
-        println!(
+        writeln!(
+            out,
             "skipped {} malformed line(s); see warnings above",
             parse.skipped.len()
-        );
+        )?;
     }
     if parse.truncated {
         return Err(format!(
             "{path}: final line is malformed — the journal looks truncated or corrupt"
-        ));
+        )
+        .into());
     }
     Ok(())
 }
@@ -723,7 +793,7 @@ fn stage_table(entries: &[Entry]) -> Option<String> {
     ))
 }
 
-fn cmd_swiping(args: &[String]) -> Result<(), String> {
+fn cmd_swiping(args: &[String], out: &mut dyn Write) -> Result<(), Box<dyn std::error::Error>> {
     const SWIPING: FlagSpec = FlagSpec {
         command: "swiping",
         values: &[],
@@ -735,9 +805,9 @@ fn cmd_swiping(args: &[String]) -> Result<(), String> {
     let outcome = sim.last_outcome().ok_or("no intervals ran")?;
     for (g, swiping) in outcome.swiping.iter().enumerate() {
         let members = outcome.group_prediction(g).map_or(0, |p| p.members.len());
-        println!("group {g} ({members} members): retention ranking");
+        writeln!(out, "group {g} ({members} members): retention ranking")?;
         for (cat, mean) in swiping.ranked_categories().into_iter().take(3) {
-            println!("  {:<10} {mean:>6.2} s", cat.name());
+            writeln!(out, "  {:<10} {mean:>6.2} s", cat.name())?;
         }
     }
     let cats = [
@@ -745,23 +815,27 @@ fn cmd_swiping(args: &[String]) -> Result<(), String> {
         VideoCategory::Music,
         VideoCategory::Game,
     ];
-    println!("\ncumulative swiping probability, group 0:");
-    print!("{:>7}", "t(s)");
+    writeln!(out, "\ncumulative swiping probability, group 0:")?;
+    write!(out, "{:>7}", "t(s)")?;
     for c in cats {
-        print!("{:>9}", c.name());
+        write!(out, "{:>9}", c.name())?;
     }
-    println!();
+    writeln!(out)?;
     for t in [2.0, 5.0, 10.0, 20.0, 40.0] {
-        print!("{t:>7.0}");
+        write!(out, "{t:>7.0}")?;
         for c in cats {
-            print!("{:>9.3}", outcome.swiping[0].cumulative_probability(c, t));
+            write!(
+                out,
+                "{:>9.3}",
+                outcome.swiping[0].cumulative_probability(c, t)
+            )?;
         }
-        println!();
+        writeln!(out)?;
     }
     Ok(())
 }
 
-fn cmd_reserve(args: &[String]) -> Result<(), String> {
+fn cmd_reserve(args: &[String], out: &mut dyn Write) -> Result<(), Box<dyn std::error::Error>> {
     const RESERVE: FlagSpec = FlagSpec {
         command: "reserve",
         values: &["--headroom"],
@@ -778,12 +852,13 @@ fn cmd_reserve(args: &[String]) -> Result<(), String> {
     let result = Simulation::run(cfg).map_err(|e| e.to_string())?;
     let coverage = result.reservation_coverage().unwrap_or(0.0);
     let idle = result.reservation_idle().unwrap_or(0.0);
-    println!(
+    writeln!(
+        out,
         "headroom {:.0}%: covered {:.0}% of intervals, {:.1}% of reserved radio idle",
         100.0 * headroom,
         100.0 * coverage,
         100.0 * idle
-    );
+    )?;
     Ok(())
 }
 
@@ -915,7 +990,8 @@ mod tests {
         let path = std::env::temp_dir().join("msvs-cli-checkpoint-test.jsonl");
         let restore = |lines: &[String]| {
             std::fs::write(&path, lines.join("\n")).unwrap();
-            restore_checkpoint(path.to_str().unwrap())
+            restore_checkpoint(path.to_str().unwrap(), &mut std::io::sink())
+                .map_err(|e| e.to_string())
         };
         assert!(restore(&[checkpoint(0, &[1, 2]), checkpoint(1, &[3])]).is_ok());
         let err = restore(&[checkpoint(0, &[1, 2]), checkpoint(1, &[3, 1])]).unwrap_err();
@@ -968,8 +1044,11 @@ mod tests {
             (&["--backend", "simd"][..], "--backend"),
             (&["--incremental"], "--incremental"),
         ] {
-            let err = cmd_reserve(&args(list)).unwrap_err();
-            assert_eq!(err, format!("unknown flag `{flag}` for `msvs reserve`"));
+            let err = cmd_reserve(&args(list), &mut std::io::sink()).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("unknown flag `{flag}` for `msvs reserve`")
+            );
         }
         let err = Flags::new(&RUN, &args(&["1000"])).err().expect("rejected");
         assert_eq!(err, "unexpected argument `1000` for `msvs run`");
@@ -982,7 +1061,7 @@ mod tests {
             let err = Flags::new(&RUN, &raw).err().expect("rejected");
             assert_eq!(err, format!("{flag} requires a value"));
         }
-        assert!(cmd_reserve(&args(&["--headroom"])).is_err());
+        assert!(cmd_reserve(&args(&["--headroom"]), &mut std::io::sink()).is_err());
     }
 
     #[test]

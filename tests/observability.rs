@@ -217,6 +217,19 @@ fn stage_table_is_exact_over_the_closed_spans() {
     ] {
         assert!(rows.contains(&name), "span-only stage {name} has a row");
     }
+    // Setup has rows too: CNN training, and one root pretraining span
+    // that holds the DDQN training steps and fits of its episodes.
+    assert!(rows.contains(&stages::CNN_TRAIN));
+    let pretrain = by_name(&spans, stages::DDQN_PRETRAIN);
+    assert_eq!(pretrain.len(), 1, "one pretraining pass");
+    assert_eq!(pretrain[0].parent, None);
+    for name in [stages::DDQN_TRAIN, stages::KMEANS_FIT] {
+        let nested = by_name(&spans, name)
+            .iter()
+            .filter(|s| s.parent == Some(pretrain[0].id))
+            .count();
+        assert!(nested > 0, "{name} spans nest in {}", stages::DDQN_PRETRAIN);
+    }
     let ms = |us: u64| us as f64 / 1e3;
     for row in &summary.stages {
         let mut us: Vec<u64> = by_name(&spans, &row.stage)
