@@ -329,16 +329,15 @@ pub fn dense_param_grads(
 /// Terms go straight into `w_grad` and `b_grad` (no separate
 /// accumulator) in batch-major, then increasing-`t` order, skipping
 /// `g == 0.0`: the sequence of the direct `b/oc/t/ic/k` loop, hence
-/// bit-identical to it. Each batch row is unrolled into `patch` (see
-/// [`conv1d_infer`]) so one `(oc, t)` term is a contiguous axpy of an
-/// `in_ch · kernel` patch row into the `oc` weight row.
+/// bit-identical to it. Each batch row is unrolled into an im2col patch
+/// (see [`conv1d_infer`]) so one `(oc, t)` term is a contiguous axpy of
+/// an `in_ch · kernel` patch row into the `oc` weight row.
 #[allow(clippy::too_many_arguments)]
 pub fn conv1d_param_grads(
     input: &[f32],
     grad_out: &[f32],
     w_grad: &mut [f32],
     b_grad: &mut [f32],
-    patch: &mut Vec<f32>,
     batch: usize,
     in_ch: usize,
     in_len: usize,
@@ -352,13 +351,12 @@ pub fn conv1d_param_grads(
     debug_assert_eq!(grad_out.len(), batch * out_ch * out_len);
     debug_assert_eq!(w_grad.len(), out_ch * ick);
     debug_assert_eq!(b_grad.len(), out_ch);
-    patch.clear();
-    patch.resize(out_len * ick, 0.0);
+    let mut patch = vec![0.0f32; out_len * ick];
     for (x, g_b) in input
         .chunks_exact(in_ch * in_len)
         .zip(grad_out.chunks_exact(out_ch * out_len))
     {
-        im2col_rows(x, patch, in_ch, in_len, kernel, stride, out_len);
+        im2col_rows(x, &mut patch, in_ch, in_len, kernel, stride, out_len);
         for ((g_row, w_row), bg) in g_b
             .chunks_exact(out_len)
             .zip(w_grad.chunks_exact_mut(ick))
@@ -769,18 +767,8 @@ mod tests {
             );
             let (mut got_w, mut got_b) = (w_grad, b_grad);
             conv1d_param_grads(
-                &input,
-                &grad_out,
-                &mut got_w,
-                &mut got_b,
-                &mut Vec::new(),
-                batch,
-                in_ch,
-                in_len,
-                out_ch,
-                kernel,
-                stride,
-                out_len,
+                &input, &grad_out, &mut got_w, &mut got_b, batch, in_ch, in_len, out_ch, kernel,
+                stride, out_len,
             );
             let mut got_in = vec![f32::NAN; batch * in_ch * in_len];
             conv1d_input_grad(

@@ -308,7 +308,6 @@ impl Layer for Conv1d {
             grad_out.data(),
             self.w_grad.data_mut(),
             self.b_grad.data_mut(),
-            &mut Vec::new(),
             batch,
             in_ch,
             in_len,
