@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use msvs_bench::archetype_features;
 use msvs_cluster::{KMeans, KMeansConfig};
-use msvs_nn::{Conv1d, Dense, Flatten, Layer, Relu, Scratch, Sequential, Tensor};
+use msvs_nn::{kernels, Conv1d, Dense, Flatten, Layer, Relu, Scratch, Sequential, Tensor};
 use std::hint::black_box;
 
 fn encoder(window: usize) -> Sequential {
@@ -57,24 +57,22 @@ fn bench_infer_scratch(c: &mut Criterion) {
     group.finish();
 }
 
-/// The cache-blocked zero-skip GEMM behind `Tensor::matmul` and `Dense`.
+/// The cache-blocked zero-skip GEMM behind `Dense` inference.
 fn bench_gemm(c: &mut Criterion) {
     let mut group = c.benchmark_group("gemm");
     for &(m, k, n) in &[(64usize, 64usize, 64usize), (256, 128, 64), (512, 56, 8)] {
-        let a = Tensor::from_vec(
-            (0..m * k).map(|i| (i % 89) as f32 / 89.0).collect(),
-            vec![m, k],
-        )
-        .expect("shape matches");
-        let b_mat = Tensor::from_vec(
-            (0..k * n).map(|i| (i % 83) as f32 / 83.0).collect(),
-            vec![k, n],
-        )
-        .expect("shape matches");
+        let a: Vec<f32> = (0..m * k).map(|i| (i % 89) as f32 / 89.0).collect();
+        let b_mat: Vec<f32> = (0..k * n).map(|i| (i % 83) as f32 / 83.0).collect();
+        let mut out = vec![0.0f32; m * n];
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{m}x{k}x{n}")),
             &(m, k, n),
-            |bch, _| bch.iter(|| black_box(&a).matmul(black_box(&b_mat))),
+            |bch, _| {
+                bch.iter(|| {
+                    kernels::gemm_zero_skip(black_box(&a), black_box(&b_mat), &mut out, m, k, n);
+                    black_box(out[0])
+                })
+            },
         );
     }
     group.finish();

@@ -42,18 +42,16 @@ fn main() {
                     "\n# per-BS demand, {shards} shards (summed over scored intervals)\n"
                 ));
                 tables.push_str(&format!(
-                    "{:>7} {:>7} {:>14} {:>18} {:>11} {:>11}\n",
-                    "shard", "users", "radio (RB)", "computing (Gcyc)", "cache hits", "misses"
+                    "{:>7} {:>7} {:>14} {:>18}\n",
+                    "shard", "users", "radio (RB)", "computing (Gcyc)"
                 ));
                 for row in &s.demand {
                     tables.push_str(&format!(
-                        "{:>7} {:>7} {:>14.1} {:>18.2} {:>11} {:>11}\n",
+                        "{:>7} {:>7} {:>14.1} {:>18.2}\n",
                         row.shard,
                         row.users,
                         row.radio,
                         row.computing / 1e9,
-                        row.video_cache_hits,
-                        row.video_cache_misses,
                     ));
                 }
             }

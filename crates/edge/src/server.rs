@@ -48,15 +48,12 @@ pub struct ServeOutcome {
     pub backhaul_mb: f64,
 }
 
-/// An edge server: popularity-warmed cache plus transcoder, with running
-/// compute/backhaul accounting.
+/// An edge server: popularity-warmed cache plus transcoder. Each serve
+/// returns its own compute and backhaul cost.
 #[derive(Debug, Clone)]
 pub struct EdgeServer {
     cache: VideoCache,
     model: TranscodeModel,
-    total_cycles: CpuCycles,
-    total_backhaul_mb: f64,
-    serves: u64,
     telemetry: Option<msvs_telemetry::Telemetry>,
 }
 
@@ -68,9 +65,6 @@ impl EdgeServer {
         Self {
             cache,
             model: config.transcode,
-            total_cycles: CpuCycles::ZERO,
-            total_backhaul_mb: 0.0,
-            serves: 0,
             telemetry: None,
         }
     }
@@ -106,22 +100,7 @@ impl EdgeServer {
         self.cache.set_capacity_scale(scale);
     }
 
-    /// Total transcode cycles spent since construction.
-    pub fn total_cycles(&self) -> CpuCycles {
-        self.total_cycles
-    }
-
-    /// Total CDN backhaul, megabits.
-    pub fn total_backhaul_mb(&self) -> f64 {
-        self.total_backhaul_mb
-    }
-
-    /// Number of requests served.
-    pub fn serves(&self) -> u64 {
-        self.serves
-    }
-
-    /// Serves `video` at `level`, updating cache state and accounting.
+    /// Serves `video` at `level`, updating cache state.
     ///
     /// Equivalent to [`EdgeServer::serve_for`] with the full video
     /// duration (the whole clip is prepared).
@@ -146,7 +125,6 @@ impl EdgeServer {
         duration: msvs_types::SimDuration,
     ) -> ServeOutcome {
         let duration = duration.min(video.duration);
-        self.serves += 1;
         if self.cache.lookup(video.id, level) {
             self.note_serve(ServeKind::CacheHit);
             return ServeOutcome {
@@ -162,7 +140,6 @@ impl EdgeServer {
                 .map(|t| t.stage_scope(msvs_telemetry::stages::TRANSCODE));
             let cycles = self.model.cost(higher, level, duration);
             drop(scope);
-            self.total_cycles += cycles;
             self.cache.insert(video, level);
             self.note_serve(ServeKind::Transcoded);
             return ServeOutcome {
@@ -178,7 +155,6 @@ impl EdgeServer {
             .map(|r| r.bitrate.value())
             .unwrap_or_else(|| top.nominal_bitrate().value())
             * duration.as_secs_f64();
-        self.total_backhaul_mb += backhaul_mb;
         self.cache.insert(video, top);
         let cycles = if top > level {
             let scope = self
@@ -192,20 +168,12 @@ impl EdgeServer {
         } else {
             CpuCycles::ZERO
         };
-        self.total_cycles += cycles;
         self.note_serve(ServeKind::RemoteFetch);
         ServeOutcome {
             kind: ServeKind::RemoteFetch,
             cycles,
             backhaul_mb,
         }
-    }
-
-    /// Resets the running accounting (per-interval measurement).
-    pub fn reset_accounting(&mut self) {
-        self.total_cycles = CpuCycles::ZERO;
-        self.total_backhaul_mb = 0.0;
-        self.serves = 0;
     }
 }
 
@@ -267,25 +235,6 @@ mod tests {
         assert_eq!(o.kind, ServeKind::RemoteFetch);
         assert!(o.backhaul_mb > 0.0);
         assert!(o.cycles.value() > 0.0, "fetched top then transcoded down");
-        assert!(edge.total_backhaul_mb() > 0.0);
-    }
-
-    #[test]
-    fn accounting_accumulates_and_resets() {
-        let (catalog, mut edge) = setup();
-        let v = &catalog.videos()[1];
-        edge.serve(v, RepresentationLevel::P240);
-        edge.serve(v, RepresentationLevel::P480);
-        assert!(edge.total_cycles().value() > 0.0);
-        assert_eq!(edge.serves(), 2);
-        edge.reset_accounting();
-        assert_eq!(edge.total_cycles(), CpuCycles::ZERO);
-        assert_eq!(edge.serves(), 0);
-        // Cache state survives the accounting reset.
-        assert_eq!(
-            edge.serve(v, RepresentationLevel::P240).kind,
-            ServeKind::CacheHit
-        );
     }
 
     #[test]

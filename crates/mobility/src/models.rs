@@ -6,8 +6,9 @@ use rand::{Rng, SeedableRng};
 
 use crate::map::CampusMap;
 
-/// Something that moves across the campus over simulated time.
-pub trait MobilityModel: Send {
+/// Something that moves across the campus over simulated time. Users
+/// holding one are stepped and read on worker threads.
+pub trait MobilityModel: Send + Sync {
     /// Current position.
     fn position(&self) -> Position;
 

@@ -162,8 +162,9 @@ pub fn gemm_zero_skip(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize,
 /// skip sits one loop *above* a contiguous branch-free inner axpy —
 /// putting the skip in the innermost dot product instead defeats
 /// auto-vectorisation and costs ~4x on the DDQN hot path. Bit-identical
-/// to `input.matmul(&weight.transpose())` followed by a bias add: same
-/// terms, same increasing-`p` order, bias after the sum.
+/// to the naive `i/p/j` product of `input` and the transposed weight
+/// followed by a bias add: same terms, same increasing-`p` order, bias
+/// after the sum.
 pub fn dense_infer(
     input: &[f32],
     w_t: &[f32],
@@ -280,10 +281,10 @@ pub fn conv1d_infer(
 /// skips `g == 0.0` terms and adds them in increasing `b`; the finished
 /// sum is then added to `w_grad`. Bias gradients add every term, zeros
 /// included, straight into `b_grad` in increasing `b`. That is the term
-/// sequence of `grad_out.transpose().matmul(input)` followed by an axpy
-/// and a row-sum loop, so results are bit-identical to it; walking `b`
-/// outermost keeps one input row hot across all `o` without building the
-/// transpose.
+/// sequence of the naive zero-skip product of `grad_out`'s transpose and
+/// `input`, followed by an axpy and a row-sum loop, so results are
+/// bit-identical to it; walking `b` outermost keeps one input row hot
+/// across all `o` without building the transpose.
 pub fn dense_param_grads(
     input: &[f32],
     grad_out: &[f32],
@@ -514,9 +515,10 @@ mod tests {
             .collect()
     }
 
-    /// The pre-kernel `Dense::backward`: `grad_out.transpose().matmul(input)`
-    /// into a fresh product, an axpy of it into `w_grad`, a row-sum loop
-    /// into `b_grad`, and `grad_out.matmul(weight)` as the input gradient.
+    /// The pre-kernel `Dense::backward`: the zero-skip product of
+    /// `grad_out`'s transpose and `input` into a fresh buffer, an axpy of
+    /// it into `w_grad`, a row-sum loop into `b_grad`, and the product of
+    /// `grad_out` and `weight` as the input gradient.
     #[allow(clippy::too_many_arguments)]
     fn reference_dense_backward(
         input: &[f32],

@@ -111,21 +111,6 @@ impl Tensor {
         self.data[r * self.shape[1] + c] = v;
     }
 
-    /// Matrix product of two rank-2 tensors: `[m, k] x [k, n] -> [m, n]`.
-    ///
-    /// # Panics
-    /// Panics if either operand is not rank-2 or the inner dims disagree.
-    pub fn matmul(&self, rhs: &Tensor) -> Tensor {
-        assert_eq!(self.shape.len(), 2, "lhs must be rank-2");
-        assert_eq!(rhs.shape.len(), 2, "rhs must be rank-2");
-        let (m, k) = (self.shape[0], self.shape[1]);
-        let (k2, n) = (rhs.shape[0], rhs.shape[1]);
-        assert_eq!(k, k2, "inner dimensions must agree: {k} vs {k2}");
-        let mut out = Tensor::zeros(vec![m, n]);
-        crate::kernels::gemm_zero_skip(&self.data, &rhs.data, &mut out.data, m, k, n);
-        out
-    }
-
     /// Fills the tensor with a constant.
     pub fn fill(&mut self, v: f32) {
         self.data.iter_mut().for_each(|x| *x = v);
@@ -167,22 +152,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_known_product() {
-        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], vec![2, 3]).unwrap();
-        let b = Tensor::from_vec(vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0], vec![3, 2]).unwrap();
-        let c = a.matmul(&b);
-        assert_eq!(c.shape(), &[2, 2]);
-        assert_eq!(c.data(), &[58.0, 64.0, 139.0, 154.0]);
-    }
-
-    #[test]
-    fn matmul_identity() {
-        let a = Tensor::from_vec(vec![3.0, -1.0, 2.0, 0.5], vec![2, 2]).unwrap();
-        let eye = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], vec![2, 2]).unwrap();
-        assert_eq!(a.matmul(&eye), a);
-    }
-
-    #[test]
     fn reshape_preserves_data() {
         let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], vec![2, 2]).unwrap();
         let r = t.clone().reshape(vec![4]).unwrap();
@@ -203,13 +172,5 @@ mod tests {
         let mut t = Tensor::zeros(vec![2, 2]);
         t.fill(3.0);
         assert!(t.data().iter().all(|&v| v == 3.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "inner dimensions")]
-    fn matmul_shape_mismatch_panics() {
-        let a = Tensor::zeros(vec![2, 3]);
-        let b = Tensor::zeros(vec![2, 3]);
-        let _ = a.matmul(&b);
     }
 }

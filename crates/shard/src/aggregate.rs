@@ -26,10 +26,6 @@ pub struct ShardDemandRow {
     /// Computing demand attributed to this shard, cycles summed over
     /// scored intervals.
     pub computing: f64,
-    /// Shard-local video-cache tier hits.
-    pub video_cache_hits: u64,
-    /// Shard-local video-cache tier misses.
-    pub video_cache_misses: u64,
     /// Intervals this shard spent inside an outage window (crash or
     /// partition).
     pub down_intervals: u64,

@@ -262,7 +262,7 @@ mod tests {
     use msvs_udt::{Attribute, RetryPolicy};
 
     fn seeded_shard() -> (Shard, Vec<(UserId, SyncTracker)>) {
-        let shard = Shard::new(1, 1000.0);
+        let shard = Shard::new(1);
         let mut trackers = Vec::new();
         for id in [4u32, 2, 9] {
             let user = UserId(id);
@@ -325,7 +325,7 @@ mod tests {
         let back = ShardCheckpoint::parse(&text).expect("round trip");
         assert_eq!(back, ckpt, "JSON codec is lossless");
 
-        let fresh = Shard::new(1, 1000.0);
+        let fresh = Shard::new(1);
         let restored = back.restore_into(&fresh);
         assert_eq!(fresh.len(), 3);
         assert_eq!(
@@ -365,7 +365,7 @@ mod tests {
             .store()
             .update_channel(UserId(9), SimTime::from_secs(5), -2.0)
             .unwrap();
-        let fresh = Shard::new(1, 1000.0);
+        let fresh = Shard::new(1);
         ShardCheckpoint::parse(&text)
             .expect("round trip")
             .restore_into(&fresh);
@@ -431,7 +431,7 @@ mod tests {
     fn restore_never_rewinds_the_nonce_counter() {
         let (shard, _) = seeded_shard();
         let ckpt = ShardCheckpoint::capture(&shard, 0, |_| SyncTracker::default());
-        let target = Shard::new(1, 1000.0);
+        let target = Shard::new(1);
         // The target store has advanced past the checkpoint.
         for id in 100..110u32 {
             target.store().insert(UserDigitalTwin::new(UserId(id)));

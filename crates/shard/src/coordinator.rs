@@ -1,31 +1,19 @@
 //! The shard set: routed twin writes, merged snapshots, and the serial
 //! cross-shard handover sweep.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use msvs_core::GroupDemandPrediction;
 use msvs_faults::OutageMode;
 use msvs_par::Pool;
 use msvs_telemetry::{stages, SpanAttrs, Telemetry};
-use msvs_types::{Error, Position, RepresentationLevel, Result, SimDuration, SimTime, UserId};
+use msvs_types::{Error, Position, Result, SimDuration, SimTime, UserId};
 use msvs_udt::{SyncTracker, TwinView, UserDigitalTwin};
-use msvs_video::Video;
 
 use crate::aggregate::{ReservationAggregator, ShardDemandRow, ShardSummary};
 use crate::checkpoint::ShardCheckpoint;
 use crate::router::ShardRouter;
 use crate::shard::Shard;
-
-/// One user's handover-relevant state, borrowed from the simulation for
-/// the duration of a [`ShardCoordinator::rebalance`] sweep.
-#[derive(Debug)]
-pub struct HandoverUser<'a> {
-    /// The user.
-    pub user: UserId,
-    /// The user's uplink sync state; migrated (verbatim) with the twin
-    /// when the user changes shards.
-    pub tracker: &'a mut SyncTracker,
-}
 
 /// Which end of an outage window a transition marks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,14 +80,11 @@ pub struct ShardCoordinator {
 }
 
 impl ShardCoordinator {
-    /// Builds the shard set `router` maps into, each shard with a
-    /// `video_cache_mb_per_shard` local cache tier.
-    pub fn new(router: ShardRouter, pool: Pool, video_cache_mb_per_shard: f64) -> Self {
+    /// Builds the shard set `router` maps into.
+    pub fn new(router: ShardRouter, pool: Pool) -> Self {
         let n = router.n_shards();
         Self {
-            shards: (0..n)
-                .map(|i| Shard::new(i, video_cache_mb_per_shard))
-                .collect(),
+            shards: (0..n).map(Shard::new).collect(),
             router,
             owner: HashMap::new(),
             aggregator: ReservationAggregator::new(n),
@@ -333,13 +318,13 @@ impl ShardCoordinator {
     }
 
     /// Re-evaluates ownership for every user (in the given order — the
-    /// caller passes its deterministic user vector) and migrates twins
+    /// caller passes its deterministic user order) and migrates twins
     /// whose reported position crossed a cell boundary; returns how many
     /// twins moved. A handover never duplicates or drops a twin.
     ///
     /// Serial by design: migrations mutate two shards and the ownership
     /// map, and the sweep must be bit-identical at any thread count.
-    pub fn rebalance(&mut self, users: &mut [HandoverUser<'_>]) -> usize {
+    pub fn rebalance(&mut self, users: &[UserId]) -> usize {
         if !self.sharded() {
             return 0;
         }
@@ -349,8 +334,7 @@ impl ShardCoordinator {
             .as_ref()
             .map(|t| t.stage_scope(stages::SHARD_REBALANCE));
         let mut moved = 0;
-        for hu in users.iter_mut() {
-            let user = hu.user;
+        for &user in users {
             let Some(from) = self.owner_of(user) else {
                 continue;
             };
@@ -369,12 +353,7 @@ impl ShardCoordinator {
             if to == from {
                 continue;
             }
-            let tracker = std::mem::take(hu.tracker);
-            let export = self.shards[from]
-                .export(user, tracker)
-                .expect("owner map said this shard holds the twin");
-            *hu.tracker = self.shards[to].import(export);
-            self.owner.insert(user, to);
+            self.migrate(user, from, to);
             moved += 1;
         }
         debug_assert_eq!(self.len(), before, "handover must conserve twins");
@@ -388,11 +367,22 @@ impl ShardCoordinator {
         moved
     }
 
+    /// Moves `user`'s twin from shard `from` to shard `to`.
+    fn migrate(&mut self, user: UserId, from: usize, to: usize) {
+        let twin = self.shards[from]
+            .export(user)
+            .expect("owner map said this shard holds the twin");
+        self.shards[to].import(twin);
+        self.owner.insert(user, to);
+    }
+
     /// Applies one interval's shard-outage schedule and accounts
     /// availability. `target(shard)` is the fault plan's verdict for the
     /// interval (e.g. [`msvs_faults::FaultPlan::outage_at`]); `users` is
-    /// the caller's deterministic user vector, borrowed exactly as for
-    /// [`rebalance`](Self::rebalance).
+    /// the caller's deterministic user order, as for
+    /// [`rebalance`](Self::rebalance); `tracker_of(user)` is that user's
+    /// uplink sync state, which the caller owns and the checkpoint
+    /// copies.
     ///
     /// Transitions are serial and interval-scheduled (only the byte
     /// count fans out, and it sums integers), so the whole lifecycle is
@@ -403,8 +393,8 @@ impl ShardCoordinator {
     ///   worker pool, one twin entry per task, without serializing it
     ///   (the codec's round trip is checked by the checkpoint tests and
     ///   by `msvs checkpoint --restore`, not here). `Crash` then runs
-    ///   the failover sweep — every owned twin is exported through the
-    ///   normal handover path to the nearest live cell (ring-next shard
+    ///   the failover sweep — every owned twin moves through the normal
+    ///   handover path to the nearest live cell (ring-next shard
     ///   for users with no reported position) — and the store ends
     ///   empty. `Partition` leaves the twins in place; the runner
     ///   forces those users' uplink reports lost, which engages the
@@ -429,7 +419,8 @@ impl ShardCoordinator {
         &mut self,
         interval: u64,
         target: impl Fn(usize) -> Option<OutageMode>,
-        users: &mut [HandoverUser<'_>],
+        users: &[UserId],
+        mut tracker_of: impl FnMut(UserId) -> SyncTracker,
     ) -> Vec<OutageTransition> {
         let mut transitions = Vec::new();
         if !self.sharded() {
@@ -452,38 +443,26 @@ impl ShardCoordinator {
                         .telemetry
                         .as_ref()
                         .map(|t| t.stage_scope(stages::SHARD_OUTAGE));
-                    let trackers: HashMap<UserId, SyncTracker> = users
-                        .iter()
-                        .filter(|hu| self.owner.get(&hu.user) == Some(&i))
-                        .map(|hu| (hu.user, hu.tracker.clone()))
-                        .collect();
-                    let ckpt = ShardCheckpoint::capture(&self.shards[i], interval, |u| {
-                        trackers.get(&u).cloned().unwrap_or_default()
-                    });
+                    let ckpt = ShardCheckpoint::capture(&self.shards[i], interval, &mut tracker_of);
                     let bytes = ckpt.encoded_len(&self.pool) as u64;
                     self.down[i] = Some(mode);
                     let mut failed_over = 0u64;
                     if mode == OutageMode::Crash {
                         let mask = self.live_mask();
-                        for hu in users.iter_mut() {
-                            if self.owner_of(hu.user) != Some(i) {
+                        for &user in users {
+                            if self.owner_of(user) != Some(i) {
                                 continue;
                             }
                             let pos = self.shards[i]
                                 .store()
-                                .with_twin(hu.user, |t| t.latest_position())
+                                .with_twin(user, |t| t.latest_position())
                                 .ok()
                                 .flatten();
                             let to = pos
                                 .and_then(|p| self.router.shard_of_live(p, &mask))
                                 .or_else(|| self.router.next_live_shard(i, &mask))
                                 .expect("a live shard exists (guarded above)");
-                            let tracker = std::mem::take(hu.tracker);
-                            let export = self.shards[i]
-                                .export(hu.user, tracker)
-                                .expect("owner map said this shard holds the twin");
-                            *hu.tracker = self.shards[to].import(export);
-                            self.owner.insert(hu.user, to);
+                            self.migrate(user, i, to);
                             failed_over += 1;
                         }
                         debug_assert!(
@@ -575,27 +554,6 @@ impl ShardCoordinator {
         self.aggregator.fold(groups, &self.owner);
     }
 
-    /// Records one multicast group playback against the local video
-    /// cache tier of every shard with a member in the group — each
-    /// shard's BS fetches the stream once (no-op unsharded).
-    pub fn record_group_playback(
-        &mut self,
-        members: &[UserId],
-        video: &Video,
-        level: RepresentationLevel,
-    ) {
-        if !self.sharded() {
-            return;
-        }
-        let shards: BTreeSet<usize> = members
-            .iter()
-            .filter_map(|u| self.owner.get(u).copied())
-            .collect();
-        for s in shards {
-            self.shards[s].record_playback(video, level);
-        }
-    }
-
     /// Cumulative handovers across the run.
     pub fn handovers_total(&self) -> u64 {
         self.handovers_total
@@ -620,22 +578,17 @@ impl ShardCoordinator {
                 .shards
                 .iter()
                 .enumerate()
-                .map(|(i, s)| {
-                    let (hits, misses) = s.video_cache().stats();
-                    ShardDemandRow {
-                        shard: i,
-                        users: s.len(),
-                        radio: self.aggregator.radio()[i],
-                        computing: self.aggregator.computing()[i],
-                        video_cache_hits: hits,
-                        video_cache_misses: misses,
-                        down_intervals: self.down_intervals[i],
-                        availability: if self.intervals_observed == 0 {
-                            1.0
-                        } else {
-                            1.0 - self.down_intervals[i] as f64 / self.intervals_observed as f64
-                        },
-                    }
+                .map(|(i, s)| ShardDemandRow {
+                    shard: i,
+                    users: s.len(),
+                    radio: self.aggregator.radio()[i],
+                    computing: self.aggregator.computing()[i],
+                    down_intervals: self.down_intervals[i],
+                    availability: if self.intervals_observed == 0 {
+                        1.0
+                    } else {
+                        1.0 - self.down_intervals[i] as f64 / self.intervals_observed as f64
+                    },
                 })
                 .collect(),
         }
@@ -659,6 +612,7 @@ impl TwinView for ShardCoordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use msvs_udt::{Attribute, RetryPolicy};
 
     fn grid() -> Vec<Position> {
         vec![
@@ -670,7 +624,7 @@ mod tests {
     }
 
     fn coordinator(n_shards: usize) -> ShardCoordinator {
-        ShardCoordinator::new(ShardRouter::new(grid(), n_shards), Pool::serial(), 10_000.0)
+        ShardCoordinator::new(ShardRouter::new(grid(), n_shards), Pool::serial())
     }
 
     fn insert_at(c: &mut ShardCoordinator, id: u32, x: f64, y: f64) {
@@ -725,24 +679,13 @@ mod tests {
             t.update_location(SimTime::from_secs(5), Position::new(98.0, 2.0))
         })
         .unwrap();
-        let mut t0 = SyncTracker::default();
-        let mut t1 = SyncTracker::default();
-        let mut users = vec![
-            HandoverUser {
-                user: UserId(0),
-                tracker: &mut t0,
-            },
-            HandoverUser {
-                user: UserId(1),
-                tracker: &mut t1,
-            },
-        ];
-        assert_eq!(c.rebalance(&mut users), 1);
+        let users = [UserId(0), UserId(1)];
+        assert_eq!(c.rebalance(&users), 1);
         assert_eq!(c.owner_of(UserId(0)), Some(1));
         assert_eq!(c.len(), 2, "handover conserves twins");
         assert_eq!(c.handovers_total(), 1);
         // Idempotent: nobody crosses on the second sweep.
-        assert_eq!(c.rebalance(&mut users), 0);
+        assert_eq!(c.rebalance(&users), 0);
     }
 
     #[test]
@@ -763,19 +706,7 @@ mod tests {
         insert_at(&mut c, 0, 1.0, 1.0);
         insert_at(&mut c, 1, 99.0, 99.0);
         assert!(!c.sharded());
-        let mut trackers = [SyncTracker::default(), SyncTracker::default()];
-        let [ref mut tr0, ref mut tr1] = trackers;
-        let mut users = vec![
-            HandoverUser {
-                user: UserId(0),
-                tracker: tr0,
-            },
-            HandoverUser {
-                user: UserId(1),
-                tracker: tr1,
-            },
-        ];
-        assert_eq!(c.rebalance(&mut users), 0);
+        assert_eq!(c.rebalance(&[UserId(0), UserId(1)]), 0);
         // Legacy nonce sequence: 1, 2, ...
         assert_eq!(
             c.with_twin(UserId(0), |t| t.revision().instance).unwrap(),
@@ -787,14 +718,13 @@ mod tests {
         );
     }
 
-    fn handover_users<'a>(trackers: &'a mut [(UserId, SyncTracker)]) -> Vec<HandoverUser<'a>> {
-        trackers
-            .iter_mut()
-            .map(|(user, tracker)| HandoverUser {
-                user: *user,
-                tracker,
-            })
-            .collect()
+    fn ids(n: u32) -> Vec<UserId> {
+        (0..n).map(UserId).collect()
+    }
+
+    /// Every user's tracker, for tests that do not inspect them.
+    fn fresh(_: UserId) -> SyncTracker {
+        SyncTracker::default()
     }
 
     #[test]
@@ -803,13 +733,10 @@ mod tests {
         insert_at(&mut c, 0, 1.0, 1.0); // shard 0
         insert_at(&mut c, 1, 99.0, 1.0); // shard 1
         insert_at(&mut c, 2, 98.0, 2.0); // shard 1
-        let mut trackers: Vec<(UserId, SyncTracker)> = (0..3)
-            .map(|i| (UserId(i), SyncTracker::default()))
-            .collect();
+        let users = ids(3);
 
         // Interval 1: shard 1 crashes. Its users fail over to shard 0.
-        let mut users = handover_users(&mut trackers);
-        let t = c.apply_outages(1, |s| (s == 1).then_some(OutageMode::Crash), &mut users);
+        let t = c.apply_outages(1, |s| (s == 1).then_some(OutageMode::Crash), &users, fresh);
         assert_eq!(t.len(), 1);
         assert_eq!(t[0].phase, OutagePhase::Down);
         assert_eq!(t[0].failed_over, 2);
@@ -829,19 +756,16 @@ mod tests {
         c.remove(UserId(9));
 
         // Mid-outage rebalance must not move anyone back yet.
-        let mut users = handover_users(&mut trackers);
-        assert_eq!(c.rebalance(&mut users), 0);
+        assert_eq!(c.rebalance(&users), 0);
 
         // Interval 3: the window ends; the next sweep takes them back.
-        let mut users = handover_users(&mut trackers);
-        let t = c.apply_outages(3, |_| None, &mut users);
+        let t = c.apply_outages(3, |_| None, &users, fresh);
         assert_eq!(t.len(), 1);
         assert_eq!(t[0].phase, OutagePhase::Restored);
         assert_eq!(t[0].checkpoint_users, 2);
         assert!(!c.is_down(1));
-        let mut users = handover_users(&mut trackers);
         assert_eq!(
-            c.rebalance(&mut users),
+            c.rebalance(&users),
             2,
             "recovered shard takes its users back"
         );
@@ -855,7 +779,7 @@ mod tests {
     #[test]
     fn restore_releases_the_checkpoint_and_the_count_ignores_the_pool() {
         let cycle = |pool: Pool| {
-            let mut c = ShardCoordinator::new(ShardRouter::new(grid(), 2), pool, 10_000.0);
+            let mut c = ShardCoordinator::new(ShardRouter::new(grid(), 2), pool);
             insert_at(&mut c, 0, 1.0, 1.0); // shard 0
             insert_at(&mut c, 1, 99.0, 1.0); // shard 1
             insert_at(&mut c, 2, 98.0, 2.0); // shard 1
@@ -866,17 +790,13 @@ mod tests {
                 })
                 .unwrap();
             }
-            let mut trackers: Vec<(UserId, SyncTracker)> = (0..3)
-                .map(|i| (UserId(i), SyncTracker::default()))
-                .collect();
-            let mut users = handover_users(&mut trackers);
-            let down = c.apply_outages(1, |s| (s == 1).then_some(OutageMode::Crash), &mut users);
+            let users = ids(3);
+            let down = c.apply_outages(1, |s| (s == 1).then_some(OutageMode::Crash), &users, fresh);
             let held = c.last_checkpoint(1).expect("held while down");
             assert_eq!(held.len(), 2);
             assert_eq!(down[0].checkpoint_bytes, held.to_string().len() as u64);
             assert!(c.last_checkpoint(0).is_none(), "shard 0 never went down");
-            let mut users = handover_users(&mut trackers);
-            let up = c.apply_outages(2, |_| None, &mut users);
+            let up = c.apply_outages(2, |_| None, &users, fresh);
             assert_eq!(up[0].phase, OutagePhase::Restored);
             assert_eq!(up[0].checkpoint_users, 2, "recovered = captured users");
             assert!(c.last_checkpoint(1).is_none(), "restore releases it");
@@ -885,19 +805,42 @@ mod tests {
         assert_eq!(cycle(Pool::serial()), cycle(Pool::new(4)));
     }
 
+    /// The caller owns the trackers; a down shard's checkpoint copies
+    /// each owner's through the lookup, pending retry included.
+    #[test]
+    fn outage_checkpoint_holds_each_owners_tracker() {
+        let mut c = coordinator(2);
+        insert_at(&mut c, 0, 1.0, 1.0); // shard 0
+        insert_at(&mut c, 1, 99.0, 1.0); // shard 1
+        let mut lost = SyncTracker::default();
+        lost.mark_lost(
+            Attribute::Channel,
+            SimTime::from_secs(3),
+            &RetryPolicy::default(),
+        );
+        assert_ne!(lost, SyncTracker::default(), "a retry is pending");
+        let trackers = [SyncTracker::default(), lost.clone()];
+        c.apply_outages(
+            1,
+            |s| (s == 1).then_some(OutageMode::Crash),
+            &ids(2),
+            |id| trackers[id.index()].clone(),
+        );
+        let held = c.last_checkpoint(1).expect("held while down");
+        assert_eq!(held.len(), 1);
+        assert_eq!(held.twins[0].twin.user(), UserId(1));
+        assert_eq!(held.twins[0].tracker, lost);
+    }
+
     #[test]
     fn restored_store_never_restamps_a_pre_outage_nonce() {
         let mut c = coordinator(2);
         insert_at(&mut c, 1, 99.0, 1.0); // shard 1
         insert_at(&mut c, 0, 1.0, 1.0); // shard 0 (keeps a live target)
         let nonce_before = c.shards()[1].store().next_instance();
-        let mut trackers: Vec<(UserId, SyncTracker)> = (0..2)
-            .map(|i| (UserId(i), SyncTracker::default()))
-            .collect();
-        let mut users = handover_users(&mut trackers);
-        c.apply_outages(1, |s| (s == 1).then_some(OutageMode::Crash), &mut users);
-        let mut users = handover_users(&mut trackers);
-        c.apply_outages(2, |_| None, &mut users);
+        let users = ids(2);
+        c.apply_outages(1, |s| (s == 1).then_some(OutageMode::Crash), &users, fresh);
+        c.apply_outages(2, |_| None, &users, fresh);
         assert!(c.shards()[1].store().next_instance() >= nonce_before);
         // A fresh insert on the recovered shard stamps a new nonce.
         let twin = UserDigitalTwin::new(UserId(7));
@@ -911,11 +854,13 @@ mod tests {
         let mut c = coordinator(2);
         insert_at(&mut c, 0, 1.0, 1.0);
         insert_at(&mut c, 1, 99.0, 1.0);
-        let mut trackers: Vec<(UserId, SyncTracker)> = (0..2)
-            .map(|i| (UserId(i), SyncTracker::default()))
-            .collect();
-        let mut users = handover_users(&mut trackers);
-        let t = c.apply_outages(1, |s| (s == 1).then_some(OutageMode::Partition), &mut users);
+        let users = ids(2);
+        let t = c.apply_outages(
+            1,
+            |s| (s == 1).then_some(OutageMode::Partition),
+            &users,
+            fresh,
+        );
         assert_eq!(t[0].failed_over, 0, "partition does not move twins");
         assert_eq!(c.owner_of(UserId(1)), Some(1));
         assert_eq!(
@@ -928,14 +873,11 @@ mod tests {
             t.update_location(SimTime::from_secs(9), Position::new(1.0, 2.0))
         })
         .unwrap();
-        let mut users = handover_users(&mut trackers);
-        assert_eq!(c.rebalance(&mut users), 0);
+        assert_eq!(c.rebalance(&users), 0);
         // Heal: the backlog user hands over on the next sweep.
-        let mut users = handover_users(&mut trackers);
-        c.apply_outages(2, |_| None, &mut users);
+        c.apply_outages(2, |_| None, &users, fresh);
         assert_eq!(c.partitioned_users(&[UserId(1)]), vec![false]);
-        let mut users = handover_users(&mut trackers);
-        assert_eq!(c.rebalance(&mut users), 1);
+        assert_eq!(c.rebalance(&users), 1);
         assert_eq!(c.len(), 2);
     }
 
@@ -944,11 +886,8 @@ mod tests {
         let mut c = coordinator(2);
         insert_at(&mut c, 0, 1.0, 1.0);
         insert_at(&mut c, 1, 99.0, 1.0);
-        let mut trackers: Vec<(UserId, SyncTracker)> = (0..2)
-            .map(|i| (UserId(i), SyncTracker::default()))
-            .collect();
-        let mut users = handover_users(&mut trackers);
-        let t = c.apply_outages(1, |_| Some(OutageMode::Crash), &mut users);
+        let users = ids(2);
+        let t = c.apply_outages(1, |_| Some(OutageMode::Crash), &users, fresh);
         assert_eq!(t.len(), 1, "only the first shard goes down");
         assert_eq!(t[0].shard, 0);
         assert!(!c.is_down(1), "shard 1 is the last live shard");
@@ -960,16 +899,14 @@ mod tests {
         let mut c = coordinator(2);
         insert_at(&mut c, 0, 1.0, 1.0);
         insert_at(&mut c, 1, 99.0, 1.0);
-        let mut trackers: Vec<(UserId, SyncTracker)> = (0..2)
-            .map(|i| (UserId(i), SyncTracker::default()))
-            .collect();
+        let users = ids(2);
         for interval in 0..4u64 {
-            let mut users = handover_users(&mut trackers);
             // Shard 1 is down for intervals 1 and 2 of 4.
             c.apply_outages(
                 interval,
                 |s| (s == 1 && (1..3).contains(&interval)).then_some(OutageMode::Partition),
-                &mut users,
+                &users,
+                fresh,
             );
         }
         let summary = c.summary();
@@ -991,34 +928,26 @@ mod tests {
         insert_at(&mut c, 0, 50.0, 0.0); // tie -> lowest BS index -> shard 0
         insert_at(&mut c, 1, 99.0, 1.0); // shard 1 stays live
         assert_eq!(c.owner_of(UserId(0)), Some(0));
-        let mut trackers: Vec<(UserId, SyncTracker)> = (0..2)
-            .map(|i| (UserId(i), SyncTracker::default()))
-            .collect();
+        let users = ids(2);
 
         // Rebalance with everything live: the tie user must not flap.
-        let mut users = handover_users(&mut trackers);
-        assert_eq!(c.rebalance(&mut users), 0);
+        assert_eq!(c.rebalance(&users), 0);
 
         // Crash shard 0: the tie re-resolves deterministically onto the
         // overlay (nearest live BS) and the owner stays unique.
-        let mut users = handover_users(&mut trackers);
-        c.apply_outages(1, |s| (s == 0).then_some(OutageMode::Crash), &mut users);
+        c.apply_outages(1, |s| (s == 0).then_some(OutageMode::Crash), &users, fresh);
         assert_eq!(c.owner_of(UserId(0)), Some(1));
         assert_eq!(c.len(), 2, "exactly one twin per user");
         // Sweeps while down are idempotent for the boundary user.
-        let mut users = handover_users(&mut trackers);
-        assert_eq!(c.rebalance(&mut users), 0);
+        assert_eq!(c.rebalance(&users), 0);
 
         // Restore: the tie falls back to the base resolution (shard 0).
-        let mut users = handover_users(&mut trackers);
-        c.apply_outages(3, |_| None, &mut users);
-        let mut users = handover_users(&mut trackers);
-        assert_eq!(c.rebalance(&mut users), 1);
+        c.apply_outages(3, |_| None, &users, fresh);
+        assert_eq!(c.rebalance(&users), 1);
         assert_eq!(c.owner_of(UserId(0)), Some(0));
         assert_eq!(c.len(), 2);
         // And the resolution is stable: a second sweep moves nobody.
-        let mut users = handover_users(&mut trackers);
-        assert_eq!(c.rebalance(&mut users), 0);
+        assert_eq!(c.rebalance(&users), 0);
     }
 
     #[test]

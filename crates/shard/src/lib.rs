@@ -10,15 +10,14 @@
 //! count:
 //!
 //! - [`Shard`] owns one cell's twin registry ([`msvs_udt::UdtStore`]
-//!   with a disjoint instance-nonce namespace) and a shard-local edge
-//!   [`msvs_edge::VideoCache`] tier;
+//!   with a disjoint instance-nonce namespace);
 //! - [`ShardRouter`] maps positions to shards deterministically via the
 //!   nearest base station;
 //! - [`ShardCoordinator`] mirrors the `UdtStore` write API (routed by an
 //!   ownership map), merges per-shard snapshots into the canonical
 //!   population view on the worker pool, and runs the serial cross-shard
-//!   handover sweep — twin and sync-tracker state migrate together, and
-//!   a handover never duplicates or drops a twin;
+//!   handover sweep — a handover never duplicates or drops a twin, and
+//!   the users' uplink sync state stays with the caller;
 //! - [`ReservationAggregator`] folds per-group demand predictions into
 //!   per-shard rows that sum back to the global reservation totals.
 
@@ -30,6 +29,6 @@ pub mod shard;
 
 pub use aggregate::{ReservationAggregator, ShardDemandRow, ShardSummary};
 pub use checkpoint::{CheckpointEntry, ShardCheckpoint, CHECKPOINT_SCHEMA};
-pub use coordinator::{HandoverUser, OutagePhase, OutageTransition, ShardCoordinator};
+pub use coordinator::{OutagePhase, OutageTransition, ShardCoordinator};
 pub use router::ShardRouter;
-pub use shard::{Shard, TwinExport};
+pub use shard::Shard;

@@ -1,50 +1,28 @@
-//! One base-station shard: twin registry and a shard-local video cache
-//! tier.
+//! One base-station shard: its twin registry.
 
-use msvs_edge::VideoCache;
-use msvs_types::{RepresentationLevel, UserId};
-use msvs_udt::{SyncTracker, UdtStore, UserDigitalTwin};
-use msvs_video::Video;
+use msvs_types::UserId;
+use msvs_udt::{UdtStore, UserDigitalTwin};
 
 /// Shard instance nonces live in disjoint namespaces: the shard id sits
 /// above this bit, so shard 0 reproduces the single-store nonce sequence
 /// (base 1) exactly and no two shards can ever stamp the same nonce.
 const INSTANCE_SHIFT: u32 = 40;
 
-/// Everything that travels with a twin during a cross-shard handover.
-///
-/// The twin (with its full revision, including the origin store's
-/// instance nonce) and the user's sync-tracker retry state move as one
-/// unit.
-#[derive(Debug, Clone)]
-pub struct TwinExport {
-    /// The migrating twin, revision intact.
-    pub twin: UserDigitalTwin,
-    /// The user's uplink sync state (per-attribute due times, pending
-    /// retries). Carried verbatim — a handover neither resets backoff
-    /// nor schedules extra reports.
-    pub tracker: SyncTracker,
-}
-
-/// One cell's slice of the sharded deployment.
-///
-/// Owns the authoritative twin registry for its users (an [`UdtStore`]
-/// with a shard-disjoint instance-nonce namespace) and a shard-local
-/// [`VideoCache`] tier fed by group playback.
+/// One cell's slice of the sharded deployment: the authoritative twin
+/// registry for its users (an [`UdtStore`] with a shard-disjoint
+/// instance-nonce namespace).
 #[derive(Debug)]
 pub struct Shard {
     id: usize,
     store: UdtStore,
-    video_cache: VideoCache,
 }
 
 impl Shard {
-    /// Builds shard `id` with a `video_cache_mb` local cache tier.
-    pub fn new(id: usize, video_cache_mb: f64) -> Self {
+    /// Builds shard `id`.
+    pub fn new(id: usize) -> Self {
         Self {
             id,
             store: UdtStore::with_instance_base(((id as u64) << INSTANCE_SHIFT) | 1),
-            video_cache: VideoCache::new(video_cache_mb),
         }
     }
 
@@ -58,23 +36,6 @@ impl Shard {
         &self.store
     }
 
-    /// The shard-local video cache tier.
-    pub fn video_cache(&self) -> &VideoCache {
-        &self.video_cache
-    }
-
-    /// Records one group-playback access against the local video cache
-    /// tier, admitting the representation on a miss (LRU evicts as
-    /// needed). Returns whether it was a local hit.
-    pub fn record_playback(&mut self, video: &Video, level: RepresentationLevel) -> bool {
-        if self.video_cache.lookup(video.id, level) {
-            true
-        } else {
-            self.video_cache.insert(video, level);
-            false
-        }
-    }
-
     /// Number of twins this shard owns.
     pub fn len(&self) -> usize {
         self.store.len()
@@ -85,21 +46,17 @@ impl Shard {
         self.store.is_empty()
     }
 
-    /// Extracts `user` for migration: twin out of the registry, `tracker`
-    /// bundled alongside. Returns `None` (and leaves the tracker untouched
-    /// conceptually — the caller keeps its copy) when the shard does not
-    /// own `user`.
-    pub fn export(&mut self, user: UserId, tracker: SyncTracker) -> Option<TwinExport> {
-        let twin = self.store.remove(user)?;
-        Some(TwinExport { twin, tracker })
+    /// Takes `user`'s twin out for migration, revision intact; `None`
+    /// when the shard does not own `user`.
+    pub fn export(&mut self, user: UserId) -> Option<UserDigitalTwin> {
+        self.store.remove(user)
     }
 
-    /// Installs a migrated twin (registry import preserves the instance
-    /// nonce, so this is transactional with the origin's `export`) and
-    /// returns the migrated tracker for the caller to re-install.
-    pub fn import(&mut self, export: TwinExport) -> SyncTracker {
-        self.store.import(export.twin);
-        export.tracker
+    /// Installs a migrated twin. The registry import preserves the
+    /// origin's instance nonce, so this is transactional with the
+    /// origin's [`export`](Self::export).
+    pub fn import(&mut self, twin: UserDigitalTwin) {
+        self.store.import(twin);
     }
 }
 
@@ -107,12 +64,11 @@ impl Shard {
 mod tests {
     use super::*;
     use msvs_types::SimTime;
-    use msvs_udt::Attribute;
 
     #[test]
     fn instance_namespaces_are_disjoint_and_shard_zero_is_legacy() {
-        let s0 = Shard::new(0, 1000.0);
-        let s1 = Shard::new(1, 1000.0);
+        let s0 = Shard::new(0);
+        let s1 = Shard::new(1);
         s0.store().insert(UserDigitalTwin::new(UserId(1)));
         s1.store().insert(UserDigitalTwin::new(UserId(2)));
         let r0 = s0.store().with_twin(UserId(1), |t| t.revision()).unwrap();
@@ -122,24 +78,19 @@ mod tests {
     }
 
     #[test]
-    fn export_import_round_trips_twin_and_tracker() {
-        let mut from = Shard::new(0, 1000.0);
-        let mut to = Shard::new(1, 1000.0);
+    fn export_import_round_trips_the_twin() {
+        let mut from = Shard::new(0);
+        let mut to = Shard::new(1);
         from.store().insert(UserDigitalTwin::new(UserId(7)));
         from.store()
             .update_channel(UserId(7), SimTime::from_secs(1), 9.0)
             .unwrap();
         let rev = from.store().with_twin(UserId(7), |t| t.revision()).unwrap();
-        let mut tracker = SyncTracker::default();
-        tracker.mark(Attribute::Channel, SimTime::from_secs(1));
-        let sent_before = tracker.updates_sent();
 
-        let export = from.export(UserId(7), tracker.clone()).expect("owned");
+        let twin = from.export(UserId(7)).expect("owned");
         assert!(from.is_empty());
 
-        let back = to.import(export);
-        assert_eq!(back, tracker, "tracker state must survive verbatim");
-        assert_eq!(back.updates_sent(), sent_before);
+        to.import(twin);
         assert_eq!(
             to.store().with_twin(UserId(7), |t| t.revision()).unwrap(),
             rev,
@@ -149,7 +100,7 @@ mod tests {
 
     #[test]
     fn exporting_a_stranger_returns_none() {
-        let mut shard = Shard::new(0, 100.0);
-        assert!(shard.export(UserId(9), SyncTracker::default()).is_none());
+        let mut shard = Shard::new(0);
+        assert!(shard.export(UserId(9)).is_none());
     }
 }

@@ -26,6 +26,7 @@ pub mod config;
 pub mod metrics;
 pub mod report;
 pub mod runner;
+mod world;
 
 pub use config::{DemandPredictorKind, MobilityMix, SimulationConfig, SimulationConfigBuilder};
 pub use metrics::{peak_rss_kb, IntervalRecord, SimulationReport};

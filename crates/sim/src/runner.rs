@@ -1,14 +1,12 @@
-//! The simulation: the campus scenario and the interval pipeline
-//! (collect → predict → playback → observe) that drives it.
+//! The system under test and the interval pipeline (collect → predict →
+//! playback → observe) that drives it against the simulated `World`.
 
-use msvs_channel::Link;
 use msvs_core::demand::prediction_accuracy;
 use msvs_core::{DegradationSignal, DemandPredictor, PredictionContext, PredictionOutcome};
-use msvs_edge::EdgeServer;
 use msvs_faults::{DelayQueue, FaultCounts, FaultInjector, FaultPlan, ReportFate};
-use msvs_mobility::{CampusMap, MobilityModel, RandomWaypoint};
+use msvs_mobility::CampusMap;
 use msvs_par::Pool;
-use msvs_shard::{HandoverUser, OutagePhase, ShardCoordinator, ShardRouter};
+use msvs_shard::{OutagePhase, ShardCoordinator, ShardRouter};
 use msvs_telemetry::{
     slo, stages, Event, HealthBoard, HealthSnapshot, ShardHealth, SloEdge, SloSignals, SloWatchdog,
     Telemetry,
@@ -16,48 +14,26 @@ use msvs_telemetry::{
 use msvs_types::{
     CpuCycles, Error, Position, ResourceBlocks, Result, SimDuration, SimTime, UserId,
 };
-use msvs_udt::{
-    Attribute, CollectionPolicy, SyncTracker, TwinReports, UserDigitalTwin, WatchRecord,
-};
-use msvs_video::{Catalog, UserProfile};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use msvs_udt::{Attribute, CollectionPolicy, SyncTracker, TwinReports, UserDigitalTwin};
+use msvs_video::Catalog;
 
 use crate::config::SimulationConfig;
 use crate::metrics::{IntervalRecord, SimulationReport};
+use crate::world::{ActualDemand, World};
 
 /// Rate at which a preference refresh pulls the twin's preference towards
 /// the categories its user recently engaged with.
 const PREFERENCE_RATE: f64 = 0.4;
 
-/// Per-user fault-injection state: in-flight delayed reports plus the
-/// tallies accumulated *inside* the parallel collection region, summed
-/// serially after the pool joins.
+/// One user's uplink: its sync tracker and, under a fault plan, the
+/// reports in flight and the tallies accumulated *inside* the parallel
+/// collection region (summed serially after the pool joins).
 #[derive(Default)]
-struct UserFaults {
+struct UserUplink {
+    tracker: SyncTracker,
     /// In-flight delayed reports, one queue per [`Attribute`] index.
     delayed: [DelayQueue<Report>; 3],
     counts: FaultCounts,
-}
-
-/// Ground-truth state of one simulated user.
-struct SimUser {
-    id: UserId,
-    profile: UserProfile,
-    mobility: Box<dyn MobilityModel>,
-    rng: StdRng,
-    tracker: SyncTracker,
-    /// SNR samples observed this interval (ground truth, every tick).
-    interval_snrs: Vec<f64>,
-    /// Fault-injection state; untouched when no fault plan is active.
-    faults: UserFaults,
-    /// Nearest BS at the last collect tick. Nobody moves between that
-    /// tick and playback, so it is the serving cell for the whole
-    /// interval's accounting.
-    bs: usize,
-    /// Serving cell of the previous interval; `None` for a fresh arrival,
-    /// so churn never counts as a handover.
-    last_bs: Option<usize>,
 }
 
 /// The resolved fault-injection machinery, present only when the
@@ -66,67 +42,6 @@ struct SimUser {
 struct FaultRuntime {
     plan: FaultPlan,
     injector: FaultInjector,
-}
-
-/// Builds a mobility model for one user according to the configured mix.
-fn build_mobility(
-    map: &CampusMap,
-    config: &SimulationConfig,
-    seed: u64,
-    choice_rng: &mut StdRng,
-) -> Box<dyn MobilityModel> {
-    let weights = [
-        config.mobility.waypoint,
-        config.mobility.gauss_markov,
-        config.mobility.static_users,
-    ];
-    match msvs_types::stats::weighted_index(choice_rng, &weights).unwrap_or(0) {
-        0 => Box::new(RandomWaypoint::new(map, config.mean_speed, seed)),
-        1 => Box::new(msvs_mobility::GaussMarkov::new(
-            map,
-            config.mean_speed,
-            0.85,
-            seed,
-        )),
-        _ => Box::new(msvs_mobility::StaticMobility::random(map, seed)),
-    }
-}
-
-impl SimUser {
-    /// A fresh arrival: nothing collected yet, no reports in flight.
-    fn new(id: UserId, profile: UserProfile, mobility: Box<dyn MobilityModel>, seed: u64) -> Self {
-        Self {
-            id,
-            profile,
-            mobility,
-            rng: StdRng::seed_from_u64(seed),
-            tracker: SyncTracker::new(),
-            interval_snrs: Vec::new(),
-            faults: UserFaults::default(),
-            bs: 0,
-            last_bs: None,
-        }
-    }
-
-    fn mean_interval_snr(&self) -> f64 {
-        if self.interval_snrs.is_empty() {
-            10.0
-        } else {
-            msvs_types::stats::mean(&self.interval_snrs)
-        }
-    }
-}
-
-/// Each user's id and sync tracker, which move with the twin when the
-/// user changes shard.
-fn handover_users(users: &mut [SimUser]) -> Vec<HandoverUser<'_>> {
-    users
-        .iter_mut()
-        .map(|u| HandoverUser {
-            user: u.id,
-            tracker: &mut u.tracker,
-        })
-        .collect()
 }
 
 /// The predict phase's output: the scored predictor's totals and
@@ -139,18 +54,9 @@ struct Predicted {
     wall_ms: f64,
 }
 
-/// The playback phase's output: actual demands measured while playing
-/// one interval out.
-#[derive(Debug, Clone, Copy, Default)]
-struct ActualDemand {
-    radio: f64,
-    computing: f64,
-    unicast_radio: f64,
-    traffic_mb: f64,
-    wasted_mb: f64,
-}
-
-/// The end-to-end simulation.
+/// The end-to-end simulation: the system under test (twin store, uplink
+/// state, predictor, telemetry, SLO watchdog and scoring) run against a
+/// simulated `World`.
 ///
 /// Construct with [`Simulation::new`] and drive with
 /// [`Simulation::warm_up`] and [`Simulation::run_interval`], or run the
@@ -158,13 +64,12 @@ struct ActualDemand {
 /// [`Simulation::run`] from a config).
 pub struct Simulation {
     config: SimulationConfig,
-    map: CampusMap,
-    bs_positions: Vec<Position>,
-    users: Vec<SimUser>,
-    catalog: Catalog,
-    link: Link,
-    edge: EdgeServer,
+    world: World,
     store: ShardCoordinator,
+    /// Every user id, in the deterministic order sweeps visit them.
+    user_ids: Vec<UserId>,
+    /// Uplink state, indexed by user id.
+    uplinks: Vec<UserUplink>,
     predictor: Box<dyn DemandPredictor>,
     pool: Pool,
     now: SimTime,
@@ -172,8 +77,6 @@ pub struct Simulation {
     updates_sent_before: u64,
     retries_sent_before: u64,
     faults: Option<FaultRuntime>,
-    churn_rng: StdRng,
-    churned_users: u64,
     prev_assignments: Option<std::collections::HashMap<UserId, usize>>,
     last_outcome: Option<PredictionOutcome>,
     telemetry: Telemetry,
@@ -185,7 +88,7 @@ pub struct Simulation {
 impl std::fmt::Debug for Simulation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulation")
-            .field("users", &self.users.len())
+            .field("users", &self.user_ids.len())
             .field("now", &self.now)
             .field("intervals_run", &self.intervals_run)
             .finish()
@@ -235,41 +138,21 @@ impl Simulation {
         pool: Pool,
         mut predictor: Box<dyn DemandPredictor>,
     ) -> Result<Self> {
-        let catalog = Catalog::generate(config.catalog)?;
-        let mut edge = EdgeServer::new(config.edge, &catalog);
-        let link = Link::new(config.link);
-        // Each shard owns an equal slice of the edge cache capacity as its
-        // local video-cache tier (a telemetry-only hierarchical-CDN side
-        // channel; the scored edge cache stays global).
-        let mut store = ShardCoordinator::new(
-            ShardRouter::new(bs_positions.clone(), config.shards),
-            pool,
-            config.edge.cache_capacity_mb / config.shards as f64,
-        );
-        let mut users = Vec::with_capacity(config.n_users);
-        let mut seed_rng = StdRng::seed_from_u64(config.seed);
-        for u in 0..config.n_users {
-            let id = UserId(u as u32);
-            let profile = UserProfile::generate(id, config.taste_alpha, &mut seed_rng);
-            let mobility = build_mobility(
-                &map,
-                &config,
-                config.seed.wrapping_add(1000 + u as u64),
-                &mut seed_rng,
-            );
-            store.insert(UserDigitalTwin::new(id), mobility.position());
-            let seed = config.seed.wrapping_add(5000 + u as u64);
-            users.push(SimUser::new(id, profile, mobility, seed));
+        let router = ShardRouter::new(bs_positions.clone(), config.shards);
+        let mut world = World::new(&config, map, bs_positions)?;
+        let mut store = ShardCoordinator::new(router, pool);
+        let user_ids: Vec<UserId> = (0..config.n_users).map(|u| UserId(u as u32)).collect();
+        for (&id, user) in user_ids.iter().zip(world.users()) {
+            store.insert(UserDigitalTwin::new(id), user.position());
         }
         let telemetry = Telemetry::new();
         predictor.attach_telemetry(telemetry.clone());
-        edge.attach_telemetry(telemetry.clone());
+        world.edge_mut().attach_telemetry(telemetry.clone());
         store.attach_telemetry(telemetry.clone());
         telemetry.emit(Event::RunStarted {
             scheme: predictor.name().to_string(),
             seed: config.seed,
         });
-        let churn_rng = StdRng::seed_from_u64(config.seed ^ 0xC0FF_EE00);
         // A no-op plan builds no runtime: fault hooks stay cold and the
         // run is bit-identical to one with `faults: None`.
         let faults = config
@@ -288,14 +171,11 @@ impl Simulation {
             .filter(|p| !p.is_noop())
             .map(SloWatchdog::new);
         Ok(Self {
+            uplinks: user_ids.iter().map(|_| UserUplink::default()).collect(),
             config,
-            map,
-            bs_positions,
-            users,
-            catalog,
-            link,
-            edge,
+            world,
             store,
+            user_ids,
             predictor,
             pool,
             now: SimTime::ZERO,
@@ -303,8 +183,6 @@ impl Simulation {
             updates_sent_before: 0,
             retries_sent_before: 0,
             faults,
-            churn_rng,
-            churned_users: 0,
             prev_assignments: None,
             last_outcome: None,
             telemetry,
@@ -341,28 +219,21 @@ impl Simulation {
     /// `SyncTracker` state. Works at any shard count (a single-shard run
     /// yields one checkpoint of the whole population).
     pub fn checkpoint_shards(&self) -> Vec<msvs_shard::ShardCheckpoint> {
-        let trackers: std::collections::HashMap<UserId, &SyncTracker> =
-            self.users.iter().map(|u| (u.id, &u.tracker)).collect();
         let interval = self.intervals_run as u64;
         self.store
             .shards()
             .iter()
             .map(|shard| {
                 msvs_shard::ShardCheckpoint::capture(shard, interval, |id| {
-                    trackers.get(&id).map(|t| (*t).clone()).unwrap_or_default()
+                    self.uplinks[id.index()].tracker.clone()
                 })
             })
             .collect()
     }
 
-    /// The campus map in use.
-    pub fn map(&self) -> &CampusMap {
-        &self.map
-    }
-
     /// The video catalog in use.
     pub fn catalog(&self) -> &Catalog {
-        &self.catalog
+        self.world.catalog()
     }
 
     /// The most recent prediction outcome (swiping curves, groupings).
@@ -445,10 +316,10 @@ impl Simulation {
                 .emit(Event::IntervalStarted { interval: index });
             interval_scope.set_interval(index);
         }
-        self.collect(scored);
+        let handovers = self.collect(scored);
         let predicted = self.predict(scored)?;
         let (actual, playback_wall_ms) = self.playback(&predicted.outcome, scored);
-        self.observe(scored, predicted, actual, playback_wall_ms)
+        self.observe(scored, predicted, actual, playback_wall_ms, handovers)
     }
 
     /// Feeds the scored interval's signals to the SLO watchdog and the
@@ -531,7 +402,7 @@ impl Simulation {
             state: "running".to_string(),
             intervals_completed: interval + 1,
             intervals_total: self.config.n_intervals as u64,
-            users: self.users.len() as u64,
+            users: self.user_ids.len() as u64,
             twin_coverage: record.twin_coverage,
             degraded: record.degraded,
             degraded_intervals,
@@ -578,11 +449,12 @@ impl Simulation {
             return;
         }
         let plan = self.faults.as_ref().map(|rt| &rt.plan);
-        let mut handover = handover_users(&mut self.users);
+        let uplinks = &self.uplinks;
         let transitions = self.store.apply_outages(
             index,
             |shard| plan.and_then(|p| p.outage_at(shard, index)),
-            &mut handover,
+            &self.user_ids,
+            |id| uplinks[id.index()].tracker.clone(),
         );
         for t in transitions {
             match t.phase {
@@ -611,97 +483,81 @@ impl Simulation {
         let burst = rt.plan.churn_at(index);
         let scale = rt.plan.brownout_scale_at(index);
         if let Some(fraction) = burst {
-            let n = (self.users.len() as f64 * fraction).floor() as usize;
+            let n = (self.user_ids.len() as f64 * fraction).floor() as usize;
             let replaced = self.replace_users(n);
             self.telemetry.emit(Event::ChurnBurst {
                 interval: index,
                 replaced,
             });
         }
+        let edge = self.world.edge_mut();
         if scale < 1.0 {
-            self.edge.set_capacity_scale(scale);
+            edge.set_capacity_scale(scale);
             self.telemetry.emit(Event::BrownoutApplied {
                 interval: index,
                 capacity_scale: scale,
             });
-        } else if self.edge.cache().capacity_scale() < 1.0 {
+        } else if edge.cache().capacity_scale() < 1.0 {
             // Brownout over: capacity returns, the cache refills through
             // normal inserts.
-            self.edge.set_capacity_scale(1.0);
+            edge.set_capacity_scale(1.0);
         }
     }
 
     /// Total users replaced by churn so far.
     pub fn churned_users(&self) -> u64 {
-        self.churned_users
+        self.world.churned()
     }
 
     /// Replaces `n` uniformly drawn users with fresh arrivals — a new
-    /// ground-truth profile and trajectory, and an *empty* twin the
-    /// predictor has to cope with — returning how many were replaced.
-    /// Shared by baseline churn and fault-plan churn bursts (both consume
-    /// the same churn RNG stream).
+    /// ground-truth profile and trajectory, a fresh uplink, and an
+    /// *empty* twin the predictor has to cope with — returning how many
+    /// were replaced.
     fn replace_users(&mut self, n: usize) -> u64 {
         if n == 0 {
             return 0;
         }
-        use rand::Rng as _;
-        for _ in 0..n {
-            let idx = self.churn_rng.gen_range(0..self.users.len());
-            self.churned_users += 1;
-            let id = self.users[idx].id; // the id slot is reused
-            let salt = self.churned_users;
-            let profile = UserProfile::generate(id, self.config.taste_alpha, &mut self.churn_rng);
-            let mobility = build_mobility(
-                &self.map,
-                &self.config,
-                self.config.seed.wrapping_add(0xC0DE_0000 + salt),
-                &mut self.churn_rng,
-            );
-            self.store
-                .insert(UserDigitalTwin::new(id), mobility.position());
-            let seed = self.config.seed.wrapping_add(0xFEED_0000 + salt);
-            self.users[idx] = SimUser::new(id, profile, mobility, seed);
+        for (id, start) in self.world.churn(n, &self.config) {
+            self.store.insert(UserDigitalTwin::new(id), start);
+            self.uplinks[id.index()] = UserUplink::default();
         }
         // Trackers were reset; rebase the signalling deltas.
-        self.updates_sent_before = self.users.iter().map(|u| u.tracker.updates_sent()).sum();
-        self.retries_sent_before = self.users.iter().map(|u| u.tracker.retries_sent()).sum();
+        self.updates_sent_before = self.uplinks.iter().map(|u| u.tracker.updates_sent()).sum();
+        self.retries_sent_before = self.uplinks.iter().map(|u| u.tracker.retries_sent()).sum();
         n as u64
     }
 
     /// Collect phase. A scored interval first applies baseline churn, the
     /// fault plan's scheduled faults and the shard-outage schedule; every
-    /// interval then rebalances shards and advances mobility tick by tick,
-    /// sampling ground-truth SNR and queueing due attributes for the twins
-    /// (per the collection policy). Per-user simulation is fanned out
-    /// across the worker pool; each user carries an independent RNG
-    /// stream, so the result is bit-identical at any thread count.
+    /// interval then rebalances shards, steps the world (mobility and
+    /// ground-truth SNR, tick by tick) and replays each user's samples
+    /// through its uplink, queueing due attributes for the twins (per the
+    /// collection policy). Both sweeps fan users out across the worker
+    /// pool; each user carries independent state, so the result is
+    /// bit-identical at any thread count. Returns the world step's
+    /// handover count.
     ///
     /// Each user's reports collect in a [`TwinReports`] outbox and reach
     /// the twin in one write after its last tick. That is exact because
     /// no twin is read inside this region and each series keeps its
     /// arrival order (DESIGN.md, "Collect-phase write ordering").
-    fn collect(&mut self, scored: Option<u64>) {
+    fn collect(&mut self, scored: Option<u64>) -> u64 {
         if let Some(index) = scored {
-            let n = (self.users.len() as f64 * self.config.churn_rate).floor() as usize;
+            let n = (self.user_ids.len() as f64 * self.config.churn_rate).floor() as usize;
             self.replace_users(n);
             self.apply_scheduled_faults(index);
             self.apply_outage_transitions(index);
         }
-        // Boundary crossers change shard, twin and sync tracker together
-        // (a no-op on single-shard runs).
-        self.store.rebalance(&mut handover_users(&mut self.users));
-        let interval = self.config.interval;
+        // Boundary crossers change shard (a no-op on single-shard runs).
+        self.store.rebalance(&self.user_ids);
         let tick = self.config.tick;
-        let steps = interval.steps(tick).max(1);
-        for u in &mut self.users {
-            u.interval_snrs.clear();
-        }
-        let bs = &self.bs_positions;
-        let link = &self.link;
+        let steps = self.config.interval.steps(tick).max(1);
+        let world_scope = self.telemetry.stage_scope(stages::WORLD_STEP);
+        let handovers = self.world.step(steps, tick, self.pool);
+        drop(world_scope);
+        let samples = self.world.users();
         let store = &self.store;
         let start = self.now;
-        let pool = self.pool;
         let faults = self.faults.as_ref();
         let uplink = Uplink {
             policy: &self.config.collection,
@@ -713,29 +569,24 @@ impl Simulation {
         // parallel region (ownership cannot change inside it). Empty
         // when no fault plan runs — indexing falls back to `false`.
         let partitioned: Vec<bool> = if faults.is_some() && self.store.sharded() {
-            let ids: Vec<UserId> = self.users.iter().map(|u| u.id).collect();
-            self.store.partitioned_users(&ids)
+            self.store.partitioned_users(&self.user_ids)
         } else {
             Vec::new()
         };
         let partitioned = &partitioned;
-        // Parallel per-user simulation of the whole interval's collection.
         let ingest_scope = self.telemetry.stage_scope(stages::UDT_INGEST);
-        let stats = pool.for_each_mut(&mut self.users, |i, user| {
+        let stats = self.pool.for_each_mut(&mut self.uplinks, |i, user| {
+            let id = UserId(i as u32);
             let uplink = Uplink {
                 partitioned: partitioned.get(i).copied().unwrap_or(false),
                 ..uplink
             };
+            let sampled = &samples[i];
             let mut outbox = TwinReports::default();
             let mut t = start;
-            for _ in 0..steps {
+            for (&pos, &snr) in sampled.positions.iter().zip(&sampled.snrs) {
                 t += tick;
-                let pos = user.mobility.advance(tick);
-                let (nearest, dist) = pos.nearest(bs).expect("at least one BS");
-                user.bs = nearest;
-                let snr = link.sample_snr_db(&mut user.rng, dist);
-                user.interval_snrs.push(snr);
-                user_tick(user, &mut outbox, uplink, t, snr, pos);
+                user_tick(id, user, &mut outbox, uplink, t, snr, pos);
             }
             if !outbox.is_empty() {
                 // The batch's rejected count is not the fault tally: it
@@ -743,7 +594,7 @@ impl Simulation {
                 // metres of a BS), which are not faults. The fault path
                 // tallies its own payloads as it queues them.
                 store
-                    .with_twin_mut(user.id, |twin| twin.apply_reports(&outbox))
+                    .with_twin_mut(id, |twin| twin.apply_reports(&outbox))
                     .expect("user twin registered at construction");
             }
         });
@@ -765,9 +616,10 @@ impl Simulation {
         if let Some(interval) = scored {
             self.telemetry.emit(Event::CollectionCompleted {
                 interval,
-                users: self.users.len() as u64,
+                users: self.user_ids.len() as u64,
             });
         }
+        handovers
     }
 
     /// Drains the per-user fault tallies accumulated inside the parallel
@@ -780,10 +632,10 @@ impl Simulation {
         // invariant between clean and faulted configurations of a test.
         let _fault_scope = self.telemetry.stage_scope(stages::FAULT_INJECT);
         let mut counts = FaultCounts::default();
-        for user in &mut self.users {
-            counts.add(std::mem::take(&mut user.faults.counts));
+        for user in &mut self.uplinks {
+            counts.add(std::mem::take(&mut user.counts));
         }
-        let retries_total: u64 = self.users.iter().map(|u| u.tracker.retries_sent()).sum();
+        let retries_total: u64 = self.uplinks.iter().map(|u| u.tracker.retries_sent()).sum();
         let retried = retries_total - self.retries_sent_before;
         self.retries_sent_before = retries_total;
         for (kind, n) in [
@@ -821,10 +673,10 @@ impl Simulation {
         }
         let ctx = PredictionContext {
             store: &self.store,
-            catalog: &self.catalog,
-            cache: self.edge.cache(),
+            catalog: self.world.catalog(),
+            cache: self.world.edge().cache(),
             transcode: &TRANSCODE,
-            link: &self.link,
+            link: self.world.link(),
             now: self.now,
         };
         let prediction = self.predictor.predict(&ctx)?;
@@ -866,32 +718,24 @@ impl Simulation {
     }
 
     /// Observe phase: the predictor learns the measured demand and the
-    /// handover, signalling and grouping-stability baselines move on. A
-    /// scored interval then scores the prediction (and the reservation,
-    /// under a policy), journals its completion and feeds the SLO
-    /// watchdog and the health board.
+    /// signalling and grouping-stability baselines move on. A scored
+    /// interval then scores the prediction (and the reservation, under a
+    /// policy), journals its completion and feeds the SLO watchdog and
+    /// the health board.
     fn observe(
         &mut self,
         scored: Option<u64>,
         predicted: Predicted,
         actual: ActualDemand,
         playback_wall_ms: f64,
+        handovers: u64,
     ) -> Result<Option<IntervalRecord>> {
         let actual_radio = ResourceBlocks(actual.radio);
         let actual_computing = CpuCycles(actual.computing);
         self.predictor
             .observe_actual(actual_radio, actual_computing);
 
-        // Handovers: users whose serving cell changed since last interval.
-        let mut handovers = 0u64;
-        for user in &mut self.users {
-            if user.last_bs.is_some_and(|prev| prev != user.bs) {
-                handovers += 1;
-            }
-            user.last_bs = Some(user.bs);
-        }
-
-        let updates_total: u64 = self.users.iter().map(|u| u.tracker.updates_sent()).sum();
+        let updates_total: u64 = self.uplinks.iter().map(|u| u.tracker.updates_sent()).sum();
         let updates_sent = updates_total - self.updates_sent_before;
         self.updates_sent_before = updates_total;
 
@@ -997,17 +841,15 @@ impl Simulation {
         self.telemetry.emit(Event::IntervalCompleted {
             interval: index,
             qoe: record.mean_level,
-            hit_ratio: self.edge.cache().hit_ratio(),
+            hit_ratio: self.world.edge().cache().hit_ratio(),
         });
         self.observe_health(index, &record);
         Ok(Some(record))
     }
 
-    /// Playback phase: plays the interval out group by group. The BS
-    /// multicasts the recommended feed, members swipe according to their
-    /// ground-truth profiles, the edge transcodes what the cache misses,
-    /// and watch records flow back into the twins, one write per member
-    /// per group. Returns the measured demand and the phase's wall time.
+    /// Playback phase: the world plays the interval out group by group,
+    /// then each member's watch records flow back into its twin. Returns
+    /// the measured demand and the phase's wall time.
     fn playback(
         &mut self,
         outcome: &PredictionOutcome,
@@ -1017,150 +859,22 @@ impl Simulation {
         if let Some(index) = scored {
             playback_scope.set_interval(index);
         }
-        let interval_s = self.config.interval.as_secs_f64();
-        let rb_bw = self.config.scheme.demand.rb_bandwidth.value();
-        let prefetch = self.config.scheme.demand.prefetch_secs;
-        let seg = self.config.scheme.demand.segment_secs;
-        let gap = self.config.scheme.demand.swipe_gap_secs;
-        // Transmission stops at whole-segment boundaries.
-        let quantize = |t: f64, cap: f64| ((t / seg).ceil() * seg).min(cap);
-        let mut total = ActualDemand::default();
-
-        for pred in &outcome.groups {
-            let gid = pred.group.index();
-            let recommendation = &outcome.recommendations[gid];
-            let member_ids = pred.members.clone();
-            if member_ids.is_empty() {
-                continue;
-            }
-            // Per-group child of the playback span; edge transcode spans
-            // opened during `serve_for` nest underneath it.
-            let _group_scope = self
-                .telemetry
-                .stage_scope(stages::PLAYBACK_GROUP)
-                .with_group(gid as u64);
-            // Ground-truth member efficiencies for this interval.
-            let effs: Vec<f64> = member_ids
-                .iter()
-                .map(|id| {
-                    let u = &self.users[id.index()];
-                    msvs_channel::link::cqi_efficiency(u.mean_interval_snr())
-                })
-                .collect();
-            // Attach each member to its accounting domain: its serving BS
-            // (as of the last collect tick) in the per-BS extension mode,
-            // or the single cell otherwise.
-            let n_bs = if self.config.per_bs_accounting {
-                self.bs_positions.len()
-            } else {
-                1
-            };
-            let bs_of: Vec<usize> = member_ids
-                .iter()
-                .map(|id| {
-                    if n_bs == 1 {
-                        0
-                    } else {
-                        self.users[id.index()].bs
-                    }
-                })
-                .collect();
-            let mut min_eff_by_bs = vec![f64::INFINITY; n_bs];
-            for (mi, &bs) in bs_of.iter().enumerate() {
-                min_eff_by_bs[bs] = min_eff_by_bs[bs].min(effs[mi]);
-            }
-            let mut group_rng = StdRng::seed_from_u64(
-                self.config
-                    .seed
-                    .wrapping_mul(31)
-                    .wrapping_add(self.intervals_run as u64 * 131)
-                    .wrapping_add(gid as u64),
-            );
-            let mut t = 0.0;
-            let mut traffic_by_bs = vec![0.0f64; n_bs];
-            let mut member_traffic_mb = vec![0.0f64; member_ids.len()];
-            // Watch records per member, in viewing order; nothing reads
-            // the twins before the flush after the group's feed.
-            let mut member_watches: Vec<Vec<WatchRecord>> = vec![Vec::new(); member_ids.len()];
-            while t < interval_s {
-                // Transmission past the interval boundary is accounted to
-                // the next reservation interval.
-                let remaining = interval_s - t;
-                let vid = recommendation.sample(&mut group_rng);
-                let video = self.catalog.get(vid).expect("recommended from catalog");
-                // Each owning shard's BS pulls the multicast stream once
-                // through its local video-cache tier (telemetry only).
-                self.store
-                    .record_group_playback(&member_ids, video, pred.level);
-                let len_s = video.duration.as_secs_f64();
-                // Members draw their true watch durations.
-                let mut max_watch = 0.0f64;
-                let mut local_max = vec![0.0f64; n_bs];
-                for (mi, id) in member_ids.iter().enumerate() {
-                    let user = &mut self.users[id.index()];
-                    let interest =
-                        user.profile.interest(video.category) * user.profile.engagement_scale();
-                    let (watched, completed) = self.config.engagement.sample_watch(
-                        &mut user.rng,
-                        interest,
-                        pred.level,
-                        video.duration,
-                    );
-                    let w = watched.as_secs_f64();
-                    max_watch = max_watch.max(w);
-                    local_max[bs_of[mi]] = local_max[bs_of[mi]].max(w);
-                    member_watches[mi].push(WatchRecord {
-                        video: vid,
-                        category: video.category,
-                        level: pred.level,
-                        watched,
-                        video_duration: video.duration,
-                        completed,
-                    });
-                    // Unicast delivery would prefetch ahead of each user too.
-                    member_traffic_mb[mi] += video_bitrate(video, pred.level)
-                        * quantize(w + prefetch, len_s).min(remaining);
-                }
-                // Each BS with attached members (finite min efficiency)
-                // transmits whole segments until its last local member
-                // swipes; segments past that point are prefetch waste.
-                for (bs, &lm) in local_max.iter().enumerate() {
-                    if min_eff_by_bs[bs].is_finite() {
-                        let tx_bs = quantize(lm + prefetch, len_s).min(remaining);
-                        traffic_by_bs[bs] += video_bitrate(video, pred.level) * tx_bs;
-                        total.wasted_mb += video_bitrate(video, pred.level) * (tx_bs - lm).max(0.0);
-                    }
-                }
-                let tx_s = quantize(max_watch + prefetch, len_s).min(remaining);
-                let outcome =
-                    self.edge
-                        .serve_for(video, pred.level, SimDuration::from_secs_f64(tx_s));
-                total.computing += outcome.cycles.value();
-                t += max_watch + gap;
-            }
-            // Report the group's watch records into the twins.
-            for (id, records) in member_ids.iter().zip(member_watches) {
-                self.store
-                    .with_twin_mut(*id, |twin| twin.record_watches(self.now, records))
-                    .expect("user twin registered at construction");
-            }
-            for (bs, &traffic) in traffic_by_bs.iter().enumerate() {
-                if traffic <= 0.0 {
-                    continue;
-                }
-                total.traffic_mb += traffic;
-                let min_eff = min_eff_by_bs[bs];
-                if min_eff > 0.0 && min_eff.is_finite() {
-                    total.radio += traffic * 1e6 / (min_eff * rb_bw * interval_s);
-                }
-            }
-            for (mi, eff) in effs.iter().enumerate() {
-                if *eff > 0.0 {
-                    total.unicast_radio += member_traffic_mb[mi] * 1e6 / (eff * rb_bw * interval_s);
-                }
-            }
+        // One child span per group; edge transcode spans opened while the
+        // group plays nest underneath it.
+        let telemetry = &self.telemetry;
+        let (actual, watches) =
+            self.world
+                .play(outcome, &self.config, self.intervals_run as u64, |group| {
+                    telemetry
+                        .stage_scope(stages::PLAYBACK_GROUP)
+                        .with_group(group)
+                });
+        for (id, records) in watches {
+            self.store
+                .with_twin_mut(id, |twin| twin.record_watches(self.now, records))
+                .expect("user twin registered at construction");
         }
-        (total, playback_scope.stop())
+        (actual, playback_scope.stop())
     }
 }
 
@@ -1242,13 +956,14 @@ impl Uplink<'_> {
     }
 }
 
-/// One user's collection tick, for every attribute and fault case.
+/// User `id`'s collection tick, for every attribute and fault case.
 ///
 /// Runs inside the parallel region: reports only queue in `outbox` (the
 /// twin sees them after the user's last tick), and fault tallies only
-/// accumulate in `user.faults` (drained serially after the pool joins).
+/// accumulate in `user.counts` (drained serially after the pool joins).
 fn user_tick(
-    user: &mut SimUser,
+    id: UserId,
+    user: &mut UserUplink,
     outbox: &mut TwinReports,
     uplink: Uplink<'_>,
     t: SimTime,
@@ -1259,9 +974,9 @@ fn user_tick(
     // call then folds its attribute to constants. As a loop, the clean
     // tick cost about 40% more per user-tick (1,000 users × 300 ticks,
     // 2-vCPU x86-64).
-    send_report(user, outbox, uplink, t, Report::Channel(snr));
-    send_report(user, outbox, uplink, t, Report::Location(pos));
-    send_report(user, outbox, uplink, t, Report::Preference);
+    send_report(id, user, outbox, uplink, t, Report::Channel(snr));
+    send_report(id, user, outbox, uplink, t, Report::Location(pos));
+    send_report(id, user, outbox, uplink, t, Report::Preference);
 }
 
 /// One attribute's share of [`user_tick`]. First the delayed reports now
@@ -1274,18 +989,19 @@ fn user_tick(
 /// when queued (acceptance depends only on the payload).
 #[inline(always)]
 fn send_report(
-    user: &mut SimUser,
+    id: UserId,
+    user: &mut UserUplink,
     outbox: &mut TwinReports,
     uplink: Uplink<'_>,
     t: SimTime,
     report: Report,
 ) {
     let attr = report.attribute();
-    let (id, tracker, faults) = (user.id, &mut user.tracker, &mut user.faults);
-    let queue = &mut faults.delayed[attr as usize];
+    let (tracker, counts) = (&mut user.tracker, &mut user.counts);
+    let queue = &mut user.delayed[attr as usize];
     if !uplink.partitioned && !queue.is_empty() {
         for (sampled_at, report) in queue.drain_due(t) {
-            faults.counts.rejected += u64::from(!report.plausible());
+            counts.rejected += u64::from(!report.plausible());
             report.queue(outbox, sampled_at);
         }
     }
@@ -1300,21 +1016,21 @@ fn send_report(
             tracker.mark(attr, t);
         }
         (ReportFate::Lose, Some(rt)) => {
-            faults.counts.lost += 1;
+            counts.lost += 1;
             tracker.mark_lost(attr, t, &rt.plan.retry);
         }
         (ReportFate::Delay(n), _) => {
-            faults.counts.delayed += 1;
+            counts.delayed += 1;
             if !queue.push(t + uplink.tick * n, t, report) {
                 // Queue overflow: the report never arrives.
-                faults.counts.overflowed += 1;
+                counts.overflowed += 1;
             }
             tracker.mark(attr, t);
         }
         (ReportFate::Corrupt, Some(rt)) => {
-            faults.counts.corrupted += 1;
+            counts.corrupted += 1;
             let report = report.corrupted(rt.injector.corrupt_value(id.0, t_ms, attr));
-            faults.counts.rejected += u64::from(!report.plausible());
+            counts.rejected += u64::from(!report.plausible());
             report.queue(outbox, t);
             tracker.mark(attr, t);
         }
@@ -1343,14 +1059,6 @@ fn resolve_scenario(config: &mut SimulationConfig) -> (CampusMap, Vec<Position>,
     config.threads = pool.threads();
     config.scheme.threads = pool.threads();
     (map, bs_positions, pool)
-}
-
-/// Average actual bitrate of `video` at `level`, Mbps.
-fn video_bitrate(video: &msvs_video::Video, level: msvs_types::RepresentationLevel) -> f64 {
-    video
-        .representation(level)
-        .map(|r| r.bitrate.value())
-        .unwrap_or_else(|| level.nominal_bitrate().value())
 }
 
 /// Places `n` base stations on a centred grid across the map.
@@ -1748,11 +1456,11 @@ mod tests {
             injector: FaultInjector::new(&plan, 7),
             plan,
         };
-        let mut sim = Simulation::new(small_config(7)).unwrap();
-        let user = &mut sim.users[0];
+        let id = UserId(0);
+        let mut user = UserUplink::default();
         let s = SimTime::from_secs;
         let pos = Position::new(100.0, 200.0);
-        let delayed = &mut user.faults.delayed;
+        let delayed = &mut user.delayed;
         assert!(delayed[Attribute::Channel as usize].push(s(9), s(8), Report::Channel(12.0)));
         assert!(delayed[Attribute::Location as usize].push(s(10), s(7), Report::Location(pos)));
 
@@ -1763,21 +1471,21 @@ mod tests {
             partitioned: true,
         };
         let mut outbox = TwinReports::default();
-        user_tick(user, &mut outbox, uplink, s(10), 20.0, pos);
+        user_tick(id, &mut user, &mut outbox, uplink, s(10), 20.0, pos);
         assert!(outbox.is_empty(), "nothing crosses a severed uplink");
-        let queued = user.faults.delayed.iter().filter(|q| !q.is_empty());
+        let queued = user.delayed.iter().filter(|q| !q.is_empty());
         assert_eq!(queued.count(), 2, "delayed reports stay queued");
-        assert_eq!(user.faults.counts.lost, 3, "every due report is lost");
+        assert_eq!(user.counts.lost, 3, "every due report is lost");
         assert_eq!(user.tracker.updates_sent(), 3, "lost sends cost signalling");
 
         // Healed at 11 s: the held reports arrive, then the channel report
         // due on its 1 s period. Location and preference are not due.
         uplink.partitioned = false;
         let mut outbox = TwinReports::default();
-        user_tick(user, &mut outbox, uplink, s(11), 21.0, pos);
-        assert!(user.faults.delayed.iter().all(DelayQueue::is_empty));
-        assert_eq!(user.faults.counts.lost, 3);
-        let mut twin = UserDigitalTwin::new(user.id);
+        user_tick(id, &mut user, &mut outbox, uplink, s(11), 21.0, pos);
+        assert!(user.delayed.iter().all(DelayQueue::is_empty));
+        assert_eq!(user.counts.lost, 3);
+        let mut twin = UserDigitalTwin::new(id);
         assert_eq!(twin.apply_reports(&outbox), 0, "nothing rejected");
         let channel: Vec<_> = twin.channel_series().iter().copied().collect();
         assert_eq!(channel, [(s(8), 12.0), (s(11), 21.0)]);
@@ -1786,11 +1494,14 @@ mod tests {
     }
 
     /// Outages and brownouts act outside the tick loop, so a plan with
-    /// only those collects exactly like no plan: same trackers, same twins.
+    /// only those collects exactly like no plan: same trackers, same
+    /// twins. Uplink faults change what the twins collect but never feed
+    /// back into the world: a `lossy-uplink` run walks the same
+    /// positions, serving cells and SNR samples as the clean run.
     #[test]
     fn outage_and_brownout_only_plan_collects_like_no_plan() {
         let builtin = |name| FaultPlan::builtin(name).unwrap();
-        let plan = FaultPlan {
+        let outages_only = FaultPlan {
             brownouts: builtin("brownout").brownouts,
             outages: [builtin("bs-flap").outages, builtin("bs-crash").outages].concat(),
             ..FaultPlan::none()
@@ -1799,21 +1510,44 @@ mod tests {
             shards: 4,
             ..small_config(9)
         };
+        let faulted = |plan| {
+            let sim = Simulation::new(SimulationConfig {
+                faults: Some(plan),
+                ..config.clone()
+            })
+            .unwrap();
+            assert!(sim.faults.is_some(), "the plan is active");
+            sim
+        };
         let mut clean = Simulation::new(config.clone()).unwrap();
-        let mut faulted = Simulation::new(SimulationConfig {
-            faults: Some(plan),
-            ..config
-        })
-        .unwrap();
-        assert!(faulted.faults.is_some(), "the plan is active");
-        for _ in 0..3 {
-            clean.collect(None);
-            faulted.collect(None);
-        }
+        let mut outages = faulted(outages_only);
+        let mut lossy = faulted(builtin("lossy-uplink"));
         let twin = |sim: &Simulation, id| sim.store.with_twin(id, UserDigitalTwin::clone).unwrap();
-        for (a, b) in clean.users.iter().zip(&faulted.users) {
-            assert_eq!(a.tracker, b.tracker, "user {:?}", a.id);
-            assert_eq!(twin(&clean, a.id), twin(&faulted, b.id), "user {:?}", a.id);
+        let mut twins_differ = false;
+        for _ in 0..3 {
+            for sim in [&mut clean, &mut outages, &mut lossy] {
+                sim.collect(None);
+            }
+            let world = |sim: &Simulation| {
+                let users = sim.world.users().iter();
+                users
+                    .map(|u| (u.positions.clone(), u.bs, u.snrs.clone()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(
+                world(&lossy),
+                world(&clean),
+                "uplink faults leave the world alone"
+            );
+            for &id in &clean.user_ids {
+                twins_differ |= twin(&lossy, id) != twin(&clean, id);
+            }
+        }
+        assert!(twins_differ, "lossy-uplink changes what the twins collect");
+        for &id in &clean.user_ids {
+            let (a, b) = (&clean.uplinks[id.index()], &outages.uplinks[id.index()]);
+            assert_eq!(a.tracker, b.tracker, "user {id:?}");
+            assert_eq!(twin(&clean, id), twin(&outages, id), "user {id:?}");
         }
     }
 

@@ -6,7 +6,11 @@
 //! spellings cannot drift between the instrumentation site and the
 //! reporting site.
 
-/// UDT data ingestion (base-station collection sweep).
+/// One step of the simulated world: every user's mobility, serving BS
+/// and SNR samples for the interval (ground truth, not the system).
+pub const WORLD_STEP: &str = "world_step";
+/// UDT data ingestion: the uplink sweep that turns each user's samples
+/// into twin reports, and the twin writes.
 pub const UDT_INGEST: &str = "udt_ingest";
 /// Fault-injection accounting after the collection sweep.
 pub const FAULT_INJECT: &str = "fault_inject";
@@ -64,6 +68,7 @@ pub const SHARD_RESTORE: &str = "shard_restore";
 
 /// Every stage name, for exhaustive report tables and schema checks.
 pub const ALL: &[&str] = &[
+    WORLD_STEP,
     UDT_INGEST,
     FAULT_INJECT,
     CNN_FORWARD,

@@ -553,7 +553,7 @@ fn restore_checkpoint(path: &str, out: &mut dyn Write) -> Result<(), Box<dyn std
                 ).into());
             }
         }
-        let shard = Shard::new(ckpt.shard, 1.0);
+        let shard = Shard::new(ckpt.shard);
         let restored = ckpt.restore_into(&shard);
         if shard.len() != ckpt.len() || restored.len() != ckpt.len() {
             return Err(format!(

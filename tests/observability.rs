@@ -69,7 +69,12 @@ fn span_tree_nests_interval_stage_and_per_item_work() {
     assert_eq!(indices, vec![0, 1]);
 
     // Stage spans sit under an interval.
-    for stage in [stages::UDT_INGEST, stages::SCHEME_PREDICT, stages::PLAYBACK] {
+    for stage in [
+        stages::WORLD_STEP,
+        stages::UDT_INGEST,
+        stages::SCHEME_PREDICT,
+        stages::PLAYBACK,
+    ] {
         let stage_spans = by_name(&spans, stage);
         assert!(!stage_spans.is_empty(), "{stage} spans recorded");
         for s in &stage_spans {
@@ -217,6 +222,11 @@ fn stage_table_is_exact_over_the_closed_spans() {
     ] {
         assert!(rows.contains(&name), "span-only stage {name} has a row");
     }
+    // The world step has its own row, one span per interval, so
+    // `udt_ingest` times only the twin side of collection.
+    let world_steps = by_name(&spans, stages::WORLD_STEP).len();
+    assert!(rows.contains(&stages::WORLD_STEP));
+    assert_eq!(world_steps, by_name(&spans, stages::INTERVAL).len());
     // Setup has rows too: CNN training, and one root pretraining span
     // that holds the DDQN training steps and fits of its episodes.
     assert!(rows.contains(&stages::CNN_TRAIN));
