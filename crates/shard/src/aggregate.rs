@@ -8,10 +8,7 @@
 //! attributed to the shard that owns their twin — so the rows always sum
 //! back to the global totals (up to floating-point associativity).
 
-use std::collections::HashMap;
-
 use msvs_core::GroupDemandPrediction;
-use msvs_types::UserId;
 
 /// Accumulated demand attributed to one shard.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -40,14 +37,14 @@ pub struct ShardDemandRow {
 pub struct ShardSummary {
     /// Number of shards the run partitioned into.
     pub shards: usize,
-    /// Cross-shard twin migrations over the whole run.
+    /// Cross-shard handovers (owner relabels) over the whole run.
     pub handovers_total: u64,
     /// Worst observed load factor: max shard population over the ideal
     /// (uniform) population, `1.0` = perfectly balanced.
     pub peak_imbalance: f64,
     /// Shard outage windows entered over the run (crash + partition).
     pub outages_total: u64,
-    /// Twins migrated to live neighbours by crash failover sweeps.
+    /// Users relabelled to live neighbours by crash failover sweeps.
     pub failover_handovers_total: u64,
     /// Serialized bytes of every boundary checkpoint captured.
     pub checkpoint_bytes_total: u64,
@@ -77,9 +74,10 @@ impl ReservationAggregator {
     }
 
     /// Attributes one interval's per-group predictions to shards by
-    /// member ownership. Members missing from `owner` (mid-churn) fall
-    /// to shard 0 deterministically.
-    pub fn fold(&mut self, groups: &[GroupDemandPrediction], owner: &HashMap<UserId, usize>) {
+    /// member ownership: `owner[id]` is the shard owning user `id`.
+    /// Members without an owner (mid-churn) fall to shard 0
+    /// deterministically.
+    pub fn fold(&mut self, groups: &[GroupDemandPrediction], owner: &[Option<usize>]) {
         for group in groups {
             if group.members.is_empty() {
                 continue;
@@ -87,7 +85,7 @@ impl ReservationAggregator {
             let radio_share = group.radio.value() / group.members.len() as f64;
             let computing_share = group.computing.value() / group.members.len() as f64;
             for member in &group.members {
-                let shard = owner.get(member).copied().unwrap_or(0);
+                let shard = owner.get(member.index()).copied().flatten().unwrap_or(0);
                 self.radio[shard] += radio_share;
                 self.computing[shard] += computing_share;
             }
@@ -114,7 +112,7 @@ impl ReservationAggregator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msvs_types::{CpuCycles, GroupId, RepresentationLevel, ResourceBlocks};
+    use msvs_types::{CpuCycles, GroupId, RepresentationLevel, ResourceBlocks, UserId};
 
     fn group(members: Vec<u32>, radio: f64, computing: f64) -> GroupDemandPrediction {
         GroupDemandPrediction {
@@ -133,7 +131,7 @@ mod tests {
     #[test]
     fn rows_sum_to_global_totals() {
         let mut agg = ReservationAggregator::new(2);
-        let owner: HashMap<UserId, usize> = [(UserId(0), 0), (UserId(1), 1), (UserId(2), 1)].into();
+        let owner = [Some(0), Some(1), Some(1)];
         let groups = vec![group(vec![0, 1], 10.0, 4e9), group(vec![2], 6.0, 1e9)];
         agg.fold(&groups, &owner);
         let total_radio: f64 = agg.radio().iter().sum();
@@ -148,16 +146,17 @@ mod tests {
     #[test]
     fn unknown_members_fall_to_shard_zero() {
         let mut agg = ReservationAggregator::new(3);
-        let owner = HashMap::new();
-        agg.fold(&[group(vec![9], 3.0, 2.0)], &owner);
-        assert_eq!(agg.radio()[0], 3.0);
+        agg.fold(&[group(vec![9], 3.0, 2.0)], &[Some(2), None]);
+        agg.fold(&[group(vec![1], 3.0, 2.0)], &[Some(2), None]);
+        assert_eq!(agg.radio()[0], 6.0);
         assert_eq!(agg.radio()[1], 0.0);
+        assert_eq!(agg.radio()[2], 0.0);
     }
 
     #[test]
     fn empty_groups_are_skipped() {
         let mut agg = ReservationAggregator::new(1);
-        agg.fold(&[group(vec![], 5.0, 5.0)], &HashMap::new());
+        agg.fold(&[group(vec![], 5.0, 5.0)], &[]);
         assert_eq!(agg.radio()[0], 0.0);
     }
 }

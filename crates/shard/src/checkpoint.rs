@@ -3,7 +3,7 @@
 //! A [`ShardCheckpoint`] snapshots one shard at an interval boundary:
 //! every twin it owns (full time series, revision counters and instance
 //! nonce included), each owner's uplink [`SyncTracker`] state (pending
-//! retries and backoff survive the outage) and the store's
+//! retries and backoff survive the outage) and the twin store's
 //! instance-nonce counter. The encoding is one line of the workspace's
 //! hand-rolled JSON ([`msvs_telemetry::Json`]) under a versioned schema
 //! tag, so a checkpoint from another layout fails loud by name rather
@@ -24,9 +24,7 @@ use std::fmt;
 use msvs_par::Pool;
 use msvs_telemetry::json::{self, Json};
 use msvs_types::{UserId, MAX_SHARDS};
-use msvs_udt::{SyncTracker, UserDigitalTwin};
-
-use crate::shard::Shard;
+use msvs_udt::{SyncTracker, UdtStore, UserDigitalTwin};
 
 /// Schema tag stamped into every checkpoint. Bump on layout changes so
 /// a stale checkpoint fails loud with a named mismatch.
@@ -49,8 +47,8 @@ pub struct ShardCheckpoint {
     /// The interval boundary the snapshot was taken at.
     pub interval: u64,
     /// The store's instance-nonce counter — restored monotonically so a
-    /// recovered shard can never re-stamp a nonce issued before the
-    /// outage.
+    /// store reloaded from the checkpoint can never re-stamp a nonce
+    /// issued before it.
     pub next_instance: u64,
     /// Checkpointed users, sorted by user id.
     pub twins: Vec<CheckpointEntry>,
@@ -67,29 +65,34 @@ fn get_u64(obj: &Json, key: &str) -> Result<u64, String> {
 }
 
 impl ShardCheckpoint {
-    /// Snapshots `shard` at `interval`, pulling each owner's sync state
-    /// through `tracker_of` (the simulation owns the trackers).
+    /// Snapshots `shard` at `interval`: the twins of `users` (the
+    /// users the shard owns) out of `store`, each paired with its sync
+    /// state through `tracker_of` (the simulation owns the trackers).
+    ///
+    /// # Panics
+    /// Panics when a listed user has no twin in `store`.
     pub fn capture(
-        shard: &Shard,
+        store: &UdtStore,
+        shard: usize,
+        users: impl IntoIterator<Item = UserId>,
         interval: u64,
         mut tracker_of: impl FnMut(UserId) -> SyncTracker,
     ) -> Self {
-        let mut users = shard.store().user_ids();
-        users.sort();
+        let mut users: Vec<UserId> = users.into_iter().collect();
+        users.sort_unstable();
         let twins = users
-            .iter()
-            .map(|&user| CheckpointEntry {
-                twin: shard
-                    .store()
+            .into_iter()
+            .map(|user| CheckpointEntry {
+                twin: store
                     .with_twin(user, Clone::clone)
-                    .expect("listed user owns a twin"),
+                    .expect("an owned user has a twin"),
                 tracker: tracker_of(user),
             })
             .collect();
         Self {
-            shard: shard.id(),
+            shard,
             interval,
-            next_instance: shard.store().next_instance(),
+            next_instance: store.next_instance(),
             twins,
         }
     }
@@ -200,15 +203,14 @@ impl ShardCheckpoint {
         Self::from_json(&json)
     }
 
-    /// Reloads the checkpointed registry into `shard`'s store (cleared
-    /// first; the instance-nonce counter only moves forward so a stale
-    /// checkpoint can never cause nonce reuse) and returns each user's
-    /// restored sync state for the caller to re-install.
-    pub fn restore_into(&self, shard: &Shard) -> Vec<(UserId, SyncTracker)> {
-        shard.store().clear();
-        shard.store().restore_next_instance(self.next_instance);
+    /// Reloads the checkpointed twins into `store`, revisions intact,
+    /// and returns each user's restored sync state for the caller to
+    /// re-install. The store's instance-nonce counter only moves
+    /// forward, so a stale checkpoint can never cause nonce reuse.
+    pub fn restore_into(&self, store: &UdtStore) -> Vec<(UserId, SyncTracker)> {
+        store.restore_next_instance(self.next_instance);
         for entry in &self.twins {
-            shard.store().import(entry.twin.clone());
+            store.import(entry.twin.clone());
         }
         self.twins
             .iter()
@@ -261,18 +263,21 @@ mod tests {
     use msvs_types::{Position, SimTime};
     use msvs_udt::{Attribute, RetryPolicy};
 
-    fn seeded_shard() -> (Shard, Vec<(UserId, SyncTracker)>) {
-        let shard = Shard::new(1);
+    /// The users shard 1 owns in [`seeded_store`]; user 5 belongs to
+    /// another shard.
+    const OWNED: [UserId; 3] = [UserId(4), UserId(2), UserId(9)];
+
+    fn seeded_store() -> (UdtStore, Vec<(UserId, SyncTracker)>) {
+        let store = UdtStore::new();
         let mut trackers = Vec::new();
-        for id in [4u32, 2, 9] {
-            let user = UserId(id);
-            shard.store().insert(UserDigitalTwin::new(user));
-            shard
-                .store()
+        store.insert(UserDigitalTwin::new(UserId(5)));
+        for user in OWNED {
+            let id = u32::from(user);
+            store.insert(UserDigitalTwin::new(user));
+            store
                 .update_channel(user, SimTime::from_secs(1), 6.0 + id as f64)
                 .unwrap();
-            shard
-                .store()
+            store
                 .update_location(user, SimTime::from_secs(2), Position::new(id as f64, 1.0))
                 .unwrap();
             let mut tracker = SyncTracker::default();
@@ -286,12 +291,16 @@ mod tests {
             }
             trackers.push((user, tracker));
         }
-        (shard, trackers)
+        (store, trackers)
+    }
+
+    fn capture(store: &UdtStore, interval: u64) -> ShardCheckpoint {
+        ShardCheckpoint::capture(store, 1, OWNED, interval, |_| SyncTracker::default())
     }
 
     #[test]
     fn capture_serialize_restore_round_trips() {
-        let (shard, trackers) = seeded_shard();
+        let (store, trackers) = seeded_store();
         let lookup = |u: UserId| {
             trackers
                 .iter()
@@ -299,7 +308,7 @@ mod tests {
                 .map(|(_, t)| t.clone())
                 .unwrap()
         };
-        let ckpt = ShardCheckpoint::capture(&shard, 7, lookup);
+        let ckpt = ShardCheckpoint::capture(&store, 1, OWNED, 7, lookup);
         assert_eq!(ckpt.shard, 1);
         assert_eq!(ckpt.len(), 3);
         assert_eq!(
@@ -308,7 +317,7 @@ mod tests {
                 .map(|e| e.twin.user().into())
                 .collect::<Vec<u32>>(),
             vec![2, 4, 9],
-            "entries are user-sorted"
+            "entries are the shard's users, user-sorted"
         );
         let text = ckpt.to_string();
         assert_eq!(
@@ -325,23 +334,17 @@ mod tests {
         let back = ShardCheckpoint::parse(&text).expect("round trip");
         assert_eq!(back, ckpt, "JSON codec is lossless");
 
-        let fresh = Shard::new(1);
+        let fresh = UdtStore::new();
         let restored = back.restore_into(&fresh);
         assert_eq!(fresh.len(), 3);
         assert_eq!(
-            fresh
-                .store()
-                .with_twin(UserId(4), |t| t.revision())
-                .unwrap(),
-            shard
-                .store()
-                .with_twin(UserId(4), |t| t.revision())
-                .unwrap(),
+            fresh.with_twin(UserId(4), |t| t.revision()).unwrap(),
+            store.with_twin(UserId(4), |t| t.revision()).unwrap(),
             "revision (instance nonce included) survives restore"
         );
         assert_eq!(
-            fresh.store().next_instance(),
-            shard.store().next_instance(),
+            fresh.next_instance(),
+            store.next_instance(),
             "nonce counter resumes where the checkpoint left it"
         );
         let restored_t2 = restored
@@ -357,26 +360,25 @@ mod tests {
     /// mutations reach neither the snapshot nor the checkpoint.
     #[test]
     fn restore_yields_twins_equal_to_the_originals() {
-        let (shard, _) = seeded_shard();
-        let held = shard.store().snapshot();
-        let ckpt = ShardCheckpoint::capture(&shard, 3, |_| SyncTracker::default());
+        let (store, _) = seeded_store();
+        store.remove(UserId(5));
+        let held = store.snapshot();
+        let ckpt = capture(&store, 3);
         let text = ckpt.to_string();
-        shard
-            .store()
+        store
             .update_channel(UserId(9), SimTime::from_secs(5), -2.0)
             .unwrap();
-        let fresh = Shard::new(1);
+        let fresh = UdtStore::new();
         ShardCheckpoint::parse(&text)
             .expect("round trip")
             .restore_into(&fresh);
-        assert_eq!(fresh.store().snapshot(), held);
-        assert_ne!(shard.store().snapshot(), held);
+        assert_eq!(fresh.snapshot(), held);
+        assert_ne!(store.snapshot(), held);
     }
 
     #[test]
     fn schema_mismatch_and_bad_fields_fail_loud_by_name() {
-        let (shard, _) = seeded_shard();
-        let ckpt = ShardCheckpoint::capture(&shard, 0, |_| SyncTracker::default());
+        let ckpt = capture(&seeded_store().0, 0);
         let mut json = Json::parse(&ckpt.to_string()).unwrap();
         if let Json::Obj(map) = &mut json {
             map.insert("schema".into(), Json::Str("msvs-checkpoint/v0".into()));
@@ -405,13 +407,10 @@ mod tests {
         assert!(err.contains("invalid JSON"), "{err}");
     }
 
-    /// Shard ids at or past the deployment cap would wrap the shard's
-    /// instance-nonce namespace onto another shard's, so they never
-    /// restore.
+    /// Shard ids at or past the deployment cap never restore.
     #[test]
     fn shard_ids_past_the_cap_are_rejected() {
-        let (shard, _) = seeded_shard();
-        let ckpt = ShardCheckpoint::capture(&shard, 0, |_| SyncTracker::default());
+        let ckpt = capture(&seeded_store().0, 0);
         for id in [1024u64, 1 << 24] {
             let mut json = Json::parse(&ckpt.to_string()).unwrap();
             if let Json::Obj(map) = &mut json {
@@ -429,16 +428,16 @@ mod tests {
 
     #[test]
     fn restore_never_rewinds_the_nonce_counter() {
-        let (shard, _) = seeded_shard();
-        let ckpt = ShardCheckpoint::capture(&shard, 0, |_| SyncTracker::default());
-        let target = Shard::new(1);
+        let ckpt = capture(&seeded_store().0, 0);
+        let target = UdtStore::new();
         // The target store has advanced past the checkpoint.
         for id in 100..110u32 {
-            target.store().insert(UserDigitalTwin::new(UserId(id)));
+            target.insert(UserDigitalTwin::new(UserId(id)));
         }
-        let advanced = target.store().next_instance();
+        let advanced = target.next_instance();
         assert!(advanced > ckpt.next_instance);
         ckpt.restore_into(&target);
-        assert_eq!(target.store().next_instance(), advanced);
+        assert_eq!(target.next_instance(), advanced);
+        assert_eq!(target.len(), 13, "restore adds to what the store holds");
     }
 }

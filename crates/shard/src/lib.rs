@@ -3,21 +3,21 @@
 //! The paper models a single edge server; its successor ("Digital Twin
 //! Based User-Centric Resource Management for Multicast Short Video
 //! Streaming", arXiv 2308.08995) is explicitly multi-BS: users roam
-//! across cells and their twins must follow. This crate partitions the
-//! *data plane* per base station while keeping the *control plane*
-//! (grouping, demand prediction, reservation scoring) global, so a
-//! sharded run produces a bit-identical `SimulationReport` at any shard
-//! count:
+//! across cells and each twin's owning base station follows them. This
+//! crate models that ownership while keeping every twin in one store and
+//! the *control plane* (grouping, demand prediction, reservation
+//! scoring) global, so a sharded run produces a bit-identical
+//! `SimulationReport` at any shard count:
 //!
-//! - [`Shard`] owns one cell's twin registry ([`msvs_udt::UdtStore`]
-//!   with a disjoint instance-nonce namespace);
 //! - [`ShardRouter`] maps positions to shards deterministically via the
 //!   nearest base station;
-//! - [`ShardCoordinator`] mirrors the `UdtStore` write API (routed by an
-//!   ownership map), merges per-shard snapshots into the canonical
-//!   population view on the worker pool, and runs the serial cross-shard
-//!   handover sweep — a handover never duplicates or drops a twin, and
-//!   the users' uplink sync state stays with the caller;
+//! - [`ShardCoordinator`] owns the one [`msvs_udt::UdtStore`] and an
+//!   owner label per user, mirrors the store's write API, and runs the
+//!   serial handover sweep and the outage lifecycle — a handover or a
+//!   crash failover relabels a user and never moves its twin, and the
+//!   users' uplink sync state stays with the caller;
+//! - [`ShardCheckpoint`] snapshots one shard's users at an outage
+//!   boundary under a versioned schema;
 //! - [`ReservationAggregator`] folds per-group demand predictions into
 //!   per-shard rows that sum back to the global reservation totals.
 
@@ -25,10 +25,8 @@ pub mod aggregate;
 pub mod checkpoint;
 pub mod coordinator;
 pub mod router;
-pub mod shard;
 
 pub use aggregate::{ReservationAggregator, ShardDemandRow, ShardSummary};
 pub use checkpoint::{CheckpointEntry, ShardCheckpoint, CHECKPOINT_SCHEMA};
 pub use coordinator::{OutagePhase, OutageTransition, ShardCoordinator};
 pub use router::ShardRouter;
-pub use shard::Shard;

@@ -178,10 +178,12 @@ pub struct SimulationConfig {
     /// thread count.
     pub threads: usize,
     /// Base-station shards the deployment partitions into (`1` = the
-    /// legacy single-cell path). Each shard owns its own twin registry
-    /// and local video-cache tier; users handover
-    /// between shards as mobility crosses cell boundaries. Defaults to
-    /// `1`. Seeded runs produce bit-identical reports at any shard count.
+    /// single-cell path). Base station `b` belongs to shard
+    /// `b % shards`, and each user's twin is owned by the shard of the
+    /// nearest base station to its last reported position; ownership
+    /// hands over as mobility crosses cell boundaries. Every twin stays
+    /// in one store. Defaults to `1`; at most [`MAX_SHARDS`]. Seeded
+    /// fault-free runs produce bit-identical reports at any shard count.
     pub shards: usize,
     /// Always [`BackendKind::Scalar`]; see its docs.
     pub backend: BackendKind,

@@ -207,24 +207,21 @@ impl Simulation {
         self.pool.threads()
     }
 
-    /// The sharded twin registry (inspection). With `shards: 1` this is
-    /// a transparent facade over the single legacy store.
+    /// The twin store and its shard ownership labels (inspection).
     pub fn store(&self) -> &ShardCoordinator {
         &self.store
     }
 
-    /// Snapshots every shard into a
+    /// Snapshots every shard's users into a
     /// [`ShardCheckpoint`](msvs_shard::ShardCheckpoint) at the current
     /// interval boundary, pairing each twin with its user's live
     /// `SyncTracker` state. Works at any shard count (a single-shard run
     /// yields one checkpoint of the whole population).
     pub fn checkpoint_shards(&self) -> Vec<msvs_shard::ShardCheckpoint> {
         let interval = self.intervals_run as u64;
-        self.store
-            .shards()
-            .iter()
+        (0..self.store.n_shards())
             .map(|shard| {
-                msvs_shard::ShardCheckpoint::capture(shard, interval, |id| {
+                self.store.checkpoint(shard, interval, |id| {
                     self.uplinks[id.index()].tracker.clone()
                 })
             })

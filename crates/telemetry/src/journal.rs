@@ -73,7 +73,7 @@ pub enum Event {
         margin: f64,
     },
     /// A shard went down (crash or partition). `failed_over` counts the
-    /// twins migrated to live neighbours (crash only);
+    /// users relabelled to live neighbours (crash only);
     /// `checkpoint_bytes` is the size of the boundary checkpoint.
     ShardDown {
         interval: u64,

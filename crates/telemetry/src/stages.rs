@@ -51,16 +51,10 @@ pub const PLAYBACK_GROUP: &str = "playback_group";
 /// One whole simulated interval.
 pub const INTERVAL: &str = "interval";
 /// Cross-shard handover sweep at the start of a sharded interval
-/// (ownership re-evaluation + twin/tracker migration).
+/// (ownership re-evaluation; a handover relabels the user).
 pub const SHARD_REBALANCE: &str = "shard_rebalance";
-/// Merging per-shard twin snapshots into the canonical population view
-/// (one child span per shard).
-pub const SHARD_GATHER: &str = "shard_gather";
 /// Folding per-group demand predictions into per-shard aggregator rows.
 pub const SHARD_AGGREGATE: &str = "shard_aggregate";
-/// One shard's slice of a sharded sweep (span-only child; the batch
-/// attribute carries the shard index).
-pub const SHARD_SLICE: &str = "shard_slice";
 /// A shard going down (checkpoint capture + crash failover sweep).
 pub const SHARD_OUTAGE: &str = "shard_outage";
 /// A shard coming back (checkpoint-anchored recovery resync).
@@ -89,9 +83,7 @@ pub const ALL: &[&str] = &[
     PLAYBACK_GROUP,
     INTERVAL,
     SHARD_REBALANCE,
-    SHARD_GATHER,
     SHARD_AGGREGATE,
-    SHARD_SLICE,
     SHARD_OUTAGE,
     SHARD_RESTORE,
 ];

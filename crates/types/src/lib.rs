@@ -33,7 +33,6 @@ pub use units::{CpuCycles, Hertz, Mbps, Meters, ResourceBlocks, Watts};
 pub use video::{Representation, RepresentationLevel, VideoCategory};
 
 /// Most base-station shards one deployment may run; shard ids lie in
-/// `0..MAX_SHARDS`. Each shard stamps twin instance nonces in its own
-/// namespace, the shard id shifted above bit 40, so the cap keeps every
-/// namespace inside a `u64` and disjoint from every other shard's.
+/// `0..MAX_SHARDS`. An input bound: `SimulationConfig::validate` and the
+/// checkpoint decoder reject shard counts and ids past it.
 pub const MAX_SHARDS: usize = 1024;

@@ -10,9 +10,9 @@ use crate::attribute::WatchRecord;
 use crate::twin::UserDigitalTwin;
 
 /// Read-only view over a population of twins — what the prediction
-/// pipeline actually consumes. Implemented by [`UdtStore`] (the
-/// single-cell registry) and by multi-shard deployments that merge
-/// several per-BS stores into one canonical population.
+/// pipeline actually consumes. Implemented by [`UdtStore`] and by
+/// multi-shard deployments, which keep every twin in one store and label
+/// each with its owning shard.
 pub trait TwinView: Send + Sync {
     /// Number of registered twins.
     fn len(&self) -> usize;
@@ -63,22 +63,11 @@ pub struct UdtStore {
 }
 
 impl UdtStore {
-    /// Builds an empty store.
+    /// Builds an empty store; its first instance nonce is 1.
     pub fn new() -> Self {
-        Self::with_instance_base(1)
-    }
-
-    /// Builds an empty store whose instance nonces start at `base`.
-    ///
-    /// Multi-shard deployments give each per-BS store a disjoint nonce
-    /// namespace (e.g. the shard id in the high bits) so a twin that
-    /// migrates between stores can never collide with a nonce the
-    /// destination will stamp later. `with_instance_base(1)` is exactly
-    /// [`UdtStore::new`].
-    pub fn with_instance_base(base: u64) -> Self {
         Self {
             shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
-            next_instance: AtomicU64::new(base),
+            next_instance: AtomicU64::new(1),
         }
     }
 
@@ -118,10 +107,10 @@ impl UdtStore {
         Self::write(self.shard(twin.user())).insert(twin.user(), twin);
     }
 
-    /// Re-registers a migrated twin *without* stamping a new instance
-    /// nonce, preserving its full [`TwinRevision`](crate::TwinRevision) —
-    /// the cross-shard handover primitive. The revision (including the
-    /// origin store's nonce) survives the move intact.
+    /// Re-registers a twin *without* stamping a new instance nonce,
+    /// preserving its full [`TwinRevision`](crate::TwinRevision) — the
+    /// checkpoint restore primitive. The revision (including the nonce
+    /// it was stamped with) survives intact.
     pub fn import(&self, twin: UserDigitalTwin) {
         Self::write(self.shard(twin.user())).insert(twin.user(), twin);
     }
@@ -132,8 +121,8 @@ impl UdtStore {
     }
 
     /// The next instance nonce this store would stamp. Captured by shard
-    /// checkpoints so a restored store never reissues a nonce an earlier
-    /// incarnation already handed out.
+    /// checkpoints so a store restored from one never reissues a nonce
+    /// the checkpointed store already handed out.
     pub fn next_instance(&self) -> u64 {
         self.next_instance.load(Ordering::Relaxed)
     }
@@ -143,15 +132,6 @@ impl UdtStore {
     /// reissuing live nonces.
     pub fn restore_next_instance(&self, next: u64) {
         self.next_instance.fetch_max(next, Ordering::Relaxed);
-    }
-
-    /// Removes every twin, leaving the instance counter untouched (a
-    /// crashed shard's store is wiped, not rebuilt, so its nonce namespace
-    /// stays monotone across the outage).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            Self::write(shard).clear();
-        }
     }
 
     /// Whether a twin exists for `user`.
@@ -230,19 +210,7 @@ impl UdtStore {
     /// fresh-data coverage the degradation ladder gates on. `0.0` for an
     /// empty store. Order-independent (a pure count), so deterministic
     /// regardless of shard iteration order.
-    pub fn fresh_fraction(&self, now: SimTime, horizon: msvs_types::SimDuration) -> f64 {
-        let (fresh, total) = self.fresh_count(now, horizon);
-        if total == 0 {
-            0.0
-        } else {
-            fresh as f64 / total as f64
-        }
-    }
-
-    /// `(fresh, total)` twin counts behind [`Self::fresh_fraction`].
-    /// Multi-shard views sum these integer counts so the pooled fraction
-    /// is bit-identical to a single store holding the same twins.
-    pub fn fresh_count(&self, now: SimTime, horizon: msvs_types::SimDuration) -> (usize, usize) {
+    pub fn fresh_fraction(&self, now: SimTime, horizon: SimDuration) -> f64 {
         let mut fresh = 0usize;
         let mut total = 0usize;
         for shard in &self.shards {
@@ -253,7 +221,11 @@ impl UdtStore {
                 }
             }
         }
-        (fresh, total)
+        if total == 0 {
+            0.0
+        } else {
+            fresh as f64 / total as f64
+        }
     }
 
     /// Clones every twin out (snapshot for offline analysis).
@@ -351,34 +323,29 @@ mod tests {
 
     #[test]
     fn import_preserves_the_instance_nonce() {
-        let origin = UdtStore::with_instance_base(1);
-        let dest = UdtStore::with_instance_base(1 << 40);
-        origin.insert(UserDigitalTwin::new(UserId(3)));
+        let origin = UdtStore::new();
+        let dest = UdtStore::new();
+        for id in [1u32, 2, 3] {
+            origin.insert(UserDigitalTwin::new(UserId(id)));
+        }
         origin
             .update_channel(UserId(3), SimTime::from_secs(1), 7.0)
             .unwrap();
         let rev = origin.with_twin(UserId(3), |t| t.revision()).unwrap();
+        assert_eq!(rev.instance, 3);
         let twin = origin.remove(UserId(3)).expect("twin present");
         dest.import(twin);
         let after = dest.with_twin(UserId(3), |t| t.revision()).unwrap();
-        assert_eq!(rev, after, "migration must not disturb the revision");
-        // A fresh insert on the destination stamps from its own base, so
-        // the migrated nonce can never be reissued there.
-        dest.insert(UserDigitalTwin::new(UserId(9)));
-        let stamped = dest.with_twin(UserId(9), |t| t.revision()).unwrap();
-        assert_eq!(stamped.instance, 1 << 40);
-        assert_ne!(stamped.instance, after.instance);
+        assert_eq!(rev, after, "import must not disturb the revision");
+        assert_eq!(dest.next_instance(), 1, "import stamps nothing");
     }
 
     #[test]
-    fn clear_keeps_the_instance_counter_monotone() {
-        let store = UdtStore::with_instance_base(100);
+    fn restore_next_instance_only_moves_the_counter_forward() {
+        let store = UdtStore::new();
         store.insert(UserDigitalTwin::new(UserId(1)));
         store.insert(UserDigitalTwin::new(UserId(2)));
-        assert_eq!(store.next_instance(), 102);
-        store.clear();
-        assert!(store.is_empty());
-        assert_eq!(store.next_instance(), 102, "clear must not rewind nonces");
+        assert_eq!(store.next_instance(), 3);
         store.restore_next_instance(150);
         assert_eq!(store.next_instance(), 150);
         store.restore_next_instance(120);

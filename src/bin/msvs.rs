@@ -23,13 +23,14 @@ use std::process::ExitCode;
 
 use msvs::core::ReservationPolicy;
 use msvs::faults::FaultPlan;
-use msvs::shard::{Shard, ShardCheckpoint};
+use msvs::shard::ShardCheckpoint;
 use msvs::sim::{report, DemandPredictorKind, Simulation, SimulationConfig};
 use msvs::telemetry::{
     chrome_trace_with_counters, nearest_rank, Entry, Event, EventJournal, MetricsServer,
     RunManifest, SloPolicy,
 };
 use msvs::types::VideoCategory;
+use msvs::udt::UdtStore;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -124,17 +125,19 @@ fn print_help(out: &mut dyn Write) -> std::io::Result<()> {
          `--threads N` sizes the worker pool for the parallel hot paths\n\
          (0 = all cores, the default).\n\
          Seeded runs are bit-identical at any thread count.\n\
-         `--shards N` partitions the deployment into per-BS shards with\n\
-         cross-shard twin handover (default 1).\n\
-         Seeded runs are bit-identical at any shard count.\n\
+         `--shards N` groups the base stations into N shards, each owning\n\
+         the twins of its cells' users; ownership hands over as users\n\
+         cross cells (default 1). Seeded fault-free runs are\n\
+         bit-identical at any shard count.\n\
          `--silhouette-cap N` caps silhouette scoring at N sampled users\n\
          (0 disables sampling; default 4096).\n\
          `--faults PROFILE` injects uplink faults from a built-in profile\n\
          ({}) or a JSON file (see results/fault_profiles/). Profiles may\n\
-         schedule shard outages (`bs-flap`, `bs-crash`): crashed shards\n\
-         fail their users over to live neighbours and restore from their\n\
-         boundary checkpoint; partitioned shards push users into the\n\
-         degradation ladder until the window heals.\n\
+         schedule shard outages (`bs-flap`, `bs-crash`): a shard going\n\
+         down takes a boundary checkpoint; crashed shards fail their\n\
+         users over to live neighbours and take them back once the window\n\
+         ends; partitioned shards push users into the degradation ladder\n\
+         until the window heals.\n\
          `--slo POLICY` arms the deterministic SLO watchdog from a\n\
          built-in policy ({}) or a JSON file (see results/slo_profiles/);\n\
          the run exits non-zero when any rule burns past its breach\n\
@@ -515,15 +518,17 @@ fn cmd_checkpoint(args: &[String], out: &mut dyn Write) -> Result<(), Box<dyn st
     Ok(())
 }
 
-/// Reloads a `msvs checkpoint` file into fresh shards and verifies each
-/// restore (twin count, nonce monotonicity) before summarising it. A
-/// shard id may appear on one line only, and a user in one shard only.
-/// Every line must re-encode to itself byte for byte, which checks the
-/// checkpoint codec's round trip on the whole file.
+/// Reloads a `msvs checkpoint` file into one fresh twin store, as the
+/// deployment holds it, and verifies that each line restores every twin
+/// it carries before summarising it. A shard id may appear on one line
+/// only, and a user in one shard only. Every line must re-encode to
+/// itself byte for byte, which checks the checkpoint codec's round trip
+/// on the whole file.
 fn restore_checkpoint(path: &str, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Error>> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let mut shards = 0usize;
     let mut twins = 0usize;
+    let store = UdtStore::new();
     // Shard id -> line, and user -> (line, shard), of the first sighting.
     let mut shard_lines = BTreeMap::new();
     let mut owners = BTreeMap::new();
@@ -553,14 +558,13 @@ fn restore_checkpoint(path: &str, out: &mut dyn Write) -> Result<(), Box<dyn std
                 ).into());
             }
         }
-        let shard = Shard::new(ckpt.shard);
-        let restored = ckpt.restore_into(&shard);
-        if shard.len() != ckpt.len() || restored.len() != ckpt.len() {
+        let restored = ckpt.restore_into(&store);
+        if store.len() != twins + ckpt.len() || restored.len() != ckpt.len() {
             return Err(format!(
-                "{path}:{}: restore mismatch: checkpoint holds {} twin(s), shard restored {}",
+                "{path}:{}: restore mismatch: checkpoint holds {} twin(s), store restored {}",
                 i + 1,
                 ckpt.len(),
-                shard.len(),
+                store.len() - twins,
             )
             .into());
         }
@@ -1004,7 +1008,7 @@ mod tests {
             err.ends_with(":2: shard 0 already checkpointed on line 1"),
             "{err}"
         );
-        // Past the shard cap the id would wrap another shard's nonces.
+        // Shard ids are bounded like `--shards`.
         let err = restore(&[checkpoint(1 << 24, &[1])]).unwrap_err();
         assert!(err.ends_with("field 'shard' must be below 1024"), "{err}");
         std::fs::remove_file(&path).ok();

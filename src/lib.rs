@@ -71,8 +71,9 @@ pub use msvs_edge as edge;
 /// The paper's prediction scheme ([`msvs_core`]).
 pub use msvs_core as core;
 
-/// Multi-BS sharded deployment: per-cell shards, twin handover and the
-/// global reservation aggregator ([`msvs_shard`]).
+/// Multi-BS sharded deployment: shard ownership of twins, handover by
+/// relabelling, outage checkpoints and the global reservation aggregator
+/// ([`msvs_shard`]).
 pub use msvs_shard as shard;
 
 /// End-to-end simulator ([`msvs_sim`]).

@@ -5,7 +5,8 @@
 //!
 //! - The worker-pool size never changes the report (every cell).
 //! - The shard count never changes what the pipeline computes (fault-free
-//!   cells, after stripping the shard plane's own observability).
+//!   cells, after stripping the shard plane's own observability), nor
+//!   the twins it ends with, revisions and instance nonces included.
 //! - A no-op fault plan is no plan, and an empty SLO policy is no policy.
 //! - A reservation policy changes nothing but the reservation it scores.
 //! - Under `bs-crash` the twin population is conserved in every interval.
@@ -25,6 +26,7 @@ use msvs::faults::{Brownout, ChurnBurst, DelaySpec, FaultPlan};
 use msvs::sim::{Simulation, SimulationConfig, SimulationReport};
 use msvs::telemetry::SloPolicy;
 use msvs::types::SimDuration;
+use msvs::udt::UserDigitalTwin;
 
 const THREADS: [usize; 2] = [1, 4];
 const SHARDS: [usize; 3] = [1, 2, 4];
@@ -97,11 +99,12 @@ fn hostile_plan() -> FaultPlan {
     }
 }
 
-/// One cell's outcome: the report (wall-clock timings zeroed) and the
-/// twin count after each scored interval.
+/// One cell's outcome: the report (wall-clock timings zeroed), the twin
+/// count after each scored interval and the end-of-run twin snapshot.
 struct Cell {
     report: SimulationReport,
     twins: Vec<usize>,
+    snapshot: Vec<UserDigitalTwin>,
 }
 
 /// Runs `cfg` the way [`Simulation::run_schedule`] does, counting twins
@@ -123,6 +126,7 @@ fn run(cfg: SimulationConfig) -> Cell {
     Cell {
         report: strip_wall(report),
         twins,
+        snapshot: sim.store().snapshot(),
     }
 }
 
@@ -192,6 +196,26 @@ fn shard_count_never_changes_the_fault_free_report() {
                 single,
                 "{threads} thread(s): 1 vs {shards} shards"
             );
+        }
+    }
+}
+
+/// Handover relabels a user and never moves the twin, so every twin —
+/// its series, revision counters and instance nonce — is the one a
+/// single-shard run ends with.
+#[test]
+fn shard_count_never_changes_the_fault_free_twins() {
+    let m = matrix();
+    for threads in THREADS {
+        let single = &m[&("none", 1, threads)].snapshot;
+        assert_eq!(single.len(), USERS);
+        for shards in [2, 4] {
+            let sharded = &m[&("none", shards, threads)].snapshot;
+            assert_eq!(sharded.len(), single.len());
+            for (a, b) in sharded.iter().zip(single) {
+                assert_eq!(a.revision(), b.revision(), "{shards} shards: {}", a.user());
+                assert_eq!(a, b, "{shards} shards: twin {}", a.user());
+            }
         }
     }
 }

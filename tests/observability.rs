@@ -1,5 +1,5 @@
 //! Observability guarantees: the hierarchical span tree nests the way the
-//! pipeline runs (interval → stage → per-group/per-batch/per-shard work),
+//! pipeline runs (interval → stage → per-group/per-batch work),
 //! the Chrome-trace export satisfies its schema, and a damaged journal is
 //! summarised lossily rather than refused.
 
@@ -140,9 +140,8 @@ fn chrome_trace_export_satisfies_the_schema() {
 }
 
 #[test]
-fn sharded_interval_profiles_gather_slices_and_aggregate() {
-    let shards = 4;
-    let sim = traced_run(5, 2, shards);
+fn sharded_interval_profiles_rebalance_and_aggregate() {
+    let sim = traced_run(5, 2, 4);
     let spans = sim.telemetry().spans();
     let within = |span: &SpanRecord, ancestor: u64| {
         let mut parent = span.parent;
@@ -155,36 +154,35 @@ fn sharded_interval_profiles_gather_slices_and_aggregate() {
         false
     };
 
-    // Every gather snapshots each shard once, in shard order.
-    let gathers = by_name(&spans, stages::SHARD_GATHER);
-    for gather in &gathers {
-        let slices: Vec<_> = spans
-            .iter()
-            .filter(|s| s.parent == Some(gather.id) && s.name == stages::SHARD_SLICE)
-            .map(|s| s.attrs.batch)
-            .collect();
-        let expected: Vec<_> = (0..shards as u64).map(Some).collect();
-        assert_eq!(slices, expected, "one shard_slice per shard, in order");
+    // The shard plane opens no span besides its own sweeps.
+    let shard_stages = [
+        stages::SHARD_REBALANCE,
+        stages::SHARD_AGGREGATE,
+        stages::SHARD_OUTAGE,
+        stages::SHARD_RESTORE,
+    ];
+    for span in spans.iter().filter(|s| s.name.starts_with("shard_")) {
+        assert!(shard_stages.contains(&span.name), "{}", span.name);
     }
 
-    // A slice times one shard's share of a per-shard sweep; the
-    // handover sweep runs per user, so it has none.
+    // The handover sweep relabels users serially and opens no child
+    // span.
     for rebalance in by_name(&spans, stages::SHARD_REBALANCE) {
         assert!(
             !spans.iter().any(|s| s.parent == Some(rebalance.id)),
-            "shard_rebalance has no shard_slice children"
+            "shard_rebalance has no children"
         );
     }
 
-    // Each scored interval gathers the population once and folds its
-    // demand into the per-shard rows once.
+    // Each scored interval sweeps ownership once and folds its demand
+    // into the per-shard rows once.
     let scored: Vec<_> = by_name(&spans, stages::INTERVAL)
         .into_iter()
         .filter(|s| s.attrs.interval.is_some())
         .collect();
     assert_eq!(scored.len(), 2);
     for interval in scored {
-        for name in [stages::SHARD_GATHER, stages::SHARD_AGGREGATE] {
+        for name in [stages::SHARD_REBALANCE, stages::SHARD_AGGREGATE] {
             let inside = by_name(&spans, name)
                 .into_iter()
                 .filter(|s| within(s, interval.id))
@@ -218,7 +216,6 @@ fn stage_table_is_exact_over_the_closed_spans() {
         stages::KMEANS_ASSIGN,
         stages::KMEANS_UPDATE,
         stages::CNN_ENCODE_BATCH,
-        stages::SHARD_SLICE,
     ] {
         assert!(rows.contains(&name), "span-only stage {name} has a row");
     }
