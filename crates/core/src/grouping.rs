@@ -286,8 +286,9 @@ impl GroupingEngine {
     }
 
     /// Wires the engine (and its DDQN agent) into an observability
-    /// pipeline: `K` selection and clustering are timed, and each
-    /// construction emits a [`msvs_telemetry::Event::GroupsFormed`] event.
+    /// pipeline: `K` selection and clustering are timed, and
+    /// [`pretrain`](Self::pretrain) journals one
+    /// [`msvs_telemetry::Event::PretrainCompleted`].
     pub fn attach_telemetry(&mut self, telemetry: msvs_telemetry::Telemetry) {
         self.agent.attach_telemetry(telemetry.clone());
         self.telemetry = Some(telemetry);
@@ -427,13 +428,6 @@ impl GroupingEngine {
         };
         self.prev_k = Some(grouping.k);
         self.prev_reward = grouping.reward;
-        if let Some(t) = &self.telemetry {
-            t.emit(msvs_telemetry::Event::GroupsFormed {
-                k: grouping.k as u64,
-                silhouette: grouping.silhouette,
-                reward: grouping.reward,
-            });
-        }
         Ok(grouping)
     }
 
@@ -448,12 +442,13 @@ impl GroupingEngine {
     /// Pretrains the DDQN by repeatedly constructing groups over the given
     /// feature sets (cycling through them) for `episodes` iterations.
     ///
-    /// Every episode runs the agent's `act`/`observe` and emits
-    /// `GroupsFormed`, but each `(feature set, K)` pair is clustered only
-    /// once per call: every fit is cold-seeded, so a repeat is a pure
-    /// replay of the first. At most `k_max − k_min + 1` fits run per
-    /// feature set, whatever `episodes` is, and each set's distance
-    /// histogram is computed once.
+    /// Every episode runs the agent's `act`/`observe`, but each
+    /// `(feature set, K)` pair is clustered only once per call: every fit
+    /// is cold-seeded, so a repeat is a pure replay of the first. At most
+    /// `k_max − k_min + 1` fits run per feature set, whatever `episodes`
+    /// is, and each set's distance histogram is computed once. A
+    /// completed pass journals one
+    /// [`msvs_telemetry::Event::PretrainCompleted`].
     ///
     /// # Errors
     /// Propagates construction errors.
@@ -461,7 +456,15 @@ impl GroupingEngine {
         if feature_sets.is_empty() {
             return Err(Error::insufficient("at least one feature set"));
         }
-        self.pretrain_memoised(feature_sets, episodes).0
+        self.pretrain_memoised(feature_sets, episodes).0?;
+        if let Some(t) = &self.telemetry {
+            t.emit(msvs_telemetry::Event::PretrainCompleted {
+                episodes: episodes as u64,
+                epsilon: self.agent.epsilon(),
+                loss: self.agent.last_loss().map_or(0.0, f64::from),
+            });
+        }
+        Ok(())
     }
 
     /// The [`GroupingEngine::pretrain`] loop over a non-empty list of
@@ -817,8 +820,24 @@ mod tests {
             for e in 0..episodes {
                 plain.construct(&sets[e % sets.len()]).unwrap();
             }
-            // Same K, rewards and training steps, event for event.
-            assert_eq!(memo_t.journal().entries(), plain_t.journal().entries());
+            // Same K, rewards and training steps: the agents agree on
+            // their step count, exploration rate, last loss and Q-values.
+            assert_eq!(memo.agent.steps(), plain.agent.steps());
+            assert_eq!(memo.agent.epsilon(), plain.agent.epsilon());
+            let loss = |e: &GroupingEngine| e.agent.last_loss().map(f32::to_bits);
+            assert!(loss(&memo).is_some());
+            assert_eq!(loss(&memo), loss(&plain));
+            for f in &sets {
+                let state = memo.state_of(f);
+                let bits = |e: &mut GroupingEngine| -> Vec<u32> {
+                    e.agent
+                        .q_values(&state)
+                        .iter()
+                        .map(|q| q.to_bits())
+                        .collect()
+                };
+                assert_eq!(bits(&mut memo), bits(&mut plain));
+            }
             assert!(kmeans_fits(&memo_t) < kmeans_fits(&plain_t));
             for f in &sets {
                 assert_eq!(memo.greedy_k(f), plain.greedy_k(f));
@@ -837,6 +856,17 @@ mod tests {
         assert!(fits <= k_range * sets.len() as u64, "{fits} fits");
         assert_eq!(engine.calls(), 150);
         assert!(engine.pretrain.is_none(), "memo is scoped to the call");
+        // One journal entry for the whole pass, whatever its length.
+        let entries = t.journal().entries();
+        assert_eq!(entries.len(), 1);
+        assert_eq!(
+            entries[0].event,
+            msvs_telemetry::Event::PretrainCompleted {
+                episodes: 150,
+                epsilon: engine.agent.epsilon(),
+                loss: f64::from(engine.agent.last_loss().expect("trained")),
+            }
+        );
     }
 
     /// 300 users clear the silhouette kernel's parallel threshold, which

@@ -19,8 +19,8 @@ use crate::scheme::{DtAssistedPredictor, PredictionOutcome};
 /// reservation interval. Borrowed from the simulator each pass.
 pub struct PredictionContext<'a> {
     /// The user digital twin population (channel, location, watch
-    /// histories) — a single [`msvs_udt::UdtStore`] or a merged view over
-    /// several per-BS shards.
+    /// histories): a [`msvs_udt::UdtStore`], or a sharded deployment's one
+    /// store with its ownership labels.
     pub store: &'a dyn TwinView,
     /// The video catalog.
     pub catalog: &'a Catalog,
@@ -71,7 +71,7 @@ pub struct Prediction {
 /// Implementations must be [`Send`] so a simulation owning one can move
 /// across threads.
 pub trait DemandPredictor: Send {
-    /// Stable human-readable name (run manifests, journals, reports).
+    /// Stable human-readable name (journals, reports).
     fn name(&self) -> &'static str;
 
     /// Forecasts the next interval's resource demand.

@@ -264,8 +264,8 @@ impl DtAssistedPredictor {
     }
 
     /// Wires the predictor (and its grouping engine + DDQN agent) into an
-    /// observability pipeline: every pipeline stage records a span and
-    /// structured events flow into the journal.
+    /// observability pipeline: every pipeline stage records a span, and
+    /// DDQN pretraining journals its summary.
     pub fn attach_telemetry(&mut self, telemetry: msvs_telemetry::Telemetry) {
         self.engine.attach_telemetry(telemetry.clone());
         self.telemetry = Some(telemetry);
@@ -469,16 +469,6 @@ impl DtAssistedPredictor {
             swiping.push(abstraction);
             recommendations.push(recommendation);
             groups.push(prediction);
-        }
-
-        if let Some(t) = &self.telemetry {
-            let total_rb: f64 = groups.iter().map(|g| g.radio.value()).sum();
-            let traffic_mb: f64 = groups.iter().map(|g| g.expected_traffic_mb).sum();
-            t.emit(msvs_telemetry::Event::DemandPredicted {
-                groups: groups.len() as u64,
-                total_rb,
-                traffic_mb,
-            });
         }
 
         Ok(PredictionOutcome {

@@ -151,8 +151,7 @@ impl DdqnAgent {
     }
 
     /// Wires the agent into an observability pipeline: training steps
-    /// record `ddqn_train` spans and are reported as
-    /// [`msvs_telemetry::Event::TrainingStepped`] journal events.
+    /// record `ddqn_train` spans.
     pub fn attach_telemetry(&mut self, telemetry: msvs_telemetry::Telemetry) {
         self.telemetry = Some(telemetry);
     }
@@ -235,12 +234,6 @@ impl DdqnAgent {
         let loss = self.train_minibatch(bootstraps);
         drop(scope);
         self.last_loss = Some(loss);
-        if let Some(t) = &self.telemetry {
-            t.emit(msvs_telemetry::Event::TrainingStepped {
-                loss: loss as f64,
-                epsilon: self.epsilon(),
-            });
-        }
         Some(loss)
     }
 

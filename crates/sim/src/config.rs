@@ -262,7 +262,7 @@ impl SimulationConfig {
         if self.n_intervals == 0 {
             return Err(Error::invalid_config("n_intervals", "must be positive"));
         }
-        // Journals and manifests record the seed as a JSON number.
+        // The journal records the seed as a JSON number.
         if self.seed > MAX_SAFE_INT {
             return Err(Error::invalid_config("seed", "must be at most 2^53 - 1"));
         }

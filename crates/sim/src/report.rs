@@ -1,4 +1,9 @@
-//! Plain-text tables and CSV export for simulation reports.
+//! Plain-text tables and CSV export for simulation reports. The
+//! scorecard and stage tables read journal entries, so `msvs run` and
+//! `msvs report` print them from the same record.
+
+use msvs_core::demand::prediction_accuracy;
+use msvs_telemetry::{Entry, Event};
 
 use crate::metrics::SimulationReport;
 
@@ -96,23 +101,34 @@ pub fn to_csv(report: &SimulationReport) -> String {
     out
 }
 
-/// Renders the per-interval table of a report (the Fig. 3(b)-style series).
-pub fn interval_table(report: &SimulationReport) -> String {
-    let rows: Vec<Vec<String>> = report
-        .intervals
+/// Renders the per-interval scorecard (the Fig. 3(b)-style series) from
+/// a journal's `IntervalCompleted` entries.
+pub fn interval_table(entries: &[Entry]) -> String {
+    let accuracy = |p: f64, a: f64| format!("{:.1}%", 100.0 * prediction_accuracy(p, a));
+    let rows: Vec<Vec<String>> = entries
         .iter()
-        .map(|r| {
-            vec![
-                r.index.to_string(),
-                r.k.to_string(),
-                format!("{:.3}", r.silhouette),
-                format!("{:.1}", r.predicted_radio.value()),
-                format!("{:.1}", r.actual_radio.value()),
-                format!("{:.1}%", 100.0 * r.radio_accuracy),
-                format!("{:.2}", r.predicted_computing.as_gigacycles()),
-                format!("{:.2}", r.actual_computing.as_gigacycles()),
-                format!("{:.1}%", 100.0 * r.computing_accuracy),
-            ]
+        .filter_map(|e| match &e.event {
+            Event::IntervalCompleted {
+                interval,
+                k,
+                silhouette,
+                predicted_rb,
+                actual_rb,
+                predicted_gcycles,
+                actual_gcycles,
+                ..
+            } => Some(vec![
+                interval.to_string(),
+                k.to_string(),
+                format!("{silhouette:.3}"),
+                format!("{predicted_rb:.1}"),
+                format!("{actual_rb:.1}"),
+                accuracy(*predicted_rb, *actual_rb),
+                format!("{predicted_gcycles:.2}"),
+                format!("{actual_gcycles:.2}"),
+                accuracy(*predicted_gcycles, *actual_gcycles),
+            ]),
+            _ => None,
         })
         .collect();
     format_table(
@@ -129,6 +145,41 @@ pub fn interval_table(report: &SimulationReport) -> String {
         ],
         &rows,
     )
+}
+
+/// Renders a journal's closing `StageSummary` entries as the stage
+/// latency table, or `None` when it holds none.
+pub fn stage_table(entries: &[Entry]) -> Option<String> {
+    let rows: Vec<Vec<String>> = entries
+        .iter()
+        .filter_map(|e| match &e.event {
+            Event::StageSummary {
+                stage,
+                count,
+                mean_ms,
+                p50_ms,
+                p90_ms,
+                p99_ms,
+                max_ms,
+                total_ms,
+            } => {
+                let mut row = vec![stage.clone(), count.to_string()];
+                row.extend(
+                    [mean_ms, p50_ms, p90_ms, p99_ms, max_ms, total_ms].map(|v| format!("{v:.3}")),
+                );
+                Some(row)
+            }
+            _ => None,
+        })
+        .collect();
+    (!rows.is_empty()).then(|| {
+        format_table(
+            &[
+                "stage", "count", "mean ms", "p50 ms", "p90 ms", "p99 ms", "max ms", "total ms",
+            ],
+            &rows,
+        )
+    })
 }
 
 #[cfg(test)]
@@ -195,8 +246,66 @@ mod tests {
 
     #[test]
     fn interval_table_renders() {
-        let t = interval_table(&report());
-        assert!(t.contains("95.6%"));
-        assert!(t.contains("actual RB"));
+        let completed = Entry {
+            t_ms: 300_000,
+            event: Event::IntervalCompleted {
+                interval: 0,
+                k: 4,
+                silhouette: 0.62,
+                groups: 4,
+                predicted_rb: 120.5,
+                actual_rb: 126.0,
+                predicted_gcycles: 2.1,
+                actual_gcycles: 2.0,
+                qoe: 0.75,
+                hit_ratio: 0.5,
+            },
+        };
+        let started = Entry {
+            t_ms: 0,
+            event: Event::IntervalStarted { interval: 0 },
+        };
+        let t = interval_table(&[started, completed]);
+        let lines: Vec<&str> = t.lines().collect();
+        assert_eq!(lines.len(), 3, "{t}");
+        assert!(lines[0].contains("actual RB"));
+        let cells: Vec<&str> = lines[2].split_whitespace().collect();
+        assert_eq!(
+            cells,
+            ["0", "4", "0.620", "120.5", "126.0", "95.6%", "2.10", "2.00", "95.0%"]
+        );
+    }
+
+    #[test]
+    fn stage_table_prints_the_summary_rows() {
+        let row = Entry {
+            t_ms: 0,
+            event: Event::StageSummary {
+                stage: "scheme_predict".into(),
+                count: 10,
+                mean_ms: 5.5,
+                p50_ms: 5.0,
+                p90_ms: 9.0,
+                p99_ms: 10.0,
+                max_ms: 10.0,
+                total_ms: 55.0,
+            },
+        };
+        let table = stage_table(&[row]).expect("one stage row");
+        let cells: Vec<&str> = table.lines().nth(2).unwrap().split_whitespace().collect();
+        assert_eq!(
+            cells,
+            [
+                "scheme_predict",
+                "10",
+                "5.500",
+                "5.000",
+                "9.000",
+                "10.000",
+                "10.000",
+                "55.000"
+            ]
+        );
+        assert!(stage_table(&[]).is_none());
     }
 }

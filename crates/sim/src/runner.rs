@@ -152,6 +152,10 @@ impl Simulation {
         telemetry.emit(Event::RunStarted {
             scheme: predictor.name().to_string(),
             seed: config.seed,
+            users: config.n_users as u64,
+            intervals: config.n_intervals as u64,
+            threads: pool.threads() as u64,
+            shards: config.shards as u64,
         });
         // A no-op plan builds no runtime: fault hooks stay cold and the
         // run is bit-identical to one with `faults: None`.
@@ -197,14 +201,9 @@ impl Simulation {
         self.now
     }
 
-    /// Name of the scored predictor (run manifests, journals).
+    /// Name of the scored predictor (as journalled in `RunStarted`).
     pub fn predictor_name(&self) -> &'static str {
         self.predictor.name()
-    }
-
-    /// Resolved worker-thread count (after `0` → all available cores).
-    pub fn threads(&self) -> usize {
-        self.pool.threads()
     }
 
     /// The twin store and its shard ownership labels (inspection).
@@ -253,23 +252,36 @@ impl Simulation {
     }
 
     /// Runs the configured schedule — warm-up, then every scored
-    /// interval — marks the run finished on the health board and returns
-    /// the report. The telemetry and health handles stay reachable before
-    /// and after, for a live metrics server and journal exports.
+    /// interval — and [`finish`](Self::finish)es the run. The telemetry
+    /// and health handles stay reachable before and after, for a live
+    /// metrics server and journal exports.
     ///
     /// # Errors
     /// Propagates pipeline errors.
     pub fn run_schedule(&mut self) -> Result<SimulationReport> {
         self.warm_up()?;
-        let mut report = SimulationReport::default();
-        for i in 0..self.config.n_intervals {
-            report.intervals.push(self.run_interval(i)?);
+        let n = self.config.n_intervals;
+        let intervals = (0..n)
+            .map(|i| self.run_interval(i))
+            .collect::<Result<_>>()?;
+        Ok(self.finish(intervals))
+    }
+
+    /// Closes a run: journals one `StageSummary` per span name (the
+    /// run's stage table), marks the run finished on the health board,
+    /// keeping the final interval's signals visible to late scrapes, and
+    /// returns the report over the scored `intervals`.
+    pub fn finish(&self, intervals: Vec<IntervalRecord>) -> SimulationReport {
+        self.telemetry.emit_stage_summary();
+        let mut snapshot = self.health.snapshot();
+        snapshot.state = "finished".to_string();
+        self.health.publish(snapshot);
+        SimulationReport {
+            intervals,
+            telemetry: self.telemetry.summary(),
+            shards: self.store.sharded().then(|| self.store.summary()),
+            slo: self.slo_report(),
         }
-        report.telemetry = self.telemetry.summary();
-        report.shards = self.store.sharded().then(|| self.store.summary());
-        report.slo = self.slo_report();
-        self.finish_health();
-        Ok(report)
     }
 
     /// Runs the configured warm-up intervals: the full pipeline executes
@@ -315,8 +327,8 @@ impl Simulation {
         }
         let handovers = self.collect(scored);
         let predicted = self.predict(scored)?;
-        let (actual, playback_wall_ms) = self.playback(&predicted.outcome, scored);
-        self.observe(scored, predicted, actual, playback_wall_ms, handovers)
+        let actual = self.playback(&predicted.outcome, scored);
+        self.observe(scored, predicted, actual, handovers)
     }
 
     /// Feeds the scored interval's signals to the SLO watchdog and the
@@ -416,14 +428,6 @@ impl Simulation {
     /// [`msvs_telemetry::MetricsServer::bind`] to serve it live.
     pub fn health_board(&self) -> &HealthBoard {
         &self.health
-    }
-
-    /// Marks the run finished on the health board, keeping the final
-    /// interval's signals visible to late scrapes.
-    pub fn finish_health(&self) {
-        let mut snapshot = self.health.snapshot();
-        snapshot.state = "finished".to_string();
-        self.health.publish(snapshot);
     }
 
     /// End-of-run SLO accounting, or `None` without a live policy.
@@ -724,7 +728,6 @@ impl Simulation {
         scored: Option<u64>,
         predicted: Predicted,
         actual: ActualDemand,
-        playback_wall_ms: f64,
         handovers: u64,
     ) -> Result<Option<IntervalRecord>> {
         let actual_radio = ResourceBlocks(actual.radio);
@@ -827,16 +830,15 @@ impl Simulation {
             twin_coverage: degradation.map(|d| d.coverage),
             reservation,
         };
-        self.telemetry.emit(Event::StageCompleted {
-            stage: stages::SCHEME_PREDICT.to_string(),
-            wall_ms: predicted.wall_ms,
-        });
-        self.telemetry.emit(Event::StageCompleted {
-            stage: stages::PLAYBACK.to_string(),
-            wall_ms: playback_wall_ms,
-        });
         self.telemetry.emit(Event::IntervalCompleted {
             interval: index,
+            k: record.k as u64,
+            silhouette: record.silhouette,
+            groups: outcome.groups.len() as u64,
+            predicted_rb: predicted_radio.value(),
+            actual_rb: actual.radio,
+            predicted_gcycles: predicted_computing.as_gigacycles(),
+            actual_gcycles: actual_computing.as_gigacycles(),
             qoe: record.mean_level,
             hit_ratio: self.world.edge().cache().hit_ratio(),
         });
@@ -846,12 +848,8 @@ impl Simulation {
 
     /// Playback phase: the world plays the interval out group by group,
     /// then each member's watch records flow back into its twin. Returns
-    /// the measured demand and the phase's wall time.
-    fn playback(
-        &mut self,
-        outcome: &PredictionOutcome,
-        scored: Option<u64>,
-    ) -> (ActualDemand, f64) {
+    /// the measured demand.
+    fn playback(&mut self, outcome: &PredictionOutcome, scored: Option<u64>) -> ActualDemand {
         let mut playback_scope = self.telemetry.stage_scope(stages::PLAYBACK);
         if let Some(index) = scored {
             playback_scope.set_interval(index);
@@ -871,7 +869,7 @@ impl Simulation {
                 .with_twin_mut(id, |twin| twin.record_watches(self.now, records))
                 .expect("user twin registered at construction");
         }
-        (actual, playback_scope.stop())
+        actual
     }
 }
 

@@ -134,12 +134,7 @@ pub fn render_prometheus(telemetry: &Telemetry) -> String {
             &labels,
             s.count as f64,
         );
-        sample(
-            &mut out,
-            &format!("{STAGE_MS}_sum"),
-            &labels,
-            s.mean_ms * s.count as f64,
-        );
+        sample(&mut out, &format!("{STAGE_MS}_sum"), &labels, s.total_ms);
     }
     out
 }
@@ -436,7 +431,7 @@ mod tests {
     #[test]
     fn exposition_covers_counters_gauges_and_summaries() {
         let t = Telemetry::new();
-        t.counter("events_total", "GroupsFormed").add(3);
+        t.counter("events_total", "IntervalCompleted").add(3);
         t.counter("events_total", "IntervalStarted").add(5);
         t.gauge("par_utilisation", "udt_ingest").set(0.75);
         t.gauge("bare_gauge", "").set(1.5);
@@ -448,7 +443,7 @@ mod tests {
         let text = render_prometheus(&t);
         assert!(text.contains("# TYPE events_total counter"), "{text}");
         assert!(
-            text.contains("events_total{label=\"GroupsFormed\"} 3"),
+            text.contains("events_total{label=\"IntervalCompleted\"} 3"),
             "{text}"
         );
         assert!(text.contains("# TYPE par_utilisation gauge"), "{text}");

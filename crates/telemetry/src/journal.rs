@@ -3,6 +3,11 @@
 //! Events are typed (not free-form strings) so tests can assert on the
 //! exact sequence a simulation emits, and timestamps are **simulation
 //! time** so journals are deterministic for a fixed seed.
+//!
+//! The journal is a run's one record: `RunStarted` carries the run's
+//! shape, each scored interval's `IntervalCompleted` its predicted and
+//! actual demand (the Fig. 3(b) row), and the closing `StageSummary`
+//! rows its exact stage latency.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -10,48 +15,139 @@ use std::sync::{Arc, Mutex};
 
 use crate::json::Json;
 
-/// One structured telemetry event.
-///
-/// The journal holds run-, interval- and decision-level events only.
-/// Per-operation counts (faulted reports, retries, cache serves) live in
-/// counters, so a journal's length does not grow with the population.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Event {
-    /// A simulation run began.
-    RunStarted { scheme: String, seed: u64 },
+/// A field type an event may carry, with its JSON form and its checked
+/// decoder: the encoder never writes a non-finite number (it has no JSON
+/// form) or an integer past `MAX_SAFE_INT`, so the decoder takes neither.
+trait Field: Sized {
+    fn to_json(&self) -> Json;
+    fn decode(obj: &Json, event: &str, key: &str) -> Result<Self, String>;
+}
+
+impl Field for u64 {
+    fn to_json(&self) -> Json {
+        Json::Num(*self as f64)
+    }
+
+    fn decode(obj: &Json, event: &str, key: &str) -> Result<Self, String> {
+        obj.get(key)
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("{event}: field '{key}' must be an integer in [0, 2^53)"))
+    }
+}
+
+impl Field for f64 {
+    fn to_json(&self) -> Json {
+        Json::Num(*self)
+    }
+
+    fn decode(obj: &Json, event: &str, key: &str) -> Result<Self, String> {
+        obj.get(key)
+            .and_then(Json::as_f64)
+            .filter(|v| v.is_finite())
+            .ok_or_else(|| format!("{event}: field '{key}' must be a finite number"))
+    }
+}
+
+impl Field for String {
+    fn to_json(&self) -> Json {
+        Json::Str(self.clone())
+    }
+
+    fn decode(obj: &Json, event: &str, key: &str) -> Result<Self, String> {
+        obj.get(key)
+            .and_then(Json::as_str)
+            .map(str::to_string)
+            .ok_or_else(|| format!("{event}: missing string field '{key}'"))
+    }
+}
+
+/// Declares every event once: its name, its fields and their types.
+/// Generates [`Event`], [`Event::name`] (the JSONL discriminant), the
+/// encoder's field list and the decoder, which requires every field and
+/// checks it by name.
+macro_rules! events {
+    ($($(#[$doc:meta])* $name:ident { $($field:ident: $ty:ty),* $(,)? })*) => {
+        /// One structured telemetry event.
+        ///
+        /// The journal holds run-, interval- and decision-level events
+        /// only. Per-operation counts (faulted reports, retries, cache
+        /// serves) live in counters, so a journal's length does not grow
+        /// with the population or with pretraining.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Event {
+            $($(#[$doc])* $name { $($field: $ty),* },)*
+        }
+
+        impl Event {
+            /// Stable event name used as the JSONL discriminant.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $(Event::$name { .. } => stringify!($name),)*
+                }
+            }
+
+            fn fields(&self) -> Vec<(&'static str, Json)> {
+                match self {
+                    $(Event::$name { $($field),* } => {
+                        vec![$((stringify!($field), Field::to_json($field))),*]
+                    })*
+                }
+            }
+
+            fn from_json(name: &str, obj: &Json) -> Result<Event, String> {
+                match name {
+                    $(stringify!($name) => Ok(Event::$name {
+                        $($field: Field::decode(obj, name, stringify!($field))?),*
+                    }),)*
+                    other => Err(format!("unknown event '{other}'")),
+                }
+            }
+        }
+    };
+}
+
+events! {
+    /// A simulation run began: its scheme, seed and shape (`threads` is
+    /// the resolved worker count).
+    RunStarted {
+        scheme: String,
+        seed: u64,
+        users: u64,
+        intervals: u64,
+        threads: u64,
+        shards: u64,
+    }
     /// A scored interval began.
-    IntervalStarted { interval: u64 },
+    IntervalStarted { interval: u64 }
     /// The UDT collection sweep for an interval finished.
-    CollectionCompleted { interval: u64, users: u64 },
-    /// A named pipeline stage finished (`wall_ms` of host time).
-    StageCompleted { stage: String, wall_ms: f64 },
-    /// The grouping engine produced multicast groups.
-    GroupsFormed {
-        k: u64,
-        silhouette: f64,
-        reward: f64,
-    },
-    /// The scheme predicted aggregate resource demand.
-    DemandPredicted {
-        groups: u64,
-        total_rb: f64,
-        traffic_mb: f64,
-    },
+    CollectionCompleted { interval: u64, users: u64 }
+    /// The grouping DDQN finished pretraining: the episodes it ran, its
+    /// exploration rate after them and the loss of its last minibatch
+    /// (0 when none trained).
+    PretrainCompleted { episodes: u64, epsilon: f64, loss: f64 }
     /// A reservation was scored against realised demand.
     ReservationScored {
         predicted_rb: f64,
         used_rb: f64,
         over_rb: f64,
         under_rb: f64,
-    },
-    /// The DDQN agent completed a training step.
-    TrainingStepped { loss: f64, epsilon: f64 },
-    /// A scored interval finished.
+    }
+    /// A scored interval finished: the served grouping (`k` clusters,
+    /// their silhouette, `groups` predicted), the predicted and actual
+    /// radio (resource blocks) and computing (gigacycles) demand, the
+    /// delivered QoE and the edge cache hit ratio.
     IntervalCompleted {
         interval: u64,
+        k: u64,
+        silhouette: f64,
+        groups: u64,
+        predicted_rb: f64,
+        actual_rb: f64,
+        predicted_gcycles: f64,
+        actual_gcycles: f64,
         qoe: f64,
         hit_ratio: f64,
-    },
+    }
     /// Per-interval fault-injection tallies after the collection sweep.
     FaultsInjected {
         interval: u64,
@@ -61,17 +157,13 @@ pub enum Event {
         rejected: u64,
         retried: u64,
         overflowed: u64,
-    },
+    }
     /// A scheduled churn burst replaced part of the population.
-    ChurnBurst { interval: u64, replaced: u64 },
+    ChurnBurst { interval: u64, replaced: u64 }
     /// The edge cache capacity changed for a brownout window.
-    BrownoutApplied { interval: u64, capacity_scale: f64 },
+    BrownoutApplied { interval: u64, capacity_scale: f64 }
     /// The predictor fell back to its degraded path for an interval.
-    PredictionDegraded {
-        interval: u64,
-        coverage: f64,
-        margin: f64,
-    },
+    PredictionDegraded { interval: u64, coverage: f64, margin: f64 }
     /// A shard went down (crash or partition). `failed_over` counts the
     /// users relabelled to live neighbours (crash only);
     /// `checkpoint_bytes` is the size of the boundary checkpoint.
@@ -81,7 +173,7 @@ pub enum Event {
         mode: String,
         failed_over: u64,
         checkpoint_bytes: u64,
-    },
+    }
     /// A shard came back at the end of its outage window. `recovered`
     /// counts the users in the checkpoint anchoring the resync.
     ShardRestored {
@@ -89,7 +181,7 @@ pub enum Event {
         shard: u64,
         mode: String,
         recovered: u64,
-    },
+    }
     /// An SLO rule crossed from meeting to breaching its objective at
     /// an interval boundary. `value` is the observed signal, `threshold`
     /// the policy bound it violated.
@@ -98,290 +190,26 @@ pub enum Event {
         slo: String,
         value: f64,
         threshold: f64,
-    },
+    }
     /// A previously breached SLO rule returned within its objective.
     SloRecovered {
         interval: u64,
         slo: String,
         value: f64,
         threshold: f64,
-    },
-}
-
-impl Event {
-    /// Stable event name used as the JSONL discriminant.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Event::RunStarted { .. } => "RunStarted",
-            Event::IntervalStarted { .. } => "IntervalStarted",
-            Event::CollectionCompleted { .. } => "CollectionCompleted",
-            Event::StageCompleted { .. } => "StageCompleted",
-            Event::GroupsFormed { .. } => "GroupsFormed",
-            Event::DemandPredicted { .. } => "DemandPredicted",
-            Event::ReservationScored { .. } => "ReservationScored",
-            Event::TrainingStepped { .. } => "TrainingStepped",
-            Event::IntervalCompleted { .. } => "IntervalCompleted",
-            Event::FaultsInjected { .. } => "FaultsInjected",
-            Event::ChurnBurst { .. } => "ChurnBurst",
-            Event::BrownoutApplied { .. } => "BrownoutApplied",
-            Event::PredictionDegraded { .. } => "PredictionDegraded",
-            Event::ShardDown { .. } => "ShardDown",
-            Event::ShardRestored { .. } => "ShardRestored",
-            Event::SloBreached { .. } => "SloBreached",
-            Event::SloRecovered { .. } => "SloRecovered",
-        }
     }
-
-    fn fields(&self) -> Vec<(&'static str, Json)> {
-        match self {
-            Event::RunStarted { scheme, seed } => vec![
-                ("scheme", Json::Str(scheme.clone())),
-                ("seed", Json::Num(*seed as f64)),
-            ],
-            Event::IntervalStarted { interval } => {
-                vec![("interval", Json::Num(*interval as f64))]
-            }
-            Event::CollectionCompleted { interval, users } => vec![
-                ("interval", Json::Num(*interval as f64)),
-                ("users", Json::Num(*users as f64)),
-            ],
-            Event::StageCompleted { stage, wall_ms } => vec![
-                ("stage", Json::Str(stage.clone())),
-                ("wall_ms", Json::Num(*wall_ms)),
-            ],
-            Event::GroupsFormed {
-                k,
-                silhouette,
-                reward,
-            } => vec![
-                ("k", Json::Num(*k as f64)),
-                ("silhouette", Json::Num(*silhouette)),
-                ("reward", Json::Num(*reward)),
-            ],
-            Event::DemandPredicted {
-                groups,
-                total_rb,
-                traffic_mb,
-            } => vec![
-                ("groups", Json::Num(*groups as f64)),
-                ("total_rb", Json::Num(*total_rb)),
-                ("traffic_mb", Json::Num(*traffic_mb)),
-            ],
-            Event::ReservationScored {
-                predicted_rb,
-                used_rb,
-                over_rb,
-                under_rb,
-            } => vec![
-                ("predicted_rb", Json::Num(*predicted_rb)),
-                ("used_rb", Json::Num(*used_rb)),
-                ("over_rb", Json::Num(*over_rb)),
-                ("under_rb", Json::Num(*under_rb)),
-            ],
-            Event::TrainingStepped { loss, epsilon } => {
-                vec![("loss", Json::Num(*loss)), ("epsilon", Json::Num(*epsilon))]
-            }
-            Event::IntervalCompleted {
-                interval,
-                qoe,
-                hit_ratio,
-            } => vec![
-                ("interval", Json::Num(*interval as f64)),
-                ("qoe", Json::Num(*qoe)),
-                ("hit_ratio", Json::Num(*hit_ratio)),
-            ],
-            Event::FaultsInjected {
-                interval,
-                lost,
-                delayed,
-                corrupted,
-                rejected,
-                retried,
-                overflowed,
-            } => vec![
-                ("interval", Json::Num(*interval as f64)),
-                ("lost", Json::Num(*lost as f64)),
-                ("delayed", Json::Num(*delayed as f64)),
-                ("corrupted", Json::Num(*corrupted as f64)),
-                ("rejected", Json::Num(*rejected as f64)),
-                ("retried", Json::Num(*retried as f64)),
-                ("overflowed", Json::Num(*overflowed as f64)),
-            ],
-            Event::ChurnBurst { interval, replaced } => vec![
-                ("interval", Json::Num(*interval as f64)),
-                ("replaced", Json::Num(*replaced as f64)),
-            ],
-            Event::BrownoutApplied {
-                interval,
-                capacity_scale,
-            } => vec![
-                ("interval", Json::Num(*interval as f64)),
-                ("capacity_scale", Json::Num(*capacity_scale)),
-            ],
-            Event::PredictionDegraded {
-                interval,
-                coverage,
-                margin,
-            } => vec![
-                ("interval", Json::Num(*interval as f64)),
-                ("coverage", Json::Num(*coverage)),
-                ("margin", Json::Num(*margin)),
-            ],
-            Event::ShardDown {
-                interval,
-                shard,
-                mode,
-                failed_over,
-                checkpoint_bytes,
-            } => vec![
-                ("interval", Json::Num(*interval as f64)),
-                ("shard", Json::Num(*shard as f64)),
-                ("mode", Json::Str(mode.clone())),
-                ("failed_over", Json::Num(*failed_over as f64)),
-                ("checkpoint_bytes", Json::Num(*checkpoint_bytes as f64)),
-            ],
-            Event::ShardRestored {
-                interval,
-                shard,
-                mode,
-                recovered,
-            } => vec![
-                ("interval", Json::Num(*interval as f64)),
-                ("shard", Json::Num(*shard as f64)),
-                ("mode", Json::Str(mode.clone())),
-                ("recovered", Json::Num(*recovered as f64)),
-            ],
-            Event::SloBreached {
-                interval,
-                slo,
-                value,
-                threshold,
-            }
-            | Event::SloRecovered {
-                interval,
-                slo,
-                value,
-                threshold,
-            } => vec![
-                ("interval", Json::Num(*interval as f64)),
-                ("slo", Json::Str(slo.clone())),
-                ("value", Json::Num(*value)),
-                ("threshold", Json::Num(*threshold)),
-            ],
-        }
-    }
-
-    fn from_json(name: &str, obj: &Json) -> Result<Event, String> {
-        // Every field is required and checked by name: the encoder never
-        // writes a non-finite number (it has no JSON form) or an integer
-        // field past `MAX_SAFE_INT`.
-        let num = |k: &str| {
-            obj.get(k)
-                .and_then(Json::as_f64)
-                .filter(|v| v.is_finite())
-                .ok_or_else(|| format!("{name}: field '{k}' must be a finite number"))
-        };
-        let int = |k: &str| {
-            obj.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("{name}: field '{k}' must be an integer in [0, 2^53)"))
-        };
-        let text = |k: &str| {
-            obj.get(k)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("{name}: missing string field '{k}'"))
-        };
-        Ok(match name {
-            "RunStarted" => Event::RunStarted {
-                scheme: text("scheme")?,
-                seed: int("seed")?,
-            },
-            "IntervalStarted" => Event::IntervalStarted {
-                interval: int("interval")?,
-            },
-            "CollectionCompleted" => Event::CollectionCompleted {
-                interval: int("interval")?,
-                users: int("users")?,
-            },
-            "StageCompleted" => Event::StageCompleted {
-                stage: text("stage")?,
-                wall_ms: num("wall_ms")?,
-            },
-            "GroupsFormed" => Event::GroupsFormed {
-                k: int("k")?,
-                silhouette: num("silhouette")?,
-                reward: num("reward")?,
-            },
-            "DemandPredicted" => Event::DemandPredicted {
-                groups: int("groups")?,
-                total_rb: num("total_rb")?,
-                traffic_mb: num("traffic_mb")?,
-            },
-            "ReservationScored" => Event::ReservationScored {
-                predicted_rb: num("predicted_rb")?,
-                used_rb: num("used_rb")?,
-                over_rb: num("over_rb")?,
-                under_rb: num("under_rb")?,
-            },
-            "TrainingStepped" => Event::TrainingStepped {
-                loss: num("loss")?,
-                epsilon: num("epsilon")?,
-            },
-            "IntervalCompleted" => Event::IntervalCompleted {
-                interval: int("interval")?,
-                qoe: num("qoe")?,
-                hit_ratio: num("hit_ratio")?,
-            },
-            "FaultsInjected" => Event::FaultsInjected {
-                interval: int("interval")?,
-                lost: int("lost")?,
-                delayed: int("delayed")?,
-                corrupted: int("corrupted")?,
-                rejected: int("rejected")?,
-                retried: int("retried")?,
-                overflowed: int("overflowed")?,
-            },
-            "ChurnBurst" => Event::ChurnBurst {
-                interval: int("interval")?,
-                replaced: int("replaced")?,
-            },
-            "BrownoutApplied" => Event::BrownoutApplied {
-                interval: int("interval")?,
-                capacity_scale: num("capacity_scale")?,
-            },
-            "PredictionDegraded" => Event::PredictionDegraded {
-                interval: int("interval")?,
-                coverage: num("coverage")?,
-                margin: num("margin")?,
-            },
-            "ShardDown" => Event::ShardDown {
-                interval: int("interval")?,
-                shard: int("shard")?,
-                mode: text("mode")?,
-                failed_over: int("failed_over")?,
-                checkpoint_bytes: int("checkpoint_bytes")?,
-            },
-            "ShardRestored" => Event::ShardRestored {
-                interval: int("interval")?,
-                shard: int("shard")?,
-                mode: text("mode")?,
-                recovered: int("recovered")?,
-            },
-            "SloBreached" => Event::SloBreached {
-                interval: int("interval")?,
-                slo: text("slo")?,
-                value: num("value")?,
-                threshold: num("threshold")?,
-            },
-            "SloRecovered" => Event::SloRecovered {
-                interval: int("interval")?,
-                slo: text("slo")?,
-                value: num("value")?,
-                threshold: num("threshold")?,
-            },
-            other => return Err(format!("unknown event '{other}'")),
-        })
+    /// One span name's exact latency over the run's closed spans
+    /// (nearest-rank quantiles, [`crate::Telemetry::stage_stats`]), one entry per
+    /// name at the end of a run. The journal's only wall-clock values.
+    StageSummary {
+        stage: String,
+        count: u64,
+        mean_ms: f64,
+        p50_ms: f64,
+        p90_ms: f64,
+        p99_ms: f64,
+        max_ms: f64,
+        total_ms: f64,
     }
 }
 
@@ -540,14 +368,50 @@ impl ParseReport {
 mod tests {
     use super::*;
 
+    fn run_started(seed: u64) -> Event {
+        Event::RunStarted {
+            scheme: "dt-assisted".into(),
+            seed,
+            users: 40,
+            intervals: 2,
+            threads: 2,
+            shards: 1,
+        }
+    }
+
+    fn interval_completed(interval: u64) -> Event {
+        Event::IntervalCompleted {
+            interval,
+            k: 3,
+            silhouette: 0.42,
+            groups: 3,
+            predicted_rb: 120.5,
+            actual_rb: 126.0,
+            predicted_gcycles: 2.1,
+            actual_gcycles: 2.0,
+            qoe: 0.91,
+            hit_ratio: 0.75,
+        }
+    }
+
+    fn stage_summary() -> Event {
+        Event::StageSummary {
+            stage: crate::stages::KMEANS_FIT.into(),
+            count: 4,
+            mean_ms: 1.25,
+            p50_ms: 1.0,
+            p90_ms: 2.0,
+            p99_ms: 2.0,
+            max_ms: 2.0,
+            total_ms: 5.0,
+        }
+    }
+
     fn sample_entries() -> Vec<Entry> {
         vec![
             Entry {
                 t_ms: 0,
-                event: Event::RunStarted {
-                    scheme: "dt-assisted".into(),
-                    seed: 7,
-                },
+                event: run_started(7),
             },
             Entry {
                 t_ms: 300_000,
@@ -555,33 +419,26 @@ mod tests {
             },
             Entry {
                 t_ms: 300_000,
-                event: Event::GroupsFormed {
-                    k: 3,
-                    silhouette: 0.42,
-                    reward: -1.5,
+                event: Event::PretrainCompleted {
+                    episodes: 250,
+                    epsilon: 0.26,
+                    loss: 0.03,
                 },
             },
             Entry {
                 t_ms: 300_500,
-                event: Event::StageCompleted {
-                    stage: crate::stages::KMEANS_FIT.into(),
-                    wall_ms: 1.25,
-                },
-            },
-            Entry {
-                t_ms: 301_000,
-                event: Event::TrainingStepped {
-                    loss: 0.03,
-                    epsilon: 0.2,
+                event: Event::CollectionCompleted {
+                    interval: 1,
+                    users: 40,
                 },
             },
             Entry {
                 t_ms: 600_000,
-                event: Event::IntervalCompleted {
-                    interval: 1,
-                    qoe: 0.91,
-                    hit_ratio: 0.75,
-                },
+                event: interval_completed(1),
+            },
+            Entry {
+                t_ms: 600_000,
+                event: stage_summary(),
             },
         ]
     }
@@ -600,28 +457,16 @@ mod tests {
     #[test]
     fn every_event_variant_round_trips() {
         let variants = vec![
-            Event::RunStarted {
-                scheme: "s".into(),
-                seed: 1,
-            },
+            run_started(1),
             Event::IntervalStarted { interval: 2 },
             Event::CollectionCompleted {
                 interval: 2,
                 users: 40,
             },
-            Event::StageCompleted {
-                stage: crate::stages::CNN_FORWARD.into(),
-                wall_ms: 0.5,
-            },
-            Event::GroupsFormed {
-                k: 4,
-                silhouette: 0.1,
-                reward: 2.0,
-            },
-            Event::DemandPredicted {
-                groups: 4,
-                total_rb: 120.5,
-                traffic_mb: 88.0,
+            Event::PretrainCompleted {
+                episodes: 10,
+                epsilon: 0.5,
+                loss: 0.0,
             },
             Event::ReservationScored {
                 predicted_rb: 100.0,
@@ -629,15 +474,7 @@ mod tests {
                 over_rb: 10.0,
                 under_rb: 0.0,
             },
-            Event::TrainingStepped {
-                loss: 0.03,
-                epsilon: 0.2,
-            },
-            Event::IntervalCompleted {
-                interval: 2,
-                qoe: 0.8,
-                hit_ratio: 0.6,
-            },
+            interval_completed(2),
             Event::FaultsInjected {
                 interval: 2,
                 lost: 10,
@@ -685,6 +522,7 @@ mod tests {
                 value: 1.0,
                 threshold: 0.95,
             },
+            stage_summary(),
         ];
         for event in variants {
             let entry = Entry { t_ms: 42, event };
@@ -708,7 +546,7 @@ mod tests {
         }
         // Hand-damage the middle: drop a field from line 3, garble line 5.
         let mut lines: Vec<String> = journal.to_jsonl().lines().map(str::to_string).collect();
-        lines[2] = lines[2].replace("\"silhouette\":0.42,", "");
+        lines[2] = lines[2].replace("\"epsilon\":0.26,", "");
         lines[4] = "{not json at all".into();
         let damaged = lines.join("\n");
         let (parsed, report) = EventJournal::parse_jsonl_lossy(&damaged);
@@ -745,9 +583,18 @@ mod tests {
         }
         let err = Entry::parse(r#"{"t_ms":1e30,"event":"IntervalStarted","interval":1}"#);
         assert!(err.unwrap_err().contains("'t_ms'"));
-        let err =
-            Entry::parse(r#"{"t_ms":1,"event":"StageCompleted","stage":"x","wall_ms":1e999}"#);
-        assert!(err.unwrap_err().contains("'wall_ms'"));
+        let summary = Entry {
+            t_ms: 1,
+            event: stage_summary(),
+        }
+        .to_json()
+        .to_string();
+        let line = summary.replace("\"max_ms\":2", "\"max_ms\":1e999");
+        assert!(Entry::parse(&line).unwrap_err().contains("'max_ms'"));
+        let line = summary.replace("\"stage\":\"kmeans_fit\",", "");
+        assert!(Entry::parse(&line).unwrap_err().contains("'stage'"));
+        let err = Entry::parse(r#"{"t_ms":1,"event":"StageCompleted","stage":"x"}"#);
+        assert_eq!(err.unwrap_err(), "unknown event 'StageCompleted'");
     }
 
     #[test]

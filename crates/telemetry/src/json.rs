@@ -492,7 +492,7 @@ mod tests {
     #[test]
     fn round_trips_flat_object() {
         let v = Json::obj([
-            ("name", Json::Str("GroupsFormed".into())),
+            ("name", Json::Str("IntervalCompleted".into())),
             ("k", Json::Num(4.0)),
             ("silhouette", Json::Num(0.518)),
             ("ok", Json::Bool(true)),

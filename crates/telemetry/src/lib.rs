@@ -10,8 +10,9 @@
 //!   [`chrome_trace`] for Perfetto / `chrome://tracing`. Closed spans are
 //!   the one record of stage wall time; canonical names in [`stages`].
 //! - [`EventJournal`] — typed [`Event`]s stamped with simulation time,
-//!   exportable as JSONL and parseable back for offline reporting.
-//! - [`RunManifest`] — config, seed, and git version of a run.
+//!   exportable as JSONL and parseable back for offline reporting. It
+//!   is a run's one record: its shape, its per-interval scorecard and,
+//!   via [`Telemetry::emit_stage_summary`], its stage-latency table.
 //!
 //! The [`Telemetry`] handle bundles a registry, a journal, and a span
 //! collector and is cheap to clone into every subsystem;
@@ -23,7 +24,6 @@
 pub mod expo;
 mod journal;
 pub mod json;
-mod manifest;
 mod registry;
 pub mod slo;
 mod span;
@@ -33,7 +33,6 @@ pub mod trace;
 pub use expo::{render_prometheus, HealthBoard, HealthSnapshot, MetricsServer, ShardHealth};
 pub use journal::{Entry, Event, EventJournal, ParseReport};
 pub use json::{Json, MAX_SAFE_INT};
-pub use manifest::RunManifest;
 pub use registry::{Counter, Gauge, Registry};
 pub use slo::{SloEdge, SloPolicy, SloReport, SloSignals, SloTransition, SloWatchdog};
 pub use span::{SpanAttrs, SpanCollector, SpanGuard, SpanRecord, SpanScratch, DRIVER_LANE};
@@ -159,6 +158,23 @@ impl Telemetry {
             .collect()
     }
 
+    /// Journals one [`Event::StageSummary`] per row of
+    /// [`stage_stats`](Self::stage_stats): the run's closing stage table.
+    pub fn emit_stage_summary(&self) {
+        for s in self.stage_stats() {
+            self.emit(Event::StageSummary {
+                stage: s.stage,
+                count: s.count,
+                mean_ms: s.mean_ms,
+                p50_ms: s.p50_ms,
+                p90_ms: s.p90_ms,
+                p99_ms: s.p99_ms,
+                max_ms: s.max_ms,
+                total_ms: s.total_ms,
+            });
+        }
+    }
+
     /// Condenses the span tree and the counters into a
     /// [`TelemetrySummary`].
     pub fn summary(&self) -> TelemetrySummary {
@@ -192,6 +208,8 @@ pub struct StageStats {
     pub p95_ms: f64,
     pub p99_ms: f64,
     pub max_ms: f64,
+    /// Sum of every closed span's duration.
+    pub total_ms: f64,
 }
 
 impl StageStats {
@@ -210,6 +228,7 @@ impl StageStats {
             p95_ms: ms(0.95),
             p99_ms: ms(0.99),
             max_ms: ms(1.0),
+            total_ms: total as f64 / 1e3,
         }
     }
 }
@@ -254,7 +273,7 @@ mod tests {
         t.stage_scope(stages::KMEANS_FIT).stop();
         t.stage_scope(stages::KMEANS_FIT).stop();
         t.stage_scope(stages::CNN_FORWARD).stop();
-        t.counter("events_total", "GroupsFormed").add(2);
+        t.counter("events_total", "IntervalStarted").add(2);
         let s = t.summary();
         assert_eq!(s.stages.len(), 2);
         assert_eq!(s.stages[0].stage, stages::CNN_FORWARD);
@@ -262,7 +281,7 @@ mod tests {
         assert_eq!(s.stages[1].count, 2);
         assert_eq!(
             s.counters,
-            vec![("events_total".to_string(), "GroupsFormed".to_string(), 2)]
+            vec![("events_total".to_string(), "IntervalStarted".to_string(), 2)]
         );
     }
 
@@ -285,6 +304,7 @@ mod tests {
         assert_eq!(s.mean_ms, 50.5);
         assert_eq!((s.p50_ms, s.p90_ms, s.p95_ms), (50.0, 90.0, 95.0));
         assert_eq!((s.p99_ms, s.max_ms), (99.0, 100.0));
+        assert_eq!(s.total_ms, 5050.0);
     }
 
     #[test]
@@ -345,6 +365,40 @@ mod tests {
         drop(open);
         assert_eq!(row(stages::SCHEME_PREDICT).unwrap().count, 2);
         assert_eq!(row(stages::INTERVAL).unwrap().count, 1);
+    }
+
+    #[test]
+    fn stage_summary_journals_one_row_per_span_name() {
+        let t = Telemetry::new();
+        t.stage_scope(stages::KMEANS_FIT).stop();
+        t.stage_scope(stages::KMEANS_FIT).stop();
+        t.stage_scope(stages::CNN_FORWARD).stop();
+        t.set_now_ms(60_000);
+        t.emit_stage_summary();
+        let entries = t.journal().entries();
+        assert!(entries.iter().all(|e| e.t_ms == 60_000));
+        let spans = t.spans();
+        let rows: Vec<(String, u64, f64)> = entries
+            .into_iter()
+            .map(|e| match e.event {
+                Event::StageSummary {
+                    stage,
+                    count,
+                    total_ms,
+                    ..
+                } => (stage, count, total_ms),
+                other => panic!("not a stage row: {other:?}"),
+            })
+            .collect();
+        let fit_us = spans[0].dur_us + spans[1].dur_us;
+        assert_eq!(
+            rows,
+            [
+                (stages::CNN_FORWARD.into(), 1, spans[2].dur_us as f64 / 1e3),
+                (stages::KMEANS_FIT.into(), 2, fit_us as f64 / 1e3),
+            ]
+        );
+        assert_eq!(t.counter("events_total", "StageSummary").get(), 2);
     }
 
     #[test]

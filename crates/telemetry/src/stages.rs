@@ -1,10 +1,11 @@
 //! Canonical pipeline stage names.
 //!
 //! Single source of truth for every stage-name string in the workspace:
-//! span names, `stage_ms{...}` histogram labels, `StageCompleted` journal
-//! payloads, and the `msvs report` table all draw from these constants so
-//! spellings cannot drift between the instrumentation site and the
-//! reporting site.
+//! span names, and through them the `stage_ms{stage}` summary on
+//! `/metrics`, the journal's closing `StageSummary` rows, the `msvs
+//! report` stage table and SLO stage ceilings, all draw from these
+//! constants so spellings cannot drift between the instrumentation site
+//! and the reporting site.
 
 /// One step of the simulated world: every user's mobility, serving BS
 /// and SNR samples for the interval (ground truth, not the system).

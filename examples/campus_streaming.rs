@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!(
         "== per-interval scorecard ==\n{}",
-        report::interval_table(&result)
+        report::interval_table(&sim.telemetry().journal().entries())
     );
     println!(
         "radio accuracy {:.2}% | computing accuracy {:.2}% | multicast saving {:.1}%\n",

@@ -21,8 +21,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         config.n_users, config.n_intervals, config.interval, config.warmup_intervals
     );
     let t0 = std::time::Instant::now();
-    let result = Simulation::run(config)?;
-    println!("{}", report::interval_table(&result));
+    let mut sim = Simulation::new(config)?;
+    let result = sim.run_schedule()?;
+    println!(
+        "{}",
+        report::interval_table(&sim.telemetry().journal().entries())
+    );
     println!(
         "radio demand prediction accuracy : {:.2}% (paper reports 95.04%)",
         100.0 * result.mean_radio_accuracy()

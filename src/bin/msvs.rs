@@ -25,10 +25,7 @@ use msvs::core::ReservationPolicy;
 use msvs::faults::FaultPlan;
 use msvs::shard::ShardCheckpoint;
 use msvs::sim::{report, DemandPredictorKind, Simulation, SimulationConfig};
-use msvs::telemetry::{
-    chrome_trace_with_counters, nearest_rank, Entry, Event, EventJournal, MetricsServer,
-    RunManifest, SloPolicy,
-};
+use msvs::telemetry::{chrome_trace_with_counters, Event, EventJournal, MetricsServer, SloPolicy};
 use msvs::types::VideoCategory;
 use msvs::udt::UdtStore;
 
@@ -149,8 +146,10 @@ fn print_help(out: &mut dyn Write) -> std::io::Result<()> {
          (twins + sync state) as one JSON line; the `--restore` form\n\
          reloads and verifies such a file offline, failing on any line\n\
          that does not re-encode to itself byte for byte.\n\
-         `--journal` writes the telemetry event journal as JSONL (plus a\n\
-         run manifest next to it); `report` pretty-prints such a journal.\n\
+         `--journal` writes the run's one record, the event journal, as\n\
+         JSONL: the run's shape, each scored interval's predicted and\n\
+         actual demand, and the closing stage-latency table. `report`\n\
+         prints the same scorecard and stage table from such a file.\n\
          `--trace` writes the run's hierarchical spans as a Chrome-trace\n\
          JSON file (open in Perfetto or chrome://tracing); every stage\n\
          span carries its exact duration, so the trace is the run's\n\
@@ -323,7 +322,6 @@ fn cmd_run(args: &[String], out: &mut dyn Write) -> Result<(), Box<dyn std::erro
         cfg.validate().map_err(|e| e.to_string())?;
     }
     let with_faults = cfg.faults.as_ref().is_some_and(|p| !p.is_noop());
-    let (n_users, n_intervals, seed) = (cfg.n_users, cfg.n_intervals, cfg.seed);
     // Keep the simulation (rather than `Simulation::run`) so the telemetry
     // handle stays reachable for the metrics server and the exports below.
     let mut sim = Simulation::new(cfg).map_err(|e| e.to_string())?;
@@ -342,7 +340,8 @@ fn cmd_run(args: &[String], out: &mut dyn Write) -> Result<(), Box<dyn std::erro
         None => None,
     };
     let result = sim.run_schedule().map_err(|e| e.to_string())?;
-    writeln!(out, "{}", report::interval_table(&result))?;
+    let entries = sim.telemetry().journal().entries();
+    writeln!(out, "{}", report::interval_table(&entries))?;
     if let Some(shards) = &result.shards {
         writeln!(
             out,
@@ -440,18 +439,7 @@ fn cmd_run(args: &[String], out: &mut dyn Write) -> Result<(), Box<dyn std::erro
     }
     if let Some(path) = flags.value("--journal") {
         std::fs::write(path, sim.telemetry().journal().to_jsonl()).map_err(|e| e.to_string())?;
-        let mut manifest = RunManifest::new(sim.predictor_name(), seed)
-            .with_config("users", n_users)
-            .with_config("intervals", n_intervals)
-            .with_config("threads", sim.threads());
-        for s in &result.telemetry.stages {
-            manifest.add_stage_wall_ms(&s.stage, s.mean_ms * s.count as f64);
-        }
-        let manifest_path = format!("{}.manifest.json", path.trim_end_matches(".jsonl"));
-        manifest
-            .write_to(&manifest_path)
-            .map_err(|e| e.to_string())?;
-        writeln!(out, "wrote {path} and {manifest_path}")?;
+        writeln!(out, "wrote {path}")?;
     }
     if let Some(path) = flags.value("--trace") {
         // Counter events ride along so Perfetto shows gauge time-series
@@ -589,8 +577,8 @@ fn restore_checkpoint(path: &str, out: &mut dyn Write) -> Result<(), Box<dyn std
     Ok(())
 }
 
-/// `msvs report <journal.jsonl>`: stage-latency and event summary of a
-/// journal written by `msvs run --journal`.
+/// `msvs report <journal.jsonl>`: the scorecard, stage-latency table and
+/// event summary of a journal written by `msvs run --journal`.
 fn cmd_report(args: &[String], out: &mut dyn Write) -> Result<(), Box<dyn std::error::Error>> {
     let path = args
         .first()
@@ -602,18 +590,27 @@ fn cmd_report(args: &[String], out: &mut dyn Write) -> Result<(), Box<dyn std::e
         eprintln!("warning: {path}:{line}: skipped malformed line: {err}");
     }
     let entries = journal.entries();
-    if let Some((scheme, seed)) = entries.iter().find_map(|e| match &e.event {
-        Event::RunStarted { scheme, seed } => Some((scheme.clone(), *seed)),
-        _ => None,
-    }) {
+    if let Some(Event::RunStarted {
+        scheme,
+        seed,
+        users,
+        intervals,
+        threads,
+        shards,
+    }) = entries
+        .iter()
+        .map(|e| &e.event)
+        .find(|e| matches!(e, Event::RunStarted { .. }))
+    {
         writeln!(
             out,
-            "run: scheme {scheme}, seed {seed}, {} events\n",
+            "run: scheme {scheme}, seed {seed}, {users} users, {intervals} intervals, \
+             {threads} threads, {shards} shard(s), {} events\n",
             entries.len()
         )?;
     }
-
-    if let Some(table) = stage_table(&entries) {
+    writeln!(out, "{}", report::interval_table(&entries))?;
+    if let Some(table) = report::stage_table(&entries) {
         writeln!(out, "{table}")?;
     }
 
@@ -727,6 +724,7 @@ fn cmd_report(args: &[String], out: &mut dyn Write) -> Result<(), Box<dyn std::e
                 interval,
                 qoe,
                 hit_ratio,
+                ..
             } => Some(vec![
                 interval.to_string(),
                 format!("{:.1}", e.t_ms as f64 / 1000.0),
@@ -757,44 +755,6 @@ fn cmd_report(args: &[String], out: &mut dyn Write) -> Result<(), Box<dyn std::e
         .into());
     }
     Ok(())
-}
-
-/// The stage-latency table of a journal's `StageCompleted` events
-/// (nearest-rank quantiles), or `None` when it holds none.
-fn stage_table(entries: &[Entry]) -> Option<String> {
-    let mut stages: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
-    for e in entries {
-        if let Event::StageCompleted { stage, wall_ms } = &e.event {
-            stages.entry(stage).or_default().push(*wall_ms);
-        }
-    }
-    if stages.is_empty() {
-        return None;
-    }
-    let rows: Vec<Vec<String>> = stages
-        .iter_mut()
-        .map(|(stage, ms)| {
-            let total: f64 = ms.iter().sum();
-            ms.sort_by(f64::total_cmp);
-            let q = |q| format!("{:.3}", nearest_rank(ms, q));
-            vec![
-                stage.to_string(),
-                ms.len().to_string(),
-                format!("{:.3}", total / ms.len() as f64),
-                q(0.50),
-                q(0.90),
-                q(0.99),
-                q(1.0),
-                format!("{total:.3}"),
-            ]
-        })
-        .collect();
-    Some(report::format_table(
-        &[
-            "stage", "count", "mean ms", "p50 ms", "p90 ms", "p99 ms", "max ms", "total ms",
-        ],
-        &rows,
-    ))
 }
 
 fn cmd_swiping(args: &[String], out: &mut dyn Write) -> Result<(), Box<dyn std::error::Error>> {
@@ -872,42 +832,6 @@ mod tests {
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn report_stage_table_takes_nearest_rank_quantiles() {
-        let journal = EventJournal::new();
-        for ms in (1..=10).rev() {
-            journal.record(
-                0,
-                Event::StageCompleted {
-                    stage: "scheme_predict".into(),
-                    wall_ms: f64::from(ms),
-                },
-            );
-        }
-        let table = stage_table(&journal.entries()).expect("one stage row");
-        let row = table
-            .lines()
-            .find(|l| l.contains("scheme_predict"))
-            .expect("scheme_predict row");
-        let cells: Vec<&str> = row.split_whitespace().collect();
-        // stage, count, mean, p50, p90, p99, max, total: rank ceil(q * 10).
-        assert_eq!(
-            cells,
-            [
-                "scheme_predict",
-                "10",
-                "5.500",
-                "5.000",
-                "9.000",
-                "10.000",
-                "10.000",
-                "55.000"
-            ],
-            "{table}"
-        );
-        assert!(stage_table(&[]).is_none());
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub use msvs_shard as shard;
 /// End-to-end simulator ([`msvs_sim`]).
 pub use msvs_sim as sim;
 
-/// Metrics, stage timers, event journal and run manifests
+/// Metrics, stage spans and the event journal
 /// ([`msvs_telemetry`]).
 pub use msvs_telemetry as telemetry;
 

@@ -16,6 +16,10 @@ fn report_into_a_pipe_closed_after_one_line_exits_quietly() {
         Event::RunStarted {
             scheme: "dt-assisted".into(),
             seed: 1,
+            users: 1,
+            intervals: 20_000,
+            threads: 1,
+            shards: 1,
         },
     );
     // Far more table than a pipe buffers, so `msvs` is still writing
@@ -25,6 +29,13 @@ fn report_into_a_pipe_closed_after_one_line_exits_quietly() {
             interval * 1000,
             Event::IntervalCompleted {
                 interval,
+                k: 2,
+                silhouette: 0.5,
+                groups: 2,
+                predicted_rb: 10.0,
+                actual_rb: 12.0,
+                predicted_gcycles: 1.0,
+                actual_gcycles: 1.5,
                 qoe: 0.5,
                 hit_ratio: 0.25,
             },
@@ -107,4 +118,81 @@ fn sharded_checkpoint_restores_and_a_duplicated_line_fails() {
     std::fs::remove_dir_all(&dir).ok();
     assert!(!ok, "a duplicated line must fail the restore");
     assert!(stderr.contains("already checkpointed"), "{stderr}");
+}
+
+/// The table of `text` whose header line starts with `header` (after its
+/// alignment padding), up to the next blank line.
+fn block<'a>(text: &'a str, header: &str) -> Vec<&'a str> {
+    text.lines()
+        .skip_while(|l| !l.trim_start().starts_with(header))
+        .take_while(|l| !l.is_empty())
+        .collect()
+}
+
+/// The journal is the run's one record: `msvs report` on the file that
+/// `msvs run --journal` wrote prints the run's scorecard byte for byte
+/// and a stage row for every span name that ran, and no side file is
+/// written next to the journal.
+#[test]
+fn report_prints_the_run_scorecard_from_its_journal() {
+    let dir = std::env::temp_dir().join(format!("msvs-cli-journal-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("run.jsonl");
+    let msvs = |args: &[&str]| {
+        let output = Command::new(env!("CARGO_BIN_EXE_msvs"))
+            .args(args)
+            .output()
+            .expect("msvs starts");
+        let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+        assert!(output.status.success(), "{args:?}: {stderr}");
+        String::from_utf8(output.stdout).expect("utf-8 stdout")
+    };
+    let path_arg = path.to_str().expect("utf-8 temp path");
+    let run = msvs(&[
+        "run",
+        "--users",
+        "40",
+        "--intervals",
+        "3",
+        "--seed",
+        "5",
+        "--threads",
+        "2",
+        "--journal",
+        path_arg,
+    ]);
+    let report = msvs(&["report", path_arg]);
+    let files: Vec<String> = std::fs::read_dir(&dir)
+        .expect("temp dir lists")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    let journal = std::fs::read_to_string(&path).expect("journal written");
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(files, ["run.jsonl"], "the journal is the only file written");
+
+    let scorecard = block(&run, "interval   K");
+    assert_eq!(scorecard.len(), 2 + 3, "header, rule and three intervals");
+    assert!(scorecard[0].contains("radio acc"), "{run}");
+    assert_eq!(block(&report, "interval   K"), scorecard, "{report}");
+
+    let stage_rows = block(&report, "stage  count").len();
+    let stages: Vec<String> = EventJournal::parse_jsonl(&journal)
+        .expect("journal parses")
+        .entries()
+        .into_iter()
+        .filter_map(|e| match e.event {
+            Event::StageSummary { stage, .. } => Some(stage),
+            _ => None,
+        })
+        .collect();
+    assert!(stages.iter().any(|s| s == "world_step"), "{stages:?}");
+    assert_eq!(stage_rows, 2 + stages.len(), "{report}");
+    for stage in &stages {
+        assert!(
+            report
+                .lines()
+                .any(|l| l.trim_start().starts_with(&format!("{stage} "))),
+            "no stage row for {stage}: {report}"
+        );
+    }
 }

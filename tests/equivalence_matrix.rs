@@ -7,6 +7,8 @@
 //! - The shard count never changes what the pipeline computes (fault-free
 //!   cells, after stripping the shard plane's own observability), nor
 //!   the twins it ends with, revisions and instance nonces included.
+//! - Neither count changes a fault-free journal, entry for entry, beyond
+//!   the run's own shape and the wall-clock stage table.
 //! - A no-op fault plan is no plan, and an empty SLO policy is no policy.
 //! - A reservation policy changes nothing but the reservation it scores.
 //! - Under `bs-crash` the twin population is conserved in every interval.
@@ -24,7 +26,7 @@ use std::sync::OnceLock;
 use msvs::core::{CompressorConfig, GroupingConfig, ReservationPolicy, SchemeConfig};
 use msvs::faults::{Brownout, ChurnBurst, DelaySpec, FaultPlan};
 use msvs::sim::{Simulation, SimulationConfig, SimulationReport};
-use msvs::telemetry::SloPolicy;
+use msvs::telemetry::{Entry, Event, SloPolicy};
 use msvs::types::SimDuration;
 use msvs::udt::UserDigitalTwin;
 
@@ -100,11 +102,13 @@ fn hostile_plan() -> FaultPlan {
 }
 
 /// One cell's outcome: the report (wall-clock timings zeroed), the twin
-/// count after each scored interval and the end-of-run twin snapshot.
+/// count after each scored interval, the end-of-run twin snapshot and
+/// the journal.
 struct Cell {
     report: SimulationReport,
     twins: Vec<usize>,
     snapshot: Vec<UserDigitalTwin>,
+    journal: Vec<Entry>,
 }
 
 /// Runs `cfg` the way [`Simulation::run_schedule`] does, counting twins
@@ -112,21 +116,17 @@ struct Cell {
 fn run(cfg: SimulationConfig) -> Cell {
     let mut sim = Simulation::new(cfg).expect("scenario builds");
     sim.warm_up().expect("warm-up runs");
-    let mut report = SimulationReport::default();
+    let mut intervals = Vec::with_capacity(INTERVALS);
     let mut twins = Vec::with_capacity(INTERVALS);
     for i in 0..INTERVALS {
-        report
-            .intervals
-            .push(sim.run_interval(i).expect("interval runs"));
+        intervals.push(sim.run_interval(i).expect("interval runs"));
         twins.push(sim.store().len());
     }
-    report.telemetry = sim.telemetry().summary();
-    report.shards = sim.store().sharded().then(|| sim.store().summary());
-    report.slo = sim.slo_report();
     Cell {
-        report: strip_wall(report),
+        report: strip_wall(sim.finish(intervals)),
         twins,
         snapshot: sim.store().snapshot(),
+        journal: sim.telemetry().journal().entries(),
     }
 }
 
@@ -140,12 +140,14 @@ fn strip_wall(mut r: SimulationReport) -> SimulationReport {
 }
 
 /// Removes what the shard plane itself adds — its summary, its stages
-/// and its handover counters — leaving only what the pipeline computed.
+/// (and so the count of journalled stage rows) and its handover
+/// counters — leaving only what the pipeline computed.
 fn strip_shard_plane(mut r: SimulationReport) -> SimulationReport {
     r.shards = None;
-    r.telemetry
-        .counters
-        .retain(|(name, _, _)| !name.starts_with("handover"));
+    r.telemetry.counters.retain(|(name, label, _)| {
+        !name.starts_with("handover")
+            && (name.as_str(), label.as_str()) != ("events_total", "StageSummary")
+    });
     r.telemetry
         .stages
         .retain(|s| !s.stage.starts_with("shard_"));
@@ -216,6 +218,62 @@ fn shard_count_never_changes_the_fault_free_twins() {
                 assert_eq!(a.revision(), b.revision(), "{shards} shards: {}", a.user());
                 assert_eq!(a, b, "{shards} shards: twin {}", a.user());
             }
+        }
+    }
+}
+
+/// A journal with what may differ between deployments of one seeded run
+/// blanked: `RunStarted`'s worker and shard counts, the wall-clock fields
+/// of the `StageSummary` rows, and the shard plane's own stage rows.
+fn deployment_free(journal: &[Entry]) -> Vec<Entry> {
+    journal
+        .iter()
+        .filter(|e| !matches!(&e.event, Event::StageSummary { stage, .. } if stage.starts_with("shard_")))
+        .cloned()
+        .map(|mut e| {
+            match &mut e.event {
+                Event::RunStarted {
+                    threads, shards, ..
+                } => (*threads, *shards) = (0, 0),
+                Event::StageSummary {
+                    mean_ms,
+                    p50_ms,
+                    p90_ms,
+                    p99_ms,
+                    max_ms,
+                    total_ms,
+                    ..
+                } => {
+                    for v in [mean_ms, p50_ms, p90_ms, p99_ms, max_ms, total_ms] {
+                        *v = 0.0;
+                    }
+                }
+                _ => {}
+            }
+            e
+        })
+        .collect()
+}
+
+#[test]
+fn thread_and_shard_counts_never_change_the_fault_free_journal() {
+    let m = matrix();
+    let single = deployment_free(&m[&("none", 1, 1)].journal);
+    assert!(single.iter().any(|e| e.event.name() == "StageSummary"));
+    for shards in SHARDS {
+        for threads in THREADS {
+            let journal = &m[&("none", shards, threads)].journal;
+            assert!(
+                matches!(journal[0].event, Event::RunStarted { threads: t, shards: s, .. }
+                    if (t, s) == (threads as u64, shards as u64)),
+                "{:?}",
+                journal[0].event
+            );
+            assert_eq!(
+                deployment_free(journal),
+                single,
+                "{shards} shard(s), {threads} thread(s)"
+            );
         }
     }
 }

@@ -19,11 +19,15 @@ use msvs::telemetry::{EventJournal, Json};
 use msvs::types::SimDuration;
 
 /// Every integer field an event carries, `t_ms` included.
-const INT_FIELDS: [&str; 17] = [
+const INT_FIELDS: [&str; 22] = [
     "t_ms",
     "seed",
-    "interval",
     "users",
+    "intervals",
+    "threads",
+    "shards",
+    "episodes",
+    "interval",
     "k",
     "groups",
     "lost",
@@ -37,6 +41,7 @@ const INT_FIELDS: [&str; 17] = [
     "failed_over",
     "checkpoint_bytes",
     "recovered",
+    "count",
 ];
 
 /// The JSONL journal of a 24-user, 4-shard run under `bs-crash` for four
@@ -74,10 +79,13 @@ fn journal() -> String {
     sim.run_schedule().expect("run completes");
     let text = sim.telemetry().journal().to_jsonl();
     for name in [
+        "RunStarted",
+        "PretrainCompleted",
+        "IntervalCompleted",
         "FaultsInjected",
         "ShardDown",
         "ShardRestored",
-        "StageCompleted",
+        "StageSummary",
     ] {
         assert!(text.contains(name), "the crash run journals {name}");
     }

@@ -201,7 +201,7 @@ fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
 /// The report's stage table is the closed spans, exactly: one row per
 /// span name whose count is its number of spans, and every statistic
 /// the nearest-rank value (or the mean) of their durations, bit for bit.
-/// The journal's `StageCompleted` wall times are those spans' durations.
+/// The journal's closing `StageSummary` rows are that table.
 #[test]
 fn stage_table_is_exact_over_the_closed_spans() {
     let sim = traced_run_of(200, 17, 2, 4);
@@ -254,6 +254,7 @@ fn stage_table_is_exact_over_the_closed_spans() {
             ms(nearest_rank(&us, 0.95)),
             ms(nearest_rank(&us, 0.99)),
             ms(us[n - 1]),
+            ms(total),
         ];
         let got = [
             row.mean_ms,
@@ -262,6 +263,7 @@ fn stage_table_is_exact_over_the_closed_spans() {
             row.p95_ms,
             row.p99_ms,
             row.max_ms,
+            row.total_ms,
         ];
         assert_eq!(
             got.map(f64::to_bits),
@@ -271,23 +273,47 @@ fn stage_table_is_exact_over_the_closed_spans() {
         );
     }
 
-    let journal = sim.telemetry().journal().entries();
-    let journaled: Vec<f64> = journal
-        .iter()
-        .filter_map(|e| match &e.event {
-            Event::StageCompleted { stage, wall_ms } if stage == stages::SCHEME_PREDICT => {
-                Some(*wall_ms)
-            }
+    // Closing the run journals the same table, one row per span name.
+    let report = sim.finish(Vec::new());
+    assert_eq!(report.telemetry.stages, summary.stages);
+    let journaled: Vec<(String, u64, [u64; 6])> = sim
+        .telemetry()
+        .journal()
+        .entries()
+        .into_iter()
+        .filter_map(|e| match e.event {
+            Event::StageSummary {
+                stage,
+                count,
+                mean_ms,
+                p50_ms,
+                p90_ms,
+                p99_ms,
+                max_ms,
+                total_ms,
+            } => Some((
+                stage,
+                count,
+                [mean_ms, p50_ms, p90_ms, p99_ms, max_ms, total_ms].map(f64::to_bits),
+            )),
             _ => None,
         })
         .collect();
-    let scored_predicts: Vec<f64> = by_name(&spans, stages::SCHEME_PREDICT)
+    let table: Vec<(String, u64, [u64; 6])> = summary
+        .stages
         .iter()
-        .filter(|s| s.attrs.interval.is_some())
-        .map(|s| ms(s.dur_us))
+        .map(|s| {
+            (
+                s.stage.clone(),
+                s.count,
+                [
+                    s.mean_ms, s.p50_ms, s.p90_ms, s.p99_ms, s.max_ms, s.total_ms,
+                ]
+                .map(f64::to_bits),
+            )
+        })
         .collect();
-    assert_eq!(journaled.len(), 2);
-    assert_eq!(journaled, scored_predicts, "one wall-time record per stage");
+    assert_eq!(journaled, table, "one journal row per stage-table row");
 }
 
 #[test]

@@ -98,11 +98,17 @@ fn counter_totals_match_single_thread_exactly_under_faults() {
 
 #[test]
 fn thread_count_resolves_before_the_run() {
-    let sim = Simulation::new(seeded_config(1, 4)).expect("scenario builds");
-    assert_eq!(sim.threads(), 4);
+    // `RunStarted`, journalled at construction, records the resolved count.
+    let threads = |requested: usize| {
+        let sim = Simulation::new(seeded_config(1, requested)).expect("scenario builds");
+        match sim.telemetry().journal().entries()[0].event {
+            msvs::telemetry::Event::RunStarted { threads, .. } => threads,
+            ref other => panic!("the journal opens with RunStarted, not {other:?}"),
+        }
+    };
+    assert_eq!(threads(4), 4);
     // `0` resolves to the machine's available parallelism — at least one.
-    let sim = Simulation::new(seeded_config(1, 0)).expect("scenario builds");
-    assert!(sim.threads() >= 1);
+    assert!(threads(0) >= 1);
 }
 
 #[test]

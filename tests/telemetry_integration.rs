@@ -1,5 +1,6 @@
 //! End-to-end telemetry: the event sequence a two-interval simulation
-//! journals, and the stage stats its report embeds.
+//! journals, the scorecard and stage table it carries, and the stage
+//! stats its report embeds.
 
 use msvs::sim::{Simulation, SimulationConfig};
 use msvs::telemetry::{stages, Entry, Event, EventJournal, Json};
@@ -34,17 +35,8 @@ fn two_interval_config(seed: u64) -> SimulationConfig {
 /// Runs warm-up plus both scored intervals, returning the journal entries
 /// and the final report.
 fn run_journaled(seed: u64) -> (Vec<Entry>, msvs::sim::SimulationReport) {
-    let cfg = two_interval_config(seed);
-    let n = cfg.n_intervals;
-    let mut sim = Simulation::new(cfg).expect("scenario builds");
-    sim.warm_up().expect("warm-up runs");
-    let mut report = msvs::sim::SimulationReport::default();
-    for i in 0..n {
-        report
-            .intervals
-            .push(sim.run_interval(i).expect("interval runs"));
-    }
-    report.telemetry = sim.telemetry().summary();
+    let mut sim = Simulation::new(two_interval_config(seed)).expect("scenario builds");
+    let report = sim.run_schedule().expect("run completes");
     (sim.telemetry().journal().entries(), report)
 }
 
@@ -52,29 +44,92 @@ fn run_journaled(seed: u64) -> (Vec<Entry>, msvs::sim::SimulationReport) {
 fn two_interval_run_journals_the_expected_event_sequence() {
     let (entries, report) = run_journaled(31);
 
-    // The run opens with exactly one RunStarted, at simulation time zero.
+    // The run opens with exactly one RunStarted, at simulation time zero,
+    // carrying the run's shape.
     assert_eq!(entries[0].t_ms, 0);
-    assert!(
-        matches!(&entries[0].event, Event::RunStarted { scheme, seed }
-            if scheme == "dt-assisted" && *seed == 31),
-        "first event must be RunStarted, got {:?}",
-        entries[0].event
-    );
+    let threads = match &entries[0].event {
+        Event::RunStarted {
+            scheme,
+            seed: 31,
+            users: 24,
+            intervals: 2,
+            threads,
+            shards: 1,
+        } if scheme == "dt-assisted" => *threads,
+        other => panic!("first event must be this run's RunStarted, got {other:?}"),
+    };
+    assert!(threads >= 1, "the resolved worker count");
     let count = |name: &str| entries.iter().filter(|e| e.event.name() == name).count();
     assert_eq!(count("RunStarted"), 1);
-
+    // Pretraining journals one summary, however many episodes it ran.
+    assert_eq!(count("PretrainCompleted"), 1);
     // One collection sweep per scored interval; warm-up journals none.
     assert_eq!(count("CollectionCompleted"), 2);
     // Scored intervals journal their boundaries; warm-up does not.
     assert_eq!(count("IntervalStarted"), 2);
     assert_eq!(count("IntervalCompleted"), 2);
-    // Each scored interval reports its prediction and playback stages.
-    assert_eq!(count("StageCompleted"), 4);
-    // Every prediction pass (warm-up included) emits one DemandPredicted.
-    assert_eq!(count("DemandPredicted"), 3);
-    // Grouping runs at least once per prediction pass, and many more times
-    // during DDQN pretraining.
-    assert!(count("GroupsFormed") >= 3);
+    // The run closes with one stage row per span name, and journals
+    // nothing else.
+    let stages_run = report.telemetry.stages.len();
+    assert_eq!(count("StageSummary"), stages_run);
+    assert_eq!(entries.len(), 2 + 3 * 2 + stages_run);
+
+    // Each IntervalCompleted is its interval's scorecard row.
+    let scorecard: Vec<&Event> = entries
+        .iter()
+        .map(|e| &e.event)
+        .filter(|e| matches!(e, Event::IntervalCompleted { .. }))
+        .collect();
+    for (event, record) in scorecard.into_iter().zip(&report.intervals) {
+        let Event::IntervalCompleted {
+            interval,
+            k,
+            silhouette,
+            groups,
+            predicted_rb,
+            actual_rb,
+            predicted_gcycles,
+            actual_gcycles,
+            qoe,
+            ..
+        } = event
+        else {
+            unreachable!("filtered above")
+        };
+        assert_eq!(*interval, record.index as u64);
+        assert_eq!((*k, *silhouette), (record.k as u64, record.silhouette));
+        assert!(*groups >= 1 && *groups <= *k);
+        assert_eq!(*predicted_rb, record.predicted_radio.value());
+        assert_eq!(*actual_rb, record.actual_radio.value());
+        assert_eq!(
+            *predicted_gcycles,
+            record.predicted_computing.as_gigacycles()
+        );
+        assert_eq!(*actual_gcycles, record.actual_computing.as_gigacycles());
+        assert_eq!(*qoe, record.mean_level);
+    }
+    // The StageSummary rows are the report's stage table, bit for bit.
+    let rows: Vec<Event> = entries
+        .iter()
+        .filter(|e| e.event.name() == "StageSummary")
+        .map(|e| e.event.clone())
+        .collect();
+    let table: Vec<Event> = report
+        .telemetry
+        .stages
+        .iter()
+        .map(|s| Event::StageSummary {
+            stage: s.stage.clone(),
+            count: s.count,
+            mean_ms: s.mean_ms,
+            p50_ms: s.p50_ms,
+            p90_ms: s.p90_ms,
+            p99_ms: s.p99_ms,
+            max_ms: s.max_ms,
+            total_ms: s.total_ms,
+        })
+        .collect();
+    assert_eq!(rows, table);
 
     // Interval lifecycles nest: Started(0) < Completed(0) < Started(1)
     // < Completed(1), in record order.
@@ -104,6 +159,11 @@ fn two_interval_run_journals_the_expected_event_sequence() {
     );
     // 1 warm-up + 2 scored intervals of 2 minutes each.
     assert_eq!(entries.last().unwrap().t_ms, 3 * 120_000);
+    assert_eq!(
+        entries.last().unwrap().event.name(),
+        "StageSummary",
+        "the stage table closes the run"
+    );
 
     // The report's telemetry summary counts what the journal recorded.
     let events_total: u64 = report
@@ -198,32 +258,53 @@ fn interval_events_sit_inside_their_interval() {
 }
 
 /// The journal holds run-, interval- and decision-level events; single
-/// operations (faulted reports, cache evictions) are counted, never
-/// journalled. So doubling the population of a seeded `bs-crash` run
-/// leaves the journal's count of every event name unchanged.
+/// operations (faulted reports, cache evictions, DDQN training steps,
+/// pretraining episodes) are counted or timed, never journalled. So
+/// quadrupling the population of a seeded `bs-crash` run, or cutting its
+/// pretraining from 250 rounds to 10, leaves the journal's count of
+/// every event name unchanged but the closing stage table's, which has
+/// one row per span name that ran (ten rounds never fill the DDQN's
+/// replay buffer, so no `ddqn_train` span closes).
 #[test]
 fn journal_length_does_not_grow_with_the_population() {
-    let counts = |users: usize| {
+    const INTERVALS: usize = 4;
+    let counts = |users: usize, pretrain_rounds: usize| {
         let cfg = SimulationConfig {
             n_users: users,
-            n_intervals: 4,
+            n_intervals: INTERVALS,
             shards: 4,
             threads: 2,
+            pretrain_rounds,
             faults: Some(msvs::faults::FaultPlan::builtin("bs-crash").expect("builtin")),
             ..two_interval_config(3)
         };
         let mut sim = Simulation::new(cfg).expect("scenario builds");
         let report = sim.run_schedule().expect("run completes");
+        let entries = sim.telemetry().journal().entries();
         let mut counts = std::collections::BTreeMap::new();
-        for e in sim.telemetry().journal().entries() {
+        for e in &entries {
             *counts.entry(e.event.name()).or_insert(0usize) += 1;
         }
-        (counts, report)
+        let span_names = counts.remove("StageSummary").unwrap_or(0);
+        assert_eq!(span_names, report.telemetry.stages.len());
+        assert!(span_names <= stages::ALL.len());
+        (counts, entries.len() - span_names, report)
     };
-    let (small, small_report) = counts(100);
-    let (large, large_report) = counts(200);
+    let (small, small_len, small_report) = counts(100, 250);
+    let (large, large_len, large_report) = counts(400, 250);
+    let (short, short_len, _) = counts(100, 10);
     assert!(small.contains_key("ShardDown") && small.contains_key("FaultsInjected"));
-    assert_eq!(small, large, "journal event counts per name");
+    assert_eq!(
+        small, large,
+        "journal event counts per name, 100 vs 400 users"
+    );
+    assert_eq!(
+        small, short,
+        "journal event counts per name, 250 vs 10 rounds"
+    );
+    assert_eq!(small["PretrainCompleted"], 1);
+    assert_eq!(small["IntervalCompleted"], INTERVALS);
+    assert_eq!((large_len, short_len), (small_len, small_len));
     let faulted = |r: &msvs::sim::SimulationReport| -> u64 {
         r.telemetry
             .counters

@@ -230,15 +230,10 @@ fn metrics_server_has_zero_observer_effect() {
     let quiet = {
         let mut sim = Simulation::new(seeded_config(52, 4, 2, 3)).expect("sim builds");
         sim.warm_up().expect("warm-up runs");
-        let mut report = SimulationReport::default();
-        for i in 0..3 {
-            report
-                .intervals
-                .push(sim.run_interval(i).expect("interval"));
-        }
-        report.telemetry = sim.telemetry().summary();
-        report.shards = sim.store().sharded().then(|| sim.store().summary());
-        strip_wall(report)
+        let intervals = (0..3)
+            .map(|i| sim.run_interval(i).expect("interval"))
+            .collect();
+        strip_wall(sim.finish(intervals))
     };
     let scraped = {
         let mut sim = Simulation::new(seeded_config(52, 4, 2, 3)).expect("sim builds");
@@ -250,21 +245,17 @@ fn metrics_server_has_zero_observer_effect() {
         .expect("server binds an ephemeral port");
         let addr = server.addr();
         sim.warm_up().expect("warm-up runs");
-        let mut report = SimulationReport::default();
+        let mut intervals = Vec::new();
         for i in 0..3 {
-            report
-                .intervals
-                .push(sim.run_interval(i).expect("interval"));
+            intervals.push(sim.run_interval(i).expect("interval"));
             let metrics = expo::http_get(addr, "/metrics").expect("mid-run scrape");
             assert!(metrics.contains("# TYPE events_total counter"));
             let health = expo::http_get(addr, "/healthz").expect("mid-run health scrape");
             assert!(health.contains("\"state\":\"running\""));
         }
-        sim.finish_health();
+        let report = sim.finish(intervals);
         let health = expo::http_get(addr, "/healthz").expect("final health scrape");
         assert!(health.contains("\"state\":\"finished\""));
-        report.telemetry = sim.telemetry().summary();
-        report.shards = sim.store().sharded().then(|| sim.store().summary());
         strip_wall(report)
     };
     assert_eq!(
