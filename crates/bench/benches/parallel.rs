@@ -1,13 +1,15 @@
 //! Serial-vs-parallel wall time for the hot paths behind `msvs-par`: a
-//! full 1000-user reservation interval, batched CNN encoding and the
-//! tiled silhouette kernel. Seeded runs are
+//! full 1000-user reservation interval, one prediction pass, batched CNN
+//! encoding and the tiled silhouette kernel. Seeded runs are
 //! bit-identical at any thread count, so these benches measure pure
 //! wall-time — the speedup is hardware-dependent (single-core machines
 //! show ~1×).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use msvs_bench::archetype_features;
-use msvs_core::{CnnCompressor, CompressorConfig, SchemeConfig};
+use msvs_channel::Link;
+use msvs_core::{CnnCompressor, CompressorConfig, DtAssistedPredictor, SchemeConfig};
+use msvs_edge::{EdgeServer, TranscodeModel};
 use msvs_par::Pool;
 use msvs_sim::{Simulation, SimulationConfig};
 use msvs_types::SimDuration;
@@ -75,6 +77,38 @@ fn bench_interval(c: &mut Criterion) {
     group.finish();
 }
 
+/// One prediction pass (fused feature extraction and CNN encode,
+/// grouping, then the per-group swiping and demand pass) over the twins
+/// of a warmed 1000-user scenario, at the serial pool and the two-worker
+/// pool the repository benchmark configures.
+fn bench_predict(c: &mut Criterion) {
+    let config = thousand_user_config(1);
+    let mut sim = Simulation::new(config.clone()).expect("scenario builds");
+    sim.warm_up().expect("warm-up runs");
+    let edge = EdgeServer::new(config.edge, sim.catalog());
+    let transcode = TranscodeModel::default();
+    let link = Link::new(config.link);
+    let mut group = c.benchmark_group("predict_1000");
+    for threads in [1, 2] {
+        let mut predictor = DtAssistedPredictor::new(SchemeConfig {
+            threads,
+            ..config.scheme.clone()
+        })
+        .expect("scheme config is valid");
+        let mut predict = || {
+            predictor
+                .predict(sim.store(), sim.catalog(), edge.cache(), &transcode, &link)
+                .expect("prediction runs")
+        };
+        // The first pass trains the compressor; time the frozen passes.
+        predict();
+        group.bench_function(BenchmarkId::from_parameter(threads), |b| {
+            b.iter(&mut predict)
+        });
+    }
+    group.finish();
+}
+
 fn bench_encode(c: &mut Criterion) {
     let windows = synthetic_windows(1000, 3);
     let mut comp = CnnCompressor::new(CompressorConfig {
@@ -119,6 +153,6 @@ fn bench_silhouette(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_interval, bench_encode, bench_silhouette
+    targets = bench_interval, bench_predict, bench_encode, bench_silhouette
 }
 criterion_main!(benches);

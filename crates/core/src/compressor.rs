@@ -7,6 +7,7 @@
 //! small embedding; a dense decoder reconstructs the input, providing the
 //! training signal without labels.
 
+use std::borrow::Borrow;
 use std::cell::RefCell;
 
 use msvs_nn::{mse_loss, Adam, Conv1d, Dense, Flatten, Relu, Scratch, Sequential, Tensor};
@@ -233,14 +234,14 @@ impl CnnCompressor {
         Ok(losses)
     }
 
-    /// Encodes windows into clustering features: CNN embedding plus the
-    /// weighted preference vector (see
+    /// Encodes windows (owned or borrowed) into clustering features: CNN
+    /// embedding plus the weighted preference vector (see
     /// [`embedding_features`]). Immutable — safe to call from many threads
     /// on a shared (typically frozen) compressor.
     ///
     /// # Errors
     /// Propagates shape errors from malformed windows.
-    pub fn encode(&self, windows: &[FeatureWindow]) -> Result<Vec<Vec<f64>>> {
+    pub fn encode<W: Borrow<FeatureWindow>>(&self, windows: &[W]) -> Result<Vec<Vec<f64>>> {
         // One scratch arena per worker thread: the pool spawns scoped
         // workers per call, and within a call every batch a worker
         // encodes reuses the same high-water-mark buffers, so the
@@ -259,23 +260,20 @@ impl CnnCompressor {
                 .enumerate()
                 .map(|(i, w)| {
                     let emb = &code[i * embed..(i + 1) * embed];
-                    embedding_features(emb, &w.preference, self.config.preference_weight)
+                    embedding_features(emb, &w.borrow().preference, self.config.preference_weight)
                 })
                 .collect())
         })
     }
 
-    /// Windows per worker batch in [`encode_with`](Self::encode_with).
+    /// Items per worker batch in [`encode_traced`](Self::encode_traced).
     /// Fixed (not derived from the thread count) so the batch fan-out —
     /// and the span tree recording it — is identical at any thread
     /// count.
     pub const ENCODE_BATCH: usize = 32;
 
-    /// Parallel [`encode`](Self::encode): splits `windows` into
-    /// fixed-size batches and encodes them on the pool's workers, merging
-    /// results back in window order. Every network op is independent per
-    /// batch row, so the output is bit-identical to the serial `encode`
-    /// at any thread count.
+    /// Parallel [`encode`](Self::encode) of precomputed windows; see
+    /// [`encode_traced`](Self::encode_traced).
     ///
     /// # Errors
     /// Propagates shape errors from malformed windows.
@@ -284,24 +282,33 @@ impl CnnCompressor {
         windows: &[FeatureWindow],
         pool: &Pool,
     ) -> Result<(Vec<Vec<f64>>, ParStats)> {
-        self.encode_traced(windows, pool, None)
+        self.encode_traced(windows, |w| w, pool, None)
     }
 
-    /// [`encode_with`](Self::encode_with), additionally recording one
-    /// `cnn_encode_batch` span per worker batch into `trace` — a
-    /// `(collector, parent span id)` pair. Worker spans are recorded into
-    /// per-batch scratches and adopted in batch index order after the
-    /// pool joins, so the merged span structure is deterministic.
+    /// Encodes `items` on the pool's workers: splits them into fixed-size
+    /// batches, builds each batch's windows with `window_of` inside the
+    /// worker, encodes the batch and merges results back in item order.
+    /// Every network op is independent per batch row, so the output is
+    /// bit-identical to the serial `encode` of the same windows at any
+    /// thread count.
+    ///
+    /// `window_of` may borrow (`|w| w` over precomputed windows) or build
+    /// (a twin's feature window), so extraction runs on the pool too.
+    /// With `trace` — a `(collector, parent span id)` pair — each batch
+    /// records one `cnn_encode_batch` span into a per-batch scratch,
+    /// adopted in batch index order after the pool joins, so the merged
+    /// span structure is deterministic.
     ///
     /// # Errors
     /// Propagates shape errors from malformed windows.
-    pub fn encode_traced(
+    pub fn encode_traced<'a, T: Sync, W: Borrow<FeatureWindow>>(
         &self,
-        windows: &[FeatureWindow],
+        items: &'a [T],
+        window_of: impl Fn(&'a T) -> W + Sync,
         pool: &Pool,
         trace: Option<(&SpanCollector, u64)>,
     ) -> Result<(Vec<Vec<f64>>, ParStats)> {
-        if windows.is_empty() {
+        if items.is_empty() {
             return Ok((
                 Vec::new(),
                 ParStats {
@@ -312,9 +319,13 @@ impl CnnCompressor {
                 },
             ));
         }
-        let chunks: Vec<&[FeatureWindow]> = windows.chunks(Self::ENCODE_BATCH).collect();
+        let chunks: Vec<&'a [T]> = items.chunks(Self::ENCODE_BATCH).collect();
+        let encode_chunk = |c: &'a [T]| {
+            let windows: Vec<W> = c.iter().map(&window_of).collect();
+            self.encode(&windows)
+        };
         let collector = trace.map(|(c, _)| c);
-        let (encoded, stats) = pool.map_stats(&chunks, |i, c| match collector {
+        let (encoded, stats) = pool.map_stats(&chunks, |i, &c| match collector {
             Some(collector) => {
                 let mut scratch = collector.scratch();
                 let out = scratch.record(
@@ -323,13 +334,13 @@ impl CnnCompressor {
                         batch: Some(i as u64),
                         ..Default::default()
                     },
-                    |_| self.encode(c),
+                    |_| encode_chunk(c),
                 );
                 (out, Some(scratch))
             }
-            None => (self.encode(c), None),
+            None => (encode_chunk(c), None),
         });
-        let mut out = Vec::with_capacity(windows.len());
+        let mut out = Vec::with_capacity(items.len());
         for (part, scratch) in encoded {
             if let (Some((collector, parent)), Some(scratch)) = (trace, scratch) {
                 collector.adopt(Some(parent), scratch);
@@ -532,6 +543,7 @@ mod tests {
                 let (out, _) = comp
                     .encode_traced(
                         &windows,
+                        |w| w,
                         &Pool::new(threads),
                         Some((&collector, parent.id())),
                     )
@@ -555,6 +567,48 @@ mod tests {
             })
             .collect();
         assert_eq!(structures[0], structures[1]);
+    }
+
+    /// The fused path (twin → window → encode, inside each worker batch)
+    /// gives the same features, bit for bit, as `encode_with` on windows
+    /// extracted up front, at any pool size.
+    #[test]
+    fn fused_twin_encode_matches_precomputed_windows() {
+        use msvs_types::{Position, SimTime, UserId};
+        use msvs_udt::UserDigitalTwin;
+        let mut rng = StdRng::seed_from_u64(9);
+        // 70 twins -> 3 batches, the last one partial.
+        let twins: Vec<UserDigitalTwin> = (0..70u32)
+            .map(|u| {
+                let mut twin = UserDigitalTwin::new(UserId(u));
+                // Short histories exercise the window's left padding.
+                for step in 0..u64::from(u % 24) {
+                    let t = SimTime::from_secs(step * 5);
+                    twin.update_channel(t, rng.gen::<f64>() * 30.0);
+                    twin.update_location(
+                        t,
+                        Position::new(rng.gen::<f64>() * 1200.0, rng.gen::<f64>() * 1000.0),
+                    );
+                }
+                twin
+            })
+            .collect();
+        let comp = CnnCompressor::new(config()).unwrap();
+        let window_of = |t: &UserDigitalTwin| t.feature_window(16, 1200.0, 1000.0);
+        let windows: Vec<FeatureWindow> = twins.iter().map(window_of).collect();
+        for threads in [1, 2, 4] {
+            let pool = Pool::new(threads);
+            let (precomputed, _) = comp.encode_with(&windows, &pool).unwrap();
+            let (fused, stats) = comp.encode_traced(&twins, window_of, &pool, None).unwrap();
+            let bits =
+                |f: &[Vec<f64>]| -> Vec<u64> { f.iter().flatten().map(|v| v.to_bits()).collect() };
+            assert_eq!(bits(&fused), bits(&precomputed), "threads={threads}");
+            assert_eq!(fused.len(), twins.len());
+            assert_eq!(
+                stats.tasks,
+                twins.len().div_ceil(CnnCompressor::ENCODE_BATCH)
+            );
+        }
     }
 
     /// FNV-1a over the bit patterns, so a golden value pins every bit.

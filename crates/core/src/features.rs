@@ -1,6 +1,8 @@
 //! Feature assembly: digital-twin windows → network tensors → clustering
 //! features.
 
+use std::borrow::Borrow;
+
 use msvs_nn::Tensor;
 use msvs_types::{Error, Result};
 use msvs_udt::FeatureWindow;
@@ -13,10 +15,11 @@ use msvs_udt::FeatureWindow;
 /// [`Error::ShapeMismatch`] when windows disagree in shape, and
 /// [`Error::ShapeMismatch`] when any value is non-finite — a single NaN
 /// fed forward would poison every embedding in the batch.
-pub fn windows_to_tensor(windows: &[FeatureWindow]) -> Result<Tensor> {
+pub fn windows_to_tensor<W: Borrow<FeatureWindow>>(windows: &[W]) -> Result<Tensor> {
     let first = windows
         .first()
-        .ok_or_else(|| Error::insufficient("at least one feature window"))?;
+        .ok_or_else(|| Error::insufficient("at least one feature window"))?
+        .borrow();
     let channels = first.series.len();
     let len = first.window_len();
     if len == 0 {
@@ -24,6 +27,7 @@ pub fn windows_to_tensor(windows: &[FeatureWindow]) -> Result<Tensor> {
     }
     let mut data = Vec::with_capacity(windows.len() * channels * len);
     for w in windows {
+        let w = w.borrow();
         if w.series.len() != channels || w.window_len() != len {
             return Err(Error::shape(
                 format!("{channels} channels x {len}"),
@@ -82,7 +86,7 @@ mod tests {
 
     #[test]
     fn rejects_empty_and_ragged() {
-        assert!(windows_to_tensor(&[]).is_err());
+        assert!(windows_to_tensor::<FeatureWindow>(&[]).is_err());
         assert!(windows_to_tensor(&[window(4, 8, 0.0), window(4, 9, 0.0)]).is_err());
         assert!(windows_to_tensor(&[window(4, 8, 0.0), window(3, 8, 0.0)]).is_err());
         assert!(windows_to_tensor(&[window(4, 0, 0.0)]).is_err());

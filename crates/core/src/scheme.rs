@@ -2,6 +2,7 @@
 
 use msvs_channel::Link;
 use msvs_edge::{TranscodeModel, VideoCache};
+use msvs_telemetry::{SpanAttrs, SpanCollector, SpanScratch};
 use msvs_types::{CpuCycles, Error, GroupId, ResourceBlocks, Result, UserId};
 use msvs_udt::{TwinView, UserDigitalTwin};
 use msvs_video::Catalog;
@@ -30,6 +31,14 @@ pub enum SnrEstimator {
         /// Number of recent samples averaged.
         window: usize,
     },
+}
+
+impl SnrEstimator {
+    /// Estimates one member's SNR for the coming interval.
+    fn estimate(self, twin: &UserDigitalTwin) -> f64 {
+        let SnrEstimator::RecentMean { window } = self;
+        twin.mean_recent_snr_db(window).unwrap_or(DEFAULT_SNR_DB)
+    }
 }
 
 impl Default for SnrEstimator {
@@ -139,9 +148,10 @@ pub struct SchemeConfig {
     pub snr_estimator: SnrEstimator,
     /// Graceful-degradation policy for stale twin data.
     pub degradation: DegradationConfig,
-    /// Worker threads for the parallel pipeline stages (CNN encode and
-    /// silhouette): `1` = serial, `0` = all available cores. Predictions
-    /// are bit-identical at any thread count.
+    /// Worker threads for the parallel pipeline stages (feature
+    /// extraction with the CNN encode, the silhouette, and the per-group
+    /// swiping and demand pass): `1` = serial, `0` = all available cores.
+    /// Predictions are bit-identical at any thread count.
     pub threads: usize,
     /// Ignored; kept because `e2ebench/` names it; drop at the next
     /// benchmark change. Every pass re-validates every twin.
@@ -304,21 +314,19 @@ impl DtAssistedPredictor {
         self.compressor.thaw();
     }
 
-    /// One twin's feature window per the configured compressor geometry.
-    fn window_of(&self, twin: &UserDigitalTwin) -> msvs_udt::FeatureWindow {
-        twin.feature_window(
+    /// Trains the compressor if it is not yet frozen, freezes it, then
+    /// encodes the whole population, in snapshot order, on the worker
+    /// pool; each worker batch extracts its own twins' feature windows.
+    /// Exports pool utilisation gauges when telemetry is attached.
+    fn encode_population(&mut self, twins: &[UserDigitalTwin]) -> Result<Vec<Vec<f64>>> {
+        let (window, width, height) = (
             self.config.compressor.window,
             self.config.map_width,
             self.config.map_height,
-        )
-    }
-
-    /// Trains the compressor if it is not yet frozen, freezes it, then
-    /// encodes the whole population, in snapshot order, on the worker
-    /// pool. Exports pool utilisation gauges when telemetry is attached.
-    fn encode_population(&mut self, twins: &[UserDigitalTwin]) -> Result<Vec<Vec<f64>>> {
+        );
+        let window_of = move |t: &UserDigitalTwin| t.feature_window(window, width, height);
         if !self.compressor.is_frozen() {
-            let windows: Vec<_> = twins.iter().map(|t| self.window_of(t)).collect();
+            let windows: Vec<_> = twins.iter().map(window_of).collect();
             let _train_scope = self.stage_scope(msvs_telemetry::stages::CNN_TRAIN);
             self.compressor.train(&windows)?;
             self.compressor.freeze();
@@ -331,8 +339,9 @@ impl DtAssistedPredictor {
             .as_ref()
             .zip(forward_scope.as_ref())
             .map(|(t, scope)| (t.span_collector(), scope.id()));
-        let windows: Vec<_> = twins.iter().map(|t| self.window_of(t)).collect();
-        let (features, stats) = self.compressor.encode_traced(&windows, &self.pool, trace)?;
+        let (features, stats) = self
+            .compressor
+            .encode_traced(twins, window_of, &self.pool, trace)?;
         drop(forward_scope);
         if let Some(t) = &self.telemetry {
             t.gauge("par_threads", msvs_telemetry::stages::CNN_FORWARD)
@@ -364,18 +373,13 @@ impl DtAssistedPredictor {
         self.engine.pretrain(&[features], rounds)
     }
 
-    /// Estimates one member's SNR for the coming interval per the
-    /// configured [`SnrEstimator`].
-    fn estimate_snr(&self, twin: &UserDigitalTwin) -> f64 {
-        let SnrEstimator::RecentMean { window } = self.config.snr_estimator;
-        twin.mean_recent_snr_db(window).unwrap_or(DEFAULT_SNR_DB)
-    }
-
     /// Runs one full prediction pass over the twins in `store`.
     ///
     /// Steps: extract feature windows → (train then) encode with the
     /// 1D-CNN → DDQN + K-means++ grouping → per-group swiping abstraction,
     /// preference aggregation, recommendation → radio & computing demand.
+    /// Feature extraction with the encode, and the per-group steps, run on
+    /// the worker pool; the outcome is the same at any thread count.
     ///
     /// # Errors
     /// Returns `InsufficientData` when the store has fewer users than the
@@ -401,74 +405,35 @@ impl DtAssistedPredictor {
         let features = self.encode_population(&twins)?;
         let grouping = self.engine.construct(&features)?;
 
+        let inputs = GroupInputs {
+            config: &self.config,
+            twins: &twins,
+            catalog,
+            cache,
+            transcode,
+            link,
+        };
+        // Groups are independent, so they run on the pool. When tracing,
+        // each group records its spans into a worker scratch, adopted in
+        // group order under the caller's open span (`scheme_predict` in
+        // the simulator), so the span tree is the same at any thread count.
+        let collector = self.telemetry.as_ref().map(|t| t.span_collector());
+        let passes = self.pool.map(&grouping.members(), |gid, member_idx| {
+            let mut scratch = collector.map(SpanCollector::scratch);
+            (inputs.run(gid, member_idx, scratch.as_mut()), scratch)
+        });
+        let parent = collector.and_then(SpanCollector::current);
         let mut swiping = Vec::with_capacity(grouping.k);
         let mut recommendations = Vec::with_capacity(grouping.k);
         let mut groups = Vec::with_capacity(grouping.k);
-        for (gid, member_idx) in grouping.members().into_iter().enumerate() {
-            if member_idx.is_empty() {
-                swiping.push(SwipingAbstraction::new());
-                recommendations.push(recommend_for_group(
-                    catalog,
-                    &[1.0 / 8.0; 8],
-                    &self.config.recommender,
-                )?);
-                continue;
+        for (pass, scratch) in passes {
+            if let (Some(collector), Some(scratch)) = (collector, scratch) {
+                collector.adopt(parent, scratch);
             }
-            let member_twins: Vec<&UserDigitalTwin> =
-                member_idx.iter().map(|&i| &twins[i]).collect();
-            // Swiping abstraction from all members' watch histories.
-            let swiping_scope = self
-                .stage_scope(msvs_telemetry::stages::SWIPING_ABSTRACTION)
-                .map(|s| s.with_group(gid as u64));
-            let mut abstraction = SwipingAbstraction::new();
-            for t in &member_twins {
-                abstraction.ingest(t.watch_series().iter().map(|(_, r)| r));
-            }
-            // Group preference and recommendation pool.
-            let prefs: Vec<&[f64]> = member_twins.iter().map(|t| t.preference()).collect();
-            let group_pref = aggregate_preference(&prefs);
-            let recommendation =
-                recommend_for_group(catalog, &group_pref, &self.config.recommender)?;
-            drop(swiping_scope);
-            // Member channel states and BS attachment (from twin data).
-            let members: Vec<crate::demand::MemberState> = member_twins
-                .iter()
-                .map(|t| {
-                    let snr = self.estimate_snr(t);
-                    let bs =
-                        if !self.config.per_bs_accounting || self.config.bs_positions.is_empty() {
-                            0
-                        } else {
-                            let pos = t.latest_position().unwrap_or(msvs_types::Position::ORIGIN);
-                            pos.nearest(&self.config.bs_positions)
-                                .expect("at least one BS, checked above")
-                                .0
-                        };
-                    crate::demand::MemberState {
-                        user: t.user(),
-                        snr_db: snr,
-                        bs,
-                    }
-                })
-                .collect();
-            let demand_scope = self
-                .stage_scope(msvs_telemetry::stages::DEMAND_PREDICT)
-                .map(|s| s.with_group(gid as u64));
-            let prediction = predict_group_demand(
-                GroupId(gid as u32),
-                &members,
-                &abstraction,
-                &recommendation,
-                catalog,
-                cache,
-                transcode,
-                link,
-                &self.config.demand,
-            )?;
-            drop(demand_scope);
-            swiping.push(abstraction);
-            recommendations.push(recommendation);
-            groups.push(prediction);
+            let pass = pass?;
+            swiping.push(pass.swiping);
+            recommendations.push(pass.recommendation);
+            groups.extend(pass.prediction);
         }
 
         Ok(PredictionOutcome {
@@ -478,6 +443,127 @@ impl DtAssistedPredictor {
             recommendations,
             groups,
         })
+    }
+}
+
+/// What one group's share of a prediction pass reads. Every field is
+/// shared read-only, so the groups of a pass can run in any order.
+struct GroupInputs<'a> {
+    config: &'a SchemeConfig,
+    twins: &'a [UserDigitalTwin],
+    catalog: &'a Catalog,
+    cache: &'a VideoCache,
+    transcode: &'a TranscodeModel,
+    link: &'a Link,
+}
+
+/// One group's share of a prediction pass.
+struct GroupPass {
+    swiping: SwipingAbstraction,
+    recommendation: GroupRecommendation,
+    /// `None` for an empty cluster.
+    prediction: Option<GroupDemandPrediction>,
+}
+
+impl GroupInputs<'_> {
+    /// Swiping abstraction, preference aggregation, recommendation and
+    /// demand of group `gid` (members `member_idx` of the snapshot). An
+    /// empty group gets an empty abstraction, the uniform-preference pool
+    /// and no prediction. With a `scratch`, records the group's
+    /// `swiping_abstraction` and `demand_predict` spans into it.
+    fn run(
+        &self,
+        gid: usize,
+        member_idx: &[usize],
+        mut scratch: Option<&mut SpanScratch>,
+    ) -> Result<GroupPass> {
+        let config = self.config;
+        if member_idx.is_empty() {
+            return Ok(GroupPass {
+                swiping: SwipingAbstraction::new(),
+                recommendation: recommend_for_group(
+                    self.catalog,
+                    &[1.0 / 8.0; 8],
+                    &config.recommender,
+                )?,
+                prediction: None,
+            });
+        }
+        let member_twins: Vec<&UserDigitalTwin> =
+            member_idx.iter().map(|&i| &self.twins[i]).collect();
+        let (swiping, recommendation) = in_span(
+            scratch.as_deref_mut(),
+            msvs_telemetry::stages::SWIPING_ABSTRACTION,
+            gid,
+            || {
+                // Swiping abstraction from all members' watch histories.
+                let mut abstraction = SwipingAbstraction::new();
+                for t in &member_twins {
+                    abstraction.ingest(t.watch_series().iter().map(|(_, r)| r));
+                }
+                // Group preference and recommendation pool.
+                let prefs: Vec<&[f64]> = member_twins.iter().map(|t| t.preference()).collect();
+                let group_pref = aggregate_preference(&prefs);
+                recommend_for_group(self.catalog, &group_pref, &config.recommender)
+                    .map(|recommendation| (abstraction, recommendation))
+            },
+        )?;
+        // Member channel states and BS attachment (from twin data).
+        let members: Vec<crate::demand::MemberState> = member_twins
+            .iter()
+            .map(|t| {
+                let bs = if !config.per_bs_accounting || config.bs_positions.is_empty() {
+                    0
+                } else {
+                    let pos = t.latest_position().unwrap_or(msvs_types::Position::ORIGIN);
+                    pos.nearest(&config.bs_positions)
+                        .expect("at least one BS, checked above")
+                        .0
+                };
+                crate::demand::MemberState {
+                    user: t.user(),
+                    snr_db: config.snr_estimator.estimate(t),
+                    bs,
+                }
+            })
+            .collect();
+        let prediction = in_span(scratch, msvs_telemetry::stages::DEMAND_PREDICT, gid, || {
+            predict_group_demand(
+                GroupId(gid as u32),
+                &members,
+                &swiping,
+                &recommendation,
+                self.catalog,
+                self.cache,
+                self.transcode,
+                self.link,
+                &config.demand,
+            )
+        })?;
+        Ok(GroupPass {
+            swiping,
+            recommendation,
+            prediction: Some(prediction),
+        })
+    }
+}
+
+/// Runs `work`, inside a `name` span carrying `group` when tracing.
+fn in_span<T>(
+    scratch: Option<&mut SpanScratch>,
+    name: &'static str,
+    group: usize,
+    work: impl FnOnce() -> T,
+) -> T {
+    match scratch {
+        Some(scratch) => {
+            let attrs = SpanAttrs {
+                group: Some(group as u64),
+                ..Default::default()
+            };
+            scratch.record(name, attrs, |_| work())
+        }
+        None => work(),
     }
 }
 
@@ -683,6 +769,67 @@ mod tests {
         assert!(dbg.contains(&format!("trained_epochs: {}", 2 * epochs_after_first)));
     }
 
+    /// The pooled group pass changes scheduling only: every bit of the
+    /// outcome (compared through its `Debug` text, which prints each
+    /// float's shortest round-trip form) and the structure of the span
+    /// tree are the same at pools of 1, 2 and 4 threads. Per-BS
+    /// accounting is on so each group's per-BS hold tables run.
+    #[test]
+    fn predict_is_bit_identical_at_any_pool_size() {
+        let store = populated_store(48, 6);
+        let (catalog, cache, transcode, link) = fixtures();
+        let run = |threads: usize| {
+            let mut predictor = DtAssistedPredictor::new(SchemeConfig {
+                grouping: GroupingConfig {
+                    k_min: 2,
+                    k_max: 6,
+                    strategy: crate::grouping::GroupingStrategy::FixedK(5),
+                    ..Default::default()
+                },
+                bs_positions: vec![
+                    msvs_types::Position::new(300.0, 300.0),
+                    msvs_types::Position::new(900.0, 300.0),
+                    msvs_types::Position::new(300.0, 700.0),
+                    msvs_types::Position::new(900.0, 700.0),
+                ],
+                per_bs_accounting: true,
+                threads,
+                ..scheme_config()
+            })
+            .unwrap();
+            let telemetry = msvs_telemetry::Telemetry::new();
+            predictor.attach_telemetry(telemetry.clone());
+            let scope = telemetry.stage_scope(msvs_telemetry::stages::SCHEME_PREDICT);
+            let outcome = predictor
+                .predict(&store, &catalog, &cache, &transcode, &link)
+                .unwrap();
+            let predict_id = scope.id();
+            drop(scope);
+            let spans = telemetry.spans();
+            let per_group: Vec<_> = spans
+                .iter()
+                .filter(|s| {
+                    s.name == msvs_telemetry::stages::SWIPING_ABSTRACTION
+                        || s.name == msvs_telemetry::stages::DEMAND_PREDICT
+                })
+                .collect();
+            assert_eq!(per_group.len(), 2 * outcome.groups.len());
+            assert!(per_group.iter().all(|s| s.parent == Some(predict_id)));
+            let structure: Vec<_> = spans
+                .iter()
+                .map(msvs_telemetry::SpanRecord::structure)
+                .collect();
+            (format!("{outcome:?}"), structure, outcome.groups.len())
+        };
+        let (serial, serial_spans, groups) = run(1);
+        assert!(groups >= 4, "{groups} non-empty groups");
+        for threads in [2, 4] {
+            let (pooled, pooled_spans, _) = run(threads);
+            assert_eq!(pooled, serial, "threads={threads}");
+            assert_eq!(pooled_spans, serial_spans, "threads={threads}");
+        }
+    }
+
     #[test]
     fn archetypes_end_up_separated() {
         // With strongly bimodal users the grouping should mostly separate
@@ -728,11 +875,7 @@ mod snr_estimator_tests {
 
     #[test]
     fn recent_mean_reports_history_average() {
-        let p = DtAssistedPredictor::new(SchemeConfig {
-            snr_estimator: SnrEstimator::RecentMean { window: 64 },
-            ..SchemeConfig::default()
-        })
-        .expect("valid config");
+        let estimator = SnrEstimator::RecentMean { window: 64 };
         // Strong samples while moving away at 4 m/s: the estimate follows
         // the collected channel, not the trajectory.
         let mut twin = UserDigitalTwin::new(UserId(1));
@@ -741,10 +884,10 @@ mod snr_estimator_tests {
             twin.update_channel(t, 20.0);
             twin.update_location(t, Position::new(100.0 + s as f64 * 40.0, 500.0));
         }
-        let snr = p.estimate_snr(&twin);
+        let snr = estimator.estimate(&twin);
         assert!((snr - 20.0).abs() < 1e-9, "mean of identical samples");
         // No channel sample yet: the default.
         let bare = UserDigitalTwin::new(UserId(2));
-        assert_eq!(p.estimate_snr(&bare), DEFAULT_SNR_DB);
+        assert_eq!(estimator.estimate(&bare), DEFAULT_SNR_DB);
     }
 }

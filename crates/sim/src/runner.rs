@@ -840,7 +840,7 @@ impl Simulation {
             predicted_gcycles: predicted_computing.as_gigacycles(),
             actual_gcycles: actual_computing.as_gigacycles(),
             qoe: record.mean_level,
-            hit_ratio: self.world.edge().cache().hit_ratio(),
+            hit_ratio: actual.hit_ratio,
         });
         self.observe_health(index, &record);
         Ok(Some(record))
@@ -1171,6 +1171,39 @@ mod tests {
         };
         assert_eq!(counter("events_total", "IntervalCompleted"), Some(2));
         assert!(counter("edge_serves_total", "cache_hit").unwrap_or(0) > 0);
+    }
+
+    /// `IntervalCompleted.hit_ratio` is the interval's own ratio: the
+    /// change in the edge cache's counts across the interval, not the
+    /// lifetime ratio that includes warm-up and earlier intervals.
+    #[test]
+    fn journalled_hit_ratio_is_the_intervals_own() {
+        let mut sim = Simulation::new(small_config(6)).unwrap();
+        sim.warm_up().unwrap();
+        let mut expected = Vec::new();
+        let mut lifetime = Vec::new();
+        for i in 0..2 {
+            let (hits_before, misses_before) = sim.world.edge().cache().stats();
+            sim.run_interval(i).unwrap();
+            let cache = sim.world.edge().cache();
+            let (hits, misses) = cache.stats();
+            let lookups = hits + misses - hits_before - misses_before;
+            assert!(lookups > 0, "interval {i} served videos");
+            expected.push((hits - hits_before) as f64 / lookups as f64);
+            lifetime.push(cache.hit_ratio());
+        }
+        let journalled: Vec<f64> = sim
+            .telemetry()
+            .journal()
+            .entries()
+            .into_iter()
+            .filter_map(|e| match e.event {
+                Event::IntervalCompleted { hit_ratio, .. } => Some(hit_ratio),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(journalled, expected);
+        assert_ne!(journalled, lifetime, "warm-up lookups are not counted");
     }
 
     #[test]

@@ -71,6 +71,9 @@ pub(crate) struct ActualDemand {
     pub(crate) unicast_radio: f64,
     pub(crate) traffic_mb: f64,
     pub(crate) wasted_mb: f64,
+    /// Edge-cache hit ratio of this interval's lookups alone (0 when the
+    /// interval looked nothing up).
+    pub(crate) hit_ratio: f64,
 }
 
 /// The campus, its base stations and users, the radio link, the video
@@ -228,7 +231,8 @@ impl World {
     /// profiles, and the edge transcodes what its cache misses. `round`
     /// seeds each group's feed draw, and the value `group_scope(group)`
     /// returns is held while that group plays. Returns the measured
-    /// demand and each member's watch records, in group order.
+    /// demand (with the interval's own edge-cache hit ratio) and each
+    /// member's watch records, in group order.
     pub(crate) fn play<G>(
         &mut self,
         outcome: &PredictionOutcome,
@@ -253,6 +257,7 @@ impl World {
         };
         let mut total = ActualDemand::default();
         let mut watches = Vec::new();
+        let (hits_before, misses_before) = self.edge.cache().stats();
 
         for pred in &outcome.groups {
             let gid = pred.group.index();
@@ -359,6 +364,14 @@ impl World {
                     total.unicast_radio += member_traffic_mb[mi] * 1e6 / (eff * rb_bw * interval_s);
                 }
             }
+        }
+        let (hits, misses) = self.edge.cache().stats();
+        let (hits, lookups) = (
+            hits - hits_before,
+            hits + misses - hits_before - misses_before,
+        );
+        if lookups > 0 {
+            total.hit_ratio = hits as f64 / lookups as f64;
         }
         (total, watches)
     }

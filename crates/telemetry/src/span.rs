@@ -130,6 +130,19 @@ impl SpanCollector {
         }
     }
 
+    /// The innermost span open on the driver stack: the parent the next
+    /// [`enter`](Self::enter) would get, and the anchor for adopting
+    /// worker scratches recorded in its place.
+    pub fn current(&self) -> Option<u64> {
+        self.0
+            .inner
+            .lock()
+            .expect("span lock poisoned")
+            .stack
+            .last()
+            .copied()
+    }
+
     /// Closes span `id`, returning its duration in microseconds.
     fn exit(&self, id: u64, attrs: SpanAttrs) -> u64 {
         let end = self.now_us();
@@ -393,6 +406,19 @@ mod tests {
         assert_eq!(spans[3].parent, Some(0));
         assert_eq!(spans[3].attrs.group, Some(1));
         assert!(spans.iter().all(|s| s.lane == DRIVER_LANE));
+    }
+
+    #[test]
+    fn current_is_the_innermost_open_span() {
+        let c = SpanCollector::new();
+        assert_eq!(c.current(), None);
+        let outer = c.enter(stages::INTERVAL);
+        let inner = c.enter(stages::SCHEME_PREDICT);
+        assert_eq!(c.current(), Some(inner.id()));
+        drop(inner);
+        assert_eq!(c.current(), Some(outer.id()));
+        drop(outer);
+        assert_eq!(c.current(), None);
     }
 
     #[test]

@@ -89,6 +89,56 @@ fn span_tree_nests_interval_stage_and_per_item_work() {
         assert!(s.attrs.group.is_some(), "playback_group carries its group");
     }
 
+    // Per-group prediction work runs on the pool and is adopted under
+    // scheme_predict: each swiping_abstraction and demand_predict span
+    // carries its group, in ascending group order, once per non-empty
+    // group of the interval (the journal's IntervalCompleted.groups).
+    let groups_of: std::collections::HashMap<u64, u64> = sim
+        .telemetry()
+        .journal()
+        .entries()
+        .into_iter()
+        .filter_map(|e| match e.event {
+            Event::IntervalCompleted {
+                interval, groups, ..
+            } => Some((interval, groups)),
+            _ => None,
+        })
+        .collect();
+    let predicts = by_name(&spans, stages::SCHEME_PREDICT);
+    assert_eq!(predicts.len(), 3, "1 warm-up + 2 scored prediction passes");
+    for name in [stages::SWIPING_ABSTRACTION, stages::DEMAND_PREDICT] {
+        let per_group = by_name(&spans, name);
+        for s in &per_group {
+            let parent = find(&spans, s.parent.expect("per-group span has a parent"));
+            assert_eq!(
+                parent.name,
+                stages::SCHEME_PREDICT,
+                "{name} nests in predict"
+            );
+            assert!(s.attrs.group.is_some(), "{name} carries its group");
+        }
+        for predict in &predicts {
+            let groups: Vec<u64> = per_group
+                .iter()
+                .filter(|s| s.parent == Some(predict.id))
+                .map(|s| s.attrs.group.unwrap())
+                .collect();
+            assert!(!groups.is_empty(), "{name} under every predict pass");
+            assert!(
+                groups.windows(2).all(|w| w[0] < w[1]),
+                "{name} in ascending group order: {groups:?}"
+            );
+            if let Some(interval) = predict.attrs.interval {
+                assert_eq!(
+                    groups.len() as u64,
+                    groups_of[&interval],
+                    "{name}: one per non-empty group of interval {interval}"
+                );
+            }
+        }
+    }
+
     // Per-batch work: cnn_encode_batch under cnn_forward, with a batch attr.
     let batches = by_name(&spans, stages::CNN_ENCODE_BATCH);
     assert!(!batches.is_empty(), "CNN encode ran in traced batches");
