@@ -1,6 +1,6 @@
 //! Serial-vs-parallel wall time for the hot paths behind `msvs-par`: a
-//! full 1000-user reservation interval, one prediction pass, batched CNN
-//! encoding and the tiled silhouette kernel. Seeded runs are
+//! full 1000-user reservation interval, one prediction pass, CNN
+//! training, batched CNN encoding and the tiled silhouette kernel. Seeded runs are
 //! bit-identical at any thread count, so these benches measure pure
 //! wall-time — the speedup is hardware-dependent (single-core machines
 //! show ~1×).
@@ -129,6 +129,29 @@ fn bench_encode(c: &mut Criterion) {
     group.finish();
 }
 
+/// Full-batch CNN training on 1000 windows with the repository
+/// benchmark's compressor (window 16, 10 epochs), at the serial pool and
+/// the two-worker pool it configures.
+fn bench_train(c: &mut Criterion) {
+    let windows = synthetic_windows(1000, 5);
+    let config = CompressorConfig {
+        window: 16,
+        epochs: 10,
+        ..Default::default()
+    };
+    let mut group = c.benchmark_group("cnn_train_1000");
+    for threads in [1, 2] {
+        let pool = Pool::new(threads);
+        group.bench_with_input(BenchmarkId::from_parameter(threads), &pool, |b, pool| {
+            b.iter_with_setup(
+                || CnnCompressor::new(config).expect("compressor config is valid"),
+                |mut comp| comp.train_with(&windows, pool).expect("training runs"),
+            )
+        });
+    }
+    group.finish();
+}
+
 /// The per-interval silhouette of 1000 users at the two-worker pool the
 /// repository benchmark configures.
 fn bench_silhouette(c: &mut Criterion) {
@@ -153,6 +176,6 @@ fn bench_silhouette(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_interval, bench_predict, bench_encode, bench_silhouette
+    targets = bench_interval, bench_predict, bench_train, bench_encode, bench_silhouette
 }
 criterion_main!(benches);

@@ -198,40 +198,101 @@ impl CnnCompressor {
     }
 
     /// Trains the autoencoder on a batch of windows for
-    /// `config.epochs` epochs; returns the reconstruction loss per epoch.
+    /// `config.epochs` epochs on the caller's thread; returns the
+    /// reconstruction loss per epoch. Bit-identical to
+    /// [`train_with`](Self::train_with) at any pool size.
     ///
     /// # Errors
     /// - [`Error::InvalidConfig`] if the compressor is frozen;
     /// - shape errors from malformed windows.
     pub fn train(&mut self, windows: &[FeatureWindow]) -> Result<Vec<f32>> {
+        Ok(self.train_with(windows, &Pool::serial())?.0)
+    }
+
+    /// Pooled [`train`](Self::train) on precomputed windows; see
+    /// [`train_fused`](Self::train_fused).
+    ///
+    /// # Errors
+    /// As [`train`](Self::train).
+    pub fn train_with(
+        &mut self,
+        windows: &[FeatureWindow],
+        pool: &Pool,
+    ) -> Result<(Vec<f32>, ParStats)> {
+        self.train_fused(windows, |w| w, pool)
+    }
+
+    /// Trains on `items` with the pool's workers: each
+    /// [`ENCODE_BATCH`](Self::ENCODE_BATCH)-item batch builds its windows
+    /// with `window_of` and stacks them inside a worker, then every epoch
+    /// runs the networks' training passes on the pool
+    /// ([`Sequential::forward_train_with`], [`Sequential::backward_with`]).
+    /// The loss and Adam steps run on the caller's thread. No sum changes
+    /// its terms or their order, so the losses and weights are
+    /// bit-identical at any thread count. Returns the loss per epoch and
+    /// the statistics of the training passes' pool calls (a batch below
+    /// the networks' pooled-row minimum trains on the caller's thread and
+    /// reports one thread).
+    ///
+    /// # Errors
+    /// As [`train`](Self::train).
+    pub fn train_fused<'a, T: Sync, W: Borrow<FeatureWindow>>(
+        &mut self,
+        items: &'a [T],
+        window_of: impl Fn(&'a T) -> W + Sync,
+        pool: &Pool,
+    ) -> Result<(Vec<f32>, ParStats)> {
         if self.frozen {
             return Err(Error::invalid_config(
                 "compressor",
                 "cannot train a frozen compressor; call thaw() first",
             ));
         }
-        let x = windows_to_tensor(windows)?;
-        self.check_input(&x)?;
-        let batch = x.shape()[0];
+        if items.is_empty() {
+            return Err(Error::insufficient("at least one feature window"));
+        }
+        let chunks: Vec<&'a [T]> = items.chunks(Self::ENCODE_BATCH).collect();
+        let (parts, _) = pool.map_stats(&chunks, |_, c| {
+            let windows: Vec<W> = c.iter().map(&window_of).collect();
+            windows_to_tensor(&windows)
+        });
+        let mut data = Vec::with_capacity(items.len() * self.config.channels * self.config.window);
+        for part in parts {
+            let part = part?;
+            self.check_input(&part)?;
+            data.extend_from_slice(part.data());
+        }
+        let x = Tensor::from_vec(
+            data,
+            vec![items.len(), self.config.channels, self.config.window],
+        )?;
         let flat_target = x
             .clone()
-            .reshape(vec![batch, self.config.channels * self.config.window])
+            .reshape(vec![items.len(), self.config.channels * self.config.window])
             .expect("same element count");
         let mut losses = Vec::with_capacity(self.config.epochs);
+        let mut stats = ParStats::default();
         for _ in 0..self.config.epochs {
-            let code = self.encoder.forward_train(&x);
-            let recon = self.decoder.forward_train(&code);
+            let (code, s1) = self.encoder.forward_train_with(&x, pool);
+            let (recon, s2) = self.decoder.forward_train_with(&code, pool);
             let (loss, grad) = mse_loss(&recon, &flat_target);
             self.encoder.zero_grad();
             self.decoder.zero_grad();
-            let grad_code = self.decoder.backward(&grad);
-            self.encoder.backward_params(&grad_code);
+            let (grad_code, s3) = self.decoder.backward_with(&grad, pool, true);
+            let grad_code = grad_code.expect("the decoder's input gradient was requested");
+            let (_, s4) = self.encoder.backward_with(&grad_code, pool, false);
+            for s in [s1, s2, s3, s4] {
+                stats.merge(s);
+            }
             self.dec_opt.step(&mut self.decoder);
             self.enc_opt.step(&mut self.encoder);
             losses.push(loss);
             self.trained_epochs += 1;
         }
-        Ok(losses)
+        // The tapes only carry buffers from one epoch to the next.
+        self.encoder.clear_tape();
+        self.decoder.clear_tape();
+        Ok((losses, stats))
     }
 
     /// Encodes windows (owned or borrowed) into clustering features: CNN
@@ -503,6 +564,7 @@ mod tests {
         comp.freeze();
         assert!(comp.is_frozen());
         assert!(comp.train(&windows).is_err());
+        assert!(comp.train_with(&windows, &Pool::new(2)).is_err());
         // Encoding still works while frozen.
         assert!(comp.encode(&windows).is_ok());
         comp.thaw();
@@ -620,22 +682,85 @@ mod tests {
 
     /// Pins training end to end: the loss of every epoch and every bit of
     /// the trained encoder's features. The golden values were captured
-    /// from the naive backward loops the slice kernels replaced.
+    /// from the naive backward loops the slice kernels replaced, on the
+    /// caller's thread. The 40-row batch is below the networks'
+    /// pooled-row minimum, so every pool trains it on the caller's
+    /// thread; `fused_training_matches_training_on_precomputed_windows`
+    /// holds the pooled passes to these serial bits.
     #[test]
     fn seeded_training_matches_golden_bits() {
-        let mut comp = CnnCompressor::new(CompressorConfig {
-            seed: 7,
-            ..config()
-        })
-        .unwrap();
         let (windows, _) = archetype_windows(20, 1);
-        let losses = comp.train(&windows).unwrap();
-        let feats = comp.encode(&windows).unwrap();
-        let loss_digest = bits_digest(losses.iter().map(|l| u64::from(l.to_bits())));
-        let feat_digest = bits_digest(feats.iter().flatten().map(|f| f.to_bits()));
-        assert_eq!(losses[losses.len() - 1].to_bits(), 0x3e4c_43c6);
-        assert_eq!(loss_digest, 0xb83c_51ef_c9e1_60c7);
-        assert_eq!(feat_digest, 0x9a2b_f3bf_2fb0_1525);
+        for threads in [1, 2, 4] {
+            let mut comp = CnnCompressor::new(CompressorConfig {
+                seed: 7,
+                ..config()
+            })
+            .unwrap();
+            let (losses, stats) = comp.train_with(&windows, &Pool::new(threads)).unwrap();
+            assert_eq!(stats.threads, 1, "a 40-row batch trains serially");
+            let feats = comp.encode(&windows).unwrap();
+            let loss_digest = bits_digest(losses.iter().map(|l| u64::from(l.to_bits())));
+            let feat_digest = bits_digest(feats.iter().flatten().map(|f| f.to_bits()));
+            assert_eq!(
+                losses[losses.len() - 1].to_bits(),
+                0x3e4c_43c6,
+                "threads={threads}"
+            );
+            assert_eq!(loss_digest, 0xb83c_51ef_c9e1_60c7, "threads={threads}");
+            assert_eq!(feat_digest, 0x9a2b_f3bf_2fb0_1525, "threads={threads}");
+        }
+    }
+
+    /// `train` is `train_with` on the caller's thread, and pooled or
+    /// fused (twin → window inside each worker batch) training trains the
+    /// same weights as serial training on precomputed windows: identical
+    /// losses and features, bit for bit, on a batch above the pooled-row
+    /// minimum whose last window batch is partial.
+    #[test]
+    fn fused_training_matches_training_on_precomputed_windows() {
+        // 2 * 263 = 526 windows: above the minimum, 17 window batches.
+        let n_per = msvs_nn::network::MIN_POOLED_ROWS / 2 + 7;
+        let (windows, _) = archetype_windows(n_per, 4);
+        let trained = |threads: Option<usize>, fused: bool| {
+            let mut comp = CnnCompressor::new(CompressorConfig {
+                epochs: 3,
+                ..config()
+            })
+            .unwrap();
+            let losses = match (threads, fused) {
+                (None, _) => comp.train(&windows).unwrap(),
+                (Some(t), fused) => {
+                    let pool = Pool::new(t);
+                    let ids: Vec<usize> = (0..windows.len()).collect();
+                    let (losses, stats) = if fused {
+                        comp.train_fused(&ids, |&i| windows[i].clone(), &pool)
+                    } else {
+                        comp.train_with(&windows, &pool)
+                    }
+                    .unwrap();
+                    assert_eq!(stats.threads, t, "training ran on the pool");
+                    losses
+                }
+            };
+            let feats = comp.encode(&windows).unwrap();
+            (
+                losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>(),
+                feats
+                    .iter()
+                    .flatten()
+                    .map(|f| f.to_bits())
+                    .collect::<Vec<_>>(),
+            )
+        };
+        let serial = trained(None, false);
+        for threads in [1, 2, 3, 4] {
+            assert_eq!(trained(Some(threads), false), serial, "threads={threads}");
+            assert_eq!(
+                trained(Some(threads), true),
+                serial,
+                "fused, threads={threads}"
+            );
+        }
     }
 
     #[test]

@@ -314,10 +314,11 @@ impl DtAssistedPredictor {
         self.compressor.thaw();
     }
 
-    /// Trains the compressor if it is not yet frozen, freezes it, then
-    /// encodes the whole population, in snapshot order, on the worker
-    /// pool; each worker batch extracts its own twins' feature windows.
-    /// Exports pool utilisation gauges when telemetry is attached.
+    /// Trains the compressor on the worker pool if it is not yet frozen,
+    /// freezes it, then encodes the whole population, in snapshot order,
+    /// on the pool; in both, each worker batch extracts its own twins'
+    /// feature windows. Exports the pool utilisation gauges of both
+    /// stages when telemetry is attached.
     fn encode_population(&mut self, twins: &[UserDigitalTwin]) -> Result<Vec<Vec<f64>>> {
         let (window, width, height) = (
             self.config.compressor.window,
@@ -326,10 +327,10 @@ impl DtAssistedPredictor {
         );
         let window_of = move |t: &UserDigitalTwin| t.feature_window(window, width, height);
         if !self.compressor.is_frozen() {
-            let windows: Vec<_> = twins.iter().map(window_of).collect();
             let _train_scope = self.stage_scope(msvs_telemetry::stages::CNN_TRAIN);
-            self.compressor.train(&windows)?;
+            let (_, stats) = self.compressor.train_fused(twins, window_of, &self.pool)?;
             self.compressor.freeze();
+            self.export_par_gauges(msvs_telemetry::stages::CNN_TRAIN, stats);
         }
         let forward_scope = self.stage_scope(msvs_telemetry::stages::CNN_FORWARD);
         // When tracing, each worker batch records a cnn_encode_batch span
@@ -343,15 +344,19 @@ impl DtAssistedPredictor {
             .compressor
             .encode_traced(twins, window_of, &self.pool, trace)?;
         drop(forward_scope);
+        self.export_par_gauges(msvs_telemetry::stages::CNN_FORWARD, stats);
+        Ok(features)
+    }
+
+    /// Exports a stage's pool utilisation gauges when telemetry is
+    /// attached.
+    fn export_par_gauges(&self, stage: &'static str, stats: msvs_par::ParStats) {
         if let Some(t) = &self.telemetry {
-            t.gauge("par_threads", msvs_telemetry::stages::CNN_FORWARD)
-                .set(stats.threads as f64);
-            t.gauge("par_utilisation", msvs_telemetry::stages::CNN_FORWARD)
-                .set(stats.utilisation());
-            t.gauge("par_speedup", msvs_telemetry::stages::CNN_FORWARD)
+            t.gauge("par_threads", stage).set(stats.threads as f64);
+            t.gauge("par_utilisation", stage).set(stats.utilisation());
+            t.gauge("par_speedup", stage)
                 .set(stats.effective_parallelism());
         }
-        Ok(features)
     }
 
     /// Pretrains the DDQN grouping agent on the current twin population:

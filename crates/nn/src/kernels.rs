@@ -11,6 +11,8 @@
 //! steady state (same network, same batch shape) a forward pass through
 //! [`crate::Sequential::infer_scratch`] performs zero heap allocations.
 
+use std::ops::Range;
+
 /// Block width (columns of the output) for the GEMM inner loops. One
 /// output block plus one rhs row block stay resident in L1 while the
 /// `p` loop streams over the shared dimension.
@@ -84,6 +86,12 @@ impl Shape {
     /// Always false: shapes have at least one dim by construction.
     pub fn is_empty(&self) -> bool {
         false
+    }
+
+    /// The same shape with its first dim (the batch) set to `batch`.
+    pub(crate) fn with_batch(mut self, batch: usize) -> Self {
+        self.dims[0] = batch;
+        self
     }
 
     /// The dims as an owned vector (for [`Tensor`](crate::Tensor) round-trips).
@@ -224,8 +232,10 @@ fn im2col_rows(
 /// channel, against the weight transposed to `[in_ch * kernel, out_ch]`.
 /// Each lane starts at `bias[oc]` and adds terms in `ic`-major /
 /// `k`-minor order with no zero skip — the exact sequence of the direct
-/// 5-deep loop, hence bit-identical. `work` holds the patch, the
-/// transposed weight and the lanes.
+/// 5-deep loop, hence bit-identical. `work` holds every row's patch
+/// (row-major, `batch · out_len · in_ch · kernel` values at its front,
+/// where [`conv1d_param_grads`] reads them after a training forward pass),
+/// the transposed weight and the lanes.
 #[allow(clippy::too_many_arguments)]
 pub fn conv1d_infer(
     input: &[f32],
@@ -246,18 +256,21 @@ pub fn conv1d_infer(
     debug_assert_eq!(weight.len(), out_ch * ick);
     debug_assert_eq!(bias.len(), out_ch);
     debug_assert_eq!(out.len(), batch * out_ch * out_len);
-    work.clear();
-    work.resize(out_len * ick + ick * out_ch + out_ch, 0.0);
-    let (patch, rest) = work.split_at_mut(out_len * ick);
+    // Every region is written before it is read, so a reused buffer
+    // needs no zero fill.
+    let patches_len = batch * out_len * ick;
+    work.resize(patches_len + ick * out_ch + out_ch, 0.0);
+    let (patches, rest) = work.split_at_mut(patches_len);
     let (w_t, lanes) = rest.split_at_mut(ick * out_ch);
     for (oc, w_row) in weight.chunks_exact(ick).enumerate() {
         for (p, &wv) in w_row.iter().enumerate() {
             w_t[p * out_ch + oc] = wv;
         }
     }
-    for (x, dst) in input
+    for ((x, dst), patch) in input
         .chunks_exact(in_ch * in_len)
         .zip(out.chunks_exact_mut(out_ch * out_len))
+        .zip(patches.chunks_exact_mut(out_len * ick))
     {
         im2col_rows(x, patch, in_ch, in_len, kernel, stride, out_len);
         for (t, p_row) in patch.chunks_exact(ick).enumerate() {
@@ -274,46 +287,51 @@ pub fn conv1d_infer(
     }
 }
 
-/// Dense parameter gradients: `w_grad[o, i] += Σ_b g[b, o] · input[b, i]`
-/// and `b_grad[o] += Σ_b g[b, o]`, with `g = grad_out[batch, out_dim]`.
+/// Dense parameter gradients of the output units `units`:
+/// `w_grad[o, i] += Σ_b g[b, o] · input[b, i]` and `b_grad[o] += Σ_b g[b, o]`
+/// for `o` in `units`, with `g = grad_out[batch, out_dim]`.
 ///
-/// Each weight-gradient sum starts from `0.0` in its own accumulator,
-/// skips `g == 0.0` terms and adds them in increasing `b`; the finished
-/// sum is then added to `w_grad`. Bias gradients add every term, zeros
+/// `rows` yields the batch as `(input, grad_out)` row blocks in batch
+/// order, and `w_grad`/`b_grad` hold only the rows of `units`. Each
+/// weight-gradient sum starts from `0.0` in its own accumulator, skips
+/// `g == 0.0` terms and adds them in increasing `b`; the finished sum is
+/// then added to `w_grad`. Bias gradients add every term, zeros
 /// included, straight into `b_grad` in increasing `b`. That is the term
 /// sequence of the naive zero-skip product of `grad_out`'s transpose and
 /// `input`, followed by an axpy and a row-sum loop, so results are
-/// bit-identical to it; walking `b` outermost keeps one input row hot
-/// across all `o` without building the transpose.
-pub fn dense_param_grads(
-    input: &[f32],
-    grad_out: &[f32],
+/// bit-identical to it however the batch is blocked and the units are
+/// split: no element's sum depends on another unit or on a block edge.
+/// Walking `b` outermost keeps one input row hot across the units
+/// without building the transpose.
+pub fn dense_param_grads<'a>(
+    rows: impl IntoIterator<Item = (&'a [f32], &'a [f32])>,
     w_grad: &mut [f32],
     b_grad: &mut [f32],
-    batch: usize,
     in_dim: usize,
     out_dim: usize,
+    units: Range<usize>,
 ) {
-    debug_assert_eq!(input.len(), batch * in_dim);
-    debug_assert_eq!(grad_out.len(), batch * out_dim);
-    debug_assert_eq!(w_grad.len(), out_dim * in_dim);
-    debug_assert_eq!(b_grad.len(), out_dim);
-    let mut dw = vec![0.0f32; out_dim * in_dim];
-    for (x, g_row) in input
-        .chunks_exact(in_dim)
-        .zip(grad_out.chunks_exact(out_dim))
-    {
-        for ((&g, d_row), bg) in g_row
-            .iter()
-            .zip(dw.chunks_exact_mut(in_dim))
-            .zip(b_grad.iter_mut())
+    debug_assert_eq!(w_grad.len(), units.len() * in_dim);
+    debug_assert_eq!(b_grad.len(), units.len());
+    let mut dw = vec![0.0f32; units.len() * in_dim];
+    for (input, grad_out) in rows {
+        debug_assert_eq!(input.len() / in_dim, grad_out.len() / out_dim);
+        for (x, g_row) in input
+            .chunks_exact(in_dim)
+            .zip(grad_out.chunks_exact(out_dim))
         {
-            *bg += g;
-            if g == 0.0 {
-                continue;
-            }
-            for (d, &xv) in d_row.iter_mut().zip(x) {
-                *d += g * xv;
+            for ((&g, d_row), bg) in g_row[units.clone()]
+                .iter()
+                .zip(dw.chunks_exact_mut(in_dim))
+                .zip(b_grad.iter_mut())
+            {
+                *bg += g;
+                if g == 0.0 {
+                    continue;
+                }
+                for (d, &xv) in d_row.iter_mut().zip(x) {
+                    *d += g * xv;
+                }
             }
         }
     }
@@ -322,54 +340,51 @@ pub fn dense_param_grads(
     }
 }
 
-/// Conv1d parameter gradients over `input[batch, in_ch, in_len]` and
-/// `grad_out[batch, out_ch, out_len]`: for every non-zero
-/// `g = grad_out[b][oc][t]`, `b_grad[oc] += g` and
-/// `w_grad[oc][ic][k] += g · input[b][ic][t · stride + k]`.
+/// Conv1d parameter gradients of the output channels `units`: for every
+/// non-zero `g = grad_out[b][oc][t]` with `oc` in `units`,
+/// `b_grad[oc] += g` and `w_grad[oc][ic][k] += g · input[b][ic][t · stride + k]`.
 ///
-/// Terms go straight into `w_grad` and `b_grad` (no separate
+/// `rows` yields the batch as `(patches, grad_out)` row blocks in batch
+/// order: `patches` is the im2col expansion of the block's input that
+/// [`conv1d_infer`] leaves at the front of its workspace (`out_len` rows
+/// of `ick = in_ch · kernel` values per batch row), and `grad_out` is
+/// `[rows, out_ch, out_len]`. `w_grad`/`b_grad` hold only the rows of
+/// `units`. Terms go straight into `w_grad` and `b_grad` (no separate
 /// accumulator) in batch-major, then increasing-`t` order, skipping
 /// `g == 0.0`: the sequence of the direct `b/oc/t/ic/k` loop, hence
-/// bit-identical to it. Each batch row is unrolled into an im2col patch
-/// (see [`conv1d_infer`]) so one `(oc, t)` term is a contiguous axpy of
-/// an `in_ch · kernel` patch row into the `oc` weight row.
-#[allow(clippy::too_many_arguments)]
-pub fn conv1d_param_grads(
-    input: &[f32],
-    grad_out: &[f32],
+/// bit-identical to it however the batch is blocked and the channels are
+/// split. One `(oc, t)` term is a contiguous axpy of a patch row into
+/// the `oc` weight row.
+pub fn conv1d_param_grads<'a>(
+    rows: impl IntoIterator<Item = (&'a [f32], &'a [f32])>,
     w_grad: &mut [f32],
     b_grad: &mut [f32],
-    batch: usize,
-    in_ch: usize,
-    in_len: usize,
+    ick: usize,
     out_ch: usize,
-    kernel: usize,
-    stride: usize,
     out_len: usize,
+    units: Range<usize>,
 ) {
-    let ick = in_ch * kernel;
-    debug_assert_eq!(input.len(), batch * in_ch * in_len);
-    debug_assert_eq!(grad_out.len(), batch * out_ch * out_len);
-    debug_assert_eq!(w_grad.len(), out_ch * ick);
-    debug_assert_eq!(b_grad.len(), out_ch);
-    let mut patch = vec![0.0f32; out_len * ick];
-    for (x, g_b) in input
-        .chunks_exact(in_ch * in_len)
-        .zip(grad_out.chunks_exact(out_ch * out_len))
-    {
-        im2col_rows(x, &mut patch, in_ch, in_len, kernel, stride, out_len);
-        for ((g_row, w_row), bg) in g_b
-            .chunks_exact(out_len)
-            .zip(w_grad.chunks_exact_mut(ick))
-            .zip(b_grad.iter_mut())
+    debug_assert_eq!(w_grad.len(), units.len() * ick);
+    debug_assert_eq!(b_grad.len(), units.len());
+    let own = units.start * out_len..units.end * out_len;
+    for (patches, grad_out) in rows {
+        for (patch, g_b) in patches
+            .chunks_exact(out_len * ick)
+            .zip(grad_out.chunks_exact(out_ch * out_len))
         {
-            for (&g, p_row) in g_row.iter().zip(patch.chunks_exact(ick)) {
-                if g == 0.0 {
-                    continue;
-                }
-                *bg += g;
-                for (w, &pv) in w_row.iter_mut().zip(p_row) {
-                    *w += g * pv;
+            for ((g_row, w_row), bg) in g_b[own.clone()]
+                .chunks_exact(out_len)
+                .zip(w_grad.chunks_exact_mut(ick))
+                .zip(b_grad.iter_mut())
+            {
+                for (&g, p_row) in g_row.iter().zip(patch.chunks_exact(ick)) {
+                    if g == 0.0 {
+                        continue;
+                    }
+                    *bg += g;
+                    for (w, &pv) in w_row.iter_mut().zip(p_row) {
+                        *w += g * pv;
+                    }
                 }
             }
         }
@@ -588,6 +603,41 @@ mod tests {
         grad_in
     }
 
+    /// Ragged contiguous ranges covering `0..n`, sizes cycling through
+    /// 1, 2, 3, … from `first`: the uneven row blocks and unit blocks a
+    /// pooled training pass can hand its workers.
+    fn ragged(n: usize, first: usize) -> Vec<Range<usize>> {
+        let mut out = Vec::new();
+        let (mut lo, mut size) = (0, first.max(1));
+        while lo < n {
+            let hi = (lo + size).min(n);
+            out.push(lo..hi);
+            lo = hi;
+            size = size % 3 + 1;
+        }
+        out
+    }
+
+    /// Runs a parameter-gradient kernel the way the pooled backward pass
+    /// does: the batch in ragged row blocks, the units in ragged blocks,
+    /// each unit block accumulating into its own copy of its gradient
+    /// rows, written back afterwards.
+    fn blocked_param_grads(
+        w_grad: &mut [f32],
+        b_grad: &mut [f32],
+        units: usize,
+        per_unit: usize,
+        kernel: impl Fn(&mut [f32], &mut [f32], Range<usize>),
+    ) {
+        for r in ragged(units, 2) {
+            let (w, b) = (r.start * per_unit..r.end * per_unit, r.clone());
+            let (mut w_own, mut b_own) = (w_grad[w.clone()].to_vec(), b_grad[b.clone()].to_vec());
+            kernel(&mut w_own, &mut b_own, r);
+            w_grad[w].copy_from_slice(&w_own);
+            b_grad[b].copy_from_slice(&b_own);
+        }
+    }
+
     fn assert_bits_eq(a: &[f32], b: &[f32], what: &str) {
         assert_eq!(a.len(), b.len(), "{what}: length");
         for (i, (x, y)) in a.iter().zip(b).enumerate() {
@@ -706,14 +756,32 @@ mod tests {
                 in_dim,
                 out_dim,
             );
+            let (mut split_w, mut split_b) = (w_grad.clone(), b_grad.clone());
             let (mut got_w, mut got_b) = (w_grad, b_grad);
             dense_param_grads(
-                &input, &grad_out, &mut got_w, &mut got_b, batch, in_dim, out_dim,
+                [(&input[..], &grad_out[..])],
+                &mut got_w,
+                &mut got_b,
+                in_dim,
+                out_dim,
+                0..out_dim,
             );
+            let row_blocks = ragged(batch, 3);
+            blocked_param_grads(&mut split_w, &mut split_b, out_dim, in_dim, |w, b, r| {
+                let rows = row_blocks.iter().map(|rb| {
+                    (
+                        &input[rb.start * in_dim..rb.end * in_dim],
+                        &grad_out[rb.start * out_dim..rb.end * out_dim],
+                    )
+                });
+                dense_param_grads(rows, w, b, in_dim, out_dim, r);
+            });
             let mut got_in = vec![f32::NAN; batch * in_dim];
             gemm_zero_skip(&grad_out, &weight, &mut got_in, batch, out_dim, in_dim);
             assert_bits_eq(&got_w, &want_w, &format!("{what} weight grad"));
             assert_bits_eq(&got_b, &want_b, &format!("{what} bias grad"));
+            assert_bits_eq(&split_w, &want_w, &format!("{what} blocked weight grad"));
+            assert_bits_eq(&split_b, &want_b, &format!("{what} blocked bias grad"));
             assert_bits_eq(&got_in, &want_in, &format!("{what} input grad"));
         }
     }
@@ -767,11 +835,37 @@ mod tests {
                 stride,
                 out_len,
             );
+            let ick = in_ch * kernel;
+            let mut patches = vec![0.0f32; batch * out_len * ick];
+            for (x, p) in input
+                .chunks_exact(in_ch * in_len)
+                .zip(patches.chunks_exact_mut(out_len * ick))
+            {
+                im2col_rows(x, p, in_ch, in_len, kernel, stride, out_len);
+            }
+            let (mut split_w, mut split_b) = (w_grad.clone(), b_grad.clone());
             let (mut got_w, mut got_b) = (w_grad, b_grad);
             conv1d_param_grads(
-                &input, &grad_out, &mut got_w, &mut got_b, batch, in_ch, in_len, out_ch, kernel,
-                stride, out_len,
+                [(&patches[..], &grad_out[..])],
+                &mut got_w,
+                &mut got_b,
+                ick,
+                out_ch,
+                out_len,
+                0..out_ch,
             );
+            let row_blocks = ragged(batch, 1);
+            blocked_param_grads(&mut split_w, &mut split_b, out_ch, ick, |w, b, r| {
+                let rows = row_blocks.iter().map(|rb| {
+                    (
+                        &patches[rb.start * out_len * ick..rb.end * out_len * ick],
+                        &grad_out[rb.start * out_ch * out_len..rb.end * out_ch * out_len],
+                    )
+                });
+                conv1d_param_grads(rows, w, b, ick, out_ch, out_len, r);
+            });
+            assert_bits_eq(&split_w, &want_w, &format!("{what} blocked weight grad"));
+            assert_bits_eq(&split_b, &want_b, &format!("{what} blocked bias grad"));
             let mut got_in = vec![f32::NAN; batch * in_ch * in_len];
             conv1d_input_grad(
                 &grad_out,

@@ -1,10 +1,16 @@
 //! Differentiable layers.
 //!
 //! Layers hold parameters and their accumulated gradients, never
-//! activations: [`crate::Sequential`] keeps each layer's input from a
-//! training forward pass and hands it back to [`Layer::backward`]. Layers
-//! are cloneable so an entire network can be duplicated to form a DDQN
-//! target network.
+//! activations: [`crate::Sequential`] keeps each layer's input and kernel
+//! workspace from a training forward pass and hands them back to the
+//! backward methods. The forward and backward methods take `&self` and
+//! work on any block of batch rows, so the pooled training pass can share
+//! one layer among workers: rows for the forward pass and the input
+//! gradient, output units for the parameter gradients. Layers are
+//! cloneable so an entire network can be duplicated to form a DDQN target
+//! network.
+
+use std::ops::Range;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -12,14 +18,30 @@ use rand::SeedableRng;
 use crate::kernels::{self, Shape};
 use crate::tensor::Tensor;
 
+/// One block of batch rows of a layer's training pass, as its parameter
+/// gradients read it.
+#[derive(Debug, Clone, Copy)]
+pub struct TapeRows<'a> {
+    /// The layer's input rows, laid out per `shape`.
+    pub input: &'a [f32],
+    /// The shape of `input`; its first dim is the block's row count.
+    pub shape: Shape,
+    /// The workspace the layer's forward pass over these rows left behind
+    /// (see [`Layer::infer_into`]).
+    pub work: &'a [f32],
+    /// The loss gradient with respect to the layer's output rows.
+    pub grad_out: &'a [f32],
+}
+
 /// A differentiable network layer.
 pub trait Layer: Send + Sync {
     /// The layer's one forward computation: reads `input` (flat,
     /// row-major, laid out per `shape`), writes the result into `out` and
     /// returns the output shape. `patch` is kernel workspace (see
     /// [`crate::kernels::conv1d_infer`]) owned by the caller's
-    /// [`crate::kernels::Scratch`] arena. Takes
-    /// `&self`, so many threads can share one frozen network.
+    /// [`crate::kernels::Scratch`] arena, or kept per layer by a training
+    /// pass for [`Layer::unit_grads`]. Takes `&self`, so many threads can
+    /// share one frozen network.
     fn infer_into(
         &self,
         input: &[f32],
@@ -28,14 +50,40 @@ pub trait Layer: Send + Sync {
         patch: &mut Vec<f32>,
     ) -> Shape;
 
-    /// Backpropagates `grad_out` through the forward pass that read
-    /// `input`, accumulating parameter gradients. Returns the gradient
-    /// with respect to `input` when `input_grad` is set and `None`
-    /// otherwise, so a network's first layer skips work nobody reads.
-    fn backward(&mut self, input: &Tensor, grad_out: &Tensor, input_grad: bool) -> Option<Tensor>;
+    /// Writes into `grad_in` the gradient with respect to `input` (laid
+    /// out per `shape`) of a block of rows whose output gradient is
+    /// `grad_out`. Each row's result depends on that row alone.
+    fn input_grad(&self, input: &[f32], shape: Shape, grad_out: &[f32], grad_in: &mut Vec<f32>);
 
-    /// Zeroes accumulated parameter gradients.
-    fn zero_grad(&mut self) {}
+    /// The number of parameter-gradient units: a dense layer's outputs or
+    /// a convolution's output channels, each one row of the weight
+    /// gradient plus one bias gradient, summed over the batch apart from
+    /// every other unit. 0 for a layer without parameters.
+    fn units(&self) -> usize {
+        0
+    }
+
+    /// Accumulates the batch's parameter gradients of `units` onto the
+    /// layer's current ones and returns the result: the weight-gradient
+    /// rows and bias gradients of those units, for the caller to store
+    /// through [`Layer::grads_mut`]. `rows` is the whole batch in row
+    /// order, as blocks. No sum reads another unit, so splitting the
+    /// units among workers leaves every bit as one call over all of them.
+    fn unit_grads(&self, _rows: &[TapeRows<'_>], _units: Range<usize>) -> (Vec<f32>, Vec<f32>) {
+        (Vec::new(), Vec::new())
+    }
+
+    /// Accumulates the whole batch's parameter gradients in place: the
+    /// sums of [`Layer::unit_grads`] over every unit, bit for bit, with no
+    /// copy of the current gradients. What a training pass of one row
+    /// block runs on the caller's thread.
+    fn accumulate_grads(&mut self, _rows: &[TapeRows<'_>]) {}
+
+    /// The accumulated weight and bias gradients, one row per unit; both
+    /// empty for a layer without parameters.
+    fn grads_mut(&mut self) -> (&mut [f32], &mut [f32]) {
+        (&mut [], &mut [])
+    }
 
     /// Visits `(value, grad)` pairs for every trainable parameter, in a
     /// stable order (used by the optimizer to address per-parameter state).
@@ -168,35 +216,40 @@ impl Layer for Dense {
         Shape::rank2(batch, self.out_dim())
     }
 
-    fn backward(&mut self, input: &Tensor, grad_out: &Tensor, input_grad: bool) -> Option<Tensor> {
-        // dW = grad_out^T x input ; db = column sums ; dx = grad_out x W
-        let (batch, in_dim, out_dim) = (grad_out.shape()[0], self.in_dim(), self.out_dim());
-        kernels::dense_param_grads(
-            input.data(),
-            grad_out.data(),
-            self.w_grad.data_mut(),
-            self.b_grad.data_mut(),
+    fn input_grad(&self, _input: &[f32], shape: Shape, grad_out: &[f32], grad_in: &mut Vec<f32>) {
+        // dx = grad_out x W
+        let batch = shape.dims()[0];
+        grad_in.resize(batch * self.in_dim(), 0.0);
+        kernels::gemm_zero_skip(
+            grad_out,
+            self.weight.data(),
+            grad_in,
             batch,
-            in_dim,
-            out_dim,
+            self.out_dim(),
+            self.in_dim(),
         );
-        input_grad.then(|| {
-            let mut grad_in = Tensor::zeros(vec![batch, in_dim]);
-            kernels::gemm_zero_skip(
-                grad_out.data(),
-                self.weight.data(),
-                grad_in.data_mut(),
-                batch,
-                out_dim,
-                in_dim,
-            );
-            grad_in
-        })
     }
 
-    fn zero_grad(&mut self) {
-        self.w_grad.fill(0.0);
-        self.b_grad.fill(0.0);
+    fn units(&self) -> usize {
+        self.out_dim()
+    }
+
+    fn unit_grads(&self, rows: &[TapeRows<'_>], units: Range<usize>) -> (Vec<f32>, Vec<f32>) {
+        let in_dim = self.in_dim();
+        let mut w = self.w_grad.data()[units.start * in_dim..units.end * in_dim].to_vec();
+        let mut b = self.b_grad.data()[units.clone()].to_vec();
+        dense_grads(rows, &mut w, &mut b, in_dim, self.out_dim(), units);
+        (w, b)
+    }
+
+    fn accumulate_grads(&mut self, rows: &[TapeRows<'_>]) {
+        let (in_dim, out_dim) = (self.in_dim(), self.out_dim());
+        let (w, b) = (self.w_grad.data_mut(), self.b_grad.data_mut());
+        dense_grads(rows, w, b, in_dim, out_dim, 0..out_dim);
+    }
+
+    fn grads_mut(&mut self) -> (&mut [f32], &mut [f32]) {
+        (self.w_grad.data_mut(), self.b_grad.data_mut())
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
@@ -210,6 +263,21 @@ impl Layer for Dense {
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }
+}
+
+/// Adds the dense parameter gradients of `units` over the batch `rows`
+/// onto `w_grad`/`b_grad` (those units' rows): dW = grad_out^T x input,
+/// db = column sums.
+fn dense_grads(
+    rows: &[TapeRows<'_>],
+    w_grad: &mut [f32],
+    b_grad: &mut [f32],
+    in_dim: usize,
+    out_dim: usize,
+    units: Range<usize>,
+) {
+    let rows = rows.iter().map(|r| (r.input, r.grad_out));
+    kernels::dense_param_grads(rows, w_grad, b_grad, in_dim, out_dim, units);
 }
 
 /// 1-D convolution over `[batch, channels, length]` (valid padding).
@@ -261,6 +329,33 @@ impl Conv1d {
         let s = self.weight.shape();
         (s[0], s[1], s[2])
     }
+
+    /// Adds the parameter gradients of the output channels `units` over
+    /// the batch `rows` onto `w_grad`/`b_grad` (those channels' rows).
+    /// Reads each block's im2col patches from the workspace its forward
+    /// pass filled, so no row is unrolled twice.
+    fn conv_grads(
+        rows: &[TapeRows<'_>],
+        w_grad: &mut [f32],
+        b_grad: &mut [f32],
+        (out_ch, ick, out_len): (usize, usize, usize),
+        units: Range<usize>,
+    ) {
+        let blocks = rows
+            .iter()
+            .map(|r| (&r.work[..r.shape.dims()[0] * out_len * ick], r.grad_out));
+        kernels::conv1d_param_grads(blocks, w_grad, b_grad, ick, out_ch, out_len, units);
+    }
+
+    /// `(out_ch, in_ch · kernel, out_len)` of the training pass `rows`.
+    fn grad_dims(&self, rows: &[TapeRows<'_>]) -> (usize, usize, usize) {
+        let (out_ch, in_ch, kernel) = self.dims();
+        let in_len = rows.first().map_or(kernel, |r| r.shape.dims()[2]);
+        let out_len = self
+            .out_len(in_len)
+            .expect("the forward pass checked the input length");
+        (out_ch, in_ch * kernel, out_len)
+    }
 }
 
 impl Layer for Conv1d {
@@ -298,16 +393,15 @@ impl Layer for Conv1d {
         Shape::rank3(batch, out_ch, out_len)
     }
 
-    fn backward(&mut self, input: &Tensor, grad_out: &Tensor, input_grad: bool) -> Option<Tensor> {
+    fn input_grad(&self, _input: &[f32], shape: Shape, grad_out: &[f32], grad_in: &mut Vec<f32>) {
         let (out_ch, in_ch, kernel) = self.dims();
-        let batch = input.shape()[0];
-        let in_len = input.shape()[2];
-        let out_len = grad_out.shape()[2];
-        kernels::conv1d_param_grads(
-            input.data(),
-            grad_out.data(),
-            self.w_grad.data_mut(),
-            self.b_grad.data_mut(),
+        let (batch, in_len) = (shape.dims()[0], shape.dims()[2]);
+        let out_len = grad_out.len() / (batch * out_ch);
+        grad_in.resize(batch * in_ch * in_len, 0.0);
+        kernels::conv1d_input_grad(
+            grad_out,
+            self.weight.data(),
+            grad_in,
             batch,
             in_ch,
             in_len,
@@ -316,27 +410,29 @@ impl Layer for Conv1d {
             self.stride,
             out_len,
         );
-        input_grad.then(|| {
-            let mut grad_in = Tensor::zeros(vec![batch, in_ch, in_len]);
-            kernels::conv1d_input_grad(
-                grad_out.data(),
-                self.weight.data(),
-                grad_in.data_mut(),
-                batch,
-                in_ch,
-                in_len,
-                out_ch,
-                kernel,
-                self.stride,
-                out_len,
-            );
-            grad_in
-        })
     }
 
-    fn zero_grad(&mut self) {
-        self.w_grad.fill(0.0);
-        self.b_grad.fill(0.0);
+    fn units(&self) -> usize {
+        self.dims().0
+    }
+
+    fn unit_grads(&self, rows: &[TapeRows<'_>], units: Range<usize>) -> (Vec<f32>, Vec<f32>) {
+        let dims = self.grad_dims(rows);
+        let ick = dims.1;
+        let mut w = self.w_grad.data()[units.start * ick..units.end * ick].to_vec();
+        let mut b = self.b_grad.data()[units.clone()].to_vec();
+        Self::conv_grads(rows, &mut w, &mut b, dims, units);
+        (w, b)
+    }
+
+    fn accumulate_grads(&mut self, rows: &[TapeRows<'_>]) {
+        let dims = self.grad_dims(rows);
+        let (w, b) = (self.w_grad.data_mut(), self.b_grad.data_mut());
+        Self::conv_grads(rows, w, b, dims, 0..dims.0);
+    }
+
+    fn grads_mut(&mut self) -> (&mut [f32], &mut [f32]) {
+        (self.w_grad.data_mut(), self.b_grad.data_mut())
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
@@ -374,14 +470,14 @@ impl Layer for Relu {
         shape
     }
 
-    fn backward(&mut self, input: &Tensor, grad_out: &Tensor, input_grad: bool) -> Option<Tensor> {
-        input_grad.then(|| {
-            let mut grad = grad_out.clone();
-            for (g, &x) in grad.data_mut().iter_mut().zip(input.data()) {
-                *g = if x > 0.0 { *g } else { 0.0 };
-            }
-            grad
-        })
+    fn input_grad(&self, input: &[f32], _shape: Shape, grad_out: &[f32], grad_in: &mut Vec<f32>) {
+        grad_in.clear();
+        grad_in.extend(
+            grad_out
+                .iter()
+                .zip(input)
+                .map(|(&g, &x)| if x > 0.0 { g } else { 0.0 }),
+        );
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -415,13 +511,10 @@ impl Layer for Flatten {
         Shape::rank2(batch, rest)
     }
 
-    fn backward(&mut self, input: &Tensor, grad_out: &Tensor, input_grad: bool) -> Option<Tensor> {
-        input_grad.then(|| {
-            grad_out
-                .clone()
-                .reshape(input.shape().to_vec())
-                .expect("unflatten preserves element count")
-        })
+    fn input_grad(&self, _input: &[f32], _shape: Shape, grad_out: &[f32], grad_in: &mut Vec<f32>) {
+        // Unflattening changes the shape only; the caller keeps `shape`.
+        grad_in.clear();
+        grad_in.extend_from_slice(grad_out);
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -432,6 +525,9 @@ impl Layer for Flatten {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::MIN_POOLED_ROWS;
+    use crate::Sequential;
+    use msvs_par::Pool;
 
     /// Runs one layer's forward computation on a tensor.
     fn apply(layer: &dyn Layer, input: &Tensor) -> Tensor {
@@ -445,6 +541,31 @@ mod tests {
         Tensor::from_vec(out, shape.to_vec()).unwrap()
     }
 
+    fn zero_grad(layer: &mut dyn Layer) {
+        let (w, b) = layer.grads_mut();
+        w.fill(0.0);
+        b.fill(0.0);
+    }
+
+    /// One layer's backward pass over the whole batch as one row block,
+    /// the way `Sequential` runs it on the caller's thread: accumulates
+    /// the parameter gradients in place and returns the input gradient.
+    fn backward(layer: &mut dyn Layer, input: &Tensor, grad_out: &Tensor) -> Tensor {
+        let shape = Shape::from_dims(input.shape());
+        let mut work = Vec::new();
+        layer.infer_into(input.data(), shape, &mut Vec::new(), &mut work);
+        let rows = [TapeRows {
+            input: input.data(),
+            shape,
+            work: &work,
+            grad_out: grad_out.data(),
+        }];
+        layer.accumulate_grads(&rows);
+        let mut grad_in = Vec::new();
+        layer.input_grad(input.data(), shape, grad_out.data(), &mut grad_in);
+        Tensor::from_vec(grad_in, input.shape().to_vec()).unwrap()
+    }
+
     /// Central-difference numerical gradient check for a layer's input
     /// gradient and parameter gradients.
     fn check_gradients(layer: &mut dyn Layer, input: Tensor, tol: f32) {
@@ -452,8 +573,8 @@ mod tests {
         // Loss = sum of outputs; dL/dout = ones.
         let mut ones = apply(layer, &input);
         ones.fill(1.0);
-        layer.zero_grad();
-        let analytic_in = layer.backward(&input, &ones, true).unwrap();
+        zero_grad(layer);
+        let analytic_in = backward(layer, &input, &ones);
 
         // Input gradient.
         for i in 0..input.len() {
@@ -520,7 +641,9 @@ mod tests {
     }
 
     /// Skipping the input gradient leaves every parameter gradient bit
-    /// for bit where the full backward pass leaves it.
+    /// for bit where the full backward pass leaves it: each layer alone
+    /// in a network, on the caller's thread and in row blocks on a pool
+    /// (the batch is large enough to be split).
     #[test]
     fn backward_without_input_grad_accumulates_the_same_params() {
         let fill = |n: usize| -> Vec<f32> {
@@ -532,35 +655,114 @@ mod tests {
                 })
                 .collect()
         };
+        let batch = MIN_POOLED_ROWS + 3;
+        let cases: Vec<(Box<dyn Layer>, Vec<usize>)> = vec![
+            (Box::new(Dense::new(70, 66, 3)), vec![batch, 70]),
+            (Box::new(Conv1d::new(4, 8, 3, 2, 5)), vec![batch, 4, 16]),
+            (Box::new(Relu::new()), vec![batch, 4]),
+            (Box::new(Flatten::new()), vec![batch, 3, 4]),
+        ];
+        for (layer, shape) in cases {
+            let input = Tensor::from_vec(fill(shape.iter().product()), shape).unwrap();
+            for threads in [1, 4] {
+                let pool = Pool::new(threads);
+                let param_grads = |input_grad: bool| {
+                    let mut net = Sequential::new(vec![layer.clone()]);
+                    let (out, _) = net.forward_train_with(&input, &pool);
+                    let grad = Tensor::from_vec(fill(out.len()), out.shape().to_vec()).unwrap();
+                    let (dx, _) = net.backward_with(&grad, &pool, input_grad);
+                    assert_eq!(dx.is_some(), input_grad);
+                    let mut bits = Vec::new();
+                    net.visit_params(&mut |_, g| bits.extend(g.data().iter().map(|v| v.to_bits())));
+                    bits
+                };
+                assert_eq!(param_grads(false), param_grads(true), "{threads} threads");
+            }
+        }
+    }
+
+    /// Split over ragged unit blocks, `unit_grads` adds the batch's terms
+    /// onto the layer's current non-zero gradients exactly as one kernel
+    /// call over the whole gradient does, and so does `accumulate_grads`
+    /// in place.
+    #[test]
+    fn unit_grads_accumulate_onto_the_current_gradients() {
+        let fill = |n: usize, salt: usize| -> Vec<f32> {
+            (0..n)
+                .map(|i| match (i + salt) % 5 {
+                    0 => 0.0,
+                    r => ((i * 13 + salt) % 11) as f32 * 0.1 - 0.5 + r as f32 * 0.003,
+                })
+                .collect()
+        };
         let cases: Vec<(Box<dyn Layer>, Tensor)> = vec![
             (
                 Box::new(Dense::new(70, 66, 3)),
-                Tensor::from_vec(fill(5 * 70), vec![5, 70]).unwrap(),
+                Tensor::from_vec(fill(5 * 70, 1), vec![5, 70]).unwrap(),
             ),
             (
                 Box::new(Conv1d::new(4, 8, 3, 2, 5)),
-                Tensor::from_vec(fill(3 * 4 * 16), vec![3, 4, 16]).unwrap(),
-            ),
-            (
-                Box::new(Relu::new()),
-                Tensor::from_vec(fill(12), vec![3, 4]).unwrap(),
-            ),
-            (
-                Box::new(Flatten::new()),
-                Tensor::from_vec(fill(24), vec![2, 3, 4]).unwrap(),
+                Tensor::from_vec(fill(3 * 4 * 16, 2), vec![3, 4, 16]).unwrap(),
             ),
         ];
-        for (layer, input) in cases {
-            let out = apply(layer.as_ref(), &input);
-            let grad = Tensor::from_vec(fill(out.len()), out.shape().to_vec()).unwrap();
-            let (mut full, mut params_only) = (layer.clone(), layer);
-            assert!(full.backward(&input, &grad, true).is_some());
-            assert!(params_only.backward(&input, &grad, false).is_none());
-            let mut want = Vec::new();
-            full.visit_params(&mut |_, g| want.extend(g.data().iter().map(|v| v.to_bits())));
-            let mut got = Vec::new();
-            params_only.visit_params(&mut |_, g| got.extend(g.data().iter().map(|v| v.to_bits())));
-            assert_eq!(got, want);
+        for (mut layer, input) in cases {
+            let shape = Shape::from_dims(input.shape());
+            let mut out = Vec::new();
+            let mut work = Vec::new();
+            let out_shape = layer.infer_into(input.data(), shape, &mut out, &mut work);
+            let grad_out = fill(out.len(), 3);
+            {
+                let (w, b) = layer.grads_mut();
+                w.copy_from_slice(&fill(w.len(), 4));
+                b.copy_from_slice(&fill(b.len(), 5));
+            }
+            let units = layer.units();
+            let (mut want_w, mut want_b) = {
+                let (w, b) = layer.grads_mut();
+                (w.to_vec(), b.to_vec())
+            };
+            if out_shape.rank() == 2 {
+                let in_dim = shape.dims()[1];
+                let rows = [(input.data(), &grad_out[..])];
+                kernels::dense_param_grads(rows, &mut want_w, &mut want_b, in_dim, units, 0..units);
+            } else {
+                let (ick, out_len) = (want_w.len() / units, out_shape.dims()[2]);
+                let rows = [(&work[..3 * out_len * ick], &grad_out[..])];
+                kernels::conv1d_param_grads(
+                    rows,
+                    &mut want_w,
+                    &mut want_b,
+                    ick,
+                    units,
+                    out_len,
+                    0..units,
+                );
+            }
+            let rows = [TapeRows {
+                input: input.data(),
+                shape,
+                work: &work,
+                grad_out: &grad_out,
+            }];
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let mut in_place = layer.clone();
+            in_place.accumulate_grads(&rows);
+            let (w_grad, b_grad) = in_place.grads_mut();
+            assert_eq!(bits(w_grad), bits(&want_w));
+            assert_eq!(bits(b_grad), bits(&want_b));
+            let split = [0..1, 1..3, 3..units];
+            let parts: Vec<_> = split
+                .iter()
+                .map(|r| layer.unit_grads(&rows, r.clone()))
+                .collect();
+            let (w_grad, b_grad) = layer.grads_mut();
+            let per_unit = w_grad.len() / units;
+            for (r, (w, b)) in split.iter().zip(parts) {
+                w_grad[r.start * per_unit..r.end * per_unit].copy_from_slice(&w);
+                b_grad[r.clone()].copy_from_slice(&b);
+            }
+            assert_eq!(bits(w_grad), bits(&want_w));
+            assert_eq!(bits(b_grad), bits(&want_b));
         }
     }
 
@@ -569,8 +771,12 @@ mod tests {
         let mut relu = Relu::new();
         let x = Tensor::from_vec(vec![-1.0, 2.0, 0.0], vec![3]).unwrap();
         assert_eq!(apply(&relu, &x).data(), &[0.0, 2.0, 0.0]);
-        let g = relu.backward(&x, &Tensor::from_vec(vec![5.0; 3], vec![3]).unwrap(), true);
-        assert_eq!(g.unwrap().data(), &[0.0, 5.0, 0.0]);
+        let g = backward(
+            &mut relu,
+            &x,
+            &Tensor::from_vec(vec![5.0; 3], vec![3]).unwrap(),
+        );
+        assert_eq!(g.data(), &[0.0, 5.0, 0.0]);
     }
 
     #[test]
@@ -579,7 +785,7 @@ mod tests {
         let x = Tensor::zeros(vec![2, 3, 4]);
         let y = apply(&f, &x);
         assert_eq!(y.shape(), &[2, 12]);
-        let g = f.backward(&x, &y, true).unwrap();
+        let g = backward(&mut f, &x, &y);
         assert_eq!(g.shape(), &[2, 3, 4]);
     }
 

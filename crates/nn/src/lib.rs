@@ -45,7 +45,7 @@ pub mod optim;
 pub mod tensor;
 
 pub use kernels::{Scratch, Shape};
-pub use layers::{Conv1d, Dense, Flatten, Layer, Relu};
+pub use layers::{Conv1d, Dense, Flatten, Layer, Relu, TapeRows};
 pub use loss::{masked_mse_loss, mse_loss};
 pub use network::Sequential;
 pub use optim::Adam;

@@ -37,8 +37,9 @@ const CHUNKS_PER_WORKER: usize = 4;
 type WorkerYield<R> = (Duration, Vec<(usize, Vec<R>)>);
 
 /// Utilisation statistics for one parallel call, suitable for export as
-/// telemetry gauges. All fields are *measured*, not estimated.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// telemetry gauges. All fields are *measured*, not estimated. The
+/// default is the statistics of no call at all.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ParStats {
     /// Worker threads used for the call (1 for the inline serial path).
     pub threads: usize,
@@ -51,6 +52,15 @@ pub struct ParStats {
 }
 
 impl ParStats {
+    /// Folds `other` in, as if both were one call: tasks, busy and wall
+    /// time add up, and `threads` is the wider of the two.
+    pub fn merge(&mut self, other: ParStats) {
+        self.threads = self.threads.max(other.threads);
+        self.tasks += other.tasks;
+        self.busy += other.busy;
+        self.wall += other.wall;
+    }
+
     /// Fraction of the pool's total thread-time spent doing work, in
     /// `[0, 1]`. A perfectly balanced call reports ~1.0.
     pub fn utilisation(&self) -> f64 {
@@ -354,6 +364,29 @@ mod tests {
         assert_eq!(stats.tasks, 4096);
         assert!(stats.utilisation() >= 0.0 && stats.utilisation() <= 1.0);
         assert!(stats.effective_parallelism() <= stats.threads as f64 + 0.5);
+    }
+
+    #[test]
+    fn merged_stats_add_work_and_keep_the_widest_pool() {
+        let ms = Duration::from_millis;
+        let mut total = ParStats::default();
+        total.merge(ParStats {
+            threads: 2,
+            tasks: 8,
+            busy: ms(6),
+            wall: ms(4),
+        });
+        total.merge(ParStats {
+            threads: 1,
+            tasks: 1,
+            busy: ms(2),
+            wall: ms(2),
+        });
+        assert_eq!(total.threads, 2);
+        assert_eq!(total.tasks, 9);
+        assert_eq!(total.busy, ms(8));
+        assert_eq!(total.wall, ms(6));
+        assert!((total.effective_parallelism() - 8.0 / 6.0).abs() < 1e-9);
     }
 
     #[test]

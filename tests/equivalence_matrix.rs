@@ -3,7 +3,9 @@
 //! `bs-crash`, `bs-flap`, hostile}, on the small scheme the other suites
 //! use.
 //!
-//! - The worker-pool size never changes the report (every cell).
+//! - The worker-pool size never changes the report (every cell), nor,
+//!   in one extra cell large enough that the compressor trains on the
+//!   pool, the report and journal of a pooled training run.
 //! - The shard count never changes what the pipeline computes (fault-free
 //!   cells, after stripping the shard plane's own observability), nor
 //!   the twins it ends with, revisions and instance nonces included.
@@ -276,6 +278,39 @@ fn thread_and_shard_counts_never_change_the_fault_free_journal() {
             );
         }
     }
+}
+
+/// The matrix's 24 users train the compressor as one row block on the
+/// caller's thread at any pool size. At this many, a pool of more than
+/// one worker splits every training pass into row and unit blocks.
+const POOLED_TRAINING_USERS: usize = msvs::nn::network::MIN_POOLED_ROWS;
+
+/// The one thread-count cell where training runs on the pool: the report
+/// and the journal of a 4-worker run equal the serial run's, and the
+/// `cnn_train` gauges show that the pooled path ran.
+#[test]
+fn thread_count_never_changes_a_pooled_training_run() {
+    let cell = |threads: usize| {
+        let mut cfg = config(threads, 1, "none");
+        cfg.n_users = POOLED_TRAINING_USERS;
+        let mut sim = Simulation::new(cfg).expect("scenario builds");
+        sim.warm_up().expect("warm-up runs");
+        let trained_on = sim
+            .telemetry()
+            .gauge("par_threads", msvs::telemetry::stages::CNN_TRAIN)
+            .get();
+        let intervals: Vec<_> = (0..INTERVALS)
+            .map(|i| sim.run_interval(i).expect("interval runs"))
+            .collect();
+        let journal = deployment_free(&sim.telemetry().journal().entries());
+        (trained_on, strip_wall(sim.finish(intervals)), journal)
+    };
+    let (serial_threads, serial_report, serial_journal) = cell(1);
+    let (pooled_threads, pooled_report, pooled_journal) = cell(4);
+    assert_eq!(serial_threads, 1.0);
+    assert_eq!(pooled_threads, 4.0, "training ran on the 4-worker pool");
+    assert_eq!(pooled_report, serial_report);
+    assert_eq!(pooled_journal, serial_journal);
 }
 
 #[test]
