@@ -1,11 +1,12 @@
 //! Serial-vs-parallel wall time for the hot paths behind `msvs-par`: a
 //! full 1000-user reservation interval, one prediction pass, CNN
-//! training, batched CNN encoding and the tiled silhouette kernel. Seeded runs are
+//! training, batched CNN encoding, the tiled silhouette kernel and the
+//! pool's own per-call overhead. Seeded runs are
 //! bit-identical at any thread count, so these benches measure pure
 //! wall-time — the speedup is hardware-dependent (single-core machines
 //! show ~1×).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use msvs_bench::archetype_features;
 use msvs_channel::Link;
 use msvs_core::{CnnCompressor, CompressorConfig, DtAssistedPredictor, SchemeConfig};
@@ -173,9 +174,25 @@ fn bench_silhouette(c: &mut Criterion) {
     group.finish();
 }
 
+/// The pool's own cost per call: `for_each_mut` over 8 trivial items,
+/// on the caller's thread alone and at the two-worker pool the repository
+/// benchmark configures.
+fn bench_pool_call(c: &mut Criterion) {
+    let mut items = [0u64; 8];
+    let mut group = c.benchmark_group("pool_call");
+    for threads in [1, 2] {
+        let pool = Pool::new(threads);
+        group.bench_with_input(BenchmarkId::from_parameter(threads), &pool, |b, pool| {
+            b.iter(|| pool.for_each_mut(black_box(&mut items), |i, x| *x += i as u64));
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_interval, bench_predict, bench_train, bench_encode, bench_silhouette
+    targets = bench_interval, bench_predict, bench_train, bench_encode, bench_silhouette,
+        bench_pool_call
 }
 criterion_main!(benches);

@@ -304,9 +304,10 @@ impl CnnCompressor {
     /// Propagates shape errors from malformed windows.
     pub fn encode<W: Borrow<FeatureWindow>>(&self, windows: &[W]) -> Result<Vec<Vec<f64>>> {
         // One scratch arena per worker thread: the pool spawns scoped
-        // workers per call, and within a call every batch a worker
-        // encodes reuses the same high-water-mark buffers, so the
-        // steady-state encoder forward pass allocates nothing.
+        // workers per call beside the caller, and within a call every
+        // batch a worker encodes reuses the same high-water-mark
+        // buffers, so the steady-state encoder forward pass allocates
+        // nothing.
         thread_local! {
             static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::new());
         }
@@ -370,15 +371,7 @@ impl CnnCompressor {
         trace: Option<(&SpanCollector, u64)>,
     ) -> Result<(Vec<Vec<f64>>, ParStats)> {
         if items.is_empty() {
-            return Ok((
-                Vec::new(),
-                ParStats {
-                    threads: 1,
-                    tasks: 0,
-                    busy: std::time::Duration::ZERO,
-                    wall: std::time::Duration::ZERO,
-                },
-            ));
+            return Ok((Vec::new(), ParStats::serial(0, std::time::Duration::ZERO)));
         }
         let chunks: Vec<&'a [T]> = items.chunks(Self::ENCODE_BATCH).collect();
         let encode_chunk = |c: &'a [T]| {

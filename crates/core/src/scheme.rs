@@ -330,7 +330,9 @@ impl DtAssistedPredictor {
             let _train_scope = self.stage_scope(msvs_telemetry::stages::CNN_TRAIN);
             let (_, stats) = self.compressor.train_fused(twins, window_of, &self.pool)?;
             self.compressor.freeze();
-            self.export_par_gauges(msvs_telemetry::stages::CNN_TRAIN, stats);
+            if let Some(t) = &self.telemetry {
+                t.set_par_gauges(msvs_telemetry::stages::CNN_TRAIN, stats);
+            }
         }
         let forward_scope = self.stage_scope(msvs_telemetry::stages::CNN_FORWARD);
         // When tracing, each worker batch records a cnn_encode_batch span
@@ -344,19 +346,10 @@ impl DtAssistedPredictor {
             .compressor
             .encode_traced(twins, window_of, &self.pool, trace)?;
         drop(forward_scope);
-        self.export_par_gauges(msvs_telemetry::stages::CNN_FORWARD, stats);
-        Ok(features)
-    }
-
-    /// Exports a stage's pool utilisation gauges when telemetry is
-    /// attached.
-    fn export_par_gauges(&self, stage: &'static str, stats: msvs_par::ParStats) {
         if let Some(t) = &self.telemetry {
-            t.gauge("par_threads", stage).set(stats.threads as f64);
-            t.gauge("par_utilisation", stage).set(stats.utilisation());
-            t.gauge("par_speedup", stage)
-                .set(stats.effective_parallelism());
+            t.set_par_gauges(msvs_telemetry::stages::CNN_FORWARD, stats);
         }
+        Ok(features)
     }
 
     /// Pretrains the DDQN grouping agent on the current twin population:

@@ -109,20 +109,6 @@ fn blocks_for(pool: &Pool) -> usize {
     }
 }
 
-/// Runs `f` on the caller's thread, timed as a serial pool call.
-fn timed<R>(f: impl FnOnce() -> R) -> (R, ParStats) {
-    let start = Instant::now();
-    let out = f();
-    let wall = start.elapsed();
-    let stats = ParStats {
-        threads: 1,
-        tasks: 1,
-        busy: wall,
-        wall,
-    };
-    (out, stats)
-}
-
 /// Clones the layers only: the copy starts with an empty tape, so a
 /// target network or a frozen model does not carry training buffers.
 impl Clone for Sequential {
@@ -280,7 +266,9 @@ impl Sequential {
             "backward requires a preceding forward_train"
         );
         if self.tape.len() == 1 {
-            return timed(|| self.backward_block(grad_out, input_grad));
+            let start = Instant::now();
+            let grad = self.backward_block(grad_out, input_grad);
+            return (grad, ParStats::serial(1, start.elapsed()));
         }
         let tape = &self.tape;
         let unit_parts = blocks_for(pool);

@@ -1,20 +1,22 @@
 //! Zero-dependency scoped worker pool for the MSVS hot paths.
 //!
-//! The pool hands out *index ranges* of the input slice to worker threads via
-//! an atomic chunk counter, then merges every result back **in input order**.
-//! Because each item is processed independently and the merge is positional,
-//! the output of [`Pool::map`] is bit-identical regardless of thread count —
-//! the property the seeded-determinism guarantee of the simulator rests on.
+//! Every call cuts its input slice into index-tagged chunks on one queue,
+//! and each worker pops chunks off its back until it is empty. Each item is
+//! processed independently and [`Pool::map`] stores every result in that
+//! item's own slot, so the output is bit-identical regardless of thread
+//! count — the property the seeded-determinism guarantee of the simulator
+//! rests on.
 //!
 //! Design notes, in the house style of `shims/` and `crates/telemetry`:
 //!
-//! - std-only: [`std::thread::scope`] + atomics, no channels crates, no rayon;
-//! - no persistent worker threads — a [`Pool`] is a thread-count policy, and
-//!   each call spawns scoped workers that borrow the input directly;
-//! - one thread (or one item) short-circuits to an inline serial loop, so a
-//!   `threads = 1` run never pays spawn overhead and is trivially identical
-//!   to pre-parallel behaviour;
-//! - worker panics propagate to the caller on join, never silently dropped.
+//! - std-only: [`std::thread::scope`] + a mutex-guarded chunk queue, no
+//!   channels crates, no rayon;
+//! - no persistent worker threads — a [`Pool`] is a thread-count policy;
+//!   the caller is one of the workers, so a call on N workers spawns N − 1
+//!   scoped threads that borrow the input directly;
+//! - one worker (or one item) runs the same loop on the caller's thread
+//!   with no scope, over one chunk in index order;
+//! - a worker's panic reaches the caller with its own payload.
 //!
 //! ```
 //! use msvs_par::Pool;
@@ -23,35 +25,44 @@
 //! assert_eq!(squares, vec![1, 4, 9, 16, 25]);
 //! ```
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::panic::resume_unwind;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// How many chunks each worker should see on average. More chunks means
-/// better load balancing for skewed workloads, at the cost of more contended
-/// `fetch_add`s on the shared counter.
+/// better load balancing for skewed workloads, at the cost of more
+/// contended locks on the shared queue.
 const CHUNKS_PER_WORKER: usize = 4;
-
-/// One worker's output: its busy time plus each processed chunk as
-/// `(start index, results)`, merged positionally by the caller.
-type WorkerYield<R> = (Duration, Vec<(usize, Vec<R>)>);
 
 /// Utilisation statistics for one parallel call, suitable for export as
 /// telemetry gauges. All fields are *measured*, not estimated. The
 /// default is the statistics of no call at all.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ParStats {
-    /// Worker threads used for the call (1 for the inline serial path).
+    /// Workers used for the call, the caller included (1 on the caller's
+    /// thread alone).
     pub threads: usize,
     /// Items processed.
     pub tasks: usize,
-    /// Sum of per-worker busy time across all threads.
+    /// Sum of per-worker busy time across all workers, the caller's share
+    /// included.
     pub busy: Duration,
     /// Wall-clock duration of the whole call.
     pub wall: Duration,
 }
 
 impl ParStats {
+    /// The statistics of `tasks` items run on the caller's thread alone in
+    /// `wall`, which is all busy time.
+    pub fn serial(tasks: usize, wall: Duration) -> Self {
+        Self {
+            threads: 1,
+            tasks,
+            busy: wall,
+            wall,
+        }
+    }
+
     /// Folds `other` in, as if both were one call: tasks, busy and wall
     /// time add up, and `threads` is the wider of the two.
     pub fn merge(&mut self, other: ParStats) {
@@ -85,8 +96,8 @@ impl ParStats {
 /// A fixed-width scoped worker pool.
 ///
 /// `Pool` carries no threads of its own; it records how many workers each
-/// call may spawn. Cloning or copying it is free, and a pool is safely
-/// shareable across threads.
+/// call may use, the caller included. Cloning or copying it is free, and a
+/// pool is safely shareable across threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pool {
     threads: usize,
@@ -119,7 +130,8 @@ impl Pool {
         Self { threads: 1 }
     }
 
-    /// The number of worker threads a call on this pool may use.
+    /// The number of workers a call on this pool may use, the caller
+    /// included.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -137,86 +149,21 @@ impl Pool {
     }
 
     /// Like [`map`](Self::map), but also reports [`ParStats`] for telemetry.
+    /// Runs [`for_each_mut`](Self::for_each_mut) over one output slot per
+    /// item, so chunks are taken in the same order.
     pub fn map_stats<T, R, F>(&self, items: &[T], f: F) -> (Vec<R>, ParStats)
     where
         T: Sync,
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
-        let n = items.len();
-        let workers = self.workers_for(n);
-        if workers <= 1 {
-            let start = Instant::now();
-            let out: Vec<R> = items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-            let wall = start.elapsed();
-            return (
-                out,
-                ParStats {
-                    threads: 1,
-                    tasks: n,
-                    busy: wall,
-                    wall,
-                },
-            );
-        }
-
-        let chunk = chunk_size(n, workers);
-        let next = AtomicUsize::new(0);
-        let start = Instant::now();
-
-        // Each worker returns (busy_time, Vec<(start_index, results)>); the
-        // main thread merges positionally, so the output order is the input
-        // order regardless of which worker processed which chunk.
-        let per_worker: Vec<WorkerYield<R>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let busy_start = Instant::now();
-                        let mut produced: Vec<(usize, Vec<R>)> = Vec::new();
-                        loop {
-                            let lo = next.fetch_add(chunk, Ordering::Relaxed);
-                            if lo >= n {
-                                break;
-                            }
-                            let hi = (lo + chunk).min(n);
-                            let out: Vec<R> = (lo..hi).map(|i| f(i, &items[i])).collect();
-                            produced.push((lo, out));
-                        }
-                        (busy_start.elapsed(), produced)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("msvs-par worker panicked"))
-                .collect()
-        });
-        let wall = start.elapsed();
-
-        let mut busy = Duration::ZERO;
-        let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        for (worker_busy, produced) in per_worker {
-            busy += worker_busy;
-            for (lo, out) in produced {
-                for (offset, r) in out.into_iter().enumerate() {
-                    slots[lo + offset] = Some(r);
-                }
-            }
-        }
-        let out: Vec<R> = slots
+        let mut slots: Vec<Option<R>> = items.iter().map(|_| None).collect();
+        let stats = self.for_each_mut(&mut slots, |i, slot| *slot = Some(f(i, &items[i])));
+        let out = slots
             .into_iter()
-            .map(|s| s.expect("msvs-par lost a result slot"))
+            .map(|s| s.expect("every slot is filled before the call returns"))
             .collect();
-
-        (
-            out,
-            ParStats {
-                threads: workers,
-                tasks: n,
-                busy,
-                wall,
-            },
-        )
+        (out, stats)
     }
 
     /// Runs `f` on every element of `items` in place, in parallel. `f`
@@ -225,31 +172,22 @@ impl Pool {
     /// Determinism note: each element is mutated independently, so the final
     /// slice contents do not depend on scheduling order. Workers take the
     /// chunks from the back of the slice, so a caller that orders its items
-    /// by ascending cost starts the costliest first.
+    /// by ascending cost starts the costliest first. One worker takes the
+    /// whole slice as one chunk and runs it in index order.
     pub fn for_each_mut<T, F>(&self, items: &mut [T], f: F) -> ParStats
     where
         T: Send,
         F: Fn(usize, &mut T) + Sync,
     {
         let n = items.len();
-        let workers = self.workers_for(n);
-        if workers <= 1 {
-            let start = Instant::now();
-            for (i, item) in items.iter_mut().enumerate() {
-                f(i, item);
-            }
-            let wall = start.elapsed();
-            return ParStats {
-                threads: 1,
-                tasks: n,
-                busy: wall,
-                wall,
-            };
-        }
-
-        let chunk = chunk_size(n, workers);
-        // Pre-split the slice into disjoint mutable chunks tagged with their
-        // start index; workers pop chunks off the shared queue.
+        let workers = self.threads.min(n).max(1);
+        let chunk = match workers {
+            1 => n.max(1),
+            _ => n.div_ceil(workers * CHUNKS_PER_WORKER),
+        };
+        // Disjoint mutable chunks tagged with their start index; every
+        // worker, the caller included, pops chunks off the back and
+        // returns its busy time.
         let queue: Mutex<Vec<(usize, &mut [T])>> = Mutex::new(
             items
                 .chunks_mut(chunk)
@@ -257,54 +195,46 @@ impl Pool {
                 .map(|(ci, c)| (ci * chunk, c))
                 .collect(),
         );
-        let start = Instant::now();
+        let work = || {
+            let busy_start = Instant::now();
+            loop {
+                let job = queue.lock().expect("msvs-par queue poisoned").pop();
+                let Some((lo, slice)) = job else { break };
+                for (offset, item) in slice.iter_mut().enumerate() {
+                    f(lo + offset, item);
+                }
+            }
+            busy_start.elapsed()
+        };
+        if workers == 1 {
+            return ParStats::serial(n, work());
+        }
 
-        let busy_times: Vec<Duration> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let busy_start = Instant::now();
-                        loop {
-                            let job = queue.lock().expect("msvs-par queue poisoned").pop();
-                            let Some((lo, slice)) = job else { break };
-                            for (offset, item) in slice.iter_mut().enumerate() {
-                                f(lo + offset, item);
-                            }
-                        }
-                        busy_start.elapsed()
-                    })
-                })
-                .collect();
+        let start = Instant::now();
+        let busy = std::thread::scope(|scope| {
+            let handles: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+            let own = work();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("msvs-par worker panicked"))
-                .collect()
+                .map(|h| h.join().unwrap_or_else(|panic| resume_unwind(panic)))
+                .sum::<Duration>()
+                + own
         });
-        let wall = start.elapsed();
-
         ParStats {
             threads: workers,
             tasks: n,
-            busy: busy_times.into_iter().sum(),
-            wall,
+            busy,
+            wall: start.elapsed(),
         }
     }
-
-    /// Workers actually worth spawning for `n` items.
-    fn workers_for(&self, n: usize) -> usize {
-        self.threads.min(n).max(1)
-    }
-}
-
-/// Chunk size giving each worker ~[`CHUNKS_PER_WORKER`] turns at the queue.
-fn chunk_size(n: usize, workers: usize) -> usize {
-    n.div_ceil(workers * CHUNKS_PER_WORKER).max(1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Barrier;
+    use std::thread;
 
     #[test]
     fn map_preserves_input_order() {
@@ -393,8 +323,28 @@ mod tests {
     fn serial_pool_runs_inline() {
         let pool = Pool::serial();
         assert_eq!(pool.threads(), 1);
-        let stats = pool.for_each_mut(&mut [1, 2, 3], |_, x| *x += 1);
+        let caller = thread::current().id();
+        let seen = Mutex::new(Vec::new());
+        let stats = pool.for_each_mut(&mut [1, 2, 3, 4, 5], |i, x| {
+            assert_eq!(thread::current().id(), caller);
+            seen.lock().unwrap().push(i);
+            *x += 1;
+        });
         assert_eq!(stats.threads, 1);
+        assert_eq!(seen.into_inner().unwrap(), vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn caller_is_one_of_the_workers() {
+        let caller = thread::current().id();
+        let barrier = Barrier::new(2);
+        // Each item waits for the other, so two workers must run them.
+        let ids = Pool::new(2).map(&[0, 1], |_, _| {
+            barrier.wait();
+            thread::current().id()
+        });
+        assert_ne!(ids[0], ids[1]);
+        assert!(ids.contains(&caller), "the caller ran no item: {ids:?}");
     }
 
     #[test]
@@ -404,14 +354,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "worker panicked")]
+    #[should_panic(expected = "boom")]
     fn worker_panic_propagates() {
-        let items: Vec<u32> = (0..64).collect();
-        Pool::new(2).map(&items, |_, x| {
-            if *x == 13 {
-                panic!("boom");
-            }
-            *x
-        });
+        // Each item waits for the other, so each worker holds one; the
+        // item on the chosen side of the call panics.
+        let caller = thread::current().id();
+        let run = |on_caller: bool| {
+            let barrier = Barrier::new(2);
+            Pool::new(2).map(&[0u32, 1], |_, x| {
+                barrier.wait();
+                if (thread::current().id() == caller) == on_caller {
+                    panic!("boom");
+                }
+                *x
+            })
+        };
+        let payload = std::panic::catch_unwind(|| run(true)).expect_err("the caller's item panics");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
+        run(false);
     }
 }

@@ -43,9 +43,6 @@ pub struct IntervalRecord {
     /// prior pass exists). Low values mean multicast channels were
     /// re-signalled.
     pub grouping_stability: Option<f64>,
-    /// Member-weighted mean representation level delivered (0 = 240p,
-    /// 1 = 1080p): the QoE side of the radio/quality trade-off.
-    pub mean_level: f64,
     /// Whether the prediction degraded to the historical-mean fallback
     /// because fresh-twin coverage fell below the configured threshold
     /// (always `false` outside fault-injection runs).
@@ -136,11 +133,6 @@ impl SimulationReport {
         } else {
             Some(msvs_types::stats::mean(&vals))
         }
-    }
-
-    /// Mean delivered representation level (0 = lowest, 1 = top).
-    pub fn mean_delivered_level(&self) -> f64 {
-        mean(self.intervals.iter().map(|r| r.mean_level))
     }
 
     /// Fraction of transmitted traffic that was prefetched but never
@@ -272,7 +264,6 @@ mod tests {
             updates_sent: 500,
             handovers: 3,
             grouping_stability: Some(0.8),
-            mean_level: 0.75,
             degraded: false,
             twin_coverage: None,
             reservation: None,
@@ -292,7 +283,6 @@ mod tests {
         assert_eq!(report.mean_updates_sent(), 500.0);
         assert!((report.waste_fraction() - 0.1).abs() < 1e-12);
         assert_eq!(report.mean_grouping_stability(), Some(0.8));
-        assert!((report.mean_delivered_level() - 0.75).abs() < 1e-12);
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub fn to_csv(report: &SimulationReport) -> String {
         "interval,k,silhouette,predicted_radio_rb,actual_radio_rb,radio_accuracy,\
          predicted_computing_gcycles,actual_computing_gcycles,computing_accuracy,\
          actual_unicast_rb,actual_traffic_mb,predicted_waste_mb,actual_waste_mb,\
-         predict_wall_ms,updates_sent,handovers,grouping_stability,mean_level,\
+         predict_wall_ms,updates_sent,handovers,grouping_stability,\
          reservation_covered,reservation_idle\n",
     );
     for r in &report.intervals {
@@ -75,7 +75,7 @@ pub fn to_csv(report: &SimulationReport) -> String {
             .map(|s| format!("{s:.4}"))
             .unwrap_or_default();
         out.push_str(&format!(
-            "{},{},{:.4},{:.3},{:.3},{:.4},{:.3},{:.3},{:.4},{:.3},{:.3},{:.3},{:.3},{:.3},{},{},{},{:.4},{},{}\n",
+            "{},{},{:.4},{:.3},{:.3},{:.4},{:.3},{:.3},{:.4},{:.3},{:.3},{:.3},{:.3},{:.3},{},{},{},{},{}\n",
             r.index,
             r.k,
             r.silhouette,
@@ -93,7 +93,6 @@ pub fn to_csv(report: &SimulationReport) -> String {
             r.updates_sent,
             r.handovers,
             stability,
-            r.mean_level,
             covered,
             idle,
         ));
@@ -206,7 +205,6 @@ mod tests {
                 actual_waste_mb: 75.0,
                 handovers: 4,
                 grouping_stability: Some(0.9),
-                mean_level: 0.75,
                 predict_wall_ms: 12.0,
                 updates_sent: 1234,
                 degraded: false,
@@ -257,7 +255,6 @@ mod tests {
                 actual_rb: 126.0,
                 predicted_gcycles: 2.1,
                 actual_gcycles: 2.0,
-                qoe: 0.75,
                 hit_ratio: 0.5,
             },
         };

@@ -600,15 +600,7 @@ impl Simulation {
             }
         });
         drop(ingest_scope);
-        self.telemetry
-            .gauge("par_threads", stages::UDT_INGEST)
-            .set(stats.threads as f64);
-        self.telemetry
-            .gauge("par_utilisation", stages::UDT_INGEST)
-            .set(stats.utilisation());
-        self.telemetry
-            .gauge("par_speedup", stages::UDT_INGEST)
-            .set(stats.effective_parallelism());
+        self.telemetry.set_par_gauges(stages::UDT_INGEST, stats);
         self.now = start + tick * steps;
         self.telemetry.set_now_ms(self.now.as_millis());
         if self.faults.is_some() {
@@ -793,20 +785,6 @@ impl Simulation {
             }
             None => None,
         };
-        // Delivered-level QoE.
-        let (level_sum, level_members) = outcome.groups.iter().fold((0.0, 0usize), |acc, g| {
-            (
-                acc.0
-                    + g.level.index() as f64 * g.members.len() as f64
-                        / (msvs_types::RepresentationLevel::COUNT - 1) as f64,
-                acc.1 + g.members.len(),
-            )
-        });
-        let mean_level = if level_members > 0 {
-            level_sum / level_members as f64
-        } else {
-            0.0
-        };
         let record = IntervalRecord {
             index: index as usize,
             k: outcome.grouping.k,
@@ -825,7 +803,6 @@ impl Simulation {
             updates_sent,
             handovers,
             grouping_stability,
-            mean_level,
             degraded: degradation.is_some_and(|d| d.degraded),
             twin_coverage: degradation.map(|d| d.coverage),
             reservation,
@@ -839,7 +816,6 @@ impl Simulation {
             actual_rb: actual.radio,
             predicted_gcycles: predicted_computing.as_gigacycles(),
             actual_gcycles: actual_computing.as_gigacycles(),
-            qoe: record.mean_level,
             hit_ratio: actual.hit_ratio,
         });
         self.observe_health(index, &record);
@@ -1438,15 +1414,13 @@ mod tests {
     }
 
     #[test]
-    fn stability_and_level_metrics_are_populated() {
+    fn stability_metrics_are_populated() {
         let report = Simulation::run(small_config(21)).unwrap();
         for r in &report.intervals {
             let s = r.grouping_stability.expect("warm-up pass seeds stability");
             assert!((-1.0..=1.0).contains(&s));
-            assert!((0.0..=1.0).contains(&r.mean_level));
         }
         assert!(report.mean_grouping_stability().is_some());
-        assert!(report.mean_delivered_level() > 0.0, "groups stream video");
     }
 
     #[test]

@@ -134,8 +134,8 @@ events! {
     }
     /// A scored interval finished: the served grouping (`k` clusters,
     /// their silhouette, `groups` predicted), the predicted and actual
-    /// radio (resource blocks) and computing (gigacycles) demand, the
-    /// delivered QoE and the edge cache hit ratio.
+    /// radio (resource blocks) and computing (gigacycles) demand and the
+    /// edge cache hit ratio.
     IntervalCompleted {
         interval: u64,
         k: u64,
@@ -145,7 +145,6 @@ events! {
         actual_rb: f64,
         predicted_gcycles: f64,
         actual_gcycles: f64,
-        qoe: f64,
         hit_ratio: f64,
     }
     /// Per-interval fault-injection tallies after the collection sweep.
@@ -389,7 +388,6 @@ mod tests {
             actual_rb: 126.0,
             predicted_gcycles: 2.1,
             actual_gcycles: 2.0,
-            qoe: 0.91,
             hit_ratio: 0.75,
         }
     }

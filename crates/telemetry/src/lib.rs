@@ -119,6 +119,16 @@ impl Telemetry {
         self.registry.gauge(name, label)
     }
 
+    /// Sets `stage`'s pool gauges from one call's statistics:
+    /// `par_threads`, `par_utilisation` and `par_speedup`.
+    pub fn set_par_gauges(&self, stage: &'static str, stats: msvs_par::ParStats) {
+        self.gauge("par_threads", stage).set(stats.threads as f64);
+        self.gauge("par_utilisation", stage)
+            .set(stats.utilisation());
+        self.gauge("par_speedup", stage)
+            .set(stats.effective_parallelism());
+    }
+
     /// Snapshots every registered gauge at the current span-collector
     /// clock into the counter-sample buffer, one [`GaugeSample`] per
     /// gauge. The driver calls this once per interval so `--trace`

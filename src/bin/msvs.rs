@@ -722,13 +722,11 @@ fn cmd_report(args: &[String], out: &mut dyn Write) -> Result<(), Box<dyn std::e
         .filter_map(|e| match &e.event {
             Event::IntervalCompleted {
                 interval,
-                qoe,
                 hit_ratio,
                 ..
             } => Some(vec![
                 interval.to_string(),
                 format!("{:.1}", e.t_ms as f64 / 1000.0),
-                format!("{qoe:.3}"),
                 format!("{hit_ratio:.3}"),
             ]),
             _ => None,
@@ -738,7 +736,7 @@ fn cmd_report(args: &[String], out: &mut dyn Write) -> Result<(), Box<dyn std::e
         writeln!(
             out,
             "{}",
-            report::format_table(&["interval", "t(s)", "QoE", "hit ratio"], &rows)
+            report::format_table(&["interval", "t(s)", "hit ratio"], &rows)
         )?;
     }
     if !parse.skipped.is_empty() {

@@ -36,7 +36,6 @@ fn report_into_a_pipe_closed_after_one_line_exits_quietly() {
                 actual_rb: 12.0,
                 predicted_gcycles: 1.0,
                 actual_gcycles: 1.5,
-                qoe: 0.5,
                 hit_ratio: 0.25,
             },
         );

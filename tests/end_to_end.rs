@@ -135,7 +135,6 @@ fn extension_modes_compose() {
         assert!((0.0..=1.0).contains(&r.radio_accuracy));
         assert!(r.reservation.is_some());
         assert!(r.grouping_stability.is_some());
-        assert!((0.0..=1.0).contains(&r.mean_level));
     }
     assert!(report.reservation_coverage().is_some());
     assert!(report.waste_fraction() >= 0.0);

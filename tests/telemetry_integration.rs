@@ -90,7 +90,6 @@ fn two_interval_run_journals_the_expected_event_sequence() {
             actual_rb,
             predicted_gcycles,
             actual_gcycles,
-            qoe,
             ..
         } = event
         else {
@@ -106,7 +105,6 @@ fn two_interval_run_journals_the_expected_event_sequence() {
             record.predicted_computing.as_gigacycles()
         );
         assert_eq!(*actual_gcycles, record.actual_computing.as_gigacycles());
-        assert_eq!(*qoe, record.mean_level);
     }
     // The StageSummary rows are the report's stage table, bit for bit.
     let rows: Vec<Event> = entries
