@@ -4,8 +4,8 @@
 //! Runs the E13 sharded scenario clean, under `bs-flap` (two one-interval
 //! partitions of shard 1 — users pinned in place with a severed uplink,
 //! falling into the degradation ladder) and under `bs-crash` (shard 1
-//! killed for two intervals — users failed over to live neighbours, the
-//! shard restored from its boundary checkpoint). The twin population is
+//! killed for two intervals — users failed over to live neighbours and
+//! taken back once the shard is restored). The twin population is
 //! conserved through every kill/failover/restore cycle
 //! (`tests/shard_outage.rs`); what this harness measures is the *price*
 //! of each outage mode: accuracy and coverage lost per point of

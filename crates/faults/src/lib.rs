@@ -75,8 +75,8 @@ impl Brownout {
 /// How a shard outage manifests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OutageMode {
-    /// The shard process dies: its in-memory twins are gone and its users
-    /// must be failed over to neighbour shards from the last checkpoint.
+    /// The shard process dies: its users are failed over to the nearest
+    /// live neighbour shards, and taken back once the window ends.
     Crash,
     /// The shard stays up but its uplink is severed: users remain owned
     /// by it, every report in the window is lost, and the degradation
@@ -104,8 +104,8 @@ impl OutageMode {
 }
 
 /// A control-plane fault: one shard (base station) goes dark for a window
-/// of scored intervals, either crashing (state lost, users failed over
-/// from the last checkpoint) or partitioning (state retained, reports
+/// of scored intervals, either crashing (users failed over to live
+/// neighbours) or partitioning (users stay put, their reports are
 /// lost). Outages against a shard index the deployment does not have are
 /// ignored, so a profile written for 4 shards is a no-op on 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -46,8 +46,6 @@ pub struct ShardSummary {
     pub outages_total: u64,
     /// Users relabelled to live neighbours by crash failover sweeps.
     pub failover_handovers_total: u64,
-    /// Serialized bytes of every boundary checkpoint captured.
-    pub checkpoint_bytes_total: u64,
     /// Intervals the outage schedule was evaluated over (availability
     /// denominator; `0` when the run never applied outages).
     pub intervals_observed: u64,

@@ -12,16 +12,12 @@
 //! apiece (see [`UserDigitalTwin::write_checkpoint`]), which carry every
 //! `f64` bit for bit and cost a fraction of formatting them as decimals.
 //!
-//! A checkpoint is held while the shard is down (the twins' series are
-//! copy-on-write, so a capture costs pointer bumps) and is serialized
-//! only when written out: `Display` streams it through one encoder with
-//! no intermediate tree. [`ShardCheckpoint::encoded_len`] runs the same
-//! encoder into byte counters, one twin entry per task on the worker
-//! pool, and sums the counts. Decoding goes through [`Json::parse`].
+//! A capture costs pointer bumps (the twins' series are copy-on-write).
+//! `Display` streams a checkpoint through one encoder with no
+//! intermediate tree; decoding goes through [`Json::parse`].
 
 use std::fmt;
 
-use msvs_par::Pool;
 use msvs_telemetry::json::{self, Json};
 use msvs_types::{UserId, MAX_SHARDS};
 use msvs_udt::{SyncTracker, UdtStore, UserDigitalTwin};
@@ -107,35 +103,9 @@ impl ShardCheckpoint {
         self.twins.is_empty()
     }
 
-    /// Serialized size in bytes (feeds the `checkpoint_bytes_total`
-    /// counter): the fixed parts plus each twin entry's bytes, counted
-    /// on `pool`, plus the separators. Every part runs the encoder into
-    /// a byte-counting sink, so the count is exact, allocates no text,
-    /// and is the same integer at any thread count.
-    pub fn encoded_len(&self, pool: &Pool) -> usize {
-        let entries: usize = pool
-            .map(&self.twins, |_, e| byte_count(|w| write_entry(w, e)))
-            .into_iter()
-            .sum();
-        let separators = self.twins.len().saturating_sub(1);
-        byte_count(|w| self.write_head(w)) + entries + separators + TAIL.len()
-    }
-
     /// Streams the checkpoint under the versioned schema as one line of
     /// canonical JSON (keys sorted, scalars in [`Json`]'s forms).
     fn write(&self, w: &mut impl fmt::Write) -> fmt::Result {
-        self.write_head(w)?;
-        for (i, e) in self.twins.iter().enumerate() {
-            if i > 0 {
-                w.write_char(',')?;
-            }
-            write_entry(w, e)?;
-        }
-        w.write_str(TAIL)
-    }
-
-    /// Everything before the first twin entry.
-    fn write_head(&self, w: &mut impl fmt::Write) -> fmt::Result {
         w.write_str("{\"interval\":")?;
         json::write_num(w, self.interval as f64)?;
         w.write_str(",\"next_instance\":")?;
@@ -144,7 +114,18 @@ impl ShardCheckpoint {
         json::write_str(w, CHECKPOINT_SCHEMA)?;
         w.write_str(",\"shard\":")?;
         json::write_num(w, self.shard as f64)?;
-        w.write_str(",\"twins\":[")
+        w.write_str(",\"twins\":[")?;
+        for (i, e) in self.twins.iter().enumerate() {
+            if i > 0 {
+                w.write_char(',')?;
+            }
+            w.write_str("{\"tracker\":")?;
+            e.tracker.write_checkpoint(w)?;
+            w.write_str(",\"twin\":")?;
+            e.twin.write_checkpoint(w)?;
+            w.write_char('}')?;
+        }
+        w.write_str("]}")
     }
 
     /// Decodes a checkpoint, naming the first offending field.
@@ -227,36 +208,6 @@ impl fmt::Display for ShardCheckpoint {
     }
 }
 
-/// Closes the twin array and the document.
-const TAIL: &str = "]}";
-
-/// One element of the `twins` array.
-fn write_entry(w: &mut impl fmt::Write, e: &CheckpointEntry) -> fmt::Result {
-    w.write_str("{\"tracker\":")?;
-    e.tracker.write_checkpoint(w)?;
-    w.write_str(",\"twin\":")?;
-    e.twin.write_checkpoint(w)?;
-    w.write_char('}')
-}
-
-/// Bytes `write` emits, counted without storing them.
-fn byte_count(write: impl FnOnce(&mut ByteCount) -> fmt::Result) -> usize {
-    let mut len = ByteCount(0);
-    // The counting sink never fails, so neither does the walk.
-    let _ = write(&mut len);
-    len.0
-}
-
-/// A `fmt::Write` sink that only counts the bytes written to it.
-struct ByteCount(usize);
-
-impl fmt::Write for ByteCount {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.0 += s.len();
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,11 +271,6 @@ mod tests {
             "entries are the shard's users, user-sorted"
         );
         let text = ckpt.to_string();
-        assert_eq!(
-            ckpt.encoded_len(&Pool::serial()),
-            text.len(),
-            "the count is exact"
-        );
         assert_eq!(
             Json::parse(&text).unwrap().to_string(),
             text,

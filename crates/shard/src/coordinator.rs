@@ -3,7 +3,6 @@
 
 use msvs_core::GroupDemandPrediction;
 use msvs_faults::OutageMode;
-use msvs_par::Pool;
 use msvs_telemetry::{stages, Telemetry};
 use msvs_types::{Position, Result, SimDuration, SimTime, UserId};
 use msvs_udt::{SyncTracker, TwinView, UdtStore, UserDigitalTwin};
@@ -15,11 +14,10 @@ use crate::router::ShardRouter;
 /// Which end of an outage window a transition marks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OutagePhase {
-    /// The shard just went down (checkpoint captured; crash mode also
-    /// ran the failover sweep).
+    /// The shard just went down (crash mode also ran the failover
+    /// sweep).
     Down,
-    /// The outage window ended and the shard is live again (its
-    /// checkpoint released).
+    /// The outage window ended and the shard is live again.
     Restored,
 }
 
@@ -37,10 +35,6 @@ pub struct OutageTransition {
     pub phase: OutagePhase,
     /// Users relabelled to live neighbours (crash down transitions only).
     pub failed_over: u64,
-    /// Serialized size of the boundary checkpoint (down transitions).
-    pub checkpoint_bytes: u64,
-    /// Users captured in the checkpoint anchoring this window.
-    pub checkpoint_users: u64,
 }
 
 /// Runs the per-interval shard stages over one twin store and presents
@@ -62,43 +56,35 @@ pub struct ShardCoordinator {
     owner: Vec<Option<usize>>,
     router: ShardRouter,
     aggregator: ReservationAggregator,
-    pool: Pool,
     telemetry: Option<Telemetry>,
     handovers_total: u64,
     peak_imbalance: f64,
     /// Per-shard health: `Some(mode)` while the shard is inside an
     /// outage window. Mutated only on the serial driver thread.
     down: Vec<Option<OutageMode>>,
-    /// Boundary checkpoint per shard while it is down (captured at the
-    /// down transition, released by the restore it anchors).
-    checkpoints: Vec<Option<ShardCheckpoint>>,
     down_intervals: Vec<u64>,
     intervals_observed: u64,
     outages_total: u64,
     failover_handovers_total: u64,
-    checkpoint_bytes_total: u64,
 }
 
 impl ShardCoordinator {
     /// Builds the shard set `router` maps into, with an empty store.
-    pub fn new(router: ShardRouter, pool: Pool) -> Self {
+    pub fn new(router: ShardRouter) -> Self {
         let n = router.n_shards();
         Self {
             store: UdtStore::new(),
             owner: Vec::new(),
             router,
             aggregator: ReservationAggregator::new(n),
-            pool,
             telemetry: None,
             handovers_total: 0,
             peak_imbalance: 1.0,
             down: vec![None; n],
-            checkpoints: vec![None; n],
             down_intervals: vec![0; n],
             intervals_observed: 0,
             outages_total: 0,
             failover_handovers_total: 0,
-            checkpoint_bytes_total: 0,
         }
     }
 
@@ -151,12 +137,6 @@ impl ShardCoordinator {
     /// Whether `shard` is currently inside an outage window.
     pub fn is_down(&self, shard: usize) -> bool {
         self.outage_mode(shard).is_some()
-    }
-
-    /// The boundary checkpoint of `shard` if it is down now; `None`
-    /// while it is live, since the restore releases the checkpoint.
-    pub fn last_checkpoint(&self, shard: usize) -> Option<&ShardCheckpoint> {
-        self.checkpoints.get(shard).and_then(Option::as_ref)
     }
 
     /// Snapshots the twins `shard` owns at `interval`, pairing each with
@@ -307,31 +287,24 @@ impl ShardCoordinator {
     /// availability. `target(shard)` is the fault plan's verdict for the
     /// interval (e.g. [`msvs_faults::FaultPlan::outage_at`]); `users` is
     /// the caller's deterministic user order, as for
-    /// [`rebalance`](Self::rebalance); `tracker_of(user)` is that user's
-    /// uplink sync state, which the caller owns and the checkpoint
-    /// copies.
+    /// [`rebalance`](Self::rebalance).
     ///
-    /// Transitions are serial and interval-scheduled (only the byte
-    /// count fans out, and it sums integers), so the whole lifecycle is
-    /// bit-identical at any thread count:
+    /// Transitions are serial and interval-scheduled, so the whole
+    /// lifecycle is bit-identical at any thread count:
     ///
-    /// - **down** (`None -> Some(mode)`): a boundary [`ShardCheckpoint`]
-    ///   of the shard's users is captured and held as-is; its encoded
-    ///   size is counted on the worker pool, one twin entry per task,
-    ///   without serializing it (the codec's round trip is checked by the
-    ///   checkpoint tests and by `msvs checkpoint --restore`, not here).
-    ///   `Crash` then runs the failover sweep — every owned user is
-    ///   relabelled to the nearest live cell (ring-next shard for users
-    ///   with no reported position) — and the shard ends owning nobody.
-    ///   `Partition` leaves the labels in place; the runner forces those
-    ///   users' uplink reports lost, which engages the sync-tracker
-    ///   retry/backoff and the prediction degradation ladder.
+    /// - **down** (`None -> Some(mode)`): `Crash` runs the failover sweep
+    ///   — every owned user is relabelled to the nearest live cell
+    ///   (ring-next shard for users with no reported position) — and the
+    ///   shard ends owning nobody. `Partition` leaves the labels in
+    ///   place; the runner forces those users' uplink reports lost, which
+    ///   engages the sync-tracker retry/backoff and the prediction
+    ///   degradation ladder.
     /// - **restored** (`Some(mode) -> None` once the window ends): the
-    ///   checkpoint is released and its user count reported. The store
-    ///   is never cleared, so there is nothing to reload. The next
-    ///   [`rebalance`](Self::rebalance) sweep takes the shard's users
-    ///   back through the same handover path (a partitioned shard
-    ///   replays its backlog through the trackers' pending retries).
+    ///   shard is live again. No twin ever left the store, so there is
+    ///   nothing to reload. The next [`rebalance`](Self::rebalance) sweep
+    ///   takes the shard's users back through the same handover path (a
+    ///   partitioned shard replays its backlog through the trackers'
+    ///   pending retries).
     ///
     /// A transition that would down the **last live shard** is ignored
     /// deterministically — its users would have nowhere to go. While a
@@ -339,10 +312,8 @@ impl ShardCoordinator {
     /// the window's pinned mode.
     pub fn apply_outages(
         &mut self,
-        interval: u64,
         target: impl Fn(usize) -> Option<OutageMode>,
         users: &[UserId],
-        mut tracker_of: impl FnMut(UserId) -> SyncTracker,
     ) -> Vec<OutageTransition> {
         let mut transitions = Vec::new();
         if !self.sharded() {
@@ -364,8 +335,6 @@ impl ShardCoordinator {
                         .telemetry
                         .as_ref()
                         .map(|t| t.stage_scope(stages::SHARD_OUTAGE));
-                    let ckpt = self.checkpoint(i, interval, &mut tracker_of);
-                    let bytes = ckpt.encoded_len(&self.pool) as u64;
                     self.down[i] = Some(mode);
                     let mut failed_over = 0u64;
                     if mode == OutageMode::Crash {
@@ -393,19 +362,14 @@ impl ShardCoordinator {
                     }
                     self.outages_total += 1;
                     self.failover_handovers_total += failed_over;
-                    self.checkpoint_bytes_total += bytes;
                     transitions.push(OutageTransition {
                         shard: i,
                         mode,
                         phase: OutagePhase::Down,
                         failed_over,
-                        checkpoint_bytes: bytes,
-                        checkpoint_users: ckpt.len() as u64,
                     });
-                    self.checkpoints[i] = Some(ckpt);
                     if let (Some(t), Some(_scope)) = (&self.telemetry, scope.as_ref()) {
                         t.counter("shard_outages_total", mode.label()).add(1);
-                        t.counter("checkpoint_bytes_total", "all").add(bytes);
                         t.counter("failover_handovers_total", "all")
                             .add(failed_over);
                     }
@@ -415,15 +379,12 @@ impl ShardCoordinator {
                         .telemetry
                         .as_ref()
                         .map(|t| t.stage_scope(stages::SHARD_RESTORE));
-                    let checkpoint_users = self.checkpoints[i].take().map_or(0, |c| c.len() as u64);
                     self.down[i] = None;
                     transitions.push(OutageTransition {
                         shard: i,
                         mode,
                         phase: OutagePhase::Restored,
                         failed_over: 0,
-                        checkpoint_bytes: 0,
-                        checkpoint_users,
                     });
                 }
                 // Steady state; a mode change while down keeps the
@@ -483,7 +444,6 @@ impl ShardCoordinator {
             peak_imbalance: self.peak_imbalance,
             outages_total: self.outages_total,
             failover_handovers_total: self.failover_handovers_total,
-            checkpoint_bytes_total: self.checkpoint_bytes_total,
             intervals_observed: self.intervals_observed,
             demand: self
                 .populations()
@@ -535,7 +495,7 @@ mod tests {
     }
 
     fn coordinator(n_shards: usize) -> ShardCoordinator {
-        ShardCoordinator::new(ShardRouter::new(grid(), n_shards), Pool::serial())
+        ShardCoordinator::new(ShardRouter::new(grid(), n_shards))
     }
 
     fn insert_at(c: &mut ShardCoordinator, id: u32, x: f64, y: f64) {
@@ -637,11 +597,6 @@ mod tests {
         (0..n).map(UserId).collect()
     }
 
-    /// Every user's tracker, for tests that do not inspect them.
-    fn fresh(_: UserId) -> SyncTracker {
-        SyncTracker::default()
-    }
-
     #[test]
     fn crash_kill_failover_restore_conserves_twins() {
         let mut c = coordinator(2);
@@ -652,12 +607,10 @@ mod tests {
         let twin_1 = c.with_twin(UserId(1), Clone::clone).unwrap();
 
         // Interval 1: shard 1 crashes. Its users fail over to shard 0.
-        let t = c.apply_outages(1, |s| (s == 1).then_some(OutageMode::Crash), &users, fresh);
+        let t = c.apply_outages(|s| (s == 1).then_some(OutageMode::Crash), &users);
         assert_eq!(t.len(), 1);
         assert_eq!(t[0].phase, OutagePhase::Down);
         assert_eq!(t[0].failed_over, 2);
-        assert_eq!(t[0].checkpoint_users, 2);
-        assert!(t[0].checkpoint_bytes > 0);
         assert!(c.is_down(1));
         assert_eq!(c.len(), 3, "failover conserves twins");
         assert_eq!(c.owner_of(UserId(1)), Some(0));
@@ -679,10 +632,9 @@ mod tests {
         assert_eq!(c.rebalance(&users), 0);
 
         // Interval 3: the window ends; the next sweep takes them back.
-        let t = c.apply_outages(3, |_| None, &users, fresh);
+        let t = c.apply_outages(|_| None, &users);
         assert_eq!(t.len(), 1);
         assert_eq!(t[0].phase, OutagePhase::Restored);
-        assert_eq!(t[0].checkpoint_users, 2);
         assert!(!c.is_down(1));
         assert_eq!(
             c.rebalance(&users),
@@ -693,42 +645,10 @@ mod tests {
         assert_eq!(c.len(), 3, "conservation holds across the whole cycle");
     }
 
-    /// A down → restore cycle holds the checkpoint only while the shard
-    /// is down, restores the captured user count, and counts the same
-    /// bytes at any pool size.
+    /// The caller owns the trackers; a shard's checkpoint copies each
+    /// owner's through the lookup, pending retry included.
     #[test]
-    fn restore_releases_the_checkpoint_and_the_count_ignores_the_pool() {
-        let cycle = |pool: Pool| {
-            let mut c = ShardCoordinator::new(ShardRouter::new(grid(), 2), pool);
-            insert_at(&mut c, 0, 1.0, 1.0); // shard 0
-            insert_at(&mut c, 1, 99.0, 1.0); // shard 1
-            insert_at(&mut c, 2, 98.0, 2.0); // shard 1
-                                             // Fractional samples, so the count formats floats.
-            for id in [1, 2] {
-                c.with_twin_mut(UserId(id), |t| {
-                    t.update_channel(SimTime::ZERO, 0.1 * id as f64)
-                })
-                .unwrap();
-            }
-            let users = ids(3);
-            let down = c.apply_outages(1, |s| (s == 1).then_some(OutageMode::Crash), &users, fresh);
-            let held = c.last_checkpoint(1).expect("held while down");
-            assert_eq!(held.len(), 2);
-            assert_eq!(down[0].checkpoint_bytes, held.to_string().len() as u64);
-            assert!(c.last_checkpoint(0).is_none(), "shard 0 never went down");
-            let up = c.apply_outages(2, |_| None, &users, fresh);
-            assert_eq!(up[0].phase, OutagePhase::Restored);
-            assert_eq!(up[0].checkpoint_users, 2, "recovered = captured users");
-            assert!(c.last_checkpoint(1).is_none(), "restore releases it");
-            down[0].checkpoint_bytes
-        };
-        assert_eq!(cycle(Pool::serial()), cycle(Pool::new(4)));
-    }
-
-    /// The caller owns the trackers; a down shard's checkpoint copies
-    /// each owner's through the lookup, pending retry included.
-    #[test]
-    fn outage_checkpoint_holds_each_owners_tracker() {
+    fn checkpoint_holds_each_owners_tracker() {
         let mut c = coordinator(2);
         insert_at(&mut c, 0, 1.0, 1.0); // shard 0
         insert_at(&mut c, 1, 99.0, 1.0); // shard 1
@@ -740,13 +660,8 @@ mod tests {
         );
         assert_ne!(lost, SyncTracker::default(), "a retry is pending");
         let trackers = [SyncTracker::default(), lost.clone()];
-        c.apply_outages(
-            1,
-            |s| (s == 1).then_some(OutageMode::Crash),
-            &ids(2),
-            |id| trackers[id.index()].clone(),
-        );
-        let held = c.last_checkpoint(1).expect("held while down");
+        let held = c.checkpoint(1, 4, |id| trackers[id.index()].clone());
+        assert_eq!((held.shard, held.interval), (1, 4));
         assert_eq!(held.len(), 1);
         assert_eq!(held.twins[0].twin.user(), UserId(1));
         assert_eq!(held.twins[0].tracker, lost);
@@ -760,8 +675,8 @@ mod tests {
         let nonce = |c: &ShardCoordinator, id| c.with_twin(UserId(id), |t| t.revision().instance);
         let before = [nonce(&c, 0).unwrap(), nonce(&c, 1).unwrap()];
         let users = ids(2);
-        c.apply_outages(1, |s| (s == 1).then_some(OutageMode::Crash), &users, fresh);
-        c.apply_outages(2, |_| None, &users, fresh);
+        c.apply_outages(|s| (s == 1).then_some(OutageMode::Crash), &users);
+        c.apply_outages(|_| None, &users);
         // A fresh insert on the recovered shard stamps a new nonce.
         let twin = UserDigitalTwin::new(UserId(7));
         c.insert(twin, Position::new(99.0, 1.0));
@@ -779,12 +694,7 @@ mod tests {
         insert_at(&mut c, 0, 1.0, 1.0);
         insert_at(&mut c, 1, 99.0, 1.0);
         let users = ids(2);
-        let t = c.apply_outages(
-            1,
-            |s| (s == 1).then_some(OutageMode::Partition),
-            &users,
-            fresh,
-        );
+        let t = c.apply_outages(|s| (s == 1).then_some(OutageMode::Partition), &users);
         assert_eq!(t[0].failed_over, 0, "partition does not move twins");
         assert_eq!(c.owner_of(UserId(1)), Some(1));
         assert_eq!(
@@ -799,7 +709,7 @@ mod tests {
         .unwrap();
         assert_eq!(c.rebalance(&users), 0);
         // Heal: the backlog user hands over on the next sweep.
-        c.apply_outages(2, |_| None, &users, fresh);
+        c.apply_outages(|_| None, &users);
         assert_eq!(c.partitioned_users(&[UserId(1)]), vec![false]);
         assert_eq!(c.rebalance(&users), 1);
         assert_eq!(c.len(), 2);
@@ -811,7 +721,7 @@ mod tests {
         insert_at(&mut c, 0, 1.0, 1.0);
         insert_at(&mut c, 1, 99.0, 1.0);
         let users = ids(2);
-        let t = c.apply_outages(1, |_| Some(OutageMode::Crash), &users, fresh);
+        let t = c.apply_outages(|_| Some(OutageMode::Crash), &users);
         assert_eq!(t.len(), 1, "only the first shard goes down");
         assert_eq!(t[0].shard, 0);
         assert!(!c.is_down(1), "shard 1 is the last live shard");
@@ -827,10 +737,8 @@ mod tests {
         for interval in 0..4u64 {
             // Shard 1 is down for intervals 1 and 2 of 4.
             c.apply_outages(
-                interval,
                 |s| (s == 1 && (1..3).contains(&interval)).then_some(OutageMode::Partition),
                 &users,
-                fresh,
             );
         }
         let summary = c.summary();
@@ -859,14 +767,14 @@ mod tests {
 
         // Crash shard 0: the tie re-resolves deterministically onto the
         // overlay (nearest live BS) and the owner stays unique.
-        c.apply_outages(1, |s| (s == 0).then_some(OutageMode::Crash), &users, fresh);
+        c.apply_outages(|s| (s == 0).then_some(OutageMode::Crash), &users);
         assert_eq!(c.owner_of(UserId(0)), Some(1));
         assert_eq!(c.len(), 2, "exactly one twin per user");
         // Sweeps while down are idempotent for the boundary user.
         assert_eq!(c.rebalance(&users), 0);
 
         // Restore: the tie falls back to the base resolution (shard 0).
-        c.apply_outages(3, |_| None, &users, fresh);
+        c.apply_outages(|_| None, &users);
         assert_eq!(c.rebalance(&users), 1);
         assert_eq!(c.owner_of(UserId(0)), Some(0));
         assert_eq!(c.len(), 2);

@@ -16,8 +16,9 @@
 //!   serial handover sweep and the outage lifecycle — a handover or a
 //!   crash failover relabels a user and never moves its twin, and the
 //!   users' uplink sync state stays with the caller;
-//! - [`ShardCheckpoint`] snapshots one shard's users at an outage
-//!   boundary under a versioned schema;
+//! - [`ShardCheckpoint`] snapshots one shard's users at an interval
+//!   boundary under a versioned schema (`msvs checkpoint` writes and
+//!   restores it; the outage path captures none);
 //! - [`ReservationAggregator`] folds per-group demand predictions into
 //!   per-shard rows that sum back to the global reservation totals.
 

@@ -1,6 +1,8 @@
 //! Plain-text tables and CSV export for simulation reports. The
-//! scorecard and stage tables read journal entries, so `msvs run` and
-//! `msvs report` print them from the same record.
+//! scorecard, stage and outage tables read journal entries, so `msvs
+//! run` and `msvs report` print them from the same record.
+
+use std::collections::BTreeMap;
 
 use msvs_core::demand::prediction_accuracy;
 use msvs_telemetry::{Entry, Event};
@@ -175,6 +177,107 @@ pub fn stage_table(entries: &[Entry]) -> Option<String> {
         format_table(
             &[
                 "stage", "count", "mean ms", "p50 ms", "p90 ms", "p99 ms", "max ms", "total ms",
+            ],
+            &rows,
+        )
+    })
+}
+
+/// One shard's outage record, folded from a journal's `ShardDown` and
+/// `ShardRestored` entries.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct ShardOutageRow {
+    /// The shard.
+    pub shard: u64,
+    /// Outage windows the shard entered.
+    pub outages: u64,
+    /// Users crash failover relabelled away from the shard.
+    pub failed_over: u64,
+    /// Scored intervals the shard spent inside an outage window.
+    pub down_intervals: u64,
+    /// Fraction of the scored intervals the shard was live.
+    pub availability: f64,
+}
+
+/// Folds a journal's outage events into one row per shard that went
+/// down, in shard order. A `ShardDown` at interval `d` answered by a
+/// `ShardRestored` at interval `r` means the shard missed intervals
+/// `d..r`; an unanswered `ShardDown` is down through the end of the run
+/// (the journal's `IntervalCompleted` count).
+pub fn shard_outages(entries: &[Entry]) -> Vec<ShardOutageRow> {
+    let total_intervals = entries
+        .iter()
+        .filter(|e| matches!(e.event, Event::IntervalCompleted { .. }))
+        .count() as u64;
+    // Per shard: its row so far and the interval of an open outage.
+    let mut shards: BTreeMap<u64, (ShardOutageRow, Option<u64>)> = BTreeMap::new();
+    for e in entries {
+        match &e.event {
+            Event::ShardDown {
+                interval,
+                shard,
+                failed_over,
+                ..
+            } => {
+                let (row, open) = shards.entry(*shard).or_default();
+                row.outages += 1;
+                row.failed_over += failed_over;
+                *open = Some(*interval);
+            }
+            Event::ShardRestored {
+                interval, shard, ..
+            } => {
+                let (row, open) = shards.entry(*shard).or_default();
+                if let Some(down_at) = open.take() {
+                    row.down_intervals += interval.saturating_sub(down_at);
+                }
+            }
+            _ => {}
+        }
+    }
+    shards
+        .into_iter()
+        .map(|(shard, (row, open))| {
+            let down_intervals = row.down_intervals
+                + open.map_or(0, |down_at| total_intervals.saturating_sub(down_at));
+            let availability = if total_intervals == 0 {
+                1.0
+            } else {
+                1.0 - down_intervals as f64 / total_intervals as f64
+            };
+            ShardOutageRow {
+                shard,
+                down_intervals,
+                availability,
+                ..row
+            }
+        })
+        .collect()
+}
+
+/// Renders [`shard_outages`] as the per-shard outage table, or `None`
+/// when no shard went down.
+pub fn outage_table(entries: &[Entry]) -> Option<String> {
+    let rows: Vec<Vec<String>> = shard_outages(entries)
+        .iter()
+        .map(|r| {
+            vec![
+                r.shard.to_string(),
+                r.outages.to_string(),
+                r.failed_over.to_string(),
+                r.down_intervals.to_string(),
+                format!("{:.1}%", 100.0 * r.availability),
+            ]
+        })
+        .collect();
+    (!rows.is_empty()).then(|| {
+        format_table(
+            &[
+                "shard",
+                "outages",
+                "failed over",
+                "down intervals",
+                "availability",
             ],
             &rows,
         )

@@ -1,6 +1,8 @@
 //! The system under test and the interval pipeline (collect → predict →
 //! playback → observe) that drives it against the simulated `World`.
 
+use std::collections::BTreeMap;
+
 use msvs_core::demand::prediction_accuracy;
 use msvs_core::{DegradationSignal, DemandPredictor, PredictionContext, PredictionOutcome};
 use msvs_faults::{DelayQueue, FaultCounts, FaultInjector, FaultPlan, ReportFate};
@@ -140,7 +142,7 @@ impl Simulation {
     ) -> Result<Self> {
         let router = ShardRouter::new(bs_positions.clone(), config.shards);
         let mut world = World::new(&config, map, bs_positions)?;
-        let mut store = ShardCoordinator::new(router, pool);
+        let mut store = ShardCoordinator::new(router);
         let user_ids: Vec<UserId> = (0..config.n_users).map(|u| UserId(u as u32)).collect();
         for (&id, user) in user_ids.iter().zip(world.users()) {
             store.insert(UserDigitalTwin::new(id), user.position());
@@ -328,17 +330,19 @@ impl Simulation {
         let handovers = self.collect(scored);
         let predicted = self.predict(scored)?;
         let actual = self.playback(&predicted.outcome, scored);
-        self.observe(scored, predicted, actual, handovers)
+        self.observe(scored, predicted, actual, handovers, interval_scope.id())
     }
 
     /// Feeds the scored interval's signals to the SLO watchdog and the
-    /// health board, then samples the gauges. The watchdog gets sim-time
-    /// signals plus live wall-clock stage p99s for any configured
-    /// ceilings; it journals breach/recovery edges and bumps
-    /// `slo_breaches_total{slo}` per breach. Gauge samples feed Perfetto
-    /// counter tracks in trace exports and the board feeds `/healthz`;
-    /// neither is read back by the report.
-    fn observe_health(&mut self, interval: u64, record: &IntervalRecord) {
+    /// health board, sets the accuracy gauges, then samples the gauges.
+    /// The watchdog gets sim-time signals plus live wall-clock stage
+    /// p99s over scored spans for any configured ceilings (`root` is
+    /// this interval's root span, still open); it journals
+    /// breach/recovery edges and bumps `slo_breaches_total{slo}` per
+    /// breach. Gauge samples feed Perfetto counter tracks in trace
+    /// exports and the board feeds `/healthz` and `/metrics`; neither is
+    /// read back by the report.
+    fn observe_health(&mut self, interval: u64, root: u64, record: &IntervalRecord) {
         let summary = self.store.sharded().then(|| self.store.summary());
         let degraded_intervals = self
             .telemetry
@@ -351,19 +355,8 @@ impl Simulation {
                     .map(|row| row.availability)
                     .fold(f64::INFINITY, f64::min)
             });
-            // Exact p99 over the closed spans of each ceilinged stage;
-            // the open `interval` span is not a sample yet.
-            let ceilings = &watchdog.policy().stage_p99_ms;
-            let stage_p99_ms = if ceilings.is_empty() {
-                Default::default()
-            } else {
-                self.telemetry
-                    .stage_stats()
-                    .into_iter()
-                    .filter(|s| ceilings.contains_key(&s.stage))
-                    .map(|s| (s.stage, s.p99_ms))
-                    .collect()
-            };
+            let stage_p99_ms =
+                scored_stage_p99_ms(&self.telemetry, &watchdog.policy().stage_p99_ms, root);
             let signals = SloSignals {
                 interval,
                 min_shard_availability,
@@ -396,6 +389,12 @@ impl Simulation {
                 }
             }
         }
+        self.telemetry
+            .gauge("prediction_accuracy", "radio")
+            .set(record.radio_accuracy);
+        self.telemetry
+            .gauge("prediction_accuracy", "computing")
+            .set(record.computing_accuracy);
         self.telemetry.sample_gauges();
         let shards = summary.map_or_else(Vec::new, |s| {
             s.demand
@@ -450,12 +449,9 @@ impl Simulation {
             return;
         }
         let plan = self.faults.as_ref().map(|rt| &rt.plan);
-        let uplinks = &self.uplinks;
         let transitions = self.store.apply_outages(
-            index,
             |shard| plan.and_then(|p| p.outage_at(shard, index)),
             &self.user_ids,
-            |id| uplinks[id.index()].tracker.clone(),
         );
         for t in transitions {
             match t.phase {
@@ -464,13 +460,11 @@ impl Simulation {
                     shard: t.shard as u64,
                     mode: t.mode.label().to_string(),
                     failed_over: t.failed_over,
-                    checkpoint_bytes: t.checkpoint_bytes,
                 }),
                 OutagePhase::Restored => self.telemetry.emit(Event::ShardRestored {
                     interval: index,
                     shard: t.shard as u64,
                     mode: t.mode.label().to_string(),
-                    recovered: t.checkpoint_users,
                 }),
             }
         }
@@ -721,6 +715,7 @@ impl Simulation {
         predicted: Predicted,
         actual: ActualDemand,
         handovers: u64,
+        root: u64,
     ) -> Result<Option<IntervalRecord>> {
         let actual_radio = ResourceBlocks(actual.radio);
         let actual_computing = CpuCycles(actual.computing);
@@ -818,7 +813,7 @@ impl Simulation {
             actual_gcycles: actual_computing.as_gigacycles(),
             hit_ratio: actual.hit_ratio,
         });
-        self.observe_health(index, &record);
+        self.observe_health(index, root, &record);
         Ok(Some(record))
     }
 
@@ -847,6 +842,30 @@ impl Simulation {
         }
         actual
     }
+}
+
+/// Exact p99 of each stage in `ceilings` over its scored spans: the
+/// closed spans under an `interval` root that carries a scored index.
+/// A guard stamps its attributes when it closes, so `open_root`, the
+/// current scored interval's root, counts as scored while still open
+/// (its own span is not a sample until it closes). Warm-up intervals
+/// and pretraining, which hold the CNN training, never count.
+fn scored_stage_p99_ms(
+    telemetry: &Telemetry,
+    ceilings: &BTreeMap<String, f64>,
+    open_root: u64,
+) -> BTreeMap<String, f64> {
+    if ceilings.is_empty() {
+        return BTreeMap::new();
+    }
+    telemetry
+        .stage_stats_under(|root| {
+            root.name == stages::INTERVAL && (root.id == open_root || root.attrs.interval.is_some())
+        })
+        .into_iter()
+        .filter(|s| ceilings.contains_key(&s.stage))
+        .map(|s| (s.stage, s.p99_ms))
+        .collect()
 }
 
 /// One uplink report's payload.
@@ -1059,6 +1078,7 @@ mod tests {
     use super::*;
     use crate::config::DemandPredictorKind;
     use msvs_core::{CompressorConfig, GroupingConfig, SchemeConfig};
+    use msvs_telemetry::SpanAttrs;
 
     fn small_config(seed: u64) -> SimulationConfig {
         let mut scheme = SchemeConfig {
@@ -1563,5 +1583,90 @@ mod tests {
         assert_eq!(report.intervals.len(), 2);
         // After warm-up the EWMA has observations, so accuracy is defined.
         assert!(report.intervals[1].radio_accuracy > 0.0);
+    }
+
+    /// Records a root `interval` span (scored when `scored` is set)
+    /// holding one `scheme_predict` span of `ms` milliseconds.
+    fn interval_with_predict(t: &Telemetry, scored: Option<u64>, ms: u64) {
+        let spans = t.span_collector();
+        let attrs = SpanAttrs {
+            interval: scored,
+            ..Default::default()
+        };
+        let root = spans.record_manual(None, stages::INTERVAL, 0, ms * 1000 + 500, attrs);
+        let predict = SpanAttrs::default();
+        spans.record_manual(Some(root), stages::SCHEME_PREDICT, 0, ms * 1000, predict);
+    }
+
+    /// Judges one interval's scored stage p99s against a 250 ms
+    /// `scheme_predict` ceiling (`open_root` as in
+    /// [`scored_stage_p99_ms`]); returns the p99 and the watchdog's edges.
+    fn judge_predict_ceiling(t: &Telemetry, open_root: u64) -> (f64, Vec<SloEdge>) {
+        let ceilings = BTreeMap::from([(stages::SCHEME_PREDICT.to_string(), 250.0)]);
+        let stage_p99_ms = scored_stage_p99_ms(t, &ceilings, open_root);
+        let p99 = stage_p99_ms[stages::SCHEME_PREDICT];
+        let mut watchdog = SloWatchdog::new(msvs_telemetry::SloPolicy {
+            stage_p99_ms: ceilings,
+            ..msvs_telemetry::SloPolicy::none()
+        });
+        let edges = watchdog
+            .observe(&SloSignals {
+                interval: 0,
+                min_shard_availability: None,
+                twin_coverage: None,
+                degraded_intervals: 0,
+                stage_p99_ms,
+            })
+            .into_iter()
+            .map(|t| t.edge)
+            .collect();
+        (p99, edges)
+    }
+
+    /// The warm-up prediction pass holds the CNN training; its span
+    /// never counts against a scored-path ceiling.
+    #[test]
+    fn a_stage_ceiling_only_a_warm_up_span_exceeds_raises_no_breach() {
+        let t = Telemetry::new();
+        interval_with_predict(&t, None, 400);
+        interval_with_predict(&t, Some(0), 5);
+        let (p99, edges) = judge_predict_ceiling(&t, u64::MAX);
+        assert_eq!(p99, 5.0);
+        assert!(edges.is_empty(), "{edges:?}");
+    }
+
+    /// A scored span past the ceiling breaches, also while its interval
+    /// root is still open and so carries no interval attribute yet.
+    #[test]
+    fn a_stage_ceiling_a_scored_span_exceeds_still_breaches() {
+        let t = Telemetry::new();
+        interval_with_predict(&t, None, 5);
+        interval_with_predict(&t, Some(0), 300);
+        assert_eq!(
+            judge_predict_ceiling(&t, u64::MAX),
+            (300.0, vec![SloEdge::Breached])
+        );
+
+        let t = Telemetry::new();
+        interval_with_predict(&t, None, 5);
+        let mut root = t.stage_scope(stages::INTERVAL);
+        root.set_interval(0);
+        let predict = SpanAttrs::default();
+        t.span_collector().record_manual(
+            Some(root.id()),
+            stages::SCHEME_PREDICT,
+            0,
+            300_000,
+            predict,
+        );
+        assert_eq!(
+            judge_predict_ceiling(&t, root.id()),
+            (300.0, vec![SloEdge::Breached])
+        );
+        let ceilings = BTreeMap::from([(stages::SCHEME_PREDICT.to_string(), 250.0)]);
+        assert!(
+            scored_stage_p99_ms(&t, &ceilings, u64::MAX).is_empty(),
+            "an open root stamps its interval attribute only when it closes"
+        );
     }
 }

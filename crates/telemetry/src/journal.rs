@@ -164,22 +164,18 @@ events! {
     /// The predictor fell back to its degraded path for an interval.
     PredictionDegraded { interval: u64, coverage: f64, margin: f64 }
     /// A shard went down (crash or partition). `failed_over` counts the
-    /// users relabelled to live neighbours (crash only);
-    /// `checkpoint_bytes` is the size of the boundary checkpoint.
+    /// users relabelled to live neighbours (crash only).
     ShardDown {
         interval: u64,
         shard: u64,
         mode: String,
         failed_over: u64,
-        checkpoint_bytes: u64,
     }
-    /// A shard came back at the end of its outage window. `recovered`
-    /// counts the users in the checkpoint anchoring the resync.
+    /// A shard came back at the end of its outage window.
     ShardRestored {
         interval: u64,
         shard: u64,
         mode: String,
-        recovered: u64,
     }
     /// An SLO rule crossed from meeting to breaching its objective at
     /// an interval boundary. `value` is the observed signal, `threshold`
@@ -500,13 +496,11 @@ mod tests {
                 shard: 1,
                 mode: "crash".into(),
                 failed_over: 25,
-                checkpoint_bytes: 4096,
             },
             Event::ShardRestored {
                 interval: 4,
                 shard: 1,
                 mode: "crash".into(),
-                recovered: 25,
             },
             Event::SloBreached {
                 interval: 2,
@@ -618,6 +612,33 @@ mod tests {
         let t_ms: Vec<u64> = journal.entries().iter().map(|e| e.t_ms).collect();
         assert_eq!(t_ms, (0..n as u64).collect::<Vec<_>>());
         assert_eq!(journal.to_jsonl().lines().count(), n);
+    }
+
+    /// A line an older build wrote, holding a field since retired from
+    /// its event, still parses: fields are read by name, and a key no
+    /// event declares is ignored.
+    #[test]
+    fn retired_fields_of_older_journals_are_ignored() {
+        for event in [
+            Event::ShardDown {
+                interval: 2,
+                shard: 1,
+                mode: "crash".into(),
+                failed_over: 25,
+            },
+            Event::ShardRestored {
+                interval: 4,
+                shard: 1,
+                mode: "crash".into(),
+            },
+        ] {
+            let entry = Entry { t_ms: 42, event };
+            let mut json = entry.to_json();
+            if let Json::Obj(map) = &mut json {
+                map.insert("retired".into(), Json::Num(4096.0));
+            }
+            assert_eq!(Entry::parse(&json.to_string()).unwrap(), entry);
+        }
     }
 
     #[test]

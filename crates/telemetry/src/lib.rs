@@ -161,8 +161,14 @@ impl Telemetry {
     /// Exact latency statistics of every span name, from closed spans
     /// only, sorted by name.
     pub fn stage_stats(&self) -> Vec<StageStats> {
+        self.stage_stats_under(|_| true)
+    }
+
+    /// [`stage_stats`](Self::stage_stats) over the closed spans whose
+    /// root span satisfies `keep_root`.
+    pub fn stage_stats_under(&self, keep_root: impl Fn(&SpanRecord) -> bool) -> Vec<StageStats> {
         self.spans
-            .closed_durations_us()
+            .closed_durations_us(keep_root)
             .into_iter()
             .map(|(stage, mut us)| StageStats::from_durations_us(stage, &mut us))
             .collect()

@@ -229,14 +229,25 @@ impl SpanCollector {
             .clone()
     }
 
-    /// Durations (µs) of every closed span, grouped by name, each list
-    /// in id order. A span still open on the driver stack is not a
-    /// sample: its duration is not known yet.
-    pub fn closed_durations_us(&self) -> BTreeMap<&'static str, Vec<u64>> {
+    /// Durations (µs) of every closed span whose root span satisfies
+    /// `keep_root`, grouped by name, each list in id order. A span still
+    /// open on the driver stack is not a sample: its duration is not
+    /// known yet (nor, for a guard, its attributes).
+    pub fn closed_durations_us(
+        &self,
+        keep_root: impl Fn(&SpanRecord) -> bool,
+    ) -> BTreeMap<&'static str, Vec<u64>> {
         let inner = self.0.inner.lock().expect("span lock poisoned");
+        let spans = &inner.spans;
+        let root = |mut id: usize| {
+            while let Some(parent) = spans[id].parent {
+                id = parent as usize;
+            }
+            &spans[id]
+        };
         let mut out: BTreeMap<&'static str, Vec<u64>> = BTreeMap::new();
-        for span in &inner.spans {
-            if !inner.stack.contains(&span.id) {
+        for span in spans {
+            if !inner.stack.contains(&span.id) && keep_root(root(span.id as usize)) {
                 out.entry(span.name).or_default().push(span.dur_us);
             }
         }
@@ -507,7 +518,7 @@ mod tests {
             let _g = c.enter(stages::KMEANS_FIT);
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
-        let closed = c.closed_durations_us();
+        let closed = c.closed_durations_us(|_| true);
         assert_eq!(closed[stages::KMEANS_FIT].len(), 1);
         assert!(closed[stages::KMEANS_FIT][0] >= 1_000, "slept ~2ms");
     }
@@ -525,7 +536,10 @@ mod tests {
             spans[0].dur_us as f64 / 1e3,
             "stop returns the span's own duration"
         );
-        assert_eq!(c.closed_durations_us()[stages::CNN_FORWARD].len(), 1);
+        assert_eq!(
+            c.closed_durations_us(|_| true)[stages::CNN_FORWARD].len(),
+            1
+        );
     }
 
     #[test]
@@ -536,7 +550,7 @@ mod tests {
         let mut s = c.scratch();
         s.record(stages::CNN_ENCODE_BATCH, SpanAttrs::default(), |_| ());
         c.adopt(Some(outer.id()), s);
-        let closed = c.closed_durations_us();
+        let closed = c.closed_durations_us(|_| true);
         assert!(
             !closed.contains_key(stages::INTERVAL),
             "the open root is skipped"
@@ -544,7 +558,7 @@ mod tests {
         assert_eq!(closed[stages::SCHEME_PREDICT].len(), 1);
         assert_eq!(closed[stages::CNN_ENCODE_BATCH].len(), 1);
         drop(outer);
-        assert_eq!(c.closed_durations_us()[stages::INTERVAL].len(), 1);
+        assert_eq!(c.closed_durations_us(|_| true)[stages::INTERVAL].len(), 1);
     }
 
     #[test]

@@ -56,9 +56,9 @@ pub const INTERVAL: &str = "interval";
 pub const SHARD_REBALANCE: &str = "shard_rebalance";
 /// Folding per-group demand predictions into per-shard aggregator rows.
 pub const SHARD_AGGREGATE: &str = "shard_aggregate";
-/// A shard going down (checkpoint capture + crash failover sweep).
+/// A shard going down (the crash failover sweep).
 pub const SHARD_OUTAGE: &str = "shard_outage";
-/// A shard coming back (checkpoint-anchored recovery resync).
+/// A shard coming back live at the end of its outage window.
 pub const SHARD_RESTORE: &str = "shard_restore";
 
 /// Every stage name, for exhaustive report tables and schema checks.

@@ -130,11 +130,11 @@ fn print_help(out: &mut dyn Write) -> std::io::Result<()> {
          (0 disables sampling; default 4096).\n\
          `--faults PROFILE` injects uplink faults from a built-in profile\n\
          ({}) or a JSON file (see results/fault_profiles/). Profiles may\n\
-         schedule shard outages (`bs-flap`, `bs-crash`): a shard going\n\
-         down takes a boundary checkpoint; crashed shards fail their\n\
-         users over to live neighbours and take them back once the window\n\
-         ends; partitioned shards push users into the degradation ladder\n\
-         until the window heals.\n\
+         schedule shard outages (`bs-flap`, `bs-crash`): crashed shards\n\
+         fail their users over to live neighbours and take them back once\n\
+         the window ends; partitioned shards push users into the\n\
+         degradation ladder until the window heals. `run` and `report`\n\
+         print one row per shard that went down.\n\
          `--slo POLICY` arms the deterministic SLO watchdog from a\n\
          built-in policy ({}) or a JSON file (see results/slo_profiles/);\n\
          the run exits non-zero when any rule burns past its breach\n\
@@ -149,7 +149,8 @@ fn print_help(out: &mut dyn Write) -> std::io::Result<()> {
          `--journal` writes the run's one record, the event journal, as\n\
          JSONL: the run's shape, each scored interval's predicted and\n\
          actual demand, and the closing stage-latency table. `report`\n\
-         prints the same scorecard and stage table from such a file.\n\
+         prints the same scorecard, stage and outage tables from such a\n\
+         file.\n\
          `--trace` writes the run's hierarchical spans as a Chrome-trace\n\
          JSON file (open in Perfetto or chrome://tracing); every stage\n\
          span carries its exact duration, so the trace is the run's\n\
@@ -348,21 +349,9 @@ fn cmd_run(args: &[String], out: &mut dyn Write) -> Result<(), Box<dyn std::erro
             "shards: {} | handovers {} | peak imbalance {:.2}",
             shards.shards, shards.handovers_total, shards.peak_imbalance,
         )?;
-        if shards.outages_total > 0 {
-            let worst = shards
-                .demand
-                .iter()
-                .map(|r| r.availability)
-                .fold(1.0f64, f64::min);
-            writeln!(
-                out,
-                "outages: {} | failover handovers {} | checkpoint bytes {} | worst availability {:.1}%",
-                shards.outages_total,
-                shards.failover_handovers_total,
-                shards.checkpoint_bytes_total,
-                100.0 * worst,
-            )?;
-        }
+    }
+    if let Some(table) = report::outage_table(&entries) {
+        writeln!(out, "{table}")?;
     }
     writeln!(
         out,
@@ -625,62 +614,8 @@ fn cmd_report(args: &[String], out: &mut dyn Write) -> Result<(), Box<dyn std::e
         .collect();
     writeln!(out, "{}", report::format_table(&["event", "count"], &rows))?;
 
-    // Per-shard availability from the outage events. A `ShardDown` at
-    // interval `d` answered by a `ShardRestored` at interval `r` means
-    // the shard missed intervals `d..r`; an unanswered `ShardDown` is
-    // down through the end of the run.
-    let total_intervals = entries
-        .iter()
-        .filter(|e| matches!(e.event, Event::IntervalCompleted { .. }))
-        .count() as u64;
-    let mut shard_rows: BTreeMap<u64, (u64, u64, Option<u64>)> = BTreeMap::new();
-    for e in &entries {
-        match &e.event {
-            Event::ShardDown {
-                interval, shard, ..
-            } => {
-                let row = shard_rows.entry(*shard).or_insert((0, 0, None));
-                row.0 += 1;
-                row.2 = Some(*interval);
-            }
-            Event::ShardRestored {
-                interval, shard, ..
-            } => {
-                let row = shard_rows.entry(*shard).or_insert((0, 0, None));
-                if let Some(down_at) = row.2.take() {
-                    row.1 += interval.saturating_sub(down_at);
-                }
-            }
-            _ => {}
-        }
-    }
-    if !shard_rows.is_empty() {
-        let rows: Vec<Vec<String>> = shard_rows
-            .iter()
-            .map(|(shard, (outages, closed_down, open))| {
-                let down =
-                    closed_down + open.map_or(0, |down_at| total_intervals.saturating_sub(down_at));
-                let availability = if total_intervals == 0 {
-                    1.0
-                } else {
-                    1.0 - down as f64 / total_intervals as f64
-                };
-                vec![
-                    shard.to_string(),
-                    outages.to_string(),
-                    down.to_string(),
-                    format!("{:.1}%", 100.0 * availability),
-                ]
-            })
-            .collect();
-        writeln!(
-            out,
-            "{}",
-            report::format_table(
-                &["shard", "outages", "down intervals", "availability"],
-                &rows
-            )
-        )?;
+    if let Some(table) = report::outage_table(&entries) {
+        writeln!(out, "{table}")?;
     }
 
     // SLO breach/recovery timeline.

@@ -72,8 +72,8 @@ pub use msvs_edge as edge;
 pub use msvs_core as core;
 
 /// Multi-BS sharded deployment: shard ownership of twins, handover by
-/// relabelling, outage checkpoints and the global reservation aggregator
-/// ([`msvs_shard`]).
+/// relabelling, crash failover, shard checkpoints and the global
+/// reservation aggregator ([`msvs_shard`]).
 pub use msvs_shard as shard;
 
 /// End-to-end simulator ([`msvs_sim`]).

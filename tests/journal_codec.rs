@@ -19,7 +19,7 @@ use msvs::telemetry::{EventJournal, Json};
 use msvs::types::SimDuration;
 
 /// Every integer field an event carries, `t_ms` included.
-const INT_FIELDS: [&str; 22] = [
+const INT_FIELDS: [&str; 20] = [
     "t_ms",
     "seed",
     "users",
@@ -39,8 +39,6 @@ const INT_FIELDS: [&str; 22] = [
     "replaced",
     "shard",
     "failed_over",
-    "checkpoint_bytes",
-    "recovered",
     "count",
 ];
 

@@ -1,14 +1,14 @@
-//! Control-plane fault tolerance: shard outages, checkpoint/restore and
-//! failover routing. A crashed shard must fail its users over to live
-//! neighbours and take them back after restoring from its boundary
-//! checkpoint — conserving the twin population at every interval — a
-//! partitioned shard must pin its users in place and push them into the
+//! Control-plane fault tolerance: shard outages, restore and failover
+//! routing. A crashed shard must fail its users over to live neighbours
+//! and take them back after the restore — conserving the twin population
+//! at every interval — a partitioned shard must pin its users in place and push them into the
 //! degradation ladder. That an empty plan changes nothing and that
 //! outage runs do not depend on the worker-pool size is asserted by
 //! `tests/equivalence_matrix.rs`.
 
 use msvs::core::{CompressorConfig, GroupingConfig, SchemeConfig};
 use msvs::faults::FaultPlan;
+use msvs::sim::report::{outage_table, shard_outages};
 use msvs::sim::{Simulation, SimulationConfig};
 use msvs::telemetry::Event;
 use msvs::types::SimDuration;
@@ -75,10 +75,6 @@ fn bs_crash_conserves_twins_across_kill_failover_restore() {
     assert!(
         summary.failover_handovers_total > 0,
         "the crash must fail users over to live neighbours"
-    );
-    assert!(
-        summary.checkpoint_bytes_total > 0,
-        "going down captures a boundary checkpoint"
     );
     let users: usize = summary.demand.iter().map(|row| row.users).sum();
     assert_eq!(users, 24, "no twin duplicated or dropped");
@@ -156,4 +152,38 @@ fn outage_for_absent_shard_is_ignored() {
         report.shards.is_none(),
         "single-shard runs never attach a shard summary"
     );
+}
+
+/// `msvs run` and `msvs report` print one per-shard outage table, folded
+/// from the journal. On a run that ends while shard 1 is still down, its
+/// rows equal the coordinator's own availability accounting.
+#[test]
+fn outage_table_matches_the_shard_summary_with_an_outage_still_open() {
+    // bs-crash downs shard 1 at interval 1 for two intervals; a run of
+    // two scored intervals ends inside the window.
+    let cfg = with_profile(outage_config(33, 4, 2, 2), "bs-crash");
+    let mut sim = Simulation::new(cfg).expect("scenario builds");
+    let report = sim.run_schedule().expect("run completes");
+    assert!(sim.store().is_down(1), "the run ends mid-outage");
+    let summary = report.shards.expect("sharded runs attach a summary");
+    let entries = sim.telemetry().journal().entries();
+    let rows = shard_outages(&entries);
+    assert_eq!(
+        rows.iter().map(|r| r.shard).collect::<Vec<_>>(),
+        [1],
+        "one row per shard that went down"
+    );
+    for row in &rows {
+        let want = &summary.demand[row.shard as usize];
+        assert_eq!(
+            (row.down_intervals, row.availability),
+            (want.down_intervals, want.availability),
+            "shard {}",
+            row.shard
+        );
+    }
+    assert_eq!(rows[0].outages, summary.outages_total);
+    assert_eq!(rows[0].failed_over, summary.failover_handovers_total);
+    let table = outage_table(&entries).expect("a shard went down");
+    assert!(table.contains("50.0%"), "{table}");
 }

@@ -179,6 +179,34 @@ fn exposition_of_a_real_run_conforms_to_the_text_format() {
     }
 }
 
+/// Each scored interval sets the `prediction_accuracy` gauges from its
+/// record, so `/metrics` shows the latest interval's radio and
+/// computing accuracy; gauges stay out of the report's telemetry.
+#[test]
+fn metrics_expose_the_latest_intervals_prediction_accuracy() {
+    let mut sim = Simulation::new(seeded_config(33, 1, 1, 2)).expect("sim builds");
+    let report = sim.run_schedule().expect("run completes");
+    let body = expo::render_prometheus(sim.telemetry());
+    let last = report.intervals.last().expect("scored intervals");
+    for (label, accuracy) in [
+        ("radio", last.radio_accuracy),
+        ("computing", last.computing_accuracy),
+    ] {
+        let prefix = format!("prediction_accuracy{{label=\"{label}\"}} ");
+        let shown = body
+            .lines()
+            .find_map(|l| l.strip_prefix(&prefix))
+            .unwrap_or_else(|| panic!("no {prefix}sample in\n{body}"));
+        assert_eq!(shown.parse::<f64>().unwrap(), accuracy, "{label}");
+    }
+    assert!(body.contains("# TYPE prediction_accuracy gauge"), "{body}");
+    assert!(report
+        .telemetry
+        .counters
+        .iter()
+        .all(|(name, _, _)| name != "prediction_accuracy"));
+}
+
 /// The crash of shard 1 must breach the 0.9 availability floor, and the
 /// full breach stream must be bit-identical at 1 vs 4 worker threads.
 /// (Availability is cumulative, so a 2-of-4-intervals outage stays
