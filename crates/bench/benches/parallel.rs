@@ -98,7 +98,13 @@ fn bench_predict(c: &mut Criterion) {
         .expect("scheme config is valid");
         let mut predict = || {
             predictor
-                .predict(sim.store(), sim.catalog(), edge.cache(), &transcode, &link)
+                .predict(
+                    sim.store().twins(),
+                    sim.catalog(),
+                    edge.cache(),
+                    &transcode,
+                    &link,
+                )
                 .expect("prediction runs")
         };
         // The first pass trains the compressor; time the frozen passes.

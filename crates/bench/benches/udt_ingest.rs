@@ -8,7 +8,7 @@ use msvs_udt::{TwinReports, UdtStore, UserDigitalTwin};
 use std::hint::black_box;
 
 fn warm_store(n_users: u32) -> UdtStore {
-    let store = UdtStore::new();
+    let mut store = UdtStore::new();
     for u in 0..n_users {
         let mut twin = UserDigitalTwin::new(UserId(u));
         for s in 0..64u64 {
@@ -21,13 +21,15 @@ fn warm_store(n_users: u32) -> UdtStore {
 }
 
 fn bench_channel_update(c: &mut Criterion) {
-    let store = warm_store(128);
+    let mut store = warm_store(128);
     let mut t = 0u64;
     c.bench_function("udt_channel_update", |b| {
         b.iter(|| {
             t += 1;
             store
-                .update_channel(black_box(UserId((t % 128) as u32)), SimTime(t), 14.2)
+                .with_twin_mut(black_box(UserId((t % 128) as u32)), |twin| {
+                    twin.update_channel(SimTime(t), 14.2)
+                })
                 .expect("user exists")
         })
     });
@@ -39,7 +41,7 @@ fn bench_channel_update(c: &mut Criterion) {
 fn bench_interval_batch(c: &mut Criterion) {
     const USERS: u32 = 1000;
     const TICKS: u64 = 24;
-    let store = warm_store(USERS);
+    let mut store = warm_store(USERS);
     let outboxes: Vec<TwinReports> = (0..USERS)
         .map(|u| {
             let mut reports = TwinReports::default();

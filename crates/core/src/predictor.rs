@@ -19,8 +19,8 @@ use crate::scheme::{DtAssistedPredictor, PredictionOutcome};
 /// reservation interval. Borrowed from the simulator each pass.
 pub struct PredictionContext<'a> {
     /// The user digital twin population (channel, location, watch
-    /// histories): a [`msvs_udt::UdtStore`], or a sharded deployment's one
-    /// store with its ownership labels.
+    /// histories): the simulator passes its one [`msvs_udt::UdtStore`],
+    /// whatever the shard count.
     pub store: &'a dyn TwinView,
     /// The video catalog.
     pub catalog: &'a Catalog,

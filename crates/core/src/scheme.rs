@@ -180,7 +180,8 @@ impl Default for SchemeConfig {
 /// Everything one prediction pass produces.
 #[derive(Debug)]
 pub struct PredictionOutcome {
-    /// Users in the order they were clustered (index ↔ assignment).
+    /// Users in the order they were clustered (index ↔ assignment): the
+    /// snapshot's ascending id order.
     pub user_order: Vec<UserId>,
     /// The multicast grouping.
     pub grouping: Grouping,
@@ -576,7 +577,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     fn populated_store(n: usize, seed: u64) -> UdtStore {
-        let store = UdtStore::new();
+        let mut store = UdtStore::new();
         let mut rng = StdRng::seed_from_u64(seed);
         for u in 0..n {
             let mut twin = UserDigitalTwin::new(UserId(u as u32));

@@ -412,24 +412,49 @@ impl FaultPlan {
     pub fn from_json(json: &Json) -> Result<Self> {
         let bad = |reason: &str| Error::invalid_config("faults", reason.to_string());
         // A typoed key would otherwise silently parse as "inject nothing",
-        // so reject anything outside the known schema by name.
-        const KNOWN_KEYS: [&str; 8] = [
-            "seed",
-            "uplink_loss",
-            "delay",
-            "corruption",
-            "retry",
-            "churn_bursts",
-            "brownouts",
-            "outages",
-        ];
-        if let Json::Obj(map) = json {
-            for key in map.keys() {
-                if !KNOWN_KEYS.contains(&key.as_str()) {
-                    return Err(bad(&format!("unknown key `{key}` in profile")));
-                }
+        // so every object must be one and hold only the keys it knows;
+        // an error names the object's path.
+        let known = |v: &Json, path: &str, keys: &[&str]| {
+            let Json::Obj(map) = v else {
+                return Err(bad(&format!("{path} must be an object")));
+            };
+            match map.keys().find(|k| !keys.contains(&k.as_str())) {
+                Some(key) => Err(bad(&format!("unknown key `{key}` in {path}"))),
+                None => Ok(()),
             }
+        };
+        known(
+            json,
+            "profile",
+            &[
+                "seed",
+                "uplink_loss",
+                "delay",
+                "corruption",
+                "retry",
+                "churn_bursts",
+                "brownouts",
+                "outages",
+            ],
+        )?;
+        if let Some(delay) = json.get("delay") {
+            known(delay, "delay", &["probability", "max_ticks"])?;
         }
+        if let Some(retry) = json.get("retry") {
+            known(retry, "retry", &["max_attempts", "backoff_ms"])?;
+        }
+        // The items of list field `key`, each an object of `keys`; an
+        // absent list is empty.
+        let list = |key: &str, keys: &[&str]| match json.get(key) {
+            None => Ok(&[][..]),
+            Some(Json::Arr(items)) => {
+                for (i, item) in items.iter().enumerate() {
+                    known(item, &format!("{key}[{i}]"), keys)?;
+                }
+                Ok(&items[..])
+            }
+            Some(_) => Err(bad(&format!("{key} must be an array"))),
+        };
         let mut plan = Self::none();
         // The field at a dotted `path`, if present, as an integer or a
         // number; a present field of the wrong type is an error.
@@ -471,37 +496,31 @@ impl FaultPlan {
                 .and_then(Json::as_f64)
                 .ok_or_else(|| bad(&reason))
         };
-        if let Some(Json::Arr(items)) = json.get("churn_bursts") {
-            for item in items {
-                plan.churn_bursts.push(ChurnBurst {
-                    interval: int(item, "churn_bursts", "interval")?,
-                    fraction: num(item, "churn_bursts", "fraction")?,
-                });
-            }
+        for item in list("churn_bursts", &["interval", "fraction"])? {
+            plan.churn_bursts.push(ChurnBurst {
+                interval: int(item, "churn_bursts", "interval")?,
+                fraction: num(item, "churn_bursts", "fraction")?,
+            });
         }
-        if let Some(Json::Arr(items)) = json.get("brownouts") {
-            for item in items {
-                plan.brownouts.push(Brownout {
-                    start: int(item, "brownouts", "start")?,
-                    duration: int(item, "brownouts", "duration")?,
-                    capacity_scale: num(item, "brownouts", "capacity_scale")?,
-                });
-            }
+        for item in list("brownouts", &["start", "duration", "capacity_scale"])? {
+            plan.brownouts.push(Brownout {
+                start: int(item, "brownouts", "start")?,
+                duration: int(item, "brownouts", "duration")?,
+                capacity_scale: num(item, "brownouts", "capacity_scale")?,
+            });
         }
-        if let Some(Json::Arr(items)) = json.get("outages") {
-            for item in items {
-                let shard = int(item, "outages", "shard")?;
-                plan.outages.push(ShardOutage {
-                    shard: usize::try_from(shard).map_err(|_| bad("outages.shard out of range"))?,
-                    from: int(item, "outages", "from")?,
-                    duration: int(item, "outages", "duration")?,
-                    mode: item
-                        .get("mode")
-                        .and_then(Json::as_str)
-                        .and_then(OutageMode::from_label)
-                        .ok_or_else(|| bad("outages.mode must be \"crash\" or \"partition\""))?,
-                });
-            }
+        for item in list("outages", &["shard", "from", "duration", "mode"])? {
+            let shard = int(item, "outages", "shard")?;
+            plan.outages.push(ShardOutage {
+                shard: usize::try_from(shard).map_err(|_| bad("outages.shard out of range"))?,
+                from: int(item, "outages", "from")?,
+                duration: int(item, "outages", "duration")?,
+                mode: item
+                    .get("mode")
+                    .and_then(Json::as_str)
+                    .and_then(OutageMode::from_label)
+                    .ok_or_else(|| bad("outages.mode must be \"crash\" or \"partition\""))?,
+            });
         }
         plan.validate()?;
         Ok(plan)
@@ -836,6 +855,54 @@ mod tests {
         assert!(err.to_string().contains("brownots"), "{err}");
         // Known keys still parse.
         FaultPlan::parse(r#"{"brownouts": []}"#).unwrap();
+    }
+
+    /// A malformed profile fails by path instead of running as if the
+    /// fault were absent.
+    #[test]
+    fn malformed_profile_shapes_are_rejected_by_path() {
+        for (text, needle) in [
+            ("[1,2]", "profile must be an object"),
+            ("7", "profile must be an object"),
+            (
+                r#"{"delay":{"probabilty":0.5}}"#,
+                "unknown key `probabilty` in delay",
+            ),
+            (
+                r#"{"retry":{"backof_ms":5}}"#,
+                "unknown key `backof_ms` in retry",
+            ),
+            (r#"{"delay":0.5}"#, "delay must be an object"),
+            (r#"{"retry":[]}"#, "retry must be an object"),
+            (
+                r#"{"churn_bursts":{"interval":1}}"#,
+                "churn_bursts must be an array",
+            ),
+            (r#"{"brownouts":3}"#, "brownouts must be an array"),
+            (r#"{"outages":"crash"}"#, "outages must be an array"),
+            (
+                r#"{"churn_bursts":[{"interval":1,"fraction":0.1,"frac":0.2}]}"#,
+                "unknown key `frac` in churn_bursts[0]",
+            ),
+            (
+                r#"{"brownouts":[{"start":1,"duration":1,"capacity_scale":0.5},{"start":2}]}"#,
+                "brownouts.duration must be an integer",
+            ),
+            (r#"{"brownouts":[4]}"#, "brownouts[0] must be an object"),
+            (
+                r#"{"outages":[{"shard":1,"from":1,"duration":1,"mode":"crash","shrad":2}]}"#,
+                "unknown key `shrad` in outages[0]",
+            ),
+        ] {
+            let err = FaultPlan::parse(text).unwrap_err().to_string();
+            assert!(err.contains(needle), "{text}: {err}");
+        }
+        // The complete, correctly spelt shape still parses.
+        FaultPlan::parse(
+            r#"{"delay":{"probability":0.5,"max_ticks":2},"retry":{"max_attempts":1,"backoff_ms":5},
+                "churn_bursts":[],"brownouts":[],"outages":[]}"#,
+        )
+        .unwrap();
     }
 
     #[test]

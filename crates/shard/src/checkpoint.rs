@@ -188,7 +188,7 @@ impl ShardCheckpoint {
     /// and returns each user's restored sync state for the caller to
     /// re-install. The store's instance-nonce counter only moves
     /// forward, so a stale checkpoint can never cause nonce reuse.
-    pub fn restore_into(&self, store: &UdtStore) -> Vec<(UserId, SyncTracker)> {
+    pub fn restore_into(&self, store: &mut UdtStore) -> Vec<(UserId, SyncTracker)> {
         store.restore_next_instance(self.next_instance);
         for entry in &self.twins {
             store.import(entry.twin.clone());
@@ -219,17 +219,17 @@ mod tests {
     const OWNED: [UserId; 3] = [UserId(4), UserId(2), UserId(9)];
 
     fn seeded_store() -> (UdtStore, Vec<(UserId, SyncTracker)>) {
-        let store = UdtStore::new();
+        let mut store = UdtStore::new();
         let mut trackers = Vec::new();
         store.insert(UserDigitalTwin::new(UserId(5)));
         for user in OWNED {
             let id = u32::from(user);
             store.insert(UserDigitalTwin::new(user));
             store
-                .update_channel(user, SimTime::from_secs(1), 6.0 + id as f64)
-                .unwrap();
-            store
-                .update_location(user, SimTime::from_secs(2), Position::new(id as f64, 1.0))
+                .with_twin_mut(user, |t| {
+                    t.update_channel(SimTime::from_secs(1), 6.0 + id as f64);
+                    t.update_location(SimTime::from_secs(2), Position::new(id as f64, 1.0));
+                })
                 .unwrap();
             let mut tracker = SyncTracker::default();
             tracker.mark(Attribute::Channel, SimTime::from_secs(1));
@@ -280,8 +280,8 @@ mod tests {
         let back = ShardCheckpoint::parse(&text).expect("round trip");
         assert_eq!(back, ckpt, "JSON codec is lossless");
 
-        let fresh = UdtStore::new();
-        let restored = back.restore_into(&fresh);
+        let mut fresh = UdtStore::new();
+        let restored = back.restore_into(&mut fresh);
         assert_eq!(fresh.len(), 3);
         assert_eq!(
             fresh.with_twin(UserId(4), |t| t.revision()).unwrap(),
@@ -306,18 +306,18 @@ mod tests {
     /// mutations reach neither the snapshot nor the checkpoint.
     #[test]
     fn restore_yields_twins_equal_to_the_originals() {
-        let (store, _) = seeded_store();
+        let (mut store, _) = seeded_store();
         store.remove(UserId(5));
         let held = store.snapshot();
         let ckpt = capture(&store, 3);
         let text = ckpt.to_string();
         store
-            .update_channel(UserId(9), SimTime::from_secs(5), -2.0)
+            .with_twin_mut(UserId(9), |t| t.update_channel(SimTime::from_secs(5), -2.0))
             .unwrap();
-        let fresh = UdtStore::new();
+        let mut fresh = UdtStore::new();
         ShardCheckpoint::parse(&text)
             .expect("round trip")
-            .restore_into(&fresh);
+            .restore_into(&mut fresh);
         assert_eq!(fresh.snapshot(), held);
         assert_ne!(store.snapshot(), held);
     }
@@ -372,17 +372,37 @@ mod tests {
         assert_eq!(ShardCheckpoint::from_json(&json).unwrap().shard, 1023);
     }
 
+    /// A user id at the top of the id space costs one map entry on
+    /// restore, not a table that long.
+    #[test]
+    fn the_largest_user_id_restores_as_one_twin() {
+        let mut store = UdtStore::new();
+        store.insert(UserDigitalTwin::new(UserId(u32::MAX)));
+        let line =
+            ShardCheckpoint::capture(&store, 0, [UserId(u32::MAX)], 0, |_| SyncTracker::default())
+                .to_string();
+        assert!(line.contains("4294967295"), "{line}");
+        let mut fresh = UdtStore::new();
+        ShardCheckpoint::parse(&line)
+            .expect("round trip")
+            .restore_into(&mut fresh);
+        let snap = fresh.snapshot();
+        assert_eq!(snap.len(), 1);
+        assert_eq!(snap[0].user(), UserId(u32::MAX));
+        assert_eq!(snap, store.snapshot());
+    }
+
     #[test]
     fn restore_never_rewinds_the_nonce_counter() {
         let ckpt = capture(&seeded_store().0, 0);
-        let target = UdtStore::new();
+        let mut target = UdtStore::new();
         // The target store has advanced past the checkpoint.
         for id in 100..110u32 {
             target.insert(UserDigitalTwin::new(UserId(id)));
         }
         let advanced = target.next_instance();
         assert!(advanced > ckpt.next_instance);
-        ckpt.restore_into(&target);
+        ckpt.restore_into(&mut target);
         assert_eq!(target.next_instance(), advanced);
         assert_eq!(target.len(), 13, "restore adds to what the store holds");
     }

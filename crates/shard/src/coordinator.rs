@@ -4,8 +4,8 @@
 use msvs_core::GroupDemandPrediction;
 use msvs_faults::OutageMode;
 use msvs_telemetry::{stages, Telemetry};
-use msvs_types::{Position, Result, SimDuration, SimTime, UserId};
-use msvs_udt::{SyncTracker, TwinView, UdtStore, UserDigitalTwin};
+use msvs_types::{Position, UserId};
+use msvs_udt::{SyncTracker, UdtStore, UserDigitalTwin};
 
 use crate::aggregate::{ReservationAggregator, ShardDemandRow, ShardSummary};
 use crate::checkpoint::ShardCheckpoint;
@@ -41,9 +41,9 @@ pub struct OutageTransition {
 /// it to the rest of the pipeline as one population.
 ///
 /// Every twin lives in a single [`UdtStore`]; a shard is only the label
-/// saying which base station's shard owns a user. Write paths mirror the
-/// store's API (so the parallel collection sweep works unchanged) and
-/// read paths implement [`TwinView`] straight over it. A handover or a
+/// saying which base station's shard owns a user. Readers and writers
+/// reach the store itself through [`twins`](Self::twins) and
+/// [`twins_mut`](Self::twins_mut). A handover or a
 /// crash failover relabels a user and never touches the twin, so the
 /// twins, their instance nonces included, are the same at any shard
 /// count. With one shard no shard telemetry is emitted and the handover
@@ -194,46 +194,22 @@ impl ShardCoordinator {
         self.store.insert(twin);
     }
 
-    /// Runs `f` with shared access to a twin (see
-    /// [`UdtStore::with_twin`]).
-    ///
-    /// # Errors
-    /// Returns [`msvs_types::Error::NotFound`] for an unregistered user.
-    pub fn with_twin<T>(&self, user: UserId, f: impl FnOnce(&UserDigitalTwin) -> T) -> Result<T> {
-        self.store.with_twin(user, f)
+    /// The twin store, every twin in one map whatever its owner.
+    pub fn twins(&self) -> &UdtStore {
+        &self.store
     }
 
-    /// Runs `f` with exclusive access to a twin.
-    ///
-    /// # Errors
-    /// Returns [`msvs_types::Error::NotFound`] for an unregistered user.
-    pub fn with_twin_mut<T>(
-        &self,
-        user: UserId,
-        f: impl FnOnce(&mut UserDigitalTwin) -> T,
-    ) -> Result<T> {
-        self.store.with_twin_mut(user, f)
+    /// The twin store, for writes (collection and playback).
+    pub fn twins_mut(&mut self) -> &mut UdtStore {
+        &mut self.store
     }
 
-    /// Number of registered twins.
+    /// Number of registered twins: the population the owner labels
+    /// split, which [`imbalance`](Self::imbalance) divides and e2ebench's
+    /// twin-conservation check reads.
+    #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
         self.store.len()
-    }
-
-    /// Whether no twin is registered.
-    pub fn is_empty(&self) -> bool {
-        self.store.is_empty()
-    }
-
-    /// Fresh-twin coverage of the whole population (see
-    /// [`UdtStore::fresh_fraction`]).
-    pub fn fresh_fraction(&self, now: SimTime, horizon: SimDuration) -> f64 {
-        self.store.fresh_fraction(now, horizon)
-    }
-
-    /// The canonical population view: every twin, user-sorted.
-    pub fn snapshot(&self) -> Vec<UserDigitalTwin> {
-        self.store.snapshot()
     }
 
     /// Re-evaluates ownership for every user (in the given order — the
@@ -466,23 +442,10 @@ impl ShardCoordinator {
     }
 }
 
-impl TwinView for ShardCoordinator {
-    fn len(&self) -> usize {
-        ShardCoordinator::len(self)
-    }
-
-    fn fresh_fraction(&self, now: SimTime, horizon: SimDuration) -> f64 {
-        ShardCoordinator::fresh_fraction(self, now, horizon)
-    }
-
-    fn snapshot(&self) -> Vec<UserDigitalTwin> {
-        ShardCoordinator::snapshot(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use msvs_types::SimTime;
     use msvs_udt::{Attribute, RetryPolicy};
 
     fn grid() -> Vec<Position> {
@@ -501,10 +464,11 @@ mod tests {
     fn insert_at(c: &mut ShardCoordinator, id: u32, x: f64, y: f64) {
         let twin = UserDigitalTwin::new(UserId(id));
         c.insert(twin, Position::new(x, y));
-        c.with_twin_mut(UserId(id), |t| {
-            t.update_location(SimTime::ZERO, Position::new(x, y))
-        })
-        .unwrap();
+        c.twins_mut()
+            .with_twin_mut(UserId(id), |t| {
+                t.update_location(SimTime::ZERO, Position::new(x, y))
+            })
+            .unwrap();
     }
 
     #[test]
@@ -515,20 +479,26 @@ mod tests {
         assert_eq!(c.owner_of(UserId(0)), Some(0));
         assert_eq!(c.owner_of(UserId(1)), Some(1));
         assert_eq!(c.len(), 2);
-        c.with_twin_mut(UserId(0), |t| t.update_channel(SimTime::ZERO, 8.0))
+        c.twins_mut()
+            .with_twin_mut(UserId(0), |t| t.update_channel(SimTime::ZERO, 8.0))
             .unwrap();
         assert_eq!(
-            c.with_twin(UserId(0), |t| t.latest_snr_db()).unwrap(),
+            c.twins()
+                .with_twin(UserId(0), |t| t.latest_snr_db())
+                .unwrap(),
             Some(8.0)
         );
         assert!(c
+            .twins_mut()
             .with_twin_mut(UserId(9), |t| t.update_channel(SimTime::ZERO, 1.0))
             .is_err());
         let users: Vec<usize> = c.summary().demand.iter().map(|r| r.users).collect();
         assert_eq!(users, [1, 1]);
         // One store stamps the nonces in insert order, whatever the owner.
         assert_eq!(
-            c.with_twin(UserId(1), |t| t.revision().instance).unwrap(),
+            c.twins()
+                .with_twin(UserId(1), |t| t.revision().instance)
+                .unwrap(),
             2
         );
     }
@@ -539,7 +509,7 @@ mod tests {
         insert_at(&mut c, 7, 99.0, 99.0);
         insert_at(&mut c, 1, 1.0, 1.0);
         insert_at(&mut c, 3, 99.0, 1.0);
-        let snap = TwinView::snapshot(&c);
+        let snap = c.twins().snapshot();
         let ids: Vec<u32> = snap.iter().map(|t| t.user().into()).collect();
         assert_eq!(ids, vec![1, 3, 7]);
     }
@@ -550,10 +520,11 @@ mod tests {
         insert_at(&mut c, 0, 1.0, 1.0);
         insert_at(&mut c, 1, 99.0, 1.0);
         // User 0 reports a position in BS 1's cell.
-        c.with_twin_mut(UserId(0), |t| {
-            t.update_location(SimTime::from_secs(5), Position::new(98.0, 2.0))
-        })
-        .unwrap();
+        c.twins_mut()
+            .with_twin_mut(UserId(0), |t| {
+                t.update_location(SimTime::from_secs(5), Position::new(98.0, 2.0))
+            })
+            .unwrap();
         let users = [UserId(0), UserId(1)];
         assert_eq!(c.rebalance(&users), 1);
         assert_eq!(c.owner_of(UserId(0)), Some(1));
@@ -584,11 +555,15 @@ mod tests {
         assert_eq!(c.rebalance(&[UserId(0), UserId(1)]), 0);
         // Legacy nonce sequence: 1, 2, ...
         assert_eq!(
-            c.with_twin(UserId(0), |t| t.revision().instance).unwrap(),
+            c.twins()
+                .with_twin(UserId(0), |t| t.revision().instance)
+                .unwrap(),
             1
         );
         assert_eq!(
-            c.with_twin(UserId(1), |t| t.revision().instance).unwrap(),
+            c.twins()
+                .with_twin(UserId(1), |t| t.revision().instance)
+                .unwrap(),
             2
         );
     }
@@ -604,7 +579,7 @@ mod tests {
         insert_at(&mut c, 1, 99.0, 1.0); // shard 1
         insert_at(&mut c, 2, 98.0, 2.0); // shard 1
         let users = ids(3);
-        let twin_1 = c.with_twin(UserId(1), Clone::clone).unwrap();
+        let twin_1 = c.twins().with_twin(UserId(1), Clone::clone).unwrap();
 
         // Interval 1: shard 1 crashes. Its users fail over to shard 0.
         let t = c.apply_outages(|s| (s == 1).then_some(OutageMode::Crash), &users);
@@ -618,7 +593,7 @@ mod tests {
         assert_eq!(c.summary().demand[1].users, 0);
         assert_eq!(c.summary().failover_handovers_total, 2);
         assert_eq!(
-            c.with_twin(UserId(1), Clone::clone).unwrap(),
+            c.twins().with_twin(UserId(1), Clone::clone).unwrap(),
             twin_1,
             "failover relabels the user and leaves the twin as it was"
         );
@@ -672,7 +647,8 @@ mod tests {
         let mut c = coordinator(2);
         insert_at(&mut c, 1, 99.0, 1.0); // shard 1
         insert_at(&mut c, 0, 1.0, 1.0); // shard 0 (keeps a live target)
-        let nonce = |c: &ShardCoordinator, id| c.with_twin(UserId(id), |t| t.revision().instance);
+        let nonce =
+            |c: &ShardCoordinator, id| c.twins().with_twin(UserId(id), |t| t.revision().instance);
         let before = [nonce(&c, 0).unwrap(), nonce(&c, 1).unwrap()];
         let users = ids(2);
         c.apply_outages(|s| (s == 1).then_some(OutageMode::Crash), &users);
@@ -703,10 +679,11 @@ mod tests {
         );
         // The partitioned user cannot hand over even if their last
         // report put them across the boundary.
-        c.with_twin_mut(UserId(1), |t| {
-            t.update_location(SimTime::from_secs(9), Position::new(1.0, 2.0))
-        })
-        .unwrap();
+        c.twins_mut()
+            .with_twin_mut(UserId(1), |t| {
+                t.update_location(SimTime::from_secs(9), Position::new(1.0, 2.0))
+            })
+            .unwrap();
         assert_eq!(c.rebalance(&users), 0);
         // Heal: the backlog user hands over on the next sweep.
         c.apply_outages(|_| None, &users);

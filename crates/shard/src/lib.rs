@@ -12,8 +12,8 @@
 //! - [`ShardRouter`] maps positions to shards deterministically via the
 //!   nearest base station;
 //! - [`ShardCoordinator`] owns the one [`msvs_udt::UdtStore`] and an
-//!   owner label per user, mirrors the store's write API, and runs the
-//!   serial handover sweep and the outage lifecycle — a handover or a
+//!   owner label per user, hands the store itself to readers and
+//!   writers, and runs the serial handover sweep and the outage lifecycle — a handover or a
 //!   crash failover relabels a user and never moves its twin, and the
 //!   users' uplink sync state stays with the caller;
 //! - [`ShardCheckpoint`] snapshots one shard's users at an interval

@@ -79,7 +79,9 @@ pub struct Simulation {
     updates_sent_before: u64,
     retries_sent_before: u64,
     faults: Option<FaultRuntime>,
-    prev_assignments: Option<std::collections::HashMap<UserId, usize>>,
+    /// The previous prediction pass's `(user, group)` pairs, ascending
+    /// by user id (grouping stability).
+    prev_assignments: Option<Vec<(UserId, usize)>>,
     last_outcome: Option<PredictionOutcome>,
     telemetry: Telemetry,
     slo: Option<SloWatchdog>,
@@ -300,7 +302,7 @@ impl Simulation {
         if self.config.pretrain_rounds > 0 {
             let _pretrain_scope = self.telemetry.stage_scope(stages::DDQN_PRETRAIN);
             self.predictor
-                .pretrain(&self.store, self.config.pretrain_rounds)?;
+                .pretrain(self.store.twins(), self.config.pretrain_rounds)?;
         }
         Ok(())
     }
@@ -551,7 +553,6 @@ impl Simulation {
         let handovers = self.world.step(steps, tick, self.pool);
         drop(world_scope);
         let samples = self.world.users();
-        let store = &self.store;
         let start = self.now;
         let faults = self.faults.as_ref();
         let uplink = Uplink {
@@ -570,8 +571,19 @@ impl Simulation {
         };
         let partitioned = &partitioned;
         let ingest_scope = self.telemetry.stage_scope(stages::UDT_INGEST);
-        let stats = self.pool.for_each_mut(&mut self.uplinks, |i, user| {
+        // Each slot pairs a user's uplink with its twin: both ascend by
+        // id, one entry per user, so a worker writes its users' twins
+        // through its own borrows.
+        let twins = self.store.twins_mut();
+        assert_eq!(twins.len(), self.uplinks.len(), "one twin per uplink");
+        let mut slots: Vec<_> = self.uplinks.iter_mut().zip(twins.twins_mut()).collect();
+        let stats = self.pool.for_each_mut(&mut slots, |i, (user, twin)| {
             let id = UserId(i as u32);
+            assert_eq!(
+                twin.user(),
+                id,
+                "uplink {i} paired with another user's twin"
+            );
             let uplink = Uplink {
                 partitioned: partitioned.get(i).copied().unwrap_or(false),
                 ..uplink
@@ -588,9 +600,7 @@ impl Simulation {
                 // also counts clean samples beyond ±100 dB (a user within
                 // metres of a BS), which are not faults. The fault path
                 // tallies its own payloads as it queues them.
-                store
-                    .with_twin_mut(id, |twin| twin.apply_reports(&outbox))
-                    .expect("user twin registered at construction");
+                twin.apply_reports(&outbox);
             }
         });
         drop(ingest_scope);
@@ -659,7 +669,7 @@ impl Simulation {
             predict_scope.set_interval(index);
         }
         let ctx = PredictionContext {
-            store: &self.store,
+            store: self.store.twins(),
             catalog: self.world.catalog(),
             cache: self.world.edge().cache(),
             transcode: &TRANSCODE,
@@ -727,28 +737,27 @@ impl Simulation {
         self.updates_sent_before = updates_total;
 
         let outcome = predicted.outcome;
-        // Grouping stability vs the previous prediction pass (over the
-        // users present in both).
-        let current: std::collections::HashMap<UserId, usize> = outcome
+        // Grouping stability vs the previous prediction pass, over the
+        // users present in both. Both passes list users in the snapshot's
+        // ascending id order, so one merge pairs them.
+        let current: Vec<(UserId, usize)> = outcome
             .user_order
             .iter()
-            .zip(&outcome.grouping.assignments)
-            .map(|(&u, &a)| (u, a))
+            .copied()
+            .zip(outcome.grouping.assignments.iter().copied())
             .collect();
+        debug_assert!(current.windows(2).all(|w| w[0].0 < w[1].0));
         let grouping_stability = self.prev_assignments.as_ref().and_then(|prev| {
-            let mut a = Vec::new();
-            let mut b = Vec::new();
-            for (user, &g) in &current {
-                if let Some(&pg) = prev.get(user) {
+            let mut prev = prev.iter().peekable();
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            for &(user, g) in &current {
+                while prev.next_if(|&&(p, _)| p < user).is_some() {}
+                if let Some(&(_, pg)) = prev.next_if(|&&(p, _)| p == user) {
                     a.push(g);
                     b.push(pg);
                 }
             }
-            if a.len() < 2 {
-                None
-            } else {
-                Some(msvs_cluster::adjusted_rand_index(&a, &b))
-            }
+            (a.len() >= 2).then(|| msvs_cluster::adjusted_rand_index(&a, &b))
         });
         self.prev_assignments = Some(current);
         self.intervals_run += 1;
@@ -837,6 +846,7 @@ impl Simulation {
                 });
         for (id, records) in watches {
             self.store
+                .twins_mut()
                 .with_twin_mut(id, |twin| twin.record_watches(self.now, records))
                 .expect("user twin registered at construction");
         }
@@ -1238,6 +1248,7 @@ mod tests {
         sim.warm_up().unwrap();
         let with_history = sim
             .store()
+            .twins()
             .snapshot()
             .iter()
             .filter(|t| !t.watch_series().is_empty())
@@ -1400,7 +1411,7 @@ mod tests {
         };
         let mut sim = Simulation::new(cfg).unwrap();
         sim.warm_up().unwrap();
-        for twin in sim.store().snapshot() {
+        for twin in sim.store().twins().snapshot() {
             let positions: Vec<Position> = twin.location_series().iter().map(|(_, p)| *p).collect();
             assert!(!positions.is_empty());
             assert!(
@@ -1421,7 +1432,7 @@ mod tests {
         sim.warm_up().unwrap();
         let mut moved = 0;
         let mut still = 0;
-        for twin in sim.store().snapshot() {
+        for twin in sim.store().twins().snapshot() {
             let positions: Vec<Position> = twin.location_series().iter().map(|(_, p)| *p).collect();
             if positions.windows(2).any(|w| w[0] != w[1]) {
                 moved += 1;
@@ -1544,7 +1555,12 @@ mod tests {
         let mut clean = Simulation::new(config.clone()).unwrap();
         let mut outages = faulted(outages_only);
         let mut lossy = faulted(builtin("lossy-uplink"));
-        let twin = |sim: &Simulation, id| sim.store.with_twin(id, UserDigitalTwin::clone).unwrap();
+        let twin = |sim: &Simulation, id| {
+            sim.store
+                .twins()
+                .with_twin(id, UserDigitalTwin::clone)
+                .unwrap()
+        };
         let mut twins_differ = false;
         for _ in 0..3 {
             for sim in [&mut clean, &mut outages, &mut lossy] {

@@ -10,7 +10,7 @@
 //!   the 1D-CNN compressor;
 //! - [`sync`] — collection policies (per-attribute periods) and their
 //!   signalling cost;
-//! - [`store`] — the concurrent edge-resident registry of twins.
+//! - [`store`] — the edge-resident registry of twins, ordered by user id.
 //!
 //! # Examples
 //!
@@ -18,11 +18,12 @@
 //! use msvs_udt::{UserDigitalTwin, UdtStore};
 //! use msvs_types::{UserId, SimTime, Position};
 //!
-//! let store = UdtStore::new();
+//! let mut store = UdtStore::new();
 //! store.insert(UserDigitalTwin::new(UserId(3)));
-//! store.update_channel(UserId(3), SimTime::from_secs(1), 17.0).unwrap();
-//! store.update_location(UserId(3), SimTime::from_secs(1),
-//!                       Position::new(100.0, 250.0)).unwrap();
+//! store.with_twin_mut(UserId(3), |t| {
+//!     t.update_channel(SimTime::from_secs(1), 17.0);
+//!     t.update_location(SimTime::from_secs(1), Position::new(100.0, 250.0));
+//! }).unwrap();
 //! let snr = store.with_twin(UserId(3), |t| t.latest_snr_db()).unwrap();
 //! assert_eq!(snr, Some(17.0));
 //! ```

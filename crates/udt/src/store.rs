@@ -1,18 +1,15 @@
-//! The concurrent edge-resident twin registry.
+//! The edge-resident twin registry.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::collections::BTreeMap;
 
-use msvs_types::{Error, Position, Result, SimDuration, SimTime, UserId};
+use msvs_types::{Error, Result, SimDuration, SimTime, UserId};
 
-use crate::attribute::WatchRecord;
 use crate::twin::UserDigitalTwin;
 
 /// Read-only view over a population of twins — what the prediction
-/// pipeline actually consumes. Implemented by [`UdtStore`] and by
-/// multi-shard deployments, which keep every twin in one store and label
-/// each with its owning shard.
+/// pipeline actually consumes. Implemented by [`UdtStore`]; a
+/// multi-shard deployment keeps every twin in one store and labels each
+/// with its owning shard, so it hands the predictor that store.
 pub trait TwinView: Send + Sync {
     /// Number of registered twins.
     fn len(&self) -> usize;
@@ -44,110 +41,94 @@ impl TwinView for UdtStore {
     }
 }
 
-/// Number of lock shards; a small power of two spreads BS collector
-/// contention without bloating the struct.
-const SHARDS: usize = 16;
-
-/// A sharded, thread-safe map of [`UserDigitalTwin`]s.
+/// The map of [`UserDigitalTwin`]s, ordered by user id.
 ///
-/// Base stations update twins concurrently while the predictor reads
-/// consistent per-twin snapshots; shard-level `RwLock`s keep the common
-/// path (disjoint users) contention-free.
-#[derive(Debug, Default)]
+/// Every write takes `&mut self`. The collection sweep writes twins in
+/// parallel through disjoint `&mut` borrows from [`Self::twins_mut`], so
+/// the store needs no lock. Keyed by id rather than indexed by it, a
+/// checkpoint naming a huge user id costs one entry, not a table that
+/// long.
+#[derive(Debug)]
 pub struct UdtStore {
-    shards: Vec<RwLock<HashMap<UserId, UserDigitalTwin>>>,
+    twins: BTreeMap<UserId, UserDigitalTwin>,
     /// Stamps each inserted twin with a fresh instance nonce so churned
-    /// `UserId` slots never alias in revision-keyed caches. Inserts run
-    /// serially in the simulation, so stamping order is deterministic.
-    next_instance: AtomicU64,
+    /// `UserId` slots never alias in revision-keyed caches.
+    next_instance: u64,
+}
+
+impl Default for UdtStore {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl UdtStore {
     /// Builds an empty store; its first instance nonce is 1.
     pub fn new() -> Self {
         Self {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
-            next_instance: AtomicU64::new(1),
+            twins: BTreeMap::new(),
+            next_instance: 1,
         }
-    }
-
-    fn shard(&self, user: UserId) -> &RwLock<HashMap<UserId, UserDigitalTwin>> {
-        &self.shards[user.index() % SHARDS]
-    }
-
-    /// Shared shard access; a poisoned lock means a collector thread
-    /// panicked mid-update, which is unrecoverable for the registry.
-    fn read(
-        shard: &RwLock<HashMap<UserId, UserDigitalTwin>>,
-    ) -> std::sync::RwLockReadGuard<'_, HashMap<UserId, UserDigitalTwin>> {
-        shard.read().expect("twin shard lock poisoned")
-    }
-
-    /// Exclusive shard access (same poisoning policy as [`Self::read`]).
-    fn write(
-        shard: &RwLock<HashMap<UserId, UserDigitalTwin>>,
-    ) -> std::sync::RwLockWriteGuard<'_, HashMap<UserId, UserDigitalTwin>> {
-        shard.write().expect("twin shard lock poisoned")
     }
 
     /// Number of registered twins.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| Self::read(s).len()).sum()
+        self.twins.len()
     }
 
     /// Whether the store holds no twins.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.twins.is_empty()
     }
 
     /// Registers (or replaces) a twin, stamping it with a fresh instance
     /// nonce (see [`UserDigitalTwin::revision`]).
-    pub fn insert(&self, mut twin: UserDigitalTwin) {
-        twin.set_instance(self.next_instance.fetch_add(1, Ordering::Relaxed));
-        Self::write(self.shard(twin.user())).insert(twin.user(), twin);
+    pub fn insert(&mut self, mut twin: UserDigitalTwin) {
+        twin.set_instance(self.next_instance);
+        self.next_instance += 1;
+        self.import(twin);
     }
 
     /// Re-registers a twin *without* stamping a new instance nonce,
     /// preserving its full [`TwinRevision`](crate::TwinRevision) — the
     /// checkpoint restore primitive. The revision (including the nonce
     /// it was stamped with) survives intact.
-    pub fn import(&self, twin: UserDigitalTwin) {
-        Self::write(self.shard(twin.user())).insert(twin.user(), twin);
+    pub fn import(&mut self, twin: UserDigitalTwin) {
+        self.twins.insert(twin.user(), twin);
     }
 
     /// Removes a twin, returning it if present.
-    pub fn remove(&self, user: UserId) -> Option<UserDigitalTwin> {
-        Self::write(self.shard(user)).remove(&user)
+    pub fn remove(&mut self, user: UserId) -> Option<UserDigitalTwin> {
+        self.twins.remove(&user)
     }
 
     /// The next instance nonce this store would stamp. Captured by shard
     /// checkpoints so a store restored from one never reissues a nonce
     /// the checkpointed store already handed out.
     pub fn next_instance(&self) -> u64 {
-        self.next_instance.load(Ordering::Relaxed)
+        self.next_instance
     }
 
     /// Restores the instance-nonce counter from a checkpoint. Only moves
     /// the counter forward — a stale checkpoint can never rewind it into
     /// reissuing live nonces.
-    pub fn restore_next_instance(&self, next: u64) {
-        self.next_instance.fetch_max(next, Ordering::Relaxed);
+    pub fn restore_next_instance(&mut self, next: u64) {
+        self.next_instance = self.next_instance.max(next);
     }
 
     /// Whether a twin exists for `user`.
     pub fn contains(&self, user: UserId) -> bool {
-        Self::read(self.shard(user)).contains_key(&user)
+        self.twins.contains_key(&user)
     }
 
-    /// All registered user ids (sorted for determinism).
+    /// All registered user ids, ascending.
     pub fn user_ids(&self) -> Vec<UserId> {
-        let mut ids: Vec<UserId> = self
-            .shards
-            .iter()
-            .flat_map(|s| Self::read(s).keys().copied().collect::<Vec<_>>())
-            .collect();
-        ids.sort();
-        ids
+        self.twins.keys().copied().collect()
+    }
+
+    /// Every twin, mutably, in ascending id order.
+    pub fn twins_mut(&mut self) -> impl Iterator<Item = &mut UserDigitalTwin> {
+        self.twins.values_mut()
     }
 
     /// Runs `f` with shared access to a twin.
@@ -155,8 +136,7 @@ impl UdtStore {
     /// # Errors
     /// Returns [`Error::NotFound`] for an unregistered user.
     pub fn with_twin<T>(&self, user: UserId, f: impl FnOnce(&UserDigitalTwin) -> T) -> Result<T> {
-        let guard = Self::read(self.shard(user));
-        guard
+        self.twins
             .get(&user)
             .map(f)
             .ok_or_else(|| Error::not_found("user twin", user))
@@ -167,87 +147,47 @@ impl UdtStore {
     /// # Errors
     /// Returns [`Error::NotFound`] for an unregistered user.
     pub fn with_twin_mut<T>(
-        &self,
+        &mut self,
         user: UserId,
         f: impl FnOnce(&mut UserDigitalTwin) -> T,
     ) -> Result<T> {
-        let mut guard = Self::write(self.shard(user));
-        guard
+        self.twins
             .get_mut(&user)
             .map(f)
             .ok_or_else(|| Error::not_found("user twin", user))
     }
 
-    /// Records a channel sample for `user`. Returns whether the twin
-    /// accepted the sample (non-finite/implausible payloads are rejected;
-    /// see [`UserDigitalTwin::update_channel`]).
-    ///
-    /// # Errors
-    /// Returns [`Error::NotFound`] for an unregistered user.
-    pub fn update_channel(&self, user: UserId, at: SimTime, snr_db: f64) -> Result<bool> {
-        self.with_twin_mut(user, |t| t.update_channel(at, snr_db))
-    }
-
-    /// Records a location sample for `user`. Returns whether the twin
-    /// accepted the sample.
-    ///
-    /// # Errors
-    /// Returns [`Error::NotFound`] for an unregistered user.
-    pub fn update_location(&self, user: UserId, at: SimTime, position: Position) -> Result<bool> {
-        self.with_twin_mut(user, |t| t.update_location(at, position))
-    }
-
-    /// Records a watch record for `user`.
-    ///
-    /// # Errors
-    /// Returns [`Error::NotFound`] for an unregistered user.
-    pub fn record_watch(&self, user: UserId, at: SimTime, record: WatchRecord) -> Result<()> {
-        self.with_twin_mut(user, |t| t.record_watch(at, record))
-    }
-
     /// Fraction of registered twins whose fast attributes (channel and
     /// location) were both updated within `horizon` of `now` — the
     /// fresh-data coverage the degradation ladder gates on. `0.0` for an
-    /// empty store. Order-independent (a pure count), so deterministic
-    /// regardless of shard iteration order.
+    /// empty store.
     pub fn fresh_fraction(&self, now: SimTime, horizon: SimDuration) -> f64 {
-        let mut fresh = 0usize;
-        let mut total = 0usize;
-        for shard in &self.shards {
-            for twin in Self::read(shard).values() {
-                total += 1;
-                if twin.is_fresh(now, horizon) {
-                    fresh += 1;
-                }
-            }
+        if self.twins.is_empty() {
+            return 0.0;
         }
-        if total == 0 {
-            0.0
-        } else {
-            fresh as f64 / total as f64
-        }
+        let fresh = self
+            .twins
+            .values()
+            .filter(|t| t.is_fresh(now, horizon))
+            .count();
+        fresh as f64 / self.twins.len() as f64
     }
 
-    /// Clones every twin out (snapshot for offline analysis).
+    /// Clones every twin out, in ascending id order.
     pub fn snapshot(&self) -> Vec<UserDigitalTwin> {
-        let mut twins: Vec<UserDigitalTwin> = self
-            .shards
-            .iter()
-            .flat_map(|s| Self::read(s).values().cloned().collect::<Vec<_>>())
-            .collect();
-        twins.sort_by_key(|t| t.user());
-        twins
+        self.twins.values().cloned().collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use crate::attribute::WatchRecord;
+    use msvs_types::Position;
 
     #[test]
     fn insert_contains_remove() {
-        let store = UdtStore::new();
+        let mut store = UdtStore::new();
         assert!(store.is_empty());
         store.insert(UserDigitalTwin::new(UserId(5)));
         assert!(store.contains(UserId(5)));
@@ -258,17 +198,29 @@ mod tests {
     }
 
     #[test]
+    fn default_store_stamps_like_new() {
+        let mut store = UdtStore::default();
+        assert!(store.is_empty());
+        assert_eq!(store.next_instance(), 1);
+        store.insert(UserDigitalTwin::new(UserId(3)));
+        assert_eq!(store.len(), 1);
+        let rev = store.with_twin(UserId(3), |t| t.revision()).unwrap();
+        assert_eq!(rev.instance, 1);
+        assert_eq!(store.next_instance(), 2);
+    }
+
+    #[test]
     fn unknown_user_errors() {
-        let store = UdtStore::new();
+        let mut store = UdtStore::new();
         assert!(store
-            .update_channel(UserId(1), SimTime::ZERO, 10.0)
+            .with_twin_mut(UserId(1), |t| t.update_channel(SimTime::ZERO, 10.0))
             .is_err());
         assert!(store.with_twin(UserId(1), |_| ()).is_err());
     }
 
     #[test]
     fn user_ids_sorted() {
-        let store = UdtStore::new();
+        let mut store = UdtStore::new();
         for id in [30u32, 2, 17, 99, 4] {
             store.insert(UserDigitalTwin::new(UserId(id)));
         }
@@ -277,9 +229,21 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_and_twins_mut_ascend_by_id() {
+        let mut store = UdtStore::new();
+        for id in [30u32, 2, 17, u32::MAX, 4] {
+            store.insert(UserDigitalTwin::new(UserId(id)));
+        }
+        let ascending = vec![2u32, 4, 17, 30, u32::MAX];
+        let snap: Vec<u32> = store.snapshot().iter().map(|t| t.user().into()).collect();
+        assert_eq!(snap, ascending);
+        let muts: Vec<u32> = store.twins_mut().map(|t| t.user().into()).collect();
+        assert_eq!(muts, ascending);
+    }
+
+    #[test]
     fn fresh_fraction_counts_recent_twins() {
-        use msvs_types::SimDuration;
-        let store = UdtStore::new();
+        let mut store = UdtStore::new();
         assert_eq!(
             store.fresh_fraction(SimTime::ZERO, SimDuration::from_secs(5)),
             0.0
@@ -290,14 +254,14 @@ mod tests {
         // Two twins fully fresh, one channel-only, one empty.
         for id in [0u32, 1] {
             store
-                .update_channel(UserId(id), SimTime::from_secs(10), 8.0)
-                .unwrap();
-            store
-                .update_location(UserId(id), SimTime::from_secs(10), Position::new(1.0, 2.0))
+                .with_twin_mut(UserId(id), |t| {
+                    t.update_channel(SimTime::from_secs(10), 8.0);
+                    t.update_location(SimTime::from_secs(10), Position::new(1.0, 2.0));
+                })
                 .unwrap();
         }
         store
-            .update_channel(UserId(2), SimTime::from_secs(10), 8.0)
+            .with_twin_mut(UserId(2), |t| t.update_channel(SimTime::from_secs(10), 8.0))
             .unwrap();
         let now = SimTime::from_secs(12);
         assert_eq!(store.fresh_fraction(now, SimDuration::from_secs(5)), 0.5);
@@ -309,7 +273,7 @@ mod tests {
 
     #[test]
     fn reinserting_a_user_slot_gets_a_fresh_instance() {
-        let store = UdtStore::new();
+        let mut store = UdtStore::new();
         store.insert(UserDigitalTwin::new(UserId(7)));
         let first = store.with_twin(UserId(7), |t| t.revision()).unwrap();
         assert_ne!(first.instance, 0, "store stamps a nonce");
@@ -323,13 +287,13 @@ mod tests {
 
     #[test]
     fn import_preserves_the_instance_nonce() {
-        let origin = UdtStore::new();
-        let dest = UdtStore::new();
+        let mut origin = UdtStore::new();
+        let mut dest = UdtStore::new();
         for id in [1u32, 2, 3] {
             origin.insert(UserDigitalTwin::new(UserId(id)));
         }
         origin
-            .update_channel(UserId(3), SimTime::from_secs(1), 7.0)
+            .with_twin_mut(UserId(3), |t| t.update_channel(SimTime::from_secs(1), 7.0))
             .unwrap();
         let rev = origin.with_twin(UserId(3), |t| t.revision()).unwrap();
         assert_eq!(rev.instance, 3);
@@ -342,7 +306,7 @@ mod tests {
 
     #[test]
     fn restore_next_instance_only_moves_the_counter_forward() {
-        let store = UdtStore::new();
+        let mut store = UdtStore::new();
         store.insert(UserDigitalTwin::new(UserId(1)));
         store.insert(UserDigitalTwin::new(UserId(2)));
         assert_eq!(store.next_instance(), 3);
@@ -357,7 +321,7 @@ mod tests {
 
     #[test]
     fn twin_view_matches_inherent_methods() {
-        let store = UdtStore::new();
+        let mut store = UdtStore::new();
         store.insert(UserDigitalTwin::new(UserId(2)));
         store.insert(UserDigitalTwin::new(UserId(1)));
         let view: &dyn TwinView = &store;
@@ -365,23 +329,25 @@ mod tests {
         assert!(!view.is_empty());
         assert_eq!(view.snapshot().len(), 2);
         assert_eq!(
-            view.fresh_fraction(SimTime::ZERO, msvs_types::SimDuration::from_secs(5)),
-            store.fresh_fraction(SimTime::ZERO, msvs_types::SimDuration::from_secs(5))
+            view.fresh_fraction(SimTime::ZERO, SimDuration::from_secs(5)),
+            store.fresh_fraction(SimTime::ZERO, SimDuration::from_secs(5))
         );
     }
 
     #[test]
     fn snapshot_is_deep_and_ordered() {
-        let store = UdtStore::new();
+        let mut store = UdtStore::new();
         store.insert(UserDigitalTwin::new(UserId(2)));
         store.insert(UserDigitalTwin::new(UserId(1)));
-        store.update_channel(UserId(1), SimTime::ZERO, 5.0).unwrap();
+        store
+            .with_twin_mut(UserId(1), |t| t.update_channel(SimTime::ZERO, 5.0))
+            .unwrap();
         let snap = store.snapshot();
         assert_eq!(snap.len(), 2);
         assert_eq!(snap[0].user(), UserId(1));
         // Mutating the store after snapshot leaves the snapshot unchanged.
         store
-            .update_channel(UserId(1), SimTime::from_secs(1), 9.0)
+            .with_twin_mut(UserId(1), |t| t.update_channel(SimTime::from_secs(1), 9.0))
             .unwrap();
         assert_eq!(snap[0].latest_snr_db(), Some(5.0));
     }
@@ -401,13 +367,15 @@ mod tests {
             video_duration: SimDuration::from_secs(30),
             completed: false,
         };
-        let store = UdtStore::new();
+        let mut store = UdtStore::new();
         store.insert(UserDigitalTwin::new(user));
-        store.update_channel(user, SimTime::ZERO, 5.0).unwrap();
         store
-            .update_location(user, SimTime::ZERO, Position::new(1.0, 2.0))
+            .with_twin_mut(user, |t| {
+                t.update_channel(SimTime::ZERO, 5.0);
+                t.update_location(SimTime::ZERO, Position::new(1.0, 2.0));
+                t.record_watch(SimTime::ZERO, watch(4));
+            })
             .unwrap();
-        store.record_watch(user, SimTime::ZERO, watch(4)).unwrap();
         let snap = store.snapshot();
         let before = snap[0].clone();
         store
@@ -420,13 +388,11 @@ mod tests {
             .unwrap();
 
         let later = SimTime::from_secs(1);
-        store.update_channel(user, later, 9.0).unwrap();
-        store
-            .update_location(user, later, Position::new(8.0, 9.0))
-            .unwrap();
-        store.record_watch(user, later, watch(20)).unwrap();
         store
             .with_twin_mut(user, |t| {
+                t.update_channel(later, 9.0);
+                t.update_location(later, Position::new(8.0, 9.0));
+                t.record_watch(later, watch(20));
                 t.set_preference(later, vec![0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
             })
             .unwrap();
@@ -447,40 +413,5 @@ mod tests {
                     .shares_storage_with(snap[0].channel_series()));
             })
             .unwrap();
-    }
-
-    #[test]
-    fn concurrent_updates_from_many_threads() {
-        let store = Arc::new(UdtStore::new());
-        const USERS: u32 = 64;
-        for id in 0..USERS {
-            store.insert(UserDigitalTwin::new(UserId(id)));
-        }
-        let mut handles = Vec::new();
-        for thread in 0..8u32 {
-            let store = Arc::clone(&store);
-            handles.push(std::thread::spawn(move || {
-                for step in 0..200u64 {
-                    let user = UserId((thread * 8 + (step % 8) as u32) % USERS);
-                    store
-                        .update_channel(user, SimTime(step), step as f64)
-                        .unwrap();
-                    store
-                        .update_location(user, SimTime(step), Position::new(1.0, 2.0))
-                        .unwrap();
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        // Every touched twin has data.
-        let with_data = store
-            .snapshot()
-            .iter()
-            .filter(|t| t.latest_snr_db().is_some())
-            .count();
-        assert!(with_data > 0);
-        assert_eq!(store.len(), USERS as usize);
     }
 }

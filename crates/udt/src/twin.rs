@@ -46,7 +46,7 @@ impl FeatureWindow {
 
 /// One interval's uplink reports for a single twin, buffered so they
 /// reach it in one write ([`UserDigitalTwin::apply_reports`]) instead of
-/// one locked write per sample.
+/// one write per sample.
 ///
 /// Each attribute keeps its own arrival order; the twin applies them in
 /// that order, so every series ends up exactly as if each report had

@@ -505,7 +505,7 @@ fn restore_checkpoint(path: &str, out: &mut dyn Write) -> Result<(), Box<dyn std
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let mut shards = 0usize;
     let mut twins = 0usize;
-    let store = UdtStore::new();
+    let mut store = UdtStore::new();
     // Shard id -> line, and user -> (line, shard), of the first sighting.
     let mut shard_lines = BTreeMap::new();
     let mut owners = BTreeMap::new();
@@ -535,7 +535,7 @@ fn restore_checkpoint(path: &str, out: &mut dyn Write) -> Result<(), Box<dyn std
                 ).into());
             }
         }
-        let restored = ckpt.restore_into(&store);
+        let restored = ckpt.restore_into(&mut store);
         if store.len() != twins + ckpt.len() || restored.len() != ckpt.len() {
             return Err(format!(
                 "{path}:{}: restore mismatch: checkpoint holds {} twin(s), store restored {}",

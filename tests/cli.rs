@@ -119,6 +119,24 @@ fn sharded_checkpoint_restores_and_a_duplicated_line_fails() {
     assert!(stderr.contains("already checkpointed"), "{stderr}");
 }
 
+/// A fault profile with a misspelt nested key fails `msvs run` with the
+/// key in stderr, instead of running as if the fault were absent.
+#[test]
+fn run_rejects_a_fault_profile_with_a_misspelt_nested_key() {
+    let path =
+        std::env::temp_dir().join(format!("msvs-cli-bad-profile-{}.json", std::process::id()));
+    std::fs::write(&path, r#"{"delay":{"probabilty":0.5}}"#).expect("profile written");
+    let output = Command::new(env!("CARGO_BIN_EXE_msvs"))
+        .args(["run", "--users", "24", "--intervals", "2", "--faults"])
+        .arg(&path)
+        .output()
+        .expect("msvs starts");
+    std::fs::remove_file(&path).ok();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!output.status.success(), "a misspelt key must fail the run");
+    assert!(stderr.contains("probabilty"), "{stderr}");
+}
+
 /// The table of `text` whose header line starts with `header` (after its
 /// alignment padding), up to the next blank line.
 fn block<'a>(text: &'a str, header: &str) -> Vec<&'a str> {

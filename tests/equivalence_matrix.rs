@@ -127,7 +127,7 @@ fn run(cfg: SimulationConfig) -> Cell {
     Cell {
         report: strip_wall(sim.finish(intervals)),
         twins,
-        snapshot: sim.store().snapshot(),
+        snapshot: sim.store().twins().snapshot(),
         journal: sim.telemetry().journal().entries(),
     }
 }

@@ -16,7 +16,7 @@ use rand::{Rng, SeedableRng};
 
 /// Builds a store with two clearly-separated behavioural archetypes.
 fn bimodal_store(n: usize, seed: u64) -> UdtStore {
-    let store = UdtStore::new();
+    let mut store = UdtStore::new();
     let mut rng = StdRng::seed_from_u64(seed);
     for u in 0..n {
         let mut twin = UserDigitalTwin::new(UserId(u as u32));
@@ -169,7 +169,7 @@ fn ddqn_strategy_runs_and_learns_across_calls() {
 fn degraded_channel_raises_rb_demand() {
     let (catalog, cache, transcode, link) = fixtures();
     let run = |snr: f64| {
-        let store = UdtStore::new();
+        let mut store = UdtStore::new();
         let mut rng = StdRng::seed_from_u64(4);
         for u in 0..20 {
             let mut twin = UserDigitalTwin::new(UserId(u));
@@ -209,29 +209,27 @@ fn degraded_channel_raises_rb_demand() {
 
 #[test]
 fn store_mutation_between_predictions_changes_outcome() {
-    let store = bimodal_store(30, 5);
+    let mut store = bimodal_store(30, 5);
     let (catalog, cache, transcode, link) = fixtures();
     let mut p = predictor(GroupingStrategy::FixedK(3));
     // Compare RB per megabit: the scheme adapts bitrate to the channel, so
     // raw total RB can fall when traffic shrinks, but the per-Mb radio cost
     // must rise once every user sits at the cell edge.
-    let rb_per_mb = |p: &mut DtAssistedPredictor| {
+    let rb_per_mb = |p: &mut DtAssistedPredictor, store: &UdtStore| {
         let outcome = p
-            .predict(&store, &catalog, &cache, &transcode, &link)
+            .predict(store, &catalog, &cache, &transcode, &link)
             .expect("prediction runs");
         let traffic: f64 = outcome.groups.iter().map(|g| g.expected_traffic_mb).sum();
         outcome.total_radio().value() / traffic
     };
-    let before = rb_per_mb(&mut p);
+    let before = rb_per_mb(&mut p, &store);
     // Crash every user's channel.
-    for id in store.user_ids() {
+    for twin in store.twins_mut() {
         for s in 0..64u64 {
-            store
-                .update_channel(id, SimTime::from_secs(400 + s), -2.0)
-                .expect("user exists");
+            twin.update_channel(SimTime::from_secs(400 + s), -2.0);
         }
     }
-    let after = rb_per_mb(&mut p);
+    let after = rb_per_mb(&mut p, &store);
     assert!(
         after > before,
         "worse channel must raise per-Mb radio cost: {before:.4} -> {after:.4} RB/Mb"
